@@ -154,16 +154,6 @@ class AlgebraElement:
         return f"AlgebraElement(dims={dims}, sup={self.max_abs_entry():.3e})"
 
 
-def from_vec(shape: AlgebraShape, v: np.ndarray) -> AlgebraElement:
-    """Inverse of AlgebraElement.vec."""
-    blocks = []
-    pos = 0
-    for n in shape.block_dims:
-        blocks.append(np.asarray(v[pos:pos + n * n], dtype=complex).reshape(n, n))
-        pos += n * n
-    return AlgebraElement(shape, blocks)
-
-
 def sup_distance(a: AlgebraElement, b: AlgebraElement) -> float:
     """Largest absolute entry of a - b, a cheap proxy for the operator norm gap."""
     return (a - b).max_abs_entry()

@@ -8,7 +8,9 @@ at every node in fixed node order, so all reductions are deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -24,11 +26,15 @@ class InverseClosureError(Exception):
 
 @dataclass(frozen=True)
 class BracketFunction:
-    """Sampled bracket values with their integration weights and provenance."""
+    """Sampled bracket values with their integration weights and provenance.
+
+    ``labels`` is the tuple of node labels or a function that builds it;
+    ``node_labels`` calls that function once, on first use.
+    """
 
     values: np.ndarray
     weights: np.ndarray
-    node_labels: tuple[str, ...]
+    labels: tuple[str, ...] | Callable[[], tuple[str, ...]]
     provenance: str = ""
 
     def __post_init__(self) -> None:
@@ -43,6 +49,12 @@ class BracketFunction:
 
     def __len__(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def node_labels(self) -> tuple[str, ...]:
+        if callable(self.labels):
+            object.__setattr__(self, "labels", tuple(self.labels()))
+        return self.labels
 
     def to_table(self) -> str:
         """Two-column export: node label, complex value."""
@@ -63,7 +75,7 @@ def bracket(x: AlgebraElement, y: AlgebraElement, action: Action, haar: HaarMode
             provenance: str = "") -> BracketFunction:
     """Sampled bracket g -> trace((g.y)* x) on the action's nodes."""
     values = action.bracket_values(x, y)
-    return BracketFunction(values, haar.weights, _node_labels(action),
+    return BracketFunction(values, haar.weights, functools.partial(_node_labels, action),
                            provenance=provenance or f"bracket@{action.kind}")
 
 

@@ -29,7 +29,6 @@ from .algebra import (
     AlgebraElement,
     NotPositiveError,
     ParameterError,
-    WeightKernel,
     eigh_blocks,
     op_norm,
     p_norm,
@@ -120,9 +119,6 @@ class DufloEstimate:
         """D^t y D^t."""
         dt = self.power(t)
         return dt @ y @ dt
-
-    def weight_inverse(self) -> WeightKernel:
-        return WeightKernel(self.d_inverse)
 
 
 def _window_sup(x: AlgebraElement, action: Action, window: slice | None) -> float:

@@ -1,10 +1,16 @@
 """Actions: representations, structural validation, fixed points, isometry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qha.algebra import AlgebraElement, random_element, sup_distance, trace
 from qha.actions import (
+    CERTIFICATE_MARGIN,
     ActionError,
     GridError,
     MeasureError,
@@ -12,10 +18,12 @@ from qha.actions import (
     UnitaryRep,
     WaveletDesign,
     automorphism_defect,
+    commutant_certificate,
     commutant_dimension,
     conjugation_action,
     coset_action,
     cyclic_character_rep,
+    dense_fixed_point_dimension,
     dual_action,
     finite_weyl_heisenberg,
     fixed_point_dimension,
@@ -32,6 +40,7 @@ from qha.actions import (
     wavelet_action,
 )
 from qha.groups import cyclic, product
+from qha.scenarios import ScenarioSpec, build_scenario, list_builtins
 
 
 SMALL_WAVELET = WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
@@ -419,3 +428,101 @@ class TestStructuralCheckers:
         for act in (conjugation_action(finite_weyl_heisenberg(4)),
                     coset_action(cyclic(6), [0, 2, 4])):
             assert isometry_defect(act, rng) <= 1e-9
+
+
+# The finite builtins of ``qha verify --all`` plus three larger instances of
+# the same mechanisms.
+ORACLE_IDS = (
+    *(sid for sid in list_builtins() if not sid.startswith("affine-wavelet")),
+    "translation:cyclic(64)", "twisted-dual:12:1", "wh:16", "broken-measure",
+)
+
+
+def _direct_sum(*reps):
+    G = reps[0].group
+    dim = sum(r.dim for r in reps)
+    mats = np.zeros((G.order, dim, dim), dtype=complex)
+    for g in G.elements():
+        pos = 0
+        for r in reps:
+            mats[g, pos:pos + r.dim, pos:pos + r.dim] = r.matrix(g)
+            pos += r.dim
+    return UnitaryRep(G, mats)
+
+
+class TestErgodicityCount:
+    @pytest.mark.parametrize("sid", ORACLE_IDS)
+    def test_structured_count_matches_dense_oracle(self, sid):
+        act = build_scenario(ScenarioSpec(sid, seed=1729)).action
+        assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 1
+
+    @pytest.mark.parametrize("act", [
+        conjugation_action(finite_weyl_heisenberg(3)),
+        dual_action(product(cyclic(5), cyclic(5)), 2),
+        wavelet_action(SMALL_WAVELET),
+    ], ids=["conjugation", "twisted-dual", "wavelet"])
+    def test_sampled_unitaries_conjugate_like_apply(self, act):
+        rng = np.random.default_rng(16)
+        x = random_element(act.shape, rng)
+        if act.kind == "twisted-dual":
+            x = act.from_symbol(rng.standard_normal(act.base_group.order))
+        for g, U in zip(act.sample_elements, act.sampled_unitaries()):
+            direct = AlgebraElement(act.shape, [U @ x.blocks[0] @ U.conj().T])
+            assert sup_distance(act.apply(g, x), direct) < 1e-10
+
+    def test_simple_spectrum_disconnected_graph(self):
+        # std + sign of s3: the generic element has a simple spectrum, the
+        # rotated unitaries stay block diagonal, so the graph has 2 components
+        reps = s3_irreps()
+        act = conjugation_action(_direct_sum(reps["std"], reps["sign"]))
+        cert = commutant_certificate(act.sampled_unitaries())
+        assert cert.method == "spectral"
+        assert cert.dimension == 2
+        assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 2
+
+    def test_degenerate_spectrum_takes_dense_count(self):
+        # std (x) 1_2: every element of the generated algebra is doubly
+        # degenerate; the commutant 1 (x) M_2 has dimension 4
+        std = s3_irreps()["std"]
+        mats = np.array([np.kron(U, np.eye(2)) for U in std.matrices])
+        act = conjugation_action(UnitaryRep(std.group, mats))
+        cert = commutant_certificate(act.sampled_unitaries())
+        assert cert.method == "dense-svd"
+        assert cert.dimension == 4
+        assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 4
+
+    def test_trivial_rep_dim2(self):
+        act = conjugation_action(trivial_rep(cyclic(3), dim=2))
+        assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 4
+
+    def test_non_transitive_permutation(self):
+        G = cyclic(2)
+        act = permutation_action(G, np.array([[0, 1, 2, 3], [1, 0, 3, 2]]), np.ones(4))
+        assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 2
+
+    def test_large_degenerate_action_raises(self):
+        act = conjugation_action(trivial_rep(cyclic(2), dim=25))
+        with pytest.raises(ActionError, match="relative gap"):
+            fixed_point_dimension(act)
+
+    @pytest.mark.parametrize("preset", ["coarse", "default", "small"])
+    def test_wavelet_certificate(self, preset):
+        if preset == "small":
+            act = wavelet_action(SMALL_WAVELET)
+        else:
+            act = build_scenario(ScenarioSpec(f"affine-wavelet:{preset}")).action
+        tol = 1e-8
+        cert = commutant_certificate(act.sampled_unitaries(), tol)
+        assert cert.method == "spectral"
+        assert cert.dimension == fixed_point_dimension(act) == 1
+        assert cert.noise_floor * CERTIFICATE_MARGIN <= tol
+        assert cert.min_coupling > 1e3 * tol
+        assert cert.rel_gap > 0.0
+
+    def test_import_leaves_scipy_out(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, qha; print('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -128,10 +128,15 @@ class TestBracketValues:
     def test_to_table_export(self):
         act, haar = _translation_scene(3)
         bf = bracket(_delta(act, 0), _delta(act, 0), act, haar, provenance="demo")
+        assert callable(bf.labels)  # labels are built on demand only
         table = bf.to_table()
         lines = table.strip().splitlines()
         assert lines[0] == "# demo"
         assert len(lines) == 1 + 3
+        assert lines[1:] == [f"{lab}\t{v.real:.12e}{v.imag:+.12e}j"
+                             for lab, v in zip(act.group.labels, bf.values)]
+        assert bf.node_labels == tuple(act.group.labels)
+        assert not callable(bf.labels)
 
 
 class TestIntegrateBracket:

@@ -25,7 +25,10 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     AlgebraShape,
+    op_norm,
     p_norm,
+    random_element,
+    random_positive_element,
     sup_distance,
     trace,
 )
@@ -404,6 +407,39 @@ class Action:
         for i, g in enumerate(self.node_elements()):
             acc = acc + complex(coeffs[i]) * self.apply(g, x)
         return acc
+
+    # -- test elements and operator comparisons ------------------------------
+    #
+    # Exact models draw dense elements and compare operators entrywise or in
+    # operator norm.  A quadrature model overrides these with the elements
+    # and the weaker comparisons under which its errors converge.
+
+    # appended to the semi-invariance notes to name the comparison
+    comparison_note = ""
+
+    def random_element(self, rng: np.random.Generator) -> AlgebraElement:
+        return random_element(self.shape, rng)
+
+    def random_positive(self, rng: np.random.Generator) -> AlgebraElement:
+        return random_positive_element(self.shape, rng)
+
+    def cross_check_distance(self, a: AlgebraElement, b: AlgebraElement) -> float:
+        """Distance of two estimates of the same operator, relative to ``a``."""
+        return sup_distance(a, b) / a.max_abs_entry()
+
+    def semi_invariance_defect(self, d: AlgebraElement) -> float:
+        """max over the sampled g of |g.d - Delta(g)^{-1} d| relative to |d|, entrywise."""
+        scale = d.max_abs_entry()
+        worst = 0.0
+        for g in self.sample_elements:
+            moved = self.apply(g, d)
+            diff = moved - (1.0 / self.group.modular(g)) * d
+            worst = max(worst, diff.max_abs_entry() / scale)
+        return worst
+
+    def off_scalar_norm(self, off: AlgebraElement) -> float:
+        """Size of the part of an operator off the scalars: its operator norm."""
+        return op_norm(off)
 
     # -- structure for the ergodicity count ----------------------------------
 
@@ -896,7 +932,7 @@ class WaveletAction(Action):
         v[np.abs(t - center_octaves) > self.design.support_octaves] = 0.0
         return v
 
-    def windowed_positive(self, rng: np.random.Generator, parts: int = 3) -> AlgebraElement:
+    def random_positive(self, rng: np.random.Generator, parts: int = 3) -> AlgebraElement:
         """Positive element: a few random smooth bumps plus a small spectral floor."""
         r = self.design.support_octaves
         K = self.grid_size
@@ -910,7 +946,7 @@ class WaveletAction(Action):
         mat += 1e-7 * float(np.abs(np.diag(mat)).max()) * np.eye(K)
         return AlgebraElement(self.shape, [mat], copy=False)
 
-    def windowed_element(self, rng: np.random.Generator, parts: int = 3) -> AlgebraElement:
+    def random_element(self, rng: np.random.Generator, parts: int = 3) -> AlgebraElement:
         """General (non-hermitian) element spanned by smooth windowed bumps."""
         r = self.design.support_octaves
         K = self.grid_size
@@ -943,6 +979,32 @@ class WaveletAction(Action):
             ref = trace(a @ z)
             worst = max(worst, abs(trace((a - b) @ z)) / max(abs(ref), 1e-300))
         return worst
+
+    # -- comparisons in the weak sense ---------------------------------------
+
+    comparison_note = " (weak pairing against smooth probes)"
+
+    def cross_check_distance(self, a: AlgebraElement, b: AlgebraElement) -> float:
+        return self.weak_pairing_defect(a, b)
+
+    def semi_invariance_defect(self, d: AlgebraElement) -> float:
+        """The smeared estimate paired against the probes: the discretization
+        under which the truncated shift integral converges."""
+        probes = self.weak_probes()
+        refs = [trace(d @ z) for z in probes]
+        worst = 0.0
+        for g in self.sample_elements:
+            moved = self.apply(g, d)
+            scale = self.group.modular(g)
+            for z, ref in zip(probes, refs):
+                target = ref / scale
+                worst = max(worst, abs(trace(moved @ z) - target) / max(abs(target), 1e-300))
+        return worst
+
+    def off_scalar_norm(self, off: AlgebraElement) -> float:
+        """Largest entry inside the window, where the truncation leaves the
+        estimate unsmeared."""
+        return float(np.abs(off.blocks[0][self.window, self.window]).max())
 
 
 def wavelet_action(design: WaveletDesign | None = None) -> WaveletAction:
@@ -1009,7 +1071,7 @@ def homomorphism_defect(action: Action, rng: np.random.Generator,
     """max over sampled pairs of sup|g.(h.x) - (gh).x|."""
     group = action.group
     if probes is None:
-        probes = [_default_probe(action, rng)]
+        probes = [action.random_element(rng)]
     if isinstance(group, QuadratureGroup):
         idx = np.array(group.sampling_indices or range(group.node_count))
         chosen = [(group.nodes[a], group.nodes[b])
@@ -1032,14 +1094,6 @@ def homomorphism_defect(action: Action, rng: np.random.Generator,
     return worst
 
 
-def _default_probe(action: Action, rng: np.random.Generator) -> AlgebraElement:
-    if isinstance(action, WaveletAction):
-        return action.windowed_element(rng)
-    from .algebra import random_element
-
-    return random_element(action.shape, rng)
-
-
 def automorphism_defect(action: Action, rng: np.random.Generator, trials: int = 5) -> float:
     """max defect of multiplicativity, *-preservation and unitality."""
     one = action.shape.identity()
@@ -1047,8 +1101,8 @@ def automorphism_defect(action: Action, rng: np.random.Generator, trials: int = 
     for g in action.sample_elements:
         worst = max(worst, sup_distance(action.apply(g, one), one))
         for _ in range(trials):
-            x = _default_probe(action, rng)
-            y = _default_probe(action, rng)
+            x = action.random_element(rng)
+            y = action.random_element(rng)
             scale = 1.0 + x.max_abs_entry() * y.max_abs_entry()
             worst = max(
                 worst,
@@ -1065,7 +1119,7 @@ def isometry_defect(action: Action, rng: np.random.Generator, trials: int = 4,
     worst = 0.0
     for g in action.sample_elements:
         for _ in range(trials):
-            x = _default_probe(action, rng)
+            x = action.random_element(rng)
             for p in exponents:
                 ref = p_norm(x, p)
                 if ref == 0.0:

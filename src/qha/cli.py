@@ -56,7 +56,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help=f"seed override (falls back to ${ENV_SEED}, then the builtin default)")
         p.add_argument("--tol-rel", type=float, default=None, help="relative tolerance override")
-        p.add_argument("--tol-abs", type=float, default=None, help="absolute tolerance override")
         p.add_argument("--trials", type=int, default=None, help="seeded trials per aggregate check")
 
     pv = sub.add_parser("verify", help="run the full check suite")
@@ -105,8 +104,6 @@ def resolve_config(args) -> RunConfig:
             spec.scenario_id,
             seed=seed if seed is not None else spec.seed,
             tol_rel=args.tol_rel if args.tol_rel is not None else spec.tol_rel,
-            tol_abs=args.tol_abs if args.tol_abs is not None else spec.tol_abs,
-            exponent_grid=spec.exponent_grid,
         ))
     return RunConfig(
         command=args.command,

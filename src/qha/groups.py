@@ -297,10 +297,6 @@ class HaarModel:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
 
 def counting_haar(G: FiniteGroup) -> HaarModel:
     return HaarModel(np.ones(G.order), "counting")
@@ -436,11 +432,3 @@ def integrate(group, f, haar: HaarModel | None = None) -> complex:
         haar = counting_haar(group)
     values = np.array([f(g) for g in group.elements()], dtype=complex)
     return complex(np.dot(haar.weights, values))
-
-
-def integrate_values(haar: HaarModel, values) -> complex:
-    """Weighted sum of precomputed node values."""
-    v = np.asarray(values, dtype=complex)
-    if v.shape != haar.weights.shape:
-        raise GroupError("one value per node required")
-    return complex(np.dot(haar.weights, v))

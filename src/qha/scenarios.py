@@ -25,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, random_element, random_positive_element, trace
+from .algebra import AlgebraElement, trace
 from .actions import (
     Action,
-    WaveletAction,
     WaveletDesign,
     conjugation_action,
     coset_action,
@@ -41,7 +40,6 @@ from .actions import (
     s3_irreps,
     wavelet_action,
 )
-from .duflo import YOUNG_GRID
 from .groups import (
     FiniteGroup,
     HaarModel,
@@ -68,8 +66,6 @@ class ScenarioSpec:
     scenario_id: str
     seed: int = DEFAULT_SEED
     tol_rel: float | None = None
-    tol_abs: float | None = None
-    exponent_grid: tuple[tuple[float, float, float], ...] | None = None
 
     def build(self) -> "Scenario":
         return build_scenario(self)
@@ -79,22 +75,19 @@ class Scenario:
     """Runtime scenario: group, Haar model, action, tolerances, rng streams."""
 
     def __init__(self, spec: ScenarioSpec, action: Action, haar: HaarModel, *,
-                 tol_rel: float, tol_abs: float, ineq_tol: float, cross_tol: float,
-                 quad_slack: float, default_trials: int, expect_tol: float,
+                 tol_rel: float, ineq_tol: float, cross_tol: float,
+                 default_trials: int, expect_tol: float,
                  expected_scalar: float | None = None, expected_kernel: str | None = None):
         self.spec = spec
         self.action = action
         self.haar = haar
         self.tol_rel = spec.tol_rel if spec.tol_rel is not None else tol_rel
-        self.tol_abs = spec.tol_abs if spec.tol_abs is not None else tol_abs
         self.ineq_tol = max(ineq_tol, self.tol_rel if spec.tol_rel is not None else 0.0)
         self.cross_tol = cross_tol
-        self.quad_slack = quad_slack
         self.default_trials = default_trials
         self.expect_tol = expect_tol
         self.expected_scalar = expected_scalar
         self.expected_kernel = expected_kernel
-        self.young_grid = spec.exponent_grid if spec.exponent_grid is not None else YOUNG_GRID
 
     @property
     def scenario_id(self) -> str:
@@ -116,14 +109,10 @@ class Scenario:
         return np.random.default_rng([self.seed, zlib.crc32(tag.encode())])
 
     def random_element(self, rng: np.random.Generator) -> AlgebraElement:
-        if isinstance(self.action, WaveletAction):
-            return self.action.windowed_element(rng)
-        return random_element(self.shape, rng)
+        return self.action.random_element(rng)
 
     def random_positive(self, rng: np.random.Generator) -> AlgebraElement:
-        if isinstance(self.action, WaveletAction):
-            return self.action.windowed_positive(rng)
-        return random_positive_element(self.shape, rng)
+        return self.action.random_positive(rng)
 
     @property
     def has_commuting_elements(self) -> bool:
@@ -236,10 +225,8 @@ _WAVELET_PRESETS = {
     "fine": WaveletDesign().scaled(2),
 }
 
-_FINITE_DEFAULTS = dict(tol_rel=1e-9, tol_abs=0.0, ineq_tol=1e-9, cross_tol=1e-8,
-                        quad_slack=0.0, default_trials=12)
-_WAVELET_DEFAULTS = dict(tol_rel=1e-2, tol_abs=0.0, ineq_tol=5e-2, cross_tol=1e-2,
-                         quad_slack=1e-9, default_trials=4)
+_FINITE_DEFAULTS = dict(tol_rel=1e-9, ineq_tol=1e-9, cross_tol=1e-8, default_trials=12)
+_WAVELET_DEFAULTS = dict(tol_rel=1e-2, ineq_tol=5e-2, cross_tol=1e-2, default_trials=4)
 
 
 def build_scenario(spec: ScenarioSpec) -> Scenario:
@@ -260,7 +247,7 @@ def build_scenario(spec: ScenarioSpec) -> Scenario:
         if kind == "induced":
             return _build_induced(spec, tokens)
         if kind == "affine-wavelet":
-            return _build_wavelet(spec, tokens)
+            return refined_wavelet(spec, 0)
         if kind == "broken-measure":
             return _build_broken(spec)
     except ConfigError:
@@ -378,25 +365,18 @@ def _build_induced(spec: ScenarioSpec, tokens) -> Scenario:
                     expect_tol=1e-9, **_FINITE_DEFAULTS)
 
 
-def _build_wavelet(spec: ScenarioSpec, tokens) -> Scenario:
+def refined_wavelet(spec: ScenarioSpec, level: int) -> Scenario:
+    """The wavelet scenario with every quadrature axis refined by 2**level;
+    level 0 is the preset itself."""
+    tokens = spec.scenario_id.split(":")
+    if tokens[0] != "affine-wavelet":
+        raise ConfigError("refinement applies to affine-wavelet scenarios only")
     if len(tokens) != 2:
         raise ConfigError("wavelet scenario needs the form affine-wavelet:<preset>")
     preset = tokens[1]
     if preset not in _WAVELET_PRESETS:
         raise ConfigError(f"unknown wavelet preset {preset!r}; valid: {sorted(_WAVELET_PRESETS)}")
-    action = wavelet_action(_WAVELET_PRESETS[preset])
-    haar = action.group.haar()
-    return Scenario(spec, action, haar, expected_kernel="inverse-frequency",
-                    expect_tol=1e-2, **_WAVELET_DEFAULTS)
-
-
-def refined_wavelet(spec: ScenarioSpec, level: int) -> Scenario:
-    """The wavelet scenario with every quadrature axis refined by 2**level."""
-    tokens = spec.scenario_id.split(":")
-    if tokens[0] != "affine-wavelet":
-        raise ConfigError("refinement applies to affine-wavelet scenarios only")
-    design = _WAVELET_PRESETS[tokens[1]].scaled(2 ** level)
-    action = wavelet_action(design)
+    action = wavelet_action(_WAVELET_PRESETS[preset].scaled(2 ** level))
     haar = action.group.haar()
     return Scenario(spec, action, haar, expected_kernel="inverse-frequency",
                     expect_tol=1e-2, **_WAVELET_DEFAULTS)
@@ -488,7 +468,7 @@ _SECTION_KEYS = {
     "haar": {"normalization"},
     "algebra": {"block_dims", "trace_weights"},
     "action": {"kind"},
-    "tolerances": {"rel", "abs"},
+    "tolerances": {"rel"},
     "expect": {"scalar", "kernel"},
 }
 
@@ -509,7 +489,7 @@ def save_scenario(spec: ScenarioSpec, path) -> None:
         "trace_weights": ",".join(f"{w:.17g}" for w in scn.shape.trace_weights),
     }
     cp["action"] = {"kind": scn.action.kind}
-    cp["tolerances"] = {"rel": f"{scn.tol_rel:.17g}", "abs": f"{scn.tol_abs:.17g}"}
+    cp["tolerances"] = {"rel": f"{scn.tol_rel:.17g}"}
     expect = {}
     if scn.expected_scalar is not None:
         expect["scalar"] = f"{scn.expected_scalar:.17g}"
@@ -541,13 +521,10 @@ def load_scenario(path) -> ScenarioSpec:
         raise ConfigError("scenario file needs [scenario] with an id")
     sid = cp["scenario"]["id"]
     seed = int(cp["scenario"].get("seed", str(DEFAULT_SEED)))
-    tol_rel = tol_abs = None
-    if "tolerances" in cp:
-        if "rel" in cp["tolerances"]:
-            tol_rel = float(cp["tolerances"]["rel"])
-        if "abs" in cp["tolerances"]:
-            tol_abs = float(cp["tolerances"]["abs"])
-    spec = ScenarioSpec(sid, seed=seed, tol_rel=tol_rel, tol_abs=tol_abs)
+    tol_rel = None
+    if "tolerances" in cp and "rel" in cp["tolerances"]:
+        tol_rel = float(cp["tolerances"]["rel"])
+    spec = ScenarioSpec(sid, seed=seed, tol_rel=tol_rel)
     scn = build_scenario(spec)  # validates the id
     if "algebra" in cp and "block_dims" in cp["algebra"]:
         declared = tuple(int(v) for v in cp["algebra"]["block_dims"].split(","))

@@ -8,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qha.algebra import AlgebraElement, random_element, sup_distance, trace
+from qha.algebra import (
+    AlgebraElement,
+    op_norm,
+    random_element,
+    random_positive_element,
+    sup_distance,
+    trace,
+)
 from qha.actions import (
     CERTIFICATE_MARGIN,
     ActionError,
@@ -356,7 +363,7 @@ class TestWaveletAction:
     def test_apply_matches_matrix_conjugation(self):
         act = wavelet_action(SMALL_WAVELET)
         rng = np.random.default_rng(9)
-        x = act.windowed_element(rng)
+        x = act.random_element(rng)
         g = act.group.nodes[7]
         U = act.matrix(g)
         direct = AlgebraElement(act.shape, [U @ x.blocks[0] @ U.conj().T])
@@ -374,7 +381,7 @@ class TestWaveletAction:
     def test_bracket_values_match_generic_loop(self):
         act = wavelet_action(SMALL_WAVELET)
         rng = np.random.default_rng(10)
-        x, y = act.windowed_positive(rng), act.windowed_positive(rng)
+        x, y = act.random_positive(rng), act.random_positive(rng)
         fast = act.bracket_values(x, y)
         slow = np.array([trace(act.apply(g, y).adjoint() @ x)
                          for g in act.node_elements()])
@@ -383,7 +390,7 @@ class TestWaveletAction:
     def test_orbit_sum_matches_generic_loop(self):
         act = wavelet_action(SMALL_WAVELET)
         rng = np.random.default_rng(11)
-        x = act.windowed_positive(rng)
+        x = act.random_positive(rng)
         coeffs = rng.standard_normal(act.group.node_count)
         fast = act.orbit_sum(coeffs, x)
         slow = act.shape.zero()
@@ -394,11 +401,47 @@ class TestWaveletAction:
     def test_bracket_integral_matches_weighted_values(self):
         act = wavelet_action(SMALL_WAVELET)
         rng = np.random.default_rng(12)
-        x, y = act.windowed_positive(rng), act.windowed_positive(rng)
+        x, y = act.random_positive(rng), act.random_positive(rng)
         w = act.group.haar_weights
         fast = act.bracket_integral(x, y, w)
         slow = np.dot(w, act.bracket_values(x, y))
         assert abs(fast - slow) < 1e-9 * (1 + abs(slow))
+
+
+class TestComparisonHooks:
+    """Element draws and operator comparisons that the law checks delegate to."""
+
+    def test_base_draws_are_dense_random_elements(self):
+        act = conjugation_action(finite_weyl_heisenberg(3))
+        a, b = np.random.default_rng(20), np.random.default_rng(20)
+        assert sup_distance(act.random_element(a), random_element(act.shape, b)) == 0.0
+        assert sup_distance(act.random_positive(a), random_positive_element(act.shape, b)) == 0.0
+
+    def test_base_comparisons_are_sup_and_operator_norms(self):
+        act = left_translation_action(cyclic(5), mu=np.full(5, 2.0))
+        rng = np.random.default_rng(21)
+        a, b = act.random_positive(rng), act.random_positive(rng)
+        assert act.cross_check_distance(a, b) == (a - b).max_abs_entry() / a.max_abs_entry()
+        defect = max(((act.apply(g, a) - a).max_abs_entry() / a.max_abs_entry())
+                     for g in act.sample_elements)
+        assert defect > 0.1 and act.semi_invariance_defect(a) == defect
+        assert act.off_scalar_norm(a) == op_norm(a)
+
+    def test_wavelet_cross_check_is_weak_pairing(self):
+        act = wavelet_action(SMALL_WAVELET)
+        rng = np.random.default_rng(22)
+        a, b = act.random_positive(rng), act.random_positive(rng)
+        assert act.cross_check_distance(a, b) == act.weak_pairing_defect(a, b)
+        assert act.cross_check_distance(a, b) != (a - b).max_abs_entry() / a.max_abs_entry()
+
+    def test_wavelet_off_scalar_norm_reads_only_the_window(self):
+        act = wavelet_action(SMALL_WAVELET)
+        mat = np.zeros((act.grid_size, act.grid_size), dtype=complex)
+        mat[0, 0] = 50.0  # outside the window: ignored
+        mat[act.center, act.center + 1] = 0.5
+        off = AlgebraElement(act.shape, [mat])
+        assert act.off_scalar_norm(off) == 0.5
+        assert op_norm(off) == 50.0
 
 
 class TestStructuralCheckers:

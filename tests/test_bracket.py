@@ -244,7 +244,7 @@ class TestSymmetry:
                                            b_extent=2.0, n_b=32, support_octaves=0.5))
         haar = act.group.haar()
         rng = np.random.default_rng(6)
-        x = act.windowed_positive(rng)
+        x = act.random_positive(rng)
         with pytest.raises(InverseClosureError):
             bracket_symmetry_defect(x, x, act, haar)
 

@@ -2,6 +2,8 @@
 
 import re
 
+import pytest
+
 from qha.cli import main
 from qha.scenarios import builtin, save_scenario
 
@@ -36,6 +38,11 @@ class TestVerify:
     def test_unknown_id_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--scenario", "bogus:thing")
         assert code == 2
+
+    def test_tol_abs_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--scenario", "wh:2", "--tol-abs", "1"])
+        assert exc.value.code == 2
 
     def test_no_scenario_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "verify")

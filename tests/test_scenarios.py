@@ -13,6 +13,7 @@ from qha.scenarios import (
     list_builtins,
     load_scenario,
     random_scenario,
+    refined_wavelet,
     save_scenario,
 )
 
@@ -147,6 +148,14 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError):
             load_scenario("/nonexistent/scenario.ini")
 
+    def test_only_the_relative_tolerance_is_a_key(self, tmp_path):
+        path = tmp_path / "scenario.ini"
+        save_scenario(builtin("wh:3"), path)
+        assert "abs" not in path.read_text()
+        path.write_text("[scenario]\nid = wh:3\n\n[tolerances]\nrel = 1e-7\nabs = 1\n")
+        with pytest.raises(ConfigError, match="unknown keys"):
+            load_scenario(path)
+
 
 class TestScenarioRuntime:
     def test_rng_streams_are_stable(self):
@@ -169,3 +178,17 @@ class TestScenarioRuntime:
         assert not scn.has_commuting_elements
         with pytest.raises(ConfigError):
             scn.commuting_element(scn.rng("x"), None)
+
+    def test_refined_wavelet_level_zero_is_the_preset(self):
+        spec = ScenarioSpec("affine-wavelet:coarse")
+        preset = build_scenario(spec)
+        level0 = refined_wavelet(spec, 0)
+        assert level0.action.design == preset.action.design
+        assert np.array_equal(level0.haar.weights, preset.haar.weights)
+        assert refined_wavelet(spec, 1).action.design == preset.action.design.scaled(2)
+
+    def test_refined_wavelet_rejects_other_scenarios(self):
+        with pytest.raises(ConfigError):
+            refined_wavelet(ScenarioSpec("wh:3"), 1)
+        with pytest.raises(ConfigError):
+            refined_wavelet(ScenarioSpec("affine-wavelet:huge"), 0)

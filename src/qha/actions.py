@@ -12,6 +12,12 @@ family: orbits of the point maps for permutation-type actions, the commutant
 of the sampled unitaries for conjugation-type actions, and the inner action
 for induced ones.  A dense stacked-SVD nullity is the fallback for
 degenerate spectra on small algebras and the oracle the tests compare with.
+
+Each family also has its own vectorized kernels for the bracket values
+g -> trace((g.y)* x) and the orbit sum sum_g c_g (g.x): a gather through the
+point table, stacked conjugations, pointwise products of symbols, or the
+inner kernel composed with the coset gather.  ``apply`` stays the per-node
+reference the tests compare them with.
 """
 
 from __future__ import annotations
@@ -60,7 +66,7 @@ class GridError(ActionError):
 
 
 class SymbolError(ActionError):
-    """Internal failure: an element fell outside the twisted-translate span."""
+    """The twisted translates are not an orthogonal basis of the block."""
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +225,9 @@ DENSE_LIMIT = 600
 CERTIFICATE_MARGIN = 10.0
 # Fixed seed of the generic element, so that no scenario stream is consumed.
 _GENERIC_SEED = 0x51A
+# Nodes per stacked (nodes, n, n) temporary in the conjugation kernels, which
+# bounds their memory at any group order.
+NODE_SLICE = 32
 
 
 @dataclass(frozen=True)
@@ -347,9 +356,9 @@ def commutant_dimension(matrices, tol: float = 1e-8) -> int:
 class Action:
     """Map (group element, algebra element) -> algebra element.
 
-    Subclasses implement ``apply``; the generic bracket/orbit machinery below
-    is overridden where a structured fast path exists.  All reductions run in
-    fixed node order, so results are deterministic.
+    Subclasses implement ``apply`` and the vectorized kernels
+    ``bracket_values`` and ``orbit_sum``.  All reductions run in fixed node
+    order, so results are deterministic.
     """
 
     def __init__(self, group, shape: AlgebraShape, kind: str, sample_elements):
@@ -392,21 +401,14 @@ class Action:
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
         """trace((g.y)* x) at every node, in node order."""
-        out = np.empty(self.node_count(), dtype=complex)
-        for i, g in enumerate(self.node_elements()):
-            out[i] = trace(self.apply(g, y).adjoint() @ x)
-        return out
+        raise NotImplementedError
 
     def bracket_integral(self, x: AlgebraElement, y: AlgebraElement, weights: np.ndarray) -> complex:
         return complex(np.dot(weights, self.bracket_values(x, y)))
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         """Sum of coeffs[i] * (g_i . x) over all nodes."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        acc = self.shape.zero()
-        for i, g in enumerate(self.node_elements()):
-            acc = acc + complex(coeffs[i]) * self.apply(g, x)
-        return acc
+        raise NotImplementedError
 
     # -- test elements and operator comparisons ------------------------------
     #
@@ -476,6 +478,27 @@ class ConjugationAction(Action):
         U = self.rep.matrix(int(g))
         return AlgebraElement(self.shape, [U @ x.blocks[0] @ U.conj().T], copy=False)
 
+    def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
+        # tr(U y* U* x) = sum_ij (U y*)_ij (x^T conj(U))_ij
+        U = self.rep.matrices
+        y_adj, x_t = y.blocks[0].conj().T, x.blocks[0].T
+        out = np.empty(U.shape[0], dtype=complex)
+        for s in range(0, U.shape[0], NODE_SLICE):
+            Us = U[s:s + NODE_SLICE]
+            out[s:s + NODE_SLICE] = np.einsum("gij,gij->g", Us @ y_adj, x_t @ Us.conj())
+        return self.shape.trace_weights[0] * out
+
+    def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
+        U = self.rep.matrices
+        c = np.asarray(coeffs, dtype=complex)
+        acc = np.zeros_like(x.blocks[0])
+        for s in range(0, U.shape[0], NODE_SLICE):
+            Us = U[s:s + NODE_SLICE]
+            # sum_g (c_g U_g x)_ij conj(U_g)_kj
+            acc += np.tensordot(c[s:s + NODE_SLICE, None, None] * (Us @ x.blocks[0]), Us.conj(),
+                                axes=([0, 2], [0, 2]))
+        return AlgebraElement(self.shape, [acc], copy=False)
+
     def sampled_unitaries(self) -> np.ndarray:
         return self.rep.matrices[[int(g) for g in self.sample_elements]]
 
@@ -514,11 +537,18 @@ class PermutationAction(Action):
         super().__init__(group, shape, "permutation", gens)
         self.point_table = point_table
         self.mu = mu
+        # (g.x)(t) = x(src[g, t])
+        self._src = point_table[group.inverse_table]
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
-        src = self.point_table[self.group.inverse(int(g))]
-        blocks = [x.blocks[src[t]] for t in range(len(src))]
-        return AlgebraElement(self.shape, blocks)
+        return AlgebraElement(self.shape, [x.blocks[s] for s in self._src[int(g)]], copy=False)
+
+    def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
+        return y.vec()[self._src].conj() @ (self.mu * x.vec())
+
+    def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
+        vals = np.asarray(coeffs, dtype=complex) @ x.vec()[self._src]
+        return AlgebraElement(self.shape, vals.reshape(-1, 1, 1), copy=False)
 
     def sampled_point_maps(self) -> np.ndarray:
         return self.point_table[[int(g) for g in self.sample_elements]]
@@ -548,33 +578,24 @@ def coset_action(G: FiniteGroup, h_indices, mu=None, validate: bool = True) -> P
     return PermutationAction(G, table, mu, validate=validate)
 
 
-class DualTranslationAction(Action):
+class DualTranslationAction(PermutationAction):
     """Dual of an abelian group translating the diagonalized group algebra.
 
     The algebra of the untwisted group von Neumann algebra of G is stored in
     its character coordinates: one 1-d block per character, trace weight 1/N,
     so that the trace of a twisted translate family element recovers its
-    symbol at the identity.
+    symbol at the identity.  omega moves the atom chi to chi omega^{-1}, so
+    (omega.x)(chi) = x(chi omega): a permutation action of the dual group.
     """
 
     def __init__(self, G: FiniteGroup):
         chars = dual_group(G)
         dual = chars.as_group()
         n = G.order
-        shape = AlgebraShape((1,) * n, (1.0 / n,) * n)
-        gens = dual.generators or tuple(dual.elements())
-        super().__init__(dual, shape, "dual-translation", gens)
+        super().__init__(dual, dual.table[:, dual.inverse_table].T, np.full(n, 1.0 / n))
+        self.kind = "dual-translation"
         self.base_group = G
         self.characters = chars
-
-    def apply(self, g, x: AlgebraElement) -> AlgebraElement:
-        omega = int(g)
-        table = self.group.table
-        blocks = [x.blocks[table[chi, omega]] for chi in range(self.group.order)]
-        return AlgebraElement(self.shape, blocks)
-
-    def sampled_point_maps(self) -> np.ndarray:
-        return self.group.table[:, [int(g) for g in self.sample_elements]].T
 
     def from_symbol(self, f: np.ndarray) -> AlgebraElement:
         """Element with symbol f: sum of f(g) * lambda(g)."""
@@ -585,8 +606,7 @@ class DualTranslationAction(Action):
 
     def symbol(self, x: AlgebraElement) -> np.ndarray:
         """Recover f(g) = trace(lambda(g)* x); exact on this algebra."""
-        diag = np.array([b[0, 0] for b in x.blocks])
-        return self.characters.table.conj().T @ diag / self.base_group.order
+        return self.characters.table.conj().T @ x.vec() / self.base_group.order
 
 
 class TwistedDualAction(Action):
@@ -595,7 +615,9 @@ class TwistedDualAction(Action):
     For gcd(m, n) = 1 the twisted algebra is a single full n x n block with
     trace weight 1/n.  The action multiplies the symbol pointwise by the
     character: apply(omega, x) = sum_g omega(g) f(g) Lambda(g) with
-    f(g) = trace(Lambda(g)* x) / n.
+    f(g) = trace(Lambda(g)* x) / n.  The n^2 translates Lambda(g) are checked
+    once, on construction, to be an orthogonal basis of the block (Gram
+    matrix n I), so every element is the sum of its symbol's translates.
     """
 
     def __init__(self, n: int, m: int):
@@ -617,23 +639,30 @@ class TwistedDualAction(Action):
             a, b = G.tuple_of_index(g)
             lam[g] = wh.matrix(G.index_of_tuple((a, (m * b) % n)))
         self.lambdas = lam
+        # row g is Lambda(g) flattened
+        self._rows = lam.reshape(n * n, n * n)
+        gram = self._rows.conj() @ self._rows.T
+        defect = float(np.abs(gram - n * np.eye(n * n)).max())
+        if defect > 1e-10 * n:
+            raise SymbolError(f"Gram matrix of the twisted translates is {defect:.3e} away from n I")
 
     def from_symbol(self, f: np.ndarray) -> AlgebraElement:
-        mat = np.einsum("g,gij->ij", np.asarray(f, dtype=complex), self.lambdas)
-        return AlgebraElement(self.shape, [mat])
+        mat = (np.asarray(f, dtype=complex) @ self._rows).reshape(self.n, self.n)
+        return AlgebraElement(self.shape, [mat], copy=False)
 
     def symbol(self, x: AlgebraElement) -> np.ndarray:
-        return np.einsum("gij,ij->g", self.lambdas.conj(), x.blocks[0]) / self.n
+        return (self._rows @ x.blocks[0].ravel().conj()).conj() / self.n
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
-        f = self.symbol(x)
-        recon = np.einsum("g,gij->ij", f, self.lambdas)
-        scale = max(float(np.abs(x.blocks[0]).max()), 1e-300)
-        if np.abs(recon - x.blocks[0]).max() > 1e-10 * scale:
-            raise SymbolError("element outside the twisted-translate span")
-        omega_vals = self.characters.table[int(g)]
-        mat = np.einsum("g,gij->ij", omega_vals * f, self.lambdas)
-        return AlgebraElement(self.shape, [mat])
+        return self.from_symbol(self.characters.table[int(g)] * self.symbol(x))
+
+    def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
+        # sum_g conj(omega(g) f_y(g)) f_x(g), conjugated outside the product
+        return (self.characters.table @ (self.symbol(y) * self.symbol(x).conj())).conj()
+
+    def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
+        return self.from_symbol((np.asarray(coeffs, dtype=complex) @ self.characters.table)
+                                * self.symbol(x))
 
     def sampled_unitaries(self) -> np.ndarray:
         # omega = (s, t) multiplies Lambda(a, b) by exp(2 pi i (s a + t b) / n),
@@ -722,6 +751,32 @@ class InducedAction(Action):
         for j in range(self.coset_count):
             src = self.component(x, int(self._target[g, j]))
             parts.append(self.inner.apply(int(self._inner_elt[g, j]), src))
+        return self.assemble(parts)
+
+    # Component j of g.x is the inner translate by _inner_elt[g, j] of the
+    # component a = _target[g, j] of x, so both kernels run the inner kernel
+    # once per coset pair (a, j) and gather through the two tables.
+
+    def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
+        J = self.coset_count
+        xs = [self.component(x, j) for j in range(J)]
+        ys = [self.component(y, a) for a in range(J)]
+        inner = np.array([[self.inner.bracket_values(xs[j], ys[a]) for j in range(J)]
+                          for a in range(J)])
+        return inner[self._target, np.arange(J), self._inner_elt].sum(axis=1)
+
+    def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
+        J = self.coset_count
+        folded = np.zeros((J, J, self.inner.node_count()), dtype=complex)
+        np.add.at(folded, (self._target, np.arange(J), self._inner_elt),
+                  np.asarray(coeffs, dtype=complex)[:, None])
+        xs = [self.component(x, a) for a in range(J)]
+        parts = []
+        for j in range(J):
+            acc = self.inner.orbit_sum(folded[0, j], xs[0])
+            for a in range(1, J):
+                acc = acc + self.inner.orbit_sum(folded[a, j], xs[a])
+            parts.append(acc)
         return self.assemble(parts)
 
 

@@ -5,10 +5,16 @@ that weights block k by a positive scalar.  Every finite-dimensional von
 Neumann algebra has this form, so positive density kernels represent all
 weights and plain hermitian eigendecomposition covers all functional
 calculus.  Elements are immutable; every operation returns a new element.
+
+Spectral work (the trace, singular values, hermitian eigendecompositions)
+runs per size class: the blocks of one size are stacked and handed to a
+single batched LAPACK call, so a diagonal algebra costs one call, not one
+per atom.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -59,6 +65,17 @@ class AlgebraShape:
             raise ShapeMismatchError("trace weights must be positive")
         object.__setattr__(self, "block_dims", tuple(int(n) for n in self.block_dims))
         object.__setattr__(self, "trace_weights", tuple(float(w) for w in self.trace_weights))
+
+    @functools.cached_property
+    def size_classes(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+        """Blocks grouped by size: (block indices, their trace weights) per
+        distinct size, in order of first appearance."""
+        weights = np.array(self.trace_weights)
+        classes = []
+        for n in dict.fromkeys(self.block_dims):
+            idx = tuple(k for k, m in enumerate(self.block_dims) if m == n)
+            classes.append((idx, weights[list(idx)]))
+        return tuple(classes)
 
     @property
     def total_dim(self) -> int:
@@ -147,7 +164,7 @@ class AlgebraElement:
 
     def vec(self) -> np.ndarray:
         """Row-major concatenation of all blocks; basis order matches AlgebraShape.basis."""
-        return np.concatenate([a.ravel() for a in self.blocks])
+        return np.concatenate(self.blocks, axis=None)
 
     def __repr__(self) -> str:
         dims = "+".join(str(n) for n in self.shape.block_dims)
@@ -159,18 +176,35 @@ def sup_distance(a: AlgebraElement, b: AlgebraElement) -> float:
     return (a - b).max_abs_entry()
 
 
+def _stacks(x: AlgebraElement) -> list[np.ndarray]:
+    """One (m, n, n) array per size class; a class of one block is a view of it."""
+    return [x.blocks[idx[0]][None] if len(idx) == 1 else np.stack([x.blocks[k] for k in idx])
+            for idx, _ in x.shape.size_classes]
+
+
+def _unstack(shape: AlgebraShape, stacks) -> AlgebraElement:
+    """Element whose blocks are the rows of one (m, n, n) array per size class."""
+    blocks = [None] * len(shape.block_dims)
+    for (idx, _), stack in zip(shape.size_classes, stacks):
+        for k, b in zip(idx, stack):
+            blocks[k] = b
+    return AlgebraElement(shape, blocks, copy=False)
+
+
 def trace(x: AlgebraElement) -> complex:
     """Weighted trace: sum of trace_weights[k] * tr(block k)."""
-    return complex(sum(w * np.trace(b) for w, b in zip(x.shape.trace_weights, x.blocks)))
+    return complex(sum(w @ np.trace(s, axis1=1, axis2=2)
+                       for (_, w), s in zip(x.shape.size_classes, _stacks(x))))
 
 
 def _singular_values(x: AlgebraElement) -> list[np.ndarray]:
-    return [np.linalg.svd(b, compute_uv=False) for b in x.blocks]
+    """Singular values, one (m, n) array per size class."""
+    return [np.linalg.svd(s, compute_uv=False) for s in _stacks(x)]
 
 
 def op_norm(x: AlgebraElement) -> float:
     """Operator norm: the largest singular value over all blocks."""
-    return max(float(s[0]) if s.size else 0.0 for s in _singular_values(x))
+    return max(float(s[:, 0].max()) for s in _singular_values(x))
 
 
 def p_norm(x: AlgebraElement, p: float) -> float:
@@ -180,46 +214,55 @@ def p_norm(x: AlgebraElement, p: float) -> float:
     p = float(p)
     if p < 1.0:
         raise ParameterError(f"norm exponent must be >= 1, got {p}")
-    total = 0.0
-    for w, s in zip(x.shape.trace_weights, _singular_values(x)):
-        total += w * float(np.sum(s ** p))
+    total = sum(float(w @ np.sum(s ** p, axis=1))
+                for (_, w), s in zip(x.shape.size_classes, _singular_values(x)))
     return float(total ** (1.0 / p))
 
 
 def eigh_blocks(x: AlgebraElement, herm_tol: float = 1e-9) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-block hermitian eigendecompositions; rejects non-hermitian input."""
+    """Hermitian eigendecompositions, one stacked pair (w, v) of shapes (m, n)
+    and (m, n, n) per size class of ``x.shape.size_classes``; rejects
+    non-hermitian input."""
     scale = 1.0 + x.max_abs_entry()
     if x.hermitian_defect() > herm_tol * scale:
         raise NotPositiveError("element is not hermitian within tolerance")
-    return [np.linalg.eigh(0.5 * (b + b.conj().T)) for b in x.blocks]
+    return [np.linalg.eigh(0.5 * (s + s.conj().swapaxes(1, 2))) for s in _stacks(x)]
+
+
+def from_eigh(shape: AlgebraShape, eig, f: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:
+    """Element with the eigenvectors of ``eig`` (from eigh_blocks) and the
+    eigenvalues f(w), f taking and returning one stacked array per class."""
+    return _unstack(shape, [(v * f(w)[:, None, :]) @ v.conj().swapaxes(1, 2) for w, v in eig])
+
+
+def _check_psd(eig, scale: float, what: str = "eigenvalue") -> None:
+    low = min(float(w.min()) for w, _ in eig)
+    if low < -EPS_PSD * max(scale, 1e-300):
+        raise NotPositiveError(f"{what} {low:.3e} below positivity clamp")
 
 
 def func_calc(x: AlgebraElement, f: Callable[[float], float]) -> AlgebraElement:
     """Apply a real scalar function to a hermitian element through its spectrum."""
-    out = []
-    for w, v in eigh_blocks(x):
+
+    def vals_of(w: np.ndarray) -> np.ndarray:
         try:
             vals = np.asarray(f(w), dtype=float)
             if vals.shape != w.shape:
                 raise TypeError
         except (TypeError, ValueError):
-            vals = np.array([f(t) for t in w], dtype=float)
+            vals = np.array([f(t) for t in w.ravel()], dtype=float).reshape(w.shape)
         if not np.all(np.isfinite(vals)):
             raise DomainError("function undefined on part of the spectrum")
-        out.append((v * vals) @ v.conj().T)
-    return AlgebraElement(x.shape, out, copy=False)
+        return vals
+
+    return from_eigh(x.shape, eigh_blocks(x), vals_of)
 
 
 def positive_sqrt(x: AlgebraElement) -> AlgebraElement:
     """Positive square root of a hermitian PSD element (noise-level negatives clamped)."""
-    scale = op_norm(x)
-    out = []
-    for w, v in eigh_blocks(x):
-        if w.size and w.min() < -EPS_PSD * max(scale, 1e-300):
-            raise NotPositiveError(f"eigenvalue {w.min():.3e} below positivity clamp")
-        wc = np.sqrt(np.clip(w, 0.0, None))
-        out.append((v * wc) @ v.conj().T)
-    return AlgebraElement(x.shape, out, copy=False)
+    eig = eigh_blocks(x)
+    _check_psd(eig, op_norm(x))
+    return from_eigh(x.shape, eig, lambda w: np.sqrt(np.clip(w, 0.0, None)))
 
 
 def power(x: AlgebraElement, t: float) -> AlgebraElement:
@@ -229,17 +272,17 @@ def power(x: AlgebraElement, t: float) -> AlgebraElement:
     eigenvalues under a negative or fractional-negative power raise DomainError.
     """
     scale = op_norm(x)
-    out = []
-    for w, v in eigh_blocks(x):
-        if w.size and w.min() < -EPS_PSD * max(scale, 1e-300):
-            raise NotPositiveError(f"eigenvalue {w.min():.3e} below positivity clamp")
+    eig = eigh_blocks(x)
+    _check_psd(eig, scale)
+
+    def vals_of(w: np.ndarray) -> np.ndarray:
         wc = np.clip(w, 0.0, None)
         if t < 0 and np.any(wc == 0.0):
             raise DomainError("negative power of a singular element")
         with np.errstate(divide="raise", invalid="raise"):
-            vals = wc ** t
-        out.append((v * vals) @ v.conj().T)
-    return AlgebraElement(x.shape, out, copy=False)
+            return wc ** t
+
+    return from_eigh(x.shape, eig, vals_of)
 
 
 def polar(x: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
@@ -274,12 +317,9 @@ class WeightKernel:
         scale = 1.0 + k.max_abs_entry()
         if k.hermitian_defect() > 1e-9 * scale:
             raise NotPositiveError("weight kernel is not hermitian")
-        clamped = []
-        for w, v in eigh_blocks(k):
-            if w.size and w.min() < -EPS_PSD * scale:
-                raise NotPositiveError(f"weight kernel eigenvalue {w.min():.3e} is negative")
-            clamped.append((v * np.clip(w, 0.0, None)) @ v.conj().T)
-        object.__setattr__(self, "kernel", AlgebraElement(k.shape, clamped, copy=False))
+        eig = eigh_blocks(k)
+        _check_psd(eig, scale, "weight kernel eigenvalue")
+        object.__setattr__(self, "kernel", from_eigh(k.shape, eig, lambda w: np.clip(w, 0.0, None)))
 
     def sqrt(self) -> AlgebraElement:
         return positive_sqrt(self.kernel)

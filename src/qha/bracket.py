@@ -102,20 +102,21 @@ def function_p_norm(bf: BracketFunction, r: float) -> float:
 
 def bracket_symmetry_defect(x: AlgebraElement, y: AlgebraElement, action: Action,
                             haar: HaarModel) -> float:
-    """max over g of |<x|y>(g^{-1}) - <y|x>(g)|.
+    """max over g of |<x|y>(g^{-1}) - <y|x>(g)|, relative to max over g of |<x|y>(g)|.
 
-    Requires a node set closed under inversion: finite groups always are;
-    quadrature groups whose nodes are not inverse-closed are unsupported and
-    raise InverseClosureError rather than being silently skipped.
+    The scale is floored at 1e-300.  Requires a node set closed under
+    inversion: finite groups always are; quadrature groups whose nodes are
+    not inverse-closed are unsupported and raise InverseClosureError rather
+    than being silently skipped.
     """
     group = action.group
     vxy = action.bracket_values(x, y)
     vyx = action.bracket_values(y, x)
     if isinstance(group, QuadratureGroup):
-        inv_index = _inverse_node_index(group)
-        return float(np.abs(vxy[inv_index] - vyx).max())
-    inv = group.inverse_table
-    return float(np.abs(vxy[inv] - vyx).max())
+        inv = _inverse_node_index(group)
+    else:
+        inv = group.inverse_table
+    return float(np.abs(vxy[inv] - vyx).max()) / max(float(np.abs(vxy).max()), 1e-300)
 
 
 def _inverse_node_index(group: QuadratureGroup) -> np.ndarray:

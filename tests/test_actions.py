@@ -16,12 +16,14 @@ from qha.algebra import (
     sup_distance,
     trace,
 )
+from qha import actions
 from qha.actions import (
     CERTIFICATE_MARGIN,
     ActionError,
     GridError,
     MeasureError,
     RepresentationError,
+    SymbolError,
     UnitaryRep,
     WaveletDesign,
     automorphism_defect,
@@ -212,6 +214,53 @@ class TestTwistedRegularRep:
             twisted_regular_rep(G, bad)
 
 
+# The finite builtins of ``qha verify --all`` plus three larger instances of
+# the same mechanisms.
+ORACLE_IDS = (
+    *(sid for sid in list_builtins() if not sid.startswith("affine-wavelet")),
+    "translation:cyclic(64)", "twisted-dual:12:1", "wh:16", "broken-measure",
+)
+
+
+# Every action family's kernels: the finite builtins and larger instances
+# above, an induced action with a permutation inner action, and the wavelet.
+KERNEL_IDS = (*ORACLE_IDS, "induced:cyclic(4)xcyclic(4):cyclic(2)xcyclic(2):translation",
+              "small-wavelet")
+
+
+def _kernel_action(sid):
+    if sid == "small-wavelet":
+        return wavelet_action(SMALL_WAVELET)
+    return build_scenario(ScenarioSpec(sid, seed=1729)).action
+
+
+class TestKernelsMatchApply:
+    """The vectorized kernels against the per-node ``apply`` loop they replace."""
+
+    @pytest.mark.parametrize("sid", KERNEL_IDS)
+    def test_bracket_values_match_generic_loop(self, sid):
+        act = _kernel_action(sid)
+        rng = np.random.default_rng(10)
+        x, y = act.random_element(rng), act.random_element(rng)
+        fast = act.bracket_values(x, y)
+        slow = np.array([trace(act.apply(g, y).adjoint() @ x)
+                         for g in act.node_elements()])
+        assert np.abs(fast - slow).max() < 1e-10 * (1 + np.abs(slow).max())
+
+    @pytest.mark.parametrize("sid", KERNEL_IDS)
+    def test_orbit_sum_matches_generic_loop(self, sid):
+        act = _kernel_action(sid)
+        rng = np.random.default_rng(11)
+        x = act.random_element(rng)
+        n = act.node_count()
+        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        fast = act.orbit_sum(coeffs, x)
+        slow = act.shape.zero()
+        for c, g in zip(coeffs, act.node_elements()):
+            slow = slow + complex(c) * act.apply(g, x)
+        assert sup_distance(fast, slow) < 1e-9 * (1 + slow.max_abs_entry())
+
+
 class TestDualAction:
     def test_trivial_character_is_identity(self):
         act = dual_action(product(cyclic(2), cyclic(2)), 0)
@@ -281,6 +330,15 @@ class TestDualAction:
     def test_rejects_degenerate_twist(self):
         with pytest.raises(ActionError):
             dual_action(product(cyclic(4), cyclic(4)), 2)
+
+    def test_degenerate_translates_fail_gram_check(self, monkeypatch):
+        # identity matrices in place of the translation-modulation family: a
+        # valid representation whose n^2 translates span only the scalars
+        monkeypatch.setattr(
+            actions, "finite_weyl_heisenberg",
+            lambda n: trivial_rep(product(cyclic(n), cyclic(n)), dim=n))
+        with pytest.raises(SymbolError, match="Gram matrix"):
+            dual_action(product(cyclic(3), cyclic(3)), 1)
 
 
 def _builtin_induced():
@@ -378,26 +436,6 @@ class TestWaveletAction:
         act = wavelet_action(SMALL_WAVELET)
         assert fixed_point_dimension(act) == 1
 
-    def test_bracket_values_match_generic_loop(self):
-        act = wavelet_action(SMALL_WAVELET)
-        rng = np.random.default_rng(10)
-        x, y = act.random_positive(rng), act.random_positive(rng)
-        fast = act.bracket_values(x, y)
-        slow = np.array([trace(act.apply(g, y).adjoint() @ x)
-                         for g in act.node_elements()])
-        assert np.abs(fast - slow).max() < 1e-10 * (1 + np.abs(slow).max())
-
-    def test_orbit_sum_matches_generic_loop(self):
-        act = wavelet_action(SMALL_WAVELET)
-        rng = np.random.default_rng(11)
-        x = act.random_positive(rng)
-        coeffs = rng.standard_normal(act.group.node_count)
-        fast = act.orbit_sum(coeffs, x)
-        slow = act.shape.zero()
-        for c, g in zip(coeffs, act.node_elements()):
-            slow = slow + complex(c) * act.apply(g, x)
-        assert sup_distance(fast, slow) < 1e-9 * (1 + slow.max_abs_entry())
-
     def test_bracket_integral_matches_weighted_values(self):
         act = wavelet_action(SMALL_WAVELET)
         rng = np.random.default_rng(12)
@@ -471,14 +509,6 @@ class TestStructuralCheckers:
         for act in (conjugation_action(finite_weyl_heisenberg(4)),
                     coset_action(cyclic(6), [0, 2, 4])):
             assert isometry_defect(act, rng) <= 1e-9
-
-
-# The finite builtins of ``qha verify --all`` plus three larger instances of
-# the same mechanisms.
-ORACLE_IDS = (
-    *(sid for sid in list_builtins() if not sid.startswith("affine-wavelet")),
-    "translation:cyclic(64)", "twisted-dual:12:1", "wh:16", "broken-measure",
-)
 
 
 def _direct_sum(*reps):

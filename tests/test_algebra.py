@@ -28,6 +28,7 @@ from qha.algebra import (
     trace,
     weight_apply,
 )
+from qha.duflo import DufloEstimate
 
 M2 = AlgebraShape((2,), (1.0,))
 MIXED = AlgebraShape((1, 2), (1.0, 0.5))
@@ -183,6 +184,60 @@ class TestPolar:
         u, absx = polar(x)
         assert sup_distance(u @ absx, x) < 1e-10
         assert sup_distance(u @ u.adjoint() @ u, u) < 1e-10
+
+
+# Blocks of sizes 1, 2 and 3 interleaved, so that each size class gathers
+# blocks from several places; distinct weights catch a weight paired with the
+# wrong block.
+INTERLEAVED = AlgebraShape((1, 2, 1, 3, 2), (1.0, 0.5, 2.0, 0.25, 3.0))
+
+
+def _block_spectra(x):
+    return [np.linalg.eigh(0.5 * (b + b.conj().T)) for b in x.blocks]
+
+
+def _per_block(x, f):
+    """Reference functional calculus, one eigendecomposition per block."""
+    return AlgebraElement(x.shape, [(v * f(w)) @ v.conj().T for w, v in _block_spectra(x)])
+
+
+class TestSizeClasses:
+    """Batched spectral work per size class against a per-block reference."""
+
+    def test_size_classes_group_blocks(self):
+        assert [idx for idx, _ in INTERLEAVED.size_classes] == [(0, 2), (1, 4), (3,)]
+        assert [list(w) for _, w in INTERLEAVED.size_classes] == [[1.0, 2.0], [0.5, 3.0], [0.25]]
+
+    def test_trace_and_norms(self):
+        x = random_element(INTERLEAVED, np.random.default_rng(30))
+        w = INTERLEAVED.trace_weights
+        ref_trace = sum(wk * np.trace(b) for wk, b in zip(w, x.blocks))
+        assert abs(trace(x) - ref_trace) <= 1e-14 * abs(ref_trace)
+        sv = [np.linalg.svd(b, compute_uv=False) for b in x.blocks]
+        ref_op = max(s[0] for s in sv)
+        assert op_norm(x) == pytest.approx(ref_op, rel=1e-14)
+        assert p_norm(x, math.inf) == pytest.approx(ref_op, rel=1e-14)
+        for p in (1.0, 4 / 3, 2.0):
+            ref = sum(wk * np.sum(s ** p) for wk, s in zip(w, sv)) ** (1.0 / p)
+            assert p_norm(x, p) == pytest.approx(ref, rel=1e-13)
+
+    def test_spectral_functions(self):
+        x = random_positive_element(INTERLEAVED, np.random.default_rng(31))
+        tol = 1e-12 * x.max_abs_entry()
+        assert sup_distance(positive_sqrt(x), _per_block(x, np.sqrt)) <= tol
+        for t in (-0.5, 0.25, 2.0):
+            ref = _per_block(x, lambda w: w ** t)
+            assert sup_distance(power(x, t), ref) <= 1e-10 * ref.max_abs_entry()
+        assert all(w.min() > 0 for w, _ in eigh_blocks(x))
+
+    def test_duflo_estimate_power(self):
+        d_inv = random_positive_element(INTERLEAVED, np.random.default_rng(32))
+        est = DufloEstimate(d_inverse=d_inv, d=power(d_inv, -1.0), scalar_flag=False,
+                            scalar_value=None, off_scalar_residual=0.0,
+                            cross_check_residual=0.0, min_eigenvalue=0.0)
+        for t in (-0.5, 0.5, 1.0):
+            ref = _per_block(d_inv, lambda w: w ** (-t))
+            assert sup_distance(est.power(t), ref) <= 1e-10 * ref.max_abs_entry()
 
 
 class TestWeights:

@@ -222,16 +222,14 @@ class TestSymmetry:
         rng = np.random.default_rng(4)
         x = random_positive_element(act.shape, rng)
         y = random_positive_element(act.shape, rng)
-        vals = act.bracket_values(x, y)
-        assert bracket_symmetry_defect(x, y, act, haar) <= 1e-10 * np.abs(vals).max()
+        assert bracket_symmetry_defect(x, y, act, haar) <= 1e-10
 
     def test_translation_scenario(self):
         act, haar = _translation_scene(5)
         rng = np.random.default_rng(5)
         x = random_positive_element(act.shape, rng)
         y = random_positive_element(act.shape, rng)
-        vals = act.bracket_values(x, y)
-        assert bracket_symmetry_defect(x, y, act, haar) <= 1e-12 * np.abs(vals).max()
+        assert bracket_symmetry_defect(x, y, act, haar) <= 1e-12
 
     def test_trivial_group(self):
         act = left_translation_action(cyclic(1))

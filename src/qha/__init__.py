@@ -9,14 +9,9 @@ finite instances plus quadrature-discretized continuous instances.
 from .algebra import (
     AlgebraElement,
     AlgebraShape,
-    WeightKernel,
-    func_calc,
     p_norm,
-    polar,
-    positive_sqrt,
     power,
     trace,
-    weight_apply,
 )
 from .actions import (
     Action,
@@ -29,7 +24,6 @@ from .actions import (
     is_trace_preserving,
     left_translation_action,
     permutation_action,
-    twisted_regular_rep,
     wavelet_action,
 )
 from .bracket import (
@@ -37,7 +31,6 @@ from .bracket import (
     bracket,
     bracket_integral,
     bracket_symmetry_defect,
-    convolve_weight,
     function_p_norm,
     integrate_bracket,
 )
@@ -63,7 +56,6 @@ from .groups import (
     counting_haar,
     cyclic,
     dual_group,
-    integrate,
     probability_haar,
     product,
     symmetric,

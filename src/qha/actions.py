@@ -195,29 +195,6 @@ def finite_weyl_heisenberg(n: int) -> UnitaryRep:
     return UnitaryRep(G, mats, cocycle=sigma, name=f"wh({n})")
 
 
-def heisenberg_cocycle(G: FiniteGroup, m: int = 1) -> Callable[[int, int], complex]:
-    """sigma((a,b),(c,d)) = exp(2*pi*i * m * b * c / n) on cyclic(n) x cyclic(n)."""
-    if G.structure is None or len(G.structure) != 2 or G.structure[0] != G.structure[1]:
-        raise RepresentationError("heisenberg_cocycle needs cyclic(n) x cyclic(n)")
-    n = G.structure[0]
-
-    def sigma(x: int, y: int) -> complex:
-        (_, b), (c, _) = G.tuple_of_index(x), G.tuple_of_index(y)
-        return complex(np.exp(2j * np.pi * m * b * c / n))
-
-    return sigma
-
-
-def twisted_regular_rep(G: FiniteGroup, sigma: Callable[[int, int], complex]) -> UnitaryRep:
-    """Twisted left translations on l2(G): one unit entry per column with a phase."""
-    N = G.order
-    mats = np.zeros((N, N, N), dtype=complex)
-    for g in range(N):
-        for h in range(N):
-            mats[g, G.compose(g, h), h] = complex(sigma(g, h))
-    return UnitaryRep(G, mats, cocycle=sigma, name=f"lambda({G.name})")
-
-
 # Largest linearized dimension for which a dense SVD nullity is computed.
 DENSE_LIMIT = 600
 # The simple-spectrum commutant count is accepted only when its noise floor
@@ -344,11 +321,6 @@ def commutant_certificate(matrices, tol: float = 1e-8) -> CommutantCertificate:
     return CommutantCertificate(count, "spectral", rel_gap, noise_floor, min_coupling)
 
 
-def commutant_dimension(matrices, tol: float = 1e-8) -> int:
-    """Dimension of the commutant of a family of unitaries (see commutant_certificate)."""
-    return commutant_certificate(matrices, tol).dimension
-
-
 # ---------------------------------------------------------------------------
 # actions
 
@@ -370,10 +342,6 @@ class Action:
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         raise NotImplementedError
 
-    def apply_adjoint(self, g, x: AlgebraElement) -> AlgebraElement:
-        """Adjoint of apply(g, .) on Hilbert-Schmidt space; here apply(g^{-1}, .)."""
-        return self.apply(self.group_inverse(g), x)
-
     # -- group plumbing ------------------------------------------------------
 
     def node_elements(self) -> list:
@@ -386,16 +354,10 @@ class Action:
             return self.group.node_count
         return self.group.order
 
-    def group_inverse(self, g):
-        return self.group.inverse(g)
-
     def modular_values(self) -> np.ndarray:
         if isinstance(self.group, QuadratureGroup):
             return np.array([self.group.modular(p) for p in self.node_elements()])
         return np.ones(self.group.order)
-
-    def identity_element(self):
-        return self.group.identity
 
     # -- bulk operations -----------------------------------------------------
 
@@ -911,13 +873,6 @@ class WaveletAction(Action):
         phase = np.exp(-2j * np.pi * b * self.xi)
         rolled = np.roll(x.blocks[0], shift=(-j, -j), axis=(0, 1))
         return AlgebraElement(self.shape, [rolled * np.outer(phase, phase.conj())], copy=False)
-
-    def apply_adjoint(self, g, x: AlgebraElement) -> AlgebraElement:
-        a, b = float(g[0]), float(g[1])
-        j = self.shift_of(a)
-        phase = np.exp(-2j * np.pi * b * self.xi)
-        peeled = x.blocks[0] * np.outer(phase.conj(), phase)
-        return AlgebraElement(self.shape, [np.roll(peeled, shift=(j, j), axis=(0, 1))], copy=False)
 
     # -- structured bulk paths --------------------------------------------
 

@@ -2,9 +2,9 @@
 
 An algebra here is a direct sum of full complex matrix blocks, with a trace
 that weights block k by a positive scalar.  Every finite-dimensional von
-Neumann algebra has this form, so positive density kernels represent all
-weights and plain hermitian eigendecomposition covers all functional
-calculus.  Elements are immutable; every operation returns a new element.
+Neumann algebra has this form, so a plain hermitian eigendecomposition gives
+the spectral powers the laws need.  Elements are immutable; every operation
+returns a new element.
 
 Spectral work (the trace, singular values, hermitian eigendecompositions)
 runs per size class: the blocks of one size are stacked and handed to a
@@ -23,8 +23,6 @@ import numpy as np
 
 # Relative eigenvalue clamp below which "positive" tolerates roundoff noise.
 EPS_PSD = 1e-10
-# Relative singular-value cutoff for the support of a partial isometry.
-EPS_RANK = 1e-12
 
 
 class AlgebraError(Exception):
@@ -91,9 +89,6 @@ class AlgebraShape:
     def scalar(self, c: complex) -> AlgebraElement:
         return AlgebraElement(self, [c * np.eye(n, dtype=complex) for n in self.block_dims])
 
-    def element(self, blocks) -> AlgebraElement:
-        return AlgebraElement(self, blocks)
-
     def basis(self) -> Iterator[AlgebraElement]:
         """Matrix-unit basis, block by block, row-major inside each block."""
         for k, n in enumerate(self.block_dims):
@@ -155,9 +150,6 @@ class AlgebraElement:
 
     def hermitian_defect(self) -> float:
         return max(float(np.abs(a - a.conj().T).max()) for a in self.blocks)
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return self.hermitian_defect() <= tol * (1.0 + self.max_abs_entry())
 
     def max_abs_entry(self) -> float:
         return max(float(np.abs(a).max()) for a in self.blocks)
@@ -235,36 +227,6 @@ def from_eigh(shape: AlgebraShape, eig, f: Callable[[np.ndarray], np.ndarray]) -
     return _unstack(shape, [(v * f(w)[:, None, :]) @ v.conj().swapaxes(1, 2) for w, v in eig])
 
 
-def _check_psd(eig, scale: float, what: str = "eigenvalue") -> None:
-    low = min(float(w.min()) for w, _ in eig)
-    if low < -EPS_PSD * max(scale, 1e-300):
-        raise NotPositiveError(f"{what} {low:.3e} below positivity clamp")
-
-
-def func_calc(x: AlgebraElement, f: Callable[[float], float]) -> AlgebraElement:
-    """Apply a real scalar function to a hermitian element through its spectrum."""
-
-    def vals_of(w: np.ndarray) -> np.ndarray:
-        try:
-            vals = np.asarray(f(w), dtype=float)
-            if vals.shape != w.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([f(t) for t in w.ravel()], dtype=float).reshape(w.shape)
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("function undefined on part of the spectrum")
-        return vals
-
-    return from_eigh(x.shape, eigh_blocks(x), vals_of)
-
-
-def positive_sqrt(x: AlgebraElement) -> AlgebraElement:
-    """Positive square root of a hermitian PSD element (noise-level negatives clamped)."""
-    eig = eigh_blocks(x)
-    _check_psd(eig, op_norm(x))
-    return from_eigh(x.shape, eig, lambda w: np.sqrt(np.clip(w, 0.0, None)))
-
-
 def power(x: AlgebraElement, t: float) -> AlgebraElement:
     """Spectral power x^t of a hermitian PSD element.
 
@@ -273,7 +235,9 @@ def power(x: AlgebraElement, t: float) -> AlgebraElement:
     """
     scale = op_norm(x)
     eig = eigh_blocks(x)
-    _check_psd(eig, scale)
+    low = min(float(w.min()) for w, _ in eig)
+    if low < -EPS_PSD * max(scale, 1e-300):
+        raise NotPositiveError(f"eigenvalue {low:.3e} below positivity clamp")
 
     def vals_of(w: np.ndarray) -> np.ndarray:
         wc = np.clip(w, 0.0, None)
@@ -283,54 +247,6 @@ def power(x: AlgebraElement, t: float) -> AlgebraElement:
             return wc ** t
 
     return from_eigh(x.shape, eig, vals_of)
-
-
-def polar(x: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
-    """Polar decomposition x = u |x| with u a partial isometry.
-
-    u is supported only on singular directions whose singular value exceeds
-    EPS_RANK relative to the largest one, so u u* u = u holds to roundoff.
-    """
-    us, abss = [], []
-    for b in x.blocks:
-        uu, s, vh = np.linalg.svd(b)
-        cutoff = EPS_RANK * (s[0] if s.size else 0.0)
-        r = int(np.sum(s > cutoff))
-        us.append(uu[:, :r] @ vh[:r, :])
-        abss.append((vh.conj().T * s) @ vh)
-    return AlgebraElement(x.shape, us, copy=False), AlgebraElement(x.shape, abss, copy=False)
-
-
-@dataclass(frozen=True)
-class WeightKernel:
-    """Density kernel of a weight: phi(x) = trace(kernel @ x).
-
-    The kernel must be hermitian and positive semidefinite up to the
-    positivity clamp; noise-level negative eigenvalues are clamped away on
-    construction.
-    """
-
-    kernel: AlgebraElement
-
-    def __post_init__(self) -> None:
-        k = self.kernel
-        scale = 1.0 + k.max_abs_entry()
-        if k.hermitian_defect() > 1e-9 * scale:
-            raise NotPositiveError("weight kernel is not hermitian")
-        eig = eigh_blocks(k)
-        _check_psd(eig, scale, "weight kernel eigenvalue")
-        object.__setattr__(self, "kernel", from_eigh(k.shape, eig, lambda w: np.clip(w, 0.0, None)))
-
-    def sqrt(self) -> AlgebraElement:
-        return positive_sqrt(self.kernel)
-
-    def __call__(self, x: AlgebraElement) -> complex:
-        return weight_apply(self, x)
-
-
-def weight_apply(K: WeightKernel, x: AlgebraElement) -> complex:
-    """Evaluate the weight with kernel K on x: trace(K.kernel @ x)."""
-    return trace(K.kernel @ x)
 
 
 def random_element(shape: AlgebraShape, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:

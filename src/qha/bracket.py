@@ -1,4 +1,4 @@
-"""Bracket products, their group integrals and norms, and weight convolution.
+"""Bracket products, their group integrals and norms.
 
 The bracket of two algebra elements under an action is the complex function
 on the group g -> trace((g.y)* x).  For positive x and y this agrees with
@@ -8,14 +8,12 @@ at every node in fixed node order, so all reductions are deterministic.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
-import functools
 import math
 
 import numpy as np
 
-from .algebra import AlgebraElement, NotPositiveError, ParameterError, WeightKernel
+from .algebra import AlgebraElement, ParameterError
 from .actions import Action
 from .groups import HaarModel, QuadratureGroup
 
@@ -26,16 +24,10 @@ class InverseClosureError(Exception):
 
 @dataclass(frozen=True)
 class BracketFunction:
-    """Sampled bracket values with their integration weights and provenance.
-
-    ``labels`` is the tuple of node labels or a function that builds it;
-    ``node_labels`` calls that function once, on first use.
-    """
+    """Sampled bracket values with their integration weights."""
 
     values: np.ndarray
     weights: np.ndarray
-    labels: tuple[str, ...] | Callable[[], tuple[str, ...]]
-    provenance: str = ""
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=complex)
@@ -50,33 +42,10 @@ class BracketFunction:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def node_labels(self) -> tuple[str, ...]:
-        if callable(self.labels):
-            object.__setattr__(self, "labels", tuple(self.labels()))
-        return self.labels
 
-    def to_table(self) -> str:
-        """Two-column export: node label, complex value."""
-        lines = [f"# {self.provenance}".rstrip()]
-        for lab, v in zip(self.node_labels, self.values):
-            lines.append(f"{lab}\t{v.real:.12e}{v.imag:+.12e}j")
-        return "\n".join(lines) + "\n"
-
-
-def _node_labels(action: Action) -> tuple[str, ...]:
-    group = action.group
-    if isinstance(group, QuadratureGroup):
-        return tuple(group.node_label(i) for i in range(group.node_count))
-    return tuple(group.labels)
-
-
-def bracket(x: AlgebraElement, y: AlgebraElement, action: Action, haar: HaarModel,
-            provenance: str = "") -> BracketFunction:
+def bracket(x: AlgebraElement, y: AlgebraElement, action: Action, haar: HaarModel) -> BracketFunction:
     """Sampled bracket g -> trace((g.y)* x) on the action's nodes."""
-    values = action.bracket_values(x, y)
-    return BracketFunction(values, haar.weights, functools.partial(_node_labels, action),
-                           provenance=provenance or f"bracket@{action.kind}")
+    return BracketFunction(action.bracket_values(x, y), haar.weights)
 
 
 def integrate_bracket(bf: BracketFunction) -> complex:
@@ -134,25 +103,3 @@ def _inverse_node_index(group: QuadratureGroup) -> np.ndarray:
             )
         index[i] = j
     return index
-
-
-def convolve_weight(f, K: WeightKernel, action: Action, haar: HaarModel) -> WeightKernel:
-    """Convolution of a function with a weight: kernel = sum w_i f(g_i) (g_i . K).
-
-    ``f`` maps group elements (indices or parameter vectors) to scalars.  For
-    nonnegative f and a positive kernel the result is positive; eigenvalues
-    below the positivity clamp raise NotPositiveError as a numerical failure.
-    """
-    elems = action.node_elements()
-    fvals = np.array([f(g) for g in elems], dtype=complex)
-    coeffs = haar.weights * fvals
-    raw = action.orbit_sum(coeffs, K.kernel)
-    herm_defect = raw.hermitian_defect()
-    scale = 1.0 + raw.max_abs_entry()
-    if herm_defect > 1e-9 * scale:
-        raise NotPositiveError(
-            f"convolved kernel is not hermitian (defect {herm_defect:.3e}); "
-            "the integrand must produce a weight"
-        )
-    sym = 0.5 * (raw + raw.adjoint())
-    return WeightKernel(sym)

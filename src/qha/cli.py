@@ -217,7 +217,7 @@ def refinement_metrics(spec: ScenarioSpec, level: int) -> dict:
     return {
         "nodes": scn.action.group.node_count,
         "orthogonality": worst,
-        "semi_invariance": float(semi.lhs.real if isinstance(semi.lhs, complex) else semi.lhs),
+        "semi_invariance": semi.lhs,
         "cross_check": est.cross_check_residual,
     }
 

@@ -287,7 +287,7 @@ def check_l1(
     Equality:   integral of  <x|D^{1/2} y D^{1/2}>  = trace(x) trace(y*).
     """
     ytil = est.sandwich(0.5, y)
-    bf = bracket(x, ytil, action, haar, provenance="l1-check")
+    bf = bracket(x, ytil, action, haar)
     lhs_ineq = float(np.dot(bf.weights, np.abs(bf.values)))
     rhs_ineq = p_norm(x, 1.0) * p_norm(y, 1.0)
     ineq = CheckReport.bound(
@@ -333,7 +333,7 @@ def check_young(
     if op_norm(commutator) > bound:
         raise ParameterError("y must commute with D for the convolution inequality")
     ytil = est.sandwich(1.0 / (2.0 * r), y)
-    bf = bracket(x, ytil, action, haar, provenance="young-check")
+    bf = bracket(x, ytil, action, haar)
     lhs = function_p_norm(bf, r)
     rhs = p_norm(x, p) * p_norm(y, q)
     return CheckReport.bound(
@@ -360,7 +360,7 @@ def check_interpolation(
     """
     if p < 1.0:
         raise ParameterError(f"exponent must be >= 1, got {p}")
-    bf = bracket(x, y, action, haar, provenance="interpolation-check")
+    bf = bracket(x, y, action, haar)
     lhs = function_p_norm(bf, p)
     if p == math.inf:
         rhs = p_norm(x, math.inf) * p_norm(y, 1.0)
@@ -527,9 +527,7 @@ def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
         notes="sampled generating set" if scn.is_quadrature else "generators",
     ))
 
-    rng = scn.rng("duflo")
-    x1 = scn.random_positive(rng)
-    x2 = scn.random_positive(rng)
+    x1, x2 = scn.duflo_pair()
     witness = bracket_integral(x1, x1, action, haar)
     ok = math.isfinite(witness.real) and witness.real > 0 and abs(witness.imag) <= 1e-9 * (1 + abs(witness.real))
     reports.append(CheckReport.flag(

@@ -1,10 +1,10 @@
-"""Group models with Haar integration.
+"""Group models with Haar weights.
 
 Two kinds of groups are supported: exact finite groups given by an index
 multiplication table, and quadrature-discretized locally compact groups given
 by nodes, positive Haar weights, exact parameter maps for composition and
-inverse, and a modular function.  Integration is a deterministic weighted sum
-over nodes in fixed node order.
+inverse, and a modular function.  A Haar integral is the dot product of the
+weights with the values at the nodes, in fixed node order.
 """
 
 from __future__ import annotations
@@ -207,21 +207,6 @@ class CharacterTable:
         self.table = table
         self.labels = tuple(labels)
 
-    @property
-    def size(self) -> int:
-        return self.group.order
-
-    def value(self, char_index: int, g: int) -> complex:
-        return complex(self.table[char_index, g])
-
-    def character(self, char_index: int) -> np.ndarray:
-        return self.table[char_index]
-
-    def orthogonality_defect(self) -> float:
-        n = self.size
-        gram = self.table @ self.table.conj().T / n
-        return float(np.abs(gram - np.eye(n)).max())
-
     def as_group(self) -> FiniteGroup:
         """The dual group; characters compose exactly like the elements indexing them."""
         return FiniteGroup(
@@ -367,9 +352,6 @@ class QuadratureGroup:
     def haar(self) -> HaarModel:
         return HaarModel(self.haar_weights, "quadrature")
 
-    def node_label(self, i: int) -> str:
-        return "(" + ",".join(f"{v:.6g}" for v in self.nodes[i]) + ")"
-
     def __repr__(self) -> str:
         return f"QuadratureGroup({self.label}, nodes={self.node_count})"
 
@@ -416,19 +398,3 @@ def affine_group(a_min: float, a_max: float, n_a: int,
         label=f"affine[{a_min:g},{a_max:g}]x[{b_min:g},{b_max:g}]",
         sampling_indices=sampling,
     )
-
-
-def integrate(group, f, haar: HaarModel | None = None) -> complex:
-    """Haar integral of f over the group's nodes, in fixed node order.
-
-    For a FiniteGroup, f maps element indices to complex numbers and ``haar``
-    defaults to the counting model.  For a QuadratureGroup, f maps parameter
-    vectors to complex numbers and the intrinsic weights are used.
-    """
-    if isinstance(group, QuadratureGroup):
-        values = np.array([f(group.nodes[i]) for i in range(group.node_count)], dtype=complex)
-        return complex(np.dot(group.haar_weights, values))
-    if haar is None:
-        haar = counting_haar(group)
-    values = np.array([f(g) for g in group.elements()], dtype=complex)
-    return complex(np.dot(haar.weights, values))

@@ -61,14 +61,11 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Declarative scenario description; ``build`` produces the runtime object."""
+    """Declarative scenario description; ``build_scenario`` produces the runtime object."""
 
     scenario_id: str
     seed: int = DEFAULT_SEED
     tol_rel: float | None = None
-
-    def build(self) -> "Scenario":
-        return build_scenario(self)
 
 
 class Scenario:
@@ -82,7 +79,7 @@ class Scenario:
         self.action = action
         self.haar = haar
         self.tol_rel = spec.tol_rel if spec.tol_rel is not None else tol_rel
-        self.ineq_tol = max(ineq_tol, self.tol_rel if spec.tol_rel is not None else 0.0)
+        self.ineq_tol = spec.tol_rel if spec.tol_rel is not None else ineq_tol
         self.cross_tol = cross_tol
         self.default_trials = default_trials
         self.expect_tol = expect_tol
@@ -473,29 +470,65 @@ _SECTION_KEYS = {
 }
 
 
-def save_scenario(spec: ScenarioSpec, path) -> None:
-    """Write the scenario description as an INI file (see load_scenario)."""
-    scn = build_scenario(spec)
-    cp = configparser.ConfigParser()
-    cp["scenario"] = {"id": spec.scenario_id, "seed": str(spec.seed)}
+def _parser() -> configparser.ConfigParser:
+    return configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+
+
+def _mirrors(scn: Scenario) -> dict[str, dict[str, str]]:
+    """The sections a scenario file mirrors from the built scenario."""
     group = scn.action.group
     if isinstance(group, QuadratureGroup):
-        cp["group"] = {"kind": "quadrature", "spec": group.label}
+        group_section = {"kind": "quadrature", "spec": group.label}
     else:
-        cp["group"] = {"kind": "finite", "spec": group.name}
-    cp["haar"] = {"normalization": scn.haar.normalization}
-    cp["algebra"] = {
-        "block_dims": ",".join(str(n) for n in scn.shape.block_dims),
-        "trace_weights": ",".join(f"{w:.17g}" for w in scn.shape.trace_weights),
-    }
-    cp["action"] = {"kind": scn.action.kind}
-    cp["tolerances"] = {"rel": f"{scn.tol_rel:.17g}"}
+        group_section = {"kind": "finite", "spec": group.name}
     expect = {}
     if scn.expected_scalar is not None:
         expect["scalar"] = f"{scn.expected_scalar:.17g}"
     if scn.expected_kernel is not None:
         expect["kernel"] = scn.expected_kernel
-    cp["expect"] = expect
+    return {
+        "group": group_section,
+        "haar": {"normalization": scn.haar.normalization},
+        "algebra": {
+            "block_dims": ",".join(str(n) for n in scn.shape.block_dims),
+            "trace_weights": ",".join(f"{w:.17g}" for w in scn.shape.trace_weights),
+        },
+        "action": {"kind": scn.action.kind},
+        "expect": expect,
+    }
+
+
+def _same_value(declared: str, actual: str) -> bool:
+    """Equal as comma-separated numbers to 1e-9 relative, else as text."""
+    a, b = declared.split(","), actual.split(",")
+    try:
+        return len(a) == len(b) and all(
+            math.isclose(float(u), float(v), rel_tol=1e-9) for u, v in zip(a, b))
+    except ValueError:
+        return declared == actual
+
+
+def _parsed(cp: configparser.ConfigParser, section: str, key: str, kind, default=None):
+    if section not in cp or key not in cp[section]:
+        return default
+    try:
+        return kind(cp[section][key])
+    except ValueError:
+        raise ConfigError(f"[{section}] {key} = {cp[section][key]!r} is not a valid "
+                          f"{kind.__name__}") from None
+
+
+def save_scenario(spec: ScenarioSpec, path) -> None:
+    """Write the scenario description as an INI file (see load_scenario).
+
+    ``[tolerances] rel`` is written only when the spec overrides the family
+    default, so loading the file gives back the same spec.
+    """
+    cp = _parser()
+    cp["scenario"] = {"id": spec.scenario_id, "seed": str(spec.seed)}
+    cp.read_dict(_mirrors(build_scenario(spec)))
+    if spec.tol_rel is not None:
+        cp["tolerances"] = {"rel": f"{spec.tol_rel:.17g}"}
     with open(path, "w") as fh:
         cp.write(fh)
 
@@ -503,12 +536,16 @@ def save_scenario(spec: ScenarioSpec, path) -> None:
 def load_scenario(path) -> ScenarioSpec:
     """Read a scenario INI file back into a spec.
 
-    The [scenario] id names the family; the remaining sections are validated
-    against it, unknown sections or keys are rejected, and missing tolerances
-    fall back to the family defaults.
+    The [scenario] id names the family; the [group], [haar], [algebra],
+    [action] and [expect] keys present must match the scenario it builds.
+    Unknown sections or keys are rejected, ``#`` starts a comment, and a
+    missing tolerance falls back to the family default.
     """
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
+    cp = _parser()
+    try:
+        read = cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse scenario file {path!r}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read scenario file {path!r}")
     for section in cp.sections():
@@ -520,20 +557,11 @@ def load_scenario(path) -> ScenarioSpec:
     if "scenario" not in cp or "id" not in cp["scenario"]:
         raise ConfigError("scenario file needs [scenario] with an id")
     sid = cp["scenario"]["id"]
-    seed = int(cp["scenario"].get("seed", str(DEFAULT_SEED)))
-    tol_rel = None
-    if "tolerances" in cp and "rel" in cp["tolerances"]:
-        tol_rel = float(cp["tolerances"]["rel"])
-    spec = ScenarioSpec(sid, seed=seed, tol_rel=tol_rel)
-    scn = build_scenario(spec)  # validates the id
-    if "algebra" in cp and "block_dims" in cp["algebra"]:
-        declared = tuple(int(v) for v in cp["algebra"]["block_dims"].split(","))
-        if declared != scn.shape.block_dims:
-            raise ConfigError(
-                f"[algebra] block_dims {declared} do not match scenario {sid!r} "
-                f"which has {scn.shape.block_dims}"
-            )
-    if "haar" in cp and "normalization" in cp["haar"]:
-        if cp["haar"]["normalization"] != scn.haar.normalization:
-            raise ConfigError(f"[haar] normalization does not match scenario {sid!r}")
+    spec = ScenarioSpec(sid, seed=_parsed(cp, "scenario", "seed", int, DEFAULT_SEED),
+                        tol_rel=_parsed(cp, "tolerances", "rel", float))
+    for section, actual in _mirrors(build_scenario(spec)).items():
+        for key, declared in (cp[section].items() if section in cp else ()):
+            if key not in actual or not _same_value(declared, actual[key]):
+                raise ConfigError(f"[{section}] {key} = {declared!r} does not match scenario "
+                                  f"{sid!r}, which has {actual.get(key, 'none')!r}")
     return spec

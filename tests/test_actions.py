@@ -28,7 +28,6 @@ from qha.actions import (
     WaveletDesign,
     automorphism_defect,
     commutant_certificate,
-    commutant_dimension,
     conjugation_action,
     coset_action,
     cyclic_character_rep,
@@ -36,7 +35,6 @@ from qha.actions import (
     dual_action,
     finite_weyl_heisenberg,
     fixed_point_dimension,
-    heisenberg_cocycle,
     homomorphism_defect,
     induced_action,
     is_trace_preserving,
@@ -45,7 +43,6 @@ from qha.actions import (
     permutation_action,
     s3_irreps,
     trivial_rep,
-    twisted_regular_rep,
     wavelet_action,
 )
 from qha.groups import cyclic, product
@@ -107,7 +104,7 @@ class TestWeylHeisenberg:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_irreducible(self, n):
         rep = finite_weyl_heisenberg(n)
-        assert commutant_dimension(rep.matrices) == 1
+        assert commutant_certificate(rep.matrices).dimension == 1
 
     def test_rejects_small_n(self):
         with pytest.raises(RepresentationError):
@@ -174,44 +171,6 @@ class TestPermutationAction:
         act = permutation_action(G, G.table, np.array([1.0, 2.0]), validate=False)
         rep = is_trace_preserving(act)
         assert not rep.passed
-
-
-class TestTwistedRegularRep:
-    def test_untwisted_c2_is_swap(self):
-        rep = twisted_regular_rep(cyclic(2), lambda a, b: 1.0)
-        assert np.allclose(rep.matrix(1), [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_trace_is_order_times_delta(self):
-        G = product(cyclic(3), cyclic(3))
-        rep = twisted_regular_rep(G, heisenberg_cocycle(G))
-        for g in G.elements():
-            tr = np.trace(rep.matrix(g))
-            expect = G.order if g == G.identity else 0.0
-            assert abs(tr - expect) < 1e-12
-
-    def test_heisenberg_twist_has_trivial_center(self):
-        # commutant solve restricted to the span of the twisted translates
-        G = product(cyclic(3), cyclic(3))
-        rep = twisted_regular_rep(G, heisenberg_cocycle(G))
-        lam = rep.matrices
-        n = G.order
-        rows = []
-        for h in G.elements():
-            block = np.array([(lam[g] @ lam[h] - lam[h] @ lam[g]).ravel()
-                              for g in G.elements()]).T
-            rows.append(block)
-        stacked = np.vstack(rows)
-        s = np.linalg.svd(stacked, compute_uv=False)
-        assert int(np.sum(s <= 1e-8)) == 1
-
-    def test_rejects_cocycle_identity_violation(self):
-        G = product(cyclic(2), cyclic(2))
-
-        def bad(a, b):
-            return -1.0 if (a, b) == (1, 2) else 1.0
-
-        with pytest.raises(RepresentationError):
-            twisted_regular_rep(G, bad)
 
 
 # The finite builtins of ``qha verify --all`` plus three larger instances of

@@ -1,4 +1,4 @@
-"""Block algebra: trace, norms, functional calculus, polar form, weights."""
+"""Block algebra: trace, norms, spectral powers, size-class batching."""
 
 import math
 
@@ -14,19 +14,14 @@ from qha.algebra import (
     NotPositiveError,
     ParameterError,
     ShapeMismatchError,
-    WeightKernel,
     eigh_blocks,
-    func_calc,
     op_norm,
     p_norm,
-    polar,
-    positive_sqrt,
     power,
     random_element,
     random_positive_element,
     sup_distance,
     trace,
-    weight_apply,
 )
 from qha.duflo import DufloEstimate
 
@@ -111,42 +106,29 @@ class TestPNorm:
 
 class TestPositiveSqrt:
     def test_diagonal(self):
-        s = positive_sqrt(diag2(4.0, 9.0))
+        s = power(diag2(4.0, 9.0), 0.5)
         assert sup_distance(s, diag2(2.0, 3.0)) < 1e-12
 
     def test_zero(self):
-        assert sup_distance(positive_sqrt(M2.zero()), M2.zero()) == 0.0
+        assert sup_distance(power(M2.zero(), 0.5), M2.zero()) == 0.0
 
     def test_reassembly(self):
         # derived check: the square of the root reproduces the input
         x = AlgebraElement(M2, [np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)])
-        s = positive_sqrt(x)
+        s = power(x, 0.5)
         assert sup_distance(s @ s, x) < 1e-12
 
     def test_rejects_negative(self):
         with pytest.raises(NotPositiveError):
-            positive_sqrt(diag2(1.0, -1.0))
+            power(diag2(1.0, -1.0), 0.5)
 
     def test_clamps_noise(self):
         x = diag2(1.0, -1e-14)
-        s = positive_sqrt(x)
+        s = power(x, 0.5)
         assert sup_distance(s @ s, diag2(1.0, 0.0)) < 1e-12
 
 
-class TestFuncCalc:
-    def test_identity_function(self):
-        rng = np.random.default_rng(2)
-        x = random_positive_element(M2, rng)
-        assert sup_distance(func_calc(x, lambda t: t), x) < 1e-10 * op_norm(x)
-
-    def test_inverse_sqrt(self):
-        y = func_calc(diag2(1.0, 4.0), lambda t: t ** -0.5)
-        assert sup_distance(y, diag2(1.0, 0.5)) < 1e-12
-
-    def test_exp(self):
-        y = func_calc(diag2(0.0, 1.0), np.exp)
-        assert sup_distance(y, diag2(1.0, math.e)) < 1e-12
-
+class TestPower:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             power(diag2(0.0, 1.0), -0.5)
@@ -154,7 +136,7 @@ class TestFuncCalc:
     def test_rejects_non_hermitian(self):
         x = AlgebraElement(M2, [np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)])
         with pytest.raises(NotPositiveError):
-            func_calc(x, np.exp)
+            power(x, 2.0)
 
     def test_power_composes(self):
         rng = np.random.default_rng(3)
@@ -163,27 +145,6 @@ class TestFuncCalc:
         assert sup_distance(half @ half, x) < 1e-10 * op_norm(x)
         inv = power(x, -1.0)
         assert sup_distance(inv @ x, BIG.identity()) < 1e-8
-
-
-class TestPolar:
-    def test_positive_diagonal(self):
-        u, absx = polar(diag2(2.0, 3.0))
-        assert sup_distance(u, M2.identity()) < 1e-12
-        assert sup_distance(absx, diag2(2.0, 3.0)) < 1e-12
-
-    def test_nilpotent(self):
-        x = AlgebraElement(M2, [np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)])
-        u, absx = polar(x)
-        assert sup_distance(absx, diag2(0.0, 1.0)) < 1e-12
-        assert sup_distance(u, x) < 1e-12
-
-    def test_reassembly_seeded(self):
-        shape = AlgebraShape((3,), (1.0,))
-        rng = np.random.default_rng(7)
-        x = random_element(shape, rng)
-        u, absx = polar(x)
-        assert sup_distance(u @ absx, x) < 1e-10
-        assert sup_distance(u @ u.adjoint() @ u, u) < 1e-10
 
 
 # Blocks of sizes 1, 2 and 3 interleaved, so that each size class gathers
@@ -224,7 +185,7 @@ class TestSizeClasses:
     def test_spectral_functions(self):
         x = random_positive_element(INTERLEAVED, np.random.default_rng(31))
         tol = 1e-12 * x.max_abs_entry()
-        assert sup_distance(positive_sqrt(x), _per_block(x, np.sqrt)) <= tol
+        assert sup_distance(power(x, 0.5), _per_block(x, np.sqrt)) <= tol
         for t in (-0.5, 0.25, 2.0):
             ref = _per_block(x, lambda w: w ** t)
             assert sup_distance(power(x, t), ref) <= 1e-10 * ref.max_abs_entry()
@@ -238,39 +199,6 @@ class TestSizeClasses:
         for t in (-0.5, 0.5, 1.0):
             ref = _per_block(d_inv, lambda w: w ** (-t))
             assert sup_distance(est.power(t), ref) <= 1e-10 * ref.max_abs_entry()
-
-
-class TestWeights:
-    def test_identity_kernel(self):
-        rng = np.random.default_rng(4)
-        x = random_element(BIG, rng)
-        K = WeightKernel(BIG.identity())
-        assert weight_apply(K, x) == pytest.approx(trace(x))
-
-    def test_projection_kernel(self):
-        shape = AlgebraShape((2,), (0.7,))
-        K = WeightKernel(diag2(1.0, 0.0, shape))
-        x = diag2(3.0, 5.0, shape)
-        assert weight_apply(K, x) == pytest.approx(0.7 * 3.0)
-
-    def test_two_evaluation_paths(self):
-        # derived check: trace(K x) against trace(K^{1/2} x K^{1/2})
-        rng = np.random.default_rng(5)
-        K = WeightKernel(random_positive_element(BIG, rng))
-        x = random_positive_element(BIG, rng)
-        direct = weight_apply(K, x)
-        root = K.sqrt()
-        sandwich = trace(root @ x @ root)
-        assert abs(direct - sandwich) < 1e-11 * abs(direct)
-
-    def test_rejects_negative_kernel(self):
-        with pytest.raises(NotPositiveError):
-            WeightKernel(diag2(1.0, -0.5))
-
-    def test_rejects_non_hermitian_kernel(self):
-        x = AlgebraElement(M2, [np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)])
-        with pytest.raises(NotPositiveError):
-            WeightKernel(x)
 
 
 class TestInvariants:
@@ -321,28 +249,6 @@ class TestInvariants:
             rhs = trace(br @ ar @ br).real
             assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
 
-    def test_density_kernel_uniqueness(self):
-        # the values on the matrix-unit basis determine the kernel
-        rng = np.random.default_rng(15)
-        K = WeightKernel(random_positive_element(BIG, rng))
-        rebuilt = []
-        pos = 0
-        for n, lam in zip(BIG.block_dims, BIG.trace_weights):
-            blk = np.zeros((n, n), dtype=complex)
-            rebuilt.append(blk)
-        basis = list(BIG.basis())
-        values = [weight_apply(K, e) for e in basis]
-        i = 0
-        for k, (n, lam) in enumerate(zip(BIG.block_dims, BIG.trace_weights)):
-            for a in range(n):
-                for b in range(n):
-                    # trace(K E_ab) = lam * K[b, a]
-                    rebuilt[k][b, a] = values[i] / lam
-                    i += 1
-        K2 = AlgebraElement(BIG, rebuilt)
-        assert sup_distance(K2, K.kernel) <= 1e-10
-
-
 @st.composite
 def small_elements(draw):
     n = draw(st.integers(min_value=1, max_value=3))
@@ -356,15 +262,8 @@ def small_elements(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(small_elements())
-def test_polar_reassembles_any_element(x):
-    u, absx = polar(x)
-    assert sup_distance(u @ absx, x) <= 1e-10 * (1.0 + x.max_abs_entry())
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(small_elements())
 def test_adjoint_square_is_positive(x):
     xx = x.adjoint() @ x
     assert all(w.min() >= -1e-10 * (1 + op_norm(xx)) for w, _ in eigh_blocks(xx))
-    s = positive_sqrt(xx)
+    s = power(xx, 0.5)
     assert sup_distance(s @ s, xx) <= 1e-9 * (1.0 + op_norm(xx))

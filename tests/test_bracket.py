@@ -1,4 +1,4 @@
-"""Bracket products: values, integrals, norms, symmetry, weight convolution."""
+"""Bracket products: values, integrals, norms, symmetry."""
 
 import math
 
@@ -7,13 +7,10 @@ import pytest
 
 from qha.algebra import (
     AlgebraElement,
-    NotPositiveError,
     ParameterError,
-    WeightKernel,
+    power,
     random_element,
     random_positive_element,
-    sup_distance,
-    positive_sqrt,
     trace,
 )
 from qha.actions import (
@@ -29,7 +26,6 @@ from qha.bracket import (
     bracket,
     bracket_integral,
     bracket_symmetry_defect,
-    convolve_weight,
     function_p_norm,
     integrate_bracket,
 )
@@ -92,7 +88,7 @@ class TestBracketValues:
             rng = scn.rng("path-pair")
             x = scn.random_positive(rng)
             y = scn.random_positive(rng)
-            root = positive_sqrt(x)
+            root = power(x, 0.5)
             vals = scn.action.bracket_values(x, y)
             scale = 1 + np.abs(vals).max()
             nodes = list(scn.action.node_elements())
@@ -124,20 +120,6 @@ class TestBracketValues:
             moved = bracket(act.apply(h, x), y, act, haar).values
             for g in G.elements():
                 assert moved[g] == pytest.approx(base[G.compose(G.inverse(h), g)], abs=1e-10)
-
-    def test_to_table_export(self):
-        act, haar = _translation_scene(3)
-        bf = bracket(_delta(act, 0), _delta(act, 0), act, haar, provenance="demo")
-        assert callable(bf.labels)  # labels are built on demand only
-        table = bf.to_table()
-        lines = table.strip().splitlines()
-        assert lines[0] == "# demo"
-        assert len(lines) == 1 + 3
-        assert lines[1:] == [f"{lab}\t{v.real:.12e}{v.imag:+.12e}j"
-                             for lab, v in zip(act.group.labels, bf.values)]
-        assert bf.node_labels == tuple(act.group.labels)
-        assert not callable(bf.labels)
-
 
 class TestIntegrateBracket:
     def test_translation_delta(self):
@@ -247,60 +229,7 @@ class TestSymmetry:
             bracket_symmetry_defect(x, x, act, haar)
 
 
-class TestConvolveWeight:
-    def test_point_mass_at_identity(self):
-        act, haar = _wh_scene(2)
-        rng = np.random.default_rng(7)
-        K = WeightKernel(random_positive_element(act.shape, rng))
-        e = act.group.identity
-        out = convolve_weight(lambda g: 1.0 if g == e else 0.0, K, act, haar)
-        assert sup_distance(out.kernel, K.kernel) < 1e-12
-
-    def test_constant_function_gives_scalar_weight(self):
-        # averaging the whole orbit of an ergodic action lands in the scalars,
-        # with the scalar equal to the inverse-density pairing of the input
-        act, haar = _wh_scene(3)
-        rng = np.random.default_rng(8)
-        y = random_positive_element(act.shape, rng)
-        K = WeightKernel(y)
-        out = convolve_weight(lambda g: 1.0, K, act, haar)
-        n = 3
-        lam = float(act.group.order) * trace(y).real / trace(act.shape.identity()).real
-        assert sup_distance(out.kernel, act.shape.scalar(lam)) < 1e-10 * lam
-
-    def test_modular_weighted_orbit_matches_estimator(self):
-        from qha.duflo import estimate_duflo
-
-        act, haar = _wh_scene(3)
-        rng = np.random.default_rng(9)
-        x = random_positive_element(act.shape, rng)
-        x = (1.0 / trace(x).real) * x
-        est = estimate_duflo(act, haar, x)
-        out = convolve_weight(lambda g: 1.0 / act.group.modular(g), WeightKernel(x), act, haar)
-        assert sup_distance(out.kernel, est.d_inverse) < 1e-12
-
-    def test_equivariance(self):
-        # translating the function equals acting on the convolved kernel
-        act, haar = _wh_scene(2)
-        G = act.group
-        rng = np.random.default_rng(10)
-        K = WeightKernel(random_positive_element(act.shape, rng))
-        fvals = rng.random(G.order)
-        for h in G.elements():
-            shifted = lambda g: fvals[G.compose(G.inverse(h), g)]
-            lhs = convolve_weight(shifted, K, act, haar).kernel
-            rhs = act.apply(h, convolve_weight(lambda g: fvals[g], K, act, haar).kernel)
-            assert sup_distance(lhs, rhs) < 1e-10 * (1 + rhs.max_abs_entry())
-
-    def test_rejects_sign_mixing_input(self):
-        act, haar = _translation_scene(2)
-        K = WeightKernel(act.shape.identity())
-        # an imaginary-valued function cannot produce a hermitian weight kernel
-        with pytest.raises(NotPositiveError):
-            convolve_weight(lambda g: 1.0j if g == 1 else 1.0, K, act, haar)
-
-
 class TestBracketFunctionType:
     def test_shape_validation(self):
         with pytest.raises(ParameterError):
-            BracketFunction(np.ones(3), np.ones(4), ("a", "b", "c"))
+            BracketFunction(np.ones(3), np.ones(4))

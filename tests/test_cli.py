@@ -1,11 +1,14 @@
 """Command-line surface: exit codes, output formats, determinism, refinement."""
 
 import re
+from pathlib import Path
 
 import pytest
 
 from qha.cli import main
-from qha.scenarios import builtin, save_scenario
+from qha.scenarios import builtin, load_scenario, save_scenario
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +56,32 @@ class TestVerify:
         save_scenario(builtin("wh:4"), path)
         code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
         assert code == 0
+
+    def test_readme_ini_example(self, capsys, tmp_path):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        spec = load_scenario(path)
+        assert (spec.scenario_id, spec.seed) == ("wh:4", 1729)
+        code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
+        assert code == 0, err
+
+    def test_bad_seed_in_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_text("[scenario]\nid = wh:3\nseed = abc\n")
+        code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
+        assert code == 2
+        assert "seed" in err
+
+    def test_tol_rel_lowers_every_law_row(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--scenario", "wh:3", "--tol-rel", "1e-12",
+                                 "--format", "structured")
+        tol = {m[0]: m[1] for m in re.findall(r"^check=(\S+) .* tol_rel=(\S+) ", out, re.M)}
+        for name in ("l1-inequality", "l1-equality", "young-inequality", "interpolation-bound",
+                     "orthogonality-positive"):
+            assert float(tol[name]) == 1e-12, name
+        for name in ("holder-inequality", "alt-inequality"):
+            assert float(tol[name]) == 1e-9, name
 
     def test_structured_format_fields(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--scenario", "wh:2",

@@ -1,4 +1,4 @@
-"""Group models: tables, characters, cosets, quadrature and Haar integration."""
+"""Group models: tables, characters, cosets, quadrature and Haar weights."""
 
 import math
 
@@ -16,7 +16,6 @@ from qha.groups import (
     counting_haar,
     cyclic,
     dual_group,
-    integrate,
     probability_haar,
     product,
     symmetric,
@@ -93,7 +92,7 @@ class TestDualGroup:
 
     def test_dual_of_c4_has_imaginary_character(self):
         chars = dual_group(cyclic(4))
-        assert any(abs(chars.value(s, 1) - 1j) < 1e-12 for s in range(4))
+        assert any(abs(chars.table[s, 1] - 1j) < 1e-12 for s in range(4))
 
     def test_orthogonality_direct_summation(self):
         # oracle: gram computed entrywise by direct loops equals N * I
@@ -103,10 +102,9 @@ class TestDualGroup:
         gram = np.empty((n, n), dtype=complex)
         for i in range(n):
             for j in range(n):
-                gram[i, j] = sum(chars.value(i, g) * np.conj(chars.value(j, g))
+                gram[i, j] = sum(chars.table[i, g] * np.conj(chars.table[j, g])
                                  for g in G.elements())
         assert np.abs(gram - n * np.eye(n)).max() < 1e-12 * n
-        assert chars.orthogonality_defect() < 1e-12
 
     def test_rejects_nonabelian(self):
         with pytest.raises(GroupError):
@@ -120,8 +118,8 @@ class TestDualGroup:
             for t in G.elements():
                 st = dual.compose(s, t)
                 for g in G.elements():
-                    prod = chars.value(s, g) * chars.value(t, g)
-                    assert abs(prod - chars.value(st, g)) < 1e-12
+                    prod = chars.table[s, g] * chars.table[t, g]
+                    assert abs(prod - chars.table[st, g]) < 1e-12
 
 
 class TestCosets:
@@ -163,11 +161,16 @@ class TestHaar:
 
     def test_constant_probability(self):
         G = cyclic(5)
-        assert integrate(G, lambda g: 1.0, probability_haar(G)) == pytest.approx(1.0)
+        assert probability_haar(G).weights @ np.ones(G.order) == pytest.approx(1.0)
 
     def test_constant_counting(self):
         G = cyclic(4)
-        assert integrate(G, lambda g: 1.0, counting_haar(G)) == pytest.approx(4.0)
+        assert counting_haar(G).weights @ np.ones(G.order) == pytest.approx(4.0)
+
+
+def _haar_integral(G, f):
+    """Haar weights against the values of f at the quadrature nodes."""
+    return G.haar().weights @ np.array([f(p) for p in G.nodes])
 
 
 class TestAffineGroup:
@@ -201,8 +204,8 @@ class TestAffineGroup:
 
         coarse = affine_group(0.25, 4.0, 41, -2.0, 2.0, 41)
         fine = affine_group(0.25, 4.0, 161, -2.0, 2.0, 161)
-        i1 = integrate(coarse, f).real
-        i2 = integrate(fine, f).real
+        i1 = _haar_integral(coarse, f)
+        i2 = _haar_integral(fine, f)
         assert abs(i1 - i2) <= 1e-3 * abs(i2)
 
     def test_left_invariance_proxy(self):
@@ -215,8 +218,8 @@ class TestAffineGroup:
             return math.exp(-(math.log(a) ** 2) * 6.0 - b * b * 6.0)
 
         h = np.array([1.1, 0.2])
-        lhs = integrate(G, lambda p: f(G.compose(h, p))).real
-        rhs = integrate(G, f).real
+        lhs = _haar_integral(G, lambda p: f(G.compose(h, p)))
+        rhs = _haar_integral(G, f)
         assert abs(lhs - rhs) <= 1e-2 * abs(rhs)
 
     def test_haar_weights_match_density(self):

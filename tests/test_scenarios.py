@@ -144,6 +144,41 @@ class TestScenarioFiles:
         with pytest.raises(ConfigError, match="block_dims"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("group", "spec", "cyclic(5)"),
+        ("action", "kind", "permutation"),
+        ("expect", "scalar", "99"),
+        ("expect", "kernel", "inverse-frequency"),
+        ("haar", "normalization", "probability"),
+        ("algebra", "trace_weights", "2"),
+    ])
+    def test_mismatched_mirror_rejected(self, tmp_path, section, key, value):
+        path = tmp_path / "scenario.ini"
+        path.write_text(f"[scenario]\nid = wh:4\n\n[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+            load_scenario(path)
+
+    def test_mirrors_compare_numbers_numerically(self, tmp_path):
+        path = tmp_path / "scenario.ini"
+        path.write_text("[scenario]\nid = wh:4\n\n[algebra]\nblock_dims = 4\n"
+                        "trace_weights = 1.0\n\n[expect]\nscalar = 2.5e-1  # D = (1/4) 1\n")
+        assert load_scenario(path) == ScenarioSpec("wh:4")
+
+    @pytest.mark.parametrize("spec", [
+        ScenarioSpec("affine-wavelet:coarse", seed=5),
+        ScenarioSpec("twisted-dual:4:1", seed=7, tol_rel=1e-7),
+    ])
+    def test_saved_file_loads_to_the_same_spec(self, tmp_path, spec):
+        path = tmp_path / "scenario.ini"
+        save_scenario(spec, path)
+        assert load_scenario(path) == spec
+
+    def test_bad_tolerance_is_config_error(self, tmp_path):
+        path = tmp_path / "scenario.ini"
+        path.write_text("[scenario]\nid = wh:3\n\n[tolerances]\nrel = tight\n")
+        with pytest.raises(ConfigError, match=r"\[tolerances\] rel"):
+            load_scenario(path)
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_scenario("/nonexistent/scenario.ini")

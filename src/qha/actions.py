@@ -344,19 +344,10 @@ class Action:
 
     # -- group plumbing ------------------------------------------------------
 
-    def node_elements(self) -> list:
-        if isinstance(self.group, QuadratureGroup):
-            return [self.group.nodes[i] for i in range(self.group.node_count)]
-        return list(self.group.elements())
-
-    def node_count(self) -> int:
-        if isinstance(self.group, QuadratureGroup):
-            return self.group.node_count
-        return self.group.order
-
     def modular_values(self) -> np.ndarray:
+        """Delta(g) at every node, in node order."""
         if isinstance(self.group, QuadratureGroup):
-            return np.array([self.group.modular(p) for p in self.node_elements()])
+            return self.group.modular_values
         return np.ones(self.group.order)
 
     # -- bulk operations -----------------------------------------------------
@@ -438,12 +429,12 @@ class ConjugationAction(Action):
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         U = self.rep.matrix(int(g))
-        return AlgebraElement(self.shape, [U @ x.blocks[0] @ U.conj().T], copy=False)
+        return AlgebraElement(self.shape, [U @ x.stacks[0] @ U.conj().T], copy=False)
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
         # tr(U y* U* x) = sum_ij (U y*)_ij (x^T conj(U))_ij
         U = self.rep.matrices
-        y_adj, x_t = y.blocks[0].conj().T, x.blocks[0].T
+        y_adj, x_t = y.stacks[0][0].conj().T, x.stacks[0][0].T
         out = np.empty(U.shape[0], dtype=complex)
         for s in range(0, U.shape[0], NODE_SLICE):
             Us = U[s:s + NODE_SLICE]
@@ -453,13 +444,14 @@ class ConjugationAction(Action):
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         U = self.rep.matrices
         c = np.asarray(coeffs, dtype=complex)
-        acc = np.zeros_like(x.blocks[0])
+        xb = x.stacks[0][0]
+        acc = np.zeros_like(xb)
         for s in range(0, U.shape[0], NODE_SLICE):
             Us = U[s:s + NODE_SLICE]
             # sum_g (c_g U_g x)_ij conj(U_g)_kj
-            acc += np.tensordot(c[s:s + NODE_SLICE, None, None] * (Us @ x.blocks[0]), Us.conj(),
+            acc += np.tensordot(c[s:s + NODE_SLICE, None, None] * (Us @ xb), Us.conj(),
                                 axes=([0, 2], [0, 2]))
-        return AlgebraElement(self.shape, [acc], copy=False)
+        return AlgebraElement(self.shape, [acc[None]], copy=False)
 
     def sampled_unitaries(self) -> np.ndarray:
         return self.rep.matrices[[int(g) for g in self.sample_elements]]
@@ -503,14 +495,14 @@ class PermutationAction(Action):
         self._src = point_table[group.inverse_table]
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(self.shape, [x.blocks[s] for s in self._src[int(g)]], copy=False)
+        return AlgebraElement(self.shape, [x.stacks[0][self._src[int(g)]]], copy=False)
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
         return y.vec()[self._src].conj() @ (self.mu * x.vec())
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         vals = np.asarray(coeffs, dtype=complex) @ x.vec()[self._src]
-        return AlgebraElement(self.shape, vals.reshape(-1, 1, 1), copy=False)
+        return AlgebraElement(self.shape, [vals.reshape(-1, 1, 1)], copy=False)
 
     def sampled_point_maps(self) -> np.ndarray:
         return self.point_table[[int(g) for g in self.sample_elements]]
@@ -564,7 +556,7 @@ class DualTranslationAction(PermutationAction):
         # row chi of the character table is chi(.), so the diagonal entry at
         # chi is sum_g f(g) chi(g)
         vals = self.characters.table @ np.asarray(f, dtype=complex)
-        return AlgebraElement(self.shape, [np.array([[v]]) for v in vals])
+        return AlgebraElement(self.shape, [vals.reshape(-1, 1, 1)], copy=False)
 
     def symbol(self, x: AlgebraElement) -> np.ndarray:
         """Recover f(g) = trace(lambda(g)* x); exact on this algebra."""
@@ -609,11 +601,11 @@ class TwistedDualAction(Action):
             raise SymbolError(f"Gram matrix of the twisted translates is {defect:.3e} away from n I")
 
     def from_symbol(self, f: np.ndarray) -> AlgebraElement:
-        mat = (np.asarray(f, dtype=complex) @ self._rows).reshape(self.n, self.n)
-        return AlgebraElement(self.shape, [mat], copy=False)
+        stack = (np.asarray(f, dtype=complex) @ self._rows).reshape(1, self.n, self.n)
+        return AlgebraElement(self.shape, [stack], copy=False)
 
     def symbol(self, x: AlgebraElement) -> np.ndarray:
-        return (self._rows @ x.blocks[0].ravel().conj()).conj() / self.n
+        return (self._rows @ x.stacks[0].ravel().conj()).conj() / self.n
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         return self.from_symbol(self.characters.table[int(g)] * self.symbol(x))
@@ -691,21 +683,22 @@ class InducedAction(Action):
                 h = G.compose(G.inverse(reps[a]), w)
                 self._target[g, j] = a
                 self._inner_elt[g, j] = inner.group.inverse(int(iso[pos[h]]))
-        self._inner_block_count = len(inner.shape.block_dims)
 
     @property
     def coset_count(self) -> int:
         return len(self.reps)
 
+    # The induced shape repeats the inner blocks once per coset, so each size
+    # class of it stacks the inner class's blocks coset after coset.
+
     def component(self, x: AlgebraElement, j: int) -> AlgebraElement:
-        m = self._inner_block_count
-        return AlgebraElement(self.inner.shape, x.blocks[j * m:(j + 1) * m])
+        sizes = (m for m, _, _ in self.inner.shape.stack_shapes)
+        return AlgebraElement(self.inner.shape, [s[j * m:(j + 1) * m] for m, s in zip(sizes, x.stacks)],
+                              copy=False)
 
     def assemble(self, components) -> AlgebraElement:
-        blocks = []
-        for c in components:
-            blocks.extend(c.blocks)
-        return AlgebraElement(self.shape, blocks)
+        stacks = zip(*(c.stacks for c in components))
+        return AlgebraElement(self.shape, [np.concatenate(s) for s in stacks], copy=False)
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         g = int(g)
@@ -729,7 +722,7 @@ class InducedAction(Action):
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         J = self.coset_count
-        folded = np.zeros((J, J, self.inner.node_count()), dtype=complex)
+        folded = np.zeros((J, J, self.inner.group.order), dtype=complex)
         np.add.at(folded, (self._target, np.arange(J), self._inner_elt),
                   np.asarray(coeffs, dtype=complex)[:, None])
         xs = [self.component(x, a) for a in range(J)]
@@ -871,8 +864,8 @@ class WaveletAction(Action):
         a, b = float(g[0]), float(g[1])
         j = self.shift_of(a)
         phase = np.exp(-2j * np.pi * b * self.xi)
-        rolled = np.roll(x.blocks[0], shift=(-j, -j), axis=(0, 1))
-        return AlgebraElement(self.shape, [rolled * np.outer(phase, phase.conj())], copy=False)
+        rolled = self._dilated(x.stacks[0][0], j)
+        return AlgebraElement(self.shape, [(rolled * np.outer(phase, phase.conj()))[None]], copy=False)
 
     # -- structured bulk paths --------------------------------------------
 
@@ -880,7 +873,7 @@ class WaveletAction(Action):
         return np.roll(y, shift=(-j, -j), axis=(0, 1))
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
-        xb, yb = x.blocks[0], y.blocks[0]
+        xb, yb = x.stacks[0][0], y.stacks[0][0]
         out = np.empty(self.n_a * self.n_b, dtype=complex)
         P = self.phases
         for i, j in enumerate(self.shifts):
@@ -893,7 +886,7 @@ class WaveletAction(Action):
         # through the precomputed phase gram instead of looping over nodes
         if np.asarray(weights).shape[0] != self.n_a * self.n_b:
             raise ActionError("weights do not match the node grid")
-        xb, yb = x.blocks[0], y.blocks[0]
+        xb, yb = x.stacks[0][0], y.stacks[0][0]
         d_log_a = self.log_ratio
         total = 0.0 + 0.0j
         for j in self.shifts:
@@ -904,7 +897,7 @@ class WaveletAction(Action):
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         coeffs = np.asarray(coeffs, dtype=complex).reshape(self.n_a, self.n_b)
-        xb = x.blocks[0]
+        xb = x.stacks[0][0]
         acc = np.zeros_like(xb)
         P = self.phases
         for i, j in enumerate(self.shifts):
@@ -914,7 +907,7 @@ class WaveletAction(Action):
             else:
                 kernel = (P.T * c) @ P.conj()
             acc += self._dilated(xb, j) * kernel
-        return AlgebraElement(self.shape, [acc], copy=False)
+        return AlgebraElement(self.shape, [acc[None]], copy=False)
 
     def trace_preservation_defect(self) -> float:
         # each node acts by an exactly unitary conjugation: the defect of the
@@ -954,7 +947,7 @@ class WaveletAction(Action):
             v = self.bump_vector(center, width, nu)
             mat += np.outer(v, v.conj())
         mat += 1e-7 * float(np.abs(np.diag(mat)).max()) * np.eye(K)
-        return AlgebraElement(self.shape, [mat], copy=False)
+        return AlgebraElement(self.shape, [mat[None]], copy=False)
 
     def random_element(self, rng: np.random.Generator, parts: int = 3) -> AlgebraElement:
         """General (non-hermitian) element spanned by smooth windowed bumps."""
@@ -969,7 +962,7 @@ class WaveletAction(Action):
             u = self.bump_vector(cu, wu, nuu)
             w = self.bump_vector(cw, ww, nuw)
             mat += coeff * np.outer(u, w.conj())
-        return AlgebraElement(self.shape, [mat], copy=False)
+        return AlgebraElement(self.shape, [mat[None]], copy=False)
 
     def weak_probes(self) -> list[AlgebraElement]:
         """Fixed family of smooth probe states for weak operator comparisons."""
@@ -978,7 +971,7 @@ class WaveletAction(Action):
             for center in (-0.5, -0.25, 0.0, 0.25, 0.5):
                 for nu in (0.0, 0.7):
                     v = self.bump_vector(center, 0.18, nu)
-                    probes.append(AlgebraElement(self.shape, [np.outer(v, v.conj())], copy=False))
+                    probes.append(AlgebraElement(self.shape, [np.outer(v, v.conj())[None]], copy=False))
             self._probes = probes
         return self._probes
 
@@ -1014,7 +1007,7 @@ class WaveletAction(Action):
     def off_scalar_norm(self, off: AlgebraElement) -> float:
         """Largest entry inside the window, where the truncation leaves the
         estimate unsmeared."""
-        return float(np.abs(off.blocks[0][self.window, self.window]).max())
+        return float(np.abs(off.stacks[0][0, self.window, self.window]).max())
 
 
 def wavelet_action(design: WaveletDesign | None = None) -> WaveletAction:

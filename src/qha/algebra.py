@@ -6,10 +6,12 @@ Neumann algebra has this form, so a plain hermitian eigendecomposition gives
 the spectral powers the laws need.  Elements are immutable; every operation
 returns a new element.
 
-Spectral work (the trace, singular values, hermitian eigendecompositions)
-runs per size class: the blocks of one size are stacked and handed to a
-single batched LAPACK call, so a diagonal algebra costs one call, not one
-per atom.
+An element is stored as one (m, n, n) stack per size class: the m blocks of
+size n, in block order.  Every operation, the spectral ones included (the
+trace, singular values, hermitian eigendecompositions), is one numpy call
+per size class, so a diagonal algebra costs one call, not one per atom.
+``vec`` and ``basis`` run class by class, which is block order unless blocks
+of different sizes interleave.
 """
 
 from __future__ import annotations
@@ -80,42 +82,52 @@ class AlgebraShape:
         """Real dimension of the linearization, sum of n_k^2."""
         return int(sum(n * n for n in self.block_dims))
 
+    @functools.cached_property
+    def stack_shapes(self) -> tuple[tuple[int, int, int], ...]:
+        """(m, n, n) of the stack holding each size class's m blocks of size n."""
+        return tuple((len(idx), self.block_dims[idx[0]], self.block_dims[idx[0]])
+                     for idx, _ in self.size_classes)
+
     def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, [np.zeros((n, n), dtype=complex) for n in self.block_dims])
+        return AlgebraElement(self, [np.zeros(s, dtype=complex) for s in self.stack_shapes], copy=False)
 
     def identity(self) -> AlgebraElement:
-        return AlgebraElement(self, [np.eye(n, dtype=complex) for n in self.block_dims])
+        return self.scalar(1.0)
 
     def scalar(self, c: complex) -> AlgebraElement:
-        return AlgebraElement(self, [c * np.eye(n, dtype=complex) for n in self.block_dims])
+        return AlgebraElement(self, [np.broadcast_to(c * np.eye(s[1], dtype=complex), s)
+                                     for s in self.stack_shapes])
 
     def basis(self) -> Iterator[AlgebraElement]:
-        """Matrix-unit basis, block by block, row-major inside each block."""
-        for k, n in enumerate(self.block_dims):
-            for i in range(n):
-                for j in range(n):
-                    blocks = [np.zeros((m, m), dtype=complex) for m in self.block_dims]
-                    blocks[k][i, j] = 1.0
-                    yield AlgebraElement(self, blocks)
+        """Matrix-unit basis in ``vec`` order: size class by size class, the
+        blocks of a class in block order, row-major inside each block.  This is
+        block order unless blocks of different sizes interleave."""
+        for c, s in enumerate(self.stack_shapes):
+            for k in range(math.prod(s)):
+                stacks = [np.zeros(t, dtype=complex) for t in self.stack_shapes]
+                stacks[c].flat[k] = 1.0
+                yield AlgebraElement(self, stacks, copy=False)
 
 
 class AlgebraElement:
-    """Immutable element of a block algebra."""
+    """Immutable element of a block algebra: one read-only complex (m, n, n)
+    stack per entry of ``shape.size_classes``, row i holding the block
+    ``idx[i]`` of that class."""
 
-    __slots__ = ("shape", "blocks")
+    __slots__ = ("shape", "stacks")
 
-    def __init__(self, shape: AlgebraShape, blocks, copy: bool = True):
-        if len(blocks) != len(shape.block_dims):
-            raise ShapeMismatchError("wrong number of blocks")
+    def __init__(self, shape: AlgebraShape, stacks, copy: bool = True):
+        if len(stacks) != len(shape.stack_shapes):
+            raise ShapeMismatchError("need one stack per size class")
         stored = []
-        for n, b in zip(shape.block_dims, blocks):
-            arr = np.array(b, dtype=complex, copy=copy)
-            if arr.shape != (n, n):
-                raise ShapeMismatchError(f"block of shape {arr.shape}, expected {(n, n)}")
+        for expected, s in zip(shape.stack_shapes, stacks):
+            arr = np.array(s, dtype=complex, copy=copy)
+            if arr.shape != expected:
+                raise ShapeMismatchError(f"stack of shape {arr.shape}, expected {expected}")
             arr.setflags(write=False)
             stored.append(arr)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "blocks", tuple(stored))
+        object.__setattr__(self, "stacks", tuple(stored))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -126,37 +138,37 @@ class AlgebraElement:
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         self._require_same_shape(other)
-        return AlgebraElement(self.shape, [a + b for a, b in zip(self.blocks, other.blocks)], copy=False)
+        return AlgebraElement(self.shape, [a + b for a, b in zip(self.stacks, other.stacks)], copy=False)
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
         self._require_same_shape(other)
-        return AlgebraElement(self.shape, [a - b for a, b in zip(self.blocks, other.blocks)], copy=False)
+        return AlgebraElement(self.shape, [a - b for a, b in zip(self.stacks, other.stacks)], copy=False)
 
     def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(self.shape, [-a for a in self.blocks], copy=False)
+        return AlgebraElement(self.shape, [-a for a in self.stacks], copy=False)
 
     def __mul__(self, c) -> AlgebraElement:
         c = complex(c)
-        return AlgebraElement(self.shape, [c * a for a in self.blocks], copy=False)
+        return AlgebraElement(self.shape, [c * a for a in self.stacks], copy=False)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: AlgebraElement) -> AlgebraElement:
         self._require_same_shape(other)
-        return AlgebraElement(self.shape, [a @ b for a, b in zip(self.blocks, other.blocks)], copy=False)
+        return AlgebraElement(self.shape, [a @ b for a, b in zip(self.stacks, other.stacks)], copy=False)
 
     def adjoint(self) -> AlgebraElement:
-        return AlgebraElement(self.shape, [a.conj().T for a in self.blocks], copy=False)
+        return AlgebraElement(self.shape, [a.conj().swapaxes(1, 2) for a in self.stacks], copy=False)
 
     def hermitian_defect(self) -> float:
-        return max(float(np.abs(a - a.conj().T).max()) for a in self.blocks)
+        return max(float(np.abs(a - a.conj().swapaxes(1, 2)).max()) for a in self.stacks)
 
     def max_abs_entry(self) -> float:
-        return max(float(np.abs(a).max()) for a in self.blocks)
+        return max(float(np.abs(a).max()) for a in self.stacks)
 
     def vec(self) -> np.ndarray:
-        """Row-major concatenation of all blocks; basis order matches AlgebraShape.basis."""
-        return np.concatenate(self.blocks, axis=None)
+        """Row-major concatenation of the stacks, in the order of AlgebraShape.basis."""
+        return np.concatenate(self.stacks, axis=None)
 
     def __repr__(self) -> str:
         dims = "+".join(str(n) for n in self.shape.block_dims)
@@ -168,30 +180,15 @@ def sup_distance(a: AlgebraElement, b: AlgebraElement) -> float:
     return (a - b).max_abs_entry()
 
 
-def _stacks(x: AlgebraElement) -> list[np.ndarray]:
-    """One (m, n, n) array per size class; a class of one block is a view of it."""
-    return [x.blocks[idx[0]][None] if len(idx) == 1 else np.stack([x.blocks[k] for k in idx])
-            for idx, _ in x.shape.size_classes]
-
-
-def _unstack(shape: AlgebraShape, stacks) -> AlgebraElement:
-    """Element whose blocks are the rows of one (m, n, n) array per size class."""
-    blocks = [None] * len(shape.block_dims)
-    for (idx, _), stack in zip(shape.size_classes, stacks):
-        for k, b in zip(idx, stack):
-            blocks[k] = b
-    return AlgebraElement(shape, blocks, copy=False)
-
-
 def trace(x: AlgebraElement) -> complex:
     """Weighted trace: sum of trace_weights[k] * tr(block k)."""
     return complex(sum(w @ np.trace(s, axis1=1, axis2=2)
-                       for (_, w), s in zip(x.shape.size_classes, _stacks(x))))
+                       for (_, w), s in zip(x.shape.size_classes, x.stacks)))
 
 
 def _singular_values(x: AlgebraElement) -> list[np.ndarray]:
     """Singular values, one (m, n) array per size class."""
-    return [np.linalg.svd(s, compute_uv=False) for s in _stacks(x)]
+    return [np.linalg.svd(s, compute_uv=False) for s in x.stacks]
 
 
 def op_norm(x: AlgebraElement) -> float:
@@ -218,13 +215,14 @@ def eigh_blocks(x: AlgebraElement, herm_tol: float = 1e-9) -> list[tuple[np.ndar
     scale = 1.0 + x.max_abs_entry()
     if x.hermitian_defect() > herm_tol * scale:
         raise NotPositiveError("element is not hermitian within tolerance")
-    return [np.linalg.eigh(0.5 * (s + s.conj().swapaxes(1, 2))) for s in _stacks(x)]
+    return [np.linalg.eigh(0.5 * (s + s.conj().swapaxes(1, 2))) for s in x.stacks]
 
 
 def from_eigh(shape: AlgebraShape, eig, f: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:
     """Element with the eigenvectors of ``eig`` (from eigh_blocks) and the
     eigenvalues f(w), f taking and returning one stacked array per class."""
-    return _unstack(shape, [(v * f(w)[:, None, :]) @ v.conj().swapaxes(1, 2) for w, v in eig])
+    return AlgebraElement(shape, [(v * f(w)[:, None, :]) @ v.conj().swapaxes(1, 2) for w, v in eig],
+                          copy=False)
 
 
 def power(x: AlgebraElement, t: float) -> AlgebraElement:
@@ -250,12 +248,14 @@ def power(x: AlgebraElement, t: float) -> AlgebraElement:
 
 
 def random_element(shape: AlgebraShape, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
-    """Seeded complex Gaussian element."""
-    blocks = [
-        scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        for n in shape.block_dims
-    ]
-    return AlgebraElement(shape, blocks, copy=False)
+    """Seeded complex Gaussian element.  Each size class draws its real and
+    imaginary parts block by block, so on a shape with a single size class
+    the stream is consumed as by one draw per block in block order."""
+    stacks = []
+    for m, n, _ in shape.stack_shapes:
+        z = rng.standard_normal((m, 2, n, n))
+        stacks.append(scale * (z[:, 0] + 1j * z[:, 1]))
+    return AlgebraElement(shape, stacks, copy=False)
 
 
 def random_positive_element(

@@ -79,12 +79,12 @@ def bracket_symmetry_defect(x: AlgebraElement, y: AlgebraElement, action: Action
     than being silently skipped.
     """
     group = action.group
-    vxy = action.bracket_values(x, y)
-    vyx = action.bracket_values(y, x)
     if isinstance(group, QuadratureGroup):
         inv = _inverse_node_index(group)
     else:
         inv = group.inverse_table
+    vxy = action.bracket_values(x, y)
+    vyx = action.bracket_values(y, x)
     return float(np.abs(vxy[inv] - vyx).max()) / max(float(np.abs(vxy).max()), 1e-300)
 
 

@@ -296,7 +296,9 @@ class QuadratureGroup:
 
     Nodes are parameter vectors; composition, inverse and the modular function
     are exact parameter maps, while integration only ever evaluates integrands
-    at the nodes.  The node set need not be closed under composition.
+    at the nodes.  The node set need not be closed under composition.  The
+    modular function maps parameter vectors along the last axis, so that one
+    call on the node array gives ``modular_values``, Delta at every node.
     """
 
     def __init__(self, nodes, haar_weights, compose_fn, inverse_fn, identity,
@@ -315,6 +317,9 @@ class QuadratureGroup:
         self._inverse = inverse_fn
         self.identity = np.asarray(identity, dtype=float)
         self._modular = modular_fn
+        modular_values = np.array(modular_fn(nodes), dtype=float)
+        modular_values.setflags(write=False)
+        self.modular_values = modular_values
         self.label = label or "quadrature-group"
         self.sampling_indices = tuple(int(i) for i in sampling_indices)
         self._validate()
@@ -394,7 +399,7 @@ def affine_group(a_min: float, a_max: float, n_a: int,
         compose_fn=lambda p, q: np.array([p[0] * q[0], p[0] * q[1] + p[1]]),
         inverse_fn=lambda p: np.array([1.0 / p[0], -p[1] / p[0]]),
         identity=(1.0, 0.0),
-        modular_fn=lambda p: 1.0 / p[0],
+        modular_fn=lambda p: 1.0 / p[..., 0],
         label=f"affine[{a_min:g},{a_max:g}]x[{b_min:g},{b_max:g}]",
         sampling_indices=sampling,
     )

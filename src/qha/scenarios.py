@@ -148,7 +148,7 @@ class Scenario:
             ))
         if self.expected_kernel == "inverse-frequency":
             act = self.action
-            multiplier = AlgebraElement(self.shape, [np.diag(1.0 / act.xi)])
+            multiplier = AlgebraElement(self.shape, [np.diag(1.0 / act.xi)[None]])
             pair_est = np.array([trace(est.d_inverse @ z).real for z in act.weak_probes()])
             pair_ref = np.array([trace(multiplier @ z).real for z in act.weak_probes()])
             c = float(pair_est @ pair_ref / (pair_ref @ pair_ref))

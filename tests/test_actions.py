@@ -48,6 +48,8 @@ from qha.actions import (
 from qha.groups import cyclic, product
 from qha.scenarios import ScenarioSpec, build_scenario, list_builtins
 
+from helpers import element, nodes_of
+
 
 SMALL_WAVELET = WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
                               b_extent=2.0, n_b=32, support_octaves=0.5)
@@ -203,7 +205,7 @@ class TestKernelsMatchApply:
         x, y = act.random_element(rng), act.random_element(rng)
         fast = act.bracket_values(x, y)
         slow = np.array([trace(act.apply(g, y).adjoint() @ x)
-                         for g in act.node_elements()])
+                         for g in nodes_of(act)])
         assert np.abs(fast - slow).max() < 1e-10 * (1 + np.abs(slow).max())
 
     @pytest.mark.parametrize("sid", KERNEL_IDS)
@@ -211,11 +213,12 @@ class TestKernelsMatchApply:
         act = _kernel_action(sid)
         rng = np.random.default_rng(11)
         x = act.random_element(rng)
-        n = act.node_count()
+        nodes = nodes_of(act)
+        n = len(nodes)
         coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         fast = act.orbit_sum(coeffs, x)
         slow = act.shape.zero()
-        for c, g in zip(coeffs, act.node_elements()):
+        for c, g in zip(coeffs, nodes):
             slow = slow + complex(c) * act.apply(g, x)
         assert sup_distance(fast, slow) < 1e-9 * (1 + slow.max_abs_entry())
 
@@ -279,7 +282,7 @@ class TestDualAction:
                 c = (-t * pow(m, -1, n)) % n
                 d = (s * pow(m, -1, n)) % n
                 U = act.lambdas[G.index_of_tuple((c, d))]
-                direct = AlgebraElement(act.shape, [U @ x.blocks[0] @ U.conj().T])
+                direct = element(act.shape, [U @ x.stacks[0][0] @ U.conj().T])
                 assert sup_distance(act.apply(omega, x), direct) < 1e-10
 
     def test_twisted_dual_ergodic(self):
@@ -322,9 +325,9 @@ class TestInducedAction:
         rng = np.random.default_rng(6)
         x = random_element(act.shape, rng)
         for g in G.elements():
-            expect = inner.apply(g, AlgebraElement(inner.shape, x.blocks))
+            expect = inner.apply(g, AlgebraElement(inner.shape, x.stacks))
             got = act.apply(g, x)
-            assert sup_distance(got, AlgebraElement(act.shape, expect.blocks)) < 1e-12
+            assert sup_distance(got, AlgebraElement(act.shape, expect.stacks)) < 1e-12
 
     def test_builtin_instance_ergodic(self):
         G, h, inner, iso = _builtin_induced()
@@ -383,8 +386,13 @@ class TestWaveletAction:
         x = act.random_element(rng)
         g = act.group.nodes[7]
         U = act.matrix(g)
-        direct = AlgebraElement(act.shape, [U @ x.blocks[0] @ U.conj().T])
+        direct = element(act.shape, [U @ x.stacks[0][0] @ U.conj().T])
         assert sup_distance(act.apply(g, x), direct) < 1e-12
+
+    def test_modular_values_match_per_node(self):
+        act = wavelet_action(SMALL_WAVELET)
+        ref = np.array([act.group.modular(p) for p in act.group.nodes])
+        assert np.array_equal(act.modular_values(), ref)
 
     def test_rejects_off_grid_dilation(self):
         act = wavelet_action(SMALL_WAVELET)
@@ -436,7 +444,7 @@ class TestComparisonHooks:
         mat = np.zeros((act.grid_size, act.grid_size), dtype=complex)
         mat[0, 0] = 50.0  # outside the window: ignored
         mat[act.center, act.center + 1] = 0.5
-        off = AlgebraElement(act.shape, [mat])
+        off = element(act.shape, [mat])
         assert act.off_scalar_norm(off) == 0.5
         assert op_norm(off) == 50.0
 
@@ -499,7 +507,7 @@ class TestErgodicityCount:
         if act.kind == "twisted-dual":
             x = act.from_symbol(rng.standard_normal(act.base_group.order))
         for g, U in zip(act.sample_elements, act.sampled_unitaries()):
-            direct = AlgebraElement(act.shape, [U @ x.blocks[0] @ U.conj().T])
+            direct = element(act.shape, [U @ x.stacks[0][0] @ U.conj().T])
             assert sup_distance(act.apply(g, x), direct) < 1e-10
 
     def test_simple_spectrum_disconnected_graph(self):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qha.algebra import (
-    AlgebraElement,
     AlgebraShape,
     DomainError,
     NotPositiveError,
@@ -25,13 +24,15 @@ from qha.algebra import (
 )
 from qha.duflo import DufloEstimate
 
+from helpers import blocks_of, element
+
 M2 = AlgebraShape((2,), (1.0,))
 MIXED = AlgebraShape((1, 2), (1.0, 0.5))
 BIG = AlgebraShape((2, 3), (1.0, 0.5))
 
 
 def diag2(a, b, shape=M2):
-    return AlgebraElement(shape, [np.diag([a, b]).astype(complex)])
+    return element(shape, [np.diag([a, b]).astype(complex)])
 
 
 class TestShape:
@@ -114,7 +115,7 @@ class TestPositiveSqrt:
 
     def test_reassembly(self):
         # derived check: the square of the root reproduces the input
-        x = AlgebraElement(M2, [np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)])
+        x = element(M2, [np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)])
         s = power(x, 0.5)
         assert sup_distance(s @ s, x) < 1e-12
 
@@ -134,7 +135,7 @@ class TestPower:
             power(diag2(0.0, 1.0), -0.5)
 
     def test_rejects_non_hermitian(self):
-        x = AlgebraElement(M2, [np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)])
+        x = element(M2, [np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)])
         with pytest.raises(NotPositiveError):
             power(x, 2.0)
 
@@ -154,12 +155,12 @@ INTERLEAVED = AlgebraShape((1, 2, 1, 3, 2), (1.0, 0.5, 2.0, 0.25, 3.0))
 
 
 def _block_spectra(x):
-    return [np.linalg.eigh(0.5 * (b + b.conj().T)) for b in x.blocks]
+    return [np.linalg.eigh(0.5 * (b + b.conj().T)) for b in blocks_of(x)]
 
 
 def _per_block(x, f):
     """Reference functional calculus, one eigendecomposition per block."""
-    return AlgebraElement(x.shape, [(v * f(w)) @ v.conj().T for w, v in _block_spectra(x)])
+    return element(x.shape, [(v * f(w)) @ v.conj().T for w, v in _block_spectra(x)])
 
 
 class TestSizeClasses:
@@ -169,12 +170,17 @@ class TestSizeClasses:
         assert [idx for idx, _ in INTERLEAVED.size_classes] == [(0, 2), (1, 4), (3,)]
         assert [list(w) for _, w in INTERLEAVED.size_classes] == [[1.0, 2.0], [0.5, 3.0], [0.25]]
 
+    def test_basis_is_vec_order(self):
+        # vec and basis run class by class, not block by block
+        vecs = np.array([e.vec() for e in INTERLEAVED.basis()])
+        assert np.array_equal(vecs, np.eye(INTERLEAVED.total_dim))
+
     def test_trace_and_norms(self):
         x = random_element(INTERLEAVED, np.random.default_rng(30))
         w = INTERLEAVED.trace_weights
-        ref_trace = sum(wk * np.trace(b) for wk, b in zip(w, x.blocks))
+        ref_trace = sum(wk * np.trace(b) for wk, b in zip(w, blocks_of(x)))
         assert abs(trace(x) - ref_trace) <= 1e-14 * abs(ref_trace)
-        sv = [np.linalg.svd(b, compute_uv=False) for b in x.blocks]
+        sv = [np.linalg.svd(b, compute_uv=False) for b in blocks_of(x)]
         ref_op = max(s[0] for s in sv)
         assert op_norm(x) == pytest.approx(ref_op, rel=1e-14)
         assert p_norm(x, math.inf) == pytest.approx(ref_op, rel=1e-14)
@@ -199,6 +205,19 @@ class TestSizeClasses:
         for t in (-0.5, 0.5, 1.0):
             ref = _per_block(d_inv, lambda w: w ** (-t))
             assert sup_distance(est.power(t), ref) <= 1e-10 * ref.max_abs_entry()
+
+
+@pytest.mark.parametrize("shape", [M2, AlgebraShape((1,) * 5, (1.0,) * 5),
+                                   AlgebraShape((3, 3), (1.0, 0.5))],
+                         ids=["one-block", "diagonal", "two-equal-blocks"])
+def test_random_element_draws_block_by_block(shape):
+    # one size class: the stacked draw consumes the stream as the per-block
+    # draws in block order do, so every seed keeps its values
+    x = random_element(shape, np.random.default_rng(40), scale=2.0)
+    rng = np.random.default_rng(40)
+    ref = [2.0 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+           for n in shape.block_dims]
+    assert all(np.array_equal(b, r) for b, r in zip(blocks_of(x), ref))
 
 
 class TestInvariants:
@@ -257,7 +276,7 @@ def small_elements(draw):
     im = draw(st.lists(entries, min_size=n * n, max_size=n * n))
     mat = (np.array(re) + 1j * np.array(im)).reshape(n, n)
     shape = AlgebraShape((n,), (1.0,))
-    return AlgebraElement(shape, [mat])
+    return element(shape, [mat])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qha.algebra import (
-    AlgebraElement,
     ParameterError,
     power,
     random_element,
@@ -32,6 +31,8 @@ from qha.bracket import (
 from qha.groups import counting_haar, cyclic, probability_haar
 from qha.scenarios import BUILTIN_IDS, build_scenario, builtin
 
+from helpers import element, nodes_of
+
 FINITE_BUILTINS = tuple(sid for sid in BUILTIN_IDS if not sid.startswith("affine-wavelet"))
 
 
@@ -48,7 +49,7 @@ def _translation_scene(n):
 def _delta(act, t):
     blocks = [np.zeros((1, 1), dtype=complex) for _ in act.shape.block_dims]
     blocks[t][0, 0] = 1.0
-    return AlgebraElement(act.shape, blocks)
+    return element(act.shape, blocks)
 
 
 class TestBracketValues:
@@ -73,8 +74,8 @@ class TestBracketValues:
         rng = np.random.default_rng(0)
         xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         eta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        x = AlgebraElement(act.shape, [np.outer(xi, xi.conj())])
-        y = AlgebraElement(act.shape, [np.outer(eta, eta.conj())])
+        x = element(act.shape, [np.outer(xi, xi.conj())])
+        y = element(act.shape, [np.outer(eta, eta.conj())])
         bf = bracket(x, y, act, haar)
         for g in rep.group.elements():
             ip = np.vdot(rep.matrix(g) @ eta, xi)  # <xi, U_g eta>
@@ -91,7 +92,7 @@ class TestBracketValues:
             root = power(x, 0.5)
             vals = scn.action.bracket_values(x, y)
             scale = 1 + np.abs(vals).max()
-            nodes = list(scn.action.node_elements())
+            nodes = nodes_of(scn.action)
             stride = max(1, len(nodes) // 40)
             for i in range(0, len(nodes), stride):
                 other = trace(root @ scn.action.apply(nodes[i], y) @ root)
@@ -137,7 +138,7 @@ class TestIntegrateBracket:
         rng = np.random.default_rng(2)
         xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         xi = xi / np.linalg.norm(xi)
-        x = AlgebraElement(act.shape, [np.outer(xi, xi.conj())])
+        x = element(act.shape, [np.outer(xi, xi.conj())])
         oracle = 0.0
         for g in rep.group.elements():
             oracle += abs(np.vdot(rep.matrix(g) @ xi, xi)) ** 2
@@ -190,7 +191,7 @@ class TestFunctionNorm:
             def state(center, width):
                 v = act.bump_vector(center, width)
                 v = v / np.linalg.norm(v)  # same continuum state at every grid
-                return AlgebraElement(act.shape, [np.outer(v, v.conj())])
+                return element(act.shape, [np.outer(v, v.conj())])
 
             x = state(0.0, 0.15)
             y = state(0.1, 0.2)
@@ -219,13 +220,18 @@ class TestSymmetry:
         one = act.shape.identity()
         assert bracket_symmetry_defect(one, one, act, haar) == 0.0
 
-    def test_quadrature_not_inverse_closed(self):
+    def test_quadrature_not_inverse_closed(self, monkeypatch):
         act = wavelet_action(WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
                                            b_extent=2.0, n_b=32, support_octaves=0.5))
         haar = act.group.haar()
         rng = np.random.default_rng(6)
         x = act.random_positive(rng)
-        with pytest.raises(InverseClosureError):
+        # the closure check comes first: no bracket is evaluated for a skip
+        def no_brackets(*args):
+            raise AssertionError("bracket values evaluated on a node set that is not inverse-closed")
+
+        monkeypatch.setattr(act, "bracket_values", no_brackets)
+        with pytest.raises(InverseClosureError, match="not inverse-closed"):
             bracket_symmetry_defect(x, x, act, haar)
 
 

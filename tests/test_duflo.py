@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qha.algebra import (
-    AlgebraElement,
     ParameterError,
     op_norm,
     p_norm,
@@ -44,6 +43,8 @@ from qha.duflo import (
 )
 from qha.groups import counting_haar, cyclic, probability_haar
 from qha.scenarios import build_scenario, builtin
+
+from helpers import element
 
 
 def _estimate(sid, seed=101):
@@ -104,8 +105,8 @@ class TestEstimate:
         G = cyclic(2)
         act = permutation_action(G, G.table, np.array([1.0, 2.0]), validate=False)
         haar = counting_haar(G)
-        x1 = AlgebraElement(act.shape, [np.array([[1.0]]), np.array([[0.0]])])
-        x2 = AlgebraElement(act.shape, [np.array([[0.0]]), np.array([[0.5]])])
+        x1 = element(act.shape, [np.array([[1.0]]), np.array([[0.0]])])
+        x2 = element(act.shape, [np.array([[0.0]]), np.array([[0.5]])])
         with pytest.raises(InconsistencyError):
             estimate_duflo(act, haar, x1, x2, cross_tol=1e-8)
 
@@ -119,7 +120,7 @@ class TestEstimate:
         # trivial action: the orbit density stays the (positive) test element,
         # which is fine; but a rank-deficient test element is not
         xi = np.array([1.0, 0.0])
-        x = AlgebraElement(act.shape, [np.outer(xi, xi)])
+        x = element(act.shape, [np.outer(xi, xi)])
         with pytest.raises(EstimateError):
             estimate_duflo(act, haar, x)
 
@@ -165,8 +166,8 @@ class TestOrthogonality:
         rhs = np.vdot(xip, xi) * np.conj(np.vdot(etap, eta)) / 2.0
         assert lhs == pytest.approx(rhs, abs=1e-12)
         # the same statement through the bracket machinery with rank-ones
-        x = AlgebraElement(act.shape, [np.outer(xi, xip.conj())])
-        y = AlgebraElement(act.shape, [np.outer(eta, etap.conj())])
+        x = element(act.shape, [np.outer(xi, xip.conj())])
+        y = element(act.shape, [np.outer(eta, etap.conj())])
         est = estimate_duflo(act, haar, act.shape.identity())
         rep_check = check_orthogonality(act, haar, est, x, y,
                                         positive=False, tol_rel=1e-9)
@@ -310,8 +311,8 @@ class TestYoung:
         rng = scn.rng("young-classical")
         xf = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         yf = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = AlgebraElement(act.shape, [np.array([[v]]) for v in xf])
-        y = AlgebraElement(act.shape, [np.array([[v]]) for v in yf])
+        x = element(act.shape, [np.array([[v]]) for v in xf])
+        y = element(act.shape, [np.array([[v]]) for v in yf])
         vals = act.bracket_values(x, y)
         for g in range(n):
             corr = sum(xf[t] * np.conj(yf[(t - g) % n]) for t in range(n))

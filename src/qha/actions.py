@@ -1,22 +1,27 @@
 """Group actions on tracial block algebras.
 
-Concrete action kinds: unitary conjugation by a (projective) representation,
-permutation of the atoms of a commutative algebra, translation of the dual of
-a (twisted) group algebra, actions induced from a subgroup, and a quadrature
-wavelet action of the scaling-and-shift group on a log-frequency grid.
+Every *-automorphism of a sum of equal matrix blocks permutes the blocks and
+conjugates each one by a unitary, so two finite families cover the finite
+actions.  ``PermutationAction`` moves the atoms of a diagonal algebra (left
+translation, cosets, the untwisted dual translation).  ``ConjugationAction``
+maps block j of x to U[g, j] x[src[g, j]] U[g, j]*: a (projective)
+representation on one block, the twisted dual, whose translations are
+conjugations by Weyl operators, and every induced action of a conjugation.
+``dual_action`` and ``induced_action`` are factories onto these two.  The
+third family is a quadrature wavelet action of the scaling-and-shift group
+on a log-frequency grid.
 
 Structural checkers live here as well: trace preservation, homomorphism /
 automorphism / isometry defects, and the fixed-point dimension that
-certifies ergodicity.  That count is read off the structure of each action
-family: orbits of the point maps for permutation-type actions, the commutant
-of the sampled unitaries for conjugation-type actions, and the inner action
-for induced ones.  A dense stacked-SVD nullity is the fallback for
-degenerate spectra on small algebras and the oracle the tests compare with.
+certifies ergodicity.  That count reads one hook, ``sampled_structure``:
+orbits of the blocks under the sampled elements, and on each orbit the
+commutant of the holonomies of the unitaries around it.  A dense stacked-SVD
+nullity is the oracle the tests compare with.
 
-Each family also has its own vectorized kernels for the bracket values
+Each family has its own vectorized kernels for the bracket values
 g -> trace((g.y)* x) and the orbit sum sum_g c_g (g.x): a gather through the
-point table, stacked conjugations, pointwise products of symbols, or the
-inner kernel composed with the coset gather.  ``apply`` stays the per-node
+point table, node-sliced stacked conjugations of the gathered blocks, or
+shift-and-phase sums for the wavelet.  ``apply`` stays the per-node
 reference the tests compare them with.
 """
 
@@ -63,10 +68,6 @@ class MeasureError(ActionError):
 
 class GridError(ActionError):
     """A dilation step is incompatible with the frequency grid."""
-
-
-class SymbolError(ActionError):
-    """The twisted translates are not an orthogonal basis of the block."""
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +260,6 @@ def _union_find(n: int, pairs) -> tuple[int, int]:
     return count, last
 
 
-def _orbit_count(point_maps) -> int:
-    """Number of orbits of the points under the group the maps generate."""
-    maps = np.asarray(point_maps, dtype=int)
-    pairs = [(t, s) for row in maps.tolist() for t, s in enumerate(row) if t != s]
-    return _union_find(maps.shape[1], pairs)[0]
-
-
 def commutant_certificate(matrices, tol: float = 1e-8) -> CommutantCertificate:
     """Dimension of {X : X U = U X for every U in ``matrices``} (unitaries).
 
@@ -398,15 +392,11 @@ class Action:
 
     # -- structure for the ergodicity count ----------------------------------
 
-    def sampled_unitaries(self) -> np.ndarray | None:
-        """Stacked U_g with g.x = U_g x U_g* for the sampled g, if the action is
-        a conjugation of a single block."""
-        return None
-
-    def sampled_point_maps(self) -> np.ndarray | None:
-        """One row per sampled g, a permutation of the atoms with the orbits of
-        the action, if the action permutes the atoms of a diagonal algebra."""
-        return None
+    def sampled_structure(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(src, U) with block j of g.x equal to U[i, j] x[src[i, j]] U[i, j]*
+        for the i-th sampled g; U is None when the action only permutes the
+        1 x 1 atoms of a diagonal algebra."""
+        raise NotImplementedError
 
     def trace_preservation_defect(self) -> float:
         """max over sampled elements and the matrix-unit basis of |tr(g.x) - tr(x)|."""
@@ -419,46 +409,75 @@ class Action:
 
 
 class ConjugationAction(Action):
-    """g.x = U_g x U_g*; projective phases cancel, so this is a group action."""
+    """Block j of g.x is U[g, j] x[src[g, j]] U[g, j]*, on t blocks of size n.
 
-    def __init__(self, rep: UnitaryRep, trace_weights: tuple[float, ...] = (1.0,)):
-        shape = AlgebraShape((rep.dim,), trace_weights)
-        gens = rep.group.generators or tuple(rep.group.elements())
-        super().__init__(rep.group, shape, "conjugation", gens)
-        self.rep = rep
+    ``unitaries`` is one (N, t, n, n) stack and ``src`` one (N, t) table,
+    both indexed by the N group elements.  Conjugation by a (projective)
+    representation is the case t = 1; its phases cancel, so it is a group
+    action.
+    """
+
+    def __init__(self, group: FiniteGroup, unitaries, src, trace_weights):
+        U = np.asarray(unitaries, dtype=complex)
+        src = np.asarray(src, dtype=int)
+        if U.ndim != 4 or U.shape[:2] != src.shape or U.shape[0] != group.order or U.shape[2] != U.shape[3]:
+            raise ActionError("need a (t, n, n) unitary stack and a source row per group element")
+        t, n = U.shape[1], U.shape[2]
+        eye = np.eye(n)
+        if not (np.sort(src, axis=1) == np.arange(t)).all():
+            raise ActionError("each source row must permute the blocks")
+        if not (src[group.identity] == np.arange(t)).all() or np.abs(U[group.identity] - eye).max() > 1e-11:
+            raise ActionError("identity must act trivially")
+        if np.abs(U @ U.conj().swapaxes(2, 3) - eye).max() > 1e-11:
+            raise RepresentationError("block matrices are not unitary")
+        shape = AlgebraShape((n,) * t, trace_weights)
+        gens = group.generators or tuple(group.elements())
+        super().__init__(group, shape, "conjugation", gens)
+        self.unitaries = U
+        self._src = src
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
-        U = self.rep.matrix(int(g))
-        return AlgebraElement(self.shape, [U @ x.stacks[0] @ U.conj().T], copy=False)
+        g = int(g)
+        U = self.unitaries[g]
+        return AlgebraElement(self.shape, [U @ x.stacks[0][self._src[g]] @ U.conj().swapaxes(1, 2)],
+                              copy=False)
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
-        # tr(U y* U* x) = sum_ij (U y*)_ij (x^T conj(U))_ij
-        U = self.rep.matrices
-        y_adj, x_t = y.stacks[0][0].conj().T, x.stacks[0][0].T
-        out = np.empty(U.shape[0], dtype=complex)
+        # tr(U y* U* x) = sum_ab (U y*)_ab (x^T conj(U))_ab, block by block
+        U, src = self.unitaries, self._src
+        y_adj, x_t = y.stacks[0].conj().swapaxes(1, 2), x.stacks[0].swapaxes(1, 2)
+        out = np.empty(src.shape, dtype=complex)
         for s in range(0, U.shape[0], NODE_SLICE):
             Us = U[s:s + NODE_SLICE]
-            out[s:s + NODE_SLICE] = np.einsum("gij,gij->g", Us @ y_adj, x_t @ Us.conj())
-        return self.shape.trace_weights[0] * out
+            out[s:s + NODE_SLICE] = np.einsum("gjab,gjab->gj", Us @ y_adj[src[s:s + NODE_SLICE]],
+                                              x_t @ Us.conj())
+        return out @ np.array(self.shape.trace_weights)
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
-        U = self.rep.matrices
+        U, src = self.unitaries, self._src
         c = np.asarray(coeffs, dtype=complex)
-        xb = x.stacks[0][0]
-        acc = np.zeros_like(xb)
+        xs = x.stacks[0]
+        t, n = xs.shape[0], xs.shape[1]
+        acc = np.zeros_like(xs)
         for s in range(0, U.shape[0], NODE_SLICE):
             Us = U[s:s + NODE_SLICE]
-            # sum_g (c_g U_g x)_ij conj(U_g)_kj
-            acc += np.tensordot(c[s:s + NODE_SLICE, None, None] * (Us @ xb), Us.conj(),
-                                axes=([0, 2], [0, 2]))
-        return AlgebraElement(self.shape, [acc[None]], copy=False)
+            m = Us.shape[0]
+            # block j: sum_{g,k} (c_g U_gj x_src)_ik conj(U_gj)_lk as one
+            # (n, m n) @ (m n, n) product, the contraction order of tensordot
+            a = c[s:s + NODE_SLICE, None, None, None] * (Us @ xs[src[s:s + NODE_SLICE]])
+            acc += (a.transpose(1, 2, 0, 3).reshape(t, n, m * n)
+                    @ Us.conj().transpose(1, 0, 3, 2).reshape(t, m * n, n))
+        return AlgebraElement(self.shape, [acc], copy=False)
 
-    def sampled_unitaries(self) -> np.ndarray:
-        return self.rep.matrices[[int(g) for g in self.sample_elements]]
+    def sampled_structure(self) -> tuple[np.ndarray, np.ndarray]:
+        gens = [int(g) for g in self.sample_elements]
+        return self._src[gens], self.unitaries[gens]
 
 
-def conjugation_action(rep: UnitaryRep, trace_weights: tuple[float, ...] = (1.0,)) -> ConjugationAction:
-    return ConjugationAction(rep, trace_weights)
+def conjugation_action(rep: UnitaryRep) -> ConjugationAction:
+    """g.x = U_g x U_g* on one full block."""
+    zeros = np.zeros((rep.group.order, 1), dtype=int)
+    return ConjugationAction(rep.group, rep.matrices[:, None], zeros, (1.0,))
 
 
 class PermutationAction(Action):
@@ -504,8 +523,8 @@ class PermutationAction(Action):
         vals = np.asarray(coeffs, dtype=complex) @ x.vec()[self._src]
         return AlgebraElement(self.shape, [vals.reshape(-1, 1, 1)], copy=False)
 
-    def sampled_point_maps(self) -> np.ndarray:
-        return self.point_table[[int(g) for g in self.sample_elements]]
+    def sampled_structure(self) -> tuple[np.ndarray, None]:
+        return self._src[[int(g) for g in self.sample_elements]], None
 
 
 def permutation_action(group: FiniteGroup, point_table, mu, validate: bool = True) -> PermutationAction:
@@ -519,17 +538,15 @@ def left_translation_action(G: FiniteGroup, mu=None) -> PermutationAction:
     return PermutationAction(G, G.table, mu)
 
 
-def coset_action(G: FiniteGroup, h_indices, mu=None, validate: bool = True) -> PermutationAction:
-    """G acting on the coset space G/H with a measure on the coset atoms."""
+def coset_action(G: FiniteGroup, h_indices) -> PermutationAction:
+    """G acting on the coset space G/H with counting measure on the coset atoms."""
     reps, coset_of = coset_lookup(G, h_indices)
     t = len(reps)
     table = np.empty((G.order, t), dtype=int)
     for g in G.elements():
         for c, r in enumerate(reps):
             table[g, c] = coset_of[G.compose(g, r)]
-    if mu is None:
-        mu = np.ones(t)
-    return PermutationAction(G, table, mu, validate=validate)
+    return PermutationAction(G, table, np.ones(t))
 
 
 class DualTranslationAction(PermutationAction):
@@ -563,180 +580,79 @@ class DualTranslationAction(PermutationAction):
         return self.characters.table.conj().T @ x.vec() / self.base_group.order
 
 
-class TwistedDualAction(Action):
-    """Dual of cyclic(n)^2 acting on a nondegenerately twisted group algebra.
-
-    For gcd(m, n) = 1 the twisted algebra is a single full n x n block with
-    trace weight 1/n.  The action multiplies the symbol pointwise by the
-    character: apply(omega, x) = sum_g omega(g) f(g) Lambda(g) with
-    f(g) = trace(Lambda(g)* x) / n.  The n^2 translates Lambda(g) are checked
-    once, on construction, to be an orthogonal basis of the block (Gram
-    matrix n I), so every element is the sum of its symbol's translates.
-    """
-
-    def __init__(self, n: int, m: int):
-        if math.gcd(m, n) != 1:
-            raise ActionError(f"twist parameter m={m} must be coprime to n={n}")
-        wh = finite_weyl_heisenberg(n)
-        G = wh.group
-        chars = dual_group(G)
-        dual = chars.as_group()
-        shape = AlgebraShape((n,), (1.0 / n,))
-        gens = dual.generators or tuple(dual.elements())
-        super().__init__(dual, shape, "twisted-dual", gens)
-        self.base_group = G
-        self.characters = chars
-        self.n = n
-        self.m = m
-        lam = np.empty((G.order, n, n), dtype=complex)
-        for g in G.elements():
-            a, b = G.tuple_of_index(g)
-            lam[g] = wh.matrix(G.index_of_tuple((a, (m * b) % n)))
-        self.lambdas = lam
-        # row g is Lambda(g) flattened
-        self._rows = lam.reshape(n * n, n * n)
-        gram = self._rows.conj() @ self._rows.T
-        defect = float(np.abs(gram - n * np.eye(n * n)).max())
-        if defect > 1e-10 * n:
-            raise SymbolError(f"Gram matrix of the twisted translates is {defect:.3e} away from n I")
-
-    def from_symbol(self, f: np.ndarray) -> AlgebraElement:
-        stack = (np.asarray(f, dtype=complex) @ self._rows).reshape(1, self.n, self.n)
-        return AlgebraElement(self.shape, [stack], copy=False)
-
-    def symbol(self, x: AlgebraElement) -> np.ndarray:
-        return (self._rows @ x.stacks[0].ravel().conj()).conj() / self.n
-
-    def apply(self, g, x: AlgebraElement) -> AlgebraElement:
-        return self.from_symbol(self.characters.table[int(g)] * self.symbol(x))
-
-    def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
-        # sum_g conj(omega(g) f_y(g)) f_x(g), conjugated outside the product
-        return (self.characters.table @ (self.symbol(y) * self.symbol(x).conj())).conj()
-
-    def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
-        return self.from_symbol((np.asarray(coeffs, dtype=complex) @ self.characters.table)
-                                * self.symbol(x))
-
-    def sampled_unitaries(self) -> np.ndarray:
-        # omega = (s, t) multiplies Lambda(a, b) by exp(2 pi i (s a + t b) / n),
-        # which is conjugation by Lambda(-t/m, s/m)
-        G, n, m_inv = self.base_group, self.n, pow(self.m, -1, self.n)
-        idx = []
-        for omega in self.sample_elements:
-            s, t = G.tuple_of_index(int(omega))
-            idx.append(G.index_of_tuple(((-t * m_inv) % n, (s * m_inv) % n)))
-        return self.lambdas[idx]
-
-
-def dual_action(G: FiniteGroup, m: int = 0):
+def dual_action(G: FiniteGroup, m: int = 0) -> PermutationAction | ConjugationAction:
     """Dual action on the (possibly twisted) group algebra of an abelian group.
 
-    m = 0 works for any group built from cyclic factors; a nonzero twist needs
-    G = cyclic(n) x cyclic(n) with gcd(m, n) = 1.
+    m = 0 works for any group built from cyclic factors: the dual translates
+    the atoms of the diagonalized group algebra.  A nonzero twist needs
+    G = cyclic(n) x cyclic(n) with gcd(m, n) = 1.  The twisted algebra is then
+    one full n x n block with trace weight 1/n, spanned by the translates
+    Lambda(a, b) = pi(a, m b) of the translation-modulation family pi.  The
+    character (s, t) multiplies Lambda(a, b) by exp(2 pi i (s a + t b) / n),
+    which is conjugation by pi(-t/m, s).
     """
     if m == 0:
         return DualTranslationAction(G)
     if G.structure is None or len(G.structure) != 2 or G.structure[0] != G.structure[1]:
         raise ActionError("twisted dual action needs cyclic(n) x cyclic(n)")
-    return TwistedDualAction(G.structure[0], m)
+    n = G.structure[0]
+    if math.gcd(m, n) != 1:
+        raise ActionError(f"twist parameter m={m} must be coprime to n={n}")
+    wh = finite_weyl_heisenberg(n)
+    s, t = np.divmod(np.arange(n * n), n)
+    psi = (-t * pow(m, -1, n)) % n * n + s
+    act = ConjugationAction(dual_group(wh.group).as_group(), wh.matrices[psi][:, None],
+                            np.zeros((n * n, 1), dtype=int), (1.0 / n,))
+    act.kind = "twisted-dual"
+    return act
 
 
-class InducedAction(Action):
-    """Action of G built from an action of a subgroup H on a smaller algebra.
+def induced_action(G: FiniteGroup, h_indices, inner: Action, iso) -> PermutationAction | ConjugationAction:
+    """Action of G induced from an action of a subgroup H on a smaller algebra.
 
-    Elements are stored as one copy of the inner algebra per left coset of H,
-    indexed by fixed representatives with the identity first; the total trace
-    sums the inner trace over the copies.
+    Elements hold one copy of the inner algebra per left coset of H, in the
+    order of fixed representatives r_a with the identity first, so block k of
+    copy a is block a t + k.  Copy j of g.x is the inner translate by h^{-1}
+    of copy a of x, where g^{-1} r_j = r_a h.  The result is the inner family
+    on the larger algebra: a permutation of J t atoms, or a conjugation of
+    J t blocks.
     """
-
-    def __init__(self, G: FiniteGroup, h_indices, inner: Action, iso):
-        reps, coset_of = coset_lookup(G, h_indices)
-        h_tuple = tuple(dict.fromkeys(int(i) for i in h_indices))
-        iso = np.asarray(iso, dtype=int)
-        if iso.shape != (len(h_tuple),):
-            raise ActionError("iso must map each subgroup element to an inner group element")
-        if not isinstance(inner.group, FiniteGroup) or inner.group.order != len(h_tuple):
-            raise ActionError("inner action must live on a group of the subgroup's order")
-        pos = {g: i for i, g in enumerate(h_tuple)}
-        for i, a in enumerate(h_tuple):
-            for j, b in enumerate(h_tuple):
-                if inner.group.compose(int(iso[i]), int(iso[j])) != int(iso[pos[G.compose(a, b)]]):
-                    raise ActionError("iso is not a group isomorphism onto the inner group")
-        j_count = len(reps)
-        dims = inner.shape.block_dims * j_count
-        weights = inner.shape.trace_weights * j_count
-        shape = AlgebraShape(dims, weights)
-        gens = G.generators or tuple(G.elements())
-        super().__init__(G, shape, "induced", gens)
-        self.inner = inner
-        self.reps = reps
-        self.coset_of = coset_of
-        # target coset and inner translate (already inverted) per (g, coset)
-        self._target = np.empty((G.order, j_count), dtype=int)
-        self._inner_elt = np.empty((G.order, j_count), dtype=int)
-        for g in G.elements():
-            ginv = G.inverse(g)
-            for j, r in enumerate(reps):
-                w = G.compose(ginv, r)
-                a = coset_of[w]
-                h = G.compose(G.inverse(reps[a]), w)
-                self._target[g, j] = a
-                self._inner_elt[g, j] = inner.group.inverse(int(iso[pos[h]]))
-
-    @property
-    def coset_count(self) -> int:
-        return len(self.reps)
-
-    # The induced shape repeats the inner blocks once per coset, so each size
-    # class of it stacks the inner class's blocks coset after coset.
-
-    def component(self, x: AlgebraElement, j: int) -> AlgebraElement:
-        sizes = (m for m, _, _ in self.inner.shape.stack_shapes)
-        return AlgebraElement(self.inner.shape, [s[j * m:(j + 1) * m] for m, s in zip(sizes, x.stacks)],
-                              copy=False)
-
-    def assemble(self, components) -> AlgebraElement:
-        stacks = zip(*(c.stacks for c in components))
-        return AlgebraElement(self.shape, [np.concatenate(s) for s in stacks], copy=False)
-
-    def apply(self, g, x: AlgebraElement) -> AlgebraElement:
-        g = int(g)
-        parts = []
-        for j in range(self.coset_count):
-            src = self.component(x, int(self._target[g, j]))
-            parts.append(self.inner.apply(int(self._inner_elt[g, j]), src))
-        return self.assemble(parts)
-
-    # Component j of g.x is the inner translate by _inner_elt[g, j] of the
-    # component a = _target[g, j] of x, so both kernels run the inner kernel
-    # once per coset pair (a, j) and gather through the two tables.
-
-    def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
-        J = self.coset_count
-        xs = [self.component(x, j) for j in range(J)]
-        ys = [self.component(y, a) for a in range(J)]
-        inner = np.array([[self.inner.bracket_values(xs[j], ys[a]) for j in range(J)]
-                          for a in range(J)])
-        return inner[self._target, np.arange(J), self._inner_elt].sum(axis=1)
-
-    def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
-        J = self.coset_count
-        folded = np.zeros((J, J, self.inner.group.order), dtype=complex)
-        np.add.at(folded, (self._target, np.arange(J), self._inner_elt),
-                  np.asarray(coeffs, dtype=complex)[:, None])
-        xs = [self.component(x, a) for a in range(J)]
-        parts = []
-        for j in range(J):
-            acc = self.inner.orbit_sum(folded[0, j], xs[0])
-            for a in range(1, J):
-                acc = acc + self.inner.orbit_sum(folded[a, j], xs[a])
-            parts.append(acc)
-        return self.assemble(parts)
-
-
-def induced_action(G: FiniteGroup, h_indices, inner: Action, iso) -> InducedAction:
-    return InducedAction(G, h_indices, inner, iso)
+    reps, coset_of = coset_lookup(G, h_indices)
+    h_tuple = tuple(dict.fromkeys(int(i) for i in h_indices))
+    iso = np.asarray(iso, dtype=int)
+    if iso.shape != (len(h_tuple),):
+        raise ActionError("iso must map each subgroup element to an inner group element")
+    if not isinstance(inner.group, FiniteGroup) or inner.group.order != len(h_tuple):
+        raise ActionError("inner action must live on a group of the subgroup's order")
+    pos = {g: i for i, g in enumerate(h_tuple)}
+    for i, a in enumerate(h_tuple):
+        for j, b in enumerate(h_tuple):
+            if inner.group.compose(int(iso[i]), int(iso[j])) != int(iso[pos[G.compose(a, b)]]):
+                raise ActionError("iso is not a group isomorphism onto the inner group")
+    J = len(reps)
+    # target coset and inner translate (already inverted) per (g, coset)
+    target = np.empty((G.order, J), dtype=int)
+    inner_elt = np.empty((G.order, J), dtype=int)
+    for g in G.elements():
+        ginv = G.inverse(g)
+        for j, r in enumerate(reps):
+            w = G.compose(ginv, r)
+            a = coset_of[w]
+            h = G.compose(G.inverse(reps[a]), w)
+            target[g, j] = a
+            inner_elt[g, j] = inner.group.inverse(int(iso[pos[h]]))
+    t = len(inner.shape.block_dims)
+    src = (target[:, :, None] * t + inner._src[inner_elt]).reshape(G.order, J * t)
+    if isinstance(inner, PermutationAction):
+        act = PermutationAction(G, src[G.inverse_table], np.tile(inner.mu, J))
+    elif isinstance(inner, ConjugationAction):
+        n = inner.shape.block_dims[0]
+        act = ConjugationAction(G, inner.unitaries[inner_elt].reshape(G.order, J * t, n, n), src,
+                                inner.shape.trace_weights * J)
+    else:
+        raise ActionError("induction needs a permutation or conjugation inner action")
+    act.kind = "induced"
+    return act
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +746,6 @@ class WaveletAction(Action):
             (i_c + 2) * design.n_b + j_c,
             i_c * design.n_b + j_c,
         )
-        group.sampling_indices = tuple(sample_idx)
         sample = [group.nodes[i] for i in sample_idx]
         super().__init__(group, shape, "wavelet", sample)
         self._probes: list[AlgebraElement] | None = None
@@ -857,8 +772,9 @@ class WaveletAction(Action):
         U[rows, (rows + j) % K] = np.exp(-2j * np.pi * b * self.xi)
         return U
 
-    def sampled_unitaries(self) -> np.ndarray:
-        return np.array([self.matrix(g) for g in self.sample_elements])
+    def sampled_structure(self) -> tuple[np.ndarray, np.ndarray]:
+        U = np.array([self.matrix(g) for g in self.sample_elements])
+        return np.zeros((len(U), 1), dtype=int), U[:, None]
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         a, b = float(g[0]), float(g[1])
@@ -1018,32 +934,56 @@ def wavelet_action(design: WaveletDesign | None = None) -> WaveletAction:
 # structural checkers
 
 
+def _product(a, b):
+    """a @ b, with None standing for the identity."""
+    return b if a is None else a if b is None else a @ b
+
+
 def fixed_point_dimension(action: Action, tol: float = 1e-8) -> int:
     """Dimension of {x : g.x = x for the sampled elements g}; 1 means ergodic.
 
-    Each action family has one exact count:
-
-    - permutation and dual-translation actions: the orbits of the sampled
-      point maps, by union-find (integer work, no tolerance);
-    - conjugation-type actions (conjugation, wavelet, twisted dual): the
-      commutant of the sampled unitaries from one generic hermitian element,
-      see commutant_certificate for the tolerance and its margins;
-    - induced actions: the count of the inner action, since a fixed point of
-      the induced action is fixed by its component on the identity coset,
-      which must itself be fixed by the inner action.
-
-    Any other action takes the dense stacked-SVD count of
-    dense_fixed_point_dimension.
+    Reads ``action.sampled_structure()``: block j of g.x is
+    U[g, j] x[src[g, j]] U[g, j]* for the sampled g.  Without unitaries the
+    action permutes atoms and the count is the number of orbits, by
+    union-find (integer work, no tolerance).  Otherwise a fixed x is set on
+    each orbit of the blocks by its block at a root r: a breadth-first search
+    transports V_r = 1 along the edges j <- k = src[g, j] (V_j = U V_k, or
+    V_k = U* V_j) and gives x_j = V_j x_r V_j*.  Every edge then asks x_r to
+    commute with its holonomy V_j* U V_k, so the orbit counts the commutant
+    of its holonomies (see commutant_certificate for the tolerance and its
+    margins), and the orbit counts add up.  On a single block the holonomies
+    are the sampled unitaries themselves.
     """
-    if isinstance(action, InducedAction):
-        return fixed_point_dimension(action.inner, tol)
-    maps = action.sampled_point_maps()
-    if maps is not None:
-        return _orbit_count(maps)
-    unitaries = action.sampled_unitaries()
-    if unitaries is not None:
-        return commutant_certificate(unitaries, tol).dimension
-    return dense_fixed_point_dimension(action, tol)
+    src, U = action.sampled_structure()
+    t, rows = src.shape[1], src.tolist()
+    if U is None:
+        return _union_find(t, [(j, k) for row in rows for j, k in enumerate(row) if j != k])[0]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(t)]
+    for g, row in enumerate(rows):
+        for j, k in enumerate(row):
+            adj[j].append((g, j))
+            if k != j:
+                adj[k].append((g, j))
+    V: dict[int, np.ndarray | None] = {}  # transport to each reached block
+    total = 0
+    for root in range(t):
+        if root in V:
+            continue
+        V[root] = None
+        orbit = [root]
+        for b in orbit:
+            for g, j in adj[b]:
+                k = rows[g][j]
+                if k not in V:
+                    V[k] = _product(U[g, j].conj().T, V[j])
+                    orbit.append(k)
+                elif j not in V:
+                    V[j] = _product(U[g, j], V[k])
+                    orbit.append(j)
+        holonomies = [_product(_product(None if V[j] is None else V[j].conj().T, U[g, j]), V[rows[g][j]])
+                      for j in orbit for g in range(len(rows))]
+        total += commutant_certificate(holonomies, tol).dimension
+    return total
 
 
 def dense_fixed_point_dimension(action: Action, tol: float = 1e-8) -> int:
@@ -1076,22 +1016,16 @@ def homomorphism_defect(action: Action, rng: np.random.Generator,
     if probes is None:
         probes = [action.random_element(rng)]
     if isinstance(group, QuadratureGroup):
-        idx = np.array(group.sampling_indices or range(group.node_count))
-        chosen = [(group.nodes[a], group.nodes[b])
-                  for a in idx for b in idx][:pairs]
-        compose = group.compose
+        chosen = [(a, b) for a in action.sample_elements for b in action.sample_elements][:pairs]
+    elif group.order <= 16:  # exhaustive for small groups, sampled beyond
+        chosen = [(a, b) for a in group.elements() for b in group.elements()]
     else:
-        n = group.order
-        if n <= 16:  # exhaustive for small groups, sampled beyond
-            chosen = [(a, b) for a in range(n) for b in range(n)]
-        else:
-            chosen = [tuple(rng.integers(0, n, size=2)) for _ in range(pairs)]
-        compose = group.compose
+        chosen = [tuple(rng.integers(0, group.order, size=2)) for _ in range(pairs)]
     worst = 0.0
     for a, b in chosen:
         for x in probes:
             lhs = action.apply(a, action.apply(b, x))
-            rhs = action.apply(compose(a, b), x)
+            rhs = action.apply(group.compose(a, b), x)
             scale = 1.0 + x.max_abs_entry()
             worst = max(worst, sup_distance(lhs, rhs) / scale)
     return worst

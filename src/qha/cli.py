@@ -50,18 +50,20 @@ def _parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scenario", action="append", default=[],
                        help="builtin id or scenario file path (repeatable)")
-        p.add_argument("--all", action="store_true", help="run every builtin scenario")
-        p.add_argument("--format", choices=("text", "structured"), default="text")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--seed", type=int, default=None,
                        help=f"seed override (falls back to ${ENV_SEED}, then the builtin default)")
-        p.add_argument("--tol-rel", type=float, default=None, help="relative tolerance override")
-        p.add_argument("--trials", type=int, default=None, help="seeded trials per aggregate check")
 
+    # each subcommand registers only the flags it reads
     pv = sub.add_parser("verify", help="run the full check suite")
     common(pv)
+    pv.add_argument("--all", action="store_true", help="run every builtin scenario")
+    pv.add_argument("--format", choices=("text", "structured"), default="text")
+    pv.add_argument("--tol-rel", type=float, default=None, help="relative tolerance override")
+    pv.add_argument("--trials", type=int, default=None, help="seeded trials per aggregate check")
     pd = sub.add_parser("duflo", help="estimate D and print its diagnostics")
     common(pd)
+    pd.add_argument("--all", action="store_true", help="run every builtin scenario")
     pr = sub.add_parser("refine", help="rerun quadrature metrics at successive grid refinements")
     common(pr)
     pr.add_argument("--grids", type=int, default=3, help="number of grid resolutions (>= 2)")
@@ -86,12 +88,14 @@ def resolve_config(args) -> RunConfig:
     if args.command == "list":
         return RunConfig(command="list", specs=())
     seed = _resolve_seed(args)
+    tol_rel = getattr(args, "tol_rel", None)
     ids: list[str] = []
-    if args.all:
+    if getattr(args, "all", False):
         ids.extend(BUILTIN_IDS)
     ids.extend(args.scenario)
     if not ids:
-        raise ConfigError("no scenario given; use --scenario <id|path> or --all")
+        raise ConfigError("no scenario given; use --scenario <id|path>"
+                          + (" or --all" if hasattr(args, "all") else ""))
     specs: list[ScenarioSpec] = []
     for token in ids:
         if os.path.sep in token or token.endswith(".ini") or os.path.exists(token):
@@ -103,15 +107,15 @@ def resolve_config(args) -> RunConfig:
         specs.append(ScenarioSpec(
             spec.scenario_id,
             seed=seed if seed is not None else spec.seed,
-            tol_rel=args.tol_rel if args.tol_rel is not None else spec.tol_rel,
+            tol_rel=tol_rel if tol_rel is not None else spec.tol_rel,
         ))
     return RunConfig(
         command=args.command,
         specs=tuple(specs),
-        fmt=args.format,
+        fmt=getattr(args, "format", "text"),
         out=args.out,
         grids=getattr(args, "grids", 3),
-        trials=args.trials,
+        trials=getattr(args, "trials", None),
     )
 
 

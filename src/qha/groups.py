@@ -302,7 +302,7 @@ class QuadratureGroup:
     """
 
     def __init__(self, nodes, haar_weights, compose_fn, inverse_fn, identity,
-                 modular_fn, label: str = "", sampling_indices=()):
+                 modular_fn, label: str = ""):
         nodes = np.array(nodes, dtype=float)
         if nodes.ndim != 2:
             raise GroupError("nodes must be a 2-d array of parameter vectors")
@@ -321,7 +321,6 @@ class QuadratureGroup:
         modular_values.setflags(write=False)
         self.modular_values = modular_values
         self.label = label or "quadrature-group"
-        self.sampling_indices = tuple(int(i) for i in sampling_indices)
         self._validate()
 
     def _validate(self) -> None:
@@ -386,13 +385,6 @@ def affine_group(a_min: float, a_max: float, n_a: int,
         nodes[i * n_b:(i + 1) * n_b, 0] = a
         nodes[i * n_b:(i + 1) * n_b, 1] = b_nodes
         weights[i * n_b:(i + 1) * n_b] = d_log_a * db / a
-    i_c, j_c = n_a // 2, n_b // 2
-    sampling = (
-        min(i_c + 1, n_a - 1) * n_b + j_c,
-        i_c * n_b + 0,
-        i_c * n_b + (n_b - 1),
-        max(i_c - 1, 0) * n_b + min(j_c + 1, n_b - 1),
-    )
     return QuadratureGroup(
         nodes,
         weights,
@@ -401,5 +393,4 @@ def affine_group(a_min: float, a_max: float, n_a: int,
         identity=(1.0, 0.0),
         modular_fn=lambda p: 1.0 / p[..., 0],
         label=f"affine[{a_min:g},{a_max:g}]x[{b_min:g},{b_max:g}]",
-        sampling_indices=sampling,
     )

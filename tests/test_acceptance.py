@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from qha.algebra import trace
-from qha.actions import finite_weyl_heisenberg
+from qha.algebra import AlgebraElement, trace
+from qha.actions import conjugation_action, finite_weyl_heisenberg
 from qha.bracket import bracket_integral
 from qha.cli import refinement_metrics
 from qha.duflo import (
@@ -161,8 +161,12 @@ def test_criterion_5_induced_identity():
     t0 = time.monotonic()
     scn, est = _estimate("induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2")
     act = scn.action
-    inner = act.inner
+    # the inner action of the subgroup cyclic(2)xcyclic(2); the induced
+    # algebra holds one copy of its 2 x 2 block per coset, coset after coset
+    inner = conjugation_action(finite_weyl_heisenberg(2))
     inner_haar = counting_haar(inner.group)
+    t = len(inner.shape.block_dims)
+    coset_count = len(act.shape.block_dims) // t
 
     # independent estimate of the subgroup scaling operator
     from qha.algebra import random_positive_element
@@ -178,8 +182,8 @@ def test_criterion_5_induced_identity():
         y = scn.random_element(rng)
         lhs = trace(est.d_inverse @ y)
         rhs = 0.0 + 0.0j
-        for j in range(act.coset_count):
-            yj = act.component(y, j)
+        for j in range(coset_count):
+            yj = AlgebraElement(inner.shape, [y.stacks[0][j * t:(j + 1) * t]])
             rhs += trace(inner_est.d_inverse @ yj)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     elapsed = time.monotonic() - t0

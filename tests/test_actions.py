@@ -16,14 +16,13 @@ from qha.algebra import (
     sup_distance,
     trace,
 )
-from qha import actions
 from qha.actions import (
     CERTIFICATE_MARGIN,
     ActionError,
+    ConjugationAction,
     GridError,
     MeasureError,
     RepresentationError,
-    SymbolError,
     UnitaryRep,
     WaveletDesign,
     automorphism_defect,
@@ -48,7 +47,7 @@ from qha.actions import (
 from qha.groups import cyclic, product
 from qha.scenarios import ScenarioSpec, build_scenario, list_builtins
 
-from helpers import element, nodes_of
+from helpers import blocks_of, element, nodes_of
 
 
 SMALL_WAVELET = WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
@@ -136,6 +135,20 @@ class TestConjugationAction:
         act = conjugation_action(trivial_rep(cyclic(2), dim=2))
         assert fixed_point_dimension(act) == 4
 
+    @pytest.mark.parametrize("case", ["repeated-source", "moving-identity", "non-unitary"])
+    def test_rejects_invalid_block_data(self, case):
+        I, Z = np.eye(2), np.diag([1.0, -1.0])
+        unitaries = np.array([[I, I], [Z, Z]])
+        src = np.array([[0, 1], [1, 0]])
+        if case == "repeated-source":
+            src[1] = [0, 0]
+        elif case == "moving-identity":
+            src[0] = [1, 0]
+        else:
+            unitaries[1, 0] = 2 * I
+        with pytest.raises(ActionError):
+            ConjugationAction(cyclic(2), unitaries, src, (1.0, 1.0))
+
 
 class TestPermutationAction:
     def test_translation_transitive_ergodic(self):
@@ -180,6 +193,7 @@ class TestPermutationAction:
 ORACLE_IDS = (
     *(sid for sid in list_builtins() if not sid.startswith("affine-wavelet")),
     "translation:cyclic(64)", "twisted-dual:12:1", "wh:16", "broken-measure",
+    "induced:cyclic(4)xcyclic(4):cyclic(2)xcyclic(2):wh2", "twisted-dual:5:2",
 )
 
 
@@ -268,21 +282,24 @@ class TestDualAction:
             assert fixed_point_dimension(act) == 1
 
     def test_twisted_dual_is_inner_conjugation(self):
-        # oracle: for coprime twist the dual action is conjugation by a translate
+        # oracle: the symbol definition of the dual action, independent of the
+        # conjugation the factory builds.  x = sum_g f(g) Lambda(g) with
+        # Lambda(a, b) = pi(a, m b) and f(g) = tr(Lambda(g)* x) / n, and
+        # omega.x = sum_g omega(g) f(g) Lambda(g)
         n, m = 4, 1
         act = dual_action(product(cyclic(n), cyclic(n)), m)
-        G = act.base_group
+        wh = finite_weyl_heisenberg(n)
+        G = wh.group
+        lam = np.array([wh.matrix(G.index_of_tuple((a, m * b))) for a, b in map(G.tuple_of_index, G.elements())])
         rng = np.random.default_rng(5)
         x = random_element(act.shape, rng)
+        f = np.einsum("gij,ij->g", lam.conj(), x.stacks[0][0]) / n
         for s in range(n):
             for t in range(n):
-                omega = G.index_of_tuple((s, t))
-                # omega(a, b) = exp(2 pi i (s a + t b)/n) matches conjugation by
-                # Lambda(c, d) with d = s/m, c = -t/m mod n
-                c = (-t * pow(m, -1, n)) % n
-                d = (s * pow(m, -1, n)) % n
-                U = act.lambdas[G.index_of_tuple((c, d))]
-                direct = element(act.shape, [U @ x.stacks[0][0] @ U.conj().T])
+                omega = act.group.index_of_tuple((s, t))
+                chi = np.array([np.exp(2j * np.pi * (s * a + t * b) / n)
+                                for a, b in map(G.tuple_of_index, G.elements())])
+                direct = element(act.shape, [np.einsum("g,gij->ij", chi * f, lam)])
                 assert sup_distance(act.apply(omega, x), direct) < 1e-10
 
     def test_twisted_dual_ergodic(self):
@@ -292,15 +309,6 @@ class TestDualAction:
     def test_rejects_degenerate_twist(self):
         with pytest.raises(ActionError):
             dual_action(product(cyclic(4), cyclic(4)), 2)
-
-    def test_degenerate_translates_fail_gram_check(self, monkeypatch):
-        # identity matrices in place of the translation-modulation family: a
-        # valid representation whose n^2 translates span only the scalars
-        monkeypatch.setattr(
-            actions, "finite_weyl_heisenberg",
-            lambda n: trivial_rep(product(cyclic(n), cyclic(n)), dim=n))
-        with pytest.raises(SymbolError, match="Gram matrix"):
-            dual_action(product(cyclic(3), cyclic(3)), 1)
 
 
 def _builtin_induced():
@@ -321,7 +329,7 @@ class TestInducedAction:
         G = rep.group
         inner = conjugation_action(rep)
         act = induced_action(G, list(G.elements()), inner, list(G.elements()))
-        assert act.coset_count == 1
+        assert act.shape == inner.shape  # a single coset
         rng = np.random.default_rng(6)
         x = random_element(act.shape, rng)
         for g in G.elements():
@@ -504,10 +512,10 @@ class TestErgodicityCount:
     def test_sampled_unitaries_conjugate_like_apply(self, act):
         rng = np.random.default_rng(16)
         x = random_element(act.shape, rng)
-        if act.kind == "twisted-dual":
-            x = act.from_symbol(rng.standard_normal(act.base_group.order))
-        for g, U in zip(act.sample_elements, act.sampled_unitaries()):
-            direct = element(act.shape, [U @ x.stacks[0][0] @ U.conj().T])
+        blocks = blocks_of(x)
+        src, unitaries = act.sampled_structure()
+        for g, row, Us in zip(act.sample_elements, src, unitaries):
+            direct = element(act.shape, [U @ blocks[k] @ U.conj().T for k, U in zip(row, Us)])
             assert sup_distance(act.apply(g, x), direct) < 1e-10
 
     def test_simple_spectrum_disconnected_graph(self):
@@ -515,7 +523,7 @@ class TestErgodicityCount:
         # rotated unitaries stay block diagonal, so the graph has 2 components
         reps = s3_irreps()
         act = conjugation_action(_direct_sum(reps["std"], reps["sign"]))
-        cert = commutant_certificate(act.sampled_unitaries())
+        cert = commutant_certificate(act.sampled_structure()[1][:, 0])
         assert cert.method == "spectral"
         assert cert.dimension == 2
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 2
@@ -526,7 +534,7 @@ class TestErgodicityCount:
         std = s3_irreps()["std"]
         mats = np.array([np.kron(U, np.eye(2)) for U in std.matrices])
         act = conjugation_action(UnitaryRep(std.group, mats))
-        cert = commutant_certificate(act.sampled_unitaries())
+        cert = commutant_certificate(act.sampled_structure()[1][:, 0])
         assert cert.method == "dense-svd"
         assert cert.dimension == 4
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 4
@@ -538,6 +546,33 @@ class TestErgodicityCount:
     def test_non_transitive_permutation(self):
         G = cyclic(2)
         act = permutation_action(G, np.array([[0, 1, 2, 3], [1, 0, 3, 2]]), np.ones(4))
+        assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 2
+
+    def test_induction_from_trivial_action(self):
+        # cyclic(4) induced from the trivial action of {0, 2} on M_2: the two
+        # coset copies form one orbit with identity holonomies, so the fixed
+        # points are the copies of any 2 x 2 matrix
+        G = cyclic(4)
+        act = induced_action(G, [0, 2], conjugation_action(trivial_rep(cyclic(2), dim=2)), [0, 1])
+        assert act.kind == "induced" and act.shape.block_dims == (2, 2)
+        assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 4
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi / 4], ids=["diagonal", "rotated"])
+    def test_block_swap_with_holonomy(self, theta):
+        # the generator of cyclic(4) swaps two 2 x 2 blocks and conjugates them
+        # by A and B = A* Z, Z = diag(1, -1); its square conjugates block 0 by
+        # A B = Z, so a fixed x has x_0 = Z x_0 Z, a diagonal matrix.  theta = 0
+        # is A = 1; the rotation A = R(theta) moves the transport off the
+        # identity, where reversing an edge (U V instead of U* V) changes the count
+        c, s = np.cos(theta), np.sin(theta)
+        A, Z = np.array([[c, -s], [s, c]]), np.diag([1.0, -1.0])
+        gen, gen_src = np.array([A, A.T @ Z]), np.array([1, 0])
+        unitaries, src = [np.array([np.eye(2), np.eye(2)])], [np.arange(2)]
+        for _ in range(3):
+            unitaries.append(gen @ unitaries[-1][gen_src])
+            src.append(src[-1][gen_src])
+        act = ConjugationAction(cyclic(4), np.array(unitaries), np.array(src), (1.0, 1.0))
+        assert homomorphism_defect(act, np.random.default_rng(17)) < 1e-14
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 2
 
     def test_large_degenerate_action_raises(self):
@@ -552,7 +587,7 @@ class TestErgodicityCount:
         else:
             act = build_scenario(ScenarioSpec(f"affine-wavelet:{preset}")).action
         tol = 1e-8
-        cert = commutant_certificate(act.sampled_unitaries(), tol)
+        cert = commutant_certificate(act.sampled_structure()[1][:, 0], tol)
         assert cert.method == "spectral"
         assert cert.dimension == fixed_point_dimension(act) == 1
         assert cert.noise_floor * CERTIFICATE_MARGIN <= tol

@@ -154,12 +154,28 @@ class TestDuflo:
         assert code == 1
         assert "estimate failed" in out
 
+    @pytest.mark.parametrize("flag", [("--format", "structured"), ("--trials", "4"),
+                                      ("--tol-rel", "1e-3")])
+    def test_unread_flags_are_argparse_errors(self, flag):
+        # the diagnostics take neither an output format nor check settings
+        with pytest.raises(SystemExit) as exc:
+            main(["duflo", "--scenario", "wh:2", *flag])
+        assert exc.value.code == 2
+
 
 class TestRefine:
     def test_finite_scenario_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "refine", "--scenario", "wh:4")
         assert code == 2
         assert "refinement is meaningless" in err
+
+    @pytest.mark.parametrize("flags", [("--all",), ("--format", "structured"), ("--trials", "4"),
+                                       ("--tol-rel", "1e-3")])
+    def test_unread_flags_are_argparse_errors(self, flags):
+        # every builtin but the wavelet is finite, so --all could only fail
+        with pytest.raises(SystemExit) as exc:
+            main(["refine", "--scenario", "affine-wavelet:coarse", *flags])
+        assert exc.value.code == 2
 
     def test_single_grid_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "refine", "--scenario",

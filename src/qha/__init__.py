@@ -23,13 +23,10 @@ from .actions import (
     induced_action,
     is_trace_preserving,
     left_translation_action,
-    permutation_action,
-    wavelet_action,
 )
 from .bracket import (
     BracketFunction,
     bracket,
-    bracket_integral,
     bracket_symmetry_defect,
     function_p_norm,
     integrate_bracket,

@@ -430,7 +430,7 @@ class ConjugationAction(Action):
             raise ActionError("identity must act trivially")
         if np.abs(U @ U.conj().swapaxes(2, 3) - eye).max() > 1e-11:
             raise RepresentationError("block matrices are not unitary")
-        shape = AlgebraShape((n,) * t, trace_weights)
+        shape = AlgebraShape(n, trace_weights)
         gens = group.generators or tuple(group.elements())
         super().__init__(group, shape, "conjugation", gens)
         self.unitaries = U
@@ -439,13 +439,12 @@ class ConjugationAction(Action):
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         g = int(g)
         U = self.unitaries[g]
-        return AlgebraElement(self.shape, [U @ x.stacks[0][self._src[g]] @ U.conj().swapaxes(1, 2)],
-                              copy=False)
+        return AlgebraElement(self.shape, U @ x.blocks[self._src[g]] @ U.conj().swapaxes(1, 2), copy=False)
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
         # tr(U y* U* x) = sum_ab (U y*)_ab (x^T conj(U))_ab, block by block
         U, src = self.unitaries, self._src
-        y_adj, x_t = y.stacks[0].conj().swapaxes(1, 2), x.stacks[0].swapaxes(1, 2)
+        y_adj, x_t = y.blocks.conj().swapaxes(1, 2), x.blocks.swapaxes(1, 2)
         out = np.empty(src.shape, dtype=complex)
         for s in range(0, U.shape[0], NODE_SLICE):
             Us = U[s:s + NODE_SLICE]
@@ -456,7 +455,7 @@ class ConjugationAction(Action):
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         U, src = self.unitaries, self._src
         c = np.asarray(coeffs, dtype=complex)
-        xs = x.stacks[0]
+        xs = x.blocks
         t, n = xs.shape[0], xs.shape[1]
         acc = np.zeros_like(xs)
         for s in range(0, U.shape[0], NODE_SLICE):
@@ -467,7 +466,7 @@ class ConjugationAction(Action):
             a = c[s:s + NODE_SLICE, None, None, None] * (Us @ xs[src[s:s + NODE_SLICE]])
             acc += (a.transpose(1, 2, 0, 3).reshape(t, n, m * n)
                     @ Us.conj().transpose(1, 0, 3, 2).reshape(t, m * n, n))
-        return AlgebraElement(self.shape, [acc], copy=False)
+        return AlgebraElement(self.shape, acc, copy=False)
 
     def sampled_structure(self) -> tuple[np.ndarray, np.ndarray]:
         gens = [int(g) for g in self.sample_elements]
@@ -505,7 +504,7 @@ class PermutationAction(Action):
             for g in group.elements():
                 if np.abs(mu[point_table[g]] - mu).max() > 0:
                     raise MeasureError("point measure is not invariant under the action")
-        shape = AlgebraShape((1,) * t, tuple(mu))
+        shape = AlgebraShape(1, tuple(mu))
         gens = group.generators or tuple(group.elements())
         super().__init__(group, shape, "permutation", gens)
         self.point_table = point_table
@@ -514,21 +513,17 @@ class PermutationAction(Action):
         self._src = point_table[group.inverse_table]
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
-        return AlgebraElement(self.shape, [x.stacks[0][self._src[int(g)]]], copy=False)
+        return AlgebraElement(self.shape, x.blocks[self._src[int(g)]], copy=False)
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
         return y.vec()[self._src].conj() @ (self.mu * x.vec())
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         vals = np.asarray(coeffs, dtype=complex) @ x.vec()[self._src]
-        return AlgebraElement(self.shape, [vals.reshape(-1, 1, 1)], copy=False)
+        return AlgebraElement(self.shape, vals.reshape(-1, 1, 1), copy=False)
 
     def sampled_structure(self) -> tuple[np.ndarray, None]:
         return self._src[[int(g) for g in self.sample_elements]], None
-
-
-def permutation_action(group: FiniteGroup, point_table, mu, validate: bool = True) -> PermutationAction:
-    return PermutationAction(group, point_table, mu, validate=validate)
 
 
 def left_translation_action(G: FiniteGroup, mu=None) -> PermutationAction:
@@ -573,7 +568,7 @@ class DualTranslationAction(PermutationAction):
         # row chi of the character table is chi(.), so the diagonal entry at
         # chi is sum_g f(g) chi(g)
         vals = self.characters.table @ np.asarray(f, dtype=complex)
-        return AlgebraElement(self.shape, [vals.reshape(-1, 1, 1)], copy=False)
+        return AlgebraElement(self.shape, vals.reshape(-1, 1, 1), copy=False)
 
     def symbol(self, x: AlgebraElement) -> np.ndarray:
         """Recover f(g) = trace(lambda(g)* x); exact on this algebra."""
@@ -641,12 +636,12 @@ def induced_action(G: FiniteGroup, h_indices, inner: Action, iso) -> Permutation
             h = G.compose(G.inverse(reps[a]), w)
             target[g, j] = a
             inner_elt[g, j] = inner.group.inverse(int(iso[pos[h]]))
-    t = len(inner.shape.block_dims)
+    t = len(inner.shape.trace_weights)
     src = (target[:, :, None] * t + inner._src[inner_elt]).reshape(G.order, J * t)
     if isinstance(inner, PermutationAction):
         act = PermutationAction(G, src[G.inverse_table], np.tile(inner.mu, J))
     elif isinstance(inner, ConjugationAction):
-        n = inner.shape.block_dims[0]
+        n = inner.shape.block_dim
         act = ConjugationAction(G, inner.unitaries[inner_elt].reshape(G.order, J * t, n, n), src,
                                 inner.shape.trace_weights * J)
     else:
@@ -724,7 +719,7 @@ class WaveletAction(Action):
             a_min=2.0 ** (-h / den), a_max=2.0 ** (h / den), n_a=2 * h + 1,
             b_min=-design.b_extent, b_max=design.b_extent, n_b=design.n_b,
         )
-        shape = AlgebraShape((K,), (1.0,))
+        shape = AlgebraShape(K, (1.0,))
         self.n_a = 2 * h + 1
         self.n_b = design.n_b
         self.shifts = np.arange(-h, h + 1)
@@ -780,8 +775,8 @@ class WaveletAction(Action):
         a, b = float(g[0]), float(g[1])
         j = self.shift_of(a)
         phase = np.exp(-2j * np.pi * b * self.xi)
-        rolled = self._dilated(x.stacks[0][0], j)
-        return AlgebraElement(self.shape, [(rolled * np.outer(phase, phase.conj()))[None]], copy=False)
+        rolled = self._dilated(x.blocks[0], j)
+        return AlgebraElement(self.shape, (rolled * np.outer(phase, phase.conj()))[None], copy=False)
 
     # -- structured bulk paths --------------------------------------------
 
@@ -789,7 +784,7 @@ class WaveletAction(Action):
         return np.roll(y, shift=(-j, -j), axis=(0, 1))
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
-        xb, yb = x.stacks[0][0], y.stacks[0][0]
+        xb, yb = x.blocks[0], y.blocks[0]
         out = np.empty(self.n_a * self.n_b, dtype=complex)
         P = self.phases
         for i, j in enumerate(self.shifts):
@@ -802,7 +797,7 @@ class WaveletAction(Action):
         # through the precomputed phase gram instead of looping over nodes
         if np.asarray(weights).shape[0] != self.n_a * self.n_b:
             raise ActionError("weights do not match the node grid")
-        xb, yb = x.stacks[0][0], y.stacks[0][0]
+        xb, yb = x.blocks[0], y.blocks[0]
         d_log_a = self.log_ratio
         total = 0.0 + 0.0j
         for j in self.shifts:
@@ -813,7 +808,7 @@ class WaveletAction(Action):
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         coeffs = np.asarray(coeffs, dtype=complex).reshape(self.n_a, self.n_b)
-        xb = x.stacks[0][0]
+        xb = x.blocks[0]
         acc = np.zeros_like(xb)
         P = self.phases
         for i, j in enumerate(self.shifts):
@@ -823,7 +818,7 @@ class WaveletAction(Action):
             else:
                 kernel = (P.T * c) @ P.conj()
             acc += self._dilated(xb, j) * kernel
-        return AlgebraElement(self.shape, [acc[None]], copy=False)
+        return AlgebraElement(self.shape, acc[None], copy=False)
 
     def trace_preservation_defect(self) -> float:
         # each node acts by an exactly unitary conjugation: the defect of the
@@ -851,26 +846,26 @@ class WaveletAction(Action):
         v[np.abs(t - center_octaves) > self.design.support_octaves] = 0.0
         return v
 
-    def random_positive(self, rng: np.random.Generator, parts: int = 3) -> AlgebraElement:
+    def random_positive(self, rng: np.random.Generator) -> AlgebraElement:
         """Positive element: a few random smooth bumps plus a small spectral floor."""
         r = self.design.support_octaves
         K = self.grid_size
         mat = np.zeros((K, K), dtype=complex)
-        for _ in range(parts):
+        for _ in range(3):
             center = rng.uniform(-r / 3.0, r / 3.0)
             width = rng.uniform(0.12, 0.25)
             nu = rng.uniform(-1.0, 1.0)
             v = self.bump_vector(center, width, nu)
             mat += np.outer(v, v.conj())
         mat += 1e-7 * float(np.abs(np.diag(mat)).max()) * np.eye(K)
-        return AlgebraElement(self.shape, [mat[None]], copy=False)
+        return AlgebraElement(self.shape, mat[None], copy=False)
 
-    def random_element(self, rng: np.random.Generator, parts: int = 3) -> AlgebraElement:
+    def random_element(self, rng: np.random.Generator) -> AlgebraElement:
         """General (non-hermitian) element spanned by smooth windowed bumps."""
         r = self.design.support_octaves
         K = self.grid_size
         mat = np.zeros((K, K), dtype=complex)
-        for _ in range(parts):
+        for _ in range(3):
             cu, cw = rng.uniform(-r / 3.0, r / 3.0, size=2)
             wu, ww = rng.uniform(0.12, 0.25, size=2)
             nuu, nuw = rng.uniform(-1.0, 1.0, size=2)
@@ -878,7 +873,7 @@ class WaveletAction(Action):
             u = self.bump_vector(cu, wu, nuu)
             w = self.bump_vector(cw, ww, nuw)
             mat += coeff * np.outer(u, w.conj())
-        return AlgebraElement(self.shape, [mat[None]], copy=False)
+        return AlgebraElement(self.shape, mat[None], copy=False)
 
     def weak_probes(self) -> list[AlgebraElement]:
         """Fixed family of smooth probe states for weak operator comparisons."""
@@ -887,7 +882,7 @@ class WaveletAction(Action):
             for center in (-0.5, -0.25, 0.0, 0.25, 0.5):
                 for nu in (0.0, 0.7):
                     v = self.bump_vector(center, 0.18, nu)
-                    probes.append(AlgebraElement(self.shape, [np.outer(v, v.conj())[None]], copy=False))
+                    probes.append(AlgebraElement(self.shape, np.outer(v, v.conj())[None], copy=False))
             self._probes = probes
         return self._probes
 
@@ -923,11 +918,7 @@ class WaveletAction(Action):
     def off_scalar_norm(self, off: AlgebraElement) -> float:
         """Largest entry inside the window, where the truncation leaves the
         estimate unsmeared."""
-        return float(np.abs(off.stacks[0][0, self.window, self.window]).max())
-
-
-def wavelet_action(design: WaveletDesign | None = None) -> WaveletAction:
-    return WaveletAction(design if design is not None else WaveletDesign())
+        return float(np.abs(off.blocks[0, self.window, self.window]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -998,29 +989,28 @@ def dense_fixed_point_dimension(action: Action, tol: float = 1e-8) -> int:
     return _stacked_nullity(maps, tol)
 
 
-def is_trace_preserving(action: Action, tol: float = 1e-10, scenario: str = "") -> CheckReport:
+def is_trace_preserving(action: Action, scenario: str = "") -> CheckReport:
     """Report whether the trace is invariant under the sampled action elements."""
     defect = action.trace_preservation_defect()
     return CheckReport.bound(
         "trace-preservation",
         "trace(g.x) equals trace(x) over sampled g and a basis of x",
-        defect, 0.0, tol_rel=0.0, tol_abs=tol, scenario=scenario,
+        defect, 0.0, tol_rel=0.0, tol_abs=1e-10, scenario=scenario,
         notes=f"defect={defect:.3e}",
     )
 
 
-def homomorphism_defect(action: Action, rng: np.random.Generator,
-                        pairs: int = 24, probes=None) -> float:
+def homomorphism_defect(action: Action, rng: np.random.Generator, probes=None) -> float:
     """max over sampled pairs of sup|g.(h.x) - (gh).x|."""
     group = action.group
     if probes is None:
         probes = [action.random_element(rng)]
     if isinstance(group, QuadratureGroup):
-        chosen = [(a, b) for a in action.sample_elements for b in action.sample_elements][:pairs]
+        chosen = [(a, b) for a in action.sample_elements for b in action.sample_elements][:24]
     elif group.order <= 16:  # exhaustive for small groups, sampled beyond
         chosen = [(a, b) for a in group.elements() for b in group.elements()]
     else:
-        chosen = [tuple(rng.integers(0, group.order, size=2)) for _ in range(pairs)]
+        chosen = [tuple(rng.integers(0, group.order, size=2)) for _ in range(24)]
     worst = 0.0
     for a, b in chosen:
         for x in probes:
@@ -1050,14 +1040,13 @@ def automorphism_defect(action: Action, rng: np.random.Generator, trials: int = 
     return worst
 
 
-def isometry_defect(action: Action, rng: np.random.Generator, trials: int = 4,
-                    exponents=(1.0, 2.0, 3.0, math.inf)) -> float:
+def isometry_defect(action: Action, rng: np.random.Generator, trials: int = 4) -> float:
     """max over p of | ||g.x||_p - ||x||_p | / ||x||_p."""
     worst = 0.0
     for g in action.sample_elements:
         for _ in range(trials):
             x = action.random_element(rng)
-            for p in exponents:
+            for p in (1.0, 2.0, 3.0, math.inf):
                 ref = p_norm(x, p)
                 if ref == 0.0:
                     continue

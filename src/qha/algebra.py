@@ -1,22 +1,22 @@
 """Finite-dimensional tracial operator algebras.
 
-An algebra here is a direct sum of full complex matrix blocks, with a trace
-that weights block k by a positive scalar.  Every finite-dimensional von
-Neumann algebra has this form, so a plain hermitian eigendecomposition gives
-the spectral powers the laws need.  Elements are immutable; every operation
-returns a new element.
+An algebra here is a direct sum of t full complex n x n matrix blocks, with
+a trace that weights block k by a positive scalar; a hermitian
+eigendecomposition of each block gives the spectral powers the laws need.
+Elements are immutable; every operation returns a new element.
 
-An element is stored as one (m, n, n) stack per size class: the m blocks of
-size n, in block order.  Every operation, the spectral ones included (the
-trace, singular values, hermitian eigendecompositions), is one numpy call
-per size class, so a diagonal algebra costs one call, not one per atom.
-``vec`` and ``basis`` run class by class, which is block order unless blocks
-of different sizes interleave.
+All blocks have one size because the laws assume an ergodic automorphic
+action: an automorphism maps each block onto a block of the same size, and
+ergodicity makes the action transitive on the blocks (otherwise the sum of
+the central projections over one block orbit is a non-scalar fixed point).
+An element is therefore stored as one read-only (t, n, n) array, row k
+holding block k, and every operation, the spectral ones included (the trace,
+singular values, hermitian eigendecompositions), is one stacked numpy call,
+so a diagonal algebra costs one call, not one per atom.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -49,85 +49,64 @@ class ParameterError(AlgebraError, ValueError):
 
 @dataclass(frozen=True)
 class AlgebraShape:
-    """Block structure: matrix sizes and the trace weight of each block."""
+    """Block structure: t = len(trace_weights) blocks of size block_dim, and
+    the trace weight of each block."""
 
-    block_dims: tuple[int, ...]
+    block_dim: int
     trace_weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.block_dims) != len(self.trace_weights):
-            raise ShapeMismatchError("block_dims and trace_weights differ in length")
-        if len(self.block_dims) == 0:
+        if len(self.trace_weights) == 0:
             raise ShapeMismatchError("algebra needs at least one block")
-        if any(int(n) < 1 or int(n) != n for n in self.block_dims):
-            raise ShapeMismatchError("block dimensions must be positive integers")
+        if int(self.block_dim) < 1 or int(self.block_dim) != self.block_dim:
+            raise ShapeMismatchError("block dimension must be a positive integer")
         if any(not (w > 0) for w in self.trace_weights):
             raise ShapeMismatchError("trace weights must be positive")
-        object.__setattr__(self, "block_dims", tuple(int(n) for n in self.block_dims))
+        object.__setattr__(self, "block_dim", int(self.block_dim))
         object.__setattr__(self, "trace_weights", tuple(float(w) for w in self.trace_weights))
 
-    @functools.cached_property
-    def size_classes(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-        """Blocks grouped by size: (block indices, their trace weights) per
-        distinct size, in order of first appearance."""
-        weights = np.array(self.trace_weights)
-        classes = []
-        for n in dict.fromkeys(self.block_dims):
-            idx = tuple(k for k, m in enumerate(self.block_dims) if m == n)
-            classes.append((idx, weights[list(idx)]))
-        return tuple(classes)
+    @property
+    def blocks_shape(self) -> tuple[int, int, int]:
+        """(t, n, n) of the array holding an element's blocks."""
+        return (len(self.trace_weights), self.block_dim, self.block_dim)
 
     @property
     def total_dim(self) -> int:
-        """Real dimension of the linearization, sum of n_k^2."""
-        return int(sum(n * n for n in self.block_dims))
-
-    @functools.cached_property
-    def stack_shapes(self) -> tuple[tuple[int, int, int], ...]:
-        """(m, n, n) of the stack holding each size class's m blocks of size n."""
-        return tuple((len(idx), self.block_dims[idx[0]], self.block_dims[idx[0]])
-                     for idx, _ in self.size_classes)
+        """Real dimension of the linearization, t n^2."""
+        return math.prod(self.blocks_shape)
 
     def zero(self) -> AlgebraElement:
-        return AlgebraElement(self, [np.zeros(s, dtype=complex) for s in self.stack_shapes], copy=False)
+        return AlgebraElement(self, np.zeros(self.blocks_shape, dtype=complex), copy=False)
 
     def identity(self) -> AlgebraElement:
         return self.scalar(1.0)
 
     def scalar(self, c: complex) -> AlgebraElement:
-        return AlgebraElement(self, [np.broadcast_to(c * np.eye(s[1], dtype=complex), s)
-                                     for s in self.stack_shapes])
+        return AlgebraElement(self, np.broadcast_to(c * np.eye(self.block_dim, dtype=complex),
+                                                    self.blocks_shape))
 
     def basis(self) -> Iterator[AlgebraElement]:
-        """Matrix-unit basis in ``vec`` order: size class by size class, the
-        blocks of a class in block order, row-major inside each block.  This is
-        block order unless blocks of different sizes interleave."""
-        for c, s in enumerate(self.stack_shapes):
-            for k in range(math.prod(s)):
-                stacks = [np.zeros(t, dtype=complex) for t in self.stack_shapes]
-                stacks[c].flat[k] = 1.0
-                yield AlgebraElement(self, stacks, copy=False)
+        """Matrix-unit basis in ``vec`` order: block by block, row-major inside
+        each block."""
+        for k in range(self.total_dim):
+            blocks = np.zeros(self.blocks_shape, dtype=complex)
+            blocks.flat[k] = 1.0
+            yield AlgebraElement(self, blocks, copy=False)
 
 
 class AlgebraElement:
-    """Immutable element of a block algebra: one read-only complex (m, n, n)
-    stack per entry of ``shape.size_classes``, row i holding the block
-    ``idx[i]`` of that class."""
+    """Immutable element of a block algebra: one read-only complex (t, n, n)
+    array ``blocks`` whose row k is block k."""
 
-    __slots__ = ("shape", "stacks")
+    __slots__ = ("shape", "blocks")
 
-    def __init__(self, shape: AlgebraShape, stacks, copy: bool = True):
-        if len(stacks) != len(shape.stack_shapes):
-            raise ShapeMismatchError("need one stack per size class")
-        stored = []
-        for expected, s in zip(shape.stack_shapes, stacks):
-            arr = np.array(s, dtype=complex, copy=copy)
-            if arr.shape != expected:
-                raise ShapeMismatchError(f"stack of shape {arr.shape}, expected {expected}")
-            arr.setflags(write=False)
-            stored.append(arr)
+    def __init__(self, shape: AlgebraShape, blocks, copy: bool = True):
+        arr = np.array(blocks, dtype=complex, copy=copy)
+        if arr.shape != shape.blocks_shape:
+            raise ShapeMismatchError(f"blocks of shape {arr.shape}, expected {shape.blocks_shape}")
+        arr.setflags(write=False)
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "stacks", tuple(stored))
+        object.__setattr__(self, "blocks", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
@@ -138,41 +117,40 @@ class AlgebraElement:
 
     def __add__(self, other: AlgebraElement) -> AlgebraElement:
         self._require_same_shape(other)
-        return AlgebraElement(self.shape, [a + b for a, b in zip(self.stacks, other.stacks)], copy=False)
+        return AlgebraElement(self.shape, self.blocks + other.blocks, copy=False)
 
     def __sub__(self, other: AlgebraElement) -> AlgebraElement:
         self._require_same_shape(other)
-        return AlgebraElement(self.shape, [a - b for a, b in zip(self.stacks, other.stacks)], copy=False)
+        return AlgebraElement(self.shape, self.blocks - other.blocks, copy=False)
 
     def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(self.shape, [-a for a in self.stacks], copy=False)
+        return AlgebraElement(self.shape, -self.blocks, copy=False)
 
     def __mul__(self, c) -> AlgebraElement:
-        c = complex(c)
-        return AlgebraElement(self.shape, [c * a for a in self.stacks], copy=False)
+        return AlgebraElement(self.shape, complex(c) * self.blocks, copy=False)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: AlgebraElement) -> AlgebraElement:
         self._require_same_shape(other)
-        return AlgebraElement(self.shape, [a @ b for a, b in zip(self.stacks, other.stacks)], copy=False)
+        return AlgebraElement(self.shape, self.blocks @ other.blocks, copy=False)
 
     def adjoint(self) -> AlgebraElement:
-        return AlgebraElement(self.shape, [a.conj().swapaxes(1, 2) for a in self.stacks], copy=False)
+        return AlgebraElement(self.shape, self.blocks.conj().swapaxes(1, 2), copy=False)
 
     def hermitian_defect(self) -> float:
-        return max(float(np.abs(a - a.conj().swapaxes(1, 2)).max()) for a in self.stacks)
+        return float(np.abs(self.blocks - self.blocks.conj().swapaxes(1, 2)).max())
 
     def max_abs_entry(self) -> float:
-        return max(float(np.abs(a).max()) for a in self.stacks)
+        return float(np.abs(self.blocks).max())
 
     def vec(self) -> np.ndarray:
-        """Row-major concatenation of the stacks, in the order of AlgebraShape.basis."""
-        return np.concatenate(self.stacks, axis=None)
+        """Row-major flattening of the blocks, in the order of AlgebraShape.basis."""
+        return self.blocks.reshape(-1)
 
     def __repr__(self) -> str:
-        dims = "+".join(str(n) for n in self.shape.block_dims)
-        return f"AlgebraElement(dims={dims}, sup={self.max_abs_entry():.3e})"
+        t, n, _ = self.shape.blocks_shape
+        return f"AlgebraElement(blocks={t}x{n}x{n}, sup={self.max_abs_entry():.3e})"
 
 
 def sup_distance(a: AlgebraElement, b: AlgebraElement) -> float:
@@ -182,18 +160,12 @@ def sup_distance(a: AlgebraElement, b: AlgebraElement) -> float:
 
 def trace(x: AlgebraElement) -> complex:
     """Weighted trace: sum of trace_weights[k] * tr(block k)."""
-    return complex(sum(w @ np.trace(s, axis1=1, axis2=2)
-                       for (_, w), s in zip(x.shape.size_classes, x.stacks)))
-
-
-def _singular_values(x: AlgebraElement) -> list[np.ndarray]:
-    """Singular values, one (m, n) array per size class."""
-    return [np.linalg.svd(s, compute_uv=False) for s in x.stacks]
+    return complex(np.array(x.shape.trace_weights) @ np.trace(x.blocks, axis1=1, axis2=2))
 
 
 def op_norm(x: AlgebraElement) -> float:
     """Operator norm: the largest singular value over all blocks."""
-    return max(float(s[:, 0].max()) for s in _singular_values(x))
+    return float(np.linalg.svd(x.blocks, compute_uv=False)[:, 0].max())
 
 
 def p_norm(x: AlgebraElement, p: float) -> float:
@@ -203,26 +175,25 @@ def p_norm(x: AlgebraElement, p: float) -> float:
     p = float(p)
     if p < 1.0:
         raise ParameterError(f"norm exponent must be >= 1, got {p}")
-    total = sum(float(w @ np.sum(s ** p, axis=1))
-                for (_, w), s in zip(x.shape.size_classes, _singular_values(x)))
+    s = np.linalg.svd(x.blocks, compute_uv=False)
+    total = float(np.array(x.shape.trace_weights) @ np.sum(s ** p, axis=1))
     return float(total ** (1.0 / p))
 
 
-def eigh_blocks(x: AlgebraElement, herm_tol: float = 1e-9) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Hermitian eigendecompositions, one stacked pair (w, v) of shapes (m, n)
-    and (m, n, n) per size class of ``x.shape.size_classes``; rejects
-    non-hermitian input."""
-    scale = 1.0 + x.max_abs_entry()
-    if x.hermitian_defect() > herm_tol * scale:
+def eigh_blocks(x: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian eigendecomposition of every block, one stacked pair (w, v) of
+    shapes (t, n) and (t, n, n); rejects non-hermitian input."""
+    if x.hermitian_defect() > 1e-9 * (1.0 + x.max_abs_entry()):
         raise NotPositiveError("element is not hermitian within tolerance")
-    return [np.linalg.eigh(0.5 * (s + s.conj().swapaxes(1, 2))) for s in x.stacks]
+    b = x.blocks
+    return np.linalg.eigh(0.5 * (b + b.conj().swapaxes(1, 2)))
 
 
 def from_eigh(shape: AlgebraShape, eig, f: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:
     """Element with the eigenvectors of ``eig`` (from eigh_blocks) and the
-    eigenvalues f(w), f taking and returning one stacked array per class."""
-    return AlgebraElement(shape, [(v * f(w)[:, None, :]) @ v.conj().swapaxes(1, 2) for w, v in eig],
-                          copy=False)
+    eigenvalues f(w), f taking and returning the stacked (t, n) array."""
+    w, v = eig
+    return AlgebraElement(shape, (v * f(w)[:, None, :]) @ v.conj().swapaxes(1, 2), copy=False)
 
 
 def power(x: AlgebraElement, t: float) -> AlgebraElement:
@@ -233,7 +204,7 @@ def power(x: AlgebraElement, t: float) -> AlgebraElement:
     """
     scale = op_norm(x)
     eig = eigh_blocks(x)
-    low = min(float(w.min()) for w, _ in eig)
+    low = float(eig[0].min())
     if low < -EPS_PSD * max(scale, 1e-300):
         raise NotPositiveError(f"eigenvalue {low:.3e} below positivity clamp")
 
@@ -247,26 +218,21 @@ def power(x: AlgebraElement, t: float) -> AlgebraElement:
     return from_eigh(x.shape, eig, vals_of)
 
 
-def random_element(shape: AlgebraShape, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
-    """Seeded complex Gaussian element.  Each size class draws its real and
-    imaginary parts block by block, so on a shape with a single size class
-    the stream is consumed as by one draw per block in block order."""
-    stacks = []
-    for m, n, _ in shape.stack_shapes:
-        z = rng.standard_normal((m, 2, n, n))
-        stacks.append(scale * (z[:, 0] + 1j * z[:, 1]))
-    return AlgebraElement(shape, stacks, copy=False)
+def random_element(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
+    """Seeded complex Gaussian element.  The real and imaginary parts are
+    drawn block by block, so the stream is consumed as by one draw per block
+    in block order."""
+    t, n, _ = shape.blocks_shape
+    z = rng.standard_normal((t, 2, n, n))
+    return AlgebraElement(shape, z[:, 0] + 1j * z[:, 1], copy=False)
 
 
-def random_positive_element(
-    shape: AlgebraShape, rng: np.random.Generator, floor: float = 1e-6
-) -> AlgebraElement:
-    """Seeded positive element z*z + delta*1 with delta = floor * ||z*z||_inf.
+def random_positive_element(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
+    """Seeded positive element z*z + delta*1 with delta = 1e-6 * ||z*z||_inf.
 
     The floor keeps spectra away from the singular corner so that negative
     powers stay well conditioned.
     """
     z = random_element(shape, rng)
     zz = z.adjoint() @ z
-    delta = floor * op_norm(zz)
-    return zz + shape.scalar(delta)
+    return zz + shape.scalar(1e-6 * op_norm(zz))

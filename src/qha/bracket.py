@@ -53,12 +53,6 @@ def integrate_bracket(bf: BracketFunction) -> complex:
     return complex(np.dot(bf.weights, bf.values))
 
 
-def bracket_integral(x: AlgebraElement, y: AlgebraElement, action: Action,
-                     haar: HaarModel) -> complex:
-    """Integral of the bracket, using the action's collapsed fast path if any."""
-    return action.bracket_integral(x, y, haar.weights)
-
-
 def function_p_norm(bf: BracketFunction, r: float) -> float:
     """L^r norm of the sampled function: (sum w |v|^r)^{1/r}; r = inf is the sup."""
     if r == math.inf:

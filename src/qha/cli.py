@@ -166,12 +166,12 @@ def cmd_duflo(cfg: RunConfig) -> int:
         semi = check_semi_invariance(scn.action, scn.haar, est, tol_rel=scn.tol_rel,
                                      scenario=spec.scenario_id)
         lines.append(f"== {spec.scenario_id}")
-        for (idx, _), s in zip(est.d.shape.size_classes, est.d.stacks):
-            spectra = np.sort(np.linalg.eigvalsh(0.5 * (s + s.conj().swapaxes(1, 2))), axis=1)
-            for k, spectrum in zip(idx, spectra):
-                shown = ", ".join(f"{v:.9g}" for v in spectrum[:8])
-                more = "" if spectrum.size <= 8 else f", ... ({spectrum.size} total)"
-                lines.append(f"  block {k}: spectrum of D = [{shown}{more}]")
+        d = est.d.blocks
+        spectra = np.sort(np.linalg.eigvalsh(0.5 * (d + d.conj().swapaxes(1, 2))), axis=1)
+        for k, spectrum in enumerate(spectra):
+            shown = ", ".join(f"{v:.9g}" for v in spectrum[:8])
+            more = "" if spectrum.size <= 8 else f", ... ({spectrum.size} total)"
+            lines.append(f"  block {k}: spectrum of D = [{shown}{more}]")
         if est.scalar_flag:
             lines.append(f"  scalar: yes, D = {est.scalar_value:.12g} * 1")
         else:

@@ -48,7 +48,6 @@ from .actions import (
 from .bracket import (
     InverseClosureError,
     bracket,
-    bracket_integral,
     bracket_symmetry_defect,
     function_p_norm,
     integrate_bracket,
@@ -134,8 +133,7 @@ def estimate_duflo(
     d_inv = _orbit_density(action, haar, x_test)
 
     eig = eigh_blocks(d_inv)
-    min_eig = min(float(w.min()) for w, _ in eig)
-    max_eig = max(float(w.max()) for w, _ in eig)
+    min_eig, max_eig = float(eig[0].min()), float(eig[0].max())
     if min_eig <= 1e-12 * max_eig:
         raise EstimateError(
             f"orbit density is not positive definite (min eig {min_eig:.3e}); "
@@ -204,7 +202,7 @@ def check_orthogonality(
     For the general form (any x, y) the right-hand side carries the adjoint
     of y; see the module docstring.
     """
-    lhs = bracket_integral(x, y, action, haar)
+    lhs = action.bracket_integral(x, y, haar.weights)
     y_eff = y if positive else y.adjoint()
     rhs = trace(x) * trace(est.sandwich(-0.5, y_eff))
     name = "orthogonality-positive" if positive else "orthogonality-general"
@@ -396,11 +394,7 @@ def check_alt(a: AlgebraElement, b: AlgebraElement, r: int,
     if r < 1 or int(r) != r:
         raise ParameterError("power must be a positive integer")
     r = int(r)
-    bab = b @ a @ b
-    acc = bab
-    for _ in range(r - 1):
-        acc = acc @ bab
-    lhs = trace(acc).real
+    lhs = trace(_int_power(b @ a @ b, r)).real
     ar, br = _int_power(a, r), _int_power(b, r)
     rhs = trace(br @ ar @ br).real
     return CheckReport.bound(
@@ -518,7 +512,7 @@ def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
         scenario=sid, notes=f"hom={hom:.2e} aut={aut:.2e} iso={iso:.2e}",
     ))
 
-    reports.append(is_trace_preserving(action, tol=1e-10, scenario=sid))
+    reports.append(is_trace_preserving(action, scenario=sid))
 
     dim = fixed_point_dimension(action)
     reports.append(CheckReport.equality(
@@ -528,7 +522,7 @@ def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
     ))
 
     x1, x2 = scn.duflo_pair()
-    witness = bracket_integral(x1, x1, action, haar)
+    witness = action.bracket_integral(x1, x1, haar.weights)
     ok = math.isfinite(witness.real) and witness.real > 0 and abs(witness.imag) <= 1e-9 * (1 + abs(witness.real))
     reports.append(CheckReport.flag(
         "integrability-witness",

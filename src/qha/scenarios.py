@@ -28,6 +28,8 @@ import numpy as np
 from .algebra import AlgebraElement, trace
 from .actions import (
     Action,
+    PermutationAction,
+    WaveletAction,
     WaveletDesign,
     conjugation_action,
     coset_action,
@@ -36,9 +38,7 @@ from .actions import (
     finite_weyl_heisenberg,
     induced_action,
     left_translation_action,
-    permutation_action,
     s3_irreps,
-    wavelet_action,
 )
 from .groups import (
     FiniteGroup,
@@ -148,7 +148,7 @@ class Scenario:
             ))
         if self.expected_kernel == "inverse-frequency":
             act = self.action
-            multiplier = AlgebraElement(self.shape, [np.diag(1.0 / act.xi)[None]])
+            multiplier = AlgebraElement(self.shape, np.diag(1.0 / act.xi)[None])
             pair_est = np.array([trace(est.d_inverse @ z).real for z in act.weak_probes()])
             pair_ref = np.array([trace(multiplier @ z).real for z in act.weak_probes()])
             c = float(pair_est @ pair_ref / (pair_ref @ pair_ref))
@@ -373,7 +373,7 @@ def refined_wavelet(spec: ScenarioSpec, level: int) -> Scenario:
     preset = tokens[1]
     if preset not in _WAVELET_PRESETS:
         raise ConfigError(f"unknown wavelet preset {preset!r}; valid: {sorted(_WAVELET_PRESETS)}")
-    action = wavelet_action(_WAVELET_PRESETS[preset].scaled(2 ** level))
+    action = WaveletAction(_WAVELET_PRESETS[preset].scaled(2 ** level))
     haar = action.group.haar()
     return Scenario(spec, action, haar, expected_kernel="inverse-frequency",
                     expect_tol=1e-2, **_WAVELET_DEFAULTS)
@@ -381,7 +381,7 @@ def refined_wavelet(spec: ScenarioSpec, level: int) -> Scenario:
 
 def _build_broken(spec: ScenarioSpec) -> Scenario:
     G = cyclic(2)
-    action = permutation_action(G, G.table, mu=np.array([1.0, 2.0]), validate=False)
+    action = PermutationAction(G, G.table, mu=np.array([1.0, 2.0]), validate=False)
     haar = counting_haar(G)
     return Scenario(spec, action, haar, expect_tol=1e-9, **_FINITE_DEFAULTS)
 
@@ -490,7 +490,7 @@ def _mirrors(scn: Scenario) -> dict[str, dict[str, str]]:
         "group": group_section,
         "haar": {"normalization": scn.haar.normalization},
         "algebra": {
-            "block_dims": ",".join(str(n) for n in scn.shape.block_dims),
+            "block_dims": ",".join([str(scn.shape.block_dim)] * len(scn.shape.trace_weights)),
             "trace_weights": ",".join(f"{w:.17g}" for w in scn.shape.trace_weights),
         },
         "action": {"kind": scn.action.kind},

@@ -12,7 +12,6 @@ import pytest
 
 from qha.algebra import AlgebraElement, trace
 from qha.actions import conjugation_action, finite_weyl_heisenberg
-from qha.bracket import bracket_integral
 from qha.cli import refinement_metrics
 from qha.duflo import (
     ALT_POWERS,
@@ -145,7 +144,7 @@ def test_criterion_4_fourier_inversion():
         shift2 = np.array([f2[G.compose(g, h)] for h in G.elements()])
         x = act.from_symbol(shift)
         y = act.from_symbol(shift2)
-        lhs = bracket_integral(x, y, act, scn.haar)
+        lhs = act.bracket_integral(x, y, scn.haar.weights)
         oracle = complex(chars[:, g] @ F_hat)   # sum_omega F_hat(omega) omega(g)
         target = 64.0 * F[g]
         scale = max(abs(target), 1.0)
@@ -165,8 +164,8 @@ def test_criterion_5_induced_identity():
     # algebra holds one copy of its 2 x 2 block per coset, coset after coset
     inner = conjugation_action(finite_weyl_heisenberg(2))
     inner_haar = counting_haar(inner.group)
-    t = len(inner.shape.block_dims)
-    coset_count = len(act.shape.block_dims) // t
+    t = len(inner.shape.trace_weights)
+    coset_count = len(act.shape.trace_weights) // t
 
     # independent estimate of the subgroup scaling operator
     from qha.algebra import random_positive_element
@@ -183,7 +182,7 @@ def test_criterion_5_induced_identity():
         lhs = trace(est.d_inverse @ y)
         rhs = 0.0 + 0.0j
         for j in range(coset_count):
-            yj = AlgebraElement(inner.shape, [y.stacks[0][j * t:(j + 1) * t]])
+            yj = AlgebraElement(inner.shape, y.blocks[j * t:(j + 1) * t])
             rhs += trace(inner_est.d_inverse @ yj)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     elapsed = time.monotonic() - t0

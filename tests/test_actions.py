@@ -22,8 +22,10 @@ from qha.actions import (
     ConjugationAction,
     GridError,
     MeasureError,
+    PermutationAction,
     RepresentationError,
     UnitaryRep,
+    WaveletAction,
     WaveletDesign,
     automorphism_defect,
     commutant_certificate,
@@ -39,15 +41,13 @@ from qha.actions import (
     is_trace_preserving,
     isometry_defect,
     left_translation_action,
-    permutation_action,
     s3_irreps,
     trivial_rep,
-    wavelet_action,
 )
 from qha.groups import cyclic, product
 from qha.scenarios import ScenarioSpec, build_scenario, list_builtins
 
-from helpers import blocks_of, element, nodes_of
+from helpers import nodes_of
 
 
 SMALL_WAVELET = WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
@@ -173,17 +173,17 @@ class TestPermutationAction:
 
     def test_trivial_group_not_ergodic(self):
         G = cyclic(1)
-        act = permutation_action(G, np.array([[0, 1]]), np.array([1.0, 1.0]))
+        act = PermutationAction(G, np.array([[0, 1]]), np.array([1.0, 1.0]))
         assert fixed_point_dimension(act) == 2
 
     def test_rejects_non_invariant_measure(self):
         G = cyclic(2)
         with pytest.raises(MeasureError):
-            permutation_action(G, G.table, np.array([1.0, 2.0]))
+            PermutationAction(G, G.table, np.array([1.0, 2.0]))
 
     def test_validate_escape_for_fixtures(self):
         G = cyclic(2)
-        act = permutation_action(G, G.table, np.array([1.0, 2.0]), validate=False)
+        act = PermutationAction(G, G.table, np.array([1.0, 2.0]), validate=False)
         rep = is_trace_preserving(act)
         assert not rep.passed
 
@@ -205,7 +205,7 @@ KERNEL_IDS = (*ORACLE_IDS, "induced:cyclic(4)xcyclic(4):cyclic(2)xcyclic(2):tran
 
 def _kernel_action(sid):
     if sid == "small-wavelet":
-        return wavelet_action(SMALL_WAVELET)
+        return WaveletAction(SMALL_WAVELET)
     return build_scenario(ScenarioSpec(sid, seed=1729)).action
 
 
@@ -293,13 +293,13 @@ class TestDualAction:
         lam = np.array([wh.matrix(G.index_of_tuple((a, m * b))) for a, b in map(G.tuple_of_index, G.elements())])
         rng = np.random.default_rng(5)
         x = random_element(act.shape, rng)
-        f = np.einsum("gij,ij->g", lam.conj(), x.stacks[0][0]) / n
+        f = np.einsum("gij,ij->g", lam.conj(), x.blocks[0]) / n
         for s in range(n):
             for t in range(n):
                 omega = act.group.index_of_tuple((s, t))
                 chi = np.array([np.exp(2j * np.pi * (s * a + t * b) / n)
                                 for a, b in map(G.tuple_of_index, G.elements())])
-                direct = element(act.shape, [np.einsum("g,gij->ij", chi * f, lam)])
+                direct = AlgebraElement(act.shape, [np.einsum("g,gij->ij", chi * f, lam)])
                 assert sup_distance(act.apply(omega, x), direct) < 1e-10
 
     def test_twisted_dual_ergodic(self):
@@ -333,14 +333,14 @@ class TestInducedAction:
         rng = np.random.default_rng(6)
         x = random_element(act.shape, rng)
         for g in G.elements():
-            expect = inner.apply(g, AlgebraElement(inner.shape, x.stacks))
+            expect = inner.apply(g, AlgebraElement(inner.shape, x.blocks))
             got = act.apply(g, x)
-            assert sup_distance(got, AlgebraElement(act.shape, expect.stacks)) < 1e-12
+            assert sup_distance(got, AlgebraElement(act.shape, expect.blocks)) < 1e-12
 
     def test_builtin_instance_ergodic(self):
         G, h, inner, iso = _builtin_induced()
         act = induced_action(G, h, inner, iso)
-        assert act.shape.block_dims == (2, 2)
+        assert act.shape.blocks_shape == (2, 2, 2)
         assert fixed_point_dimension(act) == 1
 
     def test_trace_of_identity(self):
@@ -365,13 +365,13 @@ class TestInducedAction:
 
 class TestWaveletAction:
     def test_identity_matrix(self):
-        act = wavelet_action(SMALL_WAVELET)
+        act = WaveletAction(SMALL_WAVELET)
         U = act.matrix(act.group.identity)
         assert np.abs(U - np.eye(act.grid_size)).max() < 1e-12
 
     def test_node_unitarity(self):
         # every node operator is exactly unitary on the cyclic grid
-        act = wavelet_action(SMALL_WAVELET)
+        act = WaveletAction(SMALL_WAVELET)
         rng = np.random.default_rng(8)
         xi = rng.standard_normal(act.grid_size) + 1j * rng.standard_normal(act.grid_size)
         for i in range(0, act.group.node_count, 97):
@@ -380,7 +380,7 @@ class TestWaveletAction:
 
     def test_composition_on_window_rows(self):
         # derived check: matrix products agree on unwrapped rows
-        act = wavelet_action(SMALL_WAVELET)
+        act = WaveletAction(SMALL_WAVELET)
         g = np.array([2.0 ** (2 / 8), 0.3])
         h = np.array([2.0 ** (-1 / 8), -0.2])
         Ug, Uh = act.matrix(g), act.matrix(h)
@@ -389,30 +389,30 @@ class TestWaveletAction:
         assert np.abs((Ug @ Uh - Ugh)[rows, :]).max() < 1e-10
 
     def test_apply_matches_matrix_conjugation(self):
-        act = wavelet_action(SMALL_WAVELET)
+        act = WaveletAction(SMALL_WAVELET)
         rng = np.random.default_rng(9)
         x = act.random_element(rng)
         g = act.group.nodes[7]
         U = act.matrix(g)
-        direct = element(act.shape, [U @ x.stacks[0][0] @ U.conj().T])
+        direct = AlgebraElement(act.shape, [U @ x.blocks[0] @ U.conj().T])
         assert sup_distance(act.apply(g, x), direct) < 1e-12
 
     def test_modular_values_match_per_node(self):
-        act = wavelet_action(SMALL_WAVELET)
+        act = WaveletAction(SMALL_WAVELET)
         ref = np.array([act.group.modular(p) for p in act.group.nodes])
         assert np.array_equal(act.modular_values(), ref)
 
     def test_rejects_off_grid_dilation(self):
-        act = wavelet_action(SMALL_WAVELET)
+        act = WaveletAction(SMALL_WAVELET)
         with pytest.raises(GridError):
             act.matrix((1.3, 0.0))
 
     def test_sampled_ergodicity(self):
-        act = wavelet_action(SMALL_WAVELET)
+        act = WaveletAction(SMALL_WAVELET)
         assert fixed_point_dimension(act) == 1
 
     def test_bracket_integral_matches_weighted_values(self):
-        act = wavelet_action(SMALL_WAVELET)
+        act = WaveletAction(SMALL_WAVELET)
         rng = np.random.default_rng(12)
         x, y = act.random_positive(rng), act.random_positive(rng)
         w = act.group.haar_weights
@@ -441,18 +441,18 @@ class TestComparisonHooks:
         assert act.off_scalar_norm(a) == op_norm(a)
 
     def test_wavelet_cross_check_is_weak_pairing(self):
-        act = wavelet_action(SMALL_WAVELET)
+        act = WaveletAction(SMALL_WAVELET)
         rng = np.random.default_rng(22)
         a, b = act.random_positive(rng), act.random_positive(rng)
         assert act.cross_check_distance(a, b) == act.weak_pairing_defect(a, b)
         assert act.cross_check_distance(a, b) != (a - b).max_abs_entry() / a.max_abs_entry()
 
     def test_wavelet_off_scalar_norm_reads_only_the_window(self):
-        act = wavelet_action(SMALL_WAVELET)
+        act = WaveletAction(SMALL_WAVELET)
         mat = np.zeros((act.grid_size, act.grid_size), dtype=complex)
         mat[0, 0] = 50.0  # outside the window: ignored
         mat[act.center, act.center + 1] = 0.5
-        off = element(act.shape, [mat])
+        off = AlgebraElement(act.shape, [mat])
         assert act.off_scalar_norm(off) == 0.5
         assert op_norm(off) == 50.0
 
@@ -507,15 +507,15 @@ class TestErgodicityCount:
     @pytest.mark.parametrize("act", [
         conjugation_action(finite_weyl_heisenberg(3)),
         dual_action(product(cyclic(5), cyclic(5)), 2),
-        wavelet_action(SMALL_WAVELET),
+        WaveletAction(SMALL_WAVELET),
     ], ids=["conjugation", "twisted-dual", "wavelet"])
     def test_sampled_unitaries_conjugate_like_apply(self, act):
         rng = np.random.default_rng(16)
         x = random_element(act.shape, rng)
-        blocks = blocks_of(x)
+        blocks = x.blocks
         src, unitaries = act.sampled_structure()
         for g, row, Us in zip(act.sample_elements, src, unitaries):
-            direct = element(act.shape, [U @ blocks[k] @ U.conj().T for k, U in zip(row, Us)])
+            direct = AlgebraElement(act.shape, [U @ blocks[k] @ U.conj().T for k, U in zip(row, Us)])
             assert sup_distance(act.apply(g, x), direct) < 1e-10
 
     def test_simple_spectrum_disconnected_graph(self):
@@ -545,7 +545,7 @@ class TestErgodicityCount:
 
     def test_non_transitive_permutation(self):
         G = cyclic(2)
-        act = permutation_action(G, np.array([[0, 1, 2, 3], [1, 0, 3, 2]]), np.ones(4))
+        act = PermutationAction(G, np.array([[0, 1, 2, 3], [1, 0, 3, 2]]), np.ones(4))
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 2
 
     def test_induction_from_trivial_action(self):
@@ -554,7 +554,7 @@ class TestErgodicityCount:
         # points are the copies of any 2 x 2 matrix
         G = cyclic(4)
         act = induced_action(G, [0, 2], conjugation_action(trivial_rep(cyclic(2), dim=2)), [0, 1])
-        assert act.kind == "induced" and act.shape.block_dims == (2, 2)
+        assert act.kind == "induced" and act.shape.blocks_shape == (2, 2, 2)
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 4
 
     @pytest.mark.parametrize("theta", [0.0, np.pi / 4], ids=["diagonal", "rotated"])
@@ -583,7 +583,7 @@ class TestErgodicityCount:
     @pytest.mark.parametrize("preset", ["coarse", "default", "small"])
     def test_wavelet_certificate(self, preset):
         if preset == "small":
-            act = wavelet_action(SMALL_WAVELET)
+            act = WaveletAction(SMALL_WAVELET)
         else:
             act = build_scenario(ScenarioSpec(f"affine-wavelet:{preset}")).action
         tol = 1e-8

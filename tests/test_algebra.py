@@ -1,4 +1,4 @@
-"""Block algebra: trace, norms, spectral powers, size-class batching."""
+"""Block algebra: trace, norms, spectral powers, stacked block batching."""
 
 import math
 
@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qha.algebra import (
+    AlgebraElement,
     AlgebraShape,
     DomainError,
     NotPositiveError,
@@ -24,32 +25,38 @@ from qha.algebra import (
 )
 from qha.duflo import DufloEstimate
 
-from helpers import blocks_of, element
-
-M2 = AlgebraShape((2,), (1.0,))
-MIXED = AlgebraShape((1, 2), (1.0, 0.5))
-BIG = AlgebraShape((2, 3), (1.0, 0.5))
+M2 = AlgebraShape(2, (1.0,))
+PAIR = AlgebraShape(2, (0.25, 0.75))
+BIG = AlgebraShape(3, (1.0, 0.5))
 
 
 def diag2(a, b, shape=M2):
-    return element(shape, [np.diag([a, b]).astype(complex)])
+    return AlgebraElement(shape, [np.diag([a, b]).astype(complex)])
 
 
 class TestShape:
     def test_rejects_empty(self):
         with pytest.raises(ShapeMismatchError):
-            AlgebraShape((), ())
+            AlgebraShape(2, ())
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ShapeMismatchError):
-            AlgebraShape((2,), (0.0,))
+            AlgebraShape(2, (0.0,))
 
     def test_rejects_bad_dim(self):
         with pytest.raises(ShapeMismatchError):
-            AlgebraShape((0,), (1.0,))
+            AlgebraShape(0, (1.0,))
+
+    def test_element_needs_the_block_axis(self):
+        with pytest.raises(ShapeMismatchError):
+            AlgebraElement(M2, np.eye(2))
+
+    def test_element_rejects_non_square_blocks(self):
+        with pytest.raises(ShapeMismatchError):
+            AlgebraElement(BIG, np.zeros((2, 3, 2)))
 
     def test_total_dim(self):
-        assert BIG.total_dim == 4 + 9
+        assert BIG.total_dim == 9 + 9
 
     def test_basis_spans(self):
         basis = list(BIG.basis())
@@ -63,8 +70,8 @@ class TestTrace:
         assert trace(M2.identity()) == pytest.approx(2.0)
 
     def test_identity_weighted(self):
-        # dims [1, 2] with weights [1, 0.5]: 1 + 0.5 * 2 = 2
-        assert trace(MIXED.identity()) == pytest.approx(2.0)
+        # two 2 x 2 blocks with weights [0.25, 0.75]: 0.25 * 2 + 0.75 * 2 = 2
+        assert trace(PAIR.identity()) == pytest.approx(2.0)
 
     def test_traceless_diag(self):
         assert trace(diag2(1.0, -1.0)) == pytest.approx(0.0)
@@ -94,7 +101,7 @@ class TestPNorm:
         assert p_norm(diag2(3.0, 4.0), math.inf) == pytest.approx(4.0)
 
     def test_weighted_p1(self):
-        shape = AlgebraShape((2,), (0.5,))
+        shape = AlgebraShape(2, (0.5,))
         assert p_norm(diag2(1.0, 1.0, shape), 1.0) == pytest.approx(1.0)
 
     def test_rejects_small_exponent(self):
@@ -115,7 +122,7 @@ class TestPositiveSqrt:
 
     def test_reassembly(self):
         # derived check: the square of the root reproduces the input
-        x = element(M2, [np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)])
+        x = AlgebraElement(M2, [np.array([[2.0, 1.0], [1.0, 2.0]], dtype=complex)])
         s = power(x, 0.5)
         assert sup_distance(s @ s, x) < 1e-12
 
@@ -135,7 +142,7 @@ class TestPower:
             power(diag2(0.0, 1.0), -0.5)
 
     def test_rejects_non_hermitian(self):
-        x = element(M2, [np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)])
+        x = AlgebraElement(M2, [np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)])
         with pytest.raises(NotPositiveError):
             power(x, 2.0)
 
@@ -148,39 +155,34 @@ class TestPower:
         assert sup_distance(inv @ x, BIG.identity()) < 1e-8
 
 
-# Blocks of sizes 1, 2 and 3 interleaved, so that each size class gathers
-# blocks from several places; distinct weights catch a weight paired with the
+# Several blocks with distinct weights, which catch a weight paired with the
 # wrong block.
-INTERLEAVED = AlgebraShape((1, 2, 1, 3, 2), (1.0, 0.5, 2.0, 0.25, 3.0))
+WEIGHTED = AlgebraShape(3, (1.0, 0.5, 2.0, 0.25, 3.0))
 
 
 def _block_spectra(x):
-    return [np.linalg.eigh(0.5 * (b + b.conj().T)) for b in blocks_of(x)]
+    return [np.linalg.eigh(0.5 * (b + b.conj().T)) for b in x.blocks]
 
 
 def _per_block(x, f):
     """Reference functional calculus, one eigendecomposition per block."""
-    return element(x.shape, [(v * f(w)) @ v.conj().T for w, v in _block_spectra(x)])
+    return AlgebraElement(x.shape, [(v * f(w)) @ v.conj().T for w, v in _block_spectra(x)])
 
 
 class TestSizeClasses:
-    """Batched spectral work per size class against a per-block reference."""
-
-    def test_size_classes_group_blocks(self):
-        assert [idx for idx, _ in INTERLEAVED.size_classes] == [(0, 2), (1, 4), (3,)]
-        assert [list(w) for _, w in INTERLEAVED.size_classes] == [[1.0, 2.0], [0.5, 3.0], [0.25]]
+    """Stacked spectral work over all blocks against a per-block reference."""
 
     def test_basis_is_vec_order(self):
-        # vec and basis run class by class, not block by block
-        vecs = np.array([e.vec() for e in INTERLEAVED.basis()])
-        assert np.array_equal(vecs, np.eye(INTERLEAVED.total_dim))
+        # vec and basis run block by block, row-major inside each block
+        vecs = np.array([e.vec() for e in WEIGHTED.basis()])
+        assert np.array_equal(vecs, np.eye(WEIGHTED.total_dim))
 
     def test_trace_and_norms(self):
-        x = random_element(INTERLEAVED, np.random.default_rng(30))
-        w = INTERLEAVED.trace_weights
-        ref_trace = sum(wk * np.trace(b) for wk, b in zip(w, blocks_of(x)))
+        x = random_element(WEIGHTED, np.random.default_rng(30))
+        w = WEIGHTED.trace_weights
+        ref_trace = sum(wk * np.trace(b) for wk, b in zip(w, x.blocks))
         assert abs(trace(x) - ref_trace) <= 1e-14 * abs(ref_trace)
-        sv = [np.linalg.svd(b, compute_uv=False) for b in blocks_of(x)]
+        sv = [np.linalg.svd(b, compute_uv=False) for b in x.blocks]
         ref_op = max(s[0] for s in sv)
         assert op_norm(x) == pytest.approx(ref_op, rel=1e-14)
         assert p_norm(x, math.inf) == pytest.approx(ref_op, rel=1e-14)
@@ -189,16 +191,16 @@ class TestSizeClasses:
             assert p_norm(x, p) == pytest.approx(ref, rel=1e-13)
 
     def test_spectral_functions(self):
-        x = random_positive_element(INTERLEAVED, np.random.default_rng(31))
+        x = random_positive_element(WEIGHTED, np.random.default_rng(31))
         tol = 1e-12 * x.max_abs_entry()
         assert sup_distance(power(x, 0.5), _per_block(x, np.sqrt)) <= tol
         for t in (-0.5, 0.25, 2.0):
             ref = _per_block(x, lambda w: w ** t)
             assert sup_distance(power(x, t), ref) <= 1e-10 * ref.max_abs_entry()
-        assert all(w.min() > 0 for w, _ in eigh_blocks(x))
+        assert eigh_blocks(x)[0].min() > 0
 
     def test_duflo_estimate_power(self):
-        d_inv = random_positive_element(INTERLEAVED, np.random.default_rng(32))
+        d_inv = random_positive_element(WEIGHTED, np.random.default_rng(32))
         est = DufloEstimate(d_inverse=d_inv, d=power(d_inv, -1.0), scalar_flag=False,
                             scalar_value=None, off_scalar_residual=0.0,
                             cross_check_residual=0.0, min_eigenvalue=0.0)
@@ -207,17 +209,18 @@ class TestSizeClasses:
             assert sup_distance(est.power(t), ref) <= 1e-10 * ref.max_abs_entry()
 
 
-@pytest.mark.parametrize("shape", [M2, AlgebraShape((1,) * 5, (1.0,) * 5),
-                                   AlgebraShape((3, 3), (1.0, 0.5))],
+@pytest.mark.parametrize("shape", [M2, AlgebraShape(1, (1.0,) * 5),
+                                   AlgebraShape(3, (1.0, 0.5))],
                          ids=["one-block", "diagonal", "two-equal-blocks"])
 def test_random_element_draws_block_by_block(shape):
-    # one size class: the stacked draw consumes the stream as the per-block
-    # draws in block order do, so every seed keeps its values
-    x = random_element(shape, np.random.default_rng(40), scale=2.0)
+    # the stacked draw consumes the stream as the per-block draws in block
+    # order do, so every seed keeps its values
+    x = random_element(shape, np.random.default_rng(40))
     rng = np.random.default_rng(40)
-    ref = [2.0 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-           for n in shape.block_dims]
-    assert all(np.array_equal(b, r) for b, r in zip(blocks_of(x), ref))
+    n = shape.block_dim
+    ref = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+           for _ in shape.trace_weights]
+    assert all(np.array_equal(b, r) for b, r in zip(x.blocks, ref))
 
 
 class TestInvariants:
@@ -275,14 +278,14 @@ def small_elements(draw):
     re = draw(st.lists(entries, min_size=n * n, max_size=n * n))
     im = draw(st.lists(entries, min_size=n * n, max_size=n * n))
     mat = (np.array(re) + 1j * np.array(im)).reshape(n, n)
-    shape = AlgebraShape((n,), (1.0,))
-    return element(shape, [mat])
+    shape = AlgebraShape(n, (1.0,))
+    return AlgebraElement(shape, mat[None])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(small_elements())
 def test_adjoint_square_is_positive(x):
     xx = x.adjoint() @ x
-    assert all(w.min() >= -1e-10 * (1 + op_norm(xx)) for w, _ in eigh_blocks(xx))
+    assert eigh_blocks(xx)[0].min() >= -1e-10 * (1 + op_norm(xx))
     s = power(xx, 0.5)
     assert sup_distance(s @ s, xx) <= 1e-9 * (1.0 + op_norm(xx))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qha.algebra import (
+    AlgebraElement,
     ParameterError,
     op_norm,
     p_norm,
@@ -15,15 +16,14 @@ from qha.algebra import (
     trace,
 )
 from qha.actions import (
+    PermutationAction,
+    WaveletAction,
     conjugation_action,
     finite_weyl_heisenberg,
-    permutation_action,
     s3_irreps,
-    wavelet_action,
 )
 from qha.actions import WaveletDesign
 import qha.duflo
-from qha.bracket import bracket_integral
 from qha.duflo import (
     ALT_POWERS,
     HOLDER_GRID,
@@ -43,8 +43,6 @@ from qha.duflo import (
 )
 from qha.groups import counting_haar, cyclic, probability_haar
 from qha.scenarios import build_scenario, builtin
-
-from helpers import element
 
 
 def _estimate(sid, seed=101):
@@ -103,10 +101,10 @@ class TestEstimate:
     def test_inconsistency_error_on_broken_scenario(self):
         # with a non-invariant measure the two orbit densities disagree
         G = cyclic(2)
-        act = permutation_action(G, G.table, np.array([1.0, 2.0]), validate=False)
+        act = PermutationAction(G, G.table, np.array([1.0, 2.0]), validate=False)
         haar = counting_haar(G)
-        x1 = element(act.shape, [np.array([[1.0]]), np.array([[0.0]])])
-        x2 = element(act.shape, [np.array([[0.0]]), np.array([[0.5]])])
+        x1 = AlgebraElement(act.shape, [np.array([[1.0]]), np.array([[0.0]])])
+        x2 = AlgebraElement(act.shape, [np.array([[0.0]]), np.array([[0.5]])])
         with pytest.raises(InconsistencyError):
             estimate_duflo(act, haar, x1, x2, cross_tol=1e-8)
 
@@ -120,7 +118,7 @@ class TestEstimate:
         # trivial action: the orbit density stays the (positive) test element,
         # which is fine; but a rank-deficient test element is not
         xi = np.array([1.0, 0.0])
-        x = element(act.shape, [np.outer(xi, xi)])
+        x = AlgebraElement(act.shape, [np.outer(xi, xi)])
         with pytest.raises(EstimateError):
             estimate_duflo(act, haar, x)
 
@@ -166,8 +164,8 @@ class TestOrthogonality:
         rhs = np.vdot(xip, xi) * np.conj(np.vdot(etap, eta)) / 2.0
         assert lhs == pytest.approx(rhs, abs=1e-12)
         # the same statement through the bracket machinery with rank-ones
-        x = element(act.shape, [np.outer(xi, xip.conj())])
-        y = element(act.shape, [np.outer(eta, etap.conj())])
+        x = AlgebraElement(act.shape, [np.outer(xi, xip.conj())])
+        y = AlgebraElement(act.shape, [np.outer(eta, etap.conj())])
         est = estimate_duflo(act, haar, act.shape.identity())
         rep_check = check_orthogonality(act, haar, est, x, y,
                                         positive=False, tol_rel=1e-9)
@@ -179,7 +177,7 @@ class TestOrthogonality:
         x = random_element(scn.shape, rng)
         x = x - (trace(x) / trace(scn.shape.identity())) * scn.shape.identity()
         y = scn.random_positive(rng)
-        lhs = bracket_integral(x, y, scn.action, scn.haar)
+        lhs = scn.action.bracket_integral(x, y, scn.haar.weights)
         assert abs(lhs) <= 1e-10 * p_norm(x, 2.0) * p_norm(y, 2.0) * scn.action.group.order
 
     def test_positive_pairs_all_finite_builtins(self):
@@ -311,8 +309,8 @@ class TestYoung:
         rng = scn.rng("young-classical")
         xf = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         yf = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = element(act.shape, [np.array([[v]]) for v in xf])
-        y = element(act.shape, [np.array([[v]]) for v in yf])
+        x = AlgebraElement(act.shape, [np.array([[v]]) for v in xf])
+        y = AlgebraElement(act.shape, [np.array([[v]]) for v in yf])
         vals = act.bracket_values(x, y)
         for g in range(n):
             corr = sum(xf[t] * np.conj(yf[(t - g) % n]) for t in range(n))
@@ -353,7 +351,7 @@ class TestYoung:
         # a windowed element does not commute with the non-scalar quadrature D
         design = WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
                                b_extent=4.0, n_b=64, support_octaves=0.5)
-        act = wavelet_action(design)
+        act = WaveletAction(design)
         haar = act.group.haar()
         rng = np.random.default_rng(3)
         x1 = act.random_positive(rng)

@@ -30,6 +30,14 @@ EXPECTED_SCALARS = {
     "twisted-dual:4:1": 1.0 / 16.0,
     "induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2": 0.5,
 }
+INDUCED_ID = "induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2"
+# the [algebra] line a saved file carries: the block size once per block
+SAVED_BLOCK_DIMS = {
+    "affine-wavelet:coarse": "block_dims = 49",
+    "twisted-dual:4:1": "block_dims = 4",
+    INDUCED_ID: "block_dims = 2,2",
+    "translation:cyclic(6)": "block_dims = 1,1,1,1,1,1",
+}
 
 
 class TestBuiltins:
@@ -94,7 +102,7 @@ class TestRandomScenario:
         for seed in range(60):
             spec = random_scenario(seed, max_block_dim=6, max_group_order=16)
             scn = build_scenario(spec)
-            assert max(scn.shape.block_dims) <= 6
+            assert scn.shape.block_dim <= 6
             assert scn.action.group.order <= 16
 
 
@@ -164,13 +172,22 @@ class TestScenarioFiles:
                         "trace_weights = 1.0\n\n[expect]\nscalar = 2.5e-1  # D = (1/4) 1\n")
         assert load_scenario(path) == ScenarioSpec("wh:4")
 
+    def test_unequal_block_dims_rejected(self, tmp_path):
+        path = tmp_path / "scenario.ini"
+        path.write_text(f"[scenario]\nid = {INDUCED_ID}\n\n[algebra]\nblock_dims = 2,1\n")
+        with pytest.raises(ConfigError, match=r"\[algebra\] block_dims"):
+            load_scenario(path)
+
     @pytest.mark.parametrize("spec", [
         ScenarioSpec("affine-wavelet:coarse", seed=5),
         ScenarioSpec("twisted-dual:4:1", seed=7, tol_rel=1e-7),
+        ScenarioSpec(INDUCED_ID),
+        ScenarioSpec("translation:cyclic(6)"),
     ])
     def test_saved_file_loads_to_the_same_spec(self, tmp_path, spec):
         path = tmp_path / "scenario.ini"
         save_scenario(spec, path)
+        assert SAVED_BLOCK_DIMS[spec.scenario_id] in path.read_text().splitlines()
         assert load_scenario(path) == spec
 
     def test_bad_tolerance_is_config_error(self, tmp_path):

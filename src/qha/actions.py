@@ -21,8 +21,8 @@ nullity is the oracle the tests compare with.
 Each family has its own vectorized kernels for the bracket values
 g -> trace((g.y)* x) and the orbit sum sum_g c_g (g.x): a gather through the
 point table, node-sliced stacked conjugations of the gathered blocks, or
-shift-and-phase sums for the wavelet.  ``apply`` stays the per-node
-reference the tests compare them with.
+phase products and a circulant dilation sum for the wavelet.  ``apply``
+stays the per-node reference the tests compare them with.
 """
 
 from __future__ import annotations
@@ -699,7 +699,16 @@ class WaveletAction(Action):
     The truncated shift integral smears the continuum multiplier over a band
     of reciprocal width, so operator comparisons for this action are made in
     the weak sense: paired against the fixed family of smooth, centrally
-    supported probe states from ``weak_probes``.
+    supported probe states z = v v*, whose vectors v are the rows of
+    ``probes``; ``pairings`` gives every trace(a z) as a quadratic form v* a v.
+
+    The kernels use two exact identities.  Summing over b first turns the
+    phases into the gram ``b_kernel``; the dilation sum that remains,
+    sum_j s_j roll(m, (j, j)), is one circulant product in the
+    cyclic-diagonal form of m (see ``_shift_sum``), so ``bracket_integral``
+    and the b-constant rows of ``orbit_sum`` cost one K^3 GEMM.
+    ``bracket_values`` runs its phase products on the nonzero rows and
+    columns of x only, where conj(g.y) * x can be nonzero.
     """
 
     def __init__(self, design: WaveletDesign):
@@ -732,6 +741,13 @@ class WaveletAction(Action):
         self.center = c
         support_steps = int(round(design.support_octaves * den))
         self.window = slice(c - (h - support_steps), c + (h - support_steps) + 1)
+        # d[k, e] = (k + e) % K reads the cyclic diagonals of a matrix as
+        # columns; t[k, l] = (k - l) % K indexes a circulant by its first column
+        k = np.arange(K)
+        self._diagonals = (k[:, None] + k) % K
+        self._circulant = (k[:, None] - k) % K
+        self.probes = np.array([self.bump_vector(center, 0.18, nu)
+                                for center in (-0.5, -0.25, 0.0, 0.25, 0.5) for nu in (0.0, 0.7)])
         # sample nodes near the identity: one-step dilations and one-cell shifts
         i_c, j_c = h, design.n_b // 2
         sample_idx = (
@@ -743,7 +759,6 @@ class WaveletAction(Action):
         )
         sample = [group.nodes[i] for i in sample_idx]
         super().__init__(group, shape, "wavelet", sample)
-        self._probes: list[AlgebraElement] | None = None
 
     # -- grid plumbing ---------------------------------------------------
 
@@ -783,41 +798,55 @@ class WaveletAction(Action):
     def _dilated(self, y: np.ndarray, j: int) -> np.ndarray:
         return np.roll(y, shift=(-j, -j), axis=(0, 1))
 
-    def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
-        xb, yb = x.blocks[0], y.blocks[0]
-        out = np.empty(self.n_a * self.n_b, dtype=complex)
-        P = self.phases
-        for i, j in enumerate(self.shifts):
-            A = (self._dilated(yb, j).conj() * xb).T
-            out[i * self.n_b:(i + 1) * self.n_b] = ((P @ A) * P.conj()).sum(axis=1)
+    def _shift_sum(self, s: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """sum over j of s[j % K] * roll(m, (j, j)), as one circulant product.
+
+        In the cyclic-diagonal form m~[k, e] = m[k, (k + e) % K] a joint roll
+        by j is a roll of the rows by j, so the sum is circulant(s) @ m~,
+        scattered back to the diagonals.  The GEMM keeps the exact zeros of m
+        that every shifted term shares (an FFT would fill them with roundoff).
+        """
+        rows = np.arange(self.grid_size)[:, None]
+        out = np.empty(m.shape, dtype=complex)
+        out[rows, self._diagonals] = s[self._circulant] @ m[rows, self._diagonals]
         return out
 
+    def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
+        xb, yb = x.blocks[0], y.blocks[0]
+        # conj(g.y) * x vanishes off the nonzero rows r and columns c of x
+        r = np.flatnonzero(np.any(xb != 0, axis=1))
+        c = np.flatnonzero(np.any(xb != 0, axis=0))
+        xs = xb[np.ix_(r, c)]
+        Pc, Pr = self.phases[:, c], self.phases[:, r].conj()
+        K = self.grid_size
+        out = np.empty((self.n_a, self.n_b), dtype=complex)
+        for i, j in enumerate(self.shifts):
+            A = (yb[np.ix_((r + j) % K, (c + j) % K)].conj() * xs).T
+            out[i] = ((Pc @ A) * Pr).sum(axis=1)
+        return out.reshape(-1)
+
     def bracket_integral(self, x: AlgebraElement, y: AlgebraElement, weights: np.ndarray) -> complex:
-        # weights are log-uniform in a and constant in b: collapse the b sum
-        # through the precomputed phase gram instead of looping over nodes
+        # weights are log-uniform in a and constant in b: the b sum collapses
+        # into the phase gram and the a sum into one circulant dilation sum
         if np.asarray(weights).shape[0] != self.n_a * self.n_b:
             raise ActionError("weights do not match the node grid")
         xb, yb = x.blocks[0], y.blocks[0]
-        d_log_a = self.log_ratio
-        total = 0.0 + 0.0j
-        for j in self.shifts:
-            a = math.exp(j * self.log_ratio)
-            Yd = self._dilated(yb, j).conj().T
-            total += (d_log_a / a) * np.sum((Yd * self.b_kernel) * xb.T)
-        return complex(total)
+        w = np.zeros(self.grid_size)
+        w[self.shifts % self.grid_size] = self.log_ratio / np.exp(self.shifts * self.log_ratio)
+        return complex(np.sum(yb.conj().T * self._shift_sum(w, self.b_kernel * xb.T)))
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         coeffs = np.asarray(coeffs, dtype=complex).reshape(self.n_a, self.n_b)
         xb = x.blocks[0]
-        acc = np.zeros_like(xb)
+        first = coeffs[:, :1]
+        flat = np.all(np.abs(coeffs - first) <= 1e-14 * (np.abs(first) + 1.0), axis=1)
+        # rows constant in b: one dilation sum, then the phase gram
+        s = np.zeros(self.grid_size, dtype=complex)
+        s[-self.shifts[flat] % self.grid_size] = coeffs[flat, 0] / self.db
+        acc = self._shift_sum(s, xb) * self.b_kernel
         P = self.phases
-        for i, j in enumerate(self.shifts):
-            c = coeffs[i]
-            if np.allclose(c, c[0], rtol=0.0, atol=1e-14 * (abs(c[0]) + 1.0)):
-                kernel = (c[0] / self.db) * self.b_kernel
-            else:
-                kernel = (P.T * c) @ P.conj()
-            acc += self._dilated(xb, j) * kernel
+        for i in np.flatnonzero(~flat):
+            acc += self._dilated(xb, self.shifts[i]) * ((P.T * coeffs[i]) @ P.conj())
         return AlgebraElement(self.shape, acc[None], copy=False)
 
     def trace_preservation_defect(self) -> float:
@@ -875,24 +904,15 @@ class WaveletAction(Action):
             mat += coeff * np.outer(u, w.conj())
         return AlgebraElement(self.shape, mat[None], copy=False)
 
-    def weak_probes(self) -> list[AlgebraElement]:
-        """Fixed family of smooth probe states for weak operator comparisons."""
-        if self._probes is None:
-            probes = []
-            for center in (-0.5, -0.25, 0.0, 0.25, 0.5):
-                for nu in (0.0, 0.7):
-                    v = self.bump_vector(center, 0.18, nu)
-                    probes.append(AlgebraElement(self.shape, np.outer(v, v.conj())[None], copy=False))
-            self._probes = probes
-        return self._probes
+    def pairings(self, a: AlgebraElement) -> np.ndarray:
+        """trace(a z) for every probe state z = v v*: the quadratic forms v* a v."""
+        V = self.probes
+        return np.sum((V.conj() @ a.blocks[0]) * V, axis=1)
 
     def weak_pairing_defect(self, a: AlgebraElement, b: AlgebraElement) -> float:
         """max over probes of |trace((a - b) z)| / |trace(a z)|."""
-        worst = 0.0
-        for z in self.weak_probes():
-            ref = trace(a @ z)
-            worst = max(worst, abs(trace((a - b) @ z)) / max(abs(ref), 1e-300))
-        return worst
+        ref = np.maximum(np.abs(self.pairings(a)), 1e-300)
+        return float(np.max(np.abs(self.pairings(a - b)) / ref))
 
     # -- comparisons in the weak sense ---------------------------------------
 
@@ -904,15 +924,12 @@ class WaveletAction(Action):
     def semi_invariance_defect(self, d: AlgebraElement) -> float:
         """The smeared estimate paired against the probes: the discretization
         under which the truncated shift integral converges."""
-        probes = self.weak_probes()
-        refs = [trace(d @ z) for z in probes]
+        refs = self.pairings(d)
         worst = 0.0
         for g in self.sample_elements:
-            moved = self.apply(g, d)
-            scale = self.group.modular(g)
-            for z, ref in zip(probes, refs):
-                target = ref / scale
-                worst = max(worst, abs(trace(moved @ z) - target) / max(abs(target), 1e-300))
+            target = refs / self.group.modular(g)
+            defect = np.abs(self.pairings(self.apply(g, d)) - target) / np.maximum(np.abs(target), 1e-300)
+            worst = max(worst, float(defect.max()))
         return worst
 
     def off_scalar_norm(self, off: AlgebraElement) -> float:

@@ -169,14 +169,22 @@ def op_norm(x: AlgebraElement) -> float:
 
 
 def p_norm(x: AlgebraElement, p: float) -> float:
-    """Trace p-norm (trace of |x|^p) ** (1/p); p = inf gives the operator norm."""
+    """Trace p-norm (trace of |x|^p) ** (1/p); p = inf gives the operator norm.
+
+    For p = 2 the squared singular values of a block sum to its squared
+    entries, so the weighted Frobenius sum needs no SVD.
+    """
     if p == math.inf:
         return op_norm(x)
     p = float(p)
     if p < 1.0:
         raise ParameterError(f"norm exponent must be >= 1, got {p}")
-    s = np.linalg.svd(x.blocks, compute_uv=False)
-    total = float(np.array(x.shape.trace_weights) @ np.sum(s ** p, axis=1))
+    b = x.blocks
+    if p == 2.0:
+        per_block = np.sum(np.abs(b) ** 2, axis=(1, 2))
+    else:
+        per_block = np.sum(np.linalg.svd(b, compute_uv=False) ** p, axis=1)
+    total = float(np.array(x.shape.trace_weights) @ per_block)
     return float(total ** (1.0 / p))
 
 

@@ -101,13 +101,22 @@ class DufloEstimate:
     cross_check_residual: float
     min_eigenvalue: float
 
-    def power(self, t: float) -> AlgebraElement:
-        """D^t through the spectrum of D^{-1} (cached by the estimator)."""
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigh of D^{-1}, cached (the estimator sets it)."""
         eig = getattr(self, "_eig", None)
         if eig is None:
             eig = eigh_blocks(self.d_inverse)
             self._eig = eig
-        return from_eigh(self.d.shape, eig, lambda w: w ** (-t))
+        return eig
+
+    def power(self, t: float) -> AlgebraElement:
+        """D^t through the spectrum of D^{-1} (cached by the estimator)."""
+        return from_eigh(self.d.shape, self._spectrum(), lambda w: w ** (-t))
+
+    def condition(self) -> float:
+        """cond(D), the ratio of the extreme eigenvalues of D^{-1}."""
+        w = self._spectrum()[0]
+        return float(w.max() / w.min())
 
     def sandwich(self, t: float, y: AlgebraElement) -> AlgebraElement:
         """D^t y D^t."""
@@ -238,17 +247,29 @@ def check_semi_invariance(
     )
 
 
+def admissibility_tol(est: DufloEstimate) -> float:
+    """max(1e-11, cond(D) n eps) for blocks of size n.
+
+    Both identities run D^{+-1/2} through the eigenbasis of D^{-1}, whose
+    roundoff grows like its condition number times the block size.
+    """
+    return max(1e-11, est.condition() * est.d.shape.block_dim * float(np.finfo(float).eps))
+
+
 def check_admissibility(y: AlgebraElement, est: DufloEstimate,
-                        tol: float = 1e-11) -> tuple[bool, float]:
+                        tol: float | None = None) -> tuple[bool, float]:
     """Value trace(D^{-1/2} y D^{-1/2}) plus both density-weight identities.
 
     Checks trace(D^{-1} y) = trace(D^{-1/2} y D^{-1/2}) and the round trip
-    trace(D^{1/2} (D^{-1/2} y D^{-1/2}) D^{1/2}) = trace(y).  Every element is
-    admissible in a finite-dimensional model; the identities are certified
-    rather than membership.
+    trace(D^{1/2} (D^{-1/2} y D^{-1/2}) D^{1/2}) = trace(y), to relative
+    ``tol`` (default ``admissibility_tol``).  Every element is admissible in
+    a finite-dimensional model; the identities are certified rather than
+    membership.
     """
     if y.hermitian_defect() > 1e-9 * (1.0 + y.max_abs_entry()):
         raise NotPositiveError("admissibility check expects a hermitian positive element")
+    if tol is None:
+        tol = admissibility_tol(est)
     sand = est.sandwich(-0.5, y)
     value = trace(sand).real
     direct = trace(est.d_inverse @ y).real
@@ -259,13 +280,13 @@ def check_admissibility(y: AlgebraElement, est: DufloEstimate,
     return ok, value
 
 
-def admissibility_report(y: AlgebraElement, est: DufloEstimate, *, tol: float = 1e-11,
-                         scenario: str = "") -> CheckReport:
+def admissibility_report(y: AlgebraElement, est: DufloEstimate, *, scenario: str = "") -> CheckReport:
+    tol = admissibility_tol(est)
     ok, value = check_admissibility(y, est, tol=tol)
     return CheckReport.flag(
         "admissibility-identities",
         "trace_{D^{-1}}(y) = trace(D^{-1/2} y D^{-1/2}) and its round trip",
-        ok, scenario=scenario, notes=f"value={value:.6e}",
+        ok, scenario=scenario, notes=f"value={value:.6e} tol={tol:.1e}",
     )
 
 

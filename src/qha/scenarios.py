@@ -149,8 +149,8 @@ class Scenario:
         if self.expected_kernel == "inverse-frequency":
             act = self.action
             multiplier = AlgebraElement(self.shape, np.diag(1.0 / act.xi)[None])
-            pair_est = np.array([trace(est.d_inverse @ z).real for z in act.weak_probes()])
-            pair_ref = np.array([trace(multiplier @ z).real for z in act.weak_probes()])
+            pair_est = act.pairings(est.d_inverse).real
+            pair_ref = act.pairings(multiplier).real
             c = float(pair_est @ pair_ref / (pair_ref @ pair_ref))
             residual = float(np.abs(pair_est - c * pair_ref).max() / np.abs(c * pair_ref).max())
             out.append(CheckReport.bound(

@@ -421,6 +421,72 @@ class TestWaveletAction:
         assert abs(fast - slow) < 1e-9 * (1 + abs(slow))
 
 
+WAVELETS = {"small-wavelet": SMALL_WAVELET, "default": WaveletDesign()}
+
+
+class TestWaveletKernels:
+    """The circulant dilation sum, support restriction and probe quadratic
+    forms against the per-node and per-shift definitions they rewrite."""
+
+    def test_shift_sum_matches_roll_sum_with_wrap_around(self):
+        act = WaveletAction(SMALL_WAVELET)
+        K = act.grid_size
+        rng = np.random.default_rng(40)
+        s = rng.standard_normal(K) + 1j * rng.standard_normal(K)  # every shift, wrapping
+        m = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+        ref = sum(s[j] * np.roll(m, (j, j), axis=(0, 1)) for j in range(K))
+        assert np.abs(act._shift_sum(s, m) - ref).max() < 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("preset", WAVELETS)
+    @pytest.mark.parametrize("table", ["haar", "haar-over-modular", "mixed"])
+    def test_orbit_sum_matches_apply(self, preset, table):
+        # Haar over modular, what estimate_duflo passes, is constant in b and
+        # here in a as well, so only the Haar weights alone, which fall with
+        # a, tell a shift from its mirror image.  "mixed" makes every third
+        # row random, so those rows take the per-shift kernel
+        act = WaveletAction(WAVELETS[preset])
+        rng = np.random.default_rng(41)
+        x = act.random_element(rng)
+        coeffs = act.group.haar_weights.astype(complex)
+        if table != "haar":
+            coeffs = coeffs / act.modular_values()
+        if table == "mixed":
+            rows = coeffs.reshape(act.n_a, act.n_b)[1::3]
+            rows[:] = rng.standard_normal(rows.shape) + 1j * rng.standard_normal(rows.shape)
+        ref = np.zeros_like(x.blocks)
+        for c, g in zip(coeffs, nodes_of(act)):
+            ref += c * act.apply(g, x).blocks
+        fast = act.orbit_sum(coeffs, x).blocks
+        assert np.abs(fast - ref).max() < 1e-12 * np.abs(ref).max()
+
+    def test_bracket_values_of_zero(self):
+        act = WaveletAction(SMALL_WAVELET)
+        y = act.random_element(np.random.default_rng(43))
+        values = act.bracket_values(act.shape.zero(), y)
+        assert values.shape == (act.group.node_count,) and not values.any()
+
+    @pytest.mark.parametrize("corner", [(0, -1), (-1, 0), (-1, -1)])
+    def test_bracket_values_single_corner_entry(self, corner):
+        # one nonzero entry at a grid corner: every dilation wraps its row or column
+        act = WaveletAction(SMALL_WAVELET)
+        y = random_element(act.shape, np.random.default_rng(44))  # dense, to reach the corners
+        mat = np.zeros((act.grid_size, act.grid_size), dtype=complex)
+        mat[corner] = 1.0 - 2.0j
+        x = AlgebraElement(act.shape, [mat])
+        ref = np.array([trace(act.apply(g, y).adjoint() @ x) for g in nodes_of(act)])
+        fast = act.bracket_values(x, y)
+        assert np.abs(ref).max() > 0
+        assert np.abs(fast - ref).max() < 1e-12 * np.abs(ref).max()
+
+    def test_pairings_are_probe_traces(self):
+        act = WaveletAction(SMALL_WAVELET)
+        a = act.random_element(np.random.default_rng(45))
+        assert act.probes.shape == (10, act.grid_size)
+        ref = np.array([trace(a @ AlgebraElement(act.shape, [np.outer(v, v.conj())]))
+                        for v in act.probes])
+        assert np.abs(act.pairings(a) - ref).max() < 1e-13 * np.abs(ref).max()
+
+
 class TestComparisonHooks:
     """Element draws and operator comparisons that the law checks delegate to."""
 

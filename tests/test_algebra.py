@@ -111,6 +111,19 @@ class TestPNorm:
     def test_zero(self):
         assert p_norm(BIG.zero(), 3.0) == 0.0
 
+    def test_p2_is_weighted_frobenius_without_svd(self, monkeypatch):
+        # squared singular values sum to squared entries, block by block
+        shape = AlgebraShape(4, (1.0, 0.5, 2.0, 0.25))
+        x = random_element(shape, np.random.default_rng(32))
+        ref = sum(w * np.sum(np.linalg.svd(b, compute_uv=False) ** 2)
+                  for w, b in zip(shape.trace_weights, x.blocks)) ** 0.5
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("p = 2 must not take an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert p_norm(x, 2.0) == pytest.approx(ref, rel=1e-14)
+
 
 class TestPositiveSqrt:
     def test_diagonal(self):

@@ -1,6 +1,7 @@
 """Scaling-operator estimation and certification of the operator laws."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ from qha.duflo import (
     YOUNG_GRID,
     EstimateError,
     InconsistencyError,
+    admissibility_report,
+    admissibility_tol,
     check_admissibility,
     check_alt,
     check_holder,
@@ -255,6 +258,27 @@ class TestAdmissibility:
         for _ in range(20):
             ok, _ = check_admissibility(scn.random_positive(rng), est, tol=1e-11)
             assert ok
+
+    def test_tolerance_from_conditioning(self):
+        # a scalar D leaves the floor; the wavelet's cond(D) K eps lifts it
+        _, est = _estimate("wh:4")
+        assert admissibility_tol(est) == 1e-11
+        scn, est = _estimate("affine-wavelet:default")
+        w = np.linalg.eigvalsh(est.d_inverse.blocks[0])
+        expected = (w.max() / w.min()) * scn.shape.block_dim * np.finfo(float).eps
+        assert admissibility_tol(est) == pytest.approx(expected, rel=1e-6)
+        assert 1e-8 < admissibility_tol(est) < 1e-6
+
+    def test_perturbed_d_inverse_still_fails(self):
+        # D^{-1} off its cached spectrum by 1e-8 breaks the direct identity
+        scn, est = _estimate("wh:4")
+        bad = replace(est, d_inverse=(1.0 + 1e-8) * est.d_inverse)
+        bad._eig = est._eig
+        y = scn.random_positive(scn.rng("adm"))
+        assert check_admissibility(y, est)[0]
+        assert not check_admissibility(y, bad)[0]
+        report = admissibility_report(y, bad)
+        assert not report.passed and "tol=1.0e-11" in report.notes
 
 
 class TestL1:

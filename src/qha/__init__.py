@@ -23,6 +23,7 @@ from .actions import (
     induced_action,
     is_trace_preserving,
     left_translation_action,
+    product_phases,
 )
 from .bracket import (
     BracketFunction,

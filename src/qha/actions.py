@@ -27,8 +27,8 @@ stays the per-node reference the tests compare them with.
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +48,7 @@ from .groups import (
     QuadratureGroup,
     coset_lookup,
     cyclic,
+    distinct_indices,
     dual_group,
     product,
 )
@@ -74,18 +75,27 @@ class GridError(ActionError):
 # representations
 
 
-class UnitaryRep:
-    """Finite family of unitaries U_g with U_g U_h = sigma(g, h) U_{gh}."""
+# Nodes per stacked (nodes, n, n) temporary in the conjugation kernels and the
+# representation checks, which bounds their memory at any group order.
+NODE_SLICE = 32
 
-    def __init__(self, group: FiniteGroup, matrices, cocycle: Callable[[int, int], complex] | None = None,
-                 name: str = ""):
+
+class UnitaryRep:
+    """Projective unitary representation: U_e = I and U_g U_h = c(g, h) U_{gh}.
+
+    The phases c(g, h) are not supplied; ``product_phases`` computes them from
+    the matrices, and validation requires every sampled U_g U_h U_{gh}* to be
+    a scalar multiple of I.  Their cocycle identity then follows from the
+    associativity of the matrix product.
+    """
+
+    def __init__(self, group: FiniteGroup, matrices, name: str = ""):
         mats = np.array(matrices, dtype=complex)
         if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
             raise RepresentationError("need one square matrix per group element")
         mats.setflags(write=False)
         self.group = group
         self.matrices = mats
-        self.cocycle = cocycle if cocycle is not None else (lambda a, b: 1.0 + 0.0j)
         self.name = name or f"rep({group.name},dim={mats.shape[1]})"
         self.validate()
 
@@ -99,30 +109,45 @@ class UnitaryRep:
     def validate(self, tol: float = 1e-11) -> None:
         G, U = self.group, self.matrices
         eye = np.eye(self.dim)
-        for g in G.elements():
-            if np.abs(U[g].conj().T @ U[g] - eye).max() > tol:
-                raise RepresentationError(f"matrix {g} is not unitary")
-        if abs(self.cocycle(G.identity, G.identity) - 1.0) > tol:
-            raise RepresentationError("cocycle must be 1 at (e, e)")
-        pairs = _sample_pairs(G.order, limit=24)
-        for a, b in pairs:
-            lhs = U[a] @ U[b]
-            rhs = complex(self.cocycle(a, b)) * U[G.compose(a, b)]
-            if np.abs(lhs - rhs).max() > tol:
-                raise RepresentationError("matrices violate the twisted product law")
-        for a, b in pairs:
-            for c in (G.identity, pairs[0][0]):
-                lhs = complex(self.cocycle(a, b)) * complex(self.cocycle(G.compose(a, b), c))
-                rhs = complex(self.cocycle(a, G.compose(b, c))) * complex(self.cocycle(b, c))
-                if abs(lhs - rhs) > tol:
-                    raise RepresentationError("cocycle identity fails")
+        for s in range(0, G.order, NODE_SLICE):
+            Us = U[s:s + NODE_SLICE]
+            bad = np.flatnonzero(np.abs(Us.conj().swapaxes(1, 2) @ Us - eye).max(axis=(1, 2)) > tol)
+            if bad.size:
+                raise RepresentationError(f"matrix {s + bad[0]} is not unitary")
+        if np.abs(U[G.identity] - eye).max() > tol:
+            raise RepresentationError("the identity must be represented by I")
+        product_phases(U, G.table, _sample_pairs(G.order, limit=24), tol)
 
 
-def _sample_pairs(n: int, limit: int) -> list[tuple[int, int]]:
-    if n * n <= limit * limit:
-        return [(a, b) for a in range(n) for b in range(n)]
-    rng = np.random.default_rng(0)
-    return [tuple(rng.integers(0, n, size=2)) for _ in range(limit * limit)]
+def product_phases(U: np.ndarray, table: np.ndarray, pairs: np.ndarray, tol: float = 1e-11) -> np.ndarray:
+    """Phase c with U_a U_b = c U_{ab} for each row (a, b) of ``pairs``.
+
+    ``U`` is an (N, n, n) unitary stack indexed like the Cayley ``table``.
+    U_a U_b U_{ab}* is formed in NODE_SLICE slices of pairs, and c is its
+    normalized trace.  Raises RepresentationError when some product is
+    farther than ``tol`` from c I, that is when U is not a projective
+    representation.
+    """
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    n = U.shape[-1]
+    eye = np.eye(n)
+    out = np.empty(len(pairs), dtype=complex)
+    for s in range(0, len(pairs), NODE_SLICE):
+        a, b = pairs[s:s + NODE_SLICE].T
+        p = U[a] @ U[b] @ U[table[a, b]].conj().swapaxes(1, 2)
+        c = np.trace(p, axis1=1, axis2=2) / n
+        if np.abs(p - c[:, None, None] * eye).max() > tol:
+            raise RepresentationError("U_a U_b U_ab* is not a scalar multiple of I: "
+                                      "not a projective representation")
+        out[s:s + NODE_SLICE] = c
+    return out
+
+
+def _sample_pairs(n: int, limit: int) -> np.ndarray:
+    """(P, 2) array of pairs: all n^2 when n <= limit, else limit^2 fixed-seed draws."""
+    if n <= limit:
+        return np.stack(np.divmod(np.arange(n * n), n), axis=1)
+    return np.random.default_rng(0).integers(0, n, size=(limit * limit, 2))
 
 
 def trivial_rep(G: FiniteGroup, dim: int = 1) -> UnitaryRep:
@@ -135,7 +160,8 @@ def cyclic_character_rep(G: FiniteGroup, j: int) -> UnitaryRep:
     if G.structure is None or len(G.structure) != 1:
         raise RepresentationError("cyclic_character_rep needs a cyclic group")
     n = G.structure[0]
-    mats = np.array([[[np.exp(2j * np.pi * j * g / n)]] for g in range(n)])
+    # the angle 2 pi j g / n in real arithmetic: complex division rounds it otherwise
+    mats = np.exp(1j * (2 * np.pi * j * np.arange(n) / n)).reshape(n, 1, 1)
     return UnitaryRep(G, mats, name=f"chi{j}({G.name})")
 
 
@@ -144,56 +170,37 @@ def s3_irreps() -> dict[str, UnitaryRep]:
     from .groups import symmetric
 
     G = symmetric(3)
-    perms = [tuple(int(c) for c in lab) for lab in G.labels]
-    triv = trivial_rep(G)
-
-    def sign(p):
-        s = 1
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if p[i] > p[j]:
-                    s = -s
-        return s
-
-    sgn = UnitaryRep(G, np.array([[[float(sign(p))]] for p in perms], dtype=complex), name="sign(s3)")
+    perms = np.array(list(itertools.permutations(range(3))))  # the element order of symmetric(3)
+    # permutation matrices P[g, p_g(i), i] = 1, and the sign as the parity of the inversions
+    P = np.zeros((G.order, 3, 3))
+    P[np.arange(G.order)[:, None], perms, np.arange(3)] = 1.0
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    sgn = UnitaryRep(G, ((-1.0) ** inversions).reshape(-1, 1, 1), name="sign(s3)")
     # 2-d standard piece: permutation matrices restricted to the sum-zero plane
     q = np.array([[1.0 / math.sqrt(2), 1.0 / math.sqrt(6)],
                   [-1.0 / math.sqrt(2), 1.0 / math.sqrt(6)],
                   [0.0, -2.0 / math.sqrt(6)]])
-    mats = []
-    for p in perms:
-        P = np.zeros((3, 3))
-        for i, pi in enumerate(p):
-            P[pi, i] = 1.0
-        mats.append(q.T @ P @ q)
-    std = UnitaryRep(G, np.array(mats, dtype=complex), name="std(s3)")
-    return {"trivial": triv, "sign": sgn, "std": std}
+    std = UnitaryRep(G, q.T @ P @ q, name="std(s3)")
+    return {"trivial": trivial_rep(G), "sign": sgn, "std": std}
 
 
 def finite_weyl_heisenberg(n: int) -> UnitaryRep:
     """Translation-and-modulation family pi(k, l) = T_k M_l on C^n.
 
-    Cocycle sigma((k,l),(k',l')) = exp(2*pi*i * l * k' / n); the family is
-    irreducible for every n >= 2.
+    Element (k, l) of cyclic(n) x cyclic(n), index k n + l, is the matrix with
+    omega^(l s) in row (s + k) % n, column s, for omega = exp(2 pi i / n).  Its
+    product phase pi(k, l) pi(k', l') = exp(2 pi i l k' / n) pi(k + k', l + l')
+    is computed by ``product_phases`` when the family is validated.  The
+    family is irreducible for every n >= 2.
     """
     if n < 2:
         raise RepresentationError(f"need n >= 2, got {n}")
     G = product(cyclic(n), cyclic(n))
     omega = np.exp(2j * np.pi / n)
-    mats = np.zeros((n * n, n, n), dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            T = np.zeros((n, n), dtype=complex)
-            for s in range(n):
-                T[(s + k) % n, s] = 1.0
-            M = np.diag(omega ** (l * np.arange(n)))
-            mats[G.index_of_tuple((k, l))] = T @ M
-
-    def sigma(a: int, b: int) -> complex:
-        (_, l), (kp, _) = G.tuple_of_index(a), G.tuple_of_index(b)
-        return complex(omega ** (l * kp))
-
-    return UnitaryRep(G, mats, cocycle=sigma, name=f"wh({n})")
+    k, l, s = np.ogrid[:n, :n, :n]
+    mats = np.zeros((n, n, n, n), dtype=complex)
+    mats[k, l, (s + k) % n, s] = omega ** (l * s)
+    return UnitaryRep(G, mats.reshape(n * n, n, n), name=f"wh({n})")
 
 
 # Largest linearized dimension for which a dense SVD nullity is computed.
@@ -203,9 +210,6 @@ DENSE_LIMIT = 600
 CERTIFICATE_MARGIN = 10.0
 # Fixed seed of the generic element, so that no scenario stream is consumed.
 _GENERIC_SEED = 0x51A
-# Nodes per stacked (nodes, n, n) temporary in the conjugation kernels, which
-# bounds their memory at any group order.
-NODE_SLICE = 32
 
 
 @dataclass(frozen=True)
@@ -490,20 +494,15 @@ class PermutationAction(Action):
         mu = np.asarray(mu, dtype=float)
         if mu.shape != (t,) or not np.all(mu > 0):
             raise MeasureError("point measure must be positive on every atom")
-        ident = point_table[group.identity]
-        if not (ident == np.arange(t)).all():
+        if not (point_table[group.identity] == np.arange(t)).all():
             raise ActionError("identity must act trivially on points")
-        for g in group.elements():
-            if not (np.sort(point_table[g]) == np.arange(t)).all():
-                raise ActionError("each group element must permute the points")
-        pairs = _sample_pairs(group.order, limit=16)
-        for a, b in pairs:
-            if not (point_table[group.compose(a, b)] == point_table[a][point_table[b]]).all():
-                raise ActionError("point maps do not compose with the group law")
-        if validate:
-            for g in group.elements():
-                if np.abs(mu[point_table[g]] - mu).max() > 0:
-                    raise MeasureError("point measure is not invariant under the action")
+        if not (np.sort(point_table, axis=1) == np.arange(t)).all():
+            raise ActionError("each group element must permute the points")
+        a, b = _sample_pairs(group.order, limit=16).T
+        if not (point_table[group.table[a, b]] == point_table[a[:, None], point_table[b]]).all():
+            raise ActionError("point maps do not compose with the group law")
+        if validate and (mu[point_table] != mu).any():
+            raise MeasureError("point measure is not invariant under the action")
         shape = AlgebraShape(1, tuple(mu))
         gens = group.generators or tuple(group.elements())
         super().__init__(group, shape, "permutation", gens)
@@ -536,12 +535,7 @@ def left_translation_action(G: FiniteGroup, mu=None) -> PermutationAction:
 def coset_action(G: FiniteGroup, h_indices) -> PermutationAction:
     """G acting on the coset space G/H with counting measure on the coset atoms."""
     reps, coset_of = coset_lookup(G, h_indices)
-    t = len(reps)
-    table = np.empty((G.order, t), dtype=int)
-    for g in G.elements():
-        for c, r in enumerate(reps):
-            table[g, c] = coset_of[G.compose(g, r)]
-    return PermutationAction(G, table, np.ones(t))
+    return PermutationAction(G, coset_of[G.table[:, reps]], np.ones(len(reps)))
 
 
 class DualTranslationAction(PermutationAction):
@@ -613,29 +607,23 @@ def induced_action(G: FiniteGroup, h_indices, inner: Action, iso) -> Permutation
     J t blocks.
     """
     reps, coset_of = coset_lookup(G, h_indices)
-    h_tuple = tuple(dict.fromkeys(int(i) for i in h_indices))
+    sub = distinct_indices(h_indices)
     iso = np.asarray(iso, dtype=int)
-    if iso.shape != (len(h_tuple),):
+    if iso.shape != sub.shape:
         raise ActionError("iso must map each subgroup element to an inner group element")
-    if not isinstance(inner.group, FiniteGroup) or inner.group.order != len(h_tuple):
+    if not isinstance(inner.group, FiniteGroup) or inner.group.order != sub.size:
         raise ActionError("inner action must live on a group of the subgroup's order")
-    pos = {g: i for i, g in enumerate(h_tuple)}
-    for i, a in enumerate(h_tuple):
-        for j, b in enumerate(h_tuple):
-            if inner.group.compose(int(iso[i]), int(iso[j])) != int(iso[pos[G.compose(a, b)]]):
-                raise ActionError("iso is not a group isomorphism onto the inner group")
+    pos = np.empty(G.order, dtype=int)
+    pos[sub] = np.arange(sub.size)
+    if not (inner.group.table[np.ix_(iso, iso)] == iso[pos[G.table[np.ix_(sub, sub)]]]).all():
+        raise ActionError("iso is not a group isomorphism onto the inner group")
     J = len(reps)
-    # target coset and inner translate (already inverted) per (g, coset)
-    target = np.empty((G.order, J), dtype=int)
-    inner_elt = np.empty((G.order, J), dtype=int)
-    for g in G.elements():
-        ginv = G.inverse(g)
-        for j, r in enumerate(reps):
-            w = G.compose(ginv, r)
-            a = coset_of[w]
-            h = G.compose(G.inverse(reps[a]), w)
-            target[g, j] = a
-            inner_elt[g, j] = inner.group.inverse(int(iso[pos[h]]))
+    # per (g, coset j): w = g^{-1} r_j = r_a h gives the target coset a and
+    # the inner element iso(h)^{-1}
+    w = G.table[G.inverse_table[:, None], reps]
+    target = coset_of[w]
+    h = G.table[G.inverse_table[reps[target]], w]
+    inner_elt = inner.group.inverse_table[iso[pos[h]]]
     t = len(inner.shape.trace_weights)
     src = (target[:, :, None] * t + inner._src[inner_elt]).reshape(G.order, J * t)
     if isinstance(inner, PermutationAction):
@@ -826,10 +814,11 @@ class WaveletAction(Action):
         return out.reshape(-1)
 
     def bracket_integral(self, x: AlgebraElement, y: AlgebraElement, weights: np.ndarray) -> complex:
-        # weights are log-uniform in a and constant in b: the b sum collapses
-        # into the phase gram and the a sum into one circulant dilation sum
-        if np.asarray(weights).shape[0] != self.n_a * self.n_b:
-            raise ActionError("weights do not match the node grid")
+        # the Haar weights are log-uniform in a and constant in b: the b sum
+        # collapses into the phase gram and the a sum into one circulant
+        # dilation sum, so no other weights can be honoured
+        if not np.array_equal(weights, self.group.haar_weights):
+            raise ActionError("the wavelet bracket integral is taken against the action's own Haar weights")
         xb, yb = x.blocks[0], y.blocks[0]
         w = np.zeros(self.grid_size)
         w[self.shifts % self.grid_size] = self.log_ratio / np.exp(self.shifts * self.log_ratio)

@@ -230,6 +230,8 @@ def refinement_metrics(spec: ScenarioSpec, level: int) -> dict:
 def cmd_list(_cfg: RunConfig) -> int:
     for sid in list_builtins():
         print(sid)
+    print("affine-wavelet:coarse  (refinement level for refine; fails duflo-estimate under verify; "
+          "excluded from --all)")
     print("broken-measure  (negative-control fixture; excluded from --all)")
     return 0
 

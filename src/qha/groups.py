@@ -28,7 +28,9 @@ class FiniteGroup:
     """Finite group on indices 0..N-1 with a validated multiplication table.
 
     ``structure`` records cyclic factor sizes when the group was built from
-    cyclic groups; it enables character tables and tuple coordinates.
+    cyclic groups; it enables character tables and tuple coordinates.  Element
+    g then has the row-major coordinates ``coords[g]``, one per factor, as in
+    ``np.unravel_index``.
     """
 
     def __init__(self, table, labels=None, name: str = "", structure=None, generators=()):
@@ -41,18 +43,12 @@ class FiniteGroup:
         rng_row = np.arange(n)
         if not (np.sort(table, axis=1) == rng_row).all() or not (np.sort(table, axis=0) == rng_row[:, None]).all():
             raise GroupError("multiplication table is not a Latin square")
-        identity = -1
-        for e in range(n):
-            if (table[e] == rng_row).all() and (table[:, e] == rng_row).all():
-                identity = e
-                break
-        if identity < 0:
+        two_sided = (table == rng_row).all(axis=1) & (table.T == rng_row).all(axis=1)
+        if not two_sided.any():
             raise GroupError("table has no two-sided identity")
+        identity = int(np.argmax(two_sided))
         self._check_associativity(table)
-        inverse = np.empty(n, dtype=int)
-        for g in range(n):
-            hits = np.where(table[g] == identity)[0]
-            inverse[g] = hits[0]
+        inverse = np.argmax(table == identity, axis=1)
         table.setflags(write=False)
         inverse.setflags(write=False)
         self.table = table
@@ -63,22 +59,27 @@ class FiniteGroup:
             raise GroupError("one label per element required")
         self.name = name or f"group({n})"
         self.structure = tuple(int(m) for m in structure) if structure is not None else None
+        self.coords = None
+        if self.structure is not None:
+            if math.prod(self.structure) != n:
+                raise GroupError("cyclic factor sizes must multiply to the group order")
+            self.coords = np.stack(np.unravel_index(rng_row, self.structure), axis=1)
+            self.coords.setflags(write=False)
         self.generators = tuple(int(g) for g in generators)
 
     @staticmethod
     def _check_associativity(table: np.ndarray) -> None:
+        """Exhaustive up to order 24, on 500 fixed-seed triples beyond."""
         n = table.shape[0]
         if n <= 24:
             left = table[table, :]          # (i,j,k) -> (i*j)*k
             right = table[:, table]         # (i,j,k) -> i*(j*k)
-            if not (left == right).all():
-                raise GroupError("multiplication table is not associative")
-            return
-        rng = np.random.default_rng(0)
-        for _ in range(500):
-            i, j, k = rng.integers(0, n, size=3)
-            if table[table[i, j], k] != table[i, table[j, k]]:
-                raise GroupError("multiplication table is not associative")
+            ok = (left == right).all()
+        else:
+            i, j, k = np.random.default_rng(0).integers(0, n, size=(500, 3)).T
+            ok = (table[table[i, j], k] == table[i, table[j, k]]).all()
+        if not ok:
+            raise GroupError("multiplication table is not associative")
 
     @property
     def order(self) -> int:
@@ -100,45 +101,48 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
 
-    def index_of_tuple(self, coords) -> int:
+    def index_of_tuple(self, coords):
+        """Index of the element with cyclic coordinates ``coords``, each reduced
+        modulo its factor; an (..., k) array gives the (...) array of indices."""
         if self.structure is None:
             raise GroupError("group has no cyclic coordinate structure")
-        idx = 0
-        for c, m in zip(coords, self.structure):
-            idx = idx * m + (int(c) % m)
-        return idx
+        idx = np.ravel_multi_index(tuple(np.moveaxis(np.asarray(coords) % self.structure, -1, 0)),
+                                   self.structure)
+        return int(idx) if np.ndim(idx) == 0 else idx
 
     def tuple_of_index(self, g: int) -> tuple[int, ...]:
         if self.structure is None:
             raise GroupError("group has no cyclic coordinate structure")
-        coords = []
-        for m in reversed(self.structure):
-            coords.append(g % m)
-            g //= m
-        return tuple(reversed(coords))
+        return tuple(self.coords[g].tolist())
 
     def is_subgroup(self, indices) -> bool:
-        idx = list(dict.fromkeys(int(i) for i in indices))
-        if not idx or self.identity not in idx:
+        idx = distinct_indices(indices)
+        if idx.size == 0 or not ((idx >= 0) & (idx < self.order)).all():
             return False
-        s = set(idx)
-        return all(self.compose(a, b) in s for a in idx for b in idx) and all(
-            self.inverse(a) in s for a in idx
-        )
+        member = np.zeros(self.order, dtype=bool)
+        member[idx] = True
+        return bool(member[self.identity] and member[self.table[np.ix_(idx, idx)]].all()
+                    and member[self.inverse_table[idx]].all())
 
     def subgroup(self, indices) -> tuple["FiniteGroup", tuple[int, ...]]:
         """Subgroup as a standalone group plus the embedding into self."""
-        idx = tuple(dict.fromkeys(int(i) for i in indices))
+        idx = distinct_indices(indices)
         if not self.is_subgroup(idx):
-            raise SubgroupError(f"{idx} is not a subgroup of {self.name}")
-        pos = {g: i for i, g in enumerate(idx)}
-        m = len(idx)
-        table = np.array([[pos[self.compose(a, b)] for b in idx] for a in idx], dtype=int).reshape(m, m)
+            raise SubgroupError(f"{tuple(idx.tolist())} is not a subgroup of {self.name}")
+        pos = np.empty(self.order, dtype=int)
+        pos[idx] = np.arange(idx.size)
         labels = tuple(self.labels[g] for g in idx)
-        return FiniteGroup(table, labels=labels, name=f"{self.name}|sub{m}"), idx
+        sub = FiniteGroup(pos[self.table[np.ix_(idx, idx)]], labels=labels, name=f"{self.name}|sub{idx.size}")
+        return sub, tuple(idx.tolist())
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def distinct_indices(indices) -> np.ndarray:
+    """The indices as an integer array, repeats dropped, first occurrences in order."""
+    idx = np.asarray(indices, dtype=int).reshape(-1)
+    return idx[~np.tril(idx[:, None] == idx, -1).any(axis=1)]
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -154,11 +158,7 @@ def cyclic(n: int) -> FiniteGroup:
 def product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Direct product with index (g, h) -> g * |H| + h."""
     ng, nh = G.order, H.order
-    table = np.empty((ng * nh, ng * nh), dtype=int)
-    for a in range(ng):
-        for x in range(nh):
-            row = G.table[a][:, None] * nh + H.table[x][None, :]
-            table[a * nh + x] = row.reshape(-1)
+    table = (G.table[:, None, :, None] * nh + H.table[None, :, None, :]).reshape(ng * nh, ng * nh)
     labels = tuple(f"({la},{lb})" for la in G.labels for lb in H.labels)
     structure = None
     if G.structure is not None and H.structure is not None:
@@ -173,19 +173,18 @@ def symmetric(n: int) -> FiniteGroup:
     """Symmetric group on n letters (small n only)."""
     if not 1 <= n <= 6:
         raise GroupError("symmetric(n) supported for 1 <= n <= 6")
-    perms = list(itertools.permutations(range(n)))
-    pos = {p: i for i, p in enumerate(perms)}
-    m = len(perms)
-    table = np.empty((m, m), dtype=int)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = pos[tuple(p[q[k]] for k in range(n))]
-    labels = tuple("".join(str(k) for k in p) for p in perms)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=int).reshape(-1, n)
+    # a permutation is found by its base-n code; (p q)[k] = p[q[k]]
+    weights = n ** np.arange(n - 1, -1, -1)
+    index_of_code = np.zeros(n ** n, dtype=int)
+    index_of_code[perms @ weights] = np.arange(len(perms))
+    table = index_of_code[perms[:, perms] @ weights]
+    labels = tuple("".join(map(str, p)) for p in perms.tolist())
     gens = ()
     if n >= 2:
-        transposition = tuple([1, 0] + list(range(2, n)))
-        ncycle = tuple(list(range(1, n)) + [0])
-        gens = (pos[transposition], pos[ncycle])
+        transposition = [1, 0, *range(2, n)]
+        ncycle = [*range(1, n), 0]
+        gens = tuple(index_of_code[np.array([transposition, ncycle]) @ weights].tolist())
     return FiniteGroup(table, labels=labels, name=f"s{n}", generators=gens)
 
 
@@ -224,43 +223,38 @@ def dual_group(G: FiniteGroup) -> CharacterTable:
         raise GroupError("dual_group requires an abelian group")
     if G.structure is None:
         raise GroupError("dual_group requires a group built from cyclic factors")
-    n = G.order
-    table = np.empty((n, n), dtype=complex)
-    for s in range(n):
-        sc = G.tuple_of_index(s)
-        for g in range(n):
-            gc = G.tuple_of_index(g)
-            phase = sum(a * b / m for a, b, m in zip(sc, gc, G.structure))
-            table[s, g] = np.exp(2j * np.pi * phase)
-    labels = tuple(f"chi{G.labels[s]}" for s in range(n))
+    # phase(s, g) = sum_k s_k g_k / m_k, accumulated factor by factor
+    c = G.coords
+    phase = sum(c[:, None, k] * c[None, :, k] / m for k, m in enumerate(G.structure))
+    table = np.exp(2j * np.pi * phase)
+    labels = tuple(f"chi{label}" for label in G.labels)
     return CharacterTable(G, table, labels)
+
+
+def coset_lookup(G: FiniteGroup, h_indices) -> tuple[np.ndarray, np.ndarray]:
+    """Representatives of the left cosets gH plus the map element -> coset index.
+
+    Each coset is represented by its first element in the order identity,
+    then 0, 1, ..., N-1; the representatives are listed in that order too.
+    """
+    idx = distinct_indices(h_indices)
+    if not G.is_subgroup(idx):
+        raise SubgroupError(f"{tuple(idx.tolist())} is not a subgroup of {G.name}")
+    elems = np.arange(G.order)
+    rank = elems.copy()
+    rank[G.identity] = -1
+    coset = G.table[:, idx]                      # row g lists gH
+    rep_of = coset[elems, np.argmin(rank[coset], axis=1)]
+    reps = np.flatnonzero(rep_of == elems)
+    reps = np.concatenate(([G.identity], reps[reps != G.identity]))
+    pos = np.empty(G.order, dtype=int)
+    pos[reps] = np.arange(reps.size)
+    return reps, pos[rep_of]
 
 
 def coset_representatives(G: FiniteGroup, h_indices) -> list[int]:
     """Representatives of the left cosets gH, identity first."""
-    idx = tuple(dict.fromkeys(int(i) for i in h_indices))
-    if not G.is_subgroup(idx):
-        raise SubgroupError(f"{idx} is not a subgroup of {G.name}")
-    reps = []
-    covered = np.zeros(G.order, dtype=bool)
-    order = [G.identity] + [g for g in G.elements() if g != G.identity]
-    for g in order:
-        if not covered[g]:
-            reps.append(g)
-            for h in idx:
-                covered[G.compose(g, h)] = True
-    return reps
-
-
-def coset_lookup(G: FiniteGroup, h_indices) -> tuple[list[int], np.ndarray]:
-    """Coset representatives plus the map element -> coset index."""
-    idx = tuple(dict.fromkeys(int(i) for i in h_indices))
-    reps = coset_representatives(G, idx)
-    coset_of = np.full(G.order, -1, dtype=int)
-    for c, r in enumerate(reps):
-        for h in idx:
-            coset_of[G.compose(r, h)] = c
-    return reps, coset_of
+    return coset_lookup(G, h_indices)[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -296,9 +290,10 @@ class QuadratureGroup:
 
     Nodes are parameter vectors; composition, inverse and the modular function
     are exact parameter maps, while integration only ever evaluates integrands
-    at the nodes.  The node set need not be closed under composition.  The
-    modular function maps parameter vectors along the last axis, so that one
-    call on the node array gives ``modular_values``, Delta at every node.
+    at the nodes.  The node set need not be closed under composition.  All
+    three maps act on parameter vectors along the last axis, so that one call
+    on the node array gives ``modular_values``, Delta at every node, and the
+    sampled group laws are checked in one call each.
     """
 
     def __init__(self, nodes, haar_weights, compose_fn, inverse_fn, identity,
@@ -326,19 +321,15 @@ class QuadratureGroup:
     def _validate(self) -> None:
         if abs(self.modular(self.identity) - 1.0) > 1e-12:
             raise GroupError("modular function must be 1 at the identity")
-        rng = np.random.default_rng(0)
         m = self.node_count
-        for _ in range(min(32, m * m)):
-            p = self.nodes[rng.integers(m)]
-            q = self.nodes[rng.integers(m)]
-            r = self.nodes[rng.integers(m)]
-            pq = self.compose(p, q)
-            if abs(self.modular(pq) - self.modular(p) * self.modular(q)) > 1e-9 * self.modular(pq):
-                raise GroupError("modular function is not multiplicative")
-            if np.abs(self.compose(pq, r) - self.compose(p, self.compose(q, r))).max() > 1e-9:
-                raise GroupError("composition map is not associative")
-            if np.abs(self.compose(p, self.inverse(p)) - self.identity).max() > 1e-9:
-                raise GroupError("inverse map is inconsistent with composition")
+        p, q, r = self.nodes[np.random.default_rng(0).integers(0, m, size=(min(32, m * m), 3)).T]
+        pq = self.compose(p, q)
+        if (np.abs(self._modular(pq) - self._modular(p) * self._modular(q)) > 1e-9 * self._modular(pq)).any():
+            raise GroupError("modular function is not multiplicative")
+        if np.abs(self.compose(pq, r) - self.compose(p, self.compose(q, r))).max() > 1e-9:
+            raise GroupError("composition map is not associative")
+        if np.abs(self.compose(p, self.inverse(p)) - self.identity).max() > 1e-9:
+            raise GroupError("inverse map is inconsistent with composition")
 
     @property
     def node_count(self) -> int:
@@ -379,17 +370,13 @@ def affine_group(a_min: float, a_max: float, n_a: int,
     d_log_a = (math.log(a_max) - math.log(a_min)) / (n_a - 1)
     db = (b_max - b_min) / n_b
     b_nodes = b_min + (np.arange(n_b) + 0.5) * db
-    nodes = np.empty((n_a * n_b, 2))
-    weights = np.empty(n_a * n_b)
-    for i, a in enumerate(a_nodes):
-        nodes[i * n_b:(i + 1) * n_b, 0] = a
-        nodes[i * n_b:(i + 1) * n_b, 1] = b_nodes
-        weights[i * n_b:(i + 1) * n_b] = d_log_a * db / a
+    nodes = np.column_stack([np.repeat(a_nodes, n_b), np.tile(b_nodes, n_a)])
+    weights = np.repeat(d_log_a * db / a_nodes, n_b)
     return QuadratureGroup(
         nodes,
         weights,
-        compose_fn=lambda p, q: np.array([p[0] * q[0], p[0] * q[1] + p[1]]),
-        inverse_fn=lambda p: np.array([1.0 / p[0], -p[1] / p[0]]),
+        compose_fn=lambda p, q: np.stack([p[..., 0] * q[..., 0], p[..., 0] * q[..., 1] + p[..., 1]], axis=-1),
+        inverse_fn=lambda p: np.stack([1.0 / p[..., 0], -p[..., 1] / p[..., 0]], axis=-1),
         identity=(1.0, 0.0),
         modular_fn=lambda p: 1.0 / p[..., 0],
         label=f"affine[{a_min:g},{a_max:g}]x[{b_min:g},{b_max:g}]",

@@ -196,19 +196,9 @@ def _cyclic_subgroup_indices(G: FiniteGroup, sub_sizes: tuple[int, ...]) -> list
     for m, n in zip(sub_sizes, G.structure):
         if m < 1 or n % m != 0:
             raise ConfigError(f"subgroup factor {m} does not divide {n}")
-    strides = [n // m for m, n in zip(sub_sizes, G.structure)]
-    coords = [[s * k for k in range(m)] for s, m in zip(strides, sub_sizes)]
-    out: list[int] = []
-
-    def rec(prefix, rest):
-        if not rest:
-            out.append(G.index_of_tuple(tuple(prefix)))
-            return
-        for c in rest[0]:
-            rec(prefix + [c], rest[1:])
-
-    rec([], coords)
-    return out
+    strides = np.array(G.structure) // sub_sizes
+    coords = np.stack(np.unravel_index(np.arange(math.prod(sub_sizes)), sub_sizes), axis=1)
+    return G.index_of_tuple(coords * strides).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +334,8 @@ def _build_induced(spec: ScenarioSpec, tokens) -> Scenario:
             raise ConfigError("inner wh2 needs subgroup cyclic(2)xcyclic(2)")
         rep = finite_weyl_heisenberg(2)
         inner = conjugation_action(rep)
-        iso = []
-        for g in embed:
-            coords = G.tuple_of_index(g)
-            strides = [n // m for m, n in zip(H_model.structure, G.structure)]
-            inner_coords = tuple(c // s for c, s in zip(coords, strides))
-            iso.append(rep.group.index_of_tuple(inner_coords))
+        strides = np.array(G.structure) // H_model.structure
+        iso = rep.group.index_of_tuple(G.coords[list(embed)] // strides)
     elif itok == "translation":
         inner = left_translation_action(sub_group)
         iso = list(range(sub_group.order))

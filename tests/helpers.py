@@ -1,6 +1,12 @@
-"""Shared helpers for the tests that walk an action's group node by node."""
+"""Shared helpers for the tests: node walks and per-element loop oracles."""
+
+import itertools
+import math
+
+import numpy as np
 
 from qha.groups import QuadratureGroup
+from qha.scenarios import _cyclic_subgroup_indices
 
 
 def nodes_of(action):
@@ -9,3 +15,150 @@ def nodes_of(action):
     if isinstance(group, QuadratureGroup):
         return list(group.nodes)
     return list(group.elements())
+
+
+# ---------------------------------------------------------------------------
+# Per-element loop definitions of the group, character, representation and
+# induction constructors.  The package builds each of these as one array
+# program; the tests assert that both give the same arrays, bit for bit.
+
+
+def divisor_tuples(G):
+    """Every tuple of factor sizes of a product-of-cyclics subgroup of G."""
+    return itertools.product(*[[m for m in range(1, n + 1) if n % m == 0] for n in G.structure])
+
+
+def cyclic_subgroups(G):
+    """Index lists of every product-of-cyclics subgroup of G."""
+    return [_cyclic_subgroup_indices(G, sub) for sub in divisor_tuples(G)]
+
+
+def loop_tuple_of_index(G, g):
+    """Cyclic coordinates of g, most significant factor first."""
+    coords = []
+    for m in reversed(G.structure):
+        coords.append(g % m)
+        g //= m
+    return tuple(reversed(coords))
+
+
+def loop_product_table(G, H):
+    """Cayley table of G x H with index (g, h) -> g |H| + h, row by row."""
+    ng, nh = G.order, H.order
+    table = np.empty((ng * nh, ng * nh), dtype=int)
+    for a in range(ng):
+        for x in range(nh):
+            row = G.table[a][:, None] * nh + H.table[x][None, :]
+            table[a * nh + x] = row.reshape(-1)
+    return table
+
+
+def loop_symmetric_table(n):
+    """Cayley table of the permutations of range(n) in lexicographic order."""
+    perms = list(itertools.permutations(range(n)))
+    pos = {p: i for i, p in enumerate(perms)}
+    table = np.empty((len(perms), len(perms)), dtype=int)
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            table[i, j] = pos[tuple(p[q[k]] for k in range(n))]
+    return table
+
+
+def loop_character_table(G):
+    """chi_s(g) = exp(2 pi i sum_k s_k g_k / m_k), entry by entry."""
+    n = G.order
+    table = np.empty((n, n), dtype=complex)
+    for s in range(n):
+        sc = loop_tuple_of_index(G, s)
+        for g in range(n):
+            gc = loop_tuple_of_index(G, g)
+            phase = sum(a * b / m for a, b, m in zip(sc, gc, G.structure))
+            table[s, g] = np.exp(2j * np.pi * phase)
+    return table
+
+
+def loop_weyl_heisenberg(n):
+    """T_k M_l at index k n + l, as a product of a shift and a diagonal."""
+    omega = np.exp(2j * np.pi / n)
+    mats = np.zeros((n * n, n, n), dtype=complex)
+    for k in range(n):
+        for l in range(n):
+            T = np.zeros((n, n), dtype=complex)
+            for s in range(n):
+                T[(s + k) % n, s] = 1.0
+            M = np.diag(omega ** (l * np.arange(n)))
+            mats[k * n + l] = T @ M
+    return mats
+
+
+def loop_cyclic_characters(n, j):
+    """The 1 x 1 matrices exp(2 pi i j g / n) of chi_j on cyclic(n)."""
+    return np.array([[[np.exp(2j * np.pi * j * g / n)]] for g in range(n)])
+
+
+def loop_s3_matrices():
+    """Sign and standard matrices of s3, permutation by permutation."""
+    perms = list(itertools.permutations(range(3)))
+    q = np.array([[1.0 / math.sqrt(2), 1.0 / math.sqrt(6)],
+                  [-1.0 / math.sqrt(2), 1.0 / math.sqrt(6)],
+                  [0.0, -2.0 / math.sqrt(6)]])
+    sign, std = [], []
+    for p in perms:
+        s = 1
+        for i in range(3):
+            for j in range(i + 1, 3):
+                if p[i] > p[j]:
+                    s = -s
+        sign.append([[float(s)]])
+        P = np.zeros((3, 3))
+        for i, pi in enumerate(p):
+            P[pi, i] = 1.0
+        std.append(q.T @ P @ q)
+    return np.array(sign, dtype=complex), np.array(std, dtype=complex)
+
+
+def loop_cosets(G, h_indices):
+    """Left coset representatives (first in the order e, 0, 1, ...) and the
+    map element -> coset, by covering the cosets one at a time."""
+    idx = tuple(dict.fromkeys(int(i) for i in h_indices))
+    reps = []
+    covered = np.zeros(G.order, dtype=bool)
+    for g in [G.identity] + [g for g in G.elements() if g != G.identity]:
+        if not covered[g]:
+            reps.append(g)
+            for h in idx:
+                covered[G.compose(g, h)] = True
+    coset_of = np.full(G.order, -1, dtype=int)
+    for c, r in enumerate(reps):
+        for h in idx:
+            coset_of[G.compose(r, h)] = c
+    return reps, coset_of
+
+
+def loop_coset_table(G, h_indices):
+    """Point table of G on G/H: g r_c lies in coset table[g, c]."""
+    reps, coset_of = loop_cosets(G, h_indices)
+    table = np.empty((G.order, len(reps)), dtype=int)
+    for g in G.elements():
+        for c, r in enumerate(reps):
+            table[g, c] = coset_of[G.compose(g, r)]
+    return table
+
+
+def loop_induced_maps(G, h_indices, inner_group, iso):
+    """(target, inner_elt) per (g, coset j): g^{-1} r_j = r_a h gives the
+    target coset a and the inner element iso(h)^{-1}."""
+    reps, coset_of = loop_cosets(G, h_indices)
+    h_tuple = tuple(dict.fromkeys(int(i) for i in h_indices))
+    pos = {g: i for i, g in enumerate(h_tuple)}
+    target = np.empty((G.order, len(reps)), dtype=int)
+    inner_elt = np.empty((G.order, len(reps)), dtype=int)
+    for g in G.elements():
+        ginv = G.inverse(g)
+        for j, r in enumerate(reps):
+            w = G.compose(ginv, r)
+            a = coset_of[w]
+            h = G.compose(G.inverse(reps[a]), w)
+            target[g, j] = a
+            inner_elt[g, j] = inner_group.inverse(int(iso[pos[h]]))
+    return target, inner_elt

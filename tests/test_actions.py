@@ -41,13 +41,22 @@ from qha.actions import (
     is_trace_preserving,
     isometry_defect,
     left_translation_action,
+    product_phases,
     s3_irreps,
     trivial_rep,
 )
-from qha.groups import cyclic, product
+from qha.groups import cyclic, product, symmetric
 from qha.scenarios import ScenarioSpec, build_scenario, list_builtins
 
-from helpers import nodes_of
+from helpers import (
+    cyclic_subgroups,
+    loop_coset_table,
+    loop_cyclic_characters,
+    loop_induced_maps,
+    loop_s3_matrices,
+    loop_weyl_heisenberg,
+    nodes_of,
+)
 
 
 SMALL_WAVELET = WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
@@ -62,11 +71,18 @@ class TestUnitaryRep:
             UnitaryRep(G, mats)
 
     def test_rejects_wrong_product_law(self):
+        # U_1 = diag(1, i) is unitary, but U_1 U_1 U_0* = diag(1, -1) is not a
+        # multiple of I: not even a projective representation of cyclic(2)
         G = cyclic(2)
-        mats = np.array([np.eye(1), [[1.0]]], dtype=complex)  # chi(1) should be -1-able
-        # constant family is a valid rep of c2 (trivial); break it with a fake cocycle
-        with pytest.raises(RepresentationError):
-            UnitaryRep(G, mats, cocycle=lambda a, b: -1.0 if (a, b) == (1, 1) else 1.0)
+        mats = np.array([np.eye(2), np.diag([1.0, 1j])])
+        with pytest.raises(RepresentationError, match="scalar multiple"):
+            UnitaryRep(G, mats)
+
+    def test_rejects_non_identity_at_e(self):
+        # U_0 = -1, U_1 = 1 multiplies with scalar phases, but U_e must be I
+        G = cyclic(2)
+        with pytest.raises(RepresentationError, match="identity"):
+            UnitaryRep(G, np.array([[[-1.0]], [[1.0]]]))
 
     def test_s3_irreps_validate(self):
         reps = s3_irreps()
@@ -85,22 +101,27 @@ class TestWeylHeisenberg:
         e = rep.group.identity
         assert np.allclose(rep.matrix(e), np.eye(3))
 
-    def test_product_phase_matches_cocycle_exactly(self):
-        # derived check: matrix product phase against the stated cocycle
-        rep = finite_weyl_heisenberg(4)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_product_phase_matches_weyl_formula(self, n):
+        # derived check: the computed phase of every pair is exp(2 pi i l k' / n)
+        # and reproduces the matrix product
+        rep = finite_weyl_heisenberg(n)
         G = rep.group
-        for a in G.elements():
-            for b in G.elements():
-                lhs = rep.matrix(a) @ rep.matrix(b)
-                rhs = complex(rep.cocycle(a, b)) * rep.matrix(G.compose(a, b))
-                assert np.abs(lhs - rhs).max() < 1e-12
+        pairs = np.array([(a, b) for a in G.elements() for b in G.elements()])
+        phases = product_phases(rep.matrices, G.table, pairs)
+        for (a, b), c in zip(pairs, phases):
+            (_, l), (kp, _) = G.tuple_of_index(a), G.tuple_of_index(b)
+            assert abs(c - np.exp(2j * np.pi * l * kp / n)) < 1e-12
+            lhs = rep.matrix(a) @ rep.matrix(b)
+            assert np.abs(lhs - c * rep.matrix(G.compose(a, b))).max() < 1e-12
 
-    def test_cocycle_formula(self):
+    def test_phase_formula(self):
         rep = finite_weyl_heisenberg(5)
         G = rep.group
         a = G.index_of_tuple((2, 3))
         b = G.index_of_tuple((4, 1))
-        assert rep.cocycle(a, b) == pytest.approx(np.exp(2j * np.pi * 3 * 4 / 5))
+        (c,) = product_phases(rep.matrices, G.table, [(a, b)])
+        assert c == pytest.approx(np.exp(2j * np.pi * 3 * 4 / 5))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_irreducible(self, n):
@@ -180,6 +201,18 @@ class TestPermutationAction:
         G = cyclic(2)
         with pytest.raises(MeasureError):
             PermutationAction(G, G.table, np.array([1.0, 2.0]))
+
+    def test_rejects_table_that_breaks_composition(self):
+        # every row permutes the points and e acts trivially, but 1 and 2
+        # move the points alike, so point(1 * 1) != point(1) point(1)
+        G = cyclic(3)
+        with pytest.raises(ActionError, match="compose"):
+            PermutationAction(G, np.array([[0, 1, 2], [1, 2, 0], [1, 2, 0]]), np.ones(3))
+
+    def test_rejects_row_that_is_not_a_permutation(self):
+        G = cyclic(2)
+        with pytest.raises(ActionError, match="permute"):
+            PermutationAction(G, np.array([[0, 1], [0, 0]]), np.ones(2))
 
     def test_validate_escape_for_fixtures(self):
         G = cyclic(2)
@@ -311,16 +344,20 @@ class TestDualAction:
             dual_action(product(cyclic(4), cyclic(4)), 2)
 
 
-def _builtin_induced():
-    G = product(cyclic(2), cyclic(4))
-    h_indices = [G.index_of_tuple((a, b)) for a in range(2) for b in (0, 2)]
-    rep = finite_weyl_heisenberg(2)
-    inner = conjugation_action(rep)
-    iso = []
-    for g in h_indices:
-        a, b = G.tuple_of_index(g)
-        iso.append(rep.group.index_of_tuple((a, b // 2)))
-    return G, h_indices, inner, iso
+def _induced_family(gtok, itok):
+    """(G, h, inner, iso) of the induced scenarios with subgroup cyclic(2)^2."""
+    G = {"c2c4": product(cyclic(2), cyclic(4)), "c4c4": product(cyclic(4), cyclic(4)),
+         "c8c8": product(cyclic(8), cyclic(8))}[gtok]
+    strides = np.array(G.structure) // 2
+    h = [G.index_of_tuple((a * strides[0], b * strides[1])) for a in range(2) for b in range(2)]
+    if itok == "wh2":
+        rep = finite_weyl_heisenberg(2)
+        inner = conjugation_action(rep)
+        iso = [rep.group.index_of_tuple(np.array(G.tuple_of_index(g)) // strides) for g in h]
+    else:
+        inner = left_translation_action(G.subgroup(h)[0])
+        iso = list(range(len(h)))
+    return G, h, inner, iso
 
 
 class TestInducedAction:
@@ -338,29 +375,87 @@ class TestInducedAction:
             assert sup_distance(got, AlgebraElement(act.shape, expect.blocks)) < 1e-12
 
     def test_builtin_instance_ergodic(self):
-        G, h, inner, iso = _builtin_induced()
+        G, h, inner, iso = _induced_family("c2c4", "wh2")
         act = induced_action(G, h, inner, iso)
         assert act.shape.blocks_shape == (2, 2, 2)
         assert fixed_point_dimension(act) == 1
 
     def test_trace_of_identity(self):
-        G, h, inner, iso = _builtin_induced()
+        G, h, inner, iso = _induced_family("c2c4", "wh2")
         act = induced_action(G, h, inner, iso)
         index = G.order // len(h)
         assert trace(act.shape.identity()) == pytest.approx(index * trace(inner.shape.identity()))
 
     def test_homomorphism_all_pairs(self):
-        G, h, inner, iso = _builtin_induced()
+        G, h, inner, iso = _induced_family("c2c4", "wh2")
         act = induced_action(G, h, inner, iso)
         rng = np.random.default_rng(7)
         assert homomorphism_defect(act, rng) < 1e-12
 
     def test_rejects_bad_iso(self):
-        G, h, inner, iso = _builtin_induced()
+        G, h, inner, iso = _induced_family("c2c4", "wh2")
         bad = list(iso)
         bad[1] = bad[0]  # not injective, so not an isomorphism
         with pytest.raises(ActionError):
             induced_action(G, h, inner, bad)
+
+
+class TestArrayConstructorsMatchLoops:
+    """Representations, coset actions and induction against their per-element
+    loop definitions (tests/helpers.py), bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_weyl_heisenberg(self, n):
+        assert np.array_equal(finite_weyl_heisenberg(n).matrices, loop_weyl_heisenberg(n))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_cyclic_characters(self, n):
+        for j in range(n):
+            assert np.array_equal(cyclic_character_rep(cyclic(n), j).matrices, loop_cyclic_characters(n, j))
+
+    def test_s3_irreps(self):
+        sign, std = loop_s3_matrices()
+        reps = s3_irreps()
+        assert np.array_equal(reps["sign"].matrices, sign)
+        assert np.array_equal(reps["std"].matrices, std)
+
+    @pytest.mark.parametrize("G", [
+        *(cyclic(n) for n in range(1, 13)),
+        product(cyclic(2), cyclic(4)),
+        product(product(cyclic(3), cyclic(3)), cyclic(2)),
+    ], ids=lambda G: G.name)
+    def test_coset_action(self, G):
+        for h in cyclic_subgroups(G):
+            assert np.array_equal(coset_action(G, h).point_table, loop_coset_table(G, h))
+
+    def test_coset_action_of_s3(self):
+        G = symmetric(3)
+        assert np.array_equal(coset_action(G, [0, 1]).point_table, loop_coset_table(G, [0, 1]))
+
+    @pytest.mark.parametrize("gtok,itok", [("c2c4", "wh2"), ("c8c8", "wh2"), ("c4c4", "wh2"),
+                                           ("c4c4", "translation"), ("c2c4", "translation")])
+    def test_induced_action(self, gtok, itok):
+        G, h, inner, iso = _induced_family(gtok, itok)
+        act = induced_action(G, h, inner, iso)
+        target, inner_elt = loop_induced_maps(G, h, inner.group, iso)
+        t = len(inner.shape.trace_weights)
+        src = (target[:, :, None] * t + inner._src[inner_elt]).reshape(G.order, -1)
+        if itok == "wh2":
+            n = inner.shape.block_dim
+            assert np.array_equal(act._src, src)
+            assert np.array_equal(act.unitaries, inner.unitaries[inner_elt].reshape(G.order, -1, n, n))
+        else:
+            assert np.array_equal(act.point_table, src[G.inverse_table])
+
+    @pytest.mark.parametrize("sid,gtok,itok", [
+        ("induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2", "c2c4", "wh2"),
+        ("induced:cyclic(8)xcyclic(8):cyclic(2)xcyclic(2):wh2", "c8c8", "wh2"),
+        ("induced:cyclic(4)xcyclic(4):cyclic(2)xcyclic(2):translation", "c4c4", "translation"),
+    ])
+    def test_induced_scenarios_build_the_same_action(self, sid, gtok, itok):
+        act = build_scenario(ScenarioSpec(sid, seed=1729)).action
+        ref = induced_action(*_induced_family(gtok, itok))
+        assert np.array_equal(act._src, ref._src)
 
 
 class TestWaveletAction:
@@ -419,6 +514,18 @@ class TestWaveletAction:
         fast = act.bracket_integral(x, y, w)
         slow = np.dot(w, act.bracket_values(x, y))
         assert abs(fast - slow) < 1e-9 * (1 + abs(slow))
+
+    def test_bracket_integral_takes_only_its_haar_weights(self):
+        # the circulant path integrates against the affine Haar weights; other
+        # weights used to be read only for their length
+        act = WaveletAction(SMALL_WAVELET)
+        rng = np.random.default_rng(12)
+        x, y = act.random_positive(rng), act.random_positive(rng)
+        haar = act.group.haar().weights
+        assert act.bracket_integral(x, y, haar) == act.bracket_integral(x, y, act.group.haar_weights)
+        for weights in (2 * haar, np.ones_like(haar), haar[:-1]):
+            with pytest.raises(ActionError, match="Haar weights"):
+                act.bracket_integral(x, y, weights)
 
 
 WAVELETS = {"small-wavelet": SMALL_WAVELET, "default": WaveletDesign()}

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from qha.cli import main
-from qha.scenarios import builtin, load_scenario, save_scenario
+from qha.cli import _parser, main, resolve_config
+from qha.scenarios import builtin, list_builtins, load_scenario, save_scenario
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -201,3 +201,13 @@ class TestList:
         assert "wh:4" in out
         assert "affine-wavelet:default" in out
         assert "broken-measure" in out
+
+    def test_coarse_is_listed_as_a_refinement_level_and_stays_out_of_all(self, capsys):
+        # coarse fails duflo-estimate (3.16e-2 > 1e-2) under verify: it is a
+        # level of the refine table, not a verify preset
+        code, out, err = run_cli(capsys, "list")
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("affine-wavelet:coarse")]
+        assert "refinement level for refine" in line and "excluded from --all" in line
+        assert "affine-wavelet:coarse" not in list_builtins()
+        cfg = resolve_config(_parser().parse_args(["verify", "--all"]))
+        assert "affine-wavelet:coarse" not in [spec.scenario_id for spec in cfg.specs]

@@ -1,5 +1,6 @@
 """Group models: tables, characters, cosets, quadrature and Haar weights."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from qha.groups import (
     HaarModel,
     SubgroupError,
     affine_group,
+    coset_lookup,
     coset_representatives,
     counting_haar,
     cyclic,
@@ -19,6 +21,17 @@ from qha.groups import (
     probability_haar,
     product,
     symmetric,
+)
+from qha.scenarios import _cyclic_subgroup_indices
+
+from helpers import (
+    cyclic_subgroups,
+    divisor_tuples,
+    loop_character_table,
+    loop_cosets,
+    loop_product_table,
+    loop_symmetric_table,
+    loop_tuple_of_index,
 )
 
 # order-5 Latin square with identity and inverses but (1*1)*2 != 1*(1*2)
@@ -241,3 +254,88 @@ class TestCharacterTableValidation:
         G = cyclic(2)
         with pytest.raises(GroupError):
             CharacterTable(G, np.ones((2, 2)), ("a", "b"))
+
+
+# Groups with cyclic structure whose array-built tables, coordinates,
+# characters and cosets are compared with the per-element loops.
+STRUCTURED = (
+    *(cyclic(n) for n in range(1, 13)),
+    product(cyclic(2), cyclic(4)),
+    product(product(cyclic(3), cyclic(3)), cyclic(2)),
+)
+
+
+class TestArrayConstructorsMatchLoops:
+    """The array programs against their per-element loop definitions
+    (tests/helpers.py), bit for bit."""
+
+    @pytest.mark.parametrize("G", STRUCTURED, ids=lambda G: G.name)
+    def test_coordinates(self, G):
+        for g in G.elements():
+            assert G.tuple_of_index(g) == loop_tuple_of_index(G, g)
+        assert np.array_equal(G.index_of_tuple(G.coords), np.arange(G.order))
+
+    @pytest.mark.parametrize("G", STRUCTURED, ids=lambda G: G.name)
+    def test_character_table(self, G):
+        assert np.array_equal(dual_group(G).table, loop_character_table(G))
+
+    @pytest.mark.parametrize("factors", [
+        *((cyclic(n), cyclic(m)) for n in range(1, 13) for m in (1, 2, 3)),
+        (product(cyclic(3), cyclic(3)), cyclic(2)),
+        (symmetric(3), cyclic(2)),
+        (cyclic(2), symmetric(3)),
+    ], ids=lambda f: f"{f[0].name}x{f[1].name}")
+    def test_product_table(self, factors):
+        G, H = factors
+        assert np.array_equal(product(G, H).table, loop_product_table(G, H))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_symmetric_table(self, n):
+        assert np.array_equal(symmetric(n).table, loop_symmetric_table(n))
+
+    @pytest.mark.parametrize("G", STRUCTURED, ids=lambda G: G.name)
+    def test_cyclic_subgroup_indices(self, G):
+        for sub in divisor_tuples(G):
+            steps = [range(0, n, n // m) for m, n in zip(sub, G.structure)]
+            expect = [G.index_of_tuple(c) for c in itertools.product(*steps)]
+            assert _cyclic_subgroup_indices(G, sub) == expect
+
+    @pytest.mark.parametrize("G", STRUCTURED, ids=lambda G: G.name)
+    def test_cosets_and_subgroup_tables(self, G):
+        for h in cyclic_subgroups(G):
+            reps, coset_of = coset_lookup(G, h)
+            loop_reps, loop_coset_of = loop_cosets(G, h)
+            assert reps.tolist() == loop_reps and np.array_equal(coset_of, loop_coset_of)
+            sub, embed = G.subgroup(h)
+            pos = {g: i for i, g in enumerate(embed)}
+            assert np.array_equal(sub.table, [[pos[G.compose(a, b)] for b in embed] for a in embed])
+
+    @pytest.mark.parametrize("h", [[0, 1], [1, 0], [0, 3, 4]])
+    def test_cosets_of_s3(self, h):
+        # a non-normal subgroup, listed with the identity first or not, and A3
+        G = symmetric(3)
+        assert G.is_subgroup(h)
+        reps, coset_of = coset_lookup(G, h)
+        loop_reps, loop_coset_of = loop_cosets(G, h)
+        assert reps.tolist() == loop_reps and np.array_equal(coset_of, loop_coset_of)
+
+    def test_cosets_when_the_identity_is_not_element_0(self):
+        # cyclic(4) relabelled by i -> perm[i]: the identity is element 2, so
+        # the representatives start with it and continue in index order
+        perm = np.array([2, 0, 3, 1])
+        C = cyclic(4)
+        table = np.empty((4, 4), dtype=int)
+        table[perm[:, None], perm] = perm[C.table]
+        G = FiniteGroup(table)
+        assert G.identity == 2
+        reps, coset_of = coset_lookup(G, [3, 2])
+        loop_reps, loop_coset_of = loop_cosets(G, [3, 2])
+        assert reps.tolist() == loop_reps == [2, 0] and np.array_equal(coset_of, loop_coset_of)
+
+    def test_is_subgroup_rejects(self):
+        G = cyclic(6)
+        assert not G.is_subgroup([])
+        assert not G.is_subgroup([2, 4])        # no identity
+        assert not G.is_subgroup([0, 1])        # not closed
+        assert not G.is_subgroup([0, 6])        # out of range
+        assert G.is_subgroup([0, 3, 3, 0])      # repeats are dropped

@@ -3,13 +3,17 @@
 Every *-automorphism of a sum of equal matrix blocks permutes the blocks and
 conjugates each one by a unitary, so two finite families cover the finite
 actions.  ``PermutationAction`` moves the atoms of a diagonal algebra (left
-translation, cosets, the untwisted dual translation).  ``ConjugationAction``
-maps block j of x to U[g, j] x[src[g, j]] U[g, j]*: a (projective)
-representation on one block, the twisted dual, whose translations are
-conjugations by Weyl operators, and every induced action of a conjugation.
+translation, cosets, the dual translating the diagonalized group algebra).
+``ConjugationAction`` maps block j of x to U[g, j] x[src[g, j]] U[g, j]*: a
+(projective) representation on one block, the twisted dual, whose
+translations are conjugations by Weyl operators, and every induced action of
+a conjugation.
 ``dual_action`` and ``induced_action`` are factories onto these two.  The
 third family is a quadrature wavelet action of the scaling-and-shift group
-on a log-frequency grid.
+on a log-frequency grid.  Every action carries the Haar model of its group,
+``action.haar``, fixed when it is built: counting weights on a finite group
+unless the builder passes others, the quadrature weights on a quadrature
+group.  Every group integral reads it.
 
 Structural checkers live here as well: trace preservation, homomorphism /
 automorphism / isometry defects, and the fixed-point dimension that
@@ -45,11 +49,13 @@ from .algebra import (
 )
 from .groups import (
     FiniteGroup,
+    HaarModel,
     QuadratureGroup,
     coset_lookup,
+    counting_haar,
     cyclic,
     distinct_indices,
-    dual_group,
+    dual,
     product,
 )
 from .reports import CheckReport
@@ -327,15 +333,20 @@ class Action:
     """Map (group element, algebra element) -> algebra element.
 
     Subclasses implement ``apply`` and the vectorized kernels
-    ``bracket_values`` and ``orbit_sum``.  All reductions run in fixed node
-    order, so results are deterministic.
+    ``bracket_values`` and ``orbit_sum``.  ``haar`` holds one weight per
+    node, counting weights on a finite group by default.  All reductions run
+    in fixed node order, so results are deterministic.
     """
 
-    def __init__(self, group, shape: AlgebraShape, kind: str, sample_elements):
+    def __init__(self, group, shape: AlgebraShape, kind: str, sample_elements,
+                 haar: HaarModel | None = None):
         self.group = group
         self.shape = shape
         self.kind = kind
         self.sample_elements = tuple(sample_elements)
+        self.haar = haar if haar is not None else counting_haar(group)
+        if self.haar.weights.shape != self.modular_values().shape:
+            raise ActionError("need one Haar weight per group node")
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         raise NotImplementedError
@@ -354,8 +365,9 @@ class Action:
         """trace((g.y)* x) at every node, in node order."""
         raise NotImplementedError
 
-    def bracket_integral(self, x: AlgebraElement, y: AlgebraElement, weights: np.ndarray) -> complex:
-        return complex(np.dot(weights, self.bracket_values(x, y)))
+    def bracket_integral(self, x: AlgebraElement, y: AlgebraElement) -> complex:
+        """Haar integral of the bracket values."""
+        return complex(np.dot(self.haar.weights, self.bracket_values(x, y)))
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         """Sum of coeffs[i] * (g_i . x) over all nodes."""
@@ -421,7 +433,7 @@ class ConjugationAction(Action):
     action.
     """
 
-    def __init__(self, group: FiniteGroup, unitaries, src, trace_weights):
+    def __init__(self, group: FiniteGroup, unitaries, src, trace_weights, haar: HaarModel | None = None):
         U = np.asarray(unitaries, dtype=complex)
         src = np.asarray(src, dtype=int)
         if U.ndim != 4 or U.shape[:2] != src.shape or U.shape[0] != group.order or U.shape[2] != U.shape[3]:
@@ -436,7 +448,7 @@ class ConjugationAction(Action):
             raise RepresentationError("block matrices are not unitary")
         shape = AlgebraShape(n, trace_weights)
         gens = group.generators or tuple(group.elements())
-        super().__init__(group, shape, "conjugation", gens)
+        super().__init__(group, shape, "conjugation", gens, haar)
         self.unitaries = U
         self._src = src
 
@@ -477,10 +489,10 @@ class ConjugationAction(Action):
         return self._src[gens], self.unitaries[gens]
 
 
-def conjugation_action(rep: UnitaryRep) -> ConjugationAction:
-    """g.x = U_g x U_g* on one full block."""
+def conjugation_action(rep: UnitaryRep, haar: HaarModel | None = None) -> ConjugationAction:
+    """g.x = U_g x U_g* on one full block; counting Haar weights by default."""
     zeros = np.zeros((rep.group.order, 1), dtype=int)
-    return ConjugationAction(rep.group, rep.matrices[:, None], zeros, (1.0,))
+    return ConjugationAction(rep.group, rep.matrices[:, None], zeros, (1.0,), haar)
 
 
 class PermutationAction(Action):
@@ -538,50 +550,26 @@ def coset_action(G: FiniteGroup, h_indices) -> PermutationAction:
     return PermutationAction(G, coset_of[G.table[:, reps]], np.ones(len(reps)))
 
 
-class DualTranslationAction(PermutationAction):
-    """Dual of an abelian group translating the diagonalized group algebra.
-
-    The algebra of the untwisted group von Neumann algebra of G is stored in
-    its character coordinates: one 1-d block per character, trace weight 1/N,
-    so that the trace of a twisted translate family element recovers its
-    symbol at the identity.  omega moves the atom chi to chi omega^{-1}, so
-    (omega.x)(chi) = x(chi omega): a permutation action of the dual group.
-    """
-
-    def __init__(self, G: FiniteGroup):
-        chars = dual_group(G)
-        dual = chars.as_group()
-        n = G.order
-        super().__init__(dual, dual.table[:, dual.inverse_table].T, np.full(n, 1.0 / n))
-        self.kind = "dual-translation"
-        self.base_group = G
-        self.characters = chars
-
-    def from_symbol(self, f: np.ndarray) -> AlgebraElement:
-        """Element with symbol f: sum of f(g) * lambda(g)."""
-        # row chi of the character table is chi(.), so the diagonal entry at
-        # chi is sum_g f(g) chi(g)
-        vals = self.characters.table @ np.asarray(f, dtype=complex)
-        return AlgebraElement(self.shape, vals.reshape(-1, 1, 1), copy=False)
-
-    def symbol(self, x: AlgebraElement) -> np.ndarray:
-        """Recover f(g) = trace(lambda(g)* x); exact on this algebra."""
-        return self.characters.table.conj().T @ x.vec() / self.base_group.order
-
-
 def dual_action(G: FiniteGroup, m: int = 0) -> PermutationAction | ConjugationAction:
     """Dual action on the (possibly twisted) group algebra of an abelian group.
 
-    m = 0 works for any group built from cyclic factors: the dual translates
-    the atoms of the diagonalized group algebra.  A nonzero twist needs
-    G = cyclic(n) x cyclic(n) with gcd(m, n) = 1.  The twisted algebra is then
-    one full n x n block with trace weight 1/n, spanned by the translates
-    Lambda(a, b) = pi(a, m b) of the translation-modulation family pi.  The
-    character (s, t) multiplies Lambda(a, b) by exp(2 pi i (s a + t b) / n),
-    which is conjugation by pi(-t/m, s).
+    Both branches act by ``groups.dual(G)``, which is built from G itself.
+    m = 0 works for any abelian group built from cyclic factors: the
+    untwisted group algebra is stored in its character coordinates, one atom
+    per character with trace weight 1/N, so that the trace of an element is
+    its symbol at the identity.  omega moves the atom chi to chi omega^{-1},
+    so (omega.x)(chi) = x(chi omega): a permutation action.  A nonzero twist
+    needs G = cyclic(n) x cyclic(n) with gcd(m, n) = 1.  The twisted algebra
+    is then one full n x n block with trace weight 1/n, spanned by the
+    translates Lambda(a, b) = pi(a, m b) of the translation-modulation family
+    pi.  The character (s, t) multiplies Lambda(a, b) by
+    exp(2 pi i (s a + t b) / n), which is conjugation by pi(-t/m, s).
     """
     if m == 0:
-        return DualTranslationAction(G)
+        D = dual(G)
+        act = PermutationAction(D, D.table[:, D.inverse_table].T, np.full(G.order, 1.0 / G.order))
+        act.kind = "dual-translation"
+        return act
     if G.structure is None or len(G.structure) != 2 or G.structure[0] != G.structure[1]:
         raise ActionError("twisted dual action needs cyclic(n) x cyclic(n)")
     n = G.structure[0]
@@ -590,8 +578,7 @@ def dual_action(G: FiniteGroup, m: int = 0) -> PermutationAction | ConjugationAc
     wh = finite_weyl_heisenberg(n)
     s, t = np.divmod(np.arange(n * n), n)
     psi = (-t * pow(m, -1, n)) % n * n + s
-    act = ConjugationAction(dual_group(wh.group).as_group(), wh.matrices[psi][:, None],
-                            np.zeros((n * n, 1), dtype=int), (1.0 / n,))
+    act = ConjugationAction(dual(G), wh.matrices[psi][:, None], np.zeros((n * n, 1), dtype=int), (1.0 / n,))
     act.kind = "twisted-dual"
     return act
 
@@ -746,7 +733,11 @@ class WaveletAction(Action):
             i_c * design.n_b + j_c,
         )
         sample = [group.nodes[i] for i in sample_idx]
-        super().__init__(group, shape, "wavelet", sample)
+        super().__init__(group, shape, "wavelet", sample, group.haar())
+        # the Haar weights da db / a^2 with the b sum taken into ``b_kernel``:
+        # log_ratio / a for the dilation by j, stored at the cyclic shift j % K
+        self._dilation_weights = np.zeros(K)
+        self._dilation_weights[self.shifts % K] = self.log_ratio / np.exp(self.shifts * self.log_ratio)
 
     # -- grid plumbing ---------------------------------------------------
 
@@ -813,16 +804,11 @@ class WaveletAction(Action):
             out[i] = ((Pc @ A) * Pr).sum(axis=1)
         return out.reshape(-1)
 
-    def bracket_integral(self, x: AlgebraElement, y: AlgebraElement, weights: np.ndarray) -> complex:
-        # the Haar weights are log-uniform in a and constant in b: the b sum
-        # collapses into the phase gram and the a sum into one circulant
-        # dilation sum, so no other weights can be honoured
-        if not np.array_equal(weights, self.group.haar_weights):
-            raise ActionError("the wavelet bracket integral is taken against the action's own Haar weights")
+    def bracket_integral(self, x: AlgebraElement, y: AlgebraElement) -> complex:
+        # the b sum collapses into the phase gram, the a sum into one
+        # circulant dilation sum
         xb, yb = x.blocks[0], y.blocks[0]
-        w = np.zeros(self.grid_size)
-        w[self.shifts % self.grid_size] = self.log_ratio / np.exp(self.shifts * self.log_ratio)
-        return complex(np.sum(yb.conj().T * self._shift_sum(w, self.b_kernel * xb.T)))
+        return complex(np.sum(yb.conj().T * self._shift_sum(self._dilation_weights, self.b_kernel * xb.T)))
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         coeffs = np.asarray(coeffs, dtype=complex).reshape(self.n_a, self.n_b)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, ParameterError
 from .actions import Action
-from .groups import HaarModel, QuadratureGroup
+from .groups import QuadratureGroup
 
 
 class InverseClosureError(Exception):
@@ -43,9 +43,9 @@ class BracketFunction:
         return self.values.shape[0]
 
 
-def bracket(x: AlgebraElement, y: AlgebraElement, action: Action, haar: HaarModel) -> BracketFunction:
-    """Sampled bracket g -> trace((g.y)* x) on the action's nodes."""
-    return BracketFunction(action.bracket_values(x, y), haar.weights)
+def bracket(x: AlgebraElement, y: AlgebraElement, action: Action) -> BracketFunction:
+    """Sampled bracket g -> trace((g.y)* x) on the action's nodes, with its Haar weights."""
+    return BracketFunction(action.bracket_values(x, y), action.haar.weights)
 
 
 def integrate_bracket(bf: BracketFunction) -> complex:
@@ -63,8 +63,7 @@ def function_p_norm(bf: BracketFunction, r: float) -> float:
     return float(np.dot(bf.weights, np.abs(bf.values) ** r) ** (1.0 / r))
 
 
-def bracket_symmetry_defect(x: AlgebraElement, y: AlgebraElement, action: Action,
-                            haar: HaarModel) -> float:
+def bracket_symmetry_defect(x: AlgebraElement, y: AlgebraElement, action: Action) -> float:
     """max over g of |<x|y>(g^{-1}) - <y|x>(g)|, relative to max over g of |<x|y>(g)|.
 
     The scale is floored at 1e-300.  Requires a node set closed under

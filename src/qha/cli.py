@@ -158,13 +158,12 @@ def cmd_duflo(cfg: RunConfig) -> int:
         scn = build_scenario(spec)
         x1, x2 = scn.duflo_pair()
         try:
-            est = estimate_duflo(scn.action, scn.haar, x1, x2, cross_tol=scn.cross_tol)
+            est = estimate_duflo(scn.action, x1, x2, cross_tol=scn.cross_tol)
         except EstimateError as exc:
             lines.append(f"== {spec.scenario_id}: estimate failed: {exc}")
             code = 1
             continue
-        semi = check_semi_invariance(scn.action, scn.haar, est, tol_rel=scn.tol_rel,
-                                     scenario=spec.scenario_id)
+        semi = check_semi_invariance(scn.action, est, tol_rel=scn.tol_rel, scenario=spec.scenario_id)
         lines.append(f"== {spec.scenario_id}")
         d = est.d.blocks
         spectra = np.sort(np.linalg.eigvalsh(0.5 * (d + d.conj().swapaxes(1, 2))), axis=1)
@@ -209,16 +208,15 @@ def refinement_metrics(spec: ScenarioSpec, level: int) -> dict:
     rng = scn.rng("refine")
     x1 = scn.random_positive(rng)
     x2 = scn.random_positive(rng)
-    est = estimate_duflo(scn.action, scn.haar, x1, x2, cross_tol=None)
+    est = estimate_duflo(scn.action, x1, x2, cross_tol=None)
     worst = 0.0
     for _ in range(3):
         x = scn.random_positive(rng)
         y = scn.random_positive(rng)
-        rep = check_orthogonality(scn.action, scn.haar, est, x, y, positive=True,
+        rep = check_orthogonality(scn.action, est, x, y, positive=True,
                                   tol_rel=scn.tol_rel, scenario=scn.scenario_id)
         worst = max(worst, rep.rel_err)
-    semi = check_semi_invariance(scn.action, scn.haar, est, tol_rel=scn.tol_rel,
-                                 scenario=scn.scenario_id)
+    semi = check_semi_invariance(scn.action, est, tol_rel=scn.tol_rel, scenario=scn.scenario_id)
     return {
         "nodes": scn.action.group.node_count,
         "orthogonality": worst,

@@ -52,7 +52,6 @@ from .bracket import (
     function_p_norm,
     integrate_bracket,
 )
-from .groups import HaarModel
 from .reports import CheckReport
 
 # Exponent grids: boundary and interior cases of the validity regions.
@@ -126,7 +125,6 @@ class DufloEstimate:
 
 def estimate_duflo(
     action: Action,
-    haar: HaarModel,
     x_test: AlgebraElement,
     x_test_alt: AlgebraElement | None = None,
     *,
@@ -134,12 +132,13 @@ def estimate_duflo(
 ) -> DufloEstimate:
     """Estimate D from the modular-weighted orbit sum of a positive test element.
 
-    D^{-1} = sum_i w_i Delta(g_i)^{-1} (g_i . x) with trace(x) normalized to 1;
+    D^{-1} = sum_i w_i Delta(g_i)^{-1} (g_i . x) with trace(x) normalized to 1
+    and w the action's Haar weights;
     D is its spectral inverse.  A second test element cross-checks the
     estimate; residuals beyond ``cross_tol`` raise InconsistencyError.  Both
     residuals are measured in the action's own comparison (see Action).
     """
-    d_inv = _orbit_density(action, haar, x_test)
+    d_inv = _orbit_density(action, x_test)
 
     eig = eigh_blocks(d_inv)
     min_eig, max_eig = float(eig[0].min()), float(eig[0].max())
@@ -158,7 +157,7 @@ def estimate_duflo(
 
     cross = 0.0
     if x_test_alt is not None:
-        d_inv_alt = _orbit_density(action, haar, x_test_alt)
+        d_inv_alt = _orbit_density(action, x_test_alt)
         cross = action.cross_check_distance(d_inv, d_inv_alt)
         if cross_tol is not None and cross > cross_tol:
             raise InconsistencyError(
@@ -179,14 +178,14 @@ def estimate_duflo(
     return est
 
 
-def _orbit_density(action: Action, haar: HaarModel, x_test: AlgebraElement) -> AlgebraElement:
+def _orbit_density(action: Action, x_test: AlgebraElement) -> AlgebraElement:
     tau = trace(x_test)
     if abs(tau.imag) > 1e-10 * (1.0 + abs(tau.real)) or tau.real <= 0:
         raise NotPositiveError("test element must be positive with positive trace")
     if x_test.hermitian_defect() > 1e-9 * (1.0 + x_test.max_abs_entry()):
         raise NotPositiveError("test element must be hermitian")
     x = (1.0 / tau.real) * x_test
-    coeffs = haar.weights / action.modular_values()
+    coeffs = action.haar.weights / action.modular_values()
     raw = action.orbit_sum(coeffs, x)
     return 0.5 * (raw + raw.adjoint())
 
@@ -197,7 +196,6 @@ def _orbit_density(action: Action, haar: HaarModel, x_test: AlgebraElement) -> A
 
 def check_orthogonality(
     action: Action,
-    haar: HaarModel,
     est: DufloEstimate,
     x: AlgebraElement,
     y: AlgebraElement,
@@ -211,7 +209,7 @@ def check_orthogonality(
     For the general form (any x, y) the right-hand side carries the adjoint
     of y; see the module docstring.
     """
-    lhs = action.bracket_integral(x, y, haar.weights)
+    lhs = action.bracket_integral(x, y)
     y_eff = y if positive else y.adjoint()
     rhs = trace(x) * trace(est.sandwich(-0.5, y_eff))
     name = "orthogonality-positive" if positive else "orthogonality-general"
@@ -220,14 +218,13 @@ def check_orthogonality(
         claim += " (adjoint form for non-hermitian y)"
     # every bracket value is bounded by ||x||_2 ||y||_2, so the Haar mass sets
     # the scale against which a vanishing integral counts as exact
-    scale = float(np.sum(haar.weights)) * p_norm(x, 2.0) * p_norm(y, 2.0)
+    scale = float(np.sum(action.haar.weights)) * p_norm(x, 2.0) * p_norm(y, 2.0)
     return CheckReport.equality(name, claim, lhs, rhs, tol_rel=tol_rel,
                                 tol_abs=tol_rel * scale, scenario=scenario)
 
 
 def check_semi_invariance(
     action: Action,
-    haar: HaarModel,
     est: DufloEstimate,
     *,
     tol_rel: float = 1e-9,
@@ -295,7 +292,6 @@ def check_l1(
     y: AlgebraElement,
     est: DufloEstimate,
     action: Action,
-    haar: HaarModel,
     *,
     tol_rel: float = 1e-9,
     scenario: str = "",
@@ -306,7 +302,7 @@ def check_l1(
     Equality:   integral of  <x|D^{1/2} y D^{1/2}>  = trace(x) trace(y*).
     """
     ytil = est.sandwich(0.5, y)
-    bf = bracket(x, ytil, action, haar)
+    bf = bracket(x, ytil, action)
     lhs_ineq = float(np.dot(bf.weights, np.abs(bf.values)))
     rhs_ineq = p_norm(x, 1.0) * p_norm(y, 1.0)
     ineq = CheckReport.bound(
@@ -333,7 +329,6 @@ def check_young(
     r: float,
     est: DufloEstimate,
     action: Action,
-    haar: HaarModel,
     *,
     tol_rel: float = 1e-9,
     scenario: str = "",
@@ -352,7 +347,7 @@ def check_young(
     if op_norm(commutator) > bound:
         raise ParameterError("y must commute with D for the convolution inequality")
     ytil = est.sandwich(1.0 / (2.0 * r), y)
-    bf = bracket(x, ytil, action, haar)
+    bf = bracket(x, ytil, action)
     lhs = function_p_norm(bf, r)
     rhs = p_norm(x, p) * p_norm(y, q)
     return CheckReport.bound(
@@ -367,7 +362,6 @@ def check_interpolation(
     p: float,
     est: DufloEstimate,
     action: Action,
-    haar: HaarModel,
     *,
     tol_rel: float = 1e-9,
     scenario: str = "",
@@ -379,7 +373,7 @@ def check_interpolation(
     """
     if p < 1.0:
         raise ParameterError(f"exponent must be >= 1, got {p}")
-    bf = bracket(x, y, action, haar)
+    bf = bracket(x, y, action)
     lhs = function_p_norm(bf, p)
     if p == math.inf:
         rhs = p_norm(x, math.inf) * p_norm(y, 1.0)
@@ -473,29 +467,27 @@ def _once(trials: int) -> int:
 # The checks after the estimate of D, in report order.
 SUITE: tuple[SuiteCheck, ...] = (
     SuiteCheck("orthogonality", "check_orthogonality", ("positive", "positive"), _pairs,
-               lambda f, s, e, _, x, y: f(s.action, s.haar, e, x, y, positive=True,
-                                          tol_rel=s.tol_rel),
+               lambda f, s, e, _, x, y: f(s.action, e, x, y, positive=True, tol_rel=s.tol_rel),
                notes="worst of {n} positive pairs"),
     SuiteCheck("orthogonality", "check_orthogonality", ("general", "general"), _pairs,
-               lambda f, s, e, _, x, y: f(s.action, s.haar, e, x, y, positive=False,
-                                          tol_rel=s.tol_rel),
+               lambda f, s, e, _, x, y: f(s.action, e, x, y, positive=False, tol_rel=s.tol_rel),
                notes="worst of {n} general pairs"),
     SuiteCheck(None, "check_semi_invariance", (), _once,
-               lambda f, s, e, _: f(s.action, s.haar, e, tol_rel=s.tol_rel)),
+               lambda f, s, e, _: f(s.action, e, tol_rel=s.tol_rel)),
     SuiteCheck("admissibility", "admissibility_report", ("positive",), _once,
                lambda f, s, e, _, y: f(y, e)),
     SuiteCheck("l1", "check_l1", ("general", "general"), _pairs,
-               lambda f, s, e, _, x, y: f(x, y, e, s.action, s.haar, tol_rel=s.ineq_tol)),
+               lambda f, s, e, _, x, y: f(x, y, e, s.action, tol_rel=s.ineq_tol)),
     SuiteCheck("young", "check_young", ("general", "commuting"),
                lambda t: max(len(YOUNG_GRID), t),
-               lambda f, s, e, pqr, x, y: f(x, y, *pqr, e, s.action, s.haar, tol_rel=s.ineq_tol),
+               lambda f, s, e, pqr, x, y: f(x, y, *pqr, e, s.action, tol_rel=s.ineq_tol),
                grid=YOUNG_GRID,
                skip=("young-inequality", YOUNG_CLAIM,
                      "no trace-class element commutes with D in this scenario "
                      "(the hypothesis set is empty for a diffuse scaling operator)")),
     SuiteCheck("interpolation", "check_interpolation", ("general", "general"),
                lambda t: max(len(INTERPOLATION_EXPONENTS), t // 2),
-               lambda f, s, e, p, x, y: f(x, y, p, e, s.action, s.haar, tol_rel=s.ineq_tol),
+               lambda f, s, e, p, x, y: f(x, y, p, e, s.action, tol_rel=s.ineq_tol),
                grid=INTERPOLATION_EXPONENTS),
     SuiteCheck("holder", "check_holder", ("general", "general"),
                lambda t: max(len(HOLDER_GRID), t // 2),
@@ -511,12 +503,12 @@ SUITE: tuple[SuiteCheck, ...] = (
 def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
     """Run every check of a scenario in a fixed order with deterministic seeding.
 
-    ``scenario`` provides the action, Haar model, tolerances, element
+    ``scenario`` provides the action with its Haar model, tolerances, element
     draws and optional expectations; see scenarios.Scenario.  The structural
     checks and the estimate of D come first, then the rows of SUITE.
     """
     scn = scenario
-    action, haar = scn.action, scn.haar
+    action = scn.action
     sid = scn.scenario_id
     trials = trials if trials is not None else scn.default_trials
     reports: list[CheckReport] = []
@@ -543,7 +535,7 @@ def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
     ))
 
     x1, x2 = scn.duflo_pair()
-    witness = action.bracket_integral(x1, x1, haar.weights)
+    witness = action.bracket_integral(x1, x1)
     ok = math.isfinite(witness.real) and witness.real > 0 and abs(witness.imag) <= 1e-9 * (1 + abs(witness.real))
     reports.append(CheckReport.flag(
         "integrability-witness",
@@ -552,7 +544,7 @@ def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
     ))
 
     try:
-        est = estimate_duflo(action, haar, x1, x2, cross_tol=scn.cross_tol)
+        est = estimate_duflo(action, x1, x2, cross_tol=scn.cross_tol)
     except EstimateError as exc:
         reports.append(CheckReport.flag(
             "duflo-estimate", "orbit-density estimate of D succeeded", False,
@@ -584,7 +576,7 @@ def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
     xs = scn.random_positive(rng)
     ys = scn.random_positive(rng)
     try:
-        defect = bracket_symmetry_defect(xs, ys, action, haar)
+        defect = bracket_symmetry_defect(xs, ys, action)
         reports.append(CheckReport.bound(
             "bracket-symmetry", "<x|y>(g^{-1}) = <y|x>(g)",
             defect, 0.0, tol_rel=0.0, tol_abs=1e-10, scenario=sid,

@@ -206,15 +206,18 @@ class CharacterTable:
         self.table = table
         self.labels = tuple(labels)
 
-    def as_group(self) -> FiniteGroup:
-        """The dual group; characters compose exactly like the elements indexing them."""
-        return FiniteGroup(
-            self.group.table,
-            labels=self.labels,
-            name=f"dual({self.group.name})",
-            structure=self.group.structure,
-            generators=self.group.generators,
-        )
+
+def dual(G: FiniteGroup) -> FiniteGroup:
+    """Dual group of an abelian group built from cyclic factors, on G's indices.
+
+    Character s is g -> exp(2 pi i sum_k s_k g_k / m_k) (see ``dual_group``),
+    so characters compose exactly like the elements indexing them: the dual
+    has G's table, structure and generators, and s is labelled chi<label>.
+    """
+    if not G.is_abelian() or G.structure is None:
+        raise GroupError("the dual group needs an abelian group built from cyclic factors")
+    return FiniteGroup(G.table, labels=tuple(f"chi{label}" for label in G.labels),
+                       name=f"dual({G.name})", structure=G.structure, generators=G.generators)
 
 
 def dual_group(G: FiniteGroup) -> CharacterTable:

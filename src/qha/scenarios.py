@@ -1,8 +1,9 @@
 """Builtin, randomized and file-loaded scenario instances.
 
-A scenario bundles a group with a Haar model, an ergodic trace-preserving
-action on a block algebra, declared tolerances, deterministic random streams,
-and optional expectations for the scaling operator.  Builtin identifiers:
+A scenario bundles an ergodic trace-preserving action on a block algebra,
+with its group and Haar model, declared tolerances, deterministic random
+streams, and optional expectations for the scaling operator.  Builtin
+identifiers:
 
     irrep:s3:<trivial|sign|std>       conjugation by an irreducible rep, probability Haar
     irrep:cyclic(8):chi<j>            one-dimensional character conjugation
@@ -42,9 +43,7 @@ from .actions import (
 )
 from .groups import (
     FiniteGroup,
-    HaarModel,
     QuadratureGroup,
-    counting_haar,
     cyclic,
     probability_haar,
     product,
@@ -69,15 +68,14 @@ class ScenarioSpec:
 
 
 class Scenario:
-    """Runtime scenario: group, Haar model, action, tolerances, rng streams."""
+    """Runtime scenario: an action with its group and Haar model, tolerances, rng streams."""
 
-    def __init__(self, spec: ScenarioSpec, action: Action, haar: HaarModel, *,
+    def __init__(self, spec: ScenarioSpec, action: Action, *,
                  tol_rel: float, ineq_tol: float, cross_tol: float,
                  default_trials: int, expect_tol: float,
                  expected_scalar: float | None = None, expected_kernel: str | None = None):
         self.spec = spec
         self.action = action
-        self.haar = haar
         self.tol_rel = spec.tol_rel if spec.tol_rel is not None else tol_rel
         self.ineq_tol = spec.tol_rel if spec.tol_rel is not None else ineq_tol
         self.cross_tol = cross_tol
@@ -262,9 +260,8 @@ def _build_irrep(spec: ScenarioSpec, tokens) -> Scenario:
         if G.structure is None or len(G.structure) != 1 or not m:
             raise ConfigError("character reps need a cyclic group and rep chi<j>")
         rep = cyclic_character_rep(G, int(m.group(1)))
-    action = conjugation_action(rep)
-    haar = probability_haar(rep.group)
-    return Scenario(spec, action, haar, expected_scalar=float(rep.dim),
+    action = conjugation_action(rep, haar=probability_haar(rep.group))
+    return Scenario(spec, action, expected_scalar=float(rep.dim),
                     expect_tol=1e-9, **_FINITE_DEFAULTS)
 
 
@@ -274,9 +271,7 @@ def _build_wh(spec: ScenarioSpec, tokens) -> Scenario:
     n = int(tokens[1])
     rep = finite_weyl_heisenberg(n)
     action = conjugation_action(rep)
-    haar = counting_haar(rep.group)
-    return Scenario(spec, action, haar, expected_scalar=1.0 / n,
-                    expect_tol=1e-9, **_FINITE_DEFAULTS)
+    return Scenario(spec, action, expected_scalar=1.0 / n, expect_tol=1e-9, **_FINITE_DEFAULTS)
 
 
 def _build_translation(spec: ScenarioSpec, tokens) -> Scenario:
@@ -284,9 +279,7 @@ def _build_translation(spec: ScenarioSpec, tokens) -> Scenario:
         raise ConfigError("translation scenario needs the form translation:<group>")
     G = parse_group_token(tokens[1])
     action = left_translation_action(G)
-    haar = counting_haar(G)
-    return Scenario(spec, action, haar, expected_scalar=1.0,
-                    expect_tol=1e-12, **_FINITE_DEFAULTS)
+    return Scenario(spec, action, expected_scalar=1.0, expect_tol=1e-12, **_FINITE_DEFAULTS)
 
 
 def _build_cosets(spec: ScenarioSpec, tokens) -> Scenario:
@@ -301,9 +294,7 @@ def _build_cosets(spec: ScenarioSpec, tokens) -> Scenario:
         raise ConfigError(f"{m} does not divide {n}")
     h_indices = [(n // m) * k for k in range(m)]
     action = coset_action(G, h_indices)
-    haar = counting_haar(G)
-    return Scenario(spec, action, haar, expected_scalar=1.0 / m,
-                    expect_tol=1e-10, **_FINITE_DEFAULTS)
+    return Scenario(spec, action, expected_scalar=1.0 / m, expect_tol=1e-10, **_FINITE_DEFAULTS)
 
 
 def _build_twisted_dual(spec: ScenarioSpec, tokens) -> Scenario:
@@ -314,8 +305,7 @@ def _build_twisted_dual(spec: ScenarioSpec, tokens) -> Scenario:
         raise ConfigError(f"twist m={m} must be 0 or coprime to n={n}")
     G = product(cyclic(n), cyclic(n))
     action = dual_action(G, m)
-    haar = counting_haar(action.group)
-    return Scenario(spec, action, haar, expected_scalar=1.0 / (n * n),
+    return Scenario(spec, action, expected_scalar=1.0 / (n * n),
                     expect_tol=1e-9, **_FINITE_DEFAULTS)
 
 
@@ -342,9 +332,8 @@ def _build_induced(spec: ScenarioSpec, tokens) -> Scenario:
     else:
         raise ConfigError(f"unknown inner action {itok!r}; valid: wh2, translation")
     action = induced_action(G, h_indices, inner, iso)
-    haar = counting_haar(G)
     tau_one = trace(action.shape.identity()).real
-    return Scenario(spec, action, haar, expected_scalar=tau_one / G.order,
+    return Scenario(spec, action, expected_scalar=tau_one / G.order,
                     expect_tol=1e-9, **_FINITE_DEFAULTS)
 
 
@@ -360,16 +349,14 @@ def refined_wavelet(spec: ScenarioSpec, level: int) -> Scenario:
     if preset not in _WAVELET_PRESETS:
         raise ConfigError(f"unknown wavelet preset {preset!r}; valid: {sorted(_WAVELET_PRESETS)}")
     action = WaveletAction(_WAVELET_PRESETS[preset].scaled(2 ** level))
-    haar = action.group.haar()
-    return Scenario(spec, action, haar, expected_kernel="inverse-frequency",
+    return Scenario(spec, action, expected_kernel="inverse-frequency",
                     expect_tol=1e-2, **_WAVELET_DEFAULTS)
 
 
 def _build_broken(spec: ScenarioSpec) -> Scenario:
     G = cyclic(2)
     action = PermutationAction(G, G.table, mu=np.array([1.0, 2.0]), validate=False)
-    haar = counting_haar(G)
-    return Scenario(spec, action, haar, expect_tol=1e-9, **_FINITE_DEFAULTS)
+    return Scenario(spec, action, expect_tol=1e-9, **_FINITE_DEFAULTS)
 
 
 BUILTIN_IDS: tuple[str, ...] = (
@@ -474,7 +461,7 @@ def _mirrors(scn: Scenario) -> dict[str, dict[str, str]]:
         expect["kernel"] = scn.expected_kernel
     return {
         "group": group_section,
-        "haar": {"normalization": scn.haar.normalization},
+        "haar": {"normalization": scn.action.haar.normalization},
         "algebra": {
             "block_dims": ",".join([str(scn.shape.block_dim)] * len(scn.shape.trace_weights)),
             "trace_weights": ",".join(f"{w:.17g}" for w in scn.shape.trace_weights),

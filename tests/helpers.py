@@ -1,11 +1,12 @@
-"""Shared helpers for the tests: node walks and per-element loop oracles."""
+"""Shared helpers for the tests: node walks, dual symbols and per-element loop oracles."""
 
 import itertools
 import math
 
 import numpy as np
 
-from qha.groups import QuadratureGroup
+from qha.algebra import AlgebraElement, AlgebraShape
+from qha.groups import QuadratureGroup, dual_group
 from qha.scenarios import _cyclic_subgroup_indices
 
 
@@ -15,6 +16,25 @@ def nodes_of(action):
     if isinstance(group, QuadratureGroup):
         return list(group.nodes)
     return list(group.elements())
+
+
+# ---------------------------------------------------------------------------
+# Symbols on the algebra of the untwisted dual action ``dual_action(G, 0)``:
+# one atom per character with trace weight 1/N, the group algebra of G in its
+# character coordinates.
+
+
+def from_symbol(G, f):
+    """Element with symbol f: sum of f(g) lambda(g).  Row chi of the character
+    table is chi(.), so the atom at chi holds sum_g f(g) chi(g)."""
+    n = G.order
+    vals = dual_group(G).table @ np.asarray(f, dtype=complex)
+    return AlgebraElement(AlgebraShape(1, np.full(n, 1.0 / n)), vals.reshape(-1, 1, 1))
+
+
+def symbol(G, x):
+    """Recover f(g) = trace(lambda(g)* x); exact on this algebra."""
+    return dual_group(G).table.conj().T @ x.vec() / G.order
 
 
 # ---------------------------------------------------------------------------

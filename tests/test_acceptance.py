@@ -27,8 +27,10 @@ from qha.duflo import (
     check_young,
     estimate_duflo,
 )
-from qha.groups import counting_haar
+from qha.groups import cyclic, dual_group, product
 from qha.scenarios import BUILTIN_IDS, build_scenario, builtin
+
+from helpers import from_symbol
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -40,7 +42,7 @@ def _report(criterion: str, passed: bool, detail: str) -> None:
 def _estimate(sid):
     scn = build_scenario(builtin(sid))
     x1, x2 = scn.duflo_pair()
-    est = estimate_duflo(scn.action, scn.haar, x1, x2, cross_tol=scn.cross_tol)
+    est = estimate_duflo(scn.action, x1, x2, cross_tol=scn.cross_tol)
     return scn, est
 
 
@@ -80,7 +82,7 @@ def test_criterion_2_weyl_heisenberg_family():
         for _ in range(100):
             x = scn.random_positive(rng)
             y = scn.random_positive(rng)
-            rep_check = check_orthogonality(scn.action, scn.haar, est, x, y,
+            rep_check = check_orthogonality(scn.action, est, x, y,
                                             positive=True, tol_rel=1e-9)
             worst_orth = max(worst_orth, rep_check.rel_err)
     elapsed = time.monotonic() - t0
@@ -122,7 +124,8 @@ def test_criterion_4_fourier_inversion():
     t0 = time.monotonic()
     scn, est = _estimate("twisted-dual:8:0")
     act = scn.action
-    G = act.base_group
+    G = product(cyclic(8), cyclic(8))  # the dual group shares its table
+    assert np.array_equal(act.group.table, G.table)
     N = G.order
     assert N == 64
 
@@ -133,7 +136,7 @@ def test_criterion_4_fourier_inversion():
     f1 = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     f2 = rng.standard_normal(N) + 1j * rng.standard_normal(N)
     F = f1 * np.conj(f2)
-    chars = act.characters.table  # chars[omega, g]
+    chars = dual_group(G).table  # chars[omega, g]
     F_hat = chars.conj() @ F      # direct DFT oracle: sum_g F(g) conj(omega(g))
 
     worst = 0.0
@@ -142,9 +145,9 @@ def test_criterion_4_fourier_inversion():
         # push them through the bracket machinery, and integrate over the dual
         shift = np.array([f1[G.compose(g, h)] for h in G.elements()])
         shift2 = np.array([f2[G.compose(g, h)] for h in G.elements()])
-        x = act.from_symbol(shift)
-        y = act.from_symbol(shift2)
-        lhs = act.bracket_integral(x, y, scn.haar.weights)
+        x = from_symbol(G, shift)
+        y = from_symbol(G, shift2)
+        lhs = act.bracket_integral(x, y)
         oracle = complex(chars[:, g] @ F_hat)   # sum_omega F_hat(omega) omega(g)
         target = 64.0 * F[g]
         scale = max(abs(target), 1.0)
@@ -163,7 +166,6 @@ def test_criterion_5_induced_identity():
     # the inner action of the subgroup cyclic(2)xcyclic(2); the induced
     # algebra holds one copy of its 2 x 2 block per coset, coset after coset
     inner = conjugation_action(finite_weyl_heisenberg(2))
-    inner_haar = counting_haar(inner.group)
     t = len(inner.shape.trace_weights)
     coset_count = len(act.shape.trace_weights) // t
 
@@ -173,7 +175,7 @@ def test_criterion_5_induced_identity():
     rng = scn.rng("inner-estimate")
     z1 = random_positive_element(inner.shape, rng)
     z2 = random_positive_element(inner.shape, rng)
-    inner_est = estimate_duflo(inner, inner_haar, z1, z2, cross_tol=1e-8)
+    inner_est = estimate_duflo(inner, z1, z2, cross_tol=1e-8)
 
     worst = 0.0
     rng = scn.rng("induced-identity")
@@ -196,7 +198,7 @@ def test_criterion_6_inequality_suites(sid):
     """200 seeded trials per scenario across every inequality family."""
     t0 = time.monotonic()
     scn, est = _estimate(sid)
-    act, haar = scn.action, scn.haar
+    act = scn.action
     rng = scn.rng("acceptance-inequalities")
     worst_violation = 0.0
     worst_equality = 0.0
@@ -206,18 +208,18 @@ def test_criterion_6_inequality_suites(sid):
         xp = scn.random_positive(rng)
         yp = scn.random_positive(rng)
 
-        ineq, eq = check_l1(x, y, est, act, haar, tol_rel=1e-9)
+        ineq, eq = check_l1(x, y, est, act, tol_rel=1e-9)
         worst_violation = max(worst_violation, ineq.rel_err)
         worst_equality = max(worst_equality, eq.rel_err)
 
         p, q, r = YOUNG_GRID[t % len(YOUNG_GRID)]
         worst_violation = max(worst_violation,
-                              check_young(x, y, p, q, r, est, act, haar,
+                              check_young(x, y, p, q, r, est, act,
                                           tol_rel=1e-9).rel_err)
 
         pi = INTERPOLATION_EXPONENTS[t % len(INTERPOLATION_EXPONENTS)]
         worst_violation = max(worst_violation,
-                              check_interpolation(x, y, pi, est, act, haar,
+                              check_interpolation(x, y, pi, est, act,
                                                   tol_rel=1e-9).rel_err)
 
         ph, qh, rh = HOLDER_GRID[t % len(HOLDER_GRID)]
@@ -242,7 +244,7 @@ def test_criterion_7_semi_invariance_and_uniqueness():
     for sid in finite_ids:
         scn, est = _estimate(sid)
         worst_cross = max(worst_cross, est.cross_check_residual)
-        semi = check_semi_invariance(scn.action, scn.haar, est, tol_rel=1e-9)
+        semi = check_semi_invariance(scn.action, est, tol_rel=1e-9)
         worst_semi = max(worst_semi, float(semi.lhs.real if isinstance(semi.lhs, complex)
                                            else semi.lhs))
     elapsed = time.monotonic() - t0

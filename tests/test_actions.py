@@ -45,17 +45,19 @@ from qha.actions import (
     s3_irreps,
     trivial_rep,
 )
-from qha.groups import cyclic, product, symmetric
+from qha.groups import FiniteGroup, cyclic, dual_group, probability_haar, product, symmetric
 from qha.scenarios import ScenarioSpec, build_scenario, list_builtins
 
 from helpers import (
     cyclic_subgroups,
+    from_symbol,
     loop_coset_table,
     loop_cyclic_characters,
     loop_induced_maps,
     loop_s3_matrices,
     loop_weyl_heisenberg,
     nodes_of,
+    symbol,
 )
 
 
@@ -156,19 +158,22 @@ class TestConjugationAction:
         act = conjugation_action(trivial_rep(cyclic(2), dim=2))
         assert fixed_point_dimension(act) == 4
 
-    @pytest.mark.parametrize("case", ["repeated-source", "moving-identity", "non-unitary"])
+    @pytest.mark.parametrize("case", ["repeated-source", "moving-identity", "non-unitary", "haar-length"])
     def test_rejects_invalid_block_data(self, case):
         I, Z = np.eye(2), np.diag([1.0, -1.0])
         unitaries = np.array([[I, I], [Z, Z]])
         src = np.array([[0, 1], [1, 0]])
+        haar = None
         if case == "repeated-source":
             src[1] = [0, 0]
         elif case == "moving-identity":
             src[0] = [1, 0]
-        else:
+        elif case == "non-unitary":
             unitaries[1, 0] = 2 * I
+        else:
+            haar = probability_haar(cyclic(3))
         with pytest.raises(ActionError):
-            ConjugationAction(cyclic(2), unitaries, src, (1.0, 1.0))
+            ConjugationAction(cyclic(2), unitaries, src, (1.0, 1.0), haar)
 
 
 class TestPermutationAction:
@@ -284,7 +289,7 @@ class TestDualAction:
         act = dual_action(G, 0)
         rng = np.random.default_rng(2)
         f = rng.standard_normal(G.order) + 1j * rng.standard_normal(G.order)
-        x = act.from_symbol(f)
+        x = from_symbol(G, f)
         assert trace(x) == pytest.approx(f[G.identity])
         for omega in act.group.elements():
             moved = act.apply(omega, x)
@@ -296,18 +301,39 @@ class TestDualAction:
         act = dual_action(G, 0)
         rng = np.random.default_rng(3)
         f = rng.standard_normal(G.order) + 1j * rng.standard_normal(G.order)
-        x = act.from_symbol(f)
+        x = from_symbol(G, f)
+        chars = dual_group(G).table
         for omega in act.group.elements():
-            twisted = act.characters.table[omega] * f
-            direct = act.from_symbol(twisted)
+            twisted = chars[omega] * f
+            direct = from_symbol(G, twisted)
             assert sup_distance(act.apply(omega, x), direct) < 1e-11
 
     def test_symbol_round_trip(self):
         G = product(cyclic(4), cyclic(4))
-        act = dual_action(G, 0)
         rng = np.random.default_rng(4)
         f = rng.standard_normal(G.order) + 1j * rng.standard_normal(G.order)
-        assert np.abs(act.symbol(act.from_symbol(f)) - f).max() < 1e-11
+        x = from_symbol(G, f)
+        assert x.shape == dual_action(G, 0).shape
+        assert np.abs(symbol(G, x) - f).max() < 1e-11
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_dual_group_is_the_character_table_group(self, m, monkeypatch):
+        # oracle: the dual group as the character table's group, with G's
+        # table, structure and generators and the table's labels; the action
+        # itself is built with no character table at all
+        G = product(cyclic(4), cyclic(4))
+        chars = dual_group(G)
+        ref = FiniteGroup(G.table, labels=chars.labels, name=f"dual({G.name})",
+                          structure=G.structure, generators=G.generators)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("dual_action built a character table")
+
+        monkeypatch.setattr("qha.groups.CharacterTable.__init__", no_table)
+        D = dual_action(G, m).group
+        assert np.array_equal(D.table, ref.table)
+        assert (D.labels, D.name, D.structure, D.generators) == (
+            ref.labels, ref.name, ref.structure, ref.generators)
 
     def test_full_dual_is_ergodic(self):
         for G in (cyclic(4), product(cyclic(4), cyclic(4))):
@@ -507,25 +533,20 @@ class TestWaveletAction:
         assert fixed_point_dimension(act) == 1
 
     def test_bracket_integral_matches_weighted_values(self):
-        act = WaveletAction(SMALL_WAVELET)
-        rng = np.random.default_rng(12)
-        x, y = act.random_positive(rng), act.random_positive(rng)
-        w = act.group.haar_weights
-        fast = act.bracket_integral(x, y, w)
-        slow = np.dot(w, act.bracket_values(x, y))
-        assert abs(fast - slow) < 1e-9 * (1 + abs(slow))
-
-    def test_bracket_integral_takes_only_its_haar_weights(self):
-        # the circulant path integrates against the affine Haar weights; other
-        # weights used to be read only for their length
-        act = WaveletAction(SMALL_WAVELET)
-        rng = np.random.default_rng(12)
-        x, y = act.random_positive(rng), act.random_positive(rng)
-        haar = act.group.haar().weights
-        assert act.bracket_integral(x, y, haar) == act.bracket_integral(x, y, act.group.haar_weights)
-        for weights in (2 * haar, np.ones_like(haar), haar[:-1]):
-            with pytest.raises(ActionError, match="Haar weights"):
-                act.bracket_integral(x, y, weights)
+        # every family integrates against its own action.haar: counting
+        # (permutation, twisted dual), probability (s3) and quadrature weights
+        actions = {sid: build_scenario(ScenarioSpec(sid)).action
+                   for sid in ("translation:cyclic(6)", "irrep:s3:std", "twisted-dual:4:1")}
+        actions["small-wavelet"] = WaveletAction(SMALL_WAVELET)
+        assert actions["irrep:s3:std"].haar.normalization == "probability"
+        wavelet = actions["small-wavelet"]
+        assert np.array_equal(wavelet.haar.weights, wavelet.group.haar_weights)
+        for name, act in actions.items():
+            rng = np.random.default_rng(12)
+            x, y = act.random_positive(rng), act.random_positive(rng)
+            fast = act.bracket_integral(x, y)
+            slow = np.dot(act.haar.weights, act.bracket_values(x, y))
+            assert abs(fast - slow) < 1e-9 * (1 + abs(slow)), name
 
 
 WAVELETS = {"small-wavelet": SMALL_WAVELET, "default": WaveletDesign()}

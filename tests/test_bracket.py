@@ -28,22 +28,12 @@ from qha.bracket import (
     function_p_norm,
     integrate_bracket,
 )
-from qha.groups import counting_haar, cyclic, probability_haar
+from qha.groups import cyclic, probability_haar
 from qha.scenarios import BUILTIN_IDS, build_scenario, builtin
 
 from helpers import nodes_of
 
 FINITE_BUILTINS = tuple(sid for sid in BUILTIN_IDS if not sid.startswith("affine-wavelet"))
-
-
-def _wh_scene(n):
-    act = conjugation_action(finite_weyl_heisenberg(n))
-    return act, counting_haar(act.group)
-
-
-def _translation_scene(n):
-    act = left_translation_action(cyclic(n))
-    return act, counting_haar(act.group)
 
 
 def _delta(act, t):
@@ -54,15 +44,15 @@ def _delta(act, t):
 
 class TestBracketValues:
     def test_identity_pair_is_constant_trace(self):
-        act, haar = _wh_scene(2)
+        act = conjugation_action(finite_weyl_heisenberg(2))
         one = act.shape.identity()
-        bf = bracket(one, one, act, haar)
+        bf = bracket(one, one, act)
         assert np.allclose(bf.values, trace(one))
 
     def test_translation_indicator(self):
-        act, haar = _translation_scene(2)
+        act = left_translation_action(cyclic(2))
         d = _delta(act, 0)
-        bf = bracket(d, d, act, haar)
+        bf = bracket(d, d, act)
         assert np.allclose(bf.values, [1.0, 0.0])
 
     def test_rank_one_inner_products(self):
@@ -70,13 +60,12 @@ class TestBracketValues:
         # squared modulus of the vector inner product, checked directly
         rep = finite_weyl_heisenberg(3)
         act = conjugation_action(rep)
-        haar = counting_haar(rep.group)
         rng = np.random.default_rng(0)
         xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         eta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         x = AlgebraElement(act.shape, [np.outer(xi, xi.conj())])
         y = AlgebraElement(act.shape, [np.outer(eta, eta.conj())])
-        bf = bracket(x, y, act, haar)
+        bf = bracket(x, y, act)
         for g in rep.group.elements():
             ip = np.vdot(rep.matrix(g) @ eta, xi)  # <xi, U_g eta>
             assert bf.values[g] == pytest.approx(abs(ip) ** 2, abs=1e-11)
@@ -111,22 +100,22 @@ class TestBracketValues:
 
     def test_covariance(self):
         # <h.x|y>(g) = <x|y>(h^{-1} g) on finite groups
-        act, haar = _wh_scene(2)
+        act = conjugation_action(finite_weyl_heisenberg(2))
         rng = np.random.default_rng(1)
         x = random_element(act.shape, rng)
         y = random_element(act.shape, rng)
-        base = bracket(x, y, act, haar).values
+        base = bracket(x, y, act).values
         G = act.group
         for h in G.elements():
-            moved = bracket(act.apply(h, x), y, act, haar).values
+            moved = bracket(act.apply(h, x), y, act).values
             for g in G.elements():
                 assert moved[g] == pytest.approx(base[G.compose(G.inverse(h), g)], abs=1e-10)
 
 class TestIntegrateBracket:
     def test_translation_delta(self):
-        act, haar = _translation_scene(2)
+        act = left_translation_action(cyclic(2))
         d = _delta(act, 0)
-        assert integrate_bracket(bracket(d, d, act, haar)) == pytest.approx(1.0)
+        assert integrate_bracket(bracket(d, d, act)) == pytest.approx(1.0)
 
     def test_wh_rank_one_double_sum_oracle(self):
         # oracle: the exhaustive double sum over all group elements and matrix
@@ -134,7 +123,6 @@ class TestIntegrateBracket:
         n = 4
         rep = finite_weyl_heisenberg(n)
         act = conjugation_action(rep)
-        haar = counting_haar(rep.group)
         rng = np.random.default_rng(2)
         xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         xi = xi / np.linalg.norm(xi)
@@ -142,39 +130,39 @@ class TestIntegrateBracket:
         oracle = 0.0
         for g in rep.group.elements():
             oracle += abs(np.vdot(rep.matrix(g) @ xi, xi)) ** 2
-        val = integrate_bracket(bracket(x, x, act, haar))
+        val = integrate_bracket(bracket(x, x, act))
         assert val.real == pytest.approx(oracle, rel=1e-12)
         assert val.real == pytest.approx(float(n), rel=1e-10)
 
     def test_traceless_gives_zero(self):
-        act, haar = _wh_scene(3)
+        act = conjugation_action(finite_weyl_heisenberg(3))
         rng = np.random.default_rng(3)
         x = random_element(act.shape, rng)
         x = x - (trace(x) / trace(act.shape.identity())) * act.shape.identity()
         y = random_positive_element(act.shape, rng)
-        val = act.bracket_integral(y, x, haar.weights)
+        val = act.bracket_integral(y, x)
         # conjugate-linear slot: traceless y-argument kills the integral
-        val2 = act.bracket_integral(x, y, haar.weights)
+        val2 = act.bracket_integral(x, y)
         assert abs(val2) <= 1e-10 * (1 + abs(trace(y)))
 
 
 class TestFunctionNorm:
     def test_constant_probability(self):
-        act = conjugation_action(finite_weyl_heisenberg(2))
-        haar = probability_haar(act.group)
+        rep = finite_weyl_heisenberg(2)
+        act = conjugation_action(rep, haar=probability_haar(rep.group))
         one = act.shape.identity()
-        bf = bracket((1 / 2.0) * one, one, act, haar)
+        bf = bracket((1 / 2.0) * one, one, act)
         for r in (1.0, 2.0, 3.0, math.inf):
             assert function_p_norm(bf, r) == pytest.approx(1.0)
 
     def test_indicator_counting(self):
-        act, haar = _translation_scene(2)
-        bf = bracket(_delta(act, 0), _delta(act, 0), act, haar)
+        act = left_translation_action(cyclic(2))
+        bf = bracket(_delta(act, 0), _delta(act, 0), act)
         assert function_p_norm(bf, 2.0) == pytest.approx(1.0)
 
     def test_rejects_small_exponent(self):
-        act, haar = _translation_scene(2)
-        bf = bracket(_delta(act, 0), _delta(act, 0), act, haar)
+        act = left_translation_action(cyclic(2))
+        bf = bracket(_delta(act, 0), _delta(act, 0), act)
         with pytest.raises(ParameterError):
             function_p_norm(bf, 0.9)
 
@@ -186,7 +174,6 @@ class TestFunctionNorm:
         vals = []
         for design in (base, base.scaled(2)):
             act = WaveletAction(design)
-            haar = act.group.haar()
 
             def state(center, width):
                 v = act.bump_vector(center, width)
@@ -195,35 +182,33 @@ class TestFunctionNorm:
 
             x = state(0.0, 0.15)
             y = state(0.1, 0.2)
-            vals.append(function_p_norm(bracket(x, y, act, haar), 2.0))
+            vals.append(function_p_norm(bracket(x, y, act), 2.0))
         assert abs(vals[0] - vals[1]) <= 1e-2 * abs(vals[1])
 
 
 class TestSymmetry:
     def test_positive_pair_defect_small(self):
-        act, haar = _wh_scene(3)
+        act = conjugation_action(finite_weyl_heisenberg(3))
         rng = np.random.default_rng(4)
         x = random_positive_element(act.shape, rng)
         y = random_positive_element(act.shape, rng)
-        assert bracket_symmetry_defect(x, y, act, haar) <= 1e-10
+        assert bracket_symmetry_defect(x, y, act) <= 1e-10
 
     def test_translation_scenario(self):
-        act, haar = _translation_scene(5)
+        act = left_translation_action(cyclic(5))
         rng = np.random.default_rng(5)
         x = random_positive_element(act.shape, rng)
         y = random_positive_element(act.shape, rng)
-        assert bracket_symmetry_defect(x, y, act, haar) <= 1e-12
+        assert bracket_symmetry_defect(x, y, act) <= 1e-12
 
     def test_trivial_group(self):
         act = left_translation_action(cyclic(1))
-        haar = counting_haar(act.group)
         one = act.shape.identity()
-        assert bracket_symmetry_defect(one, one, act, haar) == 0.0
+        assert bracket_symmetry_defect(one, one, act) == 0.0
 
     def test_quadrature_not_inverse_closed(self, monkeypatch):
         act = WaveletAction(WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
                                           b_extent=2.0, n_b=32, support_octaves=0.5))
-        haar = act.group.haar()
         rng = np.random.default_rng(6)
         x = act.random_positive(rng)
         # the closure check comes first: no bracket is evaluated for a skip
@@ -232,7 +217,7 @@ class TestSymmetry:
 
         monkeypatch.setattr(act, "bracket_values", no_brackets)
         with pytest.raises(InverseClosureError, match="not inverse-closed"):
-            bracket_symmetry_defect(x, x, act, haar)
+            bracket_symmetry_defect(x, x, act)
 
 
 class TestBracketFunctionType:

@@ -44,14 +44,14 @@ from qha.duflo import (
     estimate_duflo,
     run_suite,
 )
-from qha.groups import counting_haar, cyclic, probability_haar
+from qha.groups import cyclic, probability_haar
 from qha.scenarios import build_scenario, builtin
 
 
 def _estimate(sid, seed=101):
     scn = build_scenario(builtin(sid, seed=seed))
     x1, x2 = scn.duflo_pair()
-    est = estimate_duflo(scn.action, scn.haar, x1, x2, cross_tol=scn.cross_tol)
+    est = estimate_duflo(scn.action, x1, x2, cross_tol=scn.cross_tol)
     return scn, est
 
 
@@ -99,23 +99,21 @@ class TestEstimate:
         from qha.algebra import NotPositiveError
 
         with pytest.raises(NotPositiveError):
-            estimate_duflo(scn.action, scn.haar, x)
+            estimate_duflo(scn.action, x)
 
     def test_inconsistency_error_on_broken_scenario(self):
         # with a non-invariant measure the two orbit densities disagree
         G = cyclic(2)
         act = PermutationAction(G, G.table, np.array([1.0, 2.0]), validate=False)
-        haar = counting_haar(G)
         x1 = AlgebraElement(act.shape, [np.array([[1.0]]), np.array([[0.0]])])
         x2 = AlgebraElement(act.shape, [np.array([[0.0]]), np.array([[0.5]])])
         with pytest.raises(InconsistencyError):
-            estimate_duflo(act, haar, x1, x2, cross_tol=1e-8)
+            estimate_duflo(act, x1, x2, cross_tol=1e-8)
 
     def test_estimate_non_ergodic_raises(self):
         from qha.actions import trivial_rep
 
         act = conjugation_action(trivial_rep(cyclic(2), dim=2))
-        haar = counting_haar(act.group)
         rng = np.random.default_rng(5)
         x = random_positive_element(act.shape, rng)
         # trivial action: the orbit density stays the (positive) test element,
@@ -123,7 +121,7 @@ class TestEstimate:
         xi = np.array([1.0, 0.0])
         x = AlgebraElement(act.shape, [np.outer(xi, xi)])
         with pytest.raises(EstimateError):
-            estimate_duflo(act, haar, x)
+            estimate_duflo(act, x)
 
     def test_powers(self):
         scn, est = _estimate("wh:4")
@@ -136,7 +134,7 @@ class TestEstimate:
         for sid in ("wh:4", "irrep:s3:std", "twisted-dual:4:1", "affine-wavelet:coarse"):
             scn = build_scenario(builtin(sid))
             x1, x2 = scn.duflo_pair()
-            est = estimate_duflo(scn.action, scn.haar, x1, x2)
+            est = estimate_duflo(scn.action, x1, x2)
             one = scn.shape.identity()
             gap = sup_distance(est.d @ est.d_inverse, one)
             assert gap <= 1e-8 * op_norm(est.d @ est.d_inverse), sid
@@ -146,7 +144,7 @@ class TestOrthogonality:
     def test_identity_pair_wh(self):
         scn, est = _estimate("wh:4")
         one = scn.shape.identity()
-        rep = check_orthogonality(scn.action, scn.haar, est, one, one,
+        rep = check_orthogonality(scn.action, est, one, one,
                                   positive=True, tol_rel=1e-9)
         assert rep.passed
         # counting Haar, n = 4: lhs = sum_g trace(1) = 16 * 4, rhs agrees
@@ -156,8 +154,7 @@ class TestOrthogonality:
         # oracle: the explicit 6-term matrix-coefficient sum with probability
         # Haar equals <xi, xi'> conj(<eta, eta'>) / d for the 2-dim irrep
         rep = s3_irreps()["std"]
-        act = conjugation_action(rep)
-        haar = probability_haar(rep.group)
+        act = conjugation_action(rep, haar=probability_haar(rep.group))
         rng = np.random.default_rng(1)
         vecs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(4)]
         xi, xip, eta, etap = vecs
@@ -169,8 +166,8 @@ class TestOrthogonality:
         # the same statement through the bracket machinery with rank-ones
         x = AlgebraElement(act.shape, [np.outer(xi, xip.conj())])
         y = AlgebraElement(act.shape, [np.outer(eta, etap.conj())])
-        est = estimate_duflo(act, haar, act.shape.identity())
-        rep_check = check_orthogonality(act, haar, est, x, y,
+        est = estimate_duflo(act, act.shape.identity())
+        rep_check = check_orthogonality(act, est, x, y,
                                         positive=False, tol_rel=1e-9)
         assert rep_check.passed
 
@@ -180,7 +177,7 @@ class TestOrthogonality:
         x = random_element(scn.shape, rng)
         x = x - (trace(x) / trace(scn.shape.identity())) * scn.shape.identity()
         y = scn.random_positive(rng)
-        lhs = scn.action.bracket_integral(x, y, scn.haar.weights)
+        lhs = scn.action.bracket_integral(x, y)
         assert abs(lhs) <= 1e-10 * p_norm(x, 2.0) * p_norm(y, 2.0) * scn.action.group.order
 
     def test_positive_pairs_all_finite_builtins(self):
@@ -192,7 +189,7 @@ class TestOrthogonality:
             for _ in range(5):
                 x = scn.random_positive(rng)
                 y = scn.random_positive(rng)
-                rep = check_orthogonality(scn.action, scn.haar, est, x, y,
+                rep = check_orthogonality(scn.action, est, x, y,
                                           positive=True, tol_rel=1e-9, scenario=sid)
                 assert rep.passed, (sid, rep.rel_err)
 
@@ -202,7 +199,7 @@ class TestOrthogonality:
         for _ in range(10):
             x = scn.random_element(rng)
             y = scn.random_element(rng)
-            rep = check_orthogonality(scn.action, scn.haar, est, x, y,
+            rep = check_orthogonality(scn.action, est, x, y,
                                       positive=False, tol_rel=1e-9)
             assert rep.passed
 
@@ -211,13 +208,13 @@ class TestOrthogonality:
         scn, est = _estimate("wh:2")
         basis = list(scn.shape.basis())
         basis_ok = all(
-            check_orthogonality(scn.action, scn.haar, est, ei, ej,
+            check_orthogonality(scn.action, est, ei, ej,
                                 positive=False, tol_rel=1e-9).passed
             for ei in basis for ej in basis
         )
         rng = scn.rng("bilinear")
         random_ok = all(
-            check_orthogonality(scn.action, scn.haar, est,
+            check_orthogonality(scn.action, est,
                                 scn.random_element(rng), scn.random_element(rng),
                                 positive=False, tol_rel=1e-9).passed
             for _ in range(8)
@@ -230,12 +227,12 @@ class TestSemiInvariance:
         for sid in ("wh:4", "translation:cyclic(6)", "twisted-dual:4:1",
                     "induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2"):
             scn, est = _estimate(sid)
-            rep = check_semi_invariance(scn.action, scn.haar, est, tol_rel=1e-9)
+            rep = check_semi_invariance(scn.action, est, tol_rel=1e-9)
             assert rep.passed, sid
 
     def test_trivial_group_edge(self):
         scn, est = _estimate("translation:cyclic(1)")
-        rep = check_semi_invariance(scn.action, scn.haar, est, tol_rel=1e-12)
+        rep = check_semi_invariance(scn.action, est, tol_rel=1e-12)
         assert rep.passed and rep.lhs == 0.0
 
 
@@ -286,13 +283,13 @@ class TestL1:
         # oracle: direct 16-term sum for x = y = 1 equals trace(1)^2 = 4 with
         # D^{1/2} 1 D^{1/2} = D
         scn, est = _estimate("wh:2")
-        act, haar = scn.action, scn.haar
+        act = scn.action
         one = scn.shape.identity()
         direct = 0.0
         for g in act.group.elements():
             moved = act.apply(g, est.d)
             direct += trace(moved.adjoint() @ one).real
-        ineq, eq = check_l1(one, one, est, act, haar, tol_rel=1e-9)
+        ineq, eq = check_l1(one, one, est, act, tol_rel=1e-9)
         assert eq.lhs.real == pytest.approx(direct, rel=1e-12)
         assert eq.rhs.real == pytest.approx(4.0, rel=1e-12)
         assert eq.passed and ineq.passed
@@ -302,12 +299,12 @@ class TestL1:
         rng = scn.rng("l1pos")
         x = scn.random_positive(rng)
         y = scn.random_positive(rng)
-        ineq, eq = check_l1(x, y, est, scn.action, scn.haar, tol_rel=1e-9)
+        ineq, eq = check_l1(x, y, est, scn.action, tol_rel=1e-9)
         assert eq.passed
         # the equality side equals the orthogonality right-hand side with
         # y replaced by D^{1/2} y D^{1/2}
         ytil = est.sandwich(0.5, y)
-        rep = check_orthogonality(scn.action, scn.haar, est, x, ytil,
+        rep = check_orthogonality(scn.action, est, x, ytil,
                                   positive=True, tol_rel=1e-9)
         assert rep.passed
         assert eq.lhs == pytest.approx(rep.lhs, rel=1e-11)
@@ -318,7 +315,7 @@ class TestL1:
         for _ in range(20):
             x = scn.random_element(rng)
             y = scn.random_element(rng)
-            ineq, eq = check_l1(x, y, est, scn.action, scn.haar, tol_rel=1e-9)
+            ineq, eq = check_l1(x, y, est, scn.action, tol_rel=1e-9)
             assert ineq.passed and eq.passed
             assert ineq.lhs <= ineq.rhs + 1e-9 * ineq.rhs
 
@@ -329,7 +326,7 @@ class TestYoung:
         # sum, computed here by direct double loops
         n = 6
         scn, est = _estimate(f"translation:cyclic({n})")
-        act, haar = scn.action, scn.haar
+        act = scn.action
         rng = scn.rng("young-classical")
         xf = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         yf = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -341,7 +338,7 @@ class TestYoung:
             assert vals[g] == pytest.approx(corr, abs=1e-12)
         # classical Young via the machinery (D = 1)
         for p, q, r in YOUNG_GRID:
-            rep = check_young(x, y, p, q, r, est, act, haar, tol_rel=1e-9)
+            rep = check_young(x, y, p, q, r, est, act, tol_rel=1e-9)
             assert rep.passed
 
     def test_equality_at_ones_for_positive_pair(self):
@@ -349,7 +346,7 @@ class TestYoung:
         rng = scn.rng("young-eq")
         x = scn.random_positive(rng)
         y = scn.random_positive(rng)
-        rep = check_young(x, y, 1.0, 1.0, 1.0, est, scn.action, scn.haar, tol_rel=1e-9)
+        rep = check_young(x, y, 1.0, 1.0, 1.0, est, scn.action, tol_rel=1e-9)
         assert rep.passed
         assert rep.lhs == pytest.approx(rep.rhs, rel=1e-10)  # equality case
 
@@ -360,30 +357,29 @@ class TestYoung:
             p, q, r = YOUNG_GRID[t % len(YOUNG_GRID)]
             x = scn.random_element(rng)
             y = scn.random_element(rng)
-            rep = check_young(x, y, p, q, r, est, scn.action, scn.haar, tol_rel=1e-9)
+            rep = check_young(x, y, p, q, r, est, scn.action, tol_rel=1e-9)
             assert rep.passed
 
     def test_rejects_bad_exponents(self):
         scn, est = _estimate("wh:2")
         one = scn.shape.identity()
         with pytest.raises(ParameterError):
-            check_young(one, one, 2.0, 2.0, math.inf, est, scn.action, scn.haar)
+            check_young(one, one, 2.0, 2.0, math.inf, est, scn.action)
         with pytest.raises(ParameterError):
-            check_young(one, one, 1.0, 2.0, 3.0, est, scn.action, scn.haar)
+            check_young(one, one, 1.0, 2.0, 3.0, est, scn.action)
 
     def test_rejects_non_commuting(self):
         # a windowed element does not commute with the non-scalar quadrature D
         design = WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
                                b_extent=4.0, n_b=64, support_octaves=0.5)
         act = WaveletAction(design)
-        haar = act.group.haar()
         rng = np.random.default_rng(3)
         x1 = act.random_positive(rng)
         x2 = act.random_positive(rng)
-        est = estimate_duflo(act, haar, x1, x2)
+        est = estimate_duflo(act, x1, x2)
         y = act.random_positive(rng)
         with pytest.raises(ParameterError):
-            check_young(y, y, 1.0, 1.0, 1.0, est, act, haar)
+            check_young(y, y, 1.0, 1.0, 1.0, est, act)
 
 
 class TestInterpolation:
@@ -392,7 +388,7 @@ class TestInterpolation:
         rng = scn.rng("interp1")
         x = scn.random_element(rng)
         y = scn.random_element(rng)
-        rep = check_interpolation(x, y, 1.0, est, scn.action, scn.haar, tol_rel=1e-9)
+        rep = check_interpolation(x, y, 1.0, est, scn.action, tol_rel=1e-9)
         assert rep.passed
         # p = 1: bound is ||x||_1 ||D^{-1/2} y D^{-1/2}||_1
         expect = p_norm(x, 1.0) * p_norm(est.sandwich(-0.5, y), 1.0)
@@ -404,7 +400,7 @@ class TestInterpolation:
         for _ in range(10):
             x = scn.random_element(rng)
             y = scn.random_element(rng)
-            rep = check_interpolation(x, y, math.inf, est, scn.action, scn.haar,
+            rep = check_interpolation(x, y, math.inf, est, scn.action,
                                       tol_rel=1e-9)
             assert rep.passed
             assert rep.rhs == pytest.approx(p_norm(x, math.inf) * p_norm(y, 1.0), rel=1e-12)
@@ -414,7 +410,7 @@ class TestInterpolation:
         rng = scn.rng("interp2")
         for _ in range(20):
             rep = check_interpolation(scn.random_element(rng), scn.random_element(rng),
-                                      2.0, est, scn.action, scn.haar, tol_rel=1e-9)
+                                      2.0, est, scn.action, tol_rel=1e-9)
             assert rep.passed
 
 

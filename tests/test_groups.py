@@ -17,6 +17,7 @@ from qha.groups import (
     coset_representatives,
     counting_haar,
     cyclic,
+    dual,
     dual_group,
     probability_haar,
     product,
@@ -120,16 +121,17 @@ class TestDualGroup:
         assert np.abs(gram - n * np.eye(n)).max() < 1e-12 * n
 
     def test_rejects_nonabelian(self):
-        with pytest.raises(GroupError):
-            dual_group(symmetric(3))
+        for build in (dual_group, dual):
+            with pytest.raises(GroupError):
+                build(symmetric(3))
 
     def test_dual_composes_like_group(self):
         G = cyclic(4)
         chars = dual_group(G)
-        dual = chars.as_group()
+        D = dual(G)
         for s in G.elements():
             for t in G.elements():
-                st = dual.compose(s, t)
+                st = D.compose(s, t)
                 for g in G.elements():
                     prod = chars.table[s, g] * chars.table[t, g]
                     assert abs(prod - chars.table[st, g]) < 1e-12

@@ -37,6 +37,7 @@ SAVED_BLOCK_DIMS = {
     "twisted-dual:4:1": "block_dims = 4",
     INDUCED_ID: "block_dims = 2,2",
     "translation:cyclic(6)": "block_dims = 1,1,1,1,1,1",
+    "irrep:s3:std": "block_dims = 2",
 }
 
 
@@ -55,7 +56,7 @@ class TestBuiltins:
         for sid, expect in EXPECTED_SCALARS.items():
             scn = build_scenario(builtin(sid))
             x1, x2 = scn.duflo_pair()
-            est = estimate_duflo(scn.action, scn.haar, x1, x2, cross_tol=scn.cross_tol)
+            est = estimate_duflo(scn.action, x1, x2, cross_tol=scn.cross_tol)
             assert est.scalar_value == pytest.approx(expect, rel=1e-10), sid
 
     def test_unknown_id_lists_kinds(self):
@@ -183,11 +184,17 @@ class TestScenarioFiles:
         ScenarioSpec("twisted-dual:4:1", seed=7, tol_rel=1e-7),
         ScenarioSpec(INDUCED_ID),
         ScenarioSpec("translation:cyclic(6)"),
+        ScenarioSpec("irrep:s3:std", seed=11),
     ])
     def test_saved_file_loads_to_the_same_spec(self, tmp_path, spec):
         path = tmp_path / "scenario.ini"
         save_scenario(spec, path)
-        assert SAVED_BLOCK_DIMS[spec.scenario_id] in path.read_text().splitlines()
+        lines = path.read_text().splitlines()
+        assert SAVED_BLOCK_DIMS[spec.scenario_id] in lines
+        # [haar] mirrors the Haar model the action carries: probability on s3
+        normalization = build_scenario(spec).action.haar.normalization
+        assert f"normalization = {normalization}" in lines
+        assert (normalization == "probability") == spec.scenario_id.startswith("irrep")
         assert load_scenario(path) == spec
 
     def test_bad_tolerance_is_config_error(self, tmp_path):
@@ -236,7 +243,7 @@ class TestScenarioRuntime:
         preset = build_scenario(spec)
         level0 = refined_wavelet(spec, 0)
         assert level0.action.design == preset.action.design
-        assert np.array_equal(level0.haar.weights, preset.haar.weights)
+        assert np.array_equal(level0.action.haar.weights, preset.action.haar.weights)
         assert refined_wavelet(spec, 1).action.design == preset.action.design.scaled(2)
 
     def test_refined_wavelet_rejects_other_scenarios(self):

@@ -15,7 +15,6 @@ from .algebra import (
 )
 from .actions import (
     Action,
-    UnitaryRep,
     conjugation_action,
     dual_action,
     finite_weyl_heisenberg,
@@ -45,15 +44,12 @@ from .duflo import (
     run_suite,
 )
 from .groups import (
-    CharacterTable,
     FiniteGroup,
     HaarModel,
     QuadratureGroup,
     affine_group,
-    coset_representatives,
     counting_haar,
     cyclic,
-    dual_group,
     probability_haar,
     product,
     symmetric,
@@ -64,7 +60,6 @@ from .scenarios import (
     builtin,
     list_builtins,
     load_scenario,
-    random_scenario,
     save_scenario,
 )
 

@@ -53,10 +53,8 @@ from .groups import (
     QuadratureGroup,
     coset_lookup,
     counting_haar,
-    cyclic,
     distinct_indices,
     dual,
-    product,
 )
 from .reports import CheckReport
 
@@ -66,7 +64,7 @@ class ActionError(Exception):
 
 
 class RepresentationError(ActionError):
-    """Matrices fail to be unitary or to satisfy the twisted product law."""
+    """Block matrices fail to be unitary or to compose as a group action."""
 
 
 class MeasureError(ActionError):
@@ -78,73 +76,39 @@ class GridError(ActionError):
 
 
 # ---------------------------------------------------------------------------
-# representations
+# representations and the group law of a conjugation
 
 
 # Nodes per stacked (nodes, n, n) temporary in the conjugation kernels and the
-# representation checks, which bounds their memory at any group order.
+# group-law check, which bounds their memory at any group order.
 NODE_SLICE = 32
 
 
-class UnitaryRep:
-    """Projective unitary representation: U_e = I and U_g U_h = c(g, h) U_{gh}.
+def product_phases(U: np.ndarray, src: np.ndarray, table: np.ndarray, pairs: np.ndarray,
+                   tol: float = 1e-11) -> np.ndarray:
+    """Phases c[p, j] with U[a, j] U[b, src[a, j]] = c[p, j] U[ab, j] for each
+    row p = (a, b) of ``pairs``.
 
-    The phases c(g, h) are not supplied; ``product_phases`` computes them from
-    the matrices, and validation requires every sampled U_g U_h U_{gh}* to be
-    a scalar multiple of I.  Their cocycle identity then follows from the
-    associativity of the matrix product.
-    """
-
-    def __init__(self, group: FiniteGroup, matrices, name: str = ""):
-        mats = np.array(matrices, dtype=complex)
-        if mats.ndim != 3 or mats.shape[0] != group.order or mats.shape[1] != mats.shape[2]:
-            raise RepresentationError("need one square matrix per group element")
-        mats.setflags(write=False)
-        self.group = group
-        self.matrices = mats
-        self.name = name or f"rep({group.name},dim={mats.shape[1]})"
-        self.validate()
-
-    @property
-    def dim(self) -> int:
-        return self.matrices.shape[1]
-
-    def matrix(self, g: int) -> np.ndarray:
-        return self.matrices[g]
-
-    def validate(self, tol: float = 1e-11) -> None:
-        G, U = self.group, self.matrices
-        eye = np.eye(self.dim)
-        for s in range(0, G.order, NODE_SLICE):
-            Us = U[s:s + NODE_SLICE]
-            bad = np.flatnonzero(np.abs(Us.conj().swapaxes(1, 2) @ Us - eye).max(axis=(1, 2)) > tol)
-            if bad.size:
-                raise RepresentationError(f"matrix {s + bad[0]} is not unitary")
-        if np.abs(U[G.identity] - eye).max() > tol:
-            raise RepresentationError("the identity must be represented by I")
-        product_phases(U, G.table, _sample_pairs(G.order, limit=24), tol)
-
-
-def product_phases(U: np.ndarray, table: np.ndarray, pairs: np.ndarray, tol: float = 1e-11) -> np.ndarray:
-    """Phase c with U_a U_b = c U_{ab} for each row (a, b) of ``pairs``.
-
-    ``U`` is an (N, n, n) unitary stack indexed like the Cayley ``table``.
-    U_a U_b U_{ab}* is formed in NODE_SLICE slices of pairs, and c is its
+    ``U`` is an (N, t, n, n) unitary stack and ``src`` an (N, t) source table,
+    both indexed like the Cayley ``table``.  When the source rows compose,
+    a.(b.x) = (ab).x for the action x_j -> U[g, j] x[src[g, j]] U[g, j]*
+    exactly when every such block product times U[ab, j]* is a scalar multiple
+    of I; on one block this says U is a projective representation.  The
+    products are formed in NODE_SLICE slices of pairs, and c is their
     normalized trace.  Raises RepresentationError when some product is
-    farther than ``tol`` from c I, that is when U is not a projective
-    representation.
+    farther than ``tol`` from c I.
     """
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
     n = U.shape[-1]
     eye = np.eye(n)
-    out = np.empty(len(pairs), dtype=complex)
+    out = np.empty((len(pairs), U.shape[1]), dtype=complex)
     for s in range(0, len(pairs), NODE_SLICE):
         a, b = pairs[s:s + NODE_SLICE].T
-        p = U[a] @ U[b] @ U[table[a, b]].conj().swapaxes(1, 2)
-        c = np.trace(p, axis1=1, axis2=2) / n
-        if np.abs(p - c[:, None, None] * eye).max() > tol:
-            raise RepresentationError("U_a U_b U_ab* is not a scalar multiple of I: "
-                                      "not a projective representation")
+        p = U[a] @ U[b[:, None], src[a]] @ U[table[a, b]].conj().swapaxes(2, 3)
+        c = np.trace(p, axis1=2, axis2=3) / n
+        if np.abs(p - c[..., None, None] * eye).max() > tol:
+            raise RepresentationError("U[a, j] U[b, src[a, j]] U[ab, j]* is not a scalar multiple "
+                                      "of I: not a group action")
         out[s:s + NODE_SLICE] = c
     return out
 
@@ -156,23 +120,25 @@ def _sample_pairs(n: int, limit: int) -> np.ndarray:
     return np.random.default_rng(0).integers(0, n, size=(limit * limit, 2))
 
 
-def trivial_rep(G: FiniteGroup, dim: int = 1) -> UnitaryRep:
-    mats = np.broadcast_to(np.eye(dim, dtype=complex), (G.order, dim, dim)).copy()
-    return UnitaryRep(G, mats, name=f"trivial({G.name})")
+# Representation stacks: (N, n, n) arrays indexed by the group's elements,
+# which ``conjugation_action`` validates.
 
 
-def cyclic_character_rep(G: FiniteGroup, j: int) -> UnitaryRep:
+def trivial_rep(G: FiniteGroup, dim: int = 1) -> np.ndarray:
+    return np.broadcast_to(np.eye(dim, dtype=complex), (G.order, dim, dim)).copy()
+
+
+def cyclic_character_rep(G: FiniteGroup, j: int) -> np.ndarray:
     """One-dimensional representation chi_j of cyclic(n)."""
     if G.structure is None or len(G.structure) != 1:
         raise RepresentationError("cyclic_character_rep needs a cyclic group")
     n = G.structure[0]
     # the angle 2 pi j g / n in real arithmetic: complex division rounds it otherwise
-    mats = np.exp(1j * (2 * np.pi * j * np.arange(n) / n)).reshape(n, 1, 1)
-    return UnitaryRep(G, mats, name=f"chi{j}({G.name})")
+    return np.exp(1j * (2 * np.pi * j * np.arange(n) / n)).reshape(n, 1, 1)
 
 
-def s3_irreps() -> dict[str, UnitaryRep]:
-    """The three irreducible representations of the symmetric group on 3 letters."""
+def s3_irreps() -> tuple[FiniteGroup, dict[str, np.ndarray]]:
+    """The symmetric group on 3 letters and its three irreducible representations."""
     from .groups import symmetric
 
     G = symmetric(3)
@@ -181,32 +147,30 @@ def s3_irreps() -> dict[str, UnitaryRep]:
     P = np.zeros((G.order, 3, 3))
     P[np.arange(G.order)[:, None], perms, np.arange(3)] = 1.0
     inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
-    sgn = UnitaryRep(G, ((-1.0) ** inversions).reshape(-1, 1, 1), name="sign(s3)")
+    sgn = ((-1.0) ** inversions).reshape(-1, 1, 1)
     # 2-d standard piece: permutation matrices restricted to the sum-zero plane
     q = np.array([[1.0 / math.sqrt(2), 1.0 / math.sqrt(6)],
                   [-1.0 / math.sqrt(2), 1.0 / math.sqrt(6)],
                   [0.0, -2.0 / math.sqrt(6)]])
-    std = UnitaryRep(G, q.T @ P @ q, name="std(s3)")
-    return {"trivial": trivial_rep(G), "sign": sgn, "std": std}
+    return G, {"trivial": trivial_rep(G), "sign": sgn, "std": q.T @ P @ q}
 
 
-def finite_weyl_heisenberg(n: int) -> UnitaryRep:
+def finite_weyl_heisenberg(n: int) -> np.ndarray:
     """Translation-and-modulation family pi(k, l) = T_k M_l on C^n.
 
     Element (k, l) of cyclic(n) x cyclic(n), index k n + l, is the matrix with
     omega^(l s) in row (s + k) % n, column s, for omega = exp(2 pi i / n).  Its
     product phase pi(k, l) pi(k', l') = exp(2 pi i l k' / n) pi(k + k', l + l')
-    is computed by ``product_phases`` when the family is validated.  The
-    family is irreducible for every n >= 2.
+    is computed by ``product_phases`` when an action is built on the family.
+    The family is irreducible for every n >= 2.
     """
     if n < 2:
         raise RepresentationError(f"need n >= 2, got {n}")
-    G = product(cyclic(n), cyclic(n))
     omega = np.exp(2j * np.pi / n)
     k, l, s = np.ogrid[:n, :n, :n]
     mats = np.zeros((n, n, n, n), dtype=complex)
     mats[k, l, (s + k) % n, s] = omega ** (l * s)
-    return UnitaryRep(G, mats.reshape(n * n, n, n), name=f"wh({n})")
+    return mats.reshape(n * n, n, n)
 
 
 # Largest linearized dimension for which a dense SVD nullity is computed.
@@ -430,11 +394,15 @@ class ConjugationAction(Action):
     ``unitaries`` is one (N, t, n, n) stack and ``src`` one (N, t) table,
     both indexed by the N group elements.  Conjugation by a (projective)
     representation is the case t = 1; its phases cancel, so it is a group
-    action.
+    action.  This is the one place a stack is validated: the blocks must be
+    unitary, the identity must act trivially, and over the sampled pairs
+    (a, b) the source rows must compose and every block product
+    U[a, j] U[b, src[a, j]] U[ab, j]* must be a scalar (``product_phases``).
     """
 
     def __init__(self, group: FiniteGroup, unitaries, src, trace_weights, haar: HaarModel | None = None):
-        U = np.asarray(unitaries, dtype=complex)
+        U = np.asarray(unitaries, dtype=complex).view()
+        U.setflags(write=False)  # the action's view; the caller's array stays writable
         src = np.asarray(src, dtype=int)
         if U.ndim != 4 or U.shape[:2] != src.shape or U.shape[0] != group.order or U.shape[2] != U.shape[3]:
             raise ActionError("need a (t, n, n) unitary stack and a source row per group element")
@@ -442,10 +410,21 @@ class ConjugationAction(Action):
         eye = np.eye(n)
         if not (np.sort(src, axis=1) == np.arange(t)).all():
             raise ActionError("each source row must permute the blocks")
-        if not (src[group.identity] == np.arange(t)).all() or np.abs(U[group.identity] - eye).max() > 1e-11:
+        if not (src[group.identity] == np.arange(t)).all():
             raise ActionError("identity must act trivially")
-        if np.abs(U @ U.conj().swapaxes(2, 3) - eye).max() > 1e-11:
+        if np.abs(U[group.identity] - eye).max() > 1e-11:
+            raise RepresentationError("the identity must be represented by I")
+        # one unsliced product with I taken off in place: each further (N, t, n, n)
+        # temporary shifts the heap and the peak RSS of the finite workload
+        gram = U @ U.conj().swapaxes(2, 3)
+        gram -= eye
+        if np.abs(gram).max() > 1e-11:
             raise RepresentationError("block matrices are not unitary")
+        pairs = _sample_pairs(group.order, limit=24)
+        a, b = pairs.T
+        if not (src[group.table[a, b]] == src[b[:, None], src[a]]).all():
+            raise ActionError("source rows do not compose with the group law")
+        product_phases(U, src, group.table, pairs)
         shape = AlgebraShape(n, trace_weights)
         gens = group.generators or tuple(group.elements())
         super().__init__(group, shape, "conjugation", gens, haar)
@@ -489,10 +468,10 @@ class ConjugationAction(Action):
         return self._src[gens], self.unitaries[gens]
 
 
-def conjugation_action(rep: UnitaryRep, haar: HaarModel | None = None) -> ConjugationAction:
-    """g.x = U_g x U_g* on one full block; counting Haar weights by default."""
-    zeros = np.zeros((rep.group.order, 1), dtype=int)
-    return ConjugationAction(rep.group, rep.matrices[:, None], zeros, (1.0,), haar)
+def conjugation_action(G: FiniteGroup, U, haar: HaarModel | None = None) -> ConjugationAction:
+    """g.x = U[g] x U[g]* on one full block, for an (N, n, n) stack U indexed
+    by the elements of G; counting Haar weights by default."""
+    return ConjugationAction(G, np.asarray(U)[:, None], np.zeros((G.order, 1), dtype=int), (1.0,), haar)
 
 
 class PermutationAction(Action):
@@ -575,10 +554,10 @@ def dual_action(G: FiniteGroup, m: int = 0) -> PermutationAction | ConjugationAc
     n = G.structure[0]
     if math.gcd(m, n) != 1:
         raise ActionError(f"twist parameter m={m} must be coprime to n={n}")
-    wh = finite_weyl_heisenberg(n)
     s, t = np.divmod(np.arange(n * n), n)
     psi = (-t * pow(m, -1, n)) % n * n + s
-    act = ConjugationAction(dual(G), wh.matrices[psi][:, None], np.zeros((n * n, 1), dtype=int), (1.0 / n,))
+    U = finite_weyl_heisenberg(n)[psi][:, None]
+    act = ConjugationAction(dual(G), U, np.zeros((n * n, 1), dtype=int), (1.0 / n,))
     act.kind = "twisted-dual"
     return act
 

@@ -17,7 +17,7 @@ import numpy as np
 
 
 class GroupError(Exception):
-    """Invalid group data (table, labels, characters, quadrature maps)."""
+    """Invalid group data (table, coordinates, quadrature maps)."""
 
 
 class SubgroupError(GroupError):
@@ -28,12 +28,12 @@ class FiniteGroup:
     """Finite group on indices 0..N-1 with a validated multiplication table.
 
     ``structure`` records cyclic factor sizes when the group was built from
-    cyclic groups; it enables character tables and tuple coordinates.  Element
+    cyclic groups; it enables the dual group and tuple coordinates.  Element
     g then has the row-major coordinates ``coords[g]``, one per factor, as in
     ``np.unravel_index``.
     """
 
-    def __init__(self, table, labels=None, name: str = "", structure=None, generators=()):
+    def __init__(self, table, name: str = "", structure=None, generators=()):
         table = np.array(table, dtype=int)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise GroupError("multiplication table must be square")
@@ -54,9 +54,6 @@ class FiniteGroup:
         self.table = table
         self.inverse_table = inverse
         self.identity = identity
-        self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
-        if len(self.labels) != n:
-            raise GroupError("one label per element required")
         self.name = name or f"group({n})"
         self.structure = tuple(int(m) for m in structure) if structure is not None else None
         self.coords = None
@@ -131,8 +128,7 @@ class FiniteGroup:
             raise SubgroupError(f"{tuple(idx.tolist())} is not a subgroup of {self.name}")
         pos = np.empty(self.order, dtype=int)
         pos[idx] = np.arange(idx.size)
-        labels = tuple(self.labels[g] for g in idx)
-        sub = FiniteGroup(pos[self.table[np.ix_(idx, idx)]], labels=labels, name=f"{self.name}|sub{idx.size}")
+        sub = FiniteGroup(pos[self.table[np.ix_(idx, idx)]], name=f"{self.name}|sub{idx.size}")
         return sub, tuple(idx.tolist())
 
     def __repr__(self) -> str:
@@ -159,14 +155,13 @@ def product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Direct product with index (g, h) -> g * |H| + h."""
     ng, nh = G.order, H.order
     table = (G.table[:, None, :, None] * nh + H.table[None, :, None, :]).reshape(ng * nh, ng * nh)
-    labels = tuple(f"({la},{lb})" for la in G.labels for lb in H.labels)
     structure = None
     if G.structure is not None and H.structure is not None:
         structure = G.structure + H.structure
     gens = tuple(g * nh + H.identity for g in G.generators) + tuple(
         G.identity * nh + h for h in H.generators
     )
-    return FiniteGroup(table, labels=labels, name=f"{G.name}x{H.name}", structure=structure, generators=gens)
+    return FiniteGroup(table, name=f"{G.name}x{H.name}", structure=structure, generators=gens)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -179,59 +174,24 @@ def symmetric(n: int) -> FiniteGroup:
     index_of_code = np.zeros(n ** n, dtype=int)
     index_of_code[perms @ weights] = np.arange(len(perms))
     table = index_of_code[perms[:, perms] @ weights]
-    labels = tuple("".join(map(str, p)) for p in perms.tolist())
     gens = ()
     if n >= 2:
         transposition = [1, 0, *range(2, n)]
         ncycle = [*range(1, n), 0]
         gens = tuple(index_of_code[np.array([transposition, ncycle]) @ weights].tolist())
-    return FiniteGroup(table, labels=labels, name=f"s{n}", generators=gens)
-
-
-class CharacterTable:
-    """Characters of a finite abelian group, one row per character."""
-
-    def __init__(self, group: FiniteGroup, table: np.ndarray, labels):
-        table = np.asarray(table, dtype=complex)
-        n = group.order
-        if table.shape != (n, n):
-            raise GroupError("character table must be square of group order")
-        if np.abs(np.abs(table) - 1.0).max() > 1e-12:
-            raise GroupError("characters must take unit-modulus values")
-        gram = table @ table.conj().T / n
-        if np.abs(gram - np.eye(n)).max() > 1e-12 * n:
-            raise GroupError("characters are not orthogonal")
-        table.setflags(write=False)
-        self.group = group
-        self.table = table
-        self.labels = tuple(labels)
+    return FiniteGroup(table, name=f"s{n}", generators=gens)
 
 
 def dual(G: FiniteGroup) -> FiniteGroup:
     """Dual group of an abelian group built from cyclic factors, on G's indices.
 
-    Character s is g -> exp(2 pi i sum_k s_k g_k / m_k) (see ``dual_group``),
-    so characters compose exactly like the elements indexing them: the dual
-    has G's table, structure and generators, and s is labelled chi<label>.
+    Character s is g -> exp(2 pi i sum_k s_k g_k / m_k), so characters
+    compose exactly like the elements indexing them: the dual has G's table,
+    structure and generators, and no character table is formed.
     """
     if not G.is_abelian() or G.structure is None:
         raise GroupError("the dual group needs an abelian group built from cyclic factors")
-    return FiniteGroup(G.table, labels=tuple(f"chi{label}" for label in G.labels),
-                       name=f"dual({G.name})", structure=G.structure, generators=G.generators)
-
-
-def dual_group(G: FiniteGroup) -> CharacterTable:
-    """Character table of an abelian group built from cyclic factors."""
-    if not G.is_abelian():
-        raise GroupError("dual_group requires an abelian group")
-    if G.structure is None:
-        raise GroupError("dual_group requires a group built from cyclic factors")
-    # phase(s, g) = sum_k s_k g_k / m_k, accumulated factor by factor
-    c = G.coords
-    phase = sum(c[:, None, k] * c[None, :, k] / m for k, m in enumerate(G.structure))
-    table = np.exp(2j * np.pi * phase)
-    labels = tuple(f"chi{label}" for label in G.labels)
-    return CharacterTable(G, table, labels)
+    return FiniteGroup(G.table, name=f"dual({G.name})", structure=G.structure, generators=G.generators)
 
 
 def coset_lookup(G: FiniteGroup, h_indices) -> tuple[np.ndarray, np.ndarray]:
@@ -253,11 +213,6 @@ def coset_lookup(G: FiniteGroup, h_indices) -> tuple[np.ndarray, np.ndarray]:
     pos = np.empty(G.order, dtype=int)
     pos[reps] = np.arange(reps.size)
     return reps, pos[rep_of]
-
-
-def coset_representatives(G: FiniteGroup, h_indices) -> list[int]:
-    """Representatives of the left cosets gH, identity first."""
-    return coset_lookup(G, h_indices)[0].tolist()
 
 
 @dataclass(frozen=True)

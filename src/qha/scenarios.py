@@ -1,4 +1,4 @@
-"""Builtin, randomized and file-loaded scenario instances.
+"""Builtin and file-loaded scenario instances.
 
 A scenario bundles an ergodic trace-preserving action on a block algebra,
 with its group and Haar model, declared tolerances, deterministic random
@@ -250,18 +250,18 @@ def _build_irrep(spec: ScenarioSpec, tokens) -> Scenario:
         raise ConfigError("irrep scenario needs the form irrep:<group>:<rep>")
     _, gtok, rtok = tokens
     if gtok == "s3":
-        reps = s3_irreps()
+        G, reps = s3_irreps()
         if rtok not in reps:
             raise ConfigError(f"unknown s3 rep {rtok!r}; valid: {sorted(reps)}")
-        rep = reps[rtok]
+        U = reps[rtok]
     else:
         G = parse_group_token(gtok)
         m = re.match(r"^chi(\d+)$", rtok)
         if G.structure is None or len(G.structure) != 1 or not m:
             raise ConfigError("character reps need a cyclic group and rep chi<j>")
-        rep = cyclic_character_rep(G, int(m.group(1)))
-    action = conjugation_action(rep, haar=probability_haar(rep.group))
-    return Scenario(spec, action, expected_scalar=float(rep.dim),
+        U = cyclic_character_rep(G, int(m.group(1)))
+    action = conjugation_action(G, U, haar=probability_haar(G))
+    return Scenario(spec, action, expected_scalar=float(action.shape.block_dim),
                     expect_tol=1e-9, **_FINITE_DEFAULTS)
 
 
@@ -269,8 +269,8 @@ def _build_wh(spec: ScenarioSpec, tokens) -> Scenario:
     if len(tokens) != 2:
         raise ConfigError("weyl-heisenberg scenario needs the form wh:<n>")
     n = int(tokens[1])
-    rep = finite_weyl_heisenberg(n)
-    action = conjugation_action(rep)
+    U = finite_weyl_heisenberg(n)
+    action = conjugation_action(product(cyclic(n), cyclic(n)), U)
     return Scenario(spec, action, expected_scalar=1.0 / n, expect_tol=1e-9, **_FINITE_DEFAULTS)
 
 
@@ -322,10 +322,9 @@ def _build_induced(spec: ScenarioSpec, tokens) -> Scenario:
     if itok == "wh2":
         if H_model.structure != (2, 2):
             raise ConfigError("inner wh2 needs subgroup cyclic(2)xcyclic(2)")
-        rep = finite_weyl_heisenberg(2)
-        inner = conjugation_action(rep)
+        inner = conjugation_action(H_model, finite_weyl_heisenberg(2))
         strides = np.array(G.structure) // H_model.structure
-        iso = rep.group.index_of_tuple(G.coords[list(embed)] // strides)
+        iso = H_model.index_of_tuple(G.coords[list(embed)] // strides)
     elif itok == "translation":
         inner = left_translation_action(sub_group)
         iso = list(range(sub_group.order))
@@ -387,45 +386,6 @@ def builtin(scenario_id: str, seed: int | None = None) -> ScenarioSpec:
 
 def list_builtins() -> tuple[str, ...]:
     return BUILTIN_IDS
-
-
-def random_scenario(seed: int, max_block_dim: int = 6, max_group_order: int = 16) -> ScenarioSpec:
-    """Deterministically draw a builtin family with randomized admissible parameters."""
-    rng = np.random.default_rng(seed)
-    families = ("wh", "translation", "cosets", "irrep", "twisted-dual", "induced")
-    fam = families[int(rng.integers(len(families)))]
-    if fam == "wh":
-        n = int(rng.integers(2, min(max_block_dim, int(math.isqrt(max_group_order))) + 1))
-        sid = f"wh:{n}"
-    elif fam == "translation":
-        n = int(rng.integers(2, max_group_order + 1))
-        sid = f"translation:cyclic({n})"
-    elif fam == "cosets":
-        n = int(rng.integers(4, max_group_order + 1))
-        divisors = [d for d in range(2, n) if n % d == 0]
-        if not divisors:
-            sid = f"translation:cyclic({n})"
-        else:
-            m = divisors[int(rng.integers(len(divisors)))]
-            sid = f"cosets:cyclic({n}):cyclic({m})"
-    elif fam == "irrep":
-        choices = ["irrep:s3:trivial", "irrep:s3:sign", "irrep:s3:std"] + [
-            f"irrep:cyclic(8):chi{j}" for j in range(8)
-        ]
-        sid = choices[int(rng.integers(len(choices)))]
-    elif fam == "twisted-dual":
-        n = int(rng.integers(2, int(math.isqrt(max_group_order)) + 1))
-        m = int(rng.integers(0, 2))
-        if m != 0 and math.gcd(m, n) != 1:
-            m = 0
-        sid = f"twisted-dual:{n}:{m}"
-    else:
-        sid = (
-            "induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2"
-            if rng.integers(2) == 0
-            else "induced:cyclic(4):cyclic(2):translation"
-        )
-    return ScenarioSpec(sid, seed=seed)
 
 
 # ---------------------------------------------------------------------------

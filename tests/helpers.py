@@ -1,12 +1,14 @@
-"""Shared helpers for the tests: node walks, dual symbols and per-element loop oracles."""
+"""Shared helpers for the tests: node walks, the character-table oracle, dual
+symbols and per-element loop oracles."""
 
 import itertools
 import math
 
 import numpy as np
 
+from qha.actions import finite_weyl_heisenberg
 from qha.algebra import AlgebraElement, AlgebraShape
-from qha.groups import QuadratureGroup, dual_group
+from qha.groups import GroupError, QuadratureGroup, cyclic, product
 from qha.scenarios import _cyclic_subgroup_indices
 
 
@@ -16,6 +18,46 @@ def nodes_of(action):
     if isinstance(group, QuadratureGroup):
         return list(group.nodes)
     return list(group.elements())
+
+
+def weyl_heisenberg(n):
+    """The group cyclic(n) x cyclic(n) and its (n^2, n, n) Weyl-Heisenberg stack."""
+    return product(cyclic(n), cyclic(n)), finite_weyl_heisenberg(n)
+
+
+# ---------------------------------------------------------------------------
+# The character table of an abelian group built from cyclic factors: the
+# oracle for ``groups.dual``, which indexes characters by G's elements and
+# forms no table, and for the symbols of the untwisted dual action.
+
+
+class CharacterTable:
+    """Characters of a finite abelian group, one row per character."""
+
+    def __init__(self, group, table):
+        table = np.asarray(table, dtype=complex)
+        n = group.order
+        if table.shape != (n, n):
+            raise GroupError("character table must be square of group order")
+        if np.abs(np.abs(table) - 1.0).max() > 1e-12:
+            raise GroupError("characters must take unit-modulus values")
+        gram = table @ table.conj().T / n
+        if np.abs(gram - np.eye(n)).max() > 1e-12 * n:
+            raise GroupError("characters are not orthogonal")
+        self.group = group
+        self.table = table
+
+
+def dual_group(G):
+    """Character table with row s the character g -> exp(2 pi i sum_k s_k g_k / m_k)."""
+    if not G.is_abelian():
+        raise GroupError("dual_group requires an abelian group")
+    if G.structure is None:
+        raise GroupError("dual_group requires a group built from cyclic factors")
+    # phase(s, g) = sum_k s_k g_k / m_k, accumulated factor by factor
+    c = G.coords
+    phase = sum(c[:, None, k] * c[None, :, k] / m for k, m in enumerate(G.structure))
+    return CharacterTable(G, np.exp(2j * np.pi * phase))
 
 
 # ---------------------------------------------------------------------------

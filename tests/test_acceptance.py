@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qha.algebra import AlgebraElement, trace
-from qha.actions import conjugation_action, finite_weyl_heisenberg
+from qha.actions import conjugation_action
 from qha.cli import refinement_metrics
 from qha.duflo import (
     ALT_POWERS,
@@ -27,10 +27,10 @@ from qha.duflo import (
     check_young,
     estimate_duflo,
 )
-from qha.groups import cyclic, dual_group, product
+from qha.groups import cyclic, product
 from qha.scenarios import BUILTIN_IDS, build_scenario, builtin
 
-from helpers import from_symbol
+from helpers import dual_group, from_symbol, weyl_heisenberg
 
 
 def _report(criterion: str, passed: bool, detail: str) -> None:
@@ -67,11 +67,11 @@ def test_criterion_2_weyl_heisenberg_family():
     t0 = time.monotonic()
     # independent oracle: exhaustive matrix-coefficient sum for one n
     n0 = 3
-    rep = finite_weyl_heisenberg(n0)
+    G, U = weyl_heisenberg(n0)
     rng = np.random.default_rng(42)
     xi = rng.standard_normal(n0) + 1j * rng.standard_normal(n0)
     eta = rng.standard_normal(n0) + 1j * rng.standard_normal(n0)
-    total = sum(abs(np.vdot(rep.matrix(g) @ eta, xi)) ** 2 for g in rep.group.elements())
+    total = sum(abs(np.vdot(U[g] @ eta, xi)) ** 2 for g in G.elements())
     oracle_gap = abs(total - n0 * np.linalg.norm(xi) ** 2 * np.linalg.norm(eta) ** 2) / total
 
     worst_d = worst_orth = 0.0
@@ -165,7 +165,7 @@ def test_criterion_5_induced_identity():
     act = scn.action
     # the inner action of the subgroup cyclic(2)xcyclic(2); the induced
     # algebra holds one copy of its 2 x 2 block per coset, coset after coset
-    inner = conjugation_action(finite_weyl_heisenberg(2))
+    inner = conjugation_action(*weyl_heisenberg(2))
     t = len(inner.shape.trace_weights)
     coset_count = len(act.shape.trace_weights) // t
 

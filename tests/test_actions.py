@@ -24,7 +24,6 @@ from qha.actions import (
     MeasureError,
     PermutationAction,
     RepresentationError,
-    UnitaryRep,
     WaveletAction,
     WaveletDesign,
     automorphism_defect,
@@ -45,11 +44,12 @@ from qha.actions import (
     s3_irreps,
     trivial_rep,
 )
-from qha.groups import FiniteGroup, cyclic, dual_group, probability_haar, product, symmetric
+from qha.groups import FiniteGroup, cyclic, probability_haar, product, symmetric
 from qha.scenarios import ScenarioSpec, build_scenario, list_builtins
 
 from helpers import (
     cyclic_subgroups,
+    dual_group,
     from_symbol,
     loop_coset_table,
     loop_cyclic_characters,
@@ -58,6 +58,7 @@ from helpers import (
     loop_weyl_heisenberg,
     nodes_of,
     symbol,
+    weyl_heisenberg,
 )
 
 
@@ -65,12 +66,20 @@ SMALL_WAVELET = WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
                               b_extent=2.0, n_b=32, support_octaves=0.5)
 
 
-class TestUnitaryRep:
+def _one_block_phases(U, G, pairs):
+    """product_phases of a one-block stack, as one phase per pair."""
+    src = np.zeros((G.order, 1), dtype=int)
+    return product_phases(np.asarray(U)[:, None], src, G.table, pairs)[:, 0]
+
+
+class TestRepresentationStacks:
+    """conjugation_action validates a representation stack when it is built."""
+
     def test_rejects_non_unitary(self):
         G = cyclic(2)
         mats = np.array([np.eye(2), [[1.0, 1.0], [0.0, 1.0]]], dtype=complex)
         with pytest.raises(RepresentationError):
-            UnitaryRep(G, mats)
+            conjugation_action(G, mats)
 
     def test_rejects_wrong_product_law(self):
         # U_1 = diag(1, i) is unitary, but U_1 U_1 U_0* = diag(1, -1) is not a
@@ -78,57 +87,52 @@ class TestUnitaryRep:
         G = cyclic(2)
         mats = np.array([np.eye(2), np.diag([1.0, 1j])])
         with pytest.raises(RepresentationError, match="scalar multiple"):
-            UnitaryRep(G, mats)
+            conjugation_action(G, mats)
 
     def test_rejects_non_identity_at_e(self):
         # U_0 = -1, U_1 = 1 multiplies with scalar phases, but U_e must be I
         G = cyclic(2)
         with pytest.raises(RepresentationError, match="identity"):
-            UnitaryRep(G, np.array([[[-1.0]], [[1.0]]]))
+            conjugation_action(G, np.array([[[-1.0]], [[1.0]]]))
 
     def test_s3_irreps_validate(self):
-        reps = s3_irreps()
+        G, reps = s3_irreps()
         assert sorted(reps) == ["sign", "std", "trivial"]
-        assert reps["std"].dim == 2
+        assert conjugation_action(G, reps["std"]).shape.block_dim == 2
 
     def test_cyclic_character(self):
-        rep = cyclic_character_rep(cyclic(8), 3)
-        assert rep.dim == 1
-        assert rep.matrix(1)[0, 0] == pytest.approx(np.exp(2j * np.pi * 3 / 8))
+        U = cyclic_character_rep(cyclic(8), 3)
+        assert U.shape == (8, 1, 1)
+        assert U[1, 0, 0] == pytest.approx(np.exp(2j * np.pi * 3 / 8))
 
 
 class TestWeylHeisenberg:
     def test_identity_matrix(self):
-        rep = finite_weyl_heisenberg(3)
-        e = rep.group.identity
-        assert np.allclose(rep.matrix(e), np.eye(3))
+        G, U = weyl_heisenberg(3)
+        assert np.allclose(U[G.identity], np.eye(3))
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_product_phase_matches_weyl_formula(self, n):
         # derived check: the computed phase of every pair is exp(2 pi i l k' / n)
         # and reproduces the matrix product
-        rep = finite_weyl_heisenberg(n)
-        G = rep.group
+        G, U = weyl_heisenberg(n)
         pairs = np.array([(a, b) for a in G.elements() for b in G.elements()])
-        phases = product_phases(rep.matrices, G.table, pairs)
+        phases = _one_block_phases(U, G, pairs)
         for (a, b), c in zip(pairs, phases):
             (_, l), (kp, _) = G.tuple_of_index(a), G.tuple_of_index(b)
             assert abs(c - np.exp(2j * np.pi * l * kp / n)) < 1e-12
-            lhs = rep.matrix(a) @ rep.matrix(b)
-            assert np.abs(lhs - c * rep.matrix(G.compose(a, b))).max() < 1e-12
+            assert np.abs(U[a] @ U[b] - c * U[G.compose(a, b)]).max() < 1e-12
 
     def test_phase_formula(self):
-        rep = finite_weyl_heisenberg(5)
-        G = rep.group
+        G, U = weyl_heisenberg(5)
         a = G.index_of_tuple((2, 3))
         b = G.index_of_tuple((4, 1))
-        (c,) = product_phases(rep.matrices, G.table, [(a, b)])
+        (c,) = _one_block_phases(U, G, [(a, b)])
         assert c == pytest.approx(np.exp(2j * np.pi * 3 * 4 / 5))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_irreducible(self, n):
-        rep = finite_weyl_heisenberg(n)
-        assert commutant_certificate(rep.matrices).dimension == 1
+        assert commutant_certificate(finite_weyl_heisenberg(n)).dimension == 1
 
     def test_rejects_small_n(self):
         with pytest.raises(RepresentationError):
@@ -137,25 +141,30 @@ class TestWeylHeisenberg:
 
 class TestConjugationAction:
     def test_trivial_rep_identity_action(self):
-        act = conjugation_action(trivial_rep(cyclic(3), dim=2))
+        act = conjugation_action(cyclic(3), trivial_rep(cyclic(3), dim=2))
         rng = np.random.default_rng(0)
         x = random_element(act.shape, rng)
         for g in act.group.elements():
             assert sup_distance(act.apply(g, x), x) < 1e-14
 
     def test_unit_preserved(self):
-        act = conjugation_action(finite_weyl_heisenberg(3))
+        act = conjugation_action(*weyl_heisenberg(3))
         one = act.shape.identity()
         for g in act.group.elements():
             assert sup_distance(act.apply(g, one), one) < 1e-12
 
+    def test_stack_is_read_only(self):
+        G, U = weyl_heisenberg(3)
+        act = conjugation_action(G, U)
+        assert not act.unitaries.flags.writeable and U.flags.writeable
+
     def test_pauli_action_is_ergodic(self):
         # nullspace oracle: the fixed-point space of the n=2 family is the scalars
-        act = conjugation_action(finite_weyl_heisenberg(2))
+        act = conjugation_action(*weyl_heisenberg(2))
         assert fixed_point_dimension(act) == 1
 
     def test_trivial_action_fixed_dimension(self):
-        act = conjugation_action(trivial_rep(cyclic(2), dim=2))
+        act = conjugation_action(cyclic(2), trivial_rep(cyclic(2), dim=2))
         assert fixed_point_dimension(act) == 4
 
     @pytest.mark.parametrize("case", ["repeated-source", "moving-identity", "non-unitary", "haar-length"])
@@ -174,6 +183,42 @@ class TestConjugationAction:
             haar = probability_haar(cyclic(3))
         with pytest.raises(ActionError):
             ConjugationAction(cyclic(2), unitaries, src, (1.0, 1.0), haar)
+
+    def test_rejects_source_rows_that_break_composition(self):
+        # every row permutes the two blocks and e fixes them, but 1 and 2 both
+        # swap them, so src[1 * 1] = swap differs from src[1][src[1]] = id
+        src = np.array([[0, 1], [1, 0], [1, 0]])
+        unitaries = np.broadcast_to(np.eye(2), (3, 2, 2, 2))
+        with pytest.raises(ActionError, match="compose"):
+            ConjugationAction(cyclic(3), unitaries, src, (1.0, 1.0))
+
+    def test_rejects_block_product_that_is_not_scalar(self):
+        # the swap composes, and each block is unitary, but applying 1 twice
+        # conjugates block 0 by U[1, 0] U[1, 1] = Z, which is not a scalar
+        I, Z = np.eye(2), np.diag([1.0, -1.0])
+        unitaries = np.array([[I, I], [I, Z]])
+        src = np.array([[0, 1], [1, 0]])
+        with pytest.raises(RepresentationError, match="scalar multiple"):
+            ConjugationAction(cyclic(2), unitaries, src, (1.0, 1.0))
+
+    @pytest.mark.parametrize("sid", ["induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2",
+                                     "induced:cyclic(4)xcyclic(4):cyclic(2)xcyclic(2):wh2"])
+    def test_block_phases_of_induced_wh2(self, sid):
+        # every block of the induced action is a Weyl operator pi(k, l) of
+        # cyclic(2)^2, so the phase of block j for the pair (a, b) is
+        # exp(2 pi i l k' / 2) with (k, l) the operator of U[a, j] and
+        # (k', l') that of U[b, src[a, j]]
+        act = build_scenario(ScenarioSpec(sid)).action
+        H, wh = weyl_heisenberg(2)
+        U, src, G = act.unitaries, act._src, act.group
+        which = np.abs(U[:, :, None] - wh).max(axis=(3, 4)).argmin(axis=2)
+        assert np.array_equal(U, wh[which])
+        pairs = np.array([(a, b) for a in G.elements() for b in G.elements()])
+        phases = product_phases(U, src, G.table, pairs)
+        a, b = pairs.T
+        l = H.coords[which[a], 1]
+        kp = H.coords[which[b[:, None], src[a]], 0]
+        assert np.abs(phases - np.exp(2j * np.pi * l * kp / 2)).max() < 1e-12
 
 
 class TestPermutationAction:
@@ -317,23 +362,18 @@ class TestDualAction:
         assert np.abs(symbol(G, x) - f).max() < 1e-11
 
     @pytest.mark.parametrize("m", [0, 1])
-    def test_dual_group_is_the_character_table_group(self, m, monkeypatch):
-        # oracle: the dual group as the character table's group, with G's
-        # table, structure and generators and the table's labels; the action
-        # itself is built with no character table at all
+    def test_dual_group_is_the_character_table_group(self, m):
+        # oracle: the dual group as the character table's group: G's table,
+        # structure and generators, element s composing like the character
+        # in row s
         G = product(cyclic(4), cyclic(4))
-        chars = dual_group(G)
-        ref = FiniteGroup(G.table, labels=chars.labels, name=f"dual({G.name})",
+        chars = dual_group(G).table
+        ref = FiniteGroup(G.table, name=f"dual({G.name})",
                           structure=G.structure, generators=G.generators)
-
-        def no_table(*args, **kwargs):
-            raise AssertionError("dual_action built a character table")
-
-        monkeypatch.setattr("qha.groups.CharacterTable.__init__", no_table)
         D = dual_action(G, m).group
         assert np.array_equal(D.table, ref.table)
-        assert (D.labels, D.name, D.structure, D.generators) == (
-            ref.labels, ref.name, ref.structure, ref.generators)
+        assert (D.name, D.structure, D.generators) == (ref.name, ref.structure, ref.generators)
+        assert np.abs(chars[D.table] - chars[:, None] * chars[None, :]).max() < 1e-12
 
     def test_full_dual_is_ergodic(self):
         for G in (cyclic(4), product(cyclic(4), cyclic(4))):
@@ -347,9 +387,8 @@ class TestDualAction:
         # omega.x = sum_g omega(g) f(g) Lambda(g)
         n, m = 4, 1
         act = dual_action(product(cyclic(n), cyclic(n)), m)
-        wh = finite_weyl_heisenberg(n)
-        G = wh.group
-        lam = np.array([wh.matrix(G.index_of_tuple((a, m * b))) for a, b in map(G.tuple_of_index, G.elements())])
+        G, wh = weyl_heisenberg(n)
+        lam = np.array([wh[G.index_of_tuple((a, m * b))] for a, b in map(G.tuple_of_index, G.elements())])
         rng = np.random.default_rng(5)
         x = random_element(act.shape, rng)
         f = np.einsum("gij,ij->g", lam.conj(), x.blocks[0]) / n
@@ -377,9 +416,9 @@ def _induced_family(gtok, itok):
     strides = np.array(G.structure) // 2
     h = [G.index_of_tuple((a * strides[0], b * strides[1])) for a in range(2) for b in range(2)]
     if itok == "wh2":
-        rep = finite_weyl_heisenberg(2)
-        inner = conjugation_action(rep)
-        iso = [rep.group.index_of_tuple(np.array(G.tuple_of_index(g)) // strides) for g in h]
+        H, wh = weyl_heisenberg(2)
+        inner = conjugation_action(H, wh)
+        iso = [H.index_of_tuple(np.array(G.tuple_of_index(g)) // strides) for g in h]
     else:
         inner = left_translation_action(G.subgroup(h)[0])
         iso = list(range(len(h)))
@@ -388,9 +427,8 @@ def _induced_family(gtok, itok):
 
 class TestInducedAction:
     def test_whole_group_recovers_inner(self):
-        rep = finite_weyl_heisenberg(2)
-        G = rep.group
-        inner = conjugation_action(rep)
+        G, wh = weyl_heisenberg(2)
+        inner = conjugation_action(G, wh)
         act = induced_action(G, list(G.elements()), inner, list(G.elements()))
         assert act.shape == inner.shape  # a single coset
         rng = np.random.default_rng(6)
@@ -432,18 +470,19 @@ class TestArrayConstructorsMatchLoops:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_weyl_heisenberg(self, n):
-        assert np.array_equal(finite_weyl_heisenberg(n).matrices, loop_weyl_heisenberg(n))
+        assert np.array_equal(finite_weyl_heisenberg(n), loop_weyl_heisenberg(n))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_cyclic_characters(self, n):
         for j in range(n):
-            assert np.array_equal(cyclic_character_rep(cyclic(n), j).matrices, loop_cyclic_characters(n, j))
+            assert np.array_equal(cyclic_character_rep(cyclic(n), j), loop_cyclic_characters(n, j))
 
     def test_s3_irreps(self):
         sign, std = loop_s3_matrices()
-        reps = s3_irreps()
-        assert np.array_equal(reps["sign"].matrices, sign)
-        assert np.array_equal(reps["std"].matrices, std)
+        G, reps = s3_irreps()
+        assert np.array_equal(G.table, symmetric(3).table)
+        assert np.array_equal(reps["sign"], sign)
+        assert np.array_equal(reps["std"], std)
 
     @pytest.mark.parametrize("G", [
         *(cyclic(n) for n in range(1, 13)),
@@ -619,7 +658,7 @@ class TestComparisonHooks:
     """Element draws and operator comparisons that the law checks delegate to."""
 
     def test_base_draws_are_dense_random_elements(self):
-        act = conjugation_action(finite_weyl_heisenberg(3))
+        act = conjugation_action(*weyl_heisenberg(3))
         a, b = np.random.default_rng(20), np.random.default_rng(20)
         assert sup_distance(act.random_element(a), random_element(act.shape, b)) == 0.0
         assert sup_distance(act.random_positive(a), random_positive_element(act.shape, b)) == 0.0
@@ -653,7 +692,7 @@ class TestComparisonHooks:
 
 class TestStructuralCheckers:
     def test_trace_preserving_conjugation(self):
-        act = conjugation_action(finite_weyl_heisenberg(3))
+        act = conjugation_action(*weyl_heisenberg(3))
         rep = is_trace_preserving(act)
         assert rep.passed and rep.lhs < 1e-12
 
@@ -663,33 +702,33 @@ class TestStructuralCheckers:
 
     def test_homomorphism_small_groups_all_pairs(self):
         rng = np.random.default_rng(13)
-        for act in (conjugation_action(finite_weyl_heisenberg(3)),
+        for act in (conjugation_action(*weyl_heisenberg(3)),
                     left_translation_action(cyclic(6)),
                     dual_action(product(cyclic(2), cyclic(2)), 0)):
             assert homomorphism_defect(act, rng) <= 1e-10
 
     def test_automorphism_defects(self):
         rng = np.random.default_rng(14)
-        act = conjugation_action(s3_irreps()["std"])
+        G, reps = s3_irreps()
+        act = conjugation_action(G, reps["std"])
         assert automorphism_defect(act, rng) <= 1e-10
 
     def test_isometry_on_p_norms(self):
         rng = np.random.default_rng(15)
-        for act in (conjugation_action(finite_weyl_heisenberg(4)),
+        for act in (conjugation_action(*weyl_heisenberg(4)),
                     coset_action(cyclic(6), [0, 2, 4])):
             assert isometry_defect(act, rng) <= 1e-9
 
 
-def _direct_sum(*reps):
-    G = reps[0].group
-    dim = sum(r.dim for r in reps)
-    mats = np.zeros((G.order, dim, dim), dtype=complex)
-    for g in G.elements():
-        pos = 0
-        for r in reps:
-            mats[g, pos:pos + r.dim, pos:pos + r.dim] = r.matrix(g)
-            pos += r.dim
-    return UnitaryRep(G, mats)
+def _direct_sum(*stacks):
+    """Block-diagonal sum of representation stacks of one group."""
+    dims = [U.shape[1] for U in stacks]
+    mats = np.zeros((stacks[0].shape[0], sum(dims), sum(dims)), dtype=complex)
+    pos = 0
+    for U, d in zip(stacks, dims):
+        mats[:, pos:pos + d, pos:pos + d] = U
+        pos += d
+    return mats
 
 
 class TestErgodicityCount:
@@ -699,7 +738,7 @@ class TestErgodicityCount:
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 1
 
     @pytest.mark.parametrize("act", [
-        conjugation_action(finite_weyl_heisenberg(3)),
+        conjugation_action(*weyl_heisenberg(3)),
         dual_action(product(cyclic(5), cyclic(5)), 2),
         WaveletAction(SMALL_WAVELET),
     ], ids=["conjugation", "twisted-dual", "wavelet"])
@@ -715,8 +754,8 @@ class TestErgodicityCount:
     def test_simple_spectrum_disconnected_graph(self):
         # std + sign of s3: the generic element has a simple spectrum, the
         # rotated unitaries stay block diagonal, so the graph has 2 components
-        reps = s3_irreps()
-        act = conjugation_action(_direct_sum(reps["std"], reps["sign"]))
+        G, reps = s3_irreps()
+        act = conjugation_action(G, _direct_sum(reps["std"], reps["sign"]))
         cert = commutant_certificate(act.sampled_structure()[1][:, 0])
         assert cert.method == "spectral"
         assert cert.dimension == 2
@@ -725,16 +764,16 @@ class TestErgodicityCount:
     def test_degenerate_spectrum_takes_dense_count(self):
         # std (x) 1_2: every element of the generated algebra is doubly
         # degenerate; the commutant 1 (x) M_2 has dimension 4
-        std = s3_irreps()["std"]
-        mats = np.array([np.kron(U, np.eye(2)) for U in std.matrices])
-        act = conjugation_action(UnitaryRep(std.group, mats))
+        G, reps = s3_irreps()
+        mats = np.array([np.kron(U, np.eye(2)) for U in reps["std"]])
+        act = conjugation_action(G, mats)
         cert = commutant_certificate(act.sampled_structure()[1][:, 0])
         assert cert.method == "dense-svd"
         assert cert.dimension == 4
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 4
 
     def test_trivial_rep_dim2(self):
-        act = conjugation_action(trivial_rep(cyclic(3), dim=2))
+        act = conjugation_action(cyclic(3), trivial_rep(cyclic(3), dim=2))
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 4
 
     def test_non_transitive_permutation(self):
@@ -747,7 +786,7 @@ class TestErgodicityCount:
         # coset copies form one orbit with identity holonomies, so the fixed
         # points are the copies of any 2 x 2 matrix
         G = cyclic(4)
-        act = induced_action(G, [0, 2], conjugation_action(trivial_rep(cyclic(2), dim=2)), [0, 1])
+        act = induced_action(G, [0, 2], conjugation_action(cyclic(2), trivial_rep(cyclic(2), dim=2)), [0, 1])
         assert act.kind == "induced" and act.shape.blocks_shape == (2, 2, 2)
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 4
 
@@ -770,7 +809,7 @@ class TestErgodicityCount:
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 2
 
     def test_large_degenerate_action_raises(self):
-        act = conjugation_action(trivial_rep(cyclic(2), dim=25))
+        act = conjugation_action(cyclic(2), trivial_rep(cyclic(2), dim=25))
         with pytest.raises(ActionError, match="relative gap"):
             fixed_point_dimension(act)
 

@@ -17,7 +17,6 @@ from qha.actions import (
     WaveletAction,
     WaveletDesign,
     conjugation_action,
-    finite_weyl_heisenberg,
     left_translation_action,
 )
 from qha.bracket import (
@@ -31,7 +30,7 @@ from qha.bracket import (
 from qha.groups import cyclic, probability_haar
 from qha.scenarios import BUILTIN_IDS, build_scenario, builtin
 
-from helpers import nodes_of
+from helpers import nodes_of, weyl_heisenberg
 
 FINITE_BUILTINS = tuple(sid for sid in BUILTIN_IDS if not sid.startswith("affine-wavelet"))
 
@@ -44,7 +43,7 @@ def _delta(act, t):
 
 class TestBracketValues:
     def test_identity_pair_is_constant_trace(self):
-        act = conjugation_action(finite_weyl_heisenberg(2))
+        act = conjugation_action(*weyl_heisenberg(2))
         one = act.shape.identity()
         bf = bracket(one, one, act)
         assert np.allclose(bf.values, trace(one))
@@ -58,16 +57,16 @@ class TestBracketValues:
     def test_rank_one_inner_products(self):
         # matrix-coefficient form: the bracket of rank-one projections is the
         # squared modulus of the vector inner product, checked directly
-        rep = finite_weyl_heisenberg(3)
-        act = conjugation_action(rep)
+        G, U = weyl_heisenberg(3)
+        act = conjugation_action(G, U)
         rng = np.random.default_rng(0)
         xi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         eta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         x = AlgebraElement(act.shape, [np.outer(xi, xi.conj())])
         y = AlgebraElement(act.shape, [np.outer(eta, eta.conj())])
         bf = bracket(x, y, act)
-        for g in rep.group.elements():
-            ip = np.vdot(rep.matrix(g) @ eta, xi)  # <xi, U_g eta>
+        for g in G.elements():
+            ip = np.vdot(U[g] @ eta, xi)  # <xi, U_g eta>
             assert bf.values[g] == pytest.approx(abs(ip) ** 2, abs=1e-11)
 
     def test_path_pair_consistency_all_builtins(self):
@@ -100,7 +99,7 @@ class TestBracketValues:
 
     def test_covariance(self):
         # <h.x|y>(g) = <x|y>(h^{-1} g) on finite groups
-        act = conjugation_action(finite_weyl_heisenberg(2))
+        act = conjugation_action(*weyl_heisenberg(2))
         rng = np.random.default_rng(1)
         x = random_element(act.shape, rng)
         y = random_element(act.shape, rng)
@@ -121,21 +120,21 @@ class TestIntegrateBracket:
         # oracle: the exhaustive double sum over all group elements and matrix
         # entries, for a unit vector, equals n * ||xi||^4 = n
         n = 4
-        rep = finite_weyl_heisenberg(n)
-        act = conjugation_action(rep)
+        G, U = weyl_heisenberg(n)
+        act = conjugation_action(G, U)
         rng = np.random.default_rng(2)
         xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         xi = xi / np.linalg.norm(xi)
         x = AlgebraElement(act.shape, [np.outer(xi, xi.conj())])
         oracle = 0.0
-        for g in rep.group.elements():
-            oracle += abs(np.vdot(rep.matrix(g) @ xi, xi)) ** 2
+        for g in G.elements():
+            oracle += abs(np.vdot(U[g] @ xi, xi)) ** 2
         val = integrate_bracket(bracket(x, x, act))
         assert val.real == pytest.approx(oracle, rel=1e-12)
         assert val.real == pytest.approx(float(n), rel=1e-10)
 
     def test_traceless_gives_zero(self):
-        act = conjugation_action(finite_weyl_heisenberg(3))
+        act = conjugation_action(*weyl_heisenberg(3))
         rng = np.random.default_rng(3)
         x = random_element(act.shape, rng)
         x = x - (trace(x) / trace(act.shape.identity())) * act.shape.identity()
@@ -148,8 +147,8 @@ class TestIntegrateBracket:
 
 class TestFunctionNorm:
     def test_constant_probability(self):
-        rep = finite_weyl_heisenberg(2)
-        act = conjugation_action(rep, haar=probability_haar(rep.group))
+        G, U = weyl_heisenberg(2)
+        act = conjugation_action(G, U, haar=probability_haar(G))
         one = act.shape.identity()
         bf = bracket((1 / 2.0) * one, one, act)
         for r in (1.0, 2.0, 3.0, math.inf):
@@ -188,7 +187,7 @@ class TestFunctionNorm:
 
 class TestSymmetry:
     def test_positive_pair_defect_small(self):
-        act = conjugation_action(finite_weyl_heisenberg(3))
+        act = conjugation_action(*weyl_heisenberg(3))
         rng = np.random.default_rng(4)
         x = random_positive_element(act.shape, rng)
         y = random_positive_element(act.shape, rng)

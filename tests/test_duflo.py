@@ -20,7 +20,6 @@ from qha.actions import (
     PermutationAction,
     WaveletAction,
     conjugation_action,
-    finite_weyl_heisenberg,
     s3_irreps,
 )
 from qha.actions import WaveletDesign
@@ -47,6 +46,8 @@ from qha.duflo import (
 from qha.groups import cyclic, probability_haar
 from qha.scenarios import build_scenario, builtin
 
+from helpers import weyl_heisenberg
+
 
 def _estimate(sid, seed=101):
     scn = build_scenario(builtin(sid, seed=seed))
@@ -60,12 +61,12 @@ class TestEstimate:
         # oracle first: the exhaustive matrix-coefficient sum over all n^2
         # elements is n ||xi||^2 ||eta||^2, which pins D = (1/n) 1
         n = 3
-        rep = finite_weyl_heisenberg(n)
+        G, U = weyl_heisenberg(n)
         rng = np.random.default_rng(0)
         xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         eta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        total = sum(abs(np.vdot(rep.matrix(g) @ eta, xi)) ** 2
-                    for g in rep.group.elements())
+        total = sum(abs(np.vdot(U[g] @ eta, xi)) ** 2
+                    for g in G.elements())
         expect = n * np.linalg.norm(xi) ** 2 * np.linalg.norm(eta) ** 2
         assert total == pytest.approx(expect, rel=1e-11)
 
@@ -113,7 +114,7 @@ class TestEstimate:
     def test_estimate_non_ergodic_raises(self):
         from qha.actions import trivial_rep
 
-        act = conjugation_action(trivial_rep(cyclic(2), dim=2))
+        act = conjugation_action(cyclic(2), trivial_rep(cyclic(2), dim=2))
         rng = np.random.default_rng(5)
         x = random_positive_element(act.shape, rng)
         # trivial action: the orbit density stays the (positive) test element,
@@ -153,14 +154,15 @@ class TestOrthogonality:
     def test_s3_rank_one_six_term_oracle(self):
         # oracle: the explicit 6-term matrix-coefficient sum with probability
         # Haar equals <xi, xi'> conj(<eta, eta'>) / d for the 2-dim irrep
-        rep = s3_irreps()["std"]
-        act = conjugation_action(rep, haar=probability_haar(rep.group))
+        G, reps = s3_irreps()
+        U = reps["std"]
+        act = conjugation_action(G, U, haar=probability_haar(G))
         rng = np.random.default_rng(1)
         vecs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(4)]
         xi, xip, eta, etap = vecs
-        lhs = sum((1.0 / 6.0) * np.vdot(rep.matrix(g) @ eta, xi)
-                  * np.conj(np.vdot(rep.matrix(g) @ etap, xip))
-                  for g in rep.group.elements())
+        lhs = sum((1.0 / 6.0) * np.vdot(U[g] @ eta, xi)
+                  * np.conj(np.vdot(U[g] @ etap, xip))
+                  for g in G.elements())
         rhs = np.vdot(xip, xi) * np.conj(np.vdot(etap, eta)) / 2.0
         assert lhs == pytest.approx(rhs, abs=1e-12)
         # the same statement through the bracket machinery with rank-ones

@@ -1,4 +1,4 @@
-"""Scenario catalog, randomized families, and config-file round trips."""
+"""Scenario catalog, seeded family instances, and config-file round trips."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from qha.scenarios import (
     builtin,
     list_builtins,
     load_scenario,
-    random_scenario,
     refined_wavelet,
     save_scenario,
 )
@@ -86,25 +85,39 @@ class TestBuiltins:
             build_scenario(ScenarioSpec("cosets:cyclic(6):cyclic(4)"))
 
 
-class TestRandomScenario:
-    def test_deterministic(self):
-        assert random_scenario(1) == random_scenario(1)
-        assert random_scenario(1).scenario_id == random_scenario(1).scenario_id
+# Fifty (scenario id, seed) pairs over every finite family, with parameters
+# beyond the builtins (cosets of cyclic(10) and cyclic(15), translation on
+# cyclic(13), twisted duals of order 4 to 16).
+SEEDED_SPECS = (
+    ("induced:cyclic(4):cyclic(2):translation", 0), ("cosets:cyclic(10):cyclic(5)", 1),
+    ("induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2", 2), ("twisted-dual:2:0", 3),
+    ("twisted-dual:4:1", 4), ("twisted-dual:4:0", 5), ("cosets:cyclic(10):cyclic(5)", 6),
+    ("induced:cyclic(4):cyclic(2):translation", 7), ("twisted-dual:2:0", 8),
+    ("cosets:cyclic(15):cyclic(5)", 9), ("twisted-dual:4:0", 10), ("wh:2", 11),
+    ("irrep:s3:std", 12), ("induced:cyclic(4):cyclic(2):translation", 13), ("wh:4", 14),
+    ("induced:cyclic(4):cyclic(2):translation", 15), ("irrep:cyclic(8):chi3", 16),
+    ("twisted-dual:4:0", 17), ("induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2", 18),
+    ("irrep:cyclic(8):chi1", 19), ("induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2", 20),
+    ("translation:cyclic(13)", 21), ("twisted-dual:3:1", 22), ("wh:4", 23),
+    ("cosets:cyclic(8):cyclic(4)", 24), ("irrep:s3:sign", 25),
+    ("induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2", 26), ("wh:4", 27),
+    ("irrep:cyclic(8):chi6", 28), ("induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2", 29),
+    ("wh:2", 30), ("irrep:cyclic(8):chi6", 31),
+    ("induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2", 32),
+    ("induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2", 33), ("wh:2", 34), ("wh:3", 35),
+    ("cosets:cyclic(6):cyclic(2)", 36), ("wh:4", 37), ("translation:cyclic(9)", 38),
+    ("induced:cyclic(4):cyclic(2):translation", 39), ("irrep:cyclic(8):chi5", 40),
+    ("irrep:cyclic(8):chi7", 41), ("wh:4", 42), ("irrep:cyclic(8):chi4", 43),
+    ("twisted-dual:2:1", 44), ("induced:cyclic(4):cyclic(2):translation", 45),
+    ("irrep:cyclic(8):chi6", 46), ("wh:4", 47), ("wh:3", 48), ("wh:3", 49),
+)
 
+
+class TestSeededSpecs:
     def test_many_seeds_pass_suites(self):
-        for seed in range(50):
-            spec = random_scenario(seed)
-            scn = build_scenario(spec)
-            reports = run_suite(scn, trials=4)
-            assert all_passed(reports), (seed, spec.scenario_id,
-                                         [r.name for r in reports if not r.passed])
-
-    def test_respects_caps(self):
-        for seed in range(60):
-            spec = random_scenario(seed, max_block_dim=6, max_group_order=16)
-            scn = build_scenario(spec)
-            assert scn.shape.block_dim <= 6
-            assert scn.action.group.order <= 16
+        for sid, seed in SEEDED_SPECS:
+            reports = run_suite(build_scenario(ScenarioSpec(sid, seed=seed)), trials=4)
+            assert all_passed(reports), (seed, sid, [r.name for r in reports if not r.passed])
 
 
 class TestScenarioFiles:

@@ -15,12 +15,13 @@ on a log-frequency grid.  Every action carries the Haar model of its group,
 unless the builder passes others, the quadrature weights on a quadrature
 group.  Every group integral reads it.
 
-Structural checkers live here as well: trace preservation, homomorphism /
-automorphism / isometry defects, and the fixed-point dimension that
-certifies ergodicity.  That count reads one hook, ``sampled_structure``:
+The structural checkers read certificates: each action carries
+``action.structure``, residuals worked out from its generators that bound
+its group-law, automorphism, isometry and trace defects.  The fixed-point
+dimension that certifies ergodicity reads one hook, ``sampled_structure``:
 orbits of the blocks under the sampled elements, and on each orbit the
-commutant of the holonomies of the unitaries around it.  A dense stacked-SVD
-nullity is the oracle the tests compare with.
+commutant of the holonomies of the unitaries around it.  Randomized probes
+and a dense stacked-SVD nullity are the oracles the tests compare with.
 
 Each family has its own vectorized kernels for the bracket values
 g -> trace((g.y)* x) and the orbit sum sum_g c_g (g.x): a gather through the
@@ -34,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,11 +43,9 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
     op_norm,
-    p_norm,
     random_element,
     random_positive_element,
     sup_distance,
-    trace,
 )
 from .groups import (
     FiniteGroup,
@@ -84,33 +84,48 @@ class GridError(ActionError):
 NODE_SLICE = 32
 
 
-def product_phases(U: np.ndarray, src: np.ndarray, table: np.ndarray, pairs: np.ndarray,
-                   tol: float = 1e-11) -> np.ndarray:
-    """Phases c[p, j] with U[a, j] U[b, src[a, j]] = c[p, j] U[ab, j] for each
-    row p = (a, b) of ``pairs``.
+def _row_gain(A: np.ndarray) -> np.ndarray:
+    """Largest row sum of moduli over the last two axes: the factor by which
+    x -> A x, or x -> x A*, can raise the largest entry of x."""
+    return np.abs(A).sum(axis=-1).max(axis=-1)
+
+
+def _law_bound(rd: np.ndarray, rp: np.ndarray, rq: np.ndarray, c: np.ndarray) -> float:
+    """Bound on sup|P x P* - Q x Q*| / max|x| over pairs P = c Q + D, from
+    (bounds on) the row gains rd, rp, rq of D, P and Q (``_row_gain``).
+
+    P x P* - Q x Q* = D x P* + c Q x D* + (|c|^2 - 1) Q x Q*, and x -> A x B*
+    raises the largest entry by at most r(A) r(B).
+    """
+    return float(np.max(rd * (rp + np.abs(c) * rq) + np.abs(np.abs(c) ** 2 - 1.0) * rq ** 2))
+
+
+def product_phases(U: np.ndarray, src: np.ndarray, table: np.ndarray,
+                   pairs: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Phases c[p, j] with U[a, j] U[b, src[a, j]] = c[p, j] U[ab, j] + D for
+    each row p = (a, b) of ``pairs``, max|D|, and the group-law residual.
 
     ``U`` is an (N, t, n, n) unitary stack and ``src`` an (N, t) source table,
     both indexed like the Cayley ``table``.  When the source rows compose,
     a.(b.x) = (ab).x for the action x_j -> U[g, j] x[src[g, j]] U[g, j]*
-    exactly when every such block product times U[ab, j]* is a scalar multiple
-    of I; on one block this says U is a projective representation.  The
-    products are formed in NODE_SLICE slices of pairs, and c is their
-    normalized trace.  Raises RepresentationError when some product is
-    farther than ``tol`` from c I.
+    exactly when every D vanishes; on one block this says U is a projective
+    representation.  The products are formed in NODE_SLICE slices of pairs,
+    c = tr(P Q*) / n for P = U[a, j] U[b, src[a, j]] and Q = U[ab, j], and
+    the residual is ``_law_bound`` with r(P) <= r(U[a, j]) r(U[b, src[a, j]]).
     """
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    n = U.shape[-1]
-    eye = np.eye(n)
+    a, b = pairs.T
+    ab = table[a, b]
     out = np.empty((len(pairs), U.shape[1]), dtype=complex)
+    deviation, rd = np.empty((2,) + out.shape)
     for s in range(0, len(pairs), NODE_SLICE):
-        a, b = pairs[s:s + NODE_SLICE].T
-        p = U[a] @ U[b[:, None], src[a]] @ U[table[a, b]].conj().swapaxes(2, 3)
-        c = np.trace(p, axis1=2, axis2=3) / n
-        if np.abs(p - c[..., None, None] * eye).max() > tol:
-            raise RepresentationError("U[a, j] U[b, src[a, j]] U[ab, j]* is not a scalar multiple "
-                                      "of I: not a group action")
-        out[s:s + NODE_SLICE] = c
-    return out
+        sl = slice(s, s + NODE_SLICE)
+        P, Q = U[a[sl]] @ U[b[sl, None], src[a[sl]]], U[ab[sl]]
+        out[sl] = c = (P * Q.conj()).sum(axis=(2, 3)) / U.shape[-1]
+        D = np.abs(P - c[..., None, None] * Q)
+        deviation[sl], rd[sl] = D.max(axis=(2, 3)), D.sum(axis=3).max(axis=2)
+    r = np.concatenate([_row_gain(U[s:s + NODE_SLICE]) for s in range(0, len(U), NODE_SLICE)])
+    return out, float(deviation.max()), _law_bound(rd, r[a] * r[b[:, None], src[a]], r[ab], out)
 
 
 def _sample_pairs(n: int, limit: int) -> np.ndarray:
@@ -293,13 +308,59 @@ def commutant_certificate(matrices, tol: float = 1e-8) -> CommutantCertificate:
 # actions
 
 
+@dataclass(frozen=True)
+class ActionStructure:
+    """Structural residuals of an action, worked out from its generators.
+
+    Each bounds what a randomized probe of its law can see, up to the
+    probe's own roundoff.  ``group_law`` bounds sup|a.(b.x) - (ab).x| / max|x|
+    over the sampled pairs (``_law_bound``); ``automorphism``, ``isometry``
+    and ``trace`` bound the defects of multiplicativity and unitality, of
+    every trace p-norm, and of the trace on the matrix units, over the
+    sampled elements (``_block_residuals``).  ``certificate`` names the
+    structure the residuals come from.
+    """
+
+    certificate: str
+    group_law: float
+    automorphism: float
+    isometry: float
+    trace: float
+
+
+def _block_residuals(src: np.ndarray, U: np.ndarray | None, weights) -> tuple[float, float, float]:
+    """(automorphism, isometry, trace) residuals of the sampled elements,
+    from their source rows and unitaries as ``sampled_structure`` gives them.
+
+    Block j of g.x is U x_k U* with k = src[g, j].  With E = U* U - I and
+    eta = max ||E||_F, which bounds U U* - I and E in norm:
+    g.(xy) - g.x g.y = U x_k (-E) y_k U* is at most r(U)^2 sum|E| max|x| max|y|
+    (r = ``_row_gain``), the unitality defect at most eta, and adjoints are
+    kept exactly; ||g.x||_p / ||x||_p lies within (1 +- rho)(1 +- eta) for
+    rho = max |w/w[src] - 1|, as block j carries block src[g, j] to weight
+    w_j; and
+    |tr(g.e) - tr(e)| <= max |w[src] - w| + max(w) max|E| on the matrix
+    units e.  With unitary blocks (U None: permuted atoms) the trace is
+    invariant exactly when the weights are invariant under the source rows.
+    """
+    w = np.asarray(weights, dtype=float)
+    moved = float(np.abs(w[src] - w).max())
+    rho = float(np.abs(w / w[src] - 1.0).max())
+    if U is None:
+        return 0.0, rho, moved
+    E = np.abs(U.conj().swapaxes(2, 3) @ U - np.eye(U.shape[-1]))
+    eta = math.sqrt(float((E ** 2).sum(axis=(2, 3)).max()))
+    automorphism = max(eta, float((_row_gain(U) ** 2 * E.sum(axis=(2, 3))).max()))
+    return automorphism, rho + (1.0 + rho) * eta, moved + w.max() * float(E.max())
+
+
 class Action:
     """Map (group element, algebra element) -> algebra element.
 
-    Subclasses implement ``apply`` and the vectorized kernels
-    ``bracket_values`` and ``orbit_sum``.  ``haar`` holds one weight per
-    node, counting weights on a finite group by default.  All reductions run
-    in fixed node order, so results are deterministic.
+    Subclasses implement ``apply``, the kernels ``bracket_values`` and
+    ``orbit_sum``, and ``structure`` (an ``ActionStructure``).  ``haar``
+    holds one weight per node, counting weights on a finite group by default.
+    All reductions run in fixed node order, so results are deterministic.
     """
 
     def __init__(self, group, shape: AlgebraShape, kind: str, sample_elements,
@@ -378,15 +439,6 @@ class Action:
         1 x 1 atoms of a diagonal algebra."""
         raise NotImplementedError
 
-    def trace_preservation_defect(self) -> float:
-        """max over sampled elements and the matrix-unit basis of |tr(g.x) - tr(x)|."""
-        worst = 0.0
-        for g in self.sample_elements:
-            for e in self.shape.basis():
-                d = abs(trace(self.apply(g, e)) - trace(e))
-                worst = max(worst, d)
-        return worst
-
 
 class ConjugationAction(Action):
     """Block j of g.x is U[g, j] x[src[g, j]] U[g, j]*, on t blocks of size n.
@@ -396,8 +448,10 @@ class ConjugationAction(Action):
     representation is the case t = 1; its phases cancel, so it is a group
     action.  This is the one place a stack is validated: the blocks must be
     unitary, the identity must act trivially, and over the sampled pairs
-    (a, b) the source rows must compose and every block product
-    U[a, j] U[b, src[a, j]] U[ab, j]* must be a scalar (``product_phases``).
+    (a, b) (all up to order 24, 576 beyond) the source rows must compose and
+    every block product U[a, j] U[b, src[a, j]] must be a scalar multiple of
+    U[ab, j] (``product_phases``).  The residuals of that check enter
+    ``structure``.
     """
 
     def __init__(self, group: FiniteGroup, unitaries, src, trace_weights, haar: HaarModel | None = None):
@@ -418,18 +472,25 @@ class ConjugationAction(Action):
         # temporary shifts the heap and the peak RSS of the finite workload
         gram = U @ U.conj().swapaxes(2, 3)
         gram -= eye
-        if np.abs(gram).max() > 1e-11:
+        unitality = float(np.abs(gram).max())
+        if unitality > 1e-11:
             raise RepresentationError("block matrices are not unitary")
         pairs = _sample_pairs(group.order, limit=24)
         a, b = pairs.T
         if not (src[group.table[a, b]] == src[b[:, None], src[a]]).all():
             raise ActionError("source rows do not compose with the group law")
-        product_phases(U, src, group.table, pairs)
+        _, deviation, law = product_phases(U, src, group.table, pairs)
+        if deviation > 1e-11:
+            raise RepresentationError("U[a, j] U[b, src[a, j]] is not a scalar multiple of "
+                                      "U[ab, j]: not a group action")
         shape = AlgebraShape(n, trace_weights)
         gens = group.generators or tuple(group.elements())
         super().__init__(group, shape, "conjugation", gens, haar)
         self.unitaries = U
         self._src = src
+        automorphism, isometry, moved = _block_residuals(*self.sampled_structure(), shape.trace_weights)
+        self.structure = ActionStructure("unitary-stack", law, max(unitality, automorphism),
+                                         isometry, moved)
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         g = int(g)
@@ -475,7 +536,12 @@ def conjugation_action(G: FiniteGroup, U, haar: HaarModel | None = None) -> Conj
 
 
 class PermutationAction(Action):
-    """(g.x)(t) = x(g^{-1} t) on the diagonal algebra of a finite point set."""
+    """(g.x)(t) = x(g^{-1} t) on the diagonal algebra of a finite point set.
+
+    The point maps compose and a gather is an exact *-automorphism, so
+    ``structure`` holds only the residuals of the measure, which
+    ``validate=False`` lets be non-invariant (a negative-control fixture).
+    """
 
     def __init__(self, group: FiniteGroup, point_table, mu, validate: bool = True):
         point_table = np.asarray(point_table, dtype=int)
@@ -492,15 +558,17 @@ class PermutationAction(Action):
         a, b = _sample_pairs(group.order, limit=16).T
         if not (point_table[group.table[a, b]] == point_table[a[:, None], point_table[b]]).all():
             raise ActionError("point maps do not compose with the group law")
-        if validate and (mu[point_table] != mu).any():
-            raise MeasureError("point measure is not invariant under the action")
-        shape = AlgebraShape(1, tuple(mu))
+        # (g.x)(t) = x(src[g, t])
+        src = point_table[group.inverse_table]
         gens = group.generators or tuple(group.elements())
-        super().__init__(group, shape, "permutation", gens)
+        residuals = _block_residuals(src[list(gens)], None, mu)
+        if validate and residuals[2] != 0.0:
+            raise MeasureError("point measure is not invariant under the action")
+        super().__init__(group, AlgebraShape(1, tuple(mu)), "permutation", gens)
         self.point_table = point_table
         self.mu = mu
-        # (g.x)(t) = x(src[g, t])
-        self._src = point_table[group.inverse_table]
+        self._src = src
+        self.structure = ActionStructure("point-table", 0.0, *residuals)
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(self.shape, x.blocks[self._src[int(g)]], copy=False)
@@ -803,15 +871,31 @@ class WaveletAction(Action):
             acc += self._dilated(xb, self.shifts[i]) * ((P.T * coeffs[i]) @ P.conj())
         return AlgebraElement(self.shape, acc[None], copy=False)
 
-    def trace_preservation_defect(self) -> float:
-        # each node acts by an exactly unitary conjugation: the defect of the
-        # trace functional is the unitarity defect of the node matrices
-        worst = 0.0
+    @cached_property
+    def structure(self) -> ActionStructure:
+        """Residuals of the sampled nodes, computed on first request.
+
+        Node (a, b) sends row r to column r + j(a) with the phase
+        p[r] = exp(-2 pi i b xi_r), so the product of the nodes g and h has
+        the phase p_g[r] p_h[r + j(g)] on row r: the phase of gh wherever
+        r + j(g) stays on the grid, where xi_{r + j(g)} = a_g xi_r.  The rows
+        that wrap around, where the truncated grid breaks the law, are left
+        out; the centrally supported test elements never reach them.
+        """
+        nodes = np.array(self.sample_elements)
         K = self.grid_size
-        for g in self.sample_elements:
-            U = self.matrix(g)
-            worst = max(worst, float(np.abs(U.conj().T @ U - np.eye(K)).max()))
-        return worst
+        rows = np.arange(K)
+        phases = np.exp(-2j * np.pi * np.outer(nodes[:, 1], self.xi))
+        g, h = np.divmod(np.arange(len(nodes) ** 2), len(nodes))
+        j = np.array([self.shift_of(a) for a in nodes[:, 0]])[g, None]
+        inside = (rows + j >= 0) & (rows + j < K)
+        P = np.where(inside, phases[g] * phases[h[:, None], (rows + j) % K], 0.0)
+        b = self.group.compose(nodes[g], nodes[h])[:, 1]
+        Q = np.where(inside, np.exp(-2j * np.pi * np.outer(b, self.xi)), 0.0)
+        # a row of a shift-and-phase matrix holds one entry: its row gain is that modulus
+        gain = [np.abs(A).max(axis=1) for A in (P - Q, P, Q)]
+        law = _law_bound(*gain, np.ones(len(g)))
+        return ActionStructure("node-phases", law, *_block_residuals(*self.sampled_structure(), (1.0,)))
 
     # -- smooth windowed test elements ---------------------------------------
     #
@@ -961,65 +1045,27 @@ def dense_fixed_point_dimension(action: Action, tol: float = 1e-8) -> int:
 
 
 def is_trace_preserving(action: Action, scenario: str = "") -> CheckReport:
-    """Report whether the trace is invariant under the sampled action elements."""
-    defect = action.trace_preservation_defect()
+    """Report whether the trace is invariant under the sampled action
+    elements, from the trace residual of ``action.structure``."""
+    defect = action.structure.trace
     return CheckReport.bound(
         "trace-preservation",
         "trace(g.x) equals trace(x) over sampled g and a basis of x",
         defect, 0.0, tol_rel=0.0, tol_abs=1e-10, scenario=scenario,
-        notes=f"defect={defect:.3e}",
+        notes=f"defect={defect:.3e} certificate={action.structure.certificate}",
     )
 
 
-def homomorphism_defect(action: Action, rng: np.random.Generator, probes=None) -> float:
-    """max over sampled pairs of sup|g.(h.x) - (gh).x|."""
-    group = action.group
-    if probes is None:
-        probes = [action.random_element(rng)]
-    if isinstance(group, QuadratureGroup):
-        chosen = [(a, b) for a in action.sample_elements for b in action.sample_elements][:24]
-    elif group.order <= 16:  # exhaustive for small groups, sampled beyond
-        chosen = [(a, b) for a in group.elements() for b in group.elements()]
-    else:
-        chosen = [tuple(rng.integers(0, group.order, size=2)) for _ in range(24)]
-    worst = 0.0
-    for a, b in chosen:
-        for x in probes:
-            lhs = action.apply(a, action.apply(b, x))
-            rhs = action.apply(group.compose(a, b), x)
-            scale = 1.0 + x.max_abs_entry()
-            worst = max(worst, sup_distance(lhs, rhs) / scale)
-    return worst
+def homomorphism_defect(action: Action) -> float:
+    """Group-law residual of ``action.structure``."""
+    return action.structure.group_law
 
 
-def automorphism_defect(action: Action, rng: np.random.Generator, trials: int = 5) -> float:
-    """max defect of multiplicativity, *-preservation and unitality."""
-    one = action.shape.identity()
-    worst = 0.0
-    for g in action.sample_elements:
-        worst = max(worst, sup_distance(action.apply(g, one), one))
-        for _ in range(trials):
-            x = action.random_element(rng)
-            y = action.random_element(rng)
-            scale = 1.0 + x.max_abs_entry() * y.max_abs_entry()
-            worst = max(
-                worst,
-                sup_distance(action.apply(g, x @ y), action.apply(g, x) @ action.apply(g, y)) / scale,
-                sup_distance(action.apply(g, x.adjoint()), action.apply(g, x).adjoint())
-                / (1.0 + x.max_abs_entry()),
-            )
-    return worst
+def automorphism_defect(action: Action) -> float:
+    """*-automorphism residual of ``action.structure``."""
+    return action.structure.automorphism
 
 
-def isometry_defect(action: Action, rng: np.random.Generator, trials: int = 4) -> float:
-    """max over p of | ||g.x||_p - ||x||_p | / ||x||_p."""
-    worst = 0.0
-    for g in action.sample_elements:
-        for _ in range(trials):
-            x = action.random_element(rng)
-            for p in (1.0, 2.0, 3.0, math.inf):
-                ref = p_norm(x, p)
-                if ref == 0.0:
-                    continue
-                worst = max(worst, abs(p_norm(action.apply(g, x), p) - ref) / ref)
-    return worst
+def isometry_defect(action: Action) -> float:
+    """p-norm isometry residual of ``action.structure``."""
+    return action.structure.isometry

@@ -77,7 +77,23 @@ HOLDER_GRID: tuple[tuple[float, float, float], ...] = (
 )
 INTERPOLATION_EXPONENTS: tuple[float, ...] = (1.0, 4 / 3, 2.0, 4.0, math.inf)
 ALT_POWERS: tuple[int, ...] = (1, 2, 3, 4)
-YOUNG_CLAIM = "||<x|D^{1/(2r)} y D^{1/(2r)}>||_r <= ||x||_p ||y||_q"
+# The claim of every row after the estimate of D; a row skipped after a
+# failed estimate repeats it.
+CLAIMS: dict[str, str] = {
+    "duflo-scalar-form": "unimodular group: D is a constant multiple of the identity",
+    "bracket-symmetry": "<x|y>(g^{-1}) = <y|x>(g)",
+    "orthogonality-positive": "integral of <x|y> = trace(x) trace(D^{-1/2} y D^{-1/2})",
+    "orthogonality-general": "integral of <x|y> = trace(x) trace(D^{-1/2} y D^{-1/2}) "
+                             "(adjoint form for non-hermitian y)",
+    "semi-invariance": "g.D = Delta(g)^{-1} D over sampled g",
+    "admissibility-identities": "trace_{D^{-1}}(y) = trace(D^{-1/2} y D^{-1/2}) and its round trip",
+    "l1-inequality": "integral of |<x|D^{1/2} y D^{1/2}>| <= trace|x| trace|y|",
+    "l1-equality": "integral of <x|D^{1/2} y D^{1/2}> = trace(x) trace(y*) (adjoint form)",
+    "young-inequality": "||<x|D^{1/(2r)} y D^{1/(2r)}>||_r <= ||x||_p ||y||_q",
+    "interpolation-bound": "||<x|y>||_p <= ||x||_p ||y||_1^{1/q} ||D^{-1/2} y D^{-1/2}||_1^{1/p}",
+    "holder-inequality": "||x y||_r <= ||x||_p ||y||_q",
+    "alt-inequality": "trace((b a b)^r) <= trace(b^r a^r b^r)",
+}
 
 
 class EstimateError(Exception):
@@ -213,13 +229,10 @@ def check_orthogonality(
     y_eff = y if positive else y.adjoint()
     rhs = trace(x) * trace(est.sandwich(-0.5, y_eff))
     name = "orthogonality-positive" if positive else "orthogonality-general"
-    claim = "integral of <x|y> = trace(x) trace(D^{-1/2} y D^{-1/2})"
-    if not positive:
-        claim += " (adjoint form for non-hermitian y)"
     # every bracket value is bounded by ||x||_2 ||y||_2, so the Haar mass sets
     # the scale against which a vanishing integral counts as exact
     scale = float(np.sum(action.haar.weights)) * p_norm(x, 2.0) * p_norm(y, 2.0)
-    return CheckReport.equality(name, claim, lhs, rhs, tol_rel=tol_rel,
+    return CheckReport.equality(name, CLAIMS[name], lhs, rhs, tol_rel=tol_rel,
                                 tol_abs=tol_rel * scale, scenario=scenario)
 
 
@@ -237,8 +250,7 @@ def check_semi_invariance(
     """
     worst = action.semi_invariance_defect(est.d)
     return CheckReport.bound(
-        "semi-invariance",
-        "g.D = Delta(g)^{-1} D over sampled g",
+        "semi-invariance", CLAIMS["semi-invariance"],
         worst, 0.0, tol_rel=0.0, tol_abs=tol_rel, scenario=scenario,
         notes=f"defect={worst:.3e}{action.comparison_note}",
     )
@@ -281,8 +293,7 @@ def admissibility_report(y: AlgebraElement, est: DufloEstimate, *, scenario: str
     tol = admissibility_tol(est)
     ok, value = check_admissibility(y, est, tol=tol)
     return CheckReport.flag(
-        "admissibility-identities",
-        "trace_{D^{-1}}(y) = trace(D^{-1/2} y D^{-1/2}) and its round trip",
+        "admissibility-identities", CLAIMS["admissibility-identities"],
         ok, scenario=scenario, notes=f"value={value:.6e} tol={tol:.1e}",
     )
 
@@ -306,16 +317,14 @@ def check_l1(
     lhs_ineq = float(np.dot(bf.weights, np.abs(bf.values)))
     rhs_ineq = p_norm(x, 1.0) * p_norm(y, 1.0)
     ineq = CheckReport.bound(
-        "l1-inequality",
-        "integral of |<x|D^{1/2} y D^{1/2}>| <= trace|x| trace|y|",
+        "l1-inequality", CLAIMS["l1-inequality"],
         lhs_ineq, rhs_ineq, tol_rel=tol_rel, scenario=scenario,
     )
     lhs_eq = integrate_bracket(bf)
     rhs_eq = trace(x) * trace(y.adjoint())
     scale = float(np.sum(bf.weights)) * p_norm(x, 2.0) * p_norm(ytil, 2.0)
     eq = CheckReport.equality(
-        "l1-equality",
-        "integral of <x|D^{1/2} y D^{1/2}> = trace(x) trace(y*) (adjoint form)",
+        "l1-equality", CLAIMS["l1-equality"],
         lhs_eq, rhs_eq, tol_rel=tol_rel, tol_abs=tol_rel * scale, scenario=scenario,
     )
     return ineq, eq
@@ -351,7 +360,7 @@ def check_young(
     lhs = function_p_norm(bf, r)
     rhs = p_norm(x, p) * p_norm(y, q)
     return CheckReport.bound(
-        "young-inequality", YOUNG_CLAIM, lhs, rhs, tol_rel=tol_rel, scenario=scenario,
+        "young-inequality", CLAIMS["young-inequality"], lhs, rhs, tol_rel=tol_rel, scenario=scenario,
         notes=f"p={p:g} q={q:g} r={r:g}",
     )
 
@@ -383,7 +392,7 @@ def check_interpolation(
         y1 = p_norm(y, 1.0)
         ys = p_norm(est.sandwich(-0.5, y), 1.0)
         rhs = p_norm(x, p) * (y1 ** (0.0 if q == math.inf else 1.0 / q)) * (ys ** (1.0 / p))
-        claim = "||<x|y>||_p <= ||x||_p ||y||_1^{1/q} ||D^{-1/2} y D^{-1/2}||_1^{1/p}"
+        claim = CLAIMS["interpolation-bound"]
     return CheckReport.bound(
         "interpolation-bound", claim, lhs, rhs, tol_rel=tol_rel, scenario=scenario,
         notes=f"p={p:g}",
@@ -398,7 +407,7 @@ def check_holder(x: AlgebraElement, y: AlgebraElement, p: float, q: float, r: fl
     lhs = p_norm(x @ y, r)
     rhs = p_norm(x, p) * p_norm(y, q)
     return CheckReport.bound(
-        "holder-inequality", "||x y||_r <= ||x||_p ||y||_q",
+        "holder-inequality", CLAIMS["holder-inequality"],
         lhs, rhs, tol_rel=tol_rel, scenario=scenario, notes=f"p={p:g} q={q:g} r={r:g}",
     )
 
@@ -413,7 +422,7 @@ def check_alt(a: AlgebraElement, b: AlgebraElement, r: int,
     ar, br = _int_power(a, r), _int_power(b, r)
     rhs = trace(br @ ar @ br).real
     return CheckReport.bound(
-        "alt-inequality", "trace((b a b)^r) <= trace(b^r a^r b^r)",
+        "alt-inequality", CLAIMS["alt-inequality"],
         lhs, rhs, tol_rel=tol_rel, scenario=scenario, notes=f"r={r}",
     )
 
@@ -440,12 +449,13 @@ class SuiteCheck:
     function of this module; it is looked up when the row runs, so rebinding
     the module attribute reaches the suite.  A trial replaces the worst report
     only when its rel_err is strictly larger; a check that returns a tuple
-    keeps one worst per position.  ``notes`` ("{n}" is the trial count)
-    replaces the worst report's notes.  ``skip`` is the (name, claim, reason)
-    of the report made instead when the scenario has no element commuting
-    with D.
+    keeps one worst per position.  ``rows`` names the reports, in order.
+    ``notes`` ("{n}" is the trial count) replaces the worst report's notes.
+    ``skip`` is the reason reported instead when the scenario has no element
+    commuting with D.
     """
 
+    rows: tuple[str, ...]
     tag: str | None
     check: str
     draws: tuple[str, ...]
@@ -453,7 +463,7 @@ class SuiteCheck:
     call: Callable[..., CheckReport | tuple[CheckReport, ...]]
     grid: tuple = (None,)
     notes: str | None = None
-    skip: tuple[str, str, str] | None = None
+    skip: str | None = None
 
 
 def _pairs(trials: int) -> int:
@@ -466,34 +476,37 @@ def _once(trials: int) -> int:
 
 # The checks after the estimate of D, in report order.
 SUITE: tuple[SuiteCheck, ...] = (
-    SuiteCheck("orthogonality", "check_orthogonality", ("positive", "positive"), _pairs,
+    SuiteCheck(("orthogonality-positive",), "orthogonality", "check_orthogonality",
+               ("positive", "positive"), _pairs,
                lambda f, s, e, _, x, y: f(s.action, e, x, y, positive=True, tol_rel=s.tol_rel),
                notes="worst of {n} positive pairs"),
-    SuiteCheck("orthogonality", "check_orthogonality", ("general", "general"), _pairs,
+    SuiteCheck(("orthogonality-general",), "orthogonality", "check_orthogonality",
+               ("general", "general"), _pairs,
                lambda f, s, e, _, x, y: f(s.action, e, x, y, positive=False, tol_rel=s.tol_rel),
                notes="worst of {n} general pairs"),
-    SuiteCheck(None, "check_semi_invariance", (), _once,
+    SuiteCheck(("semi-invariance",), None, "check_semi_invariance", (), _once,
                lambda f, s, e, _: f(s.action, e, tol_rel=s.tol_rel)),
-    SuiteCheck("admissibility", "admissibility_report", ("positive",), _once,
+    SuiteCheck(("admissibility-identities",), "admissibility", "admissibility_report",
+               ("positive",), _once,
                lambda f, s, e, _, y: f(y, e)),
-    SuiteCheck("l1", "check_l1", ("general", "general"), _pairs,
+    SuiteCheck(("l1-inequality", "l1-equality"), "l1", "check_l1", ("general", "general"), _pairs,
                lambda f, s, e, _, x, y: f(x, y, e, s.action, tol_rel=s.ineq_tol)),
-    SuiteCheck("young", "check_young", ("general", "commuting"),
+    SuiteCheck(("young-inequality",), "young", "check_young", ("general", "commuting"),
                lambda t: max(len(YOUNG_GRID), t),
                lambda f, s, e, pqr, x, y: f(x, y, *pqr, e, s.action, tol_rel=s.ineq_tol),
                grid=YOUNG_GRID,
-               skip=("young-inequality", YOUNG_CLAIM,
-                     "no trace-class element commutes with D in this scenario "
+               skip=("no trace-class element commutes with D in this scenario "
                      "(the hypothesis set is empty for a diffuse scaling operator)")),
-    SuiteCheck("interpolation", "check_interpolation", ("general", "general"),
+    SuiteCheck(("interpolation-bound",), "interpolation", "check_interpolation",
+               ("general", "general"),
                lambda t: max(len(INTERPOLATION_EXPONENTS), t // 2),
                lambda f, s, e, p, x, y: f(x, y, p, e, s.action, tol_rel=s.ineq_tol),
                grid=INTERPOLATION_EXPONENTS),
-    SuiteCheck("holder", "check_holder", ("general", "general"),
+    SuiteCheck(("holder-inequality",), "holder", "check_holder", ("general", "general"),
                lambda t: max(len(HOLDER_GRID), t // 2),
                lambda f, s, e, pqr, x, y: f(x, y, *pqr, tol_rel=1e-9),
                grid=HOLDER_GRID),
-    SuiteCheck("alt", "check_alt", ("positive", "positive"),
+    SuiteCheck(("alt-inequality",), "alt", "check_alt", ("positive", "positive"),
                lambda t: max(len(ALT_POWERS), t // 2),
                lambda f, s, e, r, a, b: f(a, b, r, tol_rel=1e-9),
                grid=ALT_POWERS),
@@ -513,16 +526,12 @@ def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
     trials = trials if trials is not None else scn.default_trials
     reports: list[CheckReport] = []
 
-    rng = scn.rng("action-validity")
-    hom = homomorphism_defect(action, rng, probes=[scn.random_element(rng) for _ in range(2)])
-    aut = automorphism_defect(action, rng, trials=3)
-    iso = isometry_defect(action, rng, trials=3)
-    worst = max(hom, aut, iso)
+    hom, aut, iso = homomorphism_defect(action), automorphism_defect(action), isometry_defect(action)
     reports.append(CheckReport.bound(
         "action-validity",
         "homomorphism, *-automorphism and p-norm isometry defects",
-        worst, 0.0, tol_rel=0.0, tol_abs=1e-9,
-        scenario=sid, notes=f"hom={hom:.2e} aut={aut:.2e} iso={iso:.2e}",
+        max(hom, aut, iso), 0.0, tol_rel=0.0, tol_abs=1e-9, scenario=sid,
+        notes=f"hom={hom:.2e} aut={aut:.2e} iso={iso:.2e} certificate={action.structure.certificate}",
     ))
 
     reports.append(is_trace_preserving(action, scenario=sid))
@@ -550,6 +559,14 @@ def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
             "duflo-estimate", "orbit-density estimate of D succeeded", False,
             scenario=sid, notes=str(exc),
         ))
+        # every later row needs D: each is skipped with the estimate's message,
+        # so the scenario lists the rows of a passing run
+        expected = scn.expected_claims()
+        claims = {**CLAIMS, **expected}
+        names = [*([] if scn.is_quadrature else ["duflo-scalar-form"]), *expected,
+                 "bracket-symmetry", *(name for row in SUITE for name in row.rows)]
+        reports.extend(CheckReport.skip(name, claims[name], f"no estimate of D: {exc}", scenario=sid)
+                       for name in names)
         return reports
 
     notes = (
@@ -564,8 +581,7 @@ def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
 
     if not scn.is_quadrature:
         reports.append(CheckReport.bound(
-            "duflo-scalar-form",
-            "unimodular group: D is a constant multiple of the identity",
+            "duflo-scalar-form", CLAIMS["duflo-scalar-form"],
             est.off_scalar_residual, 0.0, tol_rel=0.0, tol_abs=1e-9, scenario=sid,
             notes=f"off-scalar residual={est.off_scalar_residual:.3e}",
         ))
@@ -578,12 +594,12 @@ def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
     try:
         defect = bracket_symmetry_defect(xs, ys, action)
         reports.append(CheckReport.bound(
-            "bracket-symmetry", "<x|y>(g^{-1}) = <y|x>(g)",
+            "bracket-symmetry", CLAIMS["bracket-symmetry"],
             defect, 0.0, tol_rel=0.0, tol_abs=1e-10, scenario=sid,
         ))
     except InverseClosureError as exc:
         reports.append(CheckReport.skip(
-            "bracket-symmetry", "<x|y>(g^{-1}) = <y|x>(g)", str(exc), scenario=sid,
+            "bracket-symmetry", CLAIMS["bracket-symmetry"], str(exc), scenario=sid,
         ))
 
     draw = {
@@ -594,7 +610,8 @@ def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
     rngs: dict[str | None, np.random.Generator | None] = {None: None}
     for row in SUITE:
         if row.skip is not None and not scn.has_commuting_elements:
-            reports.append(CheckReport.skip(*row.skip, scenario=sid))
+            reports.extend(CheckReport.skip(name, CLAIMS[name], row.skip, scenario=sid)
+                           for name in row.rows)
             continue
         if row.tag not in rngs:
             rngs[row.tag] = scn.rng(row.tag)

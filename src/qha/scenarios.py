@@ -133,14 +133,24 @@ class Scenario:
         rng = self.rng("duflo")
         return self.random_positive(rng), self.random_positive(rng)
 
+    def expected_claims(self) -> dict[str, str]:
+        """Name and claim of each row ``expected_reports`` makes, in order."""
+        out = {}
+        if self.expected_scalar is not None:
+            out["duflo-expected-scalar"] = "estimated D equals the analytically pinned scalar multiple of 1"
+        if self.expected_kernel == "inverse-frequency":
+            out["duflo-expected-kernel"] = ("D^{-1} pairs with smooth probes as a multiple of the "
+                                            "inverse-frequency multiplier")
+        return out
+
     def expected_reports(self, est) -> list[CheckReport]:
         out: list[CheckReport] = []
         sid = self.scenario_id
+        claims = self.expected_claims()
         if self.expected_scalar is not None:
             lhs = trace(est.d).real / trace(self.shape.identity()).real
             out.append(CheckReport.equality(
-                "duflo-expected-scalar",
-                "estimated D equals the analytically pinned scalar multiple of 1",
+                "duflo-expected-scalar", claims["duflo-expected-scalar"],
                 lhs, self.expected_scalar, tol_rel=self.expect_tol, scenario=sid,
                 notes=f"off-scalar residual={est.off_scalar_residual:.3e}",
             ))
@@ -152,8 +162,7 @@ class Scenario:
             c = float(pair_est @ pair_ref / (pair_ref @ pair_ref))
             residual = float(np.abs(pair_est - c * pair_ref).max() / np.abs(c * pair_ref).max())
             out.append(CheckReport.bound(
-                "duflo-expected-kernel",
-                "D^{-1} pairs with smooth probes as a multiple of the inverse-frequency multiplier",
+                "duflo-expected-kernel", claims["duflo-expected-kernel"],
                 residual, 0.0, tol_rel=0.0, tol_abs=self.expect_tol, scenario=sid,
                 notes=f"fit={c:.6e} residual={residual:.3e} (weak pairing)",
             ))

@@ -1,5 +1,6 @@
 """Shared helpers for the tests: node walks, the character-table oracle, dual
-symbols and per-element loop oracles."""
+symbols, per-element loop oracles and the randomized probes of the
+structural laws."""
 
 import itertools
 import math
@@ -7,9 +8,26 @@ import math
 import numpy as np
 
 from qha.actions import finite_weyl_heisenberg
-from qha.algebra import AlgebraElement, AlgebraShape
+from qha.algebra import AlgebraElement, AlgebraShape, p_norm, sup_distance, trace
 from qha.groups import GroupError, QuadratureGroup, cyclic, product
 from qha.scenarios import _cyclic_subgroup_indices
+
+
+# The rows of every suite, in order, as the benchmark's workloads expect them.
+FINITE_ROWS = (
+    "action-validity", "trace-preservation", "ergodicity", "integrability-witness",
+    "duflo-estimate", "duflo-scalar-form", "duflo-expected-scalar", "bracket-symmetry",
+    "orthogonality-positive", "orthogonality-general", "semi-invariance",
+    "admissibility-identities", "l1-inequality", "l1-equality", "young-inequality",
+    "interpolation-bound", "holder-inequality", "alt-inequality",
+)
+WAVELET_ROWS = (
+    "action-validity", "trace-preservation", "ergodicity", "integrability-witness",
+    "duflo-estimate", "duflo-expected-kernel", "bracket-symmetry",
+    "orthogonality-positive", "orthogonality-general", "semi-invariance",
+    "admissibility-identities", "l1-inequality", "l1-equality", "young-inequality",
+    "interpolation-bound", "holder-inequality", "alt-inequality",
+)
 
 
 def nodes_of(action):
@@ -224,3 +242,74 @@ def loop_induced_maps(G, h_indices, inner_group, iso):
             target[g, j] = a
             inner_elt[g, j] = inner_group.inverse(int(iso[pos[h]]))
     return target, inner_elt
+
+
+# ---------------------------------------------------------------------------
+# Randomized probes of the structural laws, applied element by element: the
+# oracle for the residuals of ``action.structure`` that the action-validity
+# and trace-preservation rows read.
+
+
+def probe_homomorphism_defect(action, rng, probes=None):
+    """max over sampled pairs of sup|g.(h.x) - (gh).x| / (1 + max|x|): every
+    pair up to order 16, 24 random pairs beyond, and the first 24 pairs of
+    sampled nodes on a quadrature group."""
+    group = action.group
+    if probes is None:
+        probes = [action.random_element(rng)]
+    if isinstance(group, QuadratureGroup):
+        chosen = [(a, b) for a in action.sample_elements for b in action.sample_elements][:24]
+    elif group.order <= 16:
+        chosen = [(a, b) for a in group.elements() for b in group.elements()]
+    else:
+        chosen = [tuple(rng.integers(0, group.order, size=2)) for _ in range(24)]
+    worst = 0.0
+    for a, b in chosen:
+        for x in probes:
+            lhs = action.apply(a, action.apply(b, x))
+            rhs = action.apply(group.compose(a, b), x)
+            worst = max(worst, sup_distance(lhs, rhs) / (1.0 + x.max_abs_entry()))
+    return worst
+
+
+def probe_automorphism_defect(action, rng, trials=5):
+    """max defect of multiplicativity, *-preservation and unitality over the
+    sampled elements and random pairs."""
+    one = action.shape.identity()
+    worst = 0.0
+    for g in action.sample_elements:
+        worst = max(worst, sup_distance(action.apply(g, one), one))
+        for _ in range(trials):
+            x = action.random_element(rng)
+            y = action.random_element(rng)
+            scale = 1.0 + x.max_abs_entry() * y.max_abs_entry()
+            worst = max(
+                worst,
+                sup_distance(action.apply(g, x @ y), action.apply(g, x) @ action.apply(g, y)) / scale,
+                sup_distance(action.apply(g, x.adjoint()), action.apply(g, x).adjoint())
+                / (1.0 + x.max_abs_entry()),
+            )
+    return worst
+
+
+def probe_isometry_defect(action, rng, trials=4):
+    """max over p in (1, 2, 3, inf) of | ||g.x||_p - ||x||_p | / ||x||_p."""
+    worst = 0.0
+    for g in action.sample_elements:
+        for _ in range(trials):
+            x = action.random_element(rng)
+            for p in (1.0, 2.0, 3.0, math.inf):
+                ref = p_norm(x, p)
+                if ref == 0.0:
+                    continue
+                worst = max(worst, abs(p_norm(action.apply(g, x), p) - ref) / ref)
+    return worst
+
+
+def probe_trace_defect(action):
+    """max over the sampled elements and the matrix-unit basis of |tr(g.e) - tr(e)|."""
+    worst = 0.0
+    for g in action.sample_elements:
+        for e in action.shape.basis():
+            worst = max(worst, abs(trace(action.apply(g, e)) - trace(e)))
+    return worst

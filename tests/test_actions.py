@@ -1,4 +1,5 @@
-"""Actions: representations, structural validation, fixed points, isometry."""
+"""Actions: representations, structural validation and its certificates,
+fixed points, isometry."""
 
 import os
 import subprocess
@@ -19,6 +20,7 @@ from qha.algebra import (
 from qha.actions import (
     CERTIFICATE_MARGIN,
     ActionError,
+    ActionStructure,
     ConjugationAction,
     GridError,
     MeasureError,
@@ -45,7 +47,8 @@ from qha.actions import (
     trivial_rep,
 )
 from qha.groups import FiniteGroup, cyclic, probability_haar, product, symmetric
-from qha.scenarios import ScenarioSpec, build_scenario, list_builtins
+from qha.duflo import run_suite
+from qha.scenarios import Scenario, ScenarioSpec, build_scenario, list_builtins
 
 from helpers import (
     cyclic_subgroups,
@@ -57,6 +60,10 @@ from helpers import (
     loop_s3_matrices,
     loop_weyl_heisenberg,
     nodes_of,
+    probe_automorphism_defect,
+    probe_homomorphism_defect,
+    probe_isometry_defect,
+    probe_trace_defect,
     symbol,
     weyl_heisenberg,
 )
@@ -69,7 +76,7 @@ SMALL_WAVELET = WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
 def _one_block_phases(U, G, pairs):
     """product_phases of a one-block stack, as one phase per pair."""
     src = np.zeros((G.order, 1), dtype=int)
-    return product_phases(np.asarray(U)[:, None], src, G.table, pairs)[:, 0]
+    return product_phases(np.asarray(U)[:, None], src, G.table, pairs)[0][:, 0]
 
 
 class TestRepresentationStacks:
@@ -214,7 +221,8 @@ class TestConjugationAction:
         which = np.abs(U[:, :, None] - wh).max(axis=(3, 4)).argmin(axis=2)
         assert np.array_equal(U, wh[which])
         pairs = np.array([(a, b) for a in G.elements() for b in G.elements()])
-        phases = product_phases(U, src, G.table, pairs)
+        phases, _, law = product_phases(U, src, G.table, pairs)
+        assert law == act.structure.group_law < 1e-14
         a, b = pairs.T
         l = H.coords[which[a], 1]
         kp = H.coords[which[b[:, None], src[a]], 0]
@@ -454,7 +462,8 @@ class TestInducedAction:
         G, h, inner, iso = _induced_family("c2c4", "wh2")
         act = induced_action(G, h, inner, iso)
         rng = np.random.default_rng(7)
-        assert homomorphism_defect(act, rng) < 1e-12
+        assert probe_homomorphism_defect(act, rng) < 1e-12
+        assert homomorphism_defect(act) < 1e-12
 
     def test_rejects_bad_iso(self):
         G, h, inner, iso = _induced_family("c2c4", "wh2")
@@ -705,19 +714,137 @@ class TestStructuralCheckers:
         for act in (conjugation_action(*weyl_heisenberg(3)),
                     left_translation_action(cyclic(6)),
                     dual_action(product(cyclic(2), cyclic(2)), 0)):
-            assert homomorphism_defect(act, rng) <= 1e-10
+            assert probe_homomorphism_defect(act, rng) <= 1e-10
+            assert homomorphism_defect(act) <= 1e-10
 
     def test_automorphism_defects(self):
         rng = np.random.default_rng(14)
         G, reps = s3_irreps()
         act = conjugation_action(G, reps["std"])
-        assert automorphism_defect(act, rng) <= 1e-10
+        assert probe_automorphism_defect(act, rng) <= 1e-10
+        assert automorphism_defect(act) <= 1e-10
 
     def test_isometry_on_p_norms(self):
         rng = np.random.default_rng(15)
         for act in (conjugation_action(*weyl_heisenberg(4)),
                     coset_action(cyclic(6), [0, 2, 4])):
-            assert isometry_defect(act, rng) <= 1e-9
+            assert probe_isometry_defect(act, rng) <= 1e-9
+            assert isometry_defect(act) <= 1e-9
+
+    def test_permutation_laws_are_exact(self):
+        # gathers through a point table that composes: no roundoff at all
+        act = coset_action(cyclic(6), [0, 2, 4])
+        assert act.structure == ActionStructure("point-table", 0.0, 0.0, 0.0, 0.0)
+
+    def test_wavelet_structure_waits_for_a_request(self):
+        act = WaveletAction(SMALL_WAVELET)
+        assert "structure" not in vars(act)
+        assert act.structure.certificate == "node-phases"
+        assert vars(act)["structure"] is act.structure
+
+
+# Every builtin, the families the CI determinism step runs, and the negative
+# control: the certificates against the randomized probes they replace.
+CERTIFIED_IDS = (
+    *list_builtins(), "broken-measure",
+    "twisted-dual:16:1", "induced:cyclic(8)xcyclic(8):cyclic(2)xcyclic(2):wh2",
+    "induced:cyclic(4)xcyclic(4):cyclic(2)xcyclic(2):translation", "translation:cyclic(64)",
+    "twisted-dual:12:1", "wh:16", "twisted-dual:24:1", "twisted-dual:24:0", "twisted-dual:5:2",
+    "induced:cyclic(4)xcyclic(4):cyclic(2)xcyclic(2):wh2",
+)
+EPS = float(np.finfo(float).eps)
+
+
+def _probes(act, seed=1729):
+    """The three randomized probes of the action-validity row, with the draws
+    the suite made before the certificates replaced them."""
+    rng = np.random.default_rng(seed)
+    hom = probe_homomorphism_defect(act, rng, [act.random_element(rng) for _ in range(2)])
+    return hom, probe_automorphism_defect(act, rng, 3), probe_isometry_defect(act, rng, 3)
+
+
+def _slack(act):
+    """Roundoff of a probe's own products: 8 n eps for blocks of size n."""
+    return 8 * act.shape.block_dim * EPS
+
+
+class TestCertificatesAgainstProbes:
+    """Each residual of ``action.structure`` bounds what the randomized probe
+    of the same law measures, up to the probe's own roundoff, and the trace
+    residual is the matrix-unit loop."""
+
+    @pytest.mark.parametrize("sid", [*CERTIFIED_IDS, "small-wavelet"])
+    def test_probes_stay_below_the_certificate(self, sid):
+        act = (WaveletAction(SMALL_WAVELET) if sid == "small-wavelet"
+               else build_scenario(ScenarioSpec(sid, seed=1729)).action)
+        hom, aut, iso = _probes(act)
+        cert = act.structure
+        assert hom <= cert.group_law + _slack(act)
+        assert aut <= cert.automorphism + _slack(act)
+        assert iso <= cert.isometry + _slack(act)
+        if act.shape.total_dim <= 1200:  # the loop applies g to every matrix unit
+            weight = max(act.shape.trace_weights)
+            assert abs(probe_trace_defect(act) - cert.trace) <= _slack(act) * weight
+        assert homomorphism_defect(act) == cert.group_law
+        assert automorphism_defect(act) == cert.automorphism
+        assert isometry_defect(act) == cert.isometry
+        assert is_trace_preserving(act).lhs == cert.trace
+
+    def test_certificate_reads_no_seed(self):
+        act = build_scenario(ScenarioSpec("wh:3")).action
+        assert act.structure == build_scenario(ScenarioSpec("wh:3", seed=7)).action.structure
+
+
+def _mutant_rows(act):
+    """The two structural rows of run_suite on a bare scenario around ``act``."""
+    scn = Scenario(ScenarioSpec("mutant"), act, tol_rel=1e-9, ineq_tol=1e-9, cross_tol=1e-8,
+                   default_trials=4, expect_tol=1e-9)
+    rows = {r.name: r for r in run_suite(scn)}
+    return rows["action-validity"], rows["trace-preservation"]
+
+
+class TestCertificateMutants:
+    """Mutants built directly, past the checks of the scenario builders."""
+
+    def test_conjugation_with_non_invariant_trace_weights(self):
+        # the generator swaps two blocks whose weights differ: every block
+        # product is I, so the build accepts it, but tr(g.x) != tr(x)
+        unitaries = np.broadcast_to(np.eye(2), (2, 2, 2, 2))
+        act = ConjugationAction(cyclic(2), unitaries, np.array([[0, 1], [1, 0]]), (1.0, 2.0))
+        assert act.structure.trace == probe_trace_defect(act) == 1.0
+        validity, trace_row = _mutant_rows(act)
+        assert not trace_row.passed and trace_row.lhs == 1.0
+        assert not validity.passed  # the p-norms move with the weights
+
+    def test_permutation_with_non_invariant_measure(self):
+        G = cyclic(3)
+        act = PermutationAction(G, G.table, np.array([1.0, 2.0, 4.0]), validate=False)
+        # the generator moves a point mass on the atom of weight 1 to the
+        # atom of weight 2, which doubles its 1-norm
+        assert act.structure.isometry == 1.0
+        assert act.structure.trace == probe_trace_defect(act) == 3.0
+        assert _probes(act)[2] <= act.structure.isometry
+        validity, trace_row = _mutant_rows(act)
+        assert not validity.passed and not trace_row.passed
+        assert "certificate=point-table" in validity.notes
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_perturbed_stack_certificate_reads_at_least_the_probe(self, seed):
+        G, U = weyl_heisenberg(3)
+        noise = np.random.default_rng(seed).standard_normal(U.shape + (2,)) @ [1.0, 1j]
+        noise[G.identity] = 0.0
+        act = conjugation_action(G, U + 1e-12 * noise / np.abs(noise).max())  # accepted
+        hom, aut, iso = _probes(act)
+        cert = act.structure
+        assert 1e-13 < hom <= cert.group_law
+        assert 1e-13 < aut <= cert.automorphism
+        assert iso <= cert.isometry
+        # on one block of weight 1 both read max |U* U - I|, computed apart
+        assert probe_trace_defect(act) == pytest.approx(cert.trace, rel=1e-9)
+        assert cert.trace > 1e-13
+        validity, trace_row = _mutant_rows(act)
+        assert validity.lhs >= max(hom, aut, iso) and validity.passed
+        assert trace_row.lhs == cert.trace and trace_row.passed
 
 
 def _direct_sum(*stacks):
@@ -805,7 +932,8 @@ class TestErgodicityCount:
             unitaries.append(gen @ unitaries[-1][gen_src])
             src.append(src[-1][gen_src])
         act = ConjugationAction(cyclic(4), np.array(unitaries), np.array(src), (1.0, 1.0))
-        assert homomorphism_defect(act, np.random.default_rng(17)) < 1e-14
+        assert probe_homomorphism_defect(act, np.random.default_rng(17)) < 1e-14
+        assert homomorphism_defect(act) < 1e-14
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 2
 
     def test_large_degenerate_action_raises(self):

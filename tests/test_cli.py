@@ -8,6 +8,8 @@ import pytest
 from qha.cli import _parser, main, resolve_config
 from qha.scenarios import builtin, list_builtins, load_scenario, save_scenario
 
+from helpers import FINITE_ROWS, WAVELET_ROWS
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -32,6 +34,24 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--scenario", "broken-measure")
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("sid,rows", [
+        ("broken-measure", tuple(r for r in FINITE_ROWS if r != "duflo-expected-scalar")),
+        ("affine-wavelet:coarse", WAVELET_ROWS),
+    ])
+    def test_failed_estimate_reports_every_row(self, capsys, sid, rows):
+        # the negative control and the coarse preset fail, and still list the
+        # rows of a passing scenario, skipped after the failed estimate
+        code, out, err = run_cli(capsys, "verify", "--scenario", sid, "--format", "structured")
+        assert code == 1
+        found = re.findall(r"^check=(\S+) .* pass=(\S+) skipped=(\S+)", out, re.M)
+        assert tuple(name for name, _, _ in found) == rows
+        failed = [name for name, ok, _ in found if ok == "false"]
+        assert failed == (["action-validity", "trace-preservation", "duflo-estimate"]
+                          if sid == "broken-measure" else ["duflo-estimate"])
+        after = found[rows.index("duflo-estimate") + 1:]
+        assert all(skipped == "true" for _, _, skipped in after)
+        assert f"summary checks={len(rows)} failed={len(failed)}" in out
 
     def test_missing_file_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--scenario", "/no/such/file.ini")

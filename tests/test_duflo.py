@@ -44,9 +44,9 @@ from qha.duflo import (
     run_suite,
 )
 from qha.groups import cyclic, probability_haar
-from qha.scenarios import build_scenario, builtin
+from qha.scenarios import Scenario, build_scenario, builtin
 
-from helpers import weyl_heisenberg
+from helpers import FINITE_ROWS, WAVELET_ROWS, weyl_heisenberg
 
 
 def _estimate(sid, seed=101):
@@ -451,26 +451,34 @@ class TestRunSuite:
         assert not by_name["trace-preservation"].passed
         assert not all(r.passed for r in reports)
 
+    @pytest.mark.parametrize("sid,rows", [
+        ("broken-measure", tuple(r for r in FINITE_ROWS if r != "duflo-expected-scalar")),
+        ("affine-wavelet:coarse", WAVELET_ROWS),
+    ])
+    def test_rows_after_a_failed_estimate_are_skipped(self, sid, rows):
+        reports = run_suite(build_scenario(builtin(sid)))
+        assert tuple(r.name for r in reports) == rows
+        estimate = rows.index("duflo-estimate")
+        assert not reports[estimate].passed
+        later = reports[estimate + 1:]
+        assert all(r.skipped and r.passed for r in later)
+        assert {r.notes for r in later} == {f"no estimate of D: {reports[estimate].notes}"}
+        # the claims are those of a run in which the estimate succeeds
+        claims = {r.name: r.claim for r in run_suite(build_scenario(builtin(
+            "wh:3" if sid == "broken-measure" else "affine-wavelet:default")))}
+        assert all(r.claim == claims[r.name] for r in later if r.name != "interpolation-bound")
+
+    def test_structural_rows_draw_no_random_elements(self, monkeypatch):
+        tags = []
+        original = Scenario.rng
+        monkeypatch.setattr(Scenario, "rng", lambda self, tag: tags.append(tag) or original(self, tag))
+        run_suite(build_scenario(builtin("wh:3")))
+        assert "action-validity" not in tags
+
     def test_deterministic_reports(self):
         r1 = run_suite(build_scenario(builtin("wh:3")))
         r2 = run_suite(build_scenario(builtin("wh:3")))
         assert [r.row() for r in r1] == [r.row() for r in r2]
-
-    # the rows of every suite, in order, as the benchmark's workloads expect them
-    FINITE_ROWS = (
-        "action-validity", "trace-preservation", "ergodicity", "integrability-witness",
-        "duflo-estimate", "duflo-scalar-form", "duflo-expected-scalar", "bracket-symmetry",
-        "orthogonality-positive", "orthogonality-general", "semi-invariance",
-        "admissibility-identities", "l1-inequality", "l1-equality", "young-inequality",
-        "interpolation-bound", "holder-inequality", "alt-inequality",
-    )
-    WAVELET_ROWS = (
-        "action-validity", "trace-preservation", "ergodicity", "integrability-witness",
-        "duflo-estimate", "duflo-expected-kernel", "bracket-symmetry",
-        "orthogonality-positive", "orthogonality-general", "semi-invariance",
-        "admissibility-identities", "l1-inequality", "l1-equality", "young-inequality",
-        "interpolation-bound", "holder-inequality", "alt-inequality",
-    )
 
     @pytest.mark.parametrize("sid,rows", [("wh:3", FINITE_ROWS),
                                           ("affine-wavelet:default", WAVELET_ROWS)])

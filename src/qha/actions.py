@@ -181,10 +181,11 @@ def finite_weyl_heisenberg(n: int) -> np.ndarray:
     """
     if n < 2:
         raise RepresentationError(f"need n >= 2, got {n}")
-    omega = np.exp(2j * np.pi / n)
     k, l, s = np.ogrid[:n, :n, :n]
     mats = np.zeros((n, n, n, n), dtype=complex)
-    mats[k, l, (s + k) % n, s] = omega ** (l * s)
+    # the angle of omega^(l s) reduced mod n first, in real arithmetic: a
+    # power of the rounded root would lose accuracy with the exponent
+    mats[k, l, (s + k) % n, s] = np.exp(1j * (2 * np.pi * ((l * s) % n) / n))
     return mats.reshape(n * n, n, n)
 
 
@@ -725,10 +726,12 @@ class WaveletAction(Action):
     ``probes``; ``pairings`` gives every trace(a z) as a quadratic form v* a v.
 
     The kernels use two exact identities.  Summing over b first turns the
-    phases into the gram ``b_kernel``; the dilation sum that remains,
+    phases into the gram ``b_kernel``, a real Dirichlet kernel in
+    xi_k - xi_l in closed form; the dilation sum that remains,
     sum_j s_j roll(m, (j, j)), is one circulant product in the
     cyclic-diagonal form of m (see ``_shift_sum``), so ``bracket_integral``
-    and the b-constant rows of ``orbit_sum`` cost one K^3 GEMM.
+    and the b-constant rows of ``orbit_sum`` cost one real K x K by K x 2K
+    GEMM on the real view of the cyclic diagonals (two for complex weights).
     ``bracket_values`` runs its phase products on the nonzero rows and
     columns of x only, where conj(g.y) * x can be nonzero.
     """
@@ -756,9 +759,18 @@ class WaveletAction(Action):
         self.shifts = np.arange(-h, h + 1)
         self.b_nodes = group.nodes[:design.n_b, 1].copy()
         self.db = float(2.0 * design.b_extent / design.n_b)
-        # phase table p[j, k] = exp(-2*pi*i * b_j * xi_k) and its Haar-summed gram
-        self.phases = np.exp(-2j * np.pi * np.outer(self.b_nodes, self.xi))
-        self.b_kernel = self.db * (self.phases.T @ self.phases.conj())
+        if self.db * (self.xi[-1] - self.xi[0]) >= 1.0:
+            raise GridError("shift spacing times frequency range must stay below 1, "
+                            "else the b-grid aliases")
+        # the Haar-summed gram of the phases, db sum_j exp(-2 pi i b_j (xi_k - xi_l)):
+        # over the midpoints of [-b_extent, b_extent], symmetric about 0, it is
+        # the real Dirichlet kernel db sin(pi n_b db delta) / sin(pi db delta)
+        delta = self.xi[:, None] - self.xi
+        off = delta != 0
+        kernel = np.full((K, K), design.n_b * self.db)
+        kernel[off] = (self.db * np.sin(np.pi * design.n_b * self.db * delta[off])
+                       / np.sin(np.pi * self.db * delta[off]))
+        self.b_kernel = kernel
         c = (K - 1) // 2
         self.center = c
         support_steps = int(round(design.support_octaves * den))
@@ -791,6 +803,11 @@ class WaveletAction(Action):
     @property
     def grid_size(self) -> int:
         return self.xi.shape[0]
+
+    @cached_property
+    def phases(self) -> np.ndarray:
+        """Phase table p[j, k] = exp(-2 pi i b_j xi_k), built on first use."""
+        return np.exp(-2j * np.pi * np.outer(self.b_nodes, self.xi))
 
     def shift_of(self, a: float) -> int:
         j = round(math.log(a) / self.log_ratio)
@@ -833,8 +850,22 @@ class WaveletAction(Action):
         that every shifted term shares (an FFT would fill them with roundoff).
         """
         rows = np.arange(self.grid_size)[:, None]
+        # the (K, 2K) real view of the diagonals: a real circulant acts on the
+        # real and imaginary parts alike, so Re s and Im s each take a real GEMM
+        diags = m[rows, self._diagonals].view(float)
+
+        def circulant_product(w: np.ndarray) -> np.ndarray:
+            # formed as the transposed product diags.T @ circulant(w).T: OpenBLAS
+            # splits that orientation over threads without reordering its sums
+            # at K = 97, so the default wavelet's reports do not depend on the
+            # BLAS thread count (circulant(w) @ diags does, there)
+            return np.ascontiguousarray((diags.T @ w[self._circulant].T).T).view(complex)
+
+        acc = circulant_product(s.real)
+        if np.any(s.imag):
+            acc = acc + 1j * circulant_product(s.imag)
         out = np.empty(m.shape, dtype=complex)
-        out[rows, self._diagonals] = s[self._circulant] @ m[rows, self._diagonals]
+        out[rows, self._diagonals] = acc
         return out
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
@@ -858,16 +889,16 @@ class WaveletAction(Action):
         return complex(np.sum(yb.conj().T * self._shift_sum(self._dilation_weights, self.b_kernel * xb.T)))
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
-        coeffs = np.asarray(coeffs, dtype=complex).reshape(self.n_a, self.n_b)
+        coeffs = np.asarray(coeffs).reshape(self.n_a, self.n_b)
         xb = x.blocks[0]
         first = coeffs[:, :1]
         flat = np.all(np.abs(coeffs - first) <= 1e-14 * (np.abs(first) + 1.0), axis=1)
         # rows constant in b: one dilation sum, then the phase gram
-        s = np.zeros(self.grid_size, dtype=complex)
+        s = np.zeros(self.grid_size, dtype=np.result_type(coeffs, float))
         s[-self.shifts[flat] % self.grid_size] = coeffs[flat, 0] / self.db
         acc = self._shift_sum(s, xb) * self.b_kernel
-        P = self.phases
         for i in np.flatnonzero(~flat):
+            P = self.phases
             acc += self._dilated(xb, self.shifts[i]) * ((P.T * coeffs[i]) @ P.conj())
         return AlgebraElement(self.shape, acc[None], copy=False)
 

@@ -163,6 +163,13 @@ def trace(x: AlgebraElement) -> complex:
     return complex(np.array(x.shape.trace_weights) @ np.trace(x.blocks, axis1=1, axis2=2))
 
 
+def trace_pairing(a: AlgebraElement, b: AlgebraElement) -> complex:
+    """trace(a b) without forming the product:
+    sum_k trace_weights[k] * sum_ij a_k[i, j] b_k[j, i]."""
+    a._require_same_shape(b)
+    return complex(np.array(a.shape.trace_weights) @ np.einsum("kij,kji->k", a.blocks, b.blocks))
+
+
 def op_norm(x: AlgebraElement) -> float:
     """Operator norm: the largest singular value over all blocks."""
     return float(np.linalg.svd(x.blocks, compute_uv=False)[:, 0].max())

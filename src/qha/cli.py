@@ -18,6 +18,7 @@ from .reports import all_passed
 from .scenarios import (
     BUILTIN_IDS,
     ConfigError,
+    Scenario,
     ScenarioSpec,
     build_scenario,
     list_builtins,
@@ -193,7 +194,7 @@ def cmd_refine(cfg: RunConfig) -> int:
         lines.append(f"== {spec.scenario_id}: residual vs grid refinement")
         lines.append(f"{'level':>5} {'nodes':>8} {'orthogonality':>15} {'semi-invariance':>16} {'cross-check':>12}")
         for level in range(cfg.grids):
-            metrics = refinement_metrics(spec, level)
+            metrics = refinement_metrics(scn if level == 0 else refined_wavelet(spec, level))
             lines.append(
                 f"{level:>5} {metrics['nodes']:>8} {metrics['orthogonality']:>15.6e} "
                 f"{metrics['semi_invariance']:>16.6e} {metrics['cross_check']:>12.6e}"
@@ -202,9 +203,9 @@ def cmd_refine(cfg: RunConfig) -> int:
     return 0
 
 
-def refinement_metrics(spec: ScenarioSpec, level: int) -> dict:
-    """Orthogonality, semi-invariance and cross-check residuals at one grid level."""
-    scn = refined_wavelet(spec, level)
+def refinement_metrics(scn: Scenario) -> dict:
+    """Orthogonality, semi-invariance and cross-check residuals of one grid
+    level, the scenario ``refined_wavelet`` builds for it."""
     rng = scn.rng("refine")
     x1 = scn.random_positive(rng)
     x2 = scn.random_positive(rng)

@@ -36,6 +36,7 @@ from .algebra import (
     op_norm,
     p_norm,
     trace,
+    trace_pairing,
 )
 from .actions import (
     Action,
@@ -125,8 +126,12 @@ class DufloEstimate:
         return eig
 
     def power(self, t: float) -> AlgebraElement:
-        """D^t through the spectrum of D^{-1} (cached by the estimator)."""
-        return from_eigh(self.d.shape, self._spectrum(), lambda w: w ** (-t))
+        """D^t through the spectrum of D^{-1} (cached by the estimator),
+        computed once per exponent."""
+        powers = self.__dict__.setdefault("_powers", {})
+        if t not in powers:
+            powers[t] = from_eigh(self.d.shape, self._spectrum(), lambda w: w ** (-t))
+        return powers[t]
 
     def condition(self) -> float:
         """cond(D), the ratio of the extreme eigenvalues of D^{-1}."""
@@ -222,12 +227,15 @@ def check_orthogonality(
 ) -> CheckReport:
     """Integrated bracket against trace(x) * trace(D^{-1/2} y D^{-1/2}).
 
-    For the general form (any x, y) the right-hand side carries the adjoint
-    of y; see the module docstring.
+    The right-hand side is taken as trace(x) * trace(D^{-1} y), the same
+    number by cyclicity of the trace, computed as a trace pairing with no
+    spectral power or product; the admissibility-identities row certifies
+    the identity at the estimate.  For the general form (any x, y) the
+    right-hand side carries the adjoint of y; see the module docstring.
     """
     lhs = action.bracket_integral(x, y)
     y_eff = y if positive else y.adjoint()
-    rhs = trace(x) * trace(est.sandwich(-0.5, y_eff))
+    rhs = trace(x) * trace_pairing(est.d_inverse, y_eff)
     name = "orthogonality-positive" if positive else "orthogonality-general"
     # every bracket value is bounded by ||x||_2 ||y||_2, so the Haar mass sets
     # the scale against which a vanishing integral counts as exact
@@ -281,7 +289,7 @@ def check_admissibility(y: AlgebraElement, est: DufloEstimate,
         tol = admissibility_tol(est)
     sand = est.sandwich(-0.5, y)
     value = trace(sand).real
-    direct = trace(est.d_inverse @ y).real
+    direct = trace_pairing(est.d_inverse, y).real
     roundtrip = trace(est.sandwich(0.5, sand)).real
     ty = trace(y).real
     scale = max(abs(value), abs(direct), abs(ty), 1e-300)

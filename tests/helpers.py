@@ -159,14 +159,13 @@ def loop_character_table(G):
 
 def loop_weyl_heisenberg(n):
     """T_k M_l at index k n + l, as a product of a shift and a diagonal."""
-    omega = np.exp(2j * np.pi / n)
     mats = np.zeros((n * n, n, n), dtype=complex)
     for k in range(n):
         for l in range(n):
             T = np.zeros((n, n), dtype=complex)
             for s in range(n):
                 T[(s + k) % n, s] = 1.0
-            M = np.diag(omega ** (l * np.arange(n)))
+            M = np.diag(np.exp(1j * (2 * np.pi * (l * np.arange(n) % n) / n)))
             mats[k * n + l] = T @ M
     return mats
 

@@ -28,7 +28,7 @@ from qha.duflo import (
     estimate_duflo,
 )
 from qha.groups import cyclic, product
-from qha.scenarios import BUILTIN_IDS, build_scenario, builtin
+from qha.scenarios import BUILTIN_IDS, build_scenario, builtin, refined_wavelet
 
 from helpers import dual_group, from_symbol, weyl_heisenberg
 
@@ -258,7 +258,7 @@ def test_criterion_8_quadrature_refinement():
     """Default grid within 1e-2 and strictly decreasing over two refinements."""
     t0 = time.monotonic()
     spec = builtin("affine-wavelet:default")
-    rows = [refinement_metrics(spec, level) for level in range(3)]
+    rows = [refinement_metrics(refined_wavelet(spec, level)) for level in range(3)]
     orth = [r["orthogonality"] for r in rows]
     semi = [r["semi_invariance"] for r in rows]
     elapsed = time.monotonic() - t0

@@ -141,6 +141,15 @@ class TestWeylHeisenberg:
     def test_irreducible(self, n):
         assert commutant_certificate(finite_weyl_heisenberg(n)).dimension == 1
 
+    @pytest.mark.parametrize("n", [12, 24, 31])
+    def test_entries_stay_unimodular_as_n_grows(self, n):
+        # each entry is exp(2 pi i r / n) for the exponent r reduced mod n, so
+        # neither the moduli nor the Gram residual grow with n
+        U = finite_weyl_heisenberg(n)
+        eps = np.finfo(float).eps
+        assert np.abs(np.abs(U[U != 0]) - 1.0).max() <= 2 * eps
+        assert np.abs(U @ U.conj().swapaxes(1, 2) - np.eye(n)).max() <= 4 * eps
+
     def test_rejects_small_n(self):
         with pytest.raises(RepresentationError):
             finite_weyl_heisenberg(1)
@@ -612,6 +621,51 @@ class TestWaveletKernels:
         m = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
         ref = sum(s[j] * np.roll(m, (j, j), axis=(0, 1)) for j in range(K))
         assert np.abs(act._shift_sum(s, m) - ref).max() < 1e-12 * np.abs(ref).max()
+
+    def test_shift_sum_of_real_weights(self):
+        # real weights take one real GEMM; a complex array holding them skips
+        # the imaginary one and gives the same result exactly
+        act = WaveletAction(SMALL_WAVELET)
+        K = act.grid_size
+        rng = np.random.default_rng(46)
+        s = rng.standard_normal(K)
+        m = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+        ref = sum(s[j] * np.roll(m, (j, j), axis=(0, 1)) for j in range(K))
+        fast = act._shift_sum(s, m)
+        assert np.abs(fast - ref).max() < 1e-12 * np.abs(ref).max()
+        assert np.array_equal(act._shift_sum(s.astype(complex), m), fast)
+
+    @pytest.mark.parametrize("grid", ["small-wavelet", "coarse", "default", "fine", "scaled(4)"])
+    def test_b_kernel_is_the_phase_gram(self, grid):
+        if grid == "small-wavelet":
+            act = WaveletAction(SMALL_WAVELET)
+        elif grid == "scaled(4)":
+            act = WaveletAction(WaveletDesign().scaled(4))
+        else:
+            act = build_scenario(ScenarioSpec(f"affine-wavelet:{grid}")).action
+        P = act.phases
+        oracle = act.db * (P.T @ P.conj())
+        kernel = act.b_kernel
+        assert kernel.dtype == np.float64
+        assert np.array_equal(kernel, kernel.T)
+        assert np.all(np.diag(kernel) == act.n_b * act.db)
+        assert np.abs(kernel - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_phase_table_is_built_on_first_use(self):
+        act = WaveletAction(SMALL_WAVELET)
+        assert "phases" not in vars(act)
+        x = act.random_positive(np.random.default_rng(47))
+        act.orbit_sum(act.haar.weights / act.modular_values(), x)
+        act.bracket_integral(x, x)
+        assert "phases" not in vars(act)
+        act.bracket_values(x, x)
+        assert vars(act)["phases"].shape == (act.n_b, act.grid_size)
+
+    def test_aliased_b_grid_is_rejected(self):
+        # db = 1 on a frequency range near 8: the b-grid cannot tell
+        # frequencies an integer apart
+        with pytest.raises(GridError, match="aliases"):
+            WaveletAction(WaveletDesign(n_b=16))
 
     @pytest.mark.parametrize("preset", WAVELETS)
     @pytest.mark.parametrize("table", ["haar", "haar-over-modular", "mixed"])

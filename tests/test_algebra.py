@@ -22,6 +22,7 @@ from qha.algebra import (
     random_positive_element,
     sup_distance,
     trace,
+    trace_pairing,
 )
 from qha.duflo import DufloEstimate
 
@@ -91,6 +92,16 @@ class TestTrace:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             M2.identity() + BIG.identity()
+
+    def test_pairing_is_the_trace_of_the_product(self):
+        rng = np.random.default_rng(2)
+        a, b = random_element(BIG, rng), random_element(BIG, rng)
+        assert trace_pairing(a, b) == pytest.approx(trace(a @ b), rel=1e-13)
+        assert trace_pairing(a, b) == pytest.approx(trace_pairing(b, a), rel=1e-13)
+
+    def test_pairing_shape_mismatch(self):
+        with pytest.raises(ShapeMismatchError):
+            trace_pairing(M2.identity(), PAIR.identity())
 
 
 class TestPNorm:

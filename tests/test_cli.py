@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from qha.actions import WaveletAction
 from qha.cli import _parser, main, resolve_config
 from qha.scenarios import builtin, list_builtins, load_scenario, save_scenario
 
@@ -52,6 +53,17 @@ class TestVerify:
         after = found[rows.index("duflo-estimate") + 1:]
         assert all(skipped == "true" for _, _, skipped in after)
         assert f"summary checks={len(rows)} failed={len(failed)}" in out
+
+    def test_fine_wavelet_passes_every_row(self, capsys):
+        # the wavelet kernels at K = 193, through the whole suite
+        code, out, err = run_cli(capsys, "verify", "--scenario", "affine-wavelet:fine",
+                                 "--format", "structured")
+        assert code == 0
+        found = re.findall(r"^check=(\S+) .* pass=(\S+) skipped=(\S+)", out, re.M)
+        assert tuple(name for name, _, _ in found) == WAVELET_ROWS
+        assert all(ok == "true" for _, ok, _ in found)
+        assert [name for name, _, skipped in found if skipped == "true"] == [
+            "bracket-symmetry", "young-inequality"]
 
     def test_missing_file_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--scenario", "/no/such/file.ini")
@@ -201,6 +213,16 @@ class TestRefine:
         code, out, err = run_cli(capsys, "refine", "--scenario",
                                  "affine-wavelet:coarse", "--grids", "1")
         assert code == 2
+
+    def test_each_level_is_built_once(self, capsys, monkeypatch):
+        built = []
+        original = WaveletAction.__init__
+        monkeypatch.setattr(WaveletAction, "__init__",
+                            lambda self, design: built.append(design) or original(self, design))
+        code, out, err = run_cli(capsys, "refine", "--scenario",
+                                 "affine-wavelet:coarse", "--grids", "2")
+        assert code == 0
+        assert [d.steps_per_octave for d in built] == [8, 16]
 
     def test_monotone_table_on_coarse_preset(self, capsys):
         code, out, err = run_cli(capsys, "refine", "--scenario",

@@ -44,7 +44,7 @@ from qha.duflo import (
     run_suite,
 )
 from qha.groups import cyclic, probability_haar
-from qha.scenarios import Scenario, build_scenario, builtin
+from qha.scenarios import BUILTIN_IDS, Scenario, build_scenario, builtin
 
 from helpers import FINITE_ROWS, WAVELET_ROWS, weyl_heisenberg
 
@@ -173,6 +173,28 @@ class TestOrthogonality:
                                         positive=False, tol_rel=1e-9)
         assert rep_check.passed
 
+    @pytest.mark.parametrize("sid", BUILTIN_IDS)
+    def test_right_side_is_the_sandwich_trace(self, sid):
+        # trace(x) trace(D^{-1} y) is trace(x) trace(D^{-1/2} y D^{-1/2}) to
+        # the roundoff of the spectral route, whose size admissibility_tol states
+        scn, est = _estimate(sid)
+        rng = scn.rng("orth-rhs")
+        tol = admissibility_tol(est)
+        for positive, draw in ((True, scn.random_positive), (False, scn.random_element)):
+            x, y = draw(rng), draw(rng)
+            y_eff = y if positive else y.adjoint()
+            sandwich = est.sandwich(-0.5, y_eff)
+            rhs = check_orthogonality(scn.action, est, x, y, positive=positive).rhs
+            expected = trace(x) * trace(sandwich)
+            assert abs(rhs - expected) <= tol * abs(trace(x)) * p_norm(sandwich, 1.0)
+
+    def test_right_side_takes_no_spectral_power(self, monkeypatch):
+        scn, est = _estimate("affine-wavelet:default")
+        monkeypatch.setattr(type(est), "power", lambda self, t: pytest.fail("power called"))
+        rng = scn.rng("orth-rhs")
+        x, y = scn.random_positive(rng), scn.random_positive(rng)
+        assert check_orthogonality(scn.action, est, x, y, tol_rel=scn.tol_rel).passed
+
     def test_traceless_first_argument(self):
         scn, est = _estimate("wh:3")
         rng = scn.rng("traceless")
@@ -222,6 +244,18 @@ class TestOrthogonality:
             for _ in range(8)
         )
         assert basis_ok and random_ok
+
+
+class TestPower:
+    def test_each_exponent_is_computed_once(self, monkeypatch):
+        _, est = _estimate("irrep:s3:std")
+        calls = []
+        original = qha.duflo.from_eigh
+        monkeypatch.setattr(qha.duflo, "from_eigh", lambda *a: calls.append(a) or original(*a))
+        half = est.power(0.5)
+        assert est.power(0.5) is half and est.power(-0.5) is not half
+        assert len(calls) == 2
+        assert sup_distance(half @ half, est.d) <= 1e-12 * op_norm(est.d)
 
 
 class TestSemiInvariance:

@@ -407,6 +407,8 @@ class Action:
 
     # appended to the semi-invariance notes to name the comparison
     comparison_note = ""
+    # the kernel D^{-1} is compared with, fitted by expected_kernel_fit(d_inverse)
+    expected_kernel: str | None = None
 
     def random_element(self, rng: np.random.Generator) -> AlgebraElement:
         return random_element(self.shape, rng)
@@ -986,6 +988,16 @@ class WaveletAction(Action):
     # -- comparisons in the weak sense ---------------------------------------
 
     comparison_note = " (weak pairing against smooth probes)"
+    expected_kernel = "inverse-frequency"
+
+    def expected_kernel_fit(self, d_inverse: AlgebraElement) -> tuple[float, float]:
+        """(c, residual): the least-squares multiple c of the inverse-frequency
+        multiplier 1/xi in the probe pairings of ``d_inverse``, and the largest
+        pairing residual relative to the largest pairing of c/xi."""
+        pair_est = self.pairings(d_inverse).real
+        pair_ref = self.pairings(AlgebraElement(self.shape, np.diag(1.0 / self.xi)[None])).real
+        c = float(pair_est @ pair_ref / (pair_ref @ pair_ref))
+        return c, float(np.abs(pair_est - c * pair_ref).max() / np.abs(c * pair_ref).max())
 
     def cross_check_distance(self, a: AlgebraElement, b: AlgebraElement) -> float:
         return self.weak_pairing_defect(a, b)

@@ -78,10 +78,17 @@ HOLDER_GRID: tuple[tuple[float, float, float], ...] = (
 )
 INTERPOLATION_EXPONENTS: tuple[float, ...] = (1.0, 4 / 3, 2.0, 4.0, math.inf)
 ALT_POWERS: tuple[int, ...] = (1, 2, 3, 4)
-# The claim of every row after the estimate of D; a row skipped after a
-# failed estimate repeats it.
+# The claim of every row of SUITE but trace-preservation, whose claim is
+# with is_trace_preserving; a row skipped after a failed estimate repeats it.
 CLAIMS: dict[str, str] = {
+    "action-validity": "homomorphism, *-automorphism and p-norm isometry defects",
+    "ergodicity": "fixed-point dimension of the sampled action is 1",
+    "integrability-witness": "the bracket integral of a positive test element is finite and positive",
+    "duflo-estimate": "cross-check residual of two independent test elements",
     "duflo-scalar-form": "unimodular group: D is a constant multiple of the identity",
+    "duflo-expected-scalar": "estimated D equals the analytically pinned scalar multiple of 1",
+    "duflo-expected-kernel": ("D^{-1} pairs with smooth probes as a multiple of the "
+                              "inverse-frequency multiplier"),
     "bracket-symmetry": "<x|y>(g^{-1}) = <y|x>(g)",
     "orthogonality-positive": "integral of <x|y> = trace(x) trace(D^{-1/2} y D^{-1/2})",
     "orthogonality-general": "integral of <x|y> = trace(x) trace(D^{-1/2} y D^{-1/2}) "
@@ -212,7 +219,81 @@ def _orbit_density(action: Action, x_test: AlgebraElement) -> AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# individual law checks
+# individual checks, one per row
+
+
+def check_action_validity(action: Action, *, scenario: str = "") -> CheckReport:
+    """Group-law, *-automorphism and isometry residuals of ``action.structure``."""
+    hom, aut, iso = homomorphism_defect(action), automorphism_defect(action), isometry_defect(action)
+    return CheckReport.bound(
+        "action-validity", CLAIMS["action-validity"], max(hom, aut, iso), 0.0, tol_rel=0.0,
+        tol_abs=1e-9, scenario=scenario,
+        notes=f"hom={hom:.2e} aut={aut:.2e} iso={iso:.2e} certificate={action.structure.certificate}")
+
+
+def check_ergodicity(action: Action, quadrature: bool, *, scenario: str = "") -> CheckReport:
+    """Fixed-point dimension of the sampled elements, which must be 1."""
+    return CheckReport.equality(
+        "ergodicity", CLAIMS["ergodicity"], float(fixed_point_dimension(action)), 1.0, tol_rel=0.0,
+        tol_abs=0.0, scenario=scenario, notes="sampled generating set" if quadrature else "generators")
+
+
+def check_integrability(action: Action, x: AlgebraElement, *, scenario: str = "") -> CheckReport:
+    """The bracket integral of a positive element is finite and positive."""
+    w = action.bracket_integral(x, x)
+    ok = math.isfinite(w.real) and w.real > 0 and abs(w.imag) <= 1e-9 * (1 + abs(w.real))
+    return CheckReport.flag("integrability-witness", CLAIMS["integrability-witness"], ok,
+                            scenario=scenario, notes=f"value={w.real:.6e}")
+
+
+def check_estimate(est: DufloEstimate | EstimateError, cross_tol: float,
+                   *, scenario: str = "") -> CheckReport:
+    """Cross-check residual of the estimate, or the failure that stopped it."""
+    if isinstance(est, EstimateError):
+        return CheckReport.flag("duflo-estimate", "orbit-density estimate of D succeeded", False,
+                                scenario=scenario, notes=str(est))
+    cross = est.cross_check_residual
+    return CheckReport.bound(
+        "duflo-estimate", CLAIMS["duflo-estimate"], cross, 0.0, tol_rel=0.0, tol_abs=cross_tol,
+        scenario=scenario,
+        notes=f"min_eig={est.min_eigenvalue:.3e} cross={cross:.3e} scalar={est.scalar_flag}")
+
+
+def check_scalar_form(est: DufloEstimate, *, scenario: str = "") -> CheckReport:
+    """Off-scalar residual of D, which vanishes on a unimodular group."""
+    off = est.off_scalar_residual
+    return CheckReport.bound("duflo-scalar-form", CLAIMS["duflo-scalar-form"], off, 0.0, tol_rel=0.0,
+                             tol_abs=1e-9, scenario=scenario, notes=f"off-scalar residual={off:.3e}")
+
+
+def check_expected_scalar(est: DufloEstimate, expected: float, tol: float,
+                          *, scenario: str = "") -> CheckReport:
+    """trace(D) / trace(1) against the scenario's analytic scalar."""
+    lhs = trace(est.d).real / trace(est.d.shape.identity()).real
+    return CheckReport.equality("duflo-expected-scalar", CLAIMS["duflo-expected-scalar"], lhs, expected,
+                                tol_rel=tol, scenario=scenario,
+                                notes=f"off-scalar residual={est.off_scalar_residual:.3e}")
+
+
+def check_expected_kernel(action: Action, est: DufloEstimate, tol: float,
+                          *, scenario: str = "") -> CheckReport:
+    """Residual of the action's fit of D^{-1} by its ``expected_kernel``."""
+    c, res = action.expected_kernel_fit(est.d_inverse)
+    return CheckReport.bound("duflo-expected-kernel", CLAIMS["duflo-expected-kernel"], res, 0.0,
+                             tol_rel=0.0, tol_abs=tol, scenario=scenario,
+                             notes=f"fit={c:.6e} residual={res:.3e} (weak pairing)")
+
+
+def check_bracket_symmetry(x: AlgebraElement, y: AlgebraElement, action: Action,
+                           *, scenario: str = "") -> CheckReport:
+    """Defect of <x|y>(g^{-1}) = <y|x>(g); skipped on a grid not closed under inverses."""
+    claim = CLAIMS["bracket-symmetry"]
+    try:
+        defect = bracket_symmetry_defect(x, y, action)
+    except InverseClosureError as exc:
+        return CheckReport.skip("bracket-symmetry", claim, str(exc), scenario=scenario)
+    return CheckReport.bound("bracket-symmetry", claim, defect, 0.0, tol_rel=0.0, tol_abs=1e-10,
+                             scenario=scenario)
 
 
 def check_orthogonality(
@@ -446,194 +527,150 @@ def _int_power(x: AlgebraElement, r: int) -> AlgebraElement:
 # scenario suite
 
 
-@dataclass(frozen=True)
-class SuiteCheck:
-    """One law check of the suite: the worst report of a few seeded trials.
-
-    Each trial draws one element per entry of ``draws`` ("positive",
-    "general", or "commuting": an element commuting with D) from the
-    scenario's rng stream ``tag``, takes the next point of ``grid``, and calls
-    ``call(check, scenario, estimate, point, *elements)``.  ``check`` names a
-    function of this module; it is looked up when the row runs, so rebinding
-    the module attribute reaches the suite.  A trial replaces the worst report
-    only when its rel_err is strictly larger; a check that returns a tuple
-    keeps one worst per position.  ``rows`` names the reports, in order.
-    ``notes`` ("{n}" is the trial count) replaces the worst report's notes.
-    ``skip`` is the reason reported instead when the scenario has no element
-    commuting with D.
-    """
-
-    rows: tuple[str, ...]
-    tag: str | None
-    check: str
-    draws: tuple[str, ...]
-    trials: Callable[[int], int]
-    call: Callable[..., CheckReport | tuple[CheckReport, ...]]
-    grid: tuple = (None,)
-    notes: str | None = None
-    skip: str | None = None
-
-
 def _pairs(trials: int) -> int:
     return max(4, trials // 4)
 
 
-def _once(trials: int) -> int:
-    return 1
+@dataclass(frozen=True)
+class SuiteCheck:
+    """One entry of the suite: the worst report of a few seeded trials.
+
+    Each trial draws one element per entry of ``draws`` ("positive",
+    "general", or "commuting": an element commuting with D) from the
+    scenario's rng stream ``tag``, takes the next point of ``grid``, and calls
+    ``call(check, scenario, estimate, point, *elements)``; the estimate is a
+    ``DufloEstimate``, the ``EstimateError`` that stopped it, or None before
+    the duflo-estimate row.  ``check``
+    names a function of this module, looked up when the row runs, so
+    rebinding the module attribute reaches the suite.  A trial replaces the
+    worst report, one per position of a returned tuple and named by ``rows``,
+    only when its rel_err is strictly larger.  ``notes`` ("{n}" is the trial
+    count) replaces the worst report's notes; ``skip`` is the reason reported
+    instead when D is not scalar, so no element commutes with it; ``applies``
+    says whether a scenario has the rows at all.
+    """
+
+    rows: tuple[str, ...]
+    check: str
+    call: Callable[..., CheckReport | tuple[CheckReport, ...]]
+    tag: str | None = None
+    draws: tuple[str, ...] = ()
+    trials: Callable[[int], int] = lambda t: 1
+    grid: tuple = (None,)
+    notes: str | None = None
+    skip: str | None = None
+    applies: Callable[..., bool] = lambda scenario: True
 
 
-# The checks after the estimate of D, in report order.
+# Every row of a scenario's report, in order.  The rows after duflo-estimate
+# need D and are skipped when the estimate fails.
 SUITE: tuple[SuiteCheck, ...] = (
-    SuiteCheck(("orthogonality-positive",), "orthogonality", "check_orthogonality",
-               ("positive", "positive"), _pairs,
+    SuiteCheck(("action-validity",), "check_action_validity", lambda f, s, e, _: f(s.action)),
+    SuiteCheck(("trace-preservation",), "is_trace_preserving", lambda f, s, e, _: f(s.action)),
+    SuiteCheck(("ergodicity",), "check_ergodicity",
+               lambda f, s, e, _: f(s.action, s.is_quadrature)),
+    # the stream of Scenario.duflo_pair: x is the estimate's first test element
+    SuiteCheck(("integrability-witness",), "check_integrability",
+               lambda f, s, e, _, x: f(s.action, x), tag="duflo", draws=("positive",)),
+    SuiteCheck(("duflo-estimate",), "check_estimate", lambda f, s, e, _: f(e, s.cross_tol)),
+    SuiteCheck(("duflo-scalar-form",), "check_scalar_form", lambda f, s, e, _: f(e),
+               applies=lambda s: bool(np.all(s.action.modular_values() == 1.0))),
+    SuiteCheck(("duflo-expected-scalar",), "check_expected_scalar",
+               lambda f, s, e, _: f(e, s.expected_scalar, s.expect_tol),
+               applies=lambda s: s.expected_scalar is not None),
+    SuiteCheck(("duflo-expected-kernel",), "check_expected_kernel",
+               lambda f, s, e, _: f(s.action, e, s.expect_tol),
+               applies=lambda s: s.action.expected_kernel is not None),
+    SuiteCheck(("bracket-symmetry",), "check_bracket_symmetry",
+               lambda f, s, e, _, x, y: f(x, y, s.action), tag="symmetry",
+               draws=("positive", "positive")),
+    SuiteCheck(("orthogonality-positive",), "check_orthogonality",
                lambda f, s, e, _, x, y: f(s.action, e, x, y, positive=True, tol_rel=s.tol_rel),
+               tag="orthogonality", draws=("positive", "positive"), trials=_pairs,
                notes="worst of {n} positive pairs"),
-    SuiteCheck(("orthogonality-general",), "orthogonality", "check_orthogonality",
-               ("general", "general"), _pairs,
+    SuiteCheck(("orthogonality-general",), "check_orthogonality",
                lambda f, s, e, _, x, y: f(s.action, e, x, y, positive=False, tol_rel=s.tol_rel),
+               tag="orthogonality", draws=("general", "general"), trials=_pairs,
                notes="worst of {n} general pairs"),
-    SuiteCheck(("semi-invariance",), None, "check_semi_invariance", (), _once,
+    SuiteCheck(("semi-invariance",), "check_semi_invariance",
                lambda f, s, e, _: f(s.action, e, tol_rel=s.tol_rel)),
-    SuiteCheck(("admissibility-identities",), "admissibility", "admissibility_report",
-               ("positive",), _once,
-               lambda f, s, e, _, y: f(y, e)),
-    SuiteCheck(("l1-inequality", "l1-equality"), "l1", "check_l1", ("general", "general"), _pairs,
-               lambda f, s, e, _, x, y: f(x, y, e, s.action, tol_rel=s.ineq_tol)),
-    SuiteCheck(("young-inequality",), "young", "check_young", ("general", "commuting"),
-               lambda t: max(len(YOUNG_GRID), t),
+    SuiteCheck(("admissibility-identities",), "admissibility_report",
+               lambda f, s, e, _, y: f(y, e), tag="admissibility", draws=("positive",)),
+    SuiteCheck(("l1-inequality", "l1-equality"), "check_l1",
+               lambda f, s, e, _, x, y: f(x, y, e, s.action, tol_rel=s.ineq_tol),
+               tag="l1", draws=("general", "general"), trials=_pairs),
+    SuiteCheck(("young-inequality",), "check_young",
                lambda f, s, e, pqr, x, y: f(x, y, *pqr, e, s.action, tol_rel=s.ineq_tol),
-               grid=YOUNG_GRID,
+               tag="young", draws=("general", "commuting"),
+               trials=lambda t: max(len(YOUNG_GRID), t), grid=YOUNG_GRID,
                skip=("no trace-class element commutes with D in this scenario "
                      "(the hypothesis set is empty for a diffuse scaling operator)")),
-    SuiteCheck(("interpolation-bound",), "interpolation", "check_interpolation",
-               ("general", "general"),
-               lambda t: max(len(INTERPOLATION_EXPONENTS), t // 2),
+    SuiteCheck(("interpolation-bound",), "check_interpolation",
                lambda f, s, e, p, x, y: f(x, y, p, e, s.action, tol_rel=s.ineq_tol),
+               tag="interpolation", draws=("general", "general"),
+               trials=lambda t: max(len(INTERPOLATION_EXPONENTS), t // 2),
                grid=INTERPOLATION_EXPONENTS),
-    SuiteCheck(("holder-inequality",), "holder", "check_holder", ("general", "general"),
-               lambda t: max(len(HOLDER_GRID), t // 2),
+    SuiteCheck(("holder-inequality",), "check_holder",
                lambda f, s, e, pqr, x, y: f(x, y, *pqr, tol_rel=1e-9),
-               grid=HOLDER_GRID),
-    SuiteCheck(("alt-inequality",), "alt", "check_alt", ("positive", "positive"),
-               lambda t: max(len(ALT_POWERS), t // 2),
-               lambda f, s, e, r, a, b: f(a, b, r, tol_rel=1e-9),
-               grid=ALT_POWERS),
+               tag="holder", draws=("general", "general"),
+               trials=lambda t: max(len(HOLDER_GRID), t // 2), grid=HOLDER_GRID),
+    SuiteCheck(("alt-inequality",), "check_alt", lambda f, s, e, r, a, b: f(a, b, r, tol_rel=1e-9),
+               tag="alt", draws=("positive", "positive"),
+               trials=lambda t: max(len(ALT_POWERS), t // 2), grid=ALT_POWERS),
 )
 
 
-def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
-    """Run every check of a scenario in a fixed order with deterministic seeding.
+def suite_entry(name: str) -> SuiteCheck:
+    """The SUITE entry that reports the row ``name``."""
+    return next(row for row in SUITE if name in row.rows)
 
-    ``scenario`` provides the action with its Haar model, tolerances, element
-    draws and optional expectations; see scenarios.Scenario.  The structural
-    checks and the estimate of D come first, then the rows of SUITE.
+
+def run_check(row: SuiteCheck, scn, est: DufloEstimate | EstimateError | None,
+              rng: np.random.Generator | None, n: int) -> tuple[CheckReport, ...]:
+    """The worst reports of ``n`` trials of one SUITE entry on the scenario
+    ``scn``, drawing from ``rng``."""
+    check = partial(globals()[row.check], scenario=scn.scenario_id)
+    draw = {"positive": scn.random_positive, "general": scn.random_element,
+            "commuting": lambda rng: scn.commuting_element(rng, est)}
+    worst: tuple[CheckReport, ...] = ()
+    for t in range(n):
+        elements = [draw[kind](rng) for kind in row.draws]
+        out = row.call(check, scn, est, row.grid[t % len(row.grid)], *elements)
+        out = out if isinstance(out, tuple) else (out,)
+        worst = out if not worst else tuple(
+            new if new.rel_err > old.rel_err else old for new, old in zip(out, worst))
+    if row.notes is not None:
+        worst[0].notes = row.notes.format(n=n)
+    return worst
+
+
+def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
+    """Run every entry of SUITE that applies to a scenario (see
+    scenarios.Scenario), in order, with deterministic seeding.
+
+    D is estimated once from ``scenario.duflo_pair()``, when the duflo-estimate
+    row runs; when that fails, every later entry is reported skipped with the
+    estimate's message.
     """
     scn = scenario
-    action = scn.action
-    sid = scn.scenario_id
     trials = trials if trials is not None else scn.default_trials
     reports: list[CheckReport] = []
-
-    hom, aut, iso = homomorphism_defect(action), automorphism_defect(action), isometry_defect(action)
-    reports.append(CheckReport.bound(
-        "action-validity",
-        "homomorphism, *-automorphism and p-norm isometry defects",
-        max(hom, aut, iso), 0.0, tol_rel=0.0, tol_abs=1e-9, scenario=sid,
-        notes=f"hom={hom:.2e} aut={aut:.2e} iso={iso:.2e} certificate={action.structure.certificate}",
-    ))
-
-    reports.append(is_trace_preserving(action, scenario=sid))
-
-    dim = fixed_point_dimension(action)
-    reports.append(CheckReport.equality(
-        "ergodicity", "fixed-point dimension of the sampled action is 1",
-        float(dim), 1.0, tol_rel=0.0, tol_abs=0.0, scenario=sid,
-        notes="sampled generating set" if scn.is_quadrature else "generators",
-    ))
-
-    x1, x2 = scn.duflo_pair()
-    witness = action.bracket_integral(x1, x1)
-    ok = math.isfinite(witness.real) and witness.real > 0 and abs(witness.imag) <= 1e-9 * (1 + abs(witness.real))
-    reports.append(CheckReport.flag(
-        "integrability-witness",
-        "the bracket integral of a positive test element is finite and positive",
-        ok, scenario=sid, notes=f"value={witness.real:.6e}",
-    ))
-
-    try:
-        est = estimate_duflo(action, x1, x2, cross_tol=scn.cross_tol)
-    except EstimateError as exc:
-        reports.append(CheckReport.flag(
-            "duflo-estimate", "orbit-density estimate of D succeeded", False,
-            scenario=sid, notes=str(exc),
-        ))
-        # every later row needs D: each is skipped with the estimate's message,
-        # so the scenario lists the rows of a passing run
-        expected = scn.expected_claims()
-        claims = {**CLAIMS, **expected}
-        names = [*([] if scn.is_quadrature else ["duflo-scalar-form"]), *expected,
-                 "bracket-symmetry", *(name for row in SUITE for name in row.rows)]
-        reports.extend(CheckReport.skip(name, claims[name], f"no estimate of D: {exc}", scenario=sid)
-                       for name in names)
-        return reports
-
-    notes = (
-        f"min_eig={est.min_eigenvalue:.3e} cross={est.cross_check_residual:.3e} "
-        f"scalar={est.scalar_flag}"
-    )
-    reports.append(CheckReport.bound(
-        "duflo-estimate", "cross-check residual of two independent test elements",
-        est.cross_check_residual, 0.0, tol_rel=0.0, tol_abs=scn.cross_tol,
-        scenario=sid, notes=notes,
-    ))
-
-    if not scn.is_quadrature:
-        reports.append(CheckReport.bound(
-            "duflo-scalar-form", CLAIMS["duflo-scalar-form"],
-            est.off_scalar_residual, 0.0, tol_rel=0.0, tol_abs=1e-9, scenario=sid,
-            notes=f"off-scalar residual={est.off_scalar_residual:.3e}",
-        ))
-
-    reports.extend(scn.expected_reports(est))
-
-    rng = scn.rng("symmetry")
-    xs = scn.random_positive(rng)
-    ys = scn.random_positive(rng)
-    try:
-        defect = bracket_symmetry_defect(xs, ys, action)
-        reports.append(CheckReport.bound(
-            "bracket-symmetry", CLAIMS["bracket-symmetry"],
-            defect, 0.0, tol_rel=0.0, tol_abs=1e-10, scenario=sid,
-        ))
-    except InverseClosureError as exc:
-        reports.append(CheckReport.skip(
-            "bracket-symmetry", CLAIMS["bracket-symmetry"], str(exc), scenario=sid,
-        ))
-
-    draw = {
-        "positive": scn.random_positive,
-        "general": scn.random_element,
-        "commuting": lambda rng: scn.commuting_element(rng, est),
-    }
     rngs: dict[str | None, np.random.Generator | None] = {None: None}
+    est = no_estimate = None
     for row in SUITE:
-        if row.skip is not None and not scn.has_commuting_elements:
-            reports.extend(CheckReport.skip(name, CLAIMS[name], row.skip, scenario=sid)
+        if not row.applies(scn):
+            continue
+        reason = no_estimate or (row.skip if row.skip and not est.scalar_flag else None)
+        if reason:
+            reports.extend(CheckReport.skip(name, CLAIMS[name], reason, scenario=scn.scenario_id)
                            for name in row.rows)
             continue
+        if "duflo-estimate" in row.rows:
+            try:
+                est = estimate_duflo(scn.action, *scn.duflo_pair(), cross_tol=scn.cross_tol)
+            except EstimateError as exc:
+                est, no_estimate = exc, f"no estimate of D: {exc}"
         if row.tag not in rngs:
             rngs[row.tag] = scn.rng(row.tag)
-        rng = rngs[row.tag]
-        check = partial(globals()[row.check], scenario=sid)
-        n = row.trials(trials)
-        worst_of: tuple[CheckReport, ...] = ()
-        for t in range(n):
-            elements = [draw[kind](rng) for kind in row.draws]
-            out = row.call(check, scn, est, row.grid[t % len(row.grid)], *elements)
-            out = out if isinstance(out, tuple) else (out,)
-            worst_of = out if not worst_of else tuple(
-                new if new.rel_err > old.rel_err else old for new, old in zip(out, worst_of))
-        if row.notes is not None:
-            worst_of[0].notes = row.notes.format(n=n)
-        reports.extend(worst_of)
+        reports.extend(run_check(row, scn, est, rngs[row.tag], row.trials(trials)))
     return reports

@@ -49,7 +49,6 @@ from .groups import (
     product,
     symmetric,
 )
-from .reports import CheckReport
 
 DEFAULT_SEED = 1729
 
@@ -73,7 +72,7 @@ class Scenario:
     def __init__(self, spec: ScenarioSpec, action: Action, *,
                  tol_rel: float, ineq_tol: float, cross_tol: float,
                  default_trials: int, expect_tol: float,
-                 expected_scalar: float | None = None, expected_kernel: str | None = None):
+                 expected_scalar: float | None = None):
         self.spec = spec
         self.action = action
         self.tol_rel = spec.tol_rel if spec.tol_rel is not None else tol_rel
@@ -82,7 +81,6 @@ class Scenario:
         self.default_trials = default_trials
         self.expect_tol = expect_tol
         self.expected_scalar = expected_scalar
-        self.expected_kernel = expected_kernel
 
     @property
     def scenario_id(self) -> str:
@@ -109,64 +107,22 @@ class Scenario:
     def random_positive(self, rng: np.random.Generator) -> AlgebraElement:
         return self.action.random_positive(rng)
 
-    @property
-    def has_commuting_elements(self) -> bool:
-        """Whether nonzero trace-class elements commuting with D exist.
-
-        True for the finite scenarios, where D is scalar.  False for the
-        wavelet quadrature: there the continuum D has diffuse spectrum, a
-        commuting element is a frequency multiplier, and its bracket is
-        constant along the shift direction, hence never integrable over the
-        group.  The convolution-inequality hypothesis set is empty.
-        """
-        return not self.is_quadrature
-
     def commuting_element(self, rng: np.random.Generator, est) -> AlgebraElement:
-        """Element commuting with the estimated D (any element when D is scalar)."""
-        if not self.has_commuting_elements:
-            raise ConfigError(
-                f"scenario {self.scenario_id!r} has no trace-class elements commuting with D"
-            )
+        """Element commuting with the estimated D: any element when D is scalar.
+
+        A D that is not scalar has no such trace-class element here: on the
+        wavelet quadrature the continuum D has diffuse spectrum, a commuting
+        element is a frequency multiplier, and its bracket is constant along
+        the shift direction, hence never integrable over the group.
+        """
+        if not est.scalar_flag:
+            raise ConfigError(f"scenario {self.scenario_id!r} has no trace-class elements "
+                              "commuting with D")
         return self.random_element(rng)
 
     def duflo_pair(self) -> tuple[AlgebraElement, AlgebraElement]:
         rng = self.rng("duflo")
         return self.random_positive(rng), self.random_positive(rng)
-
-    def expected_claims(self) -> dict[str, str]:
-        """Name and claim of each row ``expected_reports`` makes, in order."""
-        out = {}
-        if self.expected_scalar is not None:
-            out["duflo-expected-scalar"] = "estimated D equals the analytically pinned scalar multiple of 1"
-        if self.expected_kernel == "inverse-frequency":
-            out["duflo-expected-kernel"] = ("D^{-1} pairs with smooth probes as a multiple of the "
-                                            "inverse-frequency multiplier")
-        return out
-
-    def expected_reports(self, est) -> list[CheckReport]:
-        out: list[CheckReport] = []
-        sid = self.scenario_id
-        claims = self.expected_claims()
-        if self.expected_scalar is not None:
-            lhs = trace(est.d).real / trace(self.shape.identity()).real
-            out.append(CheckReport.equality(
-                "duflo-expected-scalar", claims["duflo-expected-scalar"],
-                lhs, self.expected_scalar, tol_rel=self.expect_tol, scenario=sid,
-                notes=f"off-scalar residual={est.off_scalar_residual:.3e}",
-            ))
-        if self.expected_kernel == "inverse-frequency":
-            act = self.action
-            multiplier = AlgebraElement(self.shape, np.diag(1.0 / act.xi)[None])
-            pair_est = act.pairings(est.d_inverse).real
-            pair_ref = act.pairings(multiplier).real
-            c = float(pair_est @ pair_ref / (pair_ref @ pair_ref))
-            residual = float(np.abs(pair_est - c * pair_ref).max() / np.abs(c * pair_ref).max())
-            out.append(CheckReport.bound(
-                "duflo-expected-kernel", claims["duflo-expected-kernel"],
-                residual, 0.0, tol_rel=0.0, tol_abs=self.expect_tol, scenario=sid,
-                notes=f"fit={c:.6e} residual={residual:.3e} (weak pairing)",
-            ))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +313,7 @@ def refined_wavelet(spec: ScenarioSpec, level: int) -> Scenario:
     if preset not in _WAVELET_PRESETS:
         raise ConfigError(f"unknown wavelet preset {preset!r}; valid: {sorted(_WAVELET_PRESETS)}")
     action = WaveletAction(_WAVELET_PRESETS[preset].scaled(2 ** level))
-    return Scenario(spec, action, expected_kernel="inverse-frequency",
-                    expect_tol=1e-2, **_WAVELET_DEFAULTS)
+    return Scenario(spec, action, expect_tol=1e-2, **_WAVELET_DEFAULTS)
 
 
 def _build_broken(spec: ScenarioSpec) -> Scenario:
@@ -426,8 +381,8 @@ def _mirrors(scn: Scenario) -> dict[str, dict[str, str]]:
     expect = {}
     if scn.expected_scalar is not None:
         expect["scalar"] = f"{scn.expected_scalar:.17g}"
-    if scn.expected_kernel is not None:
-        expect["kernel"] = scn.expected_kernel
+    if scn.action.expected_kernel is not None:
+        expect["kernel"] = scn.action.expected_kernel
     return {
         "group": group_section,
         "haar": {"normalization": scn.action.haar.normalization},

@@ -2,7 +2,9 @@
 
 ``benchmarks/tracing.py`` rebinds package functions and methods by name; a
 deleted or renamed one would only fail inside a benchmark child.  This reads
-the two tables there (without changing them) and resolves every entry.
+the two tables there (without changing them) and resolves every entry, and
+checks the imported bindings that ``benchmarks/selftest.py`` expects the
+tracer to reach.
 """
 
 import importlib
@@ -33,3 +35,19 @@ def test_traced_function_resolves(module, attr):
 def test_traced_method_resolves(module, cls, meth):
     # install() wraps vars(cls)[meth], so the class itself must define it
     assert meth in vars(getattr(importlib.import_module(module), cls))
+
+
+# (module, attribute, home module): a name imported with ``from .x import f``
+# that the self-test requires to be the same wrapped object as at home
+SHARED = (
+    ("qha.cli", "estimate_duflo", "qha.duflo"),
+    ("qha.cli", "run_suite", "qha.duflo"),
+    ("qha.cli", "check_orthogonality", "qha.duflo"),
+    ("qha.duflo", "fixed_point_dimension", "qha.actions"),
+    ("qha.duflo", "trace", "qha.algebra"),
+)
+
+
+@pytest.mark.parametrize("module, attr, home", SHARED)
+def test_shared_binding_is_the_home_object(module, attr, home):
+    assert getattr(importlib.import_module(module), attr) is getattr(importlib.import_module(home), attr)

@@ -7,7 +7,8 @@ import pytest
 
 from qha.actions import WaveletAction
 from qha.cli import _parser, main, resolve_config
-from qha.scenarios import builtin, list_builtins, load_scenario, save_scenario
+from qha.duflo import run_suite
+from qha.scenarios import ScenarioSpec, build_scenario, builtin, list_builtins, load_scenario, save_scenario
 
 from helpers import FINITE_ROWS, WAVELET_ROWS
 
@@ -53,6 +54,17 @@ class TestVerify:
         after = found[rows.index("duflo-estimate") + 1:]
         assert all(skipped == "true" for _, _, skipped in after)
         assert f"summary checks={len(rows)} failed={len(failed)}" in out
+
+    def test_tol_rel_changes_exactly_the_rows_readme_names(self):
+        # every other row keeps a tolerance of its own: a structural bound,
+        # the cross-check tolerance, cond(D) n eps, or a fixed 1e-9
+        text = re.search(r"`--tol-rel` overrides (.*?);", README.read_text(), re.S).group(1)
+        named = re.findall(r"`([a-z0-9-]+)`", text)
+        base = run_suite(build_scenario(ScenarioSpec("wh:4")))
+        loose = run_suite(build_scenario(ScenarioSpec("wh:4", tol_rel=1e-3)))
+        assert [r.name for r in base] == [r.name for r in loose]
+        changed = [a.name for a, b in zip(base, loose) if (a.tol_abs, a.tol_rel) != (b.tol_abs, b.tol_rel)]
+        assert changed == named
 
     def test_fine_wavelet_passes_every_row(self, capsys):
         # the wavelet kernels at K = 193, through the whole suite

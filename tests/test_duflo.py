@@ -26,7 +26,9 @@ from qha.actions import WaveletDesign
 import qha.duflo
 from qha.duflo import (
     ALT_POWERS,
+    CLAIMS,
     HOLDER_GRID,
+    SUITE,
     YOUNG_GRID,
     EstimateError,
     InconsistencyError,
@@ -501,6 +503,19 @@ class TestRunSuite:
         claims = {r.name: r.claim for r in run_suite(build_scenario(builtin(
             "wh:3" if sid == "broken-measure" else "affine-wavelet:default")))}
         assert all(r.claim == claims[r.name] for r in later if r.name != "interpolation-bound")
+
+    def test_claims_and_suite_name_the_same_rows(self):
+        rows = [name for row in SUITE for name in row.rows]
+        assert len(rows) == len(set(rows))
+        # trace-preservation's claim is with is_trace_preserving in qha.actions
+        assert set(CLAIMS) == set(rows) - {"trace-preservation"}
+
+    @pytest.mark.parametrize("sid", ["broken-measure", "affine-wavelet:coarse"])
+    def test_skipped_rows_are_the_applicable_entries_after_the_estimate(self, sid):
+        scn = build_scenario(builtin(sid))
+        after = next(i for i, row in enumerate(SUITE) if "duflo-estimate" in row.rows) + 1
+        expected = [name for row in SUITE[after:] if row.applies(scn) for name in row.rows]
+        assert [r.name for r in run_suite(scn) if r.skipped] == expected
 
     def test_structural_rows_draw_no_random_elements(self, monkeypatch):
         tags = []

@@ -70,7 +70,7 @@ class TestBuiltins:
         for preset in ("coarse", "default"):
             scn = build_scenario(ScenarioSpec(f"affine-wavelet:{preset}"))
             assert scn.is_quadrature
-            assert scn.expected_kernel == "inverse-frequency"
+            assert scn.action.expected_kernel == "inverse-frequency"
 
     def test_broken_measure_fixture(self):
         reports = run_suite(build_scenario(ScenarioSpec("broken-measure")))
@@ -247,9 +247,10 @@ class TestScenarioRuntime:
 
     def test_wavelet_has_no_commuting_elements(self):
         scn = build_scenario(ScenarioSpec("affine-wavelet:coarse"))
-        assert not scn.has_commuting_elements
+        est = estimate_duflo(scn.action, *scn.duflo_pair())
+        assert not est.scalar_flag
         with pytest.raises(ConfigError):
-            scn.commuting_element(scn.rng("x"), None)
+            scn.commuting_element(scn.rng("x"), est)
 
     def test_refined_wavelet_level_zero_is_the_preset(self):
         spec = ScenarioSpec("affine-wavelet:coarse")

@@ -420,8 +420,10 @@ class Action:
         """Distance of two estimates of the same operator, relative to ``a``."""
         return sup_distance(a, b) / a.max_abs_entry()
 
-    def semi_invariance_defect(self, d: AlgebraElement) -> float:
-        """max over the sampled g of |g.d - Delta(g)^{-1} d| relative to |d|, entrywise."""
+    def semi_invariance_defect(self, est) -> float:
+        """max over the sampled g of |g.D - Delta(g)^{-1} D| relative to |D|,
+        entrywise, for the DufloEstimate ``est``."""
+        d = est.d
         scale = d.max_abs_entry()
         worst = 0.0
         for g in self.sample_elements:
@@ -844,12 +846,20 @@ class WaveletAction(Action):
         return np.roll(y, shift=(-j, -j), axis=(0, 1))
 
     def _shift_sum(self, s: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """sum over j of s[j % K] * roll(m, (j, j)), as one circulant product.
+        """sum over j of s[j % K] * roll(m, (j, j)), scattered back from
+        ``_shift_sum_diagonals``."""
+        out = np.empty(m.shape, dtype=complex)
+        out[np.arange(self.grid_size)[:, None], self._diagonals] = self._shift_sum_diagonals(s, m)
+        return out
+
+    def _shift_sum_diagonals(self, s: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """The cyclic-diagonal form of sum over j of s[j % K] * roll(m, (j, j)),
+        as one circulant product.
 
         In the cyclic-diagonal form m~[k, e] = m[k, (k + e) % K] a joint roll
-        by j is a roll of the rows by j, so the sum is circulant(s) @ m~,
-        scattered back to the diagonals.  The GEMM keeps the exact zeros of m
-        that every shifted term shares (an FFT would fill them with roundoff).
+        by j is a roll of the rows by j, so the sum is circulant(s) @ m~.  The
+        GEMM keeps the exact zeros of m that every shifted term shares (an FFT
+        would fill them with roundoff).
         """
         rows = np.arange(self.grid_size)[:, None]
         # the (K, 2K) real view of the diagonals: a real circulant acts on the
@@ -866,9 +876,7 @@ class WaveletAction(Action):
         acc = circulant_product(s.real)
         if np.any(s.imag):
             acc = acc + 1j * circulant_product(s.imag)
-        out = np.empty(m.shape, dtype=complex)
-        out[rows, self._diagonals] = acc
-        return out
+        return acc
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
         xb, yb = x.blocks[0], y.blocks[0]
@@ -886,9 +894,12 @@ class WaveletAction(Action):
 
     def bracket_integral(self, x: AlgebraElement, y: AlgebraElement) -> complex:
         # the b sum collapses into the phase gram, the a sum into one
-        # circulant dilation sum
+        # circulant dilation sum, paired with conj(y).T on the cyclic diagonals:
+        # entry [k, e] of both is at (k, (k + e) % K)
         xb, yb = x.blocks[0], y.blocks[0]
-        return complex(np.sum(yb.conj().T * self._shift_sum(self._dilation_weights, self.b_kernel * xb.T)))
+        acc = self._shift_sum_diagonals(self._dilation_weights, self.b_kernel * xb.T)
+        y_diags = yb[self._diagonals, np.arange(self.grid_size)[:, None]]
+        return complex(np.sum(y_diags.conj() * acc))
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         coeffs = np.asarray(coeffs).reshape(self.n_a, self.n_b)
@@ -949,15 +960,17 @@ class WaveletAction(Action):
     def random_positive(self, rng: np.random.Generator) -> AlgebraElement:
         """Positive element: a few random smooth bumps plus a small spectral floor."""
         r = self.design.support_octaves
-        K = self.grid_size
-        mat = np.zeros((K, K), dtype=complex)
+        bumps = []
         for _ in range(3):
             center = rng.uniform(-r / 3.0, r / 3.0)
             width = rng.uniform(0.12, 0.25)
             nu = rng.uniform(-1.0, 1.0)
-            v = self.bump_vector(center, width, nu)
-            mat += np.outer(v, v.conj())
-        mat += 1e-7 * float(np.abs(np.diag(mat)).max()) * np.eye(K)
+            bumps.append(self.bump_vector(center, width, nu))
+        V = np.array(bumps)
+        # the sum of the three v v* as one rank-3 product
+        mat = V.T @ V.conj()
+        diagonal = mat.reshape(-1)[::self.grid_size + 1]
+        diagonal += 1e-7 * float(np.abs(diagonal).max())
         return AlgebraElement(self.shape, mat[None], copy=False)
 
     def random_element(self, rng: np.random.Generator) -> AlgebraElement:
@@ -1002,14 +1015,27 @@ class WaveletAction(Action):
     def cross_check_distance(self, a: AlgebraElement, b: AlgebraElement) -> float:
         return self.weak_pairing_defect(a, b)
 
-    def semi_invariance_defect(self, d: AlgebraElement) -> float:
+    def semi_invariance_defect(self, est) -> float:
         """The smeared estimate paired against the probes: the discretization
-        under which the truncated shift integral converges."""
-        refs = self.pairings(d)
-        worst = 0.0
+        under which the truncated shift integral converges.
+
+        g = (a, b) maps D to P roll(D, -j) P* with P = diag(exp(-2 pi i b xi)),
+        so the pairing of g.D with v is z* D z for the phase-rolled copy
+        z = roll(P* v, j).  Every pairing of D and of each sampled g.D is such
+        a quadratic form, and all of them take one solve against D^{-1}.
+        """
+        V = self.probes
+        copies = [V]
         for g in self.sample_elements:
+            phase = np.exp(-2j * np.pi * float(g[1]) * self.xi)
+            copies.append(np.roll(V * phase.conj(), self.shift_of(float(g[0])), axis=1))
+        Z = np.concatenate(copies).T
+        forms = np.sum(Z.conj() * np.linalg.solve(est.d_inverse.blocks[0], Z), axis=0)
+        refs, moved = forms[:len(V)], forms[len(V):].reshape(-1, len(V))
+        worst = 0.0
+        for g, pairs in zip(self.sample_elements, moved):
             target = refs / self.group.modular(g)
-            defect = np.abs(self.pairings(self.apply(g, d)) - target) / np.maximum(np.abs(target), 1e-300)
+            defect = np.abs(pairs - target) / np.maximum(np.abs(target), 1e-300)
             worst = max(worst, float(defect.max()))
         return worst
 

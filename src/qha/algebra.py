@@ -195,13 +195,24 @@ def p_norm(x: AlgebraElement, p: float) -> float:
     return float(total ** (1.0 / p))
 
 
-def eigh_blocks(x: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition of every block, one stacked pair (w, v) of
-    shapes (t, n) and (t, n, n); rejects non-hermitian input."""
+def _hermitian_blocks(x: AlgebraElement) -> np.ndarray:
+    """The blocks of (x + x*) / 2; rejects non-hermitian input."""
     if x.hermitian_defect() > 1e-9 * (1.0 + x.max_abs_entry()):
         raise NotPositiveError("element is not hermitian within tolerance")
     b = x.blocks
-    return np.linalg.eigh(0.5 * (b + b.conj().swapaxes(1, 2)))
+    return 0.5 * (b + b.conj().swapaxes(1, 2))
+
+
+def eigh_blocks(x: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian eigendecomposition of every block, one stacked pair (w, v) of
+    shapes (t, n) and (t, n, n); rejects non-hermitian input."""
+    return np.linalg.eigh(_hermitian_blocks(x))
+
+
+def eigvalsh_blocks(x: AlgebraElement) -> np.ndarray:
+    """The eigenvalues alone of every block, stacked (t, n) and ascending in
+    each row; rejects non-hermitian input."""
+    return np.linalg.eigvalsh(_hermitian_blocks(x))
 
 
 def from_eigh(shape: AlgebraShape, eig, f: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:

@@ -167,8 +167,7 @@ def cmd_duflo(cfg: RunConfig) -> int:
             continue
         semi = check_semi_invariance(scn.action, est, tol_rel=scn.tol_rel, scenario=spec.scenario_id)
         lines.append(f"== {spec.scenario_id}")
-        d = est.d.blocks
-        spectra = np.sort(np.linalg.eigvalsh(0.5 * (d + d.conj().swapaxes(1, 2))), axis=1)
+        spectra = np.sort(1.0 / est.eigenvalues, axis=1)
         for k, spectrum in enumerate(spectra):
             shown = ", ".join(f"{v:.9g}" for v in spectrum[:8])
             more = "" if spectrum.size <= 8 else f", ... ({spectrum.size} total)"
@@ -206,13 +205,15 @@ def cmd_refine(cfg: RunConfig) -> int:
 
 def refinement_metrics(scn: Scenario) -> dict:
     """Orthogonality, semi-invariance and cross-check residuals of one grid
-    level, the scenario ``refined_wavelet`` builds for it: the suite's
-    orthogonality-positive (worst of 3 pairs) and semi-invariance entries,
-    run on the scenario's "refine" stream."""
-    rng = scn.rng("refine")
-    est = estimate_duflo(scn.action, scn.random_positive(rng), scn.random_positive(rng), cross_tol=None)
-    ortho, = run_check(suite_entry("orthogonality-positive"), scn, est, rng, 3)
-    semi, = run_check(suite_entry("semi-invariance"), scn, est, rng, 1)
+    level, the scenario ``refined_wavelet`` builds for it.  D is estimated
+    from ``Scenario.duflo_pair()`` as by the suite, with no cross-check
+    tolerance, so at level 0 the cross-check and semi-invariance columns are
+    the duflo-estimate and semi-invariance rows of ``qha verify``; the
+    orthogonality column is the suite's orthogonality-positive entry, worst
+    of 3 pairs, on the scenario's "refine" stream."""
+    est = estimate_duflo(scn.action, *scn.duflo_pair(), cross_tol=None)
+    ortho, = run_check(suite_entry("orthogonality-positive"), scn, est, scn.rng("refine"), 3)
+    semi, = run_check(suite_entry("semi-invariance"), scn, est, None, 1)
     return {"nodes": scn.action.group.node_count, "orthogonality": ortho.rel_err,
             "semi_invariance": semi.lhs, "cross_check": est.cross_check_residual}
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .algebra import (
     NotPositiveError,
     ParameterError,
     eigh_blocks,
+    eigvalsh_blocks,
     from_eigh,
     op_norm,
     p_norm,
@@ -78,8 +79,9 @@ HOLDER_GRID: tuple[tuple[float, float, float], ...] = (
 )
 INTERPOLATION_EXPONENTS: tuple[float, ...] = (1.0, 4 / 3, 2.0, 4.0, math.inf)
 ALT_POWERS: tuple[int, ...] = (1, 2, 3, 4)
-# The claim of every row of SUITE but trace-preservation, whose claim is
-# with is_trace_preserving; a row skipped after a failed estimate repeats it.
+# The one claim of every row of SUITE but trace-preservation, whose claim is
+# with is_trace_preserving; every report of the row carries it, failed or
+# skipped, with the particulars of the trial in its notes.
 CLAIMS: dict[str, str] = {
     "action-validity": "homomorphism, *-automorphism and p-norm isometry defects",
     "ergodicity": "fixed-point dimension of the sampled action is 1",
@@ -114,41 +116,72 @@ class InconsistencyError(EstimateError):
 
 @dataclass
 class DufloEstimate:
-    """Estimated scaling operator D with its inverse and diagnostics."""
+    """Estimated scaling operator D, held as D^{-1} and the eigenvalues of D^{-1}.
+
+    The estimator needs the eigenvalues only, for its positivity test.  The
+    eigendecomposition of D^{-1}, D itself, its powers and the scalar
+    diagnostics are computed on first use and cached, so a caller that only
+    pairs with D^{-1} or solves against it never forms an eigenbasis.
+    ``off_scalar_norm`` is the action's size of the part of D off the
+    scalars (Action.off_scalar_norm).
+    """
 
     d_inverse: AlgebraElement
-    d: AlgebraElement
-    scalar_flag: bool
-    scalar_value: float | None
-    off_scalar_residual: float
-    cross_check_residual: float
-    min_eigenvalue: float
+    eigenvalues: np.ndarray
+    cross_check_residual: float = 0.0
+    off_scalar_norm: Callable[[AlgebraElement], float] = op_norm
 
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """eigh of D^{-1}, cached (the estimator sets it)."""
-        eig = getattr(self, "_eig", None)
-        if eig is None:
-            eig = eigh_blocks(self.d_inverse)
-            self._eig = eig
-        return eig
-
-    def power(self, t: float) -> AlgebraElement:
-        """D^t through the spectrum of D^{-1} (cached by the estimator),
-        computed once per exponent."""
-        powers = self.__dict__.setdefault("_powers", {})
-        if t not in powers:
-            powers[t] = from_eigh(self.d.shape, self._spectrum(), lambda w: w ** (-t))
-        return powers[t]
+    @property
+    def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of D^{-1}."""
+        return float(self.eigenvalues.min())
 
     def condition(self) -> float:
         """cond(D), the ratio of the extreme eigenvalues of D^{-1}."""
-        w = self._spectrum()[0]
+        w = self.eigenvalues
         return float(w.max() / w.min())
+
+    @cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigh of D^{-1}: the stacked eigenvalues and eigenvectors."""
+        return eigh_blocks(self.d_inverse)
+
+    @cached_property
+    def d(self) -> AlgebraElement:
+        """D, the spectral inverse of D^{-1}."""
+        return from_eigh(self.d_inverse.shape, self.spectrum, np.reciprocal)
+
+    def power(self, t: float) -> AlgebraElement:
+        """D^t through the spectrum of D^{-1}, computed once per exponent."""
+        powers = self.__dict__.setdefault("_powers", {})
+        if t not in powers:
+            powers[t] = from_eigh(self.d_inverse.shape, self.spectrum, lambda w: w ** (-t))
+        return powers[t]
 
     def sandwich(self, t: float, y: AlgebraElement) -> AlgebraElement:
         """D^t y D^t."""
         dt = self.power(t)
         return dt @ y @ dt
+
+    @cached_property
+    def _scalar_form(self) -> tuple[float, float]:
+        """(trace(D) / trace(1), the off-scalar norm of D relative to it)."""
+        d = self.d
+        d_scalar = trace(d).real / trace(d.shape.identity()).real
+        return d_scalar, self.off_scalar_norm(d - d.shape.scalar(d_scalar)) / abs(d_scalar)
+
+    @property
+    def off_scalar_residual(self) -> float:
+        return self._scalar_form[1]
+
+    @property
+    def scalar_flag(self) -> bool:
+        """D is a multiple of the identity to 1e-8."""
+        return self.off_scalar_residual <= 1e-8
+
+    @property
+    def scalar_value(self) -> float | None:
+        return self._scalar_form[0] if self.scalar_flag else None
 
 
 def estimate_duflo(
@@ -162,26 +195,20 @@ def estimate_duflo(
 
     D^{-1} = sum_i w_i Delta(g_i)^{-1} (g_i . x) with trace(x) normalized to 1
     and w the action's Haar weights;
-    D is its spectral inverse.  A second test element cross-checks the
-    estimate; residuals beyond ``cross_tol`` raise InconsistencyError.  Both
-    residuals are measured in the action's own comparison (see Action).
+    D is its spectral inverse, formed on first use.  A second test element
+    cross-checks the estimate; residuals beyond ``cross_tol`` raise
+    InconsistencyError.  Both residuals are measured in the action's own
+    comparison (see Action).
     """
     d_inv = _orbit_density(action, x_test)
 
-    eig = eigh_blocks(d_inv)
-    min_eig, max_eig = float(eig[0].min()), float(eig[0].max())
+    w = eigvalsh_blocks(d_inv)
+    min_eig, max_eig = float(w.min()), float(w.max())
     if min_eig <= 1e-12 * max_eig:
         raise EstimateError(
             f"orbit density is not positive definite (min eig {min_eig:.3e}); "
             "the action looks non-ergodic or non-integrable at this quadrature"
         )
-    d = from_eigh(d_inv.shape, eig, np.reciprocal)
-
-    tau_one = trace(d.shape.identity()).real
-    d_scalar = trace(d).real / tau_one
-    off = d - d.shape.scalar(d_scalar)
-    off_res = action.off_scalar_norm(off) / abs(d_scalar)
-    scalar_flag = off_res <= 1e-8
 
     cross = 0.0
     if x_test_alt is not None:
@@ -192,18 +219,8 @@ def estimate_duflo(
                 f"independent test elements disagree by {cross:.3e} > {cross_tol:.1e}; "
                 "quadrature too coarse or action not ergodic"
             )
-
-    est = DufloEstimate(
-        d_inverse=d_inv,
-        d=d,
-        scalar_flag=scalar_flag,
-        scalar_value=d_scalar if scalar_flag else None,
-        off_scalar_residual=off_res,
-        cross_check_residual=cross,
-        min_eigenvalue=min_eig,
-    )
-    est._eig = eig
-    return est
+    return DufloEstimate(d_inverse=d_inv, eigenvalues=w, cross_check_residual=cross,
+                         off_scalar_norm=action.off_scalar_norm)
 
 
 def _orbit_density(action: Action, x_test: AlgebraElement) -> AlgebraElement:
@@ -250,7 +267,7 @@ def check_estimate(est: DufloEstimate | EstimateError, cross_tol: float,
                    *, scenario: str = "") -> CheckReport:
     """Cross-check residual of the estimate, or the failure that stopped it."""
     if isinstance(est, EstimateError):
-        return CheckReport.flag("duflo-estimate", "orbit-density estimate of D succeeded", False,
+        return CheckReport.flag("duflo-estimate", CLAIMS["duflo-estimate"], False,
                                 scenario=scenario, notes=str(est))
     cross = est.cross_check_residual
     return CheckReport.bound(
@@ -337,7 +354,7 @@ def check_semi_invariance(
     Exact finite models compare matrices entrywise; a quadrature model
     compares in its own weak sense (Action.semi_invariance_defect).
     """
-    worst = action.semi_invariance_defect(est.d)
+    worst = action.semi_invariance_defect(est)
     return CheckReport.bound(
         "semi-invariance", CLAIMS["semi-invariance"],
         worst, 0.0, tol_rel=0.0, tol_abs=tol_rel, scenario=scenario,
@@ -351,7 +368,7 @@ def admissibility_tol(est: DufloEstimate) -> float:
     Both identities run D^{+-1/2} through the eigenbasis of D^{-1}, whose
     roundoff grows like its condition number times the block size.
     """
-    return max(1e-11, est.condition() * est.d.shape.block_dim * float(np.finfo(float).eps))
+    return max(1e-11, est.condition() * est.d_inverse.shape.block_dim * float(np.finfo(float).eps))
 
 
 def check_admissibility(y: AlgebraElement, est: DufloEstimate,
@@ -467,24 +484,24 @@ def check_interpolation(
     """Interpolation bound ||<x|y>||_p <= ||x||_p ||y||_1^{1/q} ||D^{-1/2} y D^{-1/2}||_1^{1/p}.
 
     The p = inf endpoint is checked as the documented sup-norm variant
-    ||<x|y>||_inf <= ||x||_inf ||y||_1.
+    ||<x|y>||_inf <= ||x||_inf ||y||_1, which its notes name.
     """
     if p < 1.0:
         raise ParameterError(f"exponent must be >= 1, got {p}")
     bf = bracket(x, y, action)
     lhs = function_p_norm(bf, p)
+    notes = f"p={p:g}"
     if p == math.inf:
         rhs = p_norm(x, math.inf) * p_norm(y, 1.0)
-        claim = "sup|<x|y>| <= ||x||_inf ||y||_1 (endpoint variant)"
+        notes += " sup-norm endpoint: sup|<x|y>| <= ||x||_inf ||y||_1"
     else:
         q = math.inf if p == 1.0 else p / (p - 1.0)
         y1 = p_norm(y, 1.0)
         ys = p_norm(est.sandwich(-0.5, y), 1.0)
         rhs = p_norm(x, p) * (y1 ** (0.0 if q == math.inf else 1.0 / q)) * (ys ** (1.0 / p))
-        claim = CLAIMS["interpolation-bound"]
     return CheckReport.bound(
-        "interpolation-bound", claim, lhs, rhs, tol_rel=tol_rel, scenario=scenario,
-        notes=f"p={p:g}",
+        "interpolation-bound", CLAIMS["interpolation-bound"], lhs, rhs, tol_rel=tol_rel,
+        scenario=scenario, notes=notes,
     )
 
 

@@ -3,11 +3,12 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qha.actions import WaveletAction
 from qha.cli import _parser, main, resolve_config
-from qha.duflo import run_suite
+from qha.duflo import DufloEstimate, run_suite
 from qha.scenarios import ScenarioSpec, build_scenario, builtin, list_builtins, load_scenario, save_scenario
 
 from helpers import FINITE_ROWS, WAVELET_ROWS
@@ -246,6 +247,32 @@ class TestRefine:
         semi = [float(r[3]) for r in rows]
         assert orth[0] > orth[1] > orth[2]
         assert semi[0] > semi[1] > semi[2]
+
+    def test_takes_no_eigenbasis_and_never_forms_d(self, capsys, monkeypatch):
+        # orthogonality pairs with D^{-1}, semi-invariance solves against it
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(a) or eigh(*a, **k))
+        monkeypatch.setattr(DufloEstimate, "d", property(lambda self: pytest.fail("D formed")))
+        code, out, err = run_cli(capsys, "refine", "--scenario", "affine-wavelet:default", "--grids", "3")
+        assert code == 0 and len(out.splitlines()) == 5
+        assert calls == []
+
+    @pytest.mark.parametrize("preset", ["default", "coarse"])
+    def test_level_zero_reads_the_verify_rows(self, capsys, preset):
+        # D comes from Scenario.duflo_pair() at every level, as in the suite
+        sid = f"affine-wavelet:{preset}"
+        code, out, err = run_cli(capsys, "refine", "--scenario", sid, "--grids", "2")
+        assert code == 0
+        level0 = next(line.split() for line in out.splitlines() if re.match(r"\s*0\s", line))
+        rows = {r.name: r for r in run_suite(build_scenario(builtin(sid)))}
+        if preset == "default":
+            assert level0[3] == f"{rows['semi-invariance'].lhs:.6e}"
+            assert level0[4] == f"{rows['duflo-estimate'].lhs:.6e}"
+        else:
+            # the estimate fails its cross-check under verify; refine has no tolerance
+            assert not rows["duflo-estimate"].passed
+            assert f"disagree by {float(level0[4]):.3e}" in rows["duflo-estimate"].notes
 
 
 class TestList:

@@ -9,6 +9,8 @@ import pytest
 from qha.algebra import (
     AlgebraElement,
     ParameterError,
+    eigh_blocks,
+    from_eigh,
     op_norm,
     p_norm,
     random_element,
@@ -133,6 +135,48 @@ class TestEstimate:
         minus = est.power(-1.0)
         assert sup_distance(minus, est.d_inverse) < 1e-10
 
+    @pytest.mark.parametrize("sid", BUILTIN_IDS)
+    def test_lazy_values_equal_the_eager_ones(self, sid):
+        # the eager construction: eigh of D^{-1}, D and its powers from that
+        # eigenbasis, and the scalar diagnostics of that D
+        scn, est = _estimate(sid)
+        assert "spectrum" not in vars(est) and "d" not in vars(est)
+        eig = eigh_blocks(est.d_inverse)
+        d = from_eigh(est.d_inverse.shape, eig, np.reciprocal)
+        d_scalar = trace(d).real / trace(d.shape.identity()).real
+        off = scn.action.off_scalar_norm(d - d.shape.scalar(d_scalar)) / abs(d_scalar)
+        assert np.array_equal(est.d.blocks, d.blocks)
+        for t in (-0.5, 0.5, 1.0):
+            eager = from_eigh(d.shape, eig, lambda w: w ** (-t))
+            assert np.array_equal(est.power(t).blocks, eager.blocks)
+        assert est.off_scalar_residual == off
+        assert est.scalar_flag == (off <= 1e-8)
+        assert est.scalar_value == (d_scalar if off <= 1e-8 else None)
+        # cond(D) and the smallest eigenvalue read the eigvalsh eigenvalues,
+        # eigh's to a few ulps: LAPACK's eigenvalue-only tridiagonal solver is
+        # another algorithm than the one that also returns eigenvectors
+        w = eig[0]
+        eps = np.finfo(float).eps
+        assert est.min_eigenvalue == pytest.approx(float(w.min()), rel=8 * eps, abs=0.0)
+        assert est.condition() == pytest.approx(float(w.max() / w.min()), rel=8 * eps, abs=0.0)
+
+    def test_non_positive_d_inverse_raises(self, monkeypatch):
+        # a D^{-1} with a negative eigenvalue fails the eigenvalue-only
+        # positivity test, and no eigenbasis is taken
+        scn = build_scenario(builtin("wh:3"))
+        original = qha.duflo._orbit_density
+
+        def mutant(action, x):
+            d_inv = original(action, x)
+            e0 = np.zeros(d_inv.blocks.shape, dtype=complex)
+            e0[:, 0, 0] = 2.0 * np.linalg.eigvalsh(d_inv.blocks).max()
+            return d_inv - AlgebraElement(d_inv.shape, e0)
+
+        monkeypatch.setattr(qha.duflo, "_orbit_density", mutant)
+        monkeypatch.setattr(qha.duflo, "eigh_blocks", lambda x: pytest.fail("eigh taken"))
+        with pytest.raises(EstimateError, match="not positive definite"):
+            estimate_duflo(scn.action, *scn.duflo_pair(), cross_tol=scn.cross_tol)
+
     def test_inverse_pair_multiplies_to_identity(self):
         for sid in ("wh:4", "irrep:s3:std", "twisted-dual:4:1", "affine-wavelet:coarse"):
             scn = build_scenario(builtin(sid))
@@ -251,12 +295,14 @@ class TestOrthogonality:
 class TestPower:
     def test_each_exponent_is_computed_once(self, monkeypatch):
         _, est = _estimate("irrep:s3:std")
-        calls = []
-        original = qha.duflo.from_eigh
+        calls, eighs = [], []
+        original, original_eigh = qha.duflo.from_eigh, qha.duflo.eigh_blocks
         monkeypatch.setattr(qha.duflo, "from_eigh", lambda *a: calls.append(a) or original(*a))
+        monkeypatch.setattr(qha.duflo, "eigh_blocks", lambda x: eighs.append(x) or original_eigh(x))
         half = est.power(0.5)
         assert est.power(0.5) is half and est.power(-0.5) is not half
-        assert len(calls) == 2
+        # the estimate took no eigenbasis; the first power took the one both share
+        assert len(calls) == 2 and len(eighs) == 1
         assert sup_distance(half @ half, est.d) <= 1e-12 * op_norm(est.d)
 
 
@@ -267,6 +313,26 @@ class TestSemiInvariance:
             scn, est = _estimate(sid)
             rep = check_semi_invariance(scn.action, est, tol_rel=1e-9)
             assert rep.passed, sid
+
+    @pytest.mark.parametrize("sid", ["affine-wavelet:coarse", "affine-wavelet:default"])
+    @pytest.mark.parametrize("seed", [101, 1729])
+    def test_wavelet_forms_match_the_pairings_of_d(self, sid, seed):
+        # the quadratic forms of one solve against D^{-1}, against the probe
+        # pairings of D and of each sampled g.D formed from the eigenbasis
+        scn = build_scenario(builtin(sid, seed=seed))
+        act = scn.action
+        est = estimate_duflo(act, *scn.duflo_pair())
+        defect = act.semi_invariance_defect(est)
+        assert "spectrum" not in vars(est) and "d" not in vars(est)
+        refs = act.pairings(est.d)
+        oracle = 0.0
+        for g in act.sample_elements:
+            target = refs / act.group.modular(g)
+            moved = act.pairings(act.apply(g, est.d))
+            oracle = max(oracle, float(np.max(np.abs(moved - target) / np.abs(target))))
+        # the defect is a pairing difference relative to the pairing, so
+        # pairings that agree to cond(D) K eps relative move it by about that
+        assert abs(defect - oracle) <= est.condition() * act.grid_size * np.finfo(float).eps
 
     def test_trivial_group_edge(self):
         scn, est = _estimate("translation:cyclic(1)")
@@ -308,7 +374,7 @@ class TestAdmissibility:
         # D^{-1} off its cached spectrum by 1e-8 breaks the direct identity
         scn, est = _estimate("wh:4")
         bad = replace(est, d_inverse=(1.0 + 1e-8) * est.d_inverse)
-        bad._eig = est._eig
+        bad.spectrum = est.spectrum
         y = scn.random_positive(scn.rng("adm"))
         assert check_admissibility(y, est)[0]
         assert not check_admissibility(y, bad)[0]
@@ -442,6 +508,9 @@ class TestInterpolation:
                                       tol_rel=1e-9)
             assert rep.passed
             assert rep.rhs == pytest.approx(p_norm(x, math.inf) * p_norm(y, 1.0), rel=1e-12)
+            # one claim for the row; the notes name the endpoint variant
+            assert rep.claim == CLAIMS["interpolation-bound"]
+            assert rep.notes == "p=inf sup-norm endpoint: sup|<x|y>| <= ||x||_inf ||y||_1"
 
     def test_p2_seeded(self):
         scn, est = _estimate("wh:4")
@@ -496,13 +565,14 @@ class TestRunSuite:
         assert tuple(r.name for r in reports) == rows
         estimate = rows.index("duflo-estimate")
         assert not reports[estimate].passed
+        assert reports[estimate].claim == CLAIMS["duflo-estimate"]
         later = reports[estimate + 1:]
         assert all(r.skipped and r.passed for r in later)
         assert {r.notes for r in later} == {f"no estimate of D: {reports[estimate].notes}"}
         # the claims are those of a run in which the estimate succeeds
         claims = {r.name: r.claim for r in run_suite(build_scenario(builtin(
             "wh:3" if sid == "broken-measure" else "affine-wavelet:default")))}
-        assert all(r.claim == claims[r.name] for r in later if r.name != "interpolation-bound")
+        assert all(r.claim == claims[r.name] for r in later)
 
     def test_claims_and_suite_name_the_same_rows(self):
         rows = [name for row in SUITE for name in row.rows]

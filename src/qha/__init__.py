@@ -4,7 +4,18 @@ Finite-dimensional tracial algebras with group actions, bracket products,
 scaling-operator (Duflo-Moore type) estimation, and certification of the
 orthogonality relations and convolution inequalities on exactly computable
 finite instances plus quadrature-discretized continuous instances.
+
+Importing the package defaults OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
+MKL_NUM_THREADS to 1 when they are unset, so that a report does not depend
+on the BLAS thread count (a threaded product may sum in another order); a
+value set in the environment wins.  The default reaches BLAS only when numpy
+is first imported after this package.
 """
+
+import os as _os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
 
 from .algebra import (
     AlgebraElement,

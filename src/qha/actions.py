@@ -27,7 +27,10 @@ Each family has its own vectorized kernels for the bracket values
 g -> trace((g.y)* x) and the orbit sum sum_g c_g (g.x): a gather through the
 point table, node-sliced stacked conjugations of the gathered blocks, or
 phase products and a circulant dilation sum for the wavelet.  ``apply``
-stays the per-node reference the tests compare them with.
+stays the per-node reference the tests compare them with.  The bracket
+kernels take stacks of trials (see ``algebra``): the finite families gather
+or conjugate a stack's (trial, node) pairs in pieces no larger than a single
+trial's, and the wavelet runs its per-element kernels trial by trial.
 """
 
 from __future__ import annotations
@@ -42,10 +45,15 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     AlgebraShape,
+    as_stack,
+    floored_gram,
     op_norm,
     random_element,
     random_positive_element,
+    stack,
+    stack_size,
     sup_distance,
+    weighted_sum,
 )
 from .groups import (
     FiniteGroup,
@@ -126,6 +134,24 @@ def product_phases(U: np.ndarray, src: np.ndarray, table: np.ndarray,
         deviation[sl], rd[sl] = D.max(axis=(2, 3)), D.sum(axis=3).max(axis=2)
     r = np.concatenate([_row_gain(U[s:s + NODE_SLICE]) for s in range(0, len(U), NODE_SLICE)])
     return out, float(deviation.max()), _law_bound(rd, r[a] * r[b[:, None], src[a]], r[ab], out)
+
+
+def _stacks(x: AlgebraElement, y: AlgebraElement) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The blocks of x and y as (B, t, n, n) stacks of one trial count (a
+    single element is the stack of one), and whether either was a stack."""
+    xs, ys = np.broadcast_arrays(as_stack(x).blocks, as_stack(y).blocks)
+    return xs, ys, x.trials is not None or y.trials is not None
+
+
+def _trialwise(kernel, x: AlgebraElement, y: AlgebraElement):
+    """kernel(x_block, y_block) of a one-block action on each trial of the
+    stacks x and y, stacked; the kernel's own value for single elements."""
+    xs, ys, stacked = _stacks(x, y)
+    values = [kernel(a[0], b[0]) for a, b in zip(xs, ys)]
+    if not stacked:
+        return values[0]
+    # a view of a lone trial's values, not a copy of a large row
+    return np.asarray(values[0])[None] if len(values) == 1 else np.array(values)
 
 
 def _sample_pairs(n: int, limit: int) -> np.ndarray:
@@ -388,12 +414,13 @@ class Action:
     # -- bulk operations -----------------------------------------------------
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
-        """trace((g.y)* x) at every node, in node order."""
+        """trace((g.y)* x) at every node, in node order; one row per trial
+        when x or y is a stack."""
         raise NotImplementedError
 
-    def bracket_integral(self, x: AlgebraElement, y: AlgebraElement) -> complex:
-        """Haar integral of the bracket values."""
-        return complex(np.dot(self.haar.weights, self.bracket_values(x, y)))
+    def bracket_integral(self, x: AlgebraElement, y: AlgebraElement) -> complex | np.ndarray:
+        """Haar integral of the bracket values, one per trial of a stack."""
+        return weighted_sum(self.bracket_values(x, y), self.haar.weights)
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         """Sum of coeffs[i] * (g_i . x) over all nodes."""
@@ -415,6 +442,21 @@ class Action:
 
     def random_positive(self, rng: np.random.Generator) -> AlgebraElement:
         return random_positive_element(self.shape, rng)
+
+    def random_trials(self, rng: np.random.Generator, positive: tuple[bool, ...],
+                      trials: int) -> tuple[AlgebraElement, ...]:
+        """One element per entry of ``positive`` (a ``random_positive`` one
+        where it is true, else a ``random_element``) for each of ``trials``
+        trials, each entry's elements stacked over the trials.
+
+        The stream is consumed as by those draws one at a time, trial by
+        trial: one Gaussian draw of every element, each positive one then
+        ``floored_gram`` of its Gaussian.
+        """
+        k = len(positive)
+        z = random_element(self.shape, rng, trials * k).blocks
+        drawn = (AlgebraElement(self.shape, z[j::k]) for j in range(k))
+        return tuple(floored_gram(x) if pos else x for x, pos in zip(drawn, positive))
 
     def cross_check_distance(self, a: AlgebraElement, b: AlgebraElement) -> float:
         """Distance of two estimates of the same operator, relative to ``a``."""
@@ -503,15 +545,22 @@ class ConjugationAction(Action):
         return AlgebraElement(self.shape, U @ x.blocks[self._src[g]] @ U.conj().swapaxes(1, 2), copy=False)
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
-        # tr(U y* U* x) = sum_ab (U y*)_ab (x^T conj(U))_ab, block by block
+        # tr(U y* U* x) = sum_ab (U y*)_ab (x^T conj(U))_ab, block by block, in
+        # pieces of at most NODE_SLICE (trial, node) pairs: a slice of the nodes
+        # of one trial, or every node of as many trials as fit
         U, src = self.unitaries, self._src
-        y_adj, x_t = y.blocks.conj().swapaxes(1, 2), x.blocks.swapaxes(1, 2)
-        out = np.empty(src.shape, dtype=complex)
-        for s in range(0, U.shape[0], NODE_SLICE):
-            Us = U[s:s + NODE_SLICE]
-            out[s:s + NODE_SLICE] = np.einsum("gjab,gjab->gj", Us @ y_adj[src[s:s + NODE_SLICE]],
-                                              x_t @ Us.conj())
-        return out @ np.array(self.shape.trace_weights)
+        xs, ys, stacked = _stacks(x, y)
+        y_adj, x_t = ys.conj().swapaxes(-1, -2), xs.swapaxes(-1, -2)
+        N = U.shape[0]
+        per = max(1, NODE_SLICE // N)
+        out = np.empty((len(xs), N, src.shape[1]), dtype=complex)
+        for b in range(0, len(xs), per):
+            for s in range(0, N, NODE_SLICE):
+                Us, tb = U[s:s + NODE_SLICE], slice(b, b + per)
+                out[tb, s:s + NODE_SLICE] = np.einsum(
+                    "...jab,...jab->...j", Us @ y_adj[tb, src[s:s + NODE_SLICE]], x_t[tb, None] @ Us.conj())
+        values = out @ np.array(self.shape.trace_weights)
+        return values if stacked else values[0]
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         U, src = self.unitaries, self._src
@@ -579,7 +628,19 @@ class PermutationAction(Action):
         return AlgebraElement(self.shape, x.blocks[self._src[int(g)]], copy=False)
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
-        return y.vec()[self._src].conj() @ (self.mu * x.vec())
+        xs, ys, stacked = _stacks(x, y)
+        t = self.mu.shape[0]
+        xv, yv = self.mu * xs.reshape(-1, t), ys.reshape(-1, t)
+        values = np.empty((len(xv), self._src.shape[0]), dtype=complex)
+        # the gather as a take keeps each trial's (nodes, t) operand contiguous,
+        # so that its product stays the BLAS matrix-vector product of one trial;
+        # the trials are gathered in pieces below STACK_BYTES
+        step = stack_size(16 * self._src.size)
+        for s in range(0, len(xv), step):
+            moved = np.take(yv[s:s + step], self._src, axis=1)
+            np.conjugate(moved, out=moved)
+            values[s:s + step] = (moved @ xv[s:s + step, :, None])[..., 0]
+        return values if stacked else values[0]
 
     def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
         vals = np.asarray(coeffs, dtype=complex) @ x.vec()[self._src]
@@ -879,7 +940,9 @@ class WaveletAction(Action):
         return acc
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
-        xb, yb = x.blocks[0], y.blocks[0]
+        return _trialwise(self._bracket_values, x, y)
+
+    def _bracket_values(self, xb: np.ndarray, yb: np.ndarray) -> np.ndarray:
         # conj(g.y) * x vanishes off the nonzero rows r and columns c of x
         r = np.flatnonzero(np.any(xb != 0, axis=1))
         c = np.flatnonzero(np.any(xb != 0, axis=0))
@@ -892,11 +955,13 @@ class WaveletAction(Action):
             out[i] = ((Pc @ A) * Pr).sum(axis=1)
         return out.reshape(-1)
 
-    def bracket_integral(self, x: AlgebraElement, y: AlgebraElement) -> complex:
+    def bracket_integral(self, x: AlgebraElement, y: AlgebraElement) -> complex | np.ndarray:
+        return _trialwise(self._bracket_integral, x, y)
+
+    def _bracket_integral(self, xb: np.ndarray, yb: np.ndarray) -> complex:
         # the b sum collapses into the phase gram, the a sum into one
         # circulant dilation sum, paired with conj(y).T on the cyclic diagonals:
         # entry [k, e] of both is at (k, (k + e) % K)
-        xb, yb = x.blocks[0], y.blocks[0]
         acc = self._shift_sum_diagonals(self._dilation_weights, self.b_kernel * xb.T)
         y_diags = yb[self._diagonals, np.arange(self.grid_size)[:, None]]
         return complex(np.sum(y_diags.conj() * acc))
@@ -972,6 +1037,13 @@ class WaveletAction(Action):
         diagonal = mat.reshape(-1)[::self.grid_size + 1]
         diagonal += 1e-7 * float(np.abs(diagonal).max())
         return AlgebraElement(self.shape, mat[None], copy=False)
+
+    def random_trials(self, rng: np.random.Generator, positive: tuple[bool, ...],
+                      trials: int) -> tuple[AlgebraElement, ...]:
+        """As Action.random_trials, one bump draw at a time."""
+        drawn = [[(self.random_positive if pos else self.random_element)(rng) for pos in positive]
+                 for _ in range(trials)]
+        return tuple(stack(column) for column in zip(*drawn))
 
     def random_element(self, rng: np.random.Generator) -> AlgebraElement:
         """General (non-hermitian) element spanned by smooth windowed bumps."""

@@ -13,6 +13,12 @@ An element is therefore stored as one read-only (t, n, n) array, row k
 holding block k, and every operation, the spectral ones included (the trace,
 singular values, hermitian eigendecompositions), is one stacked numpy call,
 so a diagonal algebra costs one call, not one per atom.
+
+The same array may carry a leading trial axis, (B, t, n, n): a stack of B
+elements that the law checks evaluate in one pass.  Products, sums and
+adjoints act trial by trial; ``trace``, ``trace_pairing``, ``op_norm`` and
+``p_norm`` return one Python scalar for a single element and an array of B
+values for a stack, each value bit for bit the one its trial alone gives.
 """
 
 from __future__ import annotations
@@ -25,6 +31,16 @@ import numpy as np
 
 # Relative eigenvalue clamp below which "positive" tolerates roundoff noise.
 EPS_PSD = 1e-10
+# Bytes below which trials are stacked into one temporary: glibc's default
+# mmap threshold.  Larger blocks are fresh mappings whose release grows the
+# heap, so kernels take their trials in pieces below it (``stack_size``).
+STACK_BYTES = 128 * 1024
+
+
+def stack_size(trial_bytes: int) -> int:
+    """Trials per stacked temporary of ``trial_bytes`` bytes a trial: as many
+    as stay below STACK_BYTES, and at least one."""
+    return max(1, (STACK_BYTES - 1) // trial_bytes)
 
 
 class AlgebraError(Exception):
@@ -96,20 +112,31 @@ class AlgebraShape:
 
 class AlgebraElement:
     """Immutable element of a block algebra: one read-only complex (t, n, n)
-    array ``blocks`` whose row k is block k."""
+    array ``blocks`` whose row k is block k, or a (B, t, n, n) stack of B
+    elements (see the module docstring)."""
 
     __slots__ = ("shape", "blocks")
 
     def __init__(self, shape: AlgebraShape, blocks, copy: bool = True):
         arr = np.array(blocks, dtype=complex, copy=copy)
-        if arr.shape != shape.blocks_shape:
-            raise ShapeMismatchError(f"blocks of shape {arr.shape}, expected {shape.blocks_shape}")
+        if arr.shape[-3:] != shape.blocks_shape or arr.ndim > 4:
+            raise ShapeMismatchError(f"blocks of shape {arr.shape}, expected {shape.blocks_shape} "
+                                     "with at most one leading trial axis")
         arr.setflags(write=False)
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "blocks", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
+
+    @property
+    def trials(self) -> int | None:
+        """B for a stack of B elements, None for a single element."""
+        return self.blocks.shape[0] if self.blocks.ndim == 4 else None
+
+    def trial(self, i: int) -> AlgebraElement:
+        """Element i of a stack."""
+        return AlgebraElement(self.shape, self.blocks[i], copy=False)
 
     def _require_same_shape(self, other: AlgebraElement) -> None:
         if self.shape != other.shape:
@@ -136,21 +163,41 @@ class AlgebraElement:
         return AlgebraElement(self.shape, self.blocks @ other.blocks, copy=False)
 
     def adjoint(self) -> AlgebraElement:
-        return AlgebraElement(self.shape, self.blocks.conj().swapaxes(1, 2), copy=False)
-
-    def hermitian_defect(self) -> float:
-        return float(np.abs(self.blocks - self.blocks.conj().swapaxes(1, 2)).max())
+        return AlgebraElement(self.shape, self.blocks.conj().swapaxes(-1, -2), copy=False)
 
     def max_abs_entry(self) -> float:
         return float(np.abs(self.blocks).max())
 
+    def is_hermitian(self, rtol: float = 1e-9) -> bool:
+        """Every element of the stack is hermitian to rtol (1 + its largest entry)."""
+        b = self.blocks
+        axes = (-3, -2, -1)
+        defect = np.abs(b - b.conj().swapaxes(-1, -2)).max(axis=axes)
+        return bool(np.all(defect <= rtol * (1.0 + np.abs(b).max(axis=axes))))
+
     def vec(self) -> np.ndarray:
-        """Row-major flattening of the blocks, in the order of AlgebraShape.basis."""
-        return self.blocks.reshape(-1)
+        """Row-major flattening of the blocks, in the order of AlgebraShape.basis;
+        one row per element of a stack."""
+        return self.blocks.reshape(self.blocks.shape[:-3] + (-1,))
 
     def __repr__(self) -> str:
         t, n, _ = self.shape.blocks_shape
         return f"AlgebraElement(blocks={t}x{n}x{n}, sup={self.max_abs_entry():.3e})"
+
+
+def stack(elements) -> AlgebraElement:
+    """The stack of single elements of one algebra, in order; a view of a
+    lone element."""
+    first, *rest = elements
+    for x in rest:
+        first._require_same_shape(x)
+    return as_stack(first) if not rest else AlgebraElement(
+        first.shape, np.stack([first.blocks] + [x.blocks for x in rest]), copy=False)
+
+
+def as_stack(x: AlgebraElement) -> AlgebraElement:
+    """x itself when it is a stack, else the stack of one."""
+    return x if x.trials is not None else AlgebraElement(x.shape, x.blocks[None], copy=False)
 
 
 def sup_distance(a: AlgebraElement, b: AlgebraElement) -> float:
@@ -158,49 +205,97 @@ def sup_distance(a: AlgebraElement, b: AlgebraElement) -> float:
     return (a - b).max_abs_entry()
 
 
-def trace(x: AlgebraElement) -> complex:
+def weighted_sum(values: np.ndarray, weights) -> np.ndarray:
+    """sum_k weights[k] values[..., k], one value per row of ``values``.
+
+    Each row is reduced by its own dot product (a row times a column), so
+    every value is bit for bit ``weights @ row``; a stacked ``values @
+    weights`` is a matrix-vector product, which sums in another order.
+    """
+    w = np.asarray(weights, dtype=float)
+    return trial_values(np.matmul(values[..., None, :], w[:, None])[..., 0, 0])
+
+
+def trial_values(values: np.ndarray):
+    """A Python scalar for a single element's 0-d value, the array for a stack's."""
+    return values.item() if values.ndim == 0 else values
+
+
+def trace(x: AlgebraElement) -> complex | np.ndarray:
     """Weighted trace: sum of trace_weights[k] * tr(block k)."""
-    return complex(np.array(x.shape.trace_weights) @ np.trace(x.blocks, axis1=1, axis2=2))
+    return weighted_sum(np.trace(x.blocks, axis1=-2, axis2=-1), x.shape.trace_weights)
 
 
-def trace_pairing(a: AlgebraElement, b: AlgebraElement) -> complex:
+def trace_pairing(a: AlgebraElement, b: AlgebraElement) -> complex | np.ndarray:
     """trace(a b) without forming the product:
     sum_k trace_weights[k] * sum_ij a_k[i, j] b_k[j, i]."""
     a._require_same_shape(b)
-    return complex(np.array(a.shape.trace_weights) @ np.einsum("kij,kji->k", a.blocks, b.blocks))
+    return weighted_sum(np.einsum("...kij,...kji->...k", a.blocks, b.blocks), a.shape.trace_weights)
 
 
-def op_norm(x: AlgebraElement) -> float:
+def _largest_singular(s: np.ndarray) -> np.ndarray:
+    """The operator norm from stacked singular values (..., t, n)."""
+    return s[..., 0].max(axis=-1)
+
+
+def op_norm(x: AlgebraElement) -> float | np.ndarray:
     """Operator norm: the largest singular value over all blocks."""
-    return float(np.linalg.svd(x.blocks, compute_uv=False)[:, 0].max())
+    return trial_values(_largest_singular(np.linalg.svd(x.blocks, compute_uv=False)))
 
 
-def p_norm(x: AlgebraElement, p: float) -> float:
+def p_norm(x: AlgebraElement, p) -> float | np.ndarray:
     """Trace p-norm (trace of |x|^p) ** (1/p); p = inf gives the operator norm.
 
-    For p = 2 the squared singular values of a block sum to its squared
-    entries, so the weighted Frobenius sum needs no SVD.
+    A stack takes one exponent or one per trial, and one SVD of every trial
+    unless each exponent is 2: for p = 2 the squared singular values of a
+    block sum to its squared entries, so the weighted Frobenius sum needs no
+    SVD.  Each trial's final root is taken on a Python float,
+    whose pow rounds as a single norm's did (numpy's vectorized pow differs
+    in the last bit on some inputs).
     """
-    if p == math.inf:
-        return op_norm(x)
-    p = float(p)
-    if p < 1.0:
-        raise ParameterError(f"norm exponent must be >= 1, got {p}")
     b = x.blocks
-    if p == 2.0:
-        per_block = np.sum(np.abs(b) ** 2, axis=(1, 2))
-    else:
-        per_block = np.sum(np.linalg.svd(b, compute_uv=False) ** p, axis=1)
-    total = float(np.array(x.shape.trace_weights) @ per_block)
-    return float(total ** (1.0 / p))
+    stacked = b.reshape((-1,) + b.shape[-3:])
+    groups = exponent_groups(p, len(stacked))
+    s = np.linalg.svd(stacked, compute_uv=False) if set(groups) != {2.0} else None
+    out = np.empty(len(stacked))
+    for pv, idx in groups.items():
+        if pv == 2.0:
+            per_block = np.sum(np.abs(take_rows(stacked, idx)) ** 2, axis=(-2, -1))
+        elif pv == math.inf:
+            out[idx] = _largest_singular(take_rows(s, idx))
+            continue
+        else:
+            per_block = np.sum(take_rows(s, idx) ** pv, axis=-1)
+        out[idx] = [t ** (1.0 / pv) for t in weighted_sum(per_block, x.shape.trace_weights).tolist()]
+    return trial_values(out.reshape(b.shape[:-3]))
+
+
+def exponent_groups(p, trials: int) -> dict[float, list[int]]:
+    """The trials of each exponent among ``trials`` trials: ``p`` is one
+    exponent for every trial or a sequence of one per trial.  Rejects an
+    exponent below 1."""
+    ps = [float(p)] * trials if np.ndim(p) == 0 else [float(v) for v in p]
+    if len(ps) != trials:
+        raise ParameterError(f"{len(ps)} exponents for {trials} trials")
+    groups: dict[float, list[int]] = {}
+    for i, pv in enumerate(ps):
+        groups.setdefault(pv, []).append(i)
+    if min(groups) < 1.0:
+        raise ParameterError(f"norm exponent must be >= 1, got {min(groups)}")
+    return groups
+
+
+def take_rows(a: np.ndarray, idx: list[int]) -> np.ndarray:
+    """Rows ``idx`` (ascending) of a; a itself when they are all of its rows."""
+    return a if len(idx) == len(a) else a[idx]
 
 
 def _hermitian_blocks(x: AlgebraElement) -> np.ndarray:
     """The blocks of (x + x*) / 2; rejects non-hermitian input."""
-    if x.hermitian_defect() > 1e-9 * (1.0 + x.max_abs_entry()):
+    if not x.is_hermitian():
         raise NotPositiveError("element is not hermitian within tolerance")
     b = x.blocks
-    return 0.5 * (b + b.conj().swapaxes(1, 2))
+    return 0.5 * (b + b.conj().swapaxes(-1, -2))
 
 
 def eigh_blocks(x: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
@@ -244,21 +339,31 @@ def power(x: AlgebraElement, t: float) -> AlgebraElement:
     return from_eigh(x.shape, eig, vals_of)
 
 
-def random_element(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
-    """Seeded complex Gaussian element.  The real and imaginary parts are
-    drawn block by block, so the stream is consumed as by one draw per block
-    in block order."""
+def random_element(shape: AlgebraShape, rng: np.random.Generator,
+                   trials: int | None = None) -> AlgebraElement:
+    """Seeded complex Gaussian element, or a stack of ``trials`` of them.
+    The real and imaginary parts are drawn block by block, so the stream is
+    consumed as by one draw per block in block order, element by element."""
     t, n, _ = shape.blocks_shape
-    z = rng.standard_normal((t, 2, n, n))
-    return AlgebraElement(shape, z[:, 0] + 1j * z[:, 1], copy=False)
+    lead = () if trials is None else (trials,)
+    z = rng.standard_normal(lead + (t, 2, n, n))
+    return AlgebraElement(shape, z[..., 0, :, :] + 1j * z[..., 1, :, :], copy=False)
 
 
-def random_positive_element(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
-    """Seeded positive element z*z + delta*1 with delta = 1e-6 * ||z*z||_inf.
+def floored_gram(z: AlgebraElement) -> AlgebraElement:
+    """The positive element z*z + delta*1 with delta = 1e-6 * ||z*z||_inf,
+    trial by trial for a stack.
 
     The floor keeps spectra away from the singular corner so that negative
     powers stay well conditioned.
     """
-    z = random_element(shape, rng)
     zz = z.adjoint() @ z
-    return zz + shape.scalar(1e-6 * op_norm(zz))
+    delta = np.asarray(1e-6 * op_norm(zz), dtype=complex)[..., None, None, None]
+    return AlgebraElement(z.shape, zz.blocks + delta * np.eye(z.shape.block_dim, dtype=complex), copy=False)
+
+
+def random_positive_element(shape: AlgebraShape, rng: np.random.Generator,
+                            trials: int | None = None) -> AlgebraElement:
+    """Seeded positive element, ``floored_gram`` of a ``random_element``;
+    a stack of ``trials`` of them when given."""
+    return floored_gram(random_element(shape, rng, trials))

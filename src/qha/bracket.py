@@ -3,7 +3,9 @@
 The bracket of two algebra elements under an action is the complex function
 on the group g -> trace((g.y)* x).  For positive x and y this agrees with
 trace(x^{1/2} (g.y) x^{1/2}) and is nonnegative.  Values are computed densely
-at every node in fixed node order, so all reductions are deterministic.
+at every node in fixed node order, so all reductions are deterministic.  On
+stacks of trials (see ``algebra``) a bracket holds one row of values per
+trial, and its integral and norms give one value per trial.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraElement, ParameterError
+from .algebra import AlgebraElement, ParameterError, exponent_groups, take_rows, trial_values, weighted_sum
 from .actions import Action
 from .groups import QuadratureGroup
 
@@ -24,7 +26,8 @@ class InverseClosureError(Exception):
 
 @dataclass(frozen=True)
 class BracketFunction:
-    """Sampled bracket values with their integration weights."""
+    """Sampled bracket values with their integration weights: one value per
+    node, or one row of them per trial."""
 
     values: np.ndarray
     weights: np.ndarray
@@ -32,7 +35,7 @@ class BracketFunction:
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=complex)
         w = np.asarray(self.weights, dtype=float)
-        if v.shape != w.shape or v.ndim != 1:
+        if v.shape[-1:] != w.shape or w.ndim != 1 or v.ndim > 2:
             raise ParameterError("need one value and one weight per node")
         v.setflags(write=False)
         w.setflags(write=False)
@@ -40,7 +43,8 @@ class BracketFunction:
         object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
-        return self.values.shape[0]
+        """The node count."""
+        return self.values.shape[-1]
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement, action: Action) -> BracketFunction:
@@ -48,23 +52,32 @@ def bracket(x: AlgebraElement, y: AlgebraElement, action: Action) -> BracketFunc
     return BracketFunction(action.bracket_values(x, y), action.haar.weights)
 
 
-def integrate_bracket(bf: BracketFunction) -> complex:
+def integrate_bracket(bf: BracketFunction) -> complex | np.ndarray:
     """Haar-weighted sum of the bracket values."""
-    return complex(np.dot(bf.weights, bf.values))
+    return weighted_sum(bf.values, bf.weights)
 
 
-def function_p_norm(bf: BracketFunction, r: float) -> float:
-    """L^r norm of the sampled function: (sum w |v|^r)^{1/r}; r = inf is the sup."""
-    if r == math.inf:
-        return float(np.abs(bf.values).max()) if len(bf) else 0.0
-    r = float(r)
-    if r < 1.0:
-        raise ParameterError(f"function norm exponent must be >= 1, got {r}")
-    return float(np.dot(bf.weights, np.abs(bf.values) ** r) ** (1.0 / r))
+def function_p_norm(bf: BracketFunction, r) -> float | np.ndarray:
+    """L^r norm of the sampled function: (sum w |v|^r)^{1/r}; r = inf is the sup.
+
+    A bracket of a stack takes one exponent or one per trial.  Each trial's
+    final root is taken on a float64 scalar, as a single norm's is.
+    """
+    v = np.abs(bf.values)
+    stacked = v.reshape(-1, v.shape[-1])
+    out = np.empty(len(stacked))
+    for rv, idx in exponent_groups(r, len(stacked)).items():
+        rows = take_rows(stacked, idx)
+        if rv == math.inf:
+            out[idx] = np.max(rows, axis=-1, initial=0.0)
+        else:
+            out[idx] = [np.float64(t) ** (1.0 / rv) for t in weighted_sum(rows ** rv, bf.weights).tolist()]
+    return trial_values(out.reshape(v.shape[:-1]))
 
 
 def bracket_symmetry_defect(x: AlgebraElement, y: AlgebraElement, action: Action) -> float:
-    """max over g of |<x|y>(g^{-1}) - <y|x>(g)|, relative to max over g of |<x|y>(g)|.
+    """max over g of |<x|y>(g^{-1}) - <y|x>(g)|, relative to max over g of |<x|y>(g)|,
+    one per trial of stacks.
 
     The scale is floored at 1e-300.  Requires a node set closed under
     inversion: finite groups always are; quadrature groups whose nodes are
@@ -78,7 +91,8 @@ def bracket_symmetry_defect(x: AlgebraElement, y: AlgebraElement, action: Action
         inv = group.inverse_table
     vxy = action.bracket_values(x, y)
     vyx = action.bracket_values(y, x)
-    return float(np.abs(vxy[inv] - vyx).max()) / max(float(np.abs(vxy).max()), 1e-300)
+    defect = np.abs(vxy[..., inv] - vyx).max(axis=-1)
+    return trial_values(defect / np.maximum(np.abs(vxy).max(axis=-1), 1e-300))
 
 
 def _inverse_node_index(group: QuadratureGroup) -> np.ndarray:

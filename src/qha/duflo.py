@@ -12,6 +12,12 @@ semi-invariance, admissibility identities, L1 contraction, the convolution
 inequality, the interpolation bound) is then certified as an independent
 numerical check producing a CheckReport.
 
+The checks that take elements take stacks of trials (see ``algebra``), with
+one grid point or one per trial, and report the worst trial: the first of
+largest rel_err, so that a later trial replaces the kept one only when its
+rel_err is strictly larger.  A single element is the stack of one, so the
+suite's stacked call and a one-trial call run the same code.
+
 For general (non-hermitian) y the bracket is conjugate-linear in y, so the
 equality-type laws carry an adjoint on y: the right-hand sides below use
 trace(D^{-1/2} y* D^{-1/2}) and trace(x) * trace(y*).  For hermitian y this
@@ -31,13 +37,18 @@ from .algebra import (
     AlgebraElement,
     NotPositiveError,
     ParameterError,
+    as_stack,
     eigh_blocks,
     eigvalsh_blocks,
     from_eigh,
     op_norm,
     p_norm,
+    stack,
+    stack_size,
+    take_rows,
     trace,
     trace_pairing,
+    weighted_sum,
 )
 from .actions import (
     Action,
@@ -158,9 +169,9 @@ class DufloEstimate:
             powers[t] = from_eigh(self.d_inverse.shape, self.spectrum, lambda w: w ** (-t))
         return powers[t]
 
-    def sandwich(self, t: float, y: AlgebraElement) -> AlgebraElement:
-        """D^t y D^t."""
-        dt = self.power(t)
+    def sandwich(self, t, y: AlgebraElement) -> AlgebraElement:
+        """D^t y D^t; on a stack y, t may give one exponent per trial."""
+        dt = self.power(t) if np.ndim(t) == 0 else stack(self.power(u) for u in t)
         return dt @ y @ dt
 
     @cached_property
@@ -227,7 +238,7 @@ def _orbit_density(action: Action, x_test: AlgebraElement) -> AlgebraElement:
     tau = trace(x_test)
     if abs(tau.imag) > 1e-10 * (1.0 + abs(tau.real)) or tau.real <= 0:
         raise NotPositiveError("test element must be positive with positive trace")
-    if x_test.hermitian_defect() > 1e-9 * (1.0 + x_test.max_abs_entry()):
+    if not x_test.is_hermitian():
         raise NotPositiveError("test element must be hermitian")
     x = (1.0 / tau.real) * x_test
     coeffs = action.haar.weights / action.modular_values()
@@ -255,12 +266,31 @@ def check_ergodicity(action: Action, quadrature: bool, *, scenario: str = "") ->
         tol_abs=0.0, scenario=scenario, notes="sampled generating set" if quadrature else "generators")
 
 
+def _worst(reports: list[CheckReport]) -> CheckReport:
+    """The first report of largest rel_err: a later trial replaces the kept
+    one only when its rel_err is strictly larger."""
+    worst = reports[0]
+    for rep in reports[1:]:
+        if rep.rel_err > worst.rel_err:
+            worst = rep
+    return worst
+
+
+def _per_trial(value, trials: int) -> list:
+    """One grid value per trial: the entries of a sequence, else ``value``
+    for every trial."""
+    return list(value) if isinstance(value, (tuple, list, np.ndarray)) else [value] * trials
+
+
 def check_integrability(action: Action, x: AlgebraElement, *, scenario: str = "") -> CheckReport:
     """The bracket integral of a positive element is finite and positive."""
-    w = action.bracket_integral(x, x)
-    ok = math.isfinite(w.real) and w.real > 0 and abs(w.imag) <= 1e-9 * (1 + abs(w.real))
-    return CheckReport.flag("integrability-witness", CLAIMS["integrability-witness"], ok,
-                            scenario=scenario, notes=f"value={w.real:.6e}")
+    x = as_stack(x)
+    reports = []
+    for w in action.bracket_integral(x, x).tolist():
+        ok = math.isfinite(w.real) and w.real > 0 and abs(w.imag) <= 1e-9 * (1 + abs(w.real))
+        reports.append(CheckReport.flag("integrability-witness", CLAIMS["integrability-witness"], ok,
+                                        scenario=scenario, notes=f"value={w.real:.6e}"))
+    return _worst(reports)
 
 
 def check_estimate(est: DufloEstimate | EstimateError, cross_tol: float,
@@ -306,11 +336,11 @@ def check_bracket_symmetry(x: AlgebraElement, y: AlgebraElement, action: Action,
     """Defect of <x|y>(g^{-1}) = <y|x>(g); skipped on a grid not closed under inverses."""
     claim = CLAIMS["bracket-symmetry"]
     try:
-        defect = bracket_symmetry_defect(x, y, action)
+        defects = bracket_symmetry_defect(as_stack(x), as_stack(y), action)
     except InverseClosureError as exc:
         return CheckReport.skip("bracket-symmetry", claim, str(exc), scenario=scenario)
-    return CheckReport.bound("bracket-symmetry", claim, defect, 0.0, tol_rel=0.0, tol_abs=1e-10,
-                             scenario=scenario)
+    return _worst([CheckReport.bound("bracket-symmetry", claim, defect, 0.0, tol_rel=0.0, tol_abs=1e-10,
+                                     scenario=scenario) for defect in defects.tolist()])
 
 
 def check_orthogonality(
@@ -331,15 +361,17 @@ def check_orthogonality(
     the identity at the estimate.  For the general form (any x, y) the
     right-hand side carries the adjoint of y; see the module docstring.
     """
-    lhs = action.bracket_integral(x, y)
+    x, y = as_stack(x), as_stack(y)
+    lhs = action.bracket_integral(x, y).tolist()
     y_eff = y if positive else y.adjoint()
-    rhs = trace(x) * trace_pairing(est.d_inverse, y_eff)
+    rhs = [tx * ty for tx, ty in zip(trace(x).tolist(), trace_pairing(est.d_inverse, y_eff).tolist())]
     name = "orthogonality-positive" if positive else "orthogonality-general"
     # every bracket value is bounded by ||x||_2 ||y||_2, so the Haar mass sets
     # the scale against which a vanishing integral counts as exact
-    scale = float(np.sum(action.haar.weights)) * p_norm(x, 2.0) * p_norm(y, 2.0)
-    return CheckReport.equality(name, CLAIMS[name], lhs, rhs, tol_rel=tol_rel,
-                                tol_abs=tol_rel * scale, scenario=scenario)
+    mass = float(np.sum(action.haar.weights))
+    scales = [mass * nx * ny for nx, ny in zip(p_norm(x, 2.0).tolist(), p_norm(y, 2.0).tolist())]
+    return _worst([CheckReport.equality(name, CLAIMS[name], l, r, tol_rel=tol_rel, tol_abs=tol_rel * scale,
+                                        scenario=scenario) for l, r, scale in zip(lhs, rhs, scales)])
 
 
 def check_semi_invariance(
@@ -372,36 +404,40 @@ def admissibility_tol(est: DufloEstimate) -> float:
 
 
 def check_admissibility(y: AlgebraElement, est: DufloEstimate,
-                        tol: float | None = None) -> tuple[bool, float]:
+                        tol: float | None = None) -> tuple[bool, float] | tuple[np.ndarray, np.ndarray]:
     """Value trace(D^{-1/2} y D^{-1/2}) plus both density-weight identities.
 
     Checks trace(D^{-1} y) = trace(D^{-1/2} y D^{-1/2}) and the round trip
     trace(D^{1/2} (D^{-1/2} y D^{-1/2}) D^{1/2}) = trace(y), to relative
     ``tol`` (default ``admissibility_tol``).  Every element is admissible in
     a finite-dimensional model; the identities are certified rather than
-    membership.
+    membership.  A stack y gives one verdict and one value per trial.
     """
-    if y.hermitian_defect() > 1e-9 * (1.0 + y.max_abs_entry()):
+    if not y.is_hermitian():
         raise NotPositiveError("admissibility check expects a hermitian positive element")
     if tol is None:
         tol = admissibility_tol(est)
-    sand = est.sandwich(-0.5, y)
-    value = trace(sand).real
-    direct = trace_pairing(est.d_inverse, y).real
-    roundtrip = trace(est.sandwich(0.5, sand)).real
-    ty = trace(y).real
-    scale = max(abs(value), abs(direct), abs(ty), 1e-300)
-    ok = abs(value - direct) <= tol * scale and abs(roundtrip - ty) <= tol * scale
-    return ok, value
+    ys = as_stack(y)
+    sand = est.sandwich(-0.5, ys)
+    ok, values = [], []
+    for value, direct, roundtrip, ty in zip(trace(sand).real.tolist(),
+                                            trace_pairing(est.d_inverse, ys).real.tolist(),
+                                            trace(est.sandwich(0.5, sand)).real.tolist(),
+                                            trace(ys).real.tolist()):
+        scale = max(abs(value), abs(direct), abs(ty), 1e-300)
+        ok.append(abs(value - direct) <= tol * scale and abs(roundtrip - ty) <= tol * scale)
+        values.append(value)
+    if y.trials is None:
+        return ok[0], values[0]
+    return np.array(ok), np.array(values)
 
 
 def admissibility_report(y: AlgebraElement, est: DufloEstimate, *, scenario: str = "") -> CheckReport:
     tol = admissibility_tol(est)
-    ok, value = check_admissibility(y, est, tol=tol)
-    return CheckReport.flag(
-        "admissibility-identities", CLAIMS["admissibility-identities"],
-        ok, scenario=scenario, notes=f"value={value:.6e} tol={tol:.1e}",
-    )
+    oks, values = check_admissibility(as_stack(y), est, tol=tol)
+    return _worst([CheckReport.flag("admissibility-identities", CLAIMS["admissibility-identities"],
+                                    ok, scenario=scenario, notes=f"value={value:.6e} tol={tol:.1e}")
+                   for ok, value in zip(oks.tolist(), values.tolist())])
 
 
 def check_l1(
@@ -417,31 +453,31 @@ def check_l1(
 
     Inequality: integral of |<x|D^{1/2} y D^{1/2}>| <= trace|x| trace|y|.
     Equality:   integral of  <x|D^{1/2} y D^{1/2}>  = trace(x) trace(y*).
+    On stacks, the worst trial of each.
     """
+    x, y = as_stack(x), as_stack(y)
     ytil = est.sandwich(0.5, y)
     bf = bracket(x, ytil, action)
-    lhs_ineq = float(np.dot(bf.weights, np.abs(bf.values)))
-    rhs_ineq = p_norm(x, 1.0) * p_norm(y, 1.0)
-    ineq = CheckReport.bound(
-        "l1-inequality", CLAIMS["l1-inequality"],
-        lhs_ineq, rhs_ineq, tol_rel=tol_rel, scenario=scenario,
-    )
-    lhs_eq = integrate_bracket(bf)
-    rhs_eq = trace(x) * trace(y.adjoint())
-    scale = float(np.sum(bf.weights)) * p_norm(x, 2.0) * p_norm(ytil, 2.0)
-    eq = CheckReport.equality(
-        "l1-equality", CLAIMS["l1-equality"],
-        lhs_eq, rhs_eq, tol_rel=tol_rel, tol_abs=tol_rel * scale, scenario=scenario,
-    )
+    lhs_ineq = weighted_sum(np.abs(bf.values), bf.weights).tolist()
+    rhs_ineq = [a * b for a, b in zip(p_norm(x, 1.0).tolist(), p_norm(y, 1.0).tolist())]
+    ineq = _worst([CheckReport.bound("l1-inequality", CLAIMS["l1-inequality"], l, r, tol_rel=tol_rel,
+                                     scenario=scenario) for l, r in zip(lhs_ineq, rhs_ineq)])
+    lhs_eq = integrate_bracket(bf).tolist()
+    rhs_eq = [a * b for a, b in zip(trace(x).tolist(), trace(y.adjoint()).tolist())]
+    mass = float(np.sum(bf.weights))
+    scales = [mass * a * b for a, b in zip(p_norm(x, 2.0).tolist(), p_norm(ytil, 2.0).tolist())]
+    eq = _worst([CheckReport.equality("l1-equality", CLAIMS["l1-equality"], l, r, tol_rel=tol_rel,
+                                      tol_abs=tol_rel * scale, scenario=scenario)
+                 for l, r, scale in zip(lhs_eq, rhs_eq, scales)])
     return ineq, eq
 
 
 def check_young(
     x: AlgebraElement,
     y: AlgebraElement,
-    p: float,
-    q: float,
-    r: float,
+    p,
+    q,
+    r,
     est: DufloEstimate,
     action: Action,
     *,
@@ -451,30 +487,31 @@ def check_young(
     """Convolution inequality ||<x|D^{1/(2r)} y D^{1/(2r)}>||_r <= ||x||_p ||y||_q.
 
     Requires 1/p + 1/q = 1 + 1/r with 1 <= p, q <= r < inf and y commuting
-    with D (enforced; automatic for scalar D).
+    with D (enforced; automatic for scalar D).  Stacks take one exponent
+    triple or one per trial.
     """
-    if not (1.0 <= p <= r and 1.0 <= q <= r and r < math.inf):
-        raise ParameterError(f"invalid exponents p={p}, q={q}, r={r}")
-    if abs(1.0 / p + 1.0 / q - 1.0 - 1.0 / r) > 1e-12:
-        raise ParameterError(f"exponents must satisfy 1/p + 1/q = 1 + 1/r, got {p}, {q}, {r}")
-    commutator = est.d @ y - y @ est.d
-    bound = 1e-9 * op_norm(y) * op_norm(est.d)
-    if op_norm(commutator) > bound:
+    x, y = as_stack(x), as_stack(y)
+    ps, qs, rs = (_per_trial(v, y.trials) for v in (p, q, r))
+    for pv, qv, rv in zip(ps, qs, rs):
+        if not (1.0 <= pv <= rv and 1.0 <= qv <= rv and rv < math.inf):
+            raise ParameterError(f"invalid exponents p={pv}, q={qv}, r={rv}")
+        if abs(1.0 / pv + 1.0 / qv - 1.0 - 1.0 / rv) > 1e-12:
+            raise ParameterError(f"exponents must satisfy 1/p + 1/q = 1 + 1/r, got {pv}, {qv}, {rv}")
+    d = est.d
+    if np.any(op_norm(d @ y - y @ d) > 1e-9 * op_norm(y) * op_norm(d)):
         raise ParameterError("y must commute with D for the convolution inequality")
-    ytil = est.sandwich(1.0 / (2.0 * r), y)
-    bf = bracket(x, ytil, action)
-    lhs = function_p_norm(bf, r)
-    rhs = p_norm(x, p) * p_norm(y, q)
-    return CheckReport.bound(
-        "young-inequality", CLAIMS["young-inequality"], lhs, rhs, tol_rel=tol_rel, scenario=scenario,
-        notes=f"p={p:g} q={q:g} r={r:g}",
-    )
+    ytil = est.sandwich([1.0 / (2.0 * rv) for rv in rs], y)
+    lhs = function_p_norm(bracket(x, ytil, action), rs).tolist()
+    rhs = [a * b for a, b in zip(p_norm(x, ps).tolist(), p_norm(y, qs).tolist())]
+    return _worst([CheckReport.bound("young-inequality", CLAIMS["young-inequality"], l, rh, tol_rel=tol_rel,
+                                     scenario=scenario, notes=f"p={pv:g} q={qv:g} r={rv:g}")
+                   for l, rh, pv, qv, rv in zip(lhs, rhs, ps, qs, rs)])
 
 
 def check_interpolation(
     x: AlgebraElement,
     y: AlgebraElement,
-    p: float,
+    p,
     est: DufloEstimate,
     action: Action,
     *,
@@ -484,60 +521,81 @@ def check_interpolation(
     """Interpolation bound ||<x|y>||_p <= ||x||_p ||y||_1^{1/q} ||D^{-1/2} y D^{-1/2}||_1^{1/p}.
 
     The p = inf endpoint is checked as the documented sup-norm variant
-    ||<x|y>||_inf <= ||x||_inf ||y||_1, which its notes name.
+    ||<x|y>||_inf <= ||x||_inf ||y||_1, which its notes name.  Stacks take
+    one exponent or one per trial.
     """
-    if p < 1.0:
-        raise ParameterError(f"exponent must be >= 1, got {p}")
-    bf = bracket(x, y, action)
-    lhs = function_p_norm(bf, p)
-    notes = f"p={p:g}"
-    if p == math.inf:
-        rhs = p_norm(x, math.inf) * p_norm(y, 1.0)
-        notes += " sup-norm endpoint: sup|<x|y>| <= ||x||_inf ||y||_1"
-    else:
-        q = math.inf if p == 1.0 else p / (p - 1.0)
-        y1 = p_norm(y, 1.0)
-        ys = p_norm(est.sandwich(-0.5, y), 1.0)
-        rhs = p_norm(x, p) * (y1 ** (0.0 if q == math.inf else 1.0 / q)) * (ys ** (1.0 / p))
-    return CheckReport.bound(
-        "interpolation-bound", CLAIMS["interpolation-bound"], lhs, rhs, tol_rel=tol_rel,
-        scenario=scenario, notes=notes,
-    )
+    x, y = as_stack(x), as_stack(y)
+    ps = _per_trial(p, y.trials)
+    if min(ps) < 1.0:
+        raise ParameterError(f"exponent must be >= 1, got {min(ps)}")
+    lhs = function_p_norm(bracket(x, y, action), ps).tolist()
+    y1 = p_norm(y, 1.0).tolist()
+    # ||D^{-1/2} y D^{-1/2}||_1 on the trials of finite p only
+    finite = [i for i, pv in enumerate(ps) if pv != math.inf]
+    ys = {}
+    if finite:
+        y_fin = AlgebraElement(y.shape, take_rows(y.blocks, finite), copy=False)
+        ys = dict(zip(finite, p_norm(est.sandwich(-0.5, y_fin), 1.0).tolist()))
+    xp = p_norm(x, ps).tolist()
+    reports = []
+    for i, pv in enumerate(ps):
+        notes = f"p={pv:g}"
+        if pv == math.inf:
+            rhs = xp[i] * y1[i]
+            notes += " sup-norm endpoint: sup|<x|y>| <= ||x||_inf ||y||_1"
+        else:
+            q = math.inf if pv == 1.0 else pv / (pv - 1.0)
+            rhs = xp[i] * (y1[i] ** (0.0 if q == math.inf else 1.0 / q)) * (ys[i] ** (1.0 / pv))
+        reports.append(CheckReport.bound("interpolation-bound", CLAIMS["interpolation-bound"], lhs[i], rhs,
+                                         tol_rel=tol_rel, scenario=scenario, notes=notes))
+    return _worst(reports)
 
 
-def check_holder(x: AlgebraElement, y: AlgebraElement, p: float, q: float, r: float,
+def check_holder(x: AlgebraElement, y: AlgebraElement, p, q, r,
                  *, tol_rel: float = 1e-9, scenario: str = "") -> CheckReport:
-    """Trace-norm product inequality ||x y||_r <= ||x||_p ||y||_q for 1/p + 1/q = 1/r."""
-    if abs(1.0 / p + 1.0 / q - 1.0 / r) > 1e-12:
+    """Trace-norm product inequality ||x y||_r <= ||x||_p ||y||_q for 1/p + 1/q = 1/r;
+    stacks take one exponent triple or one per trial."""
+    x, y = as_stack(x), as_stack(y)
+    ps, qs, rs = (_per_trial(v, y.trials) for v in (p, q, r))
+    if any(abs(1.0 / pv + 1.0 / qv - 1.0 / rv) > 1e-12 for pv, qv, rv in zip(ps, qs, rs)):
         raise ParameterError("exponents must satisfy 1/p + 1/q = 1/r")
-    lhs = p_norm(x @ y, r)
-    rhs = p_norm(x, p) * p_norm(y, q)
-    return CheckReport.bound(
-        "holder-inequality", CLAIMS["holder-inequality"],
-        lhs, rhs, tol_rel=tol_rel, scenario=scenario, notes=f"p={p:g} q={q:g} r={r:g}",
-    )
+    lhs = p_norm(x @ y, rs).tolist()
+    rhs = [a * b for a, b in zip(p_norm(x, ps).tolist(), p_norm(y, qs).tolist())]
+    return _worst([CheckReport.bound("holder-inequality", CLAIMS["holder-inequality"], l, rh,
+                                     tol_rel=tol_rel, scenario=scenario, notes=f"p={pv:g} q={qv:g} r={rv:g}")
+                   for l, rh, pv, qv, rv in zip(lhs, rhs, ps, qs, rs)])
 
 
-def check_alt(a: AlgebraElement, b: AlgebraElement, r: int,
+def check_alt(a: AlgebraElement, b: AlgebraElement, r,
               *, tol_rel: float = 1e-9, scenario: str = "") -> CheckReport:
-    """Sandwich-power inequality trace((b a b)^r) <= trace(b^r a^r b^r), integer r >= 1."""
-    if r < 1 or int(r) != r:
+    """Sandwich-power inequality trace((b a b)^r) <= trace(b^r a^r b^r), integer r >= 1;
+    stacks take one power or one per trial."""
+    a, b = as_stack(a), as_stack(b)
+    rs = _per_trial(r, a.trials)
+    if any(rv < 1 or int(rv) != rv for rv in rs):
         raise ParameterError("power must be a positive integer")
-    r = int(r)
-    lhs = trace(_int_power(b @ a @ b, r)).real
-    ar, br = _int_power(a, r), _int_power(b, r)
-    rhs = trace(br @ ar @ br).real
-    return CheckReport.bound(
-        "alt-inequality", CLAIMS["alt-inequality"],
-        lhs, rhs, tol_rel=tol_rel, scenario=scenario, notes=f"r={r}",
-    )
+    rs = [int(rv) for rv in rs]
+    lhs = trace(_int_power(b @ a @ b, rs)).real.tolist()
+    ar, br = _int_power(a, rs), _int_power(b, rs)
+    rhs = trace(br @ ar @ br).real.tolist()
+    return _worst([CheckReport.bound("alt-inequality", CLAIMS["alt-inequality"], l, rh, tol_rel=tol_rel,
+                                     scenario=scenario, notes=f"r={rv}") for l, rh, rv in zip(lhs, rhs, rs)])
 
 
-def _int_power(x: AlgebraElement, r: int) -> AlgebraElement:
-    acc = x
-    for _ in range(r - 1):
-        acc = acc @ x
-    return acc
+def _int_power(x: AlgebraElement, rs: list[int]) -> AlgebraElement:
+    """x^r on trial i of the stack x for r = rs[i], each by the r - 1
+    successive products x @ x @ ... that a single power takes."""
+    acc, out = x.blocks, None
+    for k in range(1, max(rs) + 1):
+        if k > 1:
+            acc = acc @ x.blocks
+        done = [i for i, r in enumerate(rs) if r == k]
+        if len(done) == len(rs):
+            return AlgebraElement(x.shape, acc, copy=False)
+        if done:
+            out = np.empty_like(acc) if out is None else out
+            out[done] = acc[done]
+    return AlgebraElement(x.shape, out, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -554,15 +612,16 @@ class SuiteCheck:
 
     Each trial draws one element per entry of ``draws`` ("positive",
     "general", or "commuting": an element commuting with D) from the
-    scenario's rng stream ``tag``, takes the next point of ``grid``, and calls
-    ``call(check, scenario, estimate, point, *elements)``; the estimate is a
+    scenario's rng stream ``tag`` and takes the next point of ``grid``.
+    ``run_check`` draws the trials at once, each entry's elements stacked
+    over them, and calls ``call(check, scenario, estimate, points,
+    *stacks)`` with the tuple of the trials' grid points; the estimate is a
     ``DufloEstimate``, the ``EstimateError`` that stopped it, or None before
-    the duflo-estimate row.  ``check``
-    names a function of this module, looked up when the row runs, so
-    rebinding the module attribute reaches the suite.  A trial replaces the
-    worst report, one per position of a returned tuple and named by ``rows``,
-    only when its rel_err is strictly larger.  ``notes`` ("{n}" is the trial
-    count) replaces the worst report's notes; ``skip`` is the reason reported
+    the duflo-estimate row.  ``check`` names a function of this module,
+    looked up when the row runs, so rebinding the module attribute reaches
+    the suite; it returns the worst trial's report, or one per position of
+    a tuple, named by ``rows``.  ``notes`` ("{n}" is the trial count)
+    replaces the worst report's notes; ``skip`` is the reason reported
     instead when D is not scalar, so no element commutes with it; ``applies``
     says whether a scenario has the rows at all.
     """
@@ -617,7 +676,7 @@ SUITE: tuple[SuiteCheck, ...] = (
                lambda f, s, e, _, x, y: f(x, y, e, s.action, tol_rel=s.ineq_tol),
                tag="l1", draws=("general", "general"), trials=_pairs),
     SuiteCheck(("young-inequality",), "check_young",
-               lambda f, s, e, pqr, x, y: f(x, y, *pqr, e, s.action, tol_rel=s.ineq_tol),
+               lambda f, s, e, pqr, x, y: f(x, y, *zip(*pqr), e, s.action, tol_rel=s.ineq_tol),
                tag="young", draws=("general", "commuting"),
                trials=lambda t: max(len(YOUNG_GRID), t), grid=YOUNG_GRID,
                skip=("no trace-class element commutes with D in this scenario "
@@ -628,7 +687,7 @@ SUITE: tuple[SuiteCheck, ...] = (
                trials=lambda t: max(len(INTERPOLATION_EXPONENTS), t // 2),
                grid=INTERPOLATION_EXPONENTS),
     SuiteCheck(("holder-inequality",), "check_holder",
-               lambda f, s, e, pqr, x, y: f(x, y, *pqr, tol_rel=1e-9),
+               lambda f, s, e, pqr, x, y: f(x, y, *zip(*pqr), tol_rel=1e-9),
                tag="holder", draws=("general", "general"),
                trials=lambda t: max(len(HOLDER_GRID), t // 2), grid=HOLDER_GRID),
     SuiteCheck(("alt-inequality",), "check_alt", lambda f, s, e, r, a, b: f(a, b, r, tol_rel=1e-9),
@@ -645,14 +704,19 @@ def suite_entry(name: str) -> SuiteCheck:
 def run_check(row: SuiteCheck, scn, est: DufloEstimate | EstimateError | None,
               rng: np.random.Generator | None, n: int) -> tuple[CheckReport, ...]:
     """The worst reports of ``n`` trials of one SUITE entry on the scenario
-    ``scn``, drawing from ``rng``."""
+    ``scn``, drawing from ``rng``: one stacked draw and one call of the
+    check per chunk of trials, as many as keep the draw of their elements
+    below algebra.STACK_BYTES (every trial of a row, on the finite builtins
+    at the default trial counts; one trial a call on the wavelet).  A chunk
+    replaces the worst report only when its own is strictly worse, as a
+    later trial would."""
     check = partial(globals()[row.check], scenario=scn.scenario_id)
-    draw = {"positive": scn.random_positive, "general": scn.random_element,
-            "commuting": lambda rng: scn.commuting_element(rng, est)}
+    chunk = stack_size(16 * scn.shape.total_dim * max(1, len(row.draws)))
     worst: tuple[CheckReport, ...] = ()
-    for t in range(n):
-        elements = [draw[kind](rng) for kind in row.draws]
-        out = row.call(check, scn, est, row.grid[t % len(row.grid)], *elements)
+    for start in range(0, n, chunk):
+        trials = range(start, min(start + chunk, n))
+        stacks = scn.random_trials(rng, row.draws, len(trials), est) if row.draws else ()
+        out = row.call(check, scn, est, tuple(row.grid[t % len(row.grid)] for t in trials), *stacks)
         out = out if isinstance(out, tuple) else (out,)
         worst = out if not worst else tuple(
             new if new.rel_err > old.rel_err else old for new, old in zip(out, worst))

@@ -115,10 +115,21 @@ class Scenario:
         element is a frequency multiplier, and its bracket is constant along
         the shift direction, hence never integrable over the group.
         """
-        if not est.scalar_flag:
+        return self.random_trials(rng, ("commuting",), 1, est)[0].trial(0)
+
+    def random_trials(self, rng: np.random.Generator, kinds: tuple[str, ...], trials: int,
+                      est=None) -> tuple[AlgebraElement, ...]:
+        """``trials`` trials of one element per entry of ``kinds``, each
+        entry's elements stacked over the trials (Action.random_trials).
+
+        A kind is "positive", "general" or "commuting", drawn as by
+        ``random_positive``, ``random_element`` or ``commuting_element``
+        with the estimate ``est``.
+        """
+        if "commuting" in kinds and not est.scalar_flag:
             raise ConfigError(f"scenario {self.scenario_id!r} has no trace-class elements "
                               "commuting with D")
-        return self.random_element(rng)
+        return self.action.random_trials(rng, tuple(kind == "positive" for kind in kinds), trials)
 
     def duflo_pair(self) -> tuple[AlgebraElement, AlgebraElement]:
         rng = self.rng("duflo")

@@ -1,12 +1,14 @@
 """Shared helpers for the tests: node walks, the character-table oracle, dual
-symbols, per-element loop oracles and the randomized probes of the
-structural laws."""
+symbols, per-element loop oracles, the per-trial oracles of the stacked
+suite and the randomized probes of the structural laws."""
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 
+import qha.duflo
 from qha.actions import finite_weyl_heisenberg
 from qha.algebra import AlgebraElement, AlgebraShape, p_norm, sup_distance, trace
 from qha.groups import GroupError, QuadratureGroup, cyclic, product
@@ -312,3 +314,59 @@ def probe_trace_defect(action):
         for e in action.shape.basis():
             worst = max(worst, abs(trace(action.apply(g, e)) - trace(e)))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Per-trial oracles of the stacked suite.  ``run_check`` draws a row's trials
+# at once and evaluates them in one stacked call; these run them one trial
+# at a time, as the suite did before, and the tests assert that both give
+# the same reports and the same numbers, bit for bit.
+
+
+def loop_run_check(row, scn, est, rng, n):
+    """The worst reports of ``n`` trials of one SUITE entry, one single-element
+    draw and one call of the check per trial."""
+    check = partial(vars(qha.duflo)[row.check], scenario=scn.scenario_id)
+    draw = {"positive": scn.random_positive, "general": scn.random_element,
+            "commuting": lambda rng: scn.commuting_element(rng, est)}
+    worst = ()
+    for t in range(n):
+        elements = [draw[kind](rng) for kind in row.draws]
+        out = row.call(check, scn, est, (row.grid[t % len(row.grid)],), *elements)
+        out = out if isinstance(out, tuple) else (out,)
+        worst = out if not worst else tuple(
+            new if new.rel_err > old.rel_err else old for new, old in zip(out, worst))
+    if row.notes is not None:
+        worst[0].notes = row.notes.format(n=n)
+    return worst
+
+
+def loop_trace(x):
+    """sum_k w_k tr(block k) of a single element, as one dot product."""
+    return complex(np.array(x.shape.trace_weights) @ np.trace(x.blocks, axis1=1, axis2=2))
+
+
+def loop_p_norm(x, p):
+    """Trace p-norm of a single element: op norm at inf, Frobenius sum at 2,
+    else the singular values to the p, rooted on a Python float."""
+    b = x.blocks
+    if p == math.inf:
+        return float(np.linalg.svd(b, compute_uv=False)[:, 0].max())
+    if p == 2.0:
+        per_block = np.sum(np.abs(b) ** 2, axis=(1, 2))
+    else:
+        per_block = np.sum(np.linalg.svd(b, compute_uv=False) ** p, axis=1)
+    return float(float(np.array(x.shape.trace_weights) @ per_block) ** (1.0 / p))
+
+
+def loop_function_p_norm(values, weights, r):
+    """(sum w |v|^r)^{1/r} of one row of bracket values; the sup at inf."""
+    if r == math.inf:
+        return float(np.abs(values).max())
+    return float(np.dot(weights, np.abs(values) ** r) ** (1.0 / r))
+
+
+def loop_permutation_bracket(action, x, y):
+    """trace((g.y)* x) of single elements on a permutation action, as one
+    gather and one matrix-vector product."""
+    return y.vec()[action._src].conj() @ (action.mu * x.vec())

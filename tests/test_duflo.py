@@ -15,6 +15,7 @@ from qha.algebra import (
     p_norm,
     random_element,
     random_positive_element,
+    stack_size,
     sup_distance,
     trace,
 )
@@ -46,11 +47,13 @@ from qha.duflo import (
     check_young,
     estimate_duflo,
     run_suite,
+    suite_entry,
 )
 from qha.groups import cyclic, probability_haar
+from qha.reports import CheckReport
 from qha.scenarios import BUILTIN_IDS, Scenario, build_scenario, builtin
 
-from helpers import FINITE_ROWS, WAVELET_ROWS, weyl_heisenberg
+from helpers import FINITE_ROWS, WAVELET_ROWS, loop_run_check, weyl_heisenberg
 
 
 def _estimate(sid, seed=101):
@@ -620,18 +623,96 @@ class TestRunSuite:
     def test_rebound_check_reaches_the_suite(self, monkeypatch):
         # the suite looks each check up in the module when it runs, so a
         # rebinding of qha.duflo.check_holder (as a tracer or a fault
-        # injection does) replaces every trial of that row
+        # injection does) replaces the row's one stacked call, which sees
+        # every trial with its grid point and returns the worst report
         original = qha.duflo.check_holder
         calls = []
 
         def broken(*args, **kwargs):
             rep = original(*args, **kwargs)
-            calls.append(rep)
+            calls.append((args, rep))
             rep.passed = False
             return rep
 
         monkeypatch.setattr(qha.duflo, "check_holder", broken)
         reports = run_suite(build_scenario(builtin("wh:3")))
-        assert len(calls) == max(len(HOLDER_GRID), 12 // 2)
+        n = max(len(HOLDER_GRID), 12 // 2)
+        assert len(calls) == 1
+        (x, y, *pqr), rep = calls[0]
+        assert x.trials == y.trials == n
+        assert list(zip(*pqr)) == [HOLDER_GRID[t % len(HOLDER_GRID)] for t in range(n)]
+        assert isinstance(rep, CheckReport)
         failed = [r.name for r in reports if not r.passed]
         assert failed == ["holder-inequality"]
+
+    @pytest.mark.parametrize("sid", ["wh:3", "affine-wavelet:default"])
+    def test_every_check_returns_a_report_or_a_tuple_of_them(self, sid, monkeypatch):
+        # benchmarks/child.py --break-check marks every report a check returns
+        returned = []
+        for name in {row.check for row in SUITE}:
+            original = getattr(qha.duflo, name)
+            monkeypatch.setattr(qha.duflo, name,
+                                lambda *a, _f=original, **k: returned.append(_f(*a, **k)) or returned[-1])
+        reports = run_suite(build_scenario(builtin(sid)))
+        flat = [rep for out in returned for rep in (out if isinstance(out, tuple) else (out,))]
+        assert all(isinstance(rep, CheckReport) for rep in flat)
+        # every row but the one the suite skips itself came from a check
+        skipped_by_suite = {"young-inequality"} if sid.startswith("affine") else set()
+        assert {rep.name for rep in flat} == {r.name for r in reports} - skipped_by_suite
+
+
+ORACLE_IDS = BUILTIN_IDS + ("broken-measure", "twisted-dual:24:1")
+
+
+class TestStackedSuite:
+    """run_check draws a row's trials at once and evaluates them in one
+    stacked call; the per-trial loop gives the same reports, byte for byte."""
+
+    # both seeds at the default trial counts; 40 trials (several chunks on
+    # the larger algebras and the wavelet) at the default seed
+    @pytest.mark.parametrize("seed,trials", [(1729, None), (103, None), (1729, 40)])
+    @pytest.mark.parametrize("sid", ORACLE_IDS)
+    def test_rows_match_the_per_trial_oracle(self, sid, seed, trials, monkeypatch):
+        scn = build_scenario(builtin(sid, seed=seed))
+        stacked = [r.row() for r in run_suite(scn, trials=trials)]
+        monkeypatch.setattr(qha.duflo, "run_check", loop_run_check)
+        assert stacked == [r.row() for r in run_suite(scn, trials=trials)]
+
+    def test_forty_trials_span_several_chunks(self):
+        # the oracle cases above include stacks cut into chunks
+        scn = build_scenario(builtin("twisted-dual:24:1"))
+        assert stack_size(16 * scn.shape.total_dim * 2) < suite_entry("young-inequality").trials(40)
+        wavelet = build_scenario(builtin("affine-wavelet:default"))
+        assert stack_size(16 * wavelet.shape.total_dim) == 1
+
+    @pytest.mark.parametrize("sid", ["wh:3", "translation:cyclic(6)", "twisted-dual:4:1",
+                                     "induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2",
+                                     "affine-wavelet:default"])
+    def test_stacked_draw_equals_sequential_draws(self, sid):
+        scn = build_scenario(builtin(sid))
+        kinds = ("positive", "general", "positive")
+        stacks = scn.random_trials(scn.rng("draws"), kinds, 5)
+        rng = scn.rng("draws")
+        draw = {"positive": scn.random_positive, "general": scn.random_element}
+        singles = [[draw[kind](rng) for kind in kinds] for _ in range(5)]
+        for j, st in enumerate(stacks):
+            assert st.trials == 5
+            for i in range(5):
+                assert np.array_equal(st.blocks[i], singles[i][j].blocks)
+
+    def test_stacked_draw_leaves_the_stream_where_the_loop_does(self):
+        scn, est = _estimate("wh:3")
+        a, b = scn.rng("draws"), scn.rng("draws")
+        scn.random_trials(a, ("general", "commuting"), 4, est)
+        for _ in range(4):
+            scn.random_element(b), scn.commuting_element(b, est)
+        assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+
+    def test_wavelet_checks_see_one_trial_a_call(self, monkeypatch):
+        scn = build_scenario(builtin("affine-wavelet:default"))
+        trials = []
+        original = qha.duflo.check_holder
+        monkeypatch.setattr(qha.duflo, "check_holder",
+                            lambda x, y, *a, **k: trials.append(x.trials) or original(x, y, *a, **k))
+        run_suite(scn)
+        assert trials == [1] * max(len(HOLDER_GRID), scn.default_trials // 2)

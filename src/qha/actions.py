@@ -150,8 +150,8 @@ def _trialwise(kernel, x: AlgebraElement, y: AlgebraElement):
     values = [kernel(a[0], b[0]) for a, b in zip(xs, ys)]
     if not stacked:
         return values[0]
-    # a view of a lone trial's values, not a copy of a large row
-    return np.asarray(values[0])[None] if len(values) == 1 else np.array(values)
+    # a lone trial's row is viewed, not copied: a wavelet row is 200 KB
+    return np.stack(values) if len(values) > 1 else np.asarray(values[0])[None]
 
 
 def _sample_pairs(n: int, limit: int) -> np.ndarray:

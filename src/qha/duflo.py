@@ -279,7 +279,7 @@ def _worst(reports: list[CheckReport]) -> CheckReport:
 def _per_trial(value, trials: int) -> list:
     """One grid value per trial: the entries of a sequence, else ``value``
     for every trial."""
-    return list(value) if isinstance(value, (tuple, list, np.ndarray)) else [value] * trials
+    return list(value) if np.ndim(value) else [value] * trials
 
 
 def check_integrability(action: Action, x: AlgebraElement, *, scenario: str = "") -> CheckReport:

@@ -554,11 +554,14 @@ class ConjugationAction(Action):
         N = U.shape[0]
         per = max(1, NODE_SLICE // N)
         out = np.empty((len(xs), N, src.shape[1]), dtype=complex)
-        for b in range(0, len(xs), per):
-            for s in range(0, N, NODE_SLICE):
-                Us, tb = U[s:s + NODE_SLICE], slice(b, b + per)
-                out[tb, s:s + NODE_SLICE] = np.einsum(
-                    "...jab,...jab->...j", Us @ y_adj[tb, src[s:s + NODE_SLICE]], x_t[tb, None] @ Us.conj())
+        for s in range(0, N, NODE_SLICE):
+            Us, sl = U[s:s + NODE_SLICE], slice(s, s + NODE_SLICE)
+            Uc = Us.conj()
+            for b in range(0, len(xs), per):
+                # a lone trial by index keeps the products 4-d: numpy loops
+                # slower over a 5-d broadcast
+                tb = b if per == 1 else slice(b, b + per)
+                out[tb, sl] = np.einsum("...jab,...jab->...j", Us @ y_adj[tb, src[sl]], x_t[tb, None] @ Uc)
         values = out @ np.array(self.shape.trace_weights)
         return values if stacked else values[0]
 

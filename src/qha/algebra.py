@@ -168,12 +168,12 @@ class AlgebraElement:
     def max_abs_entry(self) -> float:
         return float(np.abs(self.blocks).max())
 
-    def is_hermitian(self, rtol: float = 1e-9) -> bool:
-        """Every element of the stack is hermitian to rtol (1 + its largest entry)."""
+    def is_hermitian(self) -> bool:
+        """Every element of the stack is hermitian to 1e-9 (1 + its largest entry)."""
         b = self.blocks
         axes = (-3, -2, -1)
         defect = np.abs(b - b.conj().swapaxes(-1, -2)).max(axis=axes)
-        return bool(np.all(defect <= rtol * (1.0 + np.abs(b).max(axis=axes))))
+        return bool(np.all(defect <= 1e-9 * (1.0 + np.abs(b).max(axis=axes))))
 
     def vec(self) -> np.ndarray:
         """Row-major flattening of the blocks, in the order of AlgebraShape.basis;
@@ -362,8 +362,6 @@ def floored_gram(z: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(z.shape, zz.blocks + delta * np.eye(z.shape.block_dim, dtype=complex), copy=False)
 
 
-def random_positive_element(shape: AlgebraShape, rng: np.random.Generator,
-                            trials: int | None = None) -> AlgebraElement:
-    """Seeded positive element, ``floored_gram`` of a ``random_element``;
-    a stack of ``trials`` of them when given."""
-    return floored_gram(random_element(shape, rng, trials))
+def random_positive_element(shape: AlgebraShape, rng: np.random.Generator) -> AlgebraElement:
+    """Seeded positive element, ``floored_gram`` of a ``random_element``."""
+    return floored_gram(random_element(shape, rng))

@@ -115,7 +115,8 @@ class Scenario:
         element is a frequency multiplier, and its bracket is constant along
         the shift direction, hence never integrable over the group.
         """
-        return self.random_trials(rng, ("commuting",), 1, est)[0].trial(0)
+        self._require_commuting(est)
+        return self.random_element(rng)
 
     def random_trials(self, rng: np.random.Generator, kinds: tuple[str, ...], trials: int,
                       est=None) -> tuple[AlgebraElement, ...]:
@@ -126,10 +127,14 @@ class Scenario:
         ``random_positive``, ``random_element`` or ``commuting_element``
         with the estimate ``est``.
         """
-        if "commuting" in kinds and not est.scalar_flag:
+        if "commuting" in kinds:
+            self._require_commuting(est)
+        return self.action.random_trials(rng, tuple(kind == "positive" for kind in kinds), trials)
+
+    def _require_commuting(self, est) -> None:
+        if not est.scalar_flag:
             raise ConfigError(f"scenario {self.scenario_id!r} has no trace-class elements "
                               "commuting with D")
-        return self.action.random_trials(rng, tuple(kind == "positive" for kind in kinds), trials)
 
     def duflo_pair(self) -> tuple[AlgebraElement, AlgebraElement]:
         rng = self.rng("duflo")

@@ -9,9 +9,20 @@ from functools import partial
 import numpy as np
 
 import qha.duflo
-from qha.actions import finite_weyl_heisenberg
-from qha.algebra import AlgebraElement, AlgebraShape, p_norm, sup_distance, trace
+from qha.actions import NODE_SLICE, ConjugationAction, PermutationAction, finite_weyl_heisenberg
+from qha.algebra import (
+    AlgebraElement,
+    AlgebraShape,
+    NotPositiveError,
+    ParameterError,
+    p_norm,
+    sup_distance,
+    trace,
+)
+from qha.bracket import InverseClosureError, _inverse_node_index
+from qha.duflo import CLAIMS, admissibility_tol
 from qha.groups import GroupError, QuadratureGroup, cyclic, product
+from qha.reports import CheckReport
 from qha.scenarios import _cyclic_subgroup_indices
 
 
@@ -320,19 +331,27 @@ def probe_trace_defect(action):
 # Per-trial oracles of the stacked suite.  ``run_check`` draws a row's trials
 # at once and evaluates them in one stacked call; these run them one trial
 # at a time, as the suite did before, and the tests assert that both give
-# the same reports and the same numbers, bit for bit.
+# the same reports and the same numbers, bit for bit.  Every row that draws
+# elements is evaluated by its single-element formula on the loop kernels
+# below (LOOP_CHECKS), not by the stacked check, so the oracle also pins how
+# a check combines its kernels: right-hand products, scales, notes and the
+# worst-trial choice.
 
 
 def loop_run_check(row, scn, est, rng, n):
     """The worst reports of ``n`` trials of one SUITE entry, one single-element
-    draw and one call of the check per trial."""
-    check = partial(vars(qha.duflo)[row.check], scenario=scn.scenario_id)
+    draw and one single-element evaluation per trial."""
+    if row.rows[0] in LOOP_CHECKS:
+        evaluate = partial(LOOP_CHECKS[row.rows[0]], scn.scenario_id, scn, est)
+    else:
+        check = partial(vars(qha.duflo)[row.check], scenario=scn.scenario_id)
+        evaluate = lambda point, *elements: row.call(check, scn, est, (point,), *elements)  # noqa: E731
     draw = {"positive": scn.random_positive, "general": scn.random_element,
             "commuting": lambda rng: scn.commuting_element(rng, est)}
     worst = ()
     for t in range(n):
         elements = [draw[kind](rng) for kind in row.draws]
-        out = row.call(check, scn, est, (row.grid[t % len(row.grid)],), *elements)
+        out = evaluate(row.grid[t % len(row.grid)], *elements)
         out = out if isinstance(out, tuple) else (out,)
         worst = out if not worst else tuple(
             new if new.rel_err > old.rel_err else old for new, old in zip(out, worst))
@@ -370,3 +389,169 @@ def loop_permutation_bracket(action, x, y):
     """trace((g.y)* x) of single elements on a permutation action, as one
     gather and one matrix-vector product."""
     return y.vec()[action._src].conj() @ (action.mu * x.vec())
+
+
+def loop_trace_pairing(a, b):
+    """trace(a b) of single elements, as one dot product over the blocks."""
+    return complex(np.array(a.shape.trace_weights) @ np.einsum("kij,kji->k", a.blocks, b.blocks))
+
+
+def loop_conjugation_bracket(action, x, y):
+    """trace((g.y)* x) of single elements on a conjugation action, one
+    NODE_SLICE of nodes at a time."""
+    U, src = action.unitaries, action._src
+    y_adj, x_t = y.blocks.conj().swapaxes(1, 2), x.blocks.swapaxes(1, 2)
+    out = np.empty(src.shape, dtype=complex)
+    for s in range(0, U.shape[0], NODE_SLICE):
+        Us = U[s:s + NODE_SLICE]
+        out[s:s + NODE_SLICE] = np.einsum("gjab,gjab->gj", Us @ y_adj[src[s:s + NODE_SLICE]],
+                                          x_t @ Us.conj())
+    return out @ np.array(action.shape.trace_weights)
+
+
+def loop_bracket_values(action, x, y):
+    """Bracket values of single elements: the loop kernels of the finite
+    families; the wavelet's kernel runs one element at a time already."""
+    if isinstance(action, PermutationAction):
+        return loop_permutation_bracket(action, x, y)
+    if isinstance(action, ConjugationAction):
+        return loop_conjugation_bracket(action, x, y)
+    return action.bracket_values(x, y)
+
+
+def loop_bracket_integral(action, x, y):
+    """Haar integral of the bracket of single elements; the wavelet's own
+    integral kernel."""
+    if isinstance(action, (PermutationAction, ConjugationAction)):
+        return complex(np.dot(action.haar.weights, loop_bracket_values(action, x, y)))
+    return action.bracket_integral(x, y)
+
+
+def loop_sandwich(est, t, y):
+    """D^t y D^t of a single element."""
+    dt = est.power(t)
+    return dt @ y @ dt
+
+
+def loop_int_power(x, r):
+    acc = x
+    for _ in range(r - 1):
+        acc = acc @ x
+    return acc
+
+
+def _loop_integrability(sid, scn, est, _, x):
+    w = loop_bracket_integral(scn.action, x, x)
+    ok = math.isfinite(w.real) and w.real > 0 and abs(w.imag) <= 1e-9 * (1 + abs(w.real))
+    return CheckReport.flag("integrability-witness", CLAIMS["integrability-witness"], ok,
+                            scenario=sid, notes=f"value={w.real:.6e}")
+
+
+def _loop_symmetry(sid, scn, est, _, x, y):
+    claim = CLAIMS["bracket-symmetry"]
+    group = scn.action.group
+    try:
+        inv = _inverse_node_index(group) if isinstance(group, QuadratureGroup) else group.inverse_table
+    except InverseClosureError as exc:
+        return CheckReport.skip("bracket-symmetry", claim, str(exc), scenario=sid)
+    vxy = loop_bracket_values(scn.action, x, y)
+    vyx = loop_bracket_values(scn.action, y, x)
+    defect = float(np.abs(vxy[inv] - vyx).max()) / max(float(np.abs(vxy).max()), 1e-300)
+    return CheckReport.bound("bracket-symmetry", claim, defect, 0.0, tol_rel=0.0, tol_abs=1e-10,
+                             scenario=sid)
+
+
+def _loop_orthogonality(positive):
+    def check(sid, scn, est, _, x, y):
+        lhs = loop_bracket_integral(scn.action, x, y)
+        rhs = loop_trace(x) * loop_trace_pairing(est.d_inverse, y if positive else y.adjoint())
+        name = "orthogonality-positive" if positive else "orthogonality-general"
+        scale = float(np.sum(scn.action.haar.weights)) * loop_p_norm(x, 2.0) * loop_p_norm(y, 2.0)
+        return CheckReport.equality(name, CLAIMS[name], lhs, rhs, tol_rel=scn.tol_rel,
+                                    tol_abs=scn.tol_rel * scale, scenario=sid)
+    return check
+
+
+def _loop_admissibility(sid, scn, est, _, y):
+    if float(np.abs(y.blocks - y.adjoint().blocks).max()) > 1e-9 * (1.0 + y.max_abs_entry()):
+        raise NotPositiveError("admissibility check expects a hermitian positive element")
+    tol = admissibility_tol(est)
+    sand = loop_sandwich(est, -0.5, y)
+    value = loop_trace(sand).real
+    direct = loop_trace_pairing(est.d_inverse, y).real
+    roundtrip = loop_trace(loop_sandwich(est, 0.5, sand)).real
+    ty = loop_trace(y).real
+    scale = max(abs(value), abs(direct), abs(ty), 1e-300)
+    ok = abs(value - direct) <= tol * scale and abs(roundtrip - ty) <= tol * scale
+    return CheckReport.flag("admissibility-identities", CLAIMS["admissibility-identities"], ok,
+                            scenario=sid, notes=f"value={value:.6e} tol={tol:.1e}")
+
+
+def _loop_l1(sid, scn, est, _, x, y):
+    tol = scn.ineq_tol
+    ytil = loop_sandwich(est, 0.5, y)
+    values, w = loop_bracket_values(scn.action, x, ytil), scn.action.haar.weights
+    ineq = CheckReport.bound("l1-inequality", CLAIMS["l1-inequality"], float(np.dot(w, np.abs(values))),
+                             loop_p_norm(x, 1.0) * loop_p_norm(y, 1.0), tol_rel=tol, scenario=sid)
+    scale = float(np.sum(w)) * loop_p_norm(x, 2.0) * loop_p_norm(ytil, 2.0)
+    eq = CheckReport.equality("l1-equality", CLAIMS["l1-equality"], complex(np.dot(w, values)),
+                              loop_trace(x) * loop_trace(y.adjoint()), tol_rel=tol, tol_abs=tol * scale,
+                              scenario=sid)
+    return ineq, eq
+
+
+def _loop_young(sid, scn, est, pqr, x, y):
+    p, q, r = pqr
+    d = est.d
+    if loop_p_norm(d @ y - y @ d, math.inf) > 1e-9 * loop_p_norm(y, math.inf) * loop_p_norm(d, math.inf):
+        raise ParameterError("y must commute with D for the convolution inequality")
+    ytil = loop_sandwich(est, 1.0 / (2.0 * r), y)
+    lhs = loop_function_p_norm(loop_bracket_values(scn.action, x, ytil), scn.action.haar.weights, r)
+    return CheckReport.bound("young-inequality", CLAIMS["young-inequality"], lhs,
+                             loop_p_norm(x, p) * loop_p_norm(y, q), tol_rel=scn.ineq_tol, scenario=sid,
+                             notes=f"p={p:g} q={q:g} r={r:g}")
+
+
+def _loop_interpolation(sid, scn, est, p, x, y):
+    lhs = loop_function_p_norm(loop_bracket_values(scn.action, x, y), scn.action.haar.weights, p)
+    notes = f"p={p:g}"
+    if p == math.inf:
+        rhs = loop_p_norm(x, math.inf) * loop_p_norm(y, 1.0)
+        notes += " sup-norm endpoint: sup|<x|y>| <= ||x||_inf ||y||_1"
+    else:
+        q = math.inf if p == 1.0 else p / (p - 1.0)
+        y1 = loop_p_norm(y, 1.0)
+        ys = loop_p_norm(loop_sandwich(est, -0.5, y), 1.0)
+        rhs = loop_p_norm(x, p) * (y1 ** (0.0 if q == math.inf else 1.0 / q)) * (ys ** (1.0 / p))
+    return CheckReport.bound("interpolation-bound", CLAIMS["interpolation-bound"], lhs, rhs,
+                             tol_rel=scn.ineq_tol, scenario=sid, notes=notes)
+
+
+def _loop_holder(sid, scn, est, pqr, x, y):
+    p, q, r = pqr
+    return CheckReport.bound("holder-inequality", CLAIMS["holder-inequality"], loop_p_norm(x @ y, r),
+                             loop_p_norm(x, p) * loop_p_norm(y, q), tol_rel=1e-9, scenario=sid,
+                             notes=f"p={p:g} q={q:g} r={r:g}")
+
+
+def _loop_alt(sid, scn, est, r, a, b):
+    lhs = loop_trace(loop_int_power(b @ a @ b, r)).real
+    ar, br = loop_int_power(a, r), loop_int_power(b, r)
+    return CheckReport.bound("alt-inequality", CLAIMS["alt-inequality"], lhs, loop_trace(br @ ar @ br).real,
+                             tol_rel=1e-9, scenario=sid, notes=f"r={r}")
+
+
+# The single-element formula of every SUITE row that draws elements, keyed by
+# the row's first name: (scenario id, scenario, estimate, grid point, *elements).
+LOOP_CHECKS = {
+    "integrability-witness": _loop_integrability,
+    "bracket-symmetry": _loop_symmetry,
+    "orthogonality-positive": _loop_orthogonality(True),
+    "orthogonality-general": _loop_orthogonality(False),
+    "admissibility-identities": _loop_admissibility,
+    "l1-inequality": _loop_l1,
+    "young-inequality": _loop_young,
+    "interpolation-bound": _loop_interpolation,
+    "holder-inequality": _loop_holder,
+    "alt-inequality": _loop_alt,
+}

@@ -53,7 +53,7 @@ from qha.groups import cyclic, probability_haar
 from qha.reports import CheckReport
 from qha.scenarios import BUILTIN_IDS, Scenario, build_scenario, builtin
 
-from helpers import FINITE_ROWS, WAVELET_ROWS, loop_run_check, weyl_heisenberg
+from helpers import FINITE_ROWS, LOOP_CHECKS, WAVELET_ROWS, loop_run_check, weyl_heisenberg
 
 
 def _estimate(sid, seed=101):
@@ -666,7 +666,9 @@ ORACLE_IDS = BUILTIN_IDS + ("broken-measure", "twisted-dual:24:1")
 
 class TestStackedSuite:
     """run_check draws a row's trials at once and evaluates them in one
-    stacked call; the per-trial loop gives the same reports, byte for byte."""
+    stacked call; the per-trial loop, which evaluates each trial by the
+    single-element formula of its row (helpers.LOOP_CHECKS), gives the same
+    reports, every field and number bit for bit."""
 
     # both seeds at the default trial counts; 40 trials (several chunks on
     # the larger algebras and the wavelet) at the default seed
@@ -674,9 +676,14 @@ class TestStackedSuite:
     @pytest.mark.parametrize("sid", ORACLE_IDS)
     def test_rows_match_the_per_trial_oracle(self, sid, seed, trials, monkeypatch):
         scn = build_scenario(builtin(sid, seed=seed))
-        stacked = [r.row() for r in run_suite(scn, trials=trials)]
+        stacked = run_suite(scn, trials=trials)
         monkeypatch.setattr(qha.duflo, "run_check", loop_run_check)
-        assert stacked == [r.row() for r in run_suite(scn, trials=trials)]
+        oracle = run_suite(scn, trials=trials)
+        assert [r.row() for r in stacked] == [r.row() for r in oracle]
+        assert stacked == oracle
+
+    def test_the_oracle_evaluates_every_drawing_row_by_its_own_formula(self):
+        assert {row.rows[0] for row in SUITE if row.draws} == set(LOOP_CHECKS)
 
     def test_forty_trials_span_several_chunks(self):
         # the oracle cases above include stacks cut into chunks

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qha.actions import PermutationAction
+from qha.actions import ConjugationAction, PermutationAction
 from qha.algebra import (
     AlgebraElement,
     ParameterError,
@@ -22,6 +22,7 @@ from qha.bracket import bracket, function_p_norm, integrate_bracket
 from qha.scenarios import build_scenario, builtin
 
 from helpers import (
+    loop_conjugation_bracket,
     loop_function_p_norm,
     loop_p_norm,
     loop_permutation_bracket,
@@ -95,6 +96,16 @@ def test_permutation_bracket_per_trial(sid):
     values = scn.action.bracket_values(x, y)
     for i in range(TRIALS):
         assert np.array_equal(values[i], loop_permutation_bracket(scn.action, x.trial(i), y.trial(i)))
+
+
+@pytest.mark.parametrize("sid", ["wh:4", "wh:16", "irrep:s3:std", "twisted-dual:4:1",
+                                 "induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2"])
+def test_conjugation_bracket_per_trial(sid):
+    scn, (x, y) = _stacks(sid)
+    assert isinstance(scn.action, ConjugationAction)
+    values = scn.action.bracket_values(x, y)
+    for i in range(TRIALS):
+        assert np.array_equal(values[i], loop_conjugation_bracket(scn.action, x.trial(i), y.trial(i)))
 
 
 def test_single_elements_keep_scalar_values():

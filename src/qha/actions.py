@@ -25,12 +25,15 @@ and a dense stacked-SVD nullity are the oracles the tests compare with.
 
 Each family has its own vectorized kernels for the bracket values
 g -> trace((g.y)* x) and the orbit sum sum_g c_g (g.x): a gather through the
-point table, node-sliced stacked conjugations of the gathered blocks, or
-phase products and a circulant dilation sum for the wavelet.  ``apply``
-stays the per-node reference the tests compare them with.  The bracket
-kernels take stacks of trials (see ``algebra``): the finite families gather
-or conjugate a stack's (trial, node) pairs in pieces no larger than a single
-trial's, and the wavelet runs its per-element kernels trial by trial.
+point table; for a conjugation, one quadratic form per class of nodes that
+share a permutation when every block is monomial (one permutation times one
+diagonal phase, as the Weyl operators are), and node-sliced stacked
+conjugations of the gathered blocks otherwise; phase products and a
+circulant dilation sum for the wavelet.  ``apply`` stays the per-node
+reference the tests compare them with.  The bracket kernels take stacks of
+trials (see ``algebra``): the finite families gather or conjugate a stack's
+(trial, node) pairs in pieces no larger than a single trial's, and the
+wavelet runs its per-element kernels trial by trial.
 """
 
 from __future__ import annotations
@@ -487,6 +490,35 @@ class Action:
         raise NotImplementedError
 
 
+def _monomial_classes(U: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(perms, order, phases) of a monomial stack; None for any other stack.
+
+    The stack is monomial when every column of every block U[g, j] holds
+    exactly one nonzero entry, U[g, j][pi(c), c] = ph(c).  Its (node, block)
+    pairs, flat index g t + j, are grouped into classes by (j, src[g, j],
+    pi): ``order`` lists the pairs class by class, in node order within a
+    class, ``perms`` holds each class's pi and ``phases`` the (C, m, n)
+    phases of its m pairs.  The permutation part of a projective monomial
+    representation is a homomorphism, so on a transitive action the classes
+    are cosets of one size; a stack whose classes differ in size gets None.
+    The classes are sorted with ``lexsort`` (``np.unique`` imports numpy.ma).
+    """
+    N, t, n = U.shape[:3]
+    support = U != 0
+    if not (support.sum(axis=2) == 1).all():
+        return None
+    pi = support.argmax(axis=2).reshape(N * t, n)
+    keys = np.column_stack([np.tile(np.arange(t), N), src.reshape(-1), pi])
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    m = N * t // len(starts)
+    if not (np.diff(np.r_[starts, N * t]) == m).all():
+        return None
+    phases = U.reshape(N * t, n, n)[order[:, None], pi[order], np.arange(n)]
+    return pi[order[starts]], order, phases.reshape(-1, m, n)
+
+
 class ConjugationAction(Action):
     """Block j of g.x is U[g, j] x[src[g, j]] U[g, j]*, on t blocks of size n.
 
@@ -499,6 +531,17 @@ class ConjugationAction(Action):
     every block product U[a, j] U[b, src[a, j]] must be a scalar multiple of
     U[ab, j] (``product_phases``).  The residuals of that check enter
     ``structure``.
+
+    ``bracket_values`` has two kernels, chosen when the action is built.  A
+    monomial stack (one nonzero entry in every column of every block: the
+    Weyl operators of ``wh:n`` and ``twisted-dual:n:m``, and every induced
+    action of them) whose (node, block) pairs fall into classes of one size
+    (``_monomial_classes``) takes a quadratic form: with
+    U[g, j][pi(c), c] = ph(c), the value of block j at g is
+    ph^H (conj(y[src[g, j]]) * x_j[pi, pi]) ph, and the pairs of a class
+    share that matrix, so a class costs one gather and one product with
+    its conjugated phases.  Every other stack (``irrep:s3:std``) takes the
+    node-sliced dense conjugation, two matrix products per (trial, node).
     """
 
     def __init__(self, group: FiniteGroup, unitaries, src, trace_weights, haar: HaarModel | None = None):
@@ -535,6 +578,7 @@ class ConjugationAction(Action):
         super().__init__(group, shape, "conjugation", gens, haar)
         self.unitaries = U
         self._src = src
+        self._classes = _monomial_classes(U, src)
         automorphism, isometry, moved = _block_residuals(*self.sampled_structure(), shape.trace_weights)
         self.structure = ActionStructure("unitary-stack", law, max(unitality, automorphism),
                                          isometry, moved)
@@ -545,23 +589,49 @@ class ConjugationAction(Action):
         return AlgebraElement(self.shape, U @ x.blocks[self._src[g]] @ U.conj().swapaxes(1, 2), copy=False)
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
-        # tr(U y* U* x) = sum_ab (U y*)_ab (x^T conj(U))_ab, block by block, in
-        # pieces of at most NODE_SLICE (trial, node) pairs: a slice of the nodes
-        # of one trial, or every node of as many trials as fit
         U, src = self.unitaries, self._src
         xs, ys, stacked = _stacks(x, y)
-        y_adj, x_t = ys.conj().swapaxes(-1, -2), xs.swapaxes(-1, -2)
-        N = U.shape[0]
-        per = max(1, NODE_SLICE // N)
-        out = np.empty((len(xs), N, src.shape[1]), dtype=complex)
-        for s in range(0, N, NODE_SLICE):
-            Us, sl = U[s:s + NODE_SLICE], slice(s, s + NODE_SLICE)
-            Uc = Us.conj()
-            for b in range(0, len(xs), per):
-                # a lone trial by index keeps the products 4-d: numpy loops
-                # slower over a 5-d broadcast
-                tb = b if per == 1 else slice(b, b + per)
-                out[tb, sl] = np.einsum("...jab,...jab->...j", Us @ y_adj[tb, src[sl]], x_t[tb, None] @ Uc)
+        N, t = src.shape
+        out = np.empty((len(xs), N, t), dtype=complex)
+        if self._classes is not None:
+            # Z = conj(y[src]) * x_j[pi, pi] once per class, then every pair of
+            # the class as ph^H Z ph: one product with the conjugated phases
+            # and one contraction, in pieces of classes and trials that keep
+            # each temporary below STACK_BYTES
+            perms, order, phases = self._classes
+            C, m, n = phases.shape
+            first = order[::m]
+            blocks, sources = first % t, src.reshape(-1)[first]
+            rows, cols = perms[:, :, None], perms[:, None, :]
+            conj_phases, flat = phases.conj(), out.reshape(len(xs), N * t)
+            class_bytes = 16 * n * max(n, m)  # Z, or its product with the phases
+            step = min(C, stack_size(class_bytes))
+            per = stack_size(class_bytes * C) if step == C else 1
+            for s in range(0, C, step):
+                sl, pairs = slice(s, s + step), order[s * m:(s + step) * m]
+                for b in range(0, len(xs), per):
+                    tb = slice(b, b + per)
+                    z = ys[tb, sources[sl]]
+                    np.conjugate(z, out=z)
+                    # not in place: numpy rounds an in-place product of one
+                    # element differently, and n = 1 gives one per trial
+                    z = z * xs[tb, blocks[sl, None, None], rows[sl], cols[sl]]
+                    quad = np.einsum("...kmc,kmc->...km", conj_phases[sl] @ z, phases[sl])
+                    flat[tb, pairs] = quad.reshape(len(quad), -1)
+        else:
+            # tr(U y* U* x) = sum_ab (U y*)_ab (x^T conj(U))_ab, block by block,
+            # in pieces of at most NODE_SLICE (trial, node) pairs: a slice of
+            # the nodes of one trial, or every node of as many trials as fit
+            y_adj, x_t = ys.conj().swapaxes(-1, -2), xs.swapaxes(-1, -2)
+            per = max(1, NODE_SLICE // N)
+            for s in range(0, N, NODE_SLICE):
+                Us, sl = U[s:s + NODE_SLICE], slice(s, s + NODE_SLICE)
+                Uc = Us.conj()
+                for b in range(0, len(xs), per):
+                    # a lone trial by index keeps the products 4-d: numpy loops
+                    # slower over a 5-d broadcast
+                    tb = b if per == 1 else slice(b, b + per)
+                    out[tb, sl] = np.einsum("...jab,...jab->...j", Us @ y_adj[tb, src[sl]], x_t[tb, None] @ Uc)
         values = out @ np.array(self.shape.trace_weights)
         return values if stacked else values[0]
 

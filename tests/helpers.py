@@ -4,6 +4,7 @@ suite and the randomized probes of the structural laws."""
 
 import itertools
 import math
+import weakref
 from functools import partial
 
 import numpy as np
@@ -409,12 +410,72 @@ def loop_conjugation_bracket(action, x, y):
     return out @ np.array(action.shape.trace_weights)
 
 
+# loop_monomial_classes of each action, held no longer than the action
+_MONOMIAL_CLASSES = weakref.WeakKeyDictionary()
+
+
+def loop_monomial_classes(action):
+    """The (node, block) pairs of a conjugation action grouped by (block,
+    source block, permutation), read off ``action.unitaries`` entry by entry:
+    {(j, src, pi): [(g, j, phases), ...]} with U[g, j][pi[c], c] = phases[c]
+    and the pairs of a class in node order.  None when some column of some
+    block holds other than one nonzero entry, or when the classes differ in
+    size: such a stack takes the dense kernel."""
+    if action not in _MONOMIAL_CLASSES:
+        _MONOMIAL_CLASSES[action] = _read_monomial_classes(action)
+    return _MONOMIAL_CLASSES[action]
+
+
+def _read_monomial_classes(action):
+    U, src = action.unitaries, action._src
+    N, t, n = U.shape[:3]
+    classes = {}
+    for g in range(N):
+        for j in range(t):
+            pi, phases = [], []
+            for c in range(n):
+                rows = np.flatnonzero(U[g, j, :, c])
+                if len(rows) != 1:
+                    return None
+                pi.append(int(rows[0]))
+                phases.append(U[g, j, rows[0], c])
+            classes.setdefault((j, int(src[g, j]), tuple(pi)), []).append((g, j, phases))
+    if len({len(members) for members in classes.values()}) != 1:
+        return None
+    return classes
+
+
+def loop_monomial_bracket(action, x, y):
+    """trace((g.y)* x) of single elements on a monomial conjugation action,
+    one class of ``loop_monomial_classes`` at a time: ph^H Z ph for every
+    pair of the class, Z = conj(y_src) * x_j[pi, pi]."""
+    out = np.empty(action._src.shape, dtype=complex)
+    for (j, s, pi), members in loop_monomial_classes(action).items():
+        Z = y.blocks[s].conj() * x.blocks[j][np.ix_(pi, pi)]
+        Phi = np.array([phases for _, _, phases in members])
+        for (g, jj, _), v in zip(members, np.einsum("mc,mc->m", Phi.conj() @ Z, Phi)):
+            out[g, jj] = v
+    return out @ np.array(action.shape.trace_weights)
+
+
+def rotated(action):
+    """The conjugation by V U V* for a fixed random unitary V: the same
+    action up to a change of basis, on a stack that is not monomial."""
+    n = action.shape.block_dim
+    z = np.random.default_rng(15).standard_normal((2, n, n))
+    V = np.linalg.qr(z[0] + 1j * z[1])[0]
+    return ConjugationAction(action.group, V @ action.unitaries @ V.conj().T, action._src,
+                             action.shape.trace_weights)
+
+
 def loop_bracket_values(action, x, y):
     """Bracket values of single elements: the loop kernels of the finite
     families; the wavelet's kernel runs one element at a time already."""
     if isinstance(action, PermutationAction):
         return loop_permutation_bracket(action, x, y)
     if isinstance(action, ConjugationAction):
+        if loop_monomial_classes(action) is not None:
+            return loop_monomial_bracket(action, x, y)
         return loop_conjugation_bracket(action, x, y)
     return action.bracket_values(x, y)
 

@@ -13,6 +13,7 @@ import pytest
 from qha.algebra import (
     AlgebraElement,
     op_norm,
+    p_norm,
     random_element,
     random_positive_element,
     sup_distance,
@@ -58,6 +59,7 @@ from helpers import (
     loop_coset_table,
     loop_cyclic_characters,
     loop_induced_maps,
+    loop_conjugation_bracket,
     loop_s3_matrices,
     loop_weyl_heisenberg,
     nodes_of,
@@ -65,6 +67,7 @@ from helpers import (
     probe_homomorphism_defect,
     probe_isometry_defect,
     probe_trace_defect,
+    rotated,
     symbol,
     weyl_heisenberg,
 )
@@ -336,6 +339,102 @@ class TestKernelsMatchApply:
         for c, g in zip(coeffs, nodes):
             slow = slow + complex(c) * act.apply(g, x)
         assert sup_distance(fast, slow) < 1e-9 * (1 + slow.max_abs_entry())
+
+
+# The conjugation actions of ORACLE_IDS, and those with a monomial stack:
+# every one but the real plane rotations of irrep:s3:std.
+CONJUGATION_IDS = tuple(sid for sid in ORACLE_IDS
+                        if sid.startswith(("irrep:", "wh:")) or sid.endswith(":wh2")
+                        or (sid.startswith("twisted-dual:") and not sid.endswith(":0")))
+MONOMIAL_IDS = tuple(sid for sid in CONJUGATION_IDS if sid != "irrep:s3:std")
+
+
+def _rounding_bound(act, x, y):
+    """First-order bound on |monomial - dense| for every bracket value.
+
+    Both kernels evaluate v = sum_j w_j sum_{c,d} T_jcd over the n^2 products
+    T = conj(ph_d) conj(y_dc) x_{pi d, pi c} ph_c of block j, whose moduli
+    sum to at most ||y_src||_F ||x_j||_F.  With u = eps / 2 and a complex
+    product off by at most 2 sqrt(2) u (Higham, Lemma 3.5):
+    - the monomial kernel forms each T in three complex products and sums
+      it in two sums of n terms: (6 sqrt(2) + 2 (n - 1)) u;
+    - the dense kernel forms each T in three complex products (U y*,
+      x^T conj(U) and their entrywise product; the other terms of U y* and
+      x^T conj(U) are exact zeros) and sums it in one sum of n^2 terms:
+      (6 sqrt(2) + n^2 - 1) u;
+    - both sum the t blocks against the weights: t u each.
+    The weights are invariant under the source rows, so by Cauchy-Schwarz
+    sum_j w_j ||y_src||_F ||x_j||_F <= ||x||_2 ||y||_2, and the kernels
+    differ by at most (n^2 + 2n + 2t + 17) u ||x||_2 ||y||_2.
+    """
+    n, t = act.shape.block_dim, act._src.shape[1]
+    u = np.finfo(float).eps / 2
+    return (n * n + 2 * n + 2 * t + 17) * u * p_norm(x, 2.0) * p_norm(y, 2.0)
+
+
+class TestMonomialKernel:
+    """The quadratic-form bracket kernel of monomial stacks, and which
+    stacks take it."""
+
+    def test_monomial_stacks_take_the_quadratic_form(self):
+        for sid in ORACLE_IDS:
+            act = _kernel_action(sid)
+            assert isinstance(act, ConjugationAction) == (sid in CONJUGATION_IDS), sid
+            if sid in CONJUGATION_IDS:
+                assert (act._classes is not None) == (sid in MONOMIAL_IDS), sid
+
+    @pytest.mark.parametrize("sid", MONOMIAL_IDS)
+    def test_matches_the_dense_kernel_within_rounding(self, sid):
+        # the two kernels sum in different orders: equal up to a stated
+        # rounding bound, not bit for bit
+        act = _kernel_action(sid)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            x, y = act.random_element(rng), act.random_element(rng)
+            diff = np.abs(act.bracket_values(x, y) - loop_conjugation_bracket(act, x, y)).max()
+            assert diff <= _rounding_bound(act, x, y)
+
+    @staticmethod
+    def _assert_dense(act):
+        assert act._classes is None
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            x, y = act.random_element(rng), act.random_element(rng)
+            assert np.array_equal(act.bracket_values(x, y), loop_conjugation_bracket(act, x, y))
+
+    def test_rotated_weyl_operators_take_the_dense_kernel(self):
+        self._assert_dense(rotated(conjugation_action(*weyl_heisenberg(4))))
+
+    def test_one_entry_off_the_support_takes_the_dense_kernel(self):
+        # far inside the validation's 1e-11, so the stack is still accepted
+        G, U = weyl_heisenberg(4)
+        U[5, 0, 0] = 1e-13
+        assert finite_weyl_heisenberg(4)[5, 0, 0] == 0
+        self._assert_dense(conjugation_action(G, U))
+
+    def test_real_rotations_take_the_dense_kernel(self):
+        self._assert_dense(_kernel_action("irrep:s3:std"))
+
+    def test_classes_are_cosets_of_one_size(self):
+        # wh:4 = T_k M_l: pi is the shift by k, one class per k of the four
+        # modulations l, and the phases are the diagonals of M_l
+        act = _kernel_action("wh:4")
+        perms, order, phases = act._classes
+        assert perms.tolist() == [[(c + k) % 4 for c in range(4)] for k in range(4)]
+        assert order.tolist() == list(range(16))
+        omega = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4)
+        assert np.abs(phases - omega[None]).max() < 1e-15
+
+    def test_building_leaves_numpy_ma_out(self):
+        # the classes are sorted with lexsort: np.unique would import numpy.ma
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys\nfrom qha.scenarios import build_scenario, builtin\n"
+                "act = build_scenario(builtin('wh:16')).action\n"
+                "print(act._classes is not None, 'numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["True", "False"]
 
 
 class TestDualAction:

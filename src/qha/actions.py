@@ -870,8 +870,18 @@ class WaveletAction(Action):
     cyclic-diagonal form of m (see ``_shift_sum``), so ``bracket_integral``
     and the b-constant rows of ``orbit_sum`` cost one real K x K by K x 2K
     GEMM on the real view of the cyclic diagonals (two for complex weights).
-    ``bracket_values`` runs its phase products on the nonzero rows and
-    columns of x only, where conj(g.y) * x can be nonzero.
+
+    ``bracket_values`` works on the nonzero rows r and columns c of x only,
+    where conj(g.y) * x can be nonzero, as a bilinear form: with
+    A_j = conj(y[r + j, c + j]) * x[r, c] and
+    W_b[k, l] = exp(-2 pi i b (xi_{c_l} - xi_{r_k})), the value at (a_j, b)
+    is sum_{k,l} A_j[k, l] W_b[k, l], one contraction over |r||c| for every
+    dilation at once.  The b nodes are symmetric about 0 bit for bit, so
+    W_{-b} = conj(W_b): for b >= 0 only, T_R = Re(W_b) . A and
+    T_I = Im(W_b) . A are real GEMMs on the (|r||c|, 2 n_a) float view of
+    all the A_j, and the values at +b and -b are T_R + i T_I and
+    T_R - i T_I.  A is gathered in pieces of rows of r, and W and T are
+    taken in chunks of b, each below STACK_BYTES.
     """
 
     def __init__(self, design: WaveletDesign):
@@ -896,6 +906,9 @@ class WaveletAction(Action):
         self.n_b = design.n_b
         self.shifts = np.arange(-h, h + 1)
         self.b_nodes = group.nodes[:design.n_b, 1].copy()
+        if not np.array_equal(self.b_nodes[::-1], -self.b_nodes):
+            raise GridError("b nodes must be symmetric about 0 bit for bit: "
+                            "bracket_values pairs each b with -b")
         self.db = float(2.0 * design.b_extent / design.n_b)
         if self.db * (self.xi[-1] - self.xi[0]) >= 1.0:
             raise GridError("shift spacing times frequency range must stay below 1, "
@@ -1019,14 +1032,47 @@ class WaveletAction(Action):
         # conj(g.y) * x vanishes off the nonzero rows r and columns c of x
         r = np.flatnonzero(np.any(xb != 0, axis=1))
         c = np.flatnonzero(np.any(xb != 0, axis=0))
-        xs = xb[np.ix_(r, c)]
-        Pc, Pr = self.phases[:, c], self.phases[:, r].conj()
-        K = self.grid_size
-        out = np.empty((self.n_a, self.n_b), dtype=complex)
-        for i, j in enumerate(self.shifts):
-            A = (yb[np.ix_((r + j) % K, (c + j) % K)].conj() * xs).T
-            out[i] = ((Pc @ A) * Pr).sum(axis=1)
-        return out.reshape(-1)
+        n_a, n_b, K = self.n_a, self.n_b, self.grid_size
+        if r.size == 0:
+            return np.zeros(n_a * n_b, dtype=complex)
+        # node n_b - 1 - m carries -b_m.  Row h + p of acc takes T_R of node
+        # h + p (b >= 0, and b = 0 at p = 0 when n_b is odd); row h - 1 - q
+        # takes T_I of node h + odd + q (b > 0), the row of its -b
+        h = n_b // 2
+        odd = n_b - 2 * h
+        P = self.phases[h:]
+        acc = np.zeros((n_b, 2 * n_a))
+        TR, TI = acc[h:], acc[h - 1::-1]
+        rows = (r[:, None] + self.shifts) % K * K
+        cols = (c[:, None] + self.shifts) % K
+        # pieces of rows of r for A, chunks of b for W and T: each below
+        # STACK_BYTES, and each freed before the next is formed
+        per_piece = stack_size(16 * n_a * c.size)
+        per_chunk = min(stack_size(16 * min(per_piece, r.size) * c.size), stack_size(16 * n_a))
+        for s in range(0, r.size, per_piece):
+            rp = r[s:s + per_piece]
+            # A[k, l, j] = conj(y[r_k + j, c_l + j]) x[r_k, c_l] for every
+            # dilation j, as its (k l, 2 n_a) real view
+            A = yb.reshape(-1)[rows[s:s + per_piece, None, :] + cols]
+            np.conjugate(A, out=A)
+            A *= xb[np.ix_(rp, c)][:, :, None]
+            A = A.reshape(-1, n_a).view(float)
+            for t in range(0, P.shape[0], per_chunk):
+                Pt = P[t:t + per_chunk]
+                L = Pt.shape[0]
+                # W[b, k l] = exp(-2 pi i b (xi_{c_l} - xi_{r_k}))
+                W = (Pt[:, rp].conj()[:, :, None] * Pt[:, None, c]).reshape(L, -1)
+                TR[t:t + L] += np.ascontiguousarray(W.real) @ A
+                lo = max(t, odd)  # b = 0 has no T_I
+                TI[lo - odd:t + L - odd] += np.ascontiguousarray(W.imag[lo - t:]) @ A
+                del W
+            del A
+        # in place: T_R + i T_I on the rows of +b, T_R - i T_I on those of -b
+        TR, TI = TR[odd:].view(complex), TI.view(complex)
+        iTI = 1j * TI
+        np.subtract(TR, iTI, out=TI)
+        np.add(TR, iTI, out=TR)
+        return acc.view(complex).T.reshape(-1)
 
     def bracket_integral(self, x: AlgebraElement, y: AlgebraElement) -> complex | np.ndarray:
         return _trialwise(self._bracket_integral, x, y)

@@ -314,8 +314,9 @@ def affine_group(a_min: float, a_max: float, n_a: int,
     """Scaling-and-shift group on nodes (a, b) with left Haar weight da db / a^2.
 
     The a-grid is log-uniform inclusive of both endpoints; the b-grid uses
-    midpoint cells.  Composition is (a,b)*(a',b') = (a a', a b' + b), the
-    modular function is 1/a.
+    midpoint cells, placed about the centre of [b_min, b_max] so that
+    b_min = -b_max gives nodes b_{n_b-1-m} = -b_m bit for bit.  Composition
+    is (a,b)*(a',b') = (a a', a b' + b), the modular function is 1/a.
     """
     if not (0 < a_min < a_max):
         raise GroupError("need 0 < a_min < a_max")
@@ -327,7 +328,7 @@ def affine_group(a_min: float, a_max: float, n_a: int,
     a_nodes = np.exp(log_a)
     d_log_a = (math.log(a_max) - math.log(a_min)) / (n_a - 1)
     db = (b_max - b_min) / n_b
-    b_nodes = b_min + (np.arange(n_b) + 0.5) * db
+    b_nodes = (b_min + b_max) / 2 + (2 * np.arange(n_b) + 1 - n_b) * (db / 2)
     nodes = np.column_stack([np.repeat(a_nodes, n_b), np.tile(b_nodes, n_a)])
     weights = np.repeat(d_log_a * db / a_nodes, n_b)
     return QuadratureGroup(

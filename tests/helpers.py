@@ -10,7 +10,13 @@ from functools import partial
 import numpy as np
 
 import qha.duflo
-from qha.actions import NODE_SLICE, ConjugationAction, PermutationAction, finite_weyl_heisenberg
+from qha.actions import (
+    NODE_SLICE,
+    ConjugationAction,
+    PermutationAction,
+    WaveletAction,
+    finite_weyl_heisenberg,
+)
 from qha.algebra import (
     AlgebraElement,
     AlgebraShape,
@@ -334,9 +340,9 @@ def probe_trace_defect(action):
 # at a time, as the suite did before, and the tests assert that both give
 # the same reports and the same numbers, bit for bit.  Every row that draws
 # elements is evaluated by its single-element formula on the loop kernels
-# below (LOOP_CHECKS), not by the stacked check, so the oracle also pins how
-# a check combines its kernels: right-hand products, scales, notes and the
-# worst-trial choice.
+# below (LOOP_CHECKS; brackets through ``loop_trial_bracket``), not by the
+# stacked check, so the oracle also pins how a check combines its kernels:
+# right-hand products, scales, notes and the worst-trial choice.
 
 
 def loop_run_check(row, scn, est, rng, n):
@@ -468,16 +474,45 @@ def rotated(action):
                              action.shape.trace_weights)
 
 
+def loop_wavelet_bracket(action, x, y):
+    """trace((g.y)* x) of single elements on the wavelet, one dilation at a
+    time: for the shift j, the phase products (P_c A_j^T) * conj(P_r) summed
+    over the rows, with A_j = conj(y[r + j, c + j]) * x[r, c] on the nonzero
+    rows r and columns c of x and the phase table P of every b node."""
+    xb, yb = x.blocks[0], y.blocks[0]
+    r = np.flatnonzero(np.any(xb != 0, axis=1))
+    c = np.flatnonzero(np.any(xb != 0, axis=0))
+    xs = xb[np.ix_(r, c)]
+    Pc, Pr = action.phases[:, c], action.phases[:, r].conj()
+    K = action.grid_size
+    out = np.empty((action.n_a, action.n_b), dtype=complex)
+    for i, j in enumerate(action.shifts):
+        A = (yb[np.ix_((r + j) % K, (c + j) % K)].conj() * xs).T
+        out[i] = ((Pc @ A) * Pr).sum(axis=1)
+    return out.reshape(-1)
+
+
 def loop_bracket_values(action, x, y):
     """Bracket values of single elements: the loop kernels of the finite
-    families; the wavelet's kernel runs one element at a time already."""
+    families and the per-shift loop of the wavelet."""
     if isinstance(action, PermutationAction):
         return loop_permutation_bracket(action, x, y)
     if isinstance(action, ConjugationAction):
         if loop_monomial_classes(action) is not None:
             return loop_monomial_bracket(action, x, y)
         return loop_conjugation_bracket(action, x, y)
-    return action.bracket_values(x, y)
+    return loop_wavelet_bracket(action, x, y)
+
+
+def loop_trial_bracket(action, x, y):
+    """Bracket values of one trial as the per-trial suite oracle takes them:
+    the loop kernels of the finite families, which give the stacked kernels'
+    values bit for bit, and the wavelet's own kernel on a single element,
+    which its stacked call runs trial by trial (the per-shift loop sums in
+    another order)."""
+    if isinstance(action, WaveletAction):
+        return action.bracket_values(x, y)
+    return loop_bracket_values(action, x, y)
 
 
 def loop_bracket_integral(action, x, y):
@@ -515,8 +550,8 @@ def _loop_symmetry(sid, scn, est, _, x, y):
         inv = _inverse_node_index(group) if isinstance(group, QuadratureGroup) else group.inverse_table
     except InverseClosureError as exc:
         return CheckReport.skip("bracket-symmetry", claim, str(exc), scenario=sid)
-    vxy = loop_bracket_values(scn.action, x, y)
-    vyx = loop_bracket_values(scn.action, y, x)
+    vxy = loop_trial_bracket(scn.action, x, y)
+    vyx = loop_trial_bracket(scn.action, y, x)
     defect = float(np.abs(vxy[inv] - vyx).max()) / max(float(np.abs(vxy).max()), 1e-300)
     return CheckReport.bound("bracket-symmetry", claim, defect, 0.0, tol_rel=0.0, tol_abs=1e-10,
                              scenario=sid)
@@ -551,7 +586,7 @@ def _loop_admissibility(sid, scn, est, _, y):
 def _loop_l1(sid, scn, est, _, x, y):
     tol = scn.ineq_tol
     ytil = loop_sandwich(est, 0.5, y)
-    values, w = loop_bracket_values(scn.action, x, ytil), scn.action.haar.weights
+    values, w = loop_trial_bracket(scn.action, x, ytil), scn.action.haar.weights
     ineq = CheckReport.bound("l1-inequality", CLAIMS["l1-inequality"], float(np.dot(w, np.abs(values))),
                              loop_p_norm(x, 1.0) * loop_p_norm(y, 1.0), tol_rel=tol, scenario=sid)
     scale = float(np.sum(w)) * loop_p_norm(x, 2.0) * loop_p_norm(ytil, 2.0)
@@ -567,14 +602,14 @@ def _loop_young(sid, scn, est, pqr, x, y):
     if loop_p_norm(d @ y - y @ d, math.inf) > 1e-9 * loop_p_norm(y, math.inf) * loop_p_norm(d, math.inf):
         raise ParameterError("y must commute with D for the convolution inequality")
     ytil = loop_sandwich(est, 1.0 / (2.0 * r), y)
-    lhs = loop_function_p_norm(loop_bracket_values(scn.action, x, ytil), scn.action.haar.weights, r)
+    lhs = loop_function_p_norm(loop_trial_bracket(scn.action, x, ytil), scn.action.haar.weights, r)
     return CheckReport.bound("young-inequality", CLAIMS["young-inequality"], lhs,
                              loop_p_norm(x, p) * loop_p_norm(y, q), tol_rel=scn.ineq_tol, scenario=sid,
                              notes=f"p={p:g} q={q:g} r={r:g}")
 
 
 def _loop_interpolation(sid, scn, est, p, x, y):
-    lhs = loop_function_p_norm(loop_bracket_values(scn.action, x, y), scn.action.haar.weights, p)
+    lhs = loop_function_p_norm(loop_trial_bracket(scn.action, x, y), scn.action.haar.weights, p)
     notes = f"p={p:g}"
     if p == math.inf:
         rhs = loop_p_norm(x, math.inf) * loop_p_norm(y, 1.0)

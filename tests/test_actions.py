@@ -10,12 +10,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import qha.algebra
+import qha.groups
 from qha.algebra import (
     AlgebraElement,
     op_norm,
     p_norm,
     random_element,
     random_positive_element,
+    stack_size,
     sup_distance,
     trace,
 )
@@ -48,9 +51,9 @@ from qha.actions import (
     s3_irreps,
     trivial_rep,
 )
-from qha.groups import FiniteGroup, cyclic, probability_haar, product, symmetric
+from qha.groups import FiniteGroup, affine_group, cyclic, probability_haar, product, symmetric
 from qha.duflo import run_suite
-from qha.scenarios import Scenario, ScenarioSpec, build_scenario, list_builtins
+from qha.scenarios import _WAVELET_PRESETS, Scenario, ScenarioSpec, build_scenario, list_builtins
 
 from helpers import (
     cyclic_subgroups,
@@ -61,6 +64,7 @@ from helpers import (
     loop_induced_maps,
     loop_conjugation_bracket,
     loop_s3_matrices,
+    loop_wavelet_bracket,
     loop_weyl_heisenberg,
     nodes_of,
     probe_automorphism_defect,
@@ -75,6 +79,9 @@ from helpers import (
 
 SMALL_WAVELET = WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
                               b_extent=2.0, n_b=32, support_octaves=0.5)
+# an odd number of b nodes, b = 0 among them, on a cell width 4/31 that is not dyadic
+ODD_WAVELET = WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
+                            b_extent=2.0, n_b=31, support_octaves=0.5)
 
 
 def _one_block_phases(U, G, pairs):
@@ -641,6 +648,19 @@ class TestArrayConstructorsMatchLoops:
         assert np.array_equal(act._src, ref._src)
 
 
+# Every wavelet design the presets, their refinement levels (scaled by 1, 2
+# and 4) and the tests build.
+DYADIC_WAVELETS = {
+    "small-wavelet": SMALL_WAVELET,
+    "bracket-refinement": WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
+                                        b_extent=4.0, n_b=64, support_octaves=0.5),
+    "bracket-refinement-x2": WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
+                                           b_extent=4.0, n_b=64, support_octaves=0.5).scaled(2),
+    **{f"{preset}-x{s}": design.scaled(s)
+       for preset, design in _WAVELET_PRESETS.items() for s in (1, 2, 4)},
+}
+
+
 class TestWaveletAction:
     def test_identity_matrix(self):
         act = WaveletAction(SMALL_WAVELET)
@@ -689,6 +709,45 @@ class TestWaveletAction:
         act = WaveletAction(SMALL_WAVELET)
         assert fixed_point_dimension(act) == 1
 
+    @pytest.mark.parametrize("name", DYADIC_WAVELETS)
+    def test_b_nodes_are_the_uncentred_midpoints_bit_for_bit(self, name):
+        # b_min + (m + 1/2) db, the midpoints before they were placed about
+        # the centre: on these designs db is dyadic, both forms are exact and
+        # no report moves
+        design = DYADIC_WAVELETS[name]
+        act = WaveletAction(design)
+        db = 2 * design.b_extent / design.n_b
+        uncentred = -design.b_extent + (np.arange(design.n_b) + 0.5) * db
+        assert np.array_equal(act.b_nodes, uncentred)
+        assert np.array_equal(act.group.nodes[:, 1], np.tile(uncentred, act.n_a))
+
+    @pytest.mark.parametrize("n_b", [31, 33, 40, 41, 96])
+    def test_b_nodes_are_symmetric_bit_for_bit(self, n_b):
+        b = affine_group(0.5, 2.0, 5, -1.9, 1.9, n_b).nodes[:n_b, 1]
+        assert np.array_equal(b[::-1], -b)
+        assert np.all(np.diff(b) > 0)
+
+    def test_odd_b_grid_holds_zero(self):
+        act = WaveletAction(ODD_WAVELET)
+        assert np.array_equal(act.b_nodes[::-1], -act.b_nodes)
+        assert act.b_nodes[ODD_WAVELET.n_b // 2] == 0.0
+
+    def test_asymmetric_b_nodes_are_rejected(self, monkeypatch):
+        # the uncentred midpoints of the odd design miss the symmetry in the
+        # last bit, and bracket_values pairs every b with -b
+        def uncentred(a_min, a_max, n_a, b_min, b_max, n_b):
+            group = affine_group(a_min, a_max, n_a, b_min, b_max, n_b)
+            nodes = group.nodes.copy()
+            nodes[:, 1] = np.tile(b_min + (np.arange(n_b) + 0.5) * ((b_max - b_min) / n_b), n_a)
+            group.nodes = nodes
+            return group
+
+        b = uncentred(0.5, 2.0, 3, -2.0, 2.0, 31).nodes[:31, 1]
+        assert not np.array_equal(b[::-1], -b)
+        monkeypatch.setattr(qha.groups, "affine_group", uncentred)
+        with pytest.raises(GridError, match="symmetric"):
+            WaveletAction(ODD_WAVELET)
+
     def test_bracket_integral_matches_weighted_values(self):
         # every family integrates against its own action.haar: counting
         # (permutation, twisted dual), probability (s3) and quadrature weights
@@ -707,6 +766,33 @@ class TestWaveletAction:
 
 
 WAVELETS = {"small-wavelet": SMALL_WAVELET, "default": WaveletDesign()}
+
+
+def _wavelet(grid):
+    if grid == "small-wavelet":
+        return WaveletAction(SMALL_WAVELET)
+    if grid == "odd-n_b":
+        return WaveletAction(ODD_WAVELET)
+    return build_scenario(ScenarioSpec(f"affine-wavelet:{grid}")).action
+
+
+def _dot_product_bound(x, y):
+    """2 (n + 2) eps ||x||_F ||y||_F, n = |r||c| for the nonzero rows r and
+    columns c of x: how far two evaluations of the wavelet bracket values can
+    lie apart in floating point.
+
+    Every value is a sum of n terms W conj(y) x with |W| = 1, over entries of
+    y that are distinct for a fixed dilation, so the absolute terms sum to at
+    most ||x||_F ||y||_F (Cauchy-Schwarz).  In any summation order, to first
+    order in the unit roundoff u = eps / 2, an evaluation errs by at most
+    (n - 1) u for the additions plus 6 u for the complex products that form a
+    term and the combination of partial sums, times that sum: (n + 5) u,
+    which is at most (n + 2) eps for n >= 1.  Two evaluations differ by at
+    most twice that.
+    """
+    xb, yb = x.blocks[0], y.blocks[0]
+    n = np.count_nonzero(np.any(xb != 0, axis=1)) * np.count_nonzero(np.any(xb != 0, axis=0))
+    return 2 * (n + 2) * np.finfo(float).eps * np.linalg.norm(xb) * np.linalg.norm(yb)
 
 
 class TestWaveletKernels:
@@ -808,6 +894,38 @@ class TestWaveletKernels:
         assert np.abs(ref).max() > 0
         assert np.abs(fast - ref).max() < 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("grid", ["small-wavelet", "coarse", "default", "odd-n_b"])
+    @pytest.mark.parametrize("kind", ["general", "positive"])
+    def test_bracket_values_match_the_per_shift_oracle(self, grid, kind):
+        # a positive x carries a spectral floor on its whole diagonal: every
+        # row and column of x is nonzero
+        act = _wavelet(grid)
+        rng = np.random.default_rng(49)
+        x = act.random_positive(rng) if kind == "positive" else act.random_element(rng)
+        y = act.random_element(rng)
+        gap = np.abs(act.bracket_values(x, y) - loop_wavelet_bracket(act, x, y)).max()
+        assert gap <= _dot_product_bound(x, y)
+
+    @pytest.mark.parametrize("grid", ["small-wavelet", "default", "odd-n_b"])
+    def test_bracket_values_match_across_piece_boundaries(self, grid, monkeypatch):
+        act = _wavelet(grid)
+        rng = np.random.default_rng(50)
+        x, y = act.random_element(rng), act.random_element(rng)
+        ref = act.bracket_values(x, y)
+        # at a one-byte budget every piece of A is one row of r, every chunk
+        # of W and T one b >= 0 with its -b
+        monkeypatch.setattr(qha.algebra, "STACK_BYTES", 1)
+        assert stack_size(16 * act.grid_size ** 2) == 1
+        assert np.abs(act.bracket_values(x, y) - ref).max() <= _dot_product_bound(x, y)
+
+    def test_default_bracket_takes_several_pieces(self):
+        # at the real budget a piece of A holds |c| n_a entries a row of r, so
+        # the default grid's elements are cut into more than one piece
+        act = _wavelet("default")
+        x = act.random_element(np.random.default_rng(51)).blocks[0]
+        r, c = np.flatnonzero(np.any(x != 0, axis=1)), np.flatnonzero(np.any(x != 0, axis=0))
+        assert 1 < stack_size(16 * act.n_a * c.size) < r.size
+
     def test_pairings_are_probe_traces(self):
         act = WaveletAction(SMALL_WAVELET)
         a = act.random_element(np.random.default_rng(45))
@@ -820,8 +938,7 @@ class TestWaveletKernels:
     def test_bracket_integral_matches_roll_sum(self, grid):
         # the dilation sum paired on the cyclic diagonals against the
         # per-shift definition: sum_j w_j trace(conj(y).T roll(b_kernel * x.T, (j, j)))
-        act = (WaveletAction(SMALL_WAVELET) if grid == "small-wavelet"
-               else build_scenario(ScenarioSpec(f"affine-wavelet:{grid}")).action)
+        act = _wavelet(grid)
         rng = np.random.default_rng(48)
         x, y = act.random_element(rng), act.random_element(rng)
         m = act.b_kernel * x.blocks[0].T
@@ -835,8 +952,7 @@ class TestWaveletKernels:
         # the rank-3 product with its floor added on the diagonal in place,
         # against the three outer products plus the floor times the identity,
         # drawn from the same stream in the same order
-        act = (WaveletAction(SMALL_WAVELET) if grid == "small-wavelet"
-               else build_scenario(ScenarioSpec(f"affine-wavelet:{grid}")).action)
+        act = _wavelet(grid)
         for seed in range(5):
             fast = act.random_positive(np.random.default_rng(seed)).blocks[0]
             rng, r, K = np.random.default_rng(seed), act.design.support_octaves, act.grid_size

@@ -9,6 +9,7 @@ import pytest
 
 from qha.actions import ConjugationAction, PermutationAction
 from qha.algebra import (
+    STACK_BYTES,
     AlgebraElement,
     ParameterError,
     op_norm,
@@ -173,3 +174,14 @@ def test_wavelet_stack_holds_one_trial_at_a_time():
     # the trials' kernels run one after another: the stacked call holds one
     # trial's temporaries and the rows of values it has finished
     assert stacked <= single + 3 * scn.action.haar.weights.size * 16 * 2
+
+
+@pytest.mark.parametrize("kinds", [("general", "general"), ("positive", "general")])
+def test_wavelet_bracket_stays_within_its_pieces(kinds):
+    # one call holds its (n_a, n_b) output, the real accumulator of the same
+    # size and at most four pieces below STACK_BYTES: A, W, a part of W and T
+    scn, (x, y) = _stacks("affine-wavelet:default", kinds, trials=1)
+    act = scn.action
+    act.phases  # built once per action, on first use
+    peak = _peak(lambda: act.bracket_values(x.trial(0), y.trial(0)))
+    assert peak <= 2 * act.n_a * act.n_b * 16 + 4 * STACK_BYTES

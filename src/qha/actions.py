@@ -24,7 +24,8 @@ commutant of the holonomies of the unitaries around it.  Randomized probes
 and a dense stacked-SVD nullity are the oracles the tests compare with.
 
 Each family has its own vectorized kernels for the bracket values
-g -> trace((g.y)* x) and the orbit sum sum_g c_g (g.x): a gather through the
+g -> trace((g.y)* x) and the orbit sum sum_g w_g Delta(g)^{-1} (g.x)
+against the action's own Haar weights w: a gather through the
 point table; for a conjugation, one quadratic form per class of nodes that
 share a permutation when every block is monomial (one permutation times one
 diagonal phase, as the Weyl operators are), and node-sliced stacked
@@ -389,7 +390,8 @@ class Action:
 
     Subclasses implement ``apply``, the kernels ``bracket_values`` and
     ``orbit_sum``, and ``structure`` (an ``ActionStructure``).  ``haar``
-    holds one weight per node, counting weights on a finite group by default.
+    holds one weight per node, counting weights on a finite group by default,
+    and every group integral reads it: ``bracket_integral`` and ``orbit_sum``.
     All reductions run in fixed node order, so results are deterministic.
     """
 
@@ -425,8 +427,9 @@ class Action:
         """Haar integral of the bracket values, one per trial of a stack."""
         return weighted_sum(self.bracket_values(x, y), self.haar.weights)
 
-    def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
-        """Sum of coeffs[i] * (g_i . x) over all nodes."""
+    def orbit_sum(self, x: AlgebraElement) -> AlgebraElement:
+        """The modular-weighted Haar orbit sum_g w_g Delta(g)^{-1} (g.x) over
+        all nodes, w = ``haar.weights``: D^{-1} of a unit-trace x."""
         raise NotImplementedError
 
     # -- test elements and operator comparisons ------------------------------
@@ -635,9 +638,10 @@ class ConjugationAction(Action):
         values = out @ np.array(self.shape.trace_weights)
         return values if stacked else values[0]
 
-    def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
+    def orbit_sum(self, x: AlgebraElement) -> AlgebraElement:
+        # a finite group is unimodular: the Haar weights alone
         U, src = self.unitaries, self._src
-        c = np.asarray(coeffs, dtype=complex)
+        c = np.asarray(self.haar.weights, dtype=complex)
         xs = x.blocks
         t, n = xs.shape[0], xs.shape[1]
         acc = np.zeros_like(xs)
@@ -715,8 +719,8 @@ class PermutationAction(Action):
             values[s:s + step] = (moved @ xv[s:s + step, :, None])[..., 0]
         return values if stacked else values[0]
 
-    def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
-        vals = np.asarray(coeffs, dtype=complex) @ x.vec()[self._src]
+    def orbit_sum(self, x: AlgebraElement) -> AlgebraElement:
+        vals = np.asarray(self.haar.weights, dtype=complex) @ x.vec()[self._src]
         return AlgebraElement(self.shape, vals.reshape(-1, 1, 1), copy=False)
 
     def sampled_structure(self) -> tuple[np.ndarray, None]:
@@ -863,13 +867,13 @@ class WaveletAction(Action):
     supported probe states z = v v*, whose vectors v are the rows of
     ``probes``; ``pairings`` gives every trace(a z) as a quadratic form v* a v.
 
-    The kernels use two exact identities.  Summing over b first turns the
-    phases into the gram ``b_kernel``, a real Dirichlet kernel in
-    xi_k - xi_l in closed form; the dilation sum that remains,
-    sum_j s_j roll(m, (j, j)), is one circulant product in the
-    cyclic-diagonal form of m (see ``_shift_sum``), so ``bracket_integral``
-    and the b-constant rows of ``orbit_sum`` cost one real K x K by K x 2K
-    GEMM on the real view of the cyclic diagonals (two for complex weights).
+    The integrals use two exact identities.  Their weights are constant in
+    b (da db / a^2 for ``bracket_integral``, da db / a for ``orbit_sum``),
+    so summing over b first turns the phases into the gram ``b_kernel``, a
+    real Dirichlet kernel in xi_k - xi_l in closed form; the dilation sum
+    that remains, sum_j s_j roll(m, (j, j)), is one circulant product in the
+    cyclic-diagonal form of m (``_shift_sum_diagonals``), one real K x K by
+    K x 2K GEMM on the real view of the cyclic diagonals.
 
     ``bracket_values`` works on the nonzero rows r and columns c of x only,
     where conj(g.y) * x can be nonzero, as a bilinear form: with
@@ -948,6 +952,11 @@ class WaveletAction(Action):
         # log_ratio / a for the dilation by j, stored at the cyclic shift j % K
         self._dilation_weights = np.zeros(K)
         self._dilation_weights[self.shifts % K] = self.log_ratio / np.exp(self.shifts * self.log_ratio)
+        # the orbit weights da db / a, constant in b, with the b sum taken into
+        # ``b_kernel``: the weight of the dilation by j, stored at the shift -j % K
+        self._orbit_weights = np.zeros(K)
+        self._orbit_weights[-self.shifts % K] = (
+            (self.haar.weights / self.modular_values()).reshape(self.n_a, self.n_b)[:, 0] / self.db)
 
     # -- grid plumbing ---------------------------------------------------
 
@@ -957,8 +966,10 @@ class WaveletAction(Action):
 
     @cached_property
     def phases(self) -> np.ndarray:
-        """Phase table p[j, k] = exp(-2 pi i b_j xi_k), built on first use."""
-        return np.exp(-2j * np.pi * np.outer(self.b_nodes, self.xi))
+        """Phase table p[j, k] = exp(-2 pi i b xi_k) over the nodes b >= 0,
+        b = b_{n_b // 2 + j}, the only ones ``bracket_values`` reads; built
+        on its first call."""
+        return np.exp(-2j * np.pi * np.outer(self.b_nodes[self.n_b // 2:], self.xi))
 
     def shift_of(self, a: float) -> int:
         j = round(math.log(a) / self.log_ratio)
@@ -984,46 +995,28 @@ class WaveletAction(Action):
         a, b = float(g[0]), float(g[1])
         j = self.shift_of(a)
         phase = np.exp(-2j * np.pi * b * self.xi)
-        rolled = self._dilated(x.blocks[0], j)
+        rolled = np.roll(x.blocks[0], shift=(-j, -j), axis=(0, 1))
         return AlgebraElement(self.shape, (rolled * np.outer(phase, phase.conj()))[None], copy=False)
 
     # -- structured bulk paths --------------------------------------------
 
-    def _dilated(self, y: np.ndarray, j: int) -> np.ndarray:
-        return np.roll(y, shift=(-j, -j), axis=(0, 1))
-
-    def _shift_sum(self, s: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """sum over j of s[j % K] * roll(m, (j, j)), scattered back from
-        ``_shift_sum_diagonals``."""
-        out = np.empty(m.shape, dtype=complex)
-        out[np.arange(self.grid_size)[:, None], self._diagonals] = self._shift_sum_diagonals(s, m)
-        return out
-
     def _shift_sum_diagonals(self, s: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """The cyclic-diagonal form of sum over j of s[j % K] * roll(m, (j, j)),
-        as one circulant product.
+        """The cyclic-diagonal form of sum over j of s[j % K] * roll(m, (j, j))
+        for real weights s, as one circulant product.
 
         In the cyclic-diagonal form m~[k, e] = m[k, (k + e) % K] a joint roll
-        by j is a roll of the rows by j, so the sum is circulant(s) @ m~.  The
-        GEMM keeps the exact zeros of m that every shifted term shares (an FFT
-        would fill them with roundoff).
+        by j is a roll of the rows by j, so the sum is circulant(s) @ m~: one
+        real GEMM on the (K, 2K) real view of the diagonals, as a real
+        circulant acts on the real and imaginary parts alike.  The GEMM keeps
+        the exact zeros of m that every shifted term shares (an FFT would fill
+        them with roundoff).
         """
-        rows = np.arange(self.grid_size)[:, None]
-        # the (K, 2K) real view of the diagonals: a real circulant acts on the
-        # real and imaginary parts alike, so Re s and Im s each take a real GEMM
-        diags = m[rows, self._diagonals].view(float)
-
-        def circulant_product(w: np.ndarray) -> np.ndarray:
-            # formed as the transposed product diags.T @ circulant(w).T: OpenBLAS
-            # splits that orientation over threads without reordering its sums
-            # at K = 97, so the default wavelet's reports do not depend on the
-            # BLAS thread count (circulant(w) @ diags does, there)
-            return np.ascontiguousarray((diags.T @ w[self._circulant].T).T).view(complex)
-
-        acc = circulant_product(s.real)
-        if np.any(s.imag):
-            acc = acc + 1j * circulant_product(s.imag)
-        return acc
+        diags = m[np.arange(self.grid_size)[:, None], self._diagonals].view(float)
+        # formed as the transposed product diags.T @ circulant(s).T: OpenBLAS
+        # splits that orientation over threads without reordering its sums at
+        # K = 97, so the default wavelet's reports do not depend on the BLAS
+        # thread count (circulant(s) @ diags does, there)
+        return np.ascontiguousarray((diags.T @ s[self._circulant].T).T).view(complex)
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
         return _trialwise(self._bracket_values, x, y)
@@ -1036,11 +1029,12 @@ class WaveletAction(Action):
         if r.size == 0:
             return np.zeros(n_a * n_b, dtype=complex)
         # node n_b - 1 - m carries -b_m.  Row h + p of acc takes T_R of node
-        # h + p (b >= 0, and b = 0 at p = 0 when n_b is odd); row h - 1 - q
-        # takes T_I of node h + odd + q (b > 0), the row of its -b
+        # h + p, row p of the phase table (b >= 0, and b = 0 at p = 0 when
+        # n_b is odd); row h - 1 - q takes T_I of node h + odd + q (b > 0),
+        # the row of its -b
         h = n_b // 2
         odd = n_b - 2 * h
-        P = self.phases[h:]
+        P = self.phases
         acc = np.zeros((n_b, 2 * n_a))
         TR, TI = acc[h:], acc[h - 1::-1]
         rows = (r[:, None] + self.shifts) % K * K
@@ -1085,18 +1079,14 @@ class WaveletAction(Action):
         y_diags = yb[self._diagonals, np.arange(self.grid_size)[:, None]]
         return complex(np.sum(y_diags.conj() * acc))
 
-    def orbit_sum(self, coeffs: np.ndarray, x: AlgebraElement) -> AlgebraElement:
-        coeffs = np.asarray(coeffs).reshape(self.n_a, self.n_b)
-        xb = x.blocks[0]
-        first = coeffs[:, :1]
-        flat = np.all(np.abs(coeffs - first) <= 1e-14 * (np.abs(first) + 1.0), axis=1)
-        # rows constant in b: one dilation sum, then the phase gram
-        s = np.zeros(self.grid_size, dtype=np.result_type(coeffs, float))
-        s[-self.shifts[flat] % self.grid_size] = coeffs[flat, 0] / self.db
-        acc = self._shift_sum(s, xb) * self.b_kernel
-        for i in np.flatnonzero(~flat):
-            P = self.phases
-            acc += self._dilated(xb, self.shifts[i]) * ((P.T * coeffs[i]) @ P.conj())
+    def orbit_sum(self, x: AlgebraElement) -> AlgebraElement:
+        # one dilation sum, scattered back from the cyclic diagonals, then the
+        # phase gram of the b sum
+        K = self.grid_size
+        acc = np.empty((K, K), dtype=complex)
+        diags = self._shift_sum_diagonals(self._orbit_weights, x.blocks[0])
+        acc[np.arange(K)[:, None], self._diagonals] = diags
+        acc *= self.b_kernel
         return AlgebraElement(self.shape, acc[None], copy=False)
 
     @cached_property

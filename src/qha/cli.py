@@ -92,6 +92,9 @@ def resolve_config(args) -> RunConfig:
         return RunConfig(command="list", specs=())
     seed = _resolve_seed(args)
     tol_rel = getattr(args, "tol_rel", None)
+    trials = getattr(args, "trials", None)
+    if trials is not None and trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {trials}")
     ids: list[str] = []
     if getattr(args, "all", False):
         ids.extend(BUILTIN_IDS)
@@ -118,7 +121,7 @@ def resolve_config(args) -> RunConfig:
         fmt=getattr(args, "format", "text"),
         out=args.out,
         grids=getattr(args, "grids", 3),
-        trials=getattr(args, "trials", None),
+        trials=trials,
     )
 
 

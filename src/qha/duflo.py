@@ -241,8 +241,7 @@ def _orbit_density(action: Action, x_test: AlgebraElement) -> AlgebraElement:
     if not x_test.is_hermitian():
         raise NotPositiveError("test element must be hermitian")
     x = (1.0 / tau.real) * x_test
-    coeffs = action.haar.weights / action.modular_values()
-    raw = action.orbit_sum(coeffs, x)
+    raw = action.orbit_sum(x)
     return 0.5 * (raw + raw.adjoint())
 
 

@@ -65,6 +65,11 @@ class ScenarioSpec:
     seed: int = DEFAULT_SEED
     tol_rel: float | None = None
 
+    def __post_init__(self):
+        # numpy seeds take non-negative integers only
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+
 
 class Scenario:
     """Runtime scenario: an action with its group and Haar model, tolerances, rng streams."""

@@ -478,12 +478,14 @@ def loop_wavelet_bracket(action, x, y):
     """trace((g.y)* x) of single elements on the wavelet, one dilation at a
     time: for the shift j, the phase products (P_c A_j^T) * conj(P_r) summed
     over the rows, with A_j = conj(y[r + j, c + j]) * x[r, c] on the nonzero
-    rows r and columns c of x and the phase table P of every b node."""
+    rows r and columns c of x and the phase table P of every b node, built
+    here from the b nodes and the grid."""
     xb, yb = x.blocks[0], y.blocks[0]
     r = np.flatnonzero(np.any(xb != 0, axis=1))
     c = np.flatnonzero(np.any(xb != 0, axis=0))
     xs = xb[np.ix_(r, c)]
-    Pc, Pr = action.phases[:, c], action.phases[:, r].conj()
+    P = np.exp(-2j * np.pi * np.outer(action.b_nodes, action.xi))
+    Pc, Pr = P[:, c], P[:, r].conj()
     K = action.grid_size
     out = np.empty((action.n_a, action.n_b), dtype=complex)
     for i, j in enumerate(action.shifts):

@@ -335,16 +335,14 @@ class TestKernelsMatchApply:
 
     @pytest.mark.parametrize("sid", KERNEL_IDS)
     def test_orbit_sum_matches_generic_loop(self, sid):
+        # Haar weights over the modular function: on a finite group, which is
+        # unimodular, the counting or (the irrep scenarios) probability weights
         act = _kernel_action(sid)
-        rng = np.random.default_rng(11)
-        x = act.random_element(rng)
-        nodes = nodes_of(act)
-        n = len(nodes)
-        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        fast = act.orbit_sum(coeffs, x)
+        x = act.random_element(np.random.default_rng(11))
+        fast = act.orbit_sum(x)
         slow = act.shape.zero()
-        for c, g in zip(coeffs, nodes):
-            slow = slow + complex(c) * act.apply(g, x)
+        for w, g in zip(act.haar.weights / act.modular_values(), nodes_of(act)):
+            slow = slow + float(w) * act.apply(g, x)
         assert sup_distance(fast, slow) < 1e-9 * (1 + slow.max_abs_entry())
 
 
@@ -803,23 +801,29 @@ class TestWaveletKernels:
         act = WaveletAction(SMALL_WAVELET)
         K = act.grid_size
         rng = np.random.default_rng(40)
-        s = rng.standard_normal(K) + 1j * rng.standard_normal(K)  # every shift, wrapping
+        s = rng.standard_normal(K)  # every shift, wrapping
         m = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
         ref = sum(s[j] * np.roll(m, (j, j), axis=(0, 1)) for j in range(K))
-        assert np.abs(act._shift_sum(s, m) - ref).max() < 1e-12 * np.abs(ref).max()
+        # scattered back from the cyclic-diagonal form m~[k, e] = m[k, (k + e) % K]
+        fast = np.empty((K, K), dtype=complex)
+        fast[np.arange(K)[:, None], (np.arange(K)[:, None] + np.arange(K)) % K] = act._shift_sum_diagonals(s, m)
+        assert np.abs(fast - ref).max() < 1e-12 * np.abs(ref).max()
 
-    def test_shift_sum_of_real_weights(self):
-        # real weights take one real GEMM; a complex array holding them skips
-        # the imaginary one and gives the same result exactly
+    def test_shift_sum_keeps_the_zero_diagonals(self):
+        # a joint roll maps each cyclic diagonal of m to itself: the diagonals
+        # where m vanishes stay exactly zero in the sum
         act = WaveletAction(SMALL_WAVELET)
         K = act.grid_size
         rng = np.random.default_rng(46)
-        s = rng.standard_normal(K)
+        s = rng.standard_normal(K)  # every shift, wrapping
         m = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+        e = (np.arange(K) - np.arange(K)[:, None]) % K  # the diagonal of each entry
+        m[e % 3 != 0] = 0.0
         ref = sum(s[j] * np.roll(m, (j, j), axis=(0, 1)) for j in range(K))
-        fast = act._shift_sum(s, m)
-        assert np.abs(fast - ref).max() < 1e-12 * np.abs(ref).max()
-        assert np.array_equal(act._shift_sum(s.astype(complex), m), fast)
+        diags = (np.arange(K)[:, None] + np.arange(K)) % K
+        fast = act._shift_sum_diagonals(s, m)
+        assert np.abs(fast - ref[np.arange(K)[:, None], diags]).max() < 1e-12 * np.abs(ref).max()
+        assert not fast[:, np.arange(K) % 3 != 0].any()
 
     @pytest.mark.parametrize("grid", ["small-wavelet", "coarse", "default", "fine", "scaled(4)"])
     def test_b_kernel_is_the_phase_gram(self, grid):
@@ -829,7 +833,7 @@ class TestWaveletKernels:
             act = WaveletAction(WaveletDesign().scaled(4))
         else:
             act = build_scenario(ScenarioSpec(f"affine-wavelet:{grid}")).action
-        P = act.phases
+        P = np.exp(-2j * np.pi * np.outer(act.b_nodes, act.xi))
         oracle = act.db * (P.T @ P.conj())
         kernel = act.b_kernel
         assert kernel.dtype == np.float64
@@ -838,14 +842,19 @@ class TestWaveletKernels:
         assert np.abs(kernel - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
     def test_phase_table_is_built_on_first_use(self):
-        act = WaveletAction(SMALL_WAVELET)
-        assert "phases" not in vars(act)
-        x = act.random_positive(np.random.default_rng(47))
-        act.orbit_sum(act.haar.weights / act.modular_values(), x)
-        act.bracket_integral(x, x)
-        assert "phases" not in vars(act)
-        act.bracket_values(x, x)
-        assert vars(act)["phases"].shape == (act.n_b, act.grid_size)
+        # bracket_values alone reads it, and only its rows b >= 0; an odd n_b
+        # has b = 0 among them
+        for design in (SMALL_WAVELET, ODD_WAVELET):
+            act = WaveletAction(design)
+            x = act.random_positive(np.random.default_rng(47))
+            act.orbit_sum(x)
+            act.bracket_integral(x, x)
+            assert "phases" not in vars(act)
+            act.bracket_values(x, x)
+            P = vars(act)["phases"]
+            assert P.shape == (act.n_b - act.n_b // 2, act.grid_size)
+            full = np.exp(-2j * np.pi * np.outer(act.b_nodes, act.xi))
+            assert np.array_equal(P, full[act.n_b // 2:])
 
     def test_aliased_b_grid_is_rejected(self):
         # db = 1 on a frequency range near 8: the b-grid cannot tell
@@ -854,25 +863,13 @@ class TestWaveletKernels:
             WaveletAction(WaveletDesign(n_b=16))
 
     @pytest.mark.parametrize("preset", WAVELETS)
-    @pytest.mark.parametrize("table", ["haar", "haar-over-modular", "mixed"])
-    def test_orbit_sum_matches_apply(self, preset, table):
-        # Haar over modular, what estimate_duflo passes, is constant in b and
-        # here in a as well, so only the Haar weights alone, which fall with
-        # a, tell a shift from its mirror image.  "mixed" makes every third
-        # row random, so those rows take the per-shift kernel
+    def test_orbit_sum_matches_apply(self, preset):
         act = WaveletAction(WAVELETS[preset])
-        rng = np.random.default_rng(41)
-        x = act.random_element(rng)
-        coeffs = act.group.haar_weights.astype(complex)
-        if table != "haar":
-            coeffs = coeffs / act.modular_values()
-        if table == "mixed":
-            rows = coeffs.reshape(act.n_a, act.n_b)[1::3]
-            rows[:] = rng.standard_normal(rows.shape) + 1j * rng.standard_normal(rows.shape)
+        x = act.random_element(np.random.default_rng(41))
         ref = np.zeros_like(x.blocks)
-        for c, g in zip(coeffs, nodes_of(act)):
-            ref += c * act.apply(g, x).blocks
-        fast = act.orbit_sum(coeffs, x).blocks
+        for w, g in zip(act.haar.weights / act.modular_values(), nodes_of(act)):
+            ref += w * act.apply(g, x).blocks
+        fast = act.orbit_sum(x).blocks
         assert np.abs(fast - ref).max() < 1e-12 * np.abs(ref).max()
 
     def test_bracket_values_of_zero(self):

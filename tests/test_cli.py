@@ -118,6 +118,12 @@ class TestVerify:
         assert code == 2
         assert "seed" in err
 
+    def test_negative_seed_in_file_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "negative.ini"
+        path.write_text("[scenario]\nid = wh:3\nseed = -3\n")
+        code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
+        assert code == 2 and err.startswith("error:") and "seed" in err
+
     def test_tol_rel_lowers_every_law_row(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--scenario", "wh:3", "--tol-rel", "1e-12",
                                  "--format", "structured")
@@ -170,6 +176,17 @@ class TestVerify:
         monkeypatch.setenv("QHA_SEED", "xyz")
         code, out, err = run_cli(capsys, "verify", "--scenario", "wh:2")
         assert code == 2
+
+    def test_negative_env_seed_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("QHA_SEED", "-1")
+        code, out, err = run_cli(capsys, "verify", "--scenario", "wh:2")
+        assert code == 2 and err.startswith("error:") and "seed" in err
+
+    @pytest.mark.parametrize("flag", [("--seed", "-1"), ("--trials", "0"), ("--trials", "-3")])
+    def test_out_of_range_flag_exits_two(self, capsys, flag):
+        code, out, err = run_cli(capsys, "verify", "--scenario", "wh:2", *flag)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and flag[0].lstrip("-") in err
 
 
 class TestDuflo:

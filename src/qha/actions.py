@@ -51,7 +51,6 @@ from .algebra import (
     AlgebraShape,
     as_stack,
     floored_gram,
-    op_norm,
     random_element,
     random_positive_element,
     stack,
@@ -434,9 +433,9 @@ class Action:
 
     # -- test elements and operator comparisons ------------------------------
     #
-    # Exact models draw dense elements and compare operators entrywise or in
-    # operator norm.  A quadrature model overrides these with the elements
-    # and the weaker comparisons under which its errors converge.
+    # Exact models draw dense elements and compare operators entrywise.  A
+    # quadrature model overrides these with the elements and the weaker
+    # comparisons under which its errors converge.
 
     # appended to the semi-invariance notes to name the comparison
     comparison_note = ""
@@ -479,10 +478,6 @@ class Action:
             diff = moved - (1.0 / self.group.modular(g)) * d
             worst = max(worst, diff.max_abs_entry() / scale)
         return worst
-
-    def off_scalar_norm(self, off: AlgebraElement) -> float:
-        """Size of the part of an operator off the scalars: its operator norm."""
-        return op_norm(off)
 
     # -- structure for the ergodicity count ----------------------------------
 
@@ -1219,11 +1214,6 @@ class WaveletAction(Action):
             defect = np.abs(pairs - target) / np.maximum(np.abs(target), 1e-300)
             worst = max(worst, float(defect.max()))
         return worst
-
-    def off_scalar_norm(self, off: AlgebraElement) -> float:
-        """Largest entry inside the window, where the truncation leaves the
-        estimate unsmeared."""
-        return float(np.abs(off.blocks[0, self.window, self.window]).max())
 
 
 # ---------------------------------------------------------------------------

@@ -129,18 +129,16 @@ class InconsistencyError(EstimateError):
 class DufloEstimate:
     """Estimated scaling operator D, held as D^{-1} and the eigenvalues of D^{-1}.
 
-    The estimator needs the eigenvalues only, for its positivity test.  The
-    eigendecomposition of D^{-1}, D itself, its powers and the scalar
-    diagnostics are computed on first use and cached, so a caller that only
-    pairs with D^{-1} or solves against it never forms an eigenbasis.
-    ``off_scalar_norm`` is the action's size of the part of D off the
-    scalars (Action.off_scalar_norm).
+    The estimator needs the eigenvalues only, for its positivity test, and
+    the scalar diagnostics read them too.  The eigendecomposition of D^{-1},
+    D itself and its powers are computed on first use and cached, so a
+    caller that only pairs with D^{-1}, solves against it or asks whether D
+    is scalar never forms an eigenbasis.
     """
 
     d_inverse: AlgebraElement
     eigenvalues: np.ndarray
     cross_check_residual: float = 0.0
-    off_scalar_norm: Callable[[AlgebraElement], float] = op_norm
 
     @property
     def min_eigenvalue(self) -> float:
@@ -176,10 +174,13 @@ class DufloEstimate:
 
     @cached_property
     def _scalar_form(self) -> tuple[float, float]:
-        """(trace(D) / trace(1), the off-scalar norm of D relative to it)."""
-        d = self.d
-        d_scalar = trace(d).real / trace(d.shape.identity()).real
-        return d_scalar, self.off_scalar_norm(d - d.shape.scalar(d_scalar)) / abs(d_scalar)
+        """(c = trace(D) / trace(1), ||D - c 1||_op / |c|), from the spectrum:
+        D - c 1 has the eigenvalues 1/w - c for the eigenvalues w of D^{-1}."""
+        inv = np.reciprocal(self.eigenvalues)
+        weights = self.d_inverse.shape.trace_weights
+        trace_one = weighted_sum(np.full(len(weights), inv.shape[1]), weights)
+        c = weighted_sum(inv.sum(axis=1), weights) / trace_one
+        return c, float(np.abs(inv - c).max()) / abs(c)
 
     @property
     def off_scalar_residual(self) -> float:
@@ -230,8 +231,7 @@ def estimate_duflo(
                 f"independent test elements disagree by {cross:.3e} > {cross_tol:.1e}; "
                 "quadrature too coarse or action not ergodic"
             )
-    return DufloEstimate(d_inverse=d_inv, eigenvalues=w, cross_check_residual=cross,
-                         off_scalar_norm=action.off_scalar_norm)
+    return DufloEstimate(d_inverse=d_inv, eigenvalues=w, cross_check_residual=cross)
 
 
 def _orbit_density(action: Action, x_test: AlgebraElement) -> AlgebraElement:
@@ -315,7 +315,7 @@ def check_scalar_form(est: DufloEstimate, *, scenario: str = "") -> CheckReport:
 def check_expected_scalar(est: DufloEstimate, expected: float, tol: float,
                           *, scenario: str = "") -> CheckReport:
     """trace(D) / trace(1) against the scenario's analytic scalar."""
-    lhs = trace(est.d).real / trace(est.d.shape.identity()).real
+    lhs = est._scalar_form[0]
     return CheckReport.equality("duflo-expected-scalar", CLAIMS["duflo-expected-scalar"], lhs, expected,
                                 tol_rel=tol, scenario=scenario,
                                 notes=f"off-scalar residual={est.off_scalar_residual:.3e}")
@@ -609,20 +609,19 @@ def _pairs(trials: int) -> int:
 class SuiteCheck:
     """One entry of the suite: the worst report of a few seeded trials.
 
-    Each trial draws one element per entry of ``draws`` ("positive",
-    "general", or "commuting": an element commuting with D) from the
-    scenario's rng stream ``tag`` and takes the next point of ``grid``.
-    ``run_check`` draws the trials at once, each entry's elements stacked
-    over them, and calls ``call(check, scenario, estimate, points,
-    *stacks)`` with the tuple of the trials' grid points; the estimate is a
-    ``DufloEstimate``, the ``EstimateError`` that stopped it, or None before
-    the duflo-estimate row.  ``check`` names a function of this module,
-    looked up when the row runs, so rebinding the module attribute reaches
-    the suite; it returns the worst trial's report, or one per position of
-    a tuple, named by ``rows``.  ``notes`` ("{n}" is the trial count)
-    replaces the worst report's notes; ``skip`` is the reason reported
-    instead when D is not scalar, so no element commutes with it; ``applies``
-    says whether a scenario has the rows at all.
+    Each trial draws one element per entry of ``draws`` ("positive" or
+    "general") from the scenario's rng stream ``tag`` and takes the next
+    point of ``grid``.  ``run_check`` draws the trials at once, each entry's
+    elements stacked over them, and calls ``call(check, scenario, estimate,
+    points, *stacks)`` with the tuple of the trials' grid points; the
+    estimate is a ``DufloEstimate``, the ``EstimateError`` that stopped it,
+    or None before the duflo-estimate row.  ``check`` names a function of
+    this module, looked up when the row runs, so rebinding the module
+    attribute reaches the suite; it returns the worst trial's report, or one
+    per position of a tuple, named by ``rows``.  ``notes`` ("{n}" is the
+    trial count) replaces the worst report's notes; ``skip`` is the reason
+    reported instead when D is not scalar, so no element commutes with it;
+    ``applies`` says whether a scenario has the rows at all.
     """
 
     rows: tuple[str, ...]
@@ -676,7 +675,7 @@ SUITE: tuple[SuiteCheck, ...] = (
                tag="l1", draws=("general", "general"), trials=_pairs),
     SuiteCheck(("young-inequality",), "check_young",
                lambda f, s, e, pqr, x, y: f(x, y, *zip(*pqr), e, s.action, tol_rel=s.ineq_tol),
-               tag="young", draws=("general", "commuting"),
+               tag="young", draws=("general", "general"),
                trials=lambda t: max(len(YOUNG_GRID), t), grid=YOUNG_GRID,
                skip=("no trace-class element commutes with D in this scenario "
                      "(the hypothesis set is empty for a diffuse scaling operator)")),
@@ -714,7 +713,7 @@ def run_check(row: SuiteCheck, scn, est: DufloEstimate | EstimateError | None,
     worst: tuple[CheckReport, ...] = ()
     for start in range(0, n, chunk):
         trials = range(start, min(start + chunk, n))
-        stacks = scn.random_trials(rng, row.draws, len(trials), est) if row.draws else ()
+        stacks = scn.random_trials(rng, row.draws, len(trials)) if row.draws else ()
         out = row.call(check, scn, est, tuple(row.grid[t % len(row.grid)] for t in trials), *stacks)
         out = out if isinstance(out, tuple) else (out,)
         worst = out if not worst else tuple(

@@ -69,6 +69,10 @@ class ScenarioSpec:
         # numpy seeds take non-negative integers only
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        # 0, a negative or nan tolerance fails every equality row, inf passes them all
+        if self.tol_rel is not None and not 0.0 < self.tol_rel < math.inf:
+            raise ConfigError("relative tolerance (--tol-rel, [tolerances] rel) must be finite "
+                              f"and greater than 0, got {self.tol_rel}")
 
 
 class Scenario:
@@ -106,44 +110,19 @@ class Scenario:
     def rng(self, tag: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(tag.encode())])
 
-    def random_element(self, rng: np.random.Generator) -> AlgebraElement:
-        return self.action.random_element(rng)
-
-    def random_positive(self, rng: np.random.Generator) -> AlgebraElement:
-        return self.action.random_positive(rng)
-
-    def commuting_element(self, rng: np.random.Generator, est) -> AlgebraElement:
-        """Element commuting with the estimated D: any element when D is scalar.
-
-        A D that is not scalar has no such trace-class element here: on the
-        wavelet quadrature the continuum D has diffuse spectrum, a commuting
-        element is a frequency multiplier, and its bracket is constant along
-        the shift direction, hence never integrable over the group.
-        """
-        self._require_commuting(est)
-        return self.random_element(rng)
-
-    def random_trials(self, rng: np.random.Generator, kinds: tuple[str, ...], trials: int,
-                      est=None) -> tuple[AlgebraElement, ...]:
+    def random_trials(self, rng: np.random.Generator, kinds: tuple[str, ...],
+                      trials: int) -> tuple[AlgebraElement, ...]:
         """``trials`` trials of one element per entry of ``kinds``, each
         entry's elements stacked over the trials (Action.random_trials).
 
-        A kind is "positive", "general" or "commuting", drawn as by
-        ``random_positive``, ``random_element`` or ``commuting_element``
-        with the estimate ``est``.
+        A kind is "positive" or "general", drawn as by the action's
+        ``random_positive`` or ``random_element``.
         """
-        if "commuting" in kinds:
-            self._require_commuting(est)
         return self.action.random_trials(rng, tuple(kind == "positive" for kind in kinds), trials)
-
-    def _require_commuting(self, est) -> None:
-        if not est.scalar_flag:
-            raise ConfigError(f"scenario {self.scenario_id!r} has no trace-class elements "
-                              "commuting with D")
 
     def duflo_pair(self) -> tuple[AlgebraElement, AlgebraElement]:
         rng = self.rng("duflo")
-        return self.random_positive(rng), self.random_positive(rng)
+        return self.action.random_positive(rng), self.action.random_positive(rng)
 
 
 # ---------------------------------------------------------------------------

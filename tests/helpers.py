@@ -353,8 +353,7 @@ def loop_run_check(row, scn, est, rng, n):
     else:
         check = partial(vars(qha.duflo)[row.check], scenario=scn.scenario_id)
         evaluate = lambda point, *elements: row.call(check, scn, est, (point,), *elements)  # noqa: E731
-    draw = {"positive": scn.random_positive, "general": scn.random_element,
-            "commuting": lambda rng: scn.commuting_element(rng, est)}
+    draw = {"positive": scn.action.random_positive, "general": scn.action.random_element}
     worst = ()
     for t in range(n):
         elements = [draw[kind](rng) for kind in row.draws]

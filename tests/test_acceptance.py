@@ -80,8 +80,8 @@ def test_criterion_2_weyl_heisenberg_family():
         worst_d = max(worst_d, abs(est.scalar_value - 1.0 / n) * n)
         rng = scn.rng("acceptance-orthogonality")
         for _ in range(100):
-            x = scn.random_positive(rng)
-            y = scn.random_positive(rng)
+            x = scn.action.random_positive(rng)
+            y = scn.action.random_positive(rng)
             rep_check = check_orthogonality(scn.action, est, x, y,
                                             positive=True, tol_rel=1e-9)
             worst_orth = max(worst_orth, rep_check.rel_err)
@@ -180,7 +180,7 @@ def test_criterion_5_induced_identity():
     worst = 0.0
     rng = scn.rng("induced-identity")
     for _ in range(50):
-        y = scn.random_element(rng)
+        y = scn.action.random_element(rng)
         lhs = trace(est.d_inverse @ y)
         rhs = 0.0 + 0.0j
         for j in range(coset_count):
@@ -203,10 +203,10 @@ def test_criterion_6_inequality_suites(sid):
     worst_violation = 0.0
     worst_equality = 0.0
     for t in range(200):
-        x = scn.random_element(rng)
-        y = scn.random_element(rng)
-        xp = scn.random_positive(rng)
-        yp = scn.random_positive(rng)
+        x = scn.action.random_element(rng)
+        y = scn.action.random_element(rng)
+        xp = scn.action.random_positive(rng)
+        yp = scn.action.random_positive(rng)
 
         ineq, eq = check_l1(x, y, est, act, tol_rel=1e-9)
         worst_violation = max(worst_violation, ineq.rel_err)

@@ -14,7 +14,6 @@ import qha.algebra
 import qha.groups
 from qha.algebra import (
     AlgebraElement,
-    op_norm,
     p_norm,
     random_element,
     random_positive_element,
@@ -973,7 +972,7 @@ class TestComparisonHooks:
         assert sup_distance(act.random_element(a), random_element(act.shape, b)) == 0.0
         assert sup_distance(act.random_positive(a), random_positive_element(act.shape, b)) == 0.0
 
-    def test_base_comparisons_are_sup_and_operator_norms(self):
+    def test_base_comparisons_are_entrywise(self):
         act = left_translation_action(cyclic(5), mu=np.full(5, 2.0))
         rng = np.random.default_rng(21)
         a, b = act.random_positive(rng), act.random_positive(rng)
@@ -982,7 +981,6 @@ class TestComparisonHooks:
                      for g in act.sample_elements)
         # the hook reads the estimate's D, here a
         assert defect > 0.1 and act.semi_invariance_defect(SimpleNamespace(d=a)) == defect
-        assert act.off_scalar_norm(a) == op_norm(a)
 
     def test_wavelet_cross_check_is_weak_pairing(self):
         act = WaveletAction(SMALL_WAVELET)
@@ -990,15 +988,6 @@ class TestComparisonHooks:
         a, b = act.random_positive(rng), act.random_positive(rng)
         assert act.cross_check_distance(a, b) == act.weak_pairing_defect(a, b)
         assert act.cross_check_distance(a, b) != (a - b).max_abs_entry() / a.max_abs_entry()
-
-    def test_wavelet_off_scalar_norm_reads_only_the_window(self):
-        act = WaveletAction(SMALL_WAVELET)
-        mat = np.zeros((act.grid_size, act.grid_size), dtype=complex)
-        mat[0, 0] = 50.0  # outside the window: ignored
-        mat[act.center, act.center + 1] = 0.5
-        off = AlgebraElement(act.shape, [mat])
-        assert act.off_scalar_norm(off) == 0.5
-        assert op_norm(off) == 50.0
 
 
 class TestStructuralCheckers:

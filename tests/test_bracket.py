@@ -75,8 +75,8 @@ class TestBracketValues:
         for sid in FINITE_BUILTINS + ("affine-wavelet:coarse",):
             scn = build_scenario(builtin(sid))
             rng = scn.rng("path-pair")
-            x = scn.random_positive(rng)
-            y = scn.random_positive(rng)
+            x = scn.action.random_positive(rng)
+            y = scn.action.random_positive(rng)
             root = power(x, 0.5)
             vals = scn.action.bracket_values(x, y)
             scale = 1 + np.abs(vals).max()
@@ -90,8 +90,8 @@ class TestBracketValues:
         for sid in FINITE_BUILTINS + ("affine-wavelet:coarse",):
             scn = build_scenario(builtin(sid))
             rng = scn.rng("positivity")
-            x = scn.random_positive(rng)
-            y = scn.random_positive(rng)
+            x = scn.action.random_positive(rng)
+            y = scn.action.random_positive(rng)
             vals = scn.action.bracket_values(x, y)
             scale = np.abs(vals).max()
             assert np.abs(vals.imag).max() <= 1e-10 * scale, sid

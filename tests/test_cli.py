@@ -124,6 +124,14 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
         assert code == 2 and err.startswith("error:") and "seed" in err
 
+    @pytest.mark.parametrize("value", ["inf", "0", "-1", "nan"])
+    def test_out_of_range_tol_rel_in_file_exits_two(self, capsys, tmp_path, value):
+        path = tmp_path / "tol.ini"
+        path.write_text(f"[scenario]\nid = wh:2\n\n[tolerances]\nrel = {value}\n")
+        code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "[tolerances] rel" in err
+
     def test_tol_rel_lowers_every_law_row(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--scenario", "wh:3", "--tol-rel", "1e-12",
                                  "--format", "structured")
@@ -182,7 +190,8 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--scenario", "wh:2")
         assert code == 2 and err.startswith("error:") and "seed" in err
 
-    @pytest.mark.parametrize("flag", [("--seed", "-1"), ("--trials", "0"), ("--trials", "-3")])
+    @pytest.mark.parametrize("flag", [("--seed", "-1"), ("--trials", "0"), ("--trials", "-3"),
+                                      *(("--tol-rel", v) for v in ("inf", "0", "-1", "nan"))])
     def test_out_of_range_flag_exits_two(self, capsys, flag):
         code, out, err = run_cli(capsys, "verify", "--scenario", "wh:2", *flag)
         assert code == 2 and out == ""

@@ -146,15 +146,10 @@ class TestEstimate:
         assert "spectrum" not in vars(est) and "d" not in vars(est)
         eig = eigh_blocks(est.d_inverse)
         d = from_eigh(est.d_inverse.shape, eig, np.reciprocal)
-        d_scalar = trace(d).real / trace(d.shape.identity()).real
-        off = scn.action.off_scalar_norm(d - d.shape.scalar(d_scalar)) / abs(d_scalar)
         assert np.array_equal(est.d.blocks, d.blocks)
         for t in (-0.5, 0.5, 1.0):
             eager = from_eigh(d.shape, eig, lambda w: w ** (-t))
             assert np.array_equal(est.power(t).blocks, eager.blocks)
-        assert est.off_scalar_residual == off
-        assert est.scalar_flag == (off <= 1e-8)
-        assert est.scalar_value == (d_scalar if off <= 1e-8 else None)
         # cond(D) and the smallest eigenvalue read the eigvalsh eigenvalues,
         # eigh's to a few ulps: LAPACK's eigenvalue-only tridiagonal solver is
         # another algorithm than the one that also returns eigenvectors
@@ -162,6 +157,29 @@ class TestEstimate:
         eps = np.finfo(float).eps
         assert est.min_eigenvalue == pytest.approx(float(w.min()), rel=8 * eps, abs=0.0)
         assert est.condition() == pytest.approx(float(w.max() / w.min()), rel=8 * eps, abs=0.0)
+        # the scalar diagnostics read the eigvalsh spectrum; the eager ones form
+        # D - c 1.  Both solvers are backward stable, so each eigenvalue of
+        # D^{-1} moves by at most about n eps ||D^{-1}||, and each eigenvalue
+        # 1/w of D by n eps cond(D) of itself: c, a positive mean of them, by
+        # n eps cond(D) |c|, and ||D - c 1|| / |c| by n eps cond(D) times
+        # (||D|| / |c| + 1); the factor 2 covers the products and sums of the
+        # eager D, each n eps of ||D||
+        c, off = est._scalar_form
+        c_eager = trace(d).real / trace(d.shape.identity()).real
+        off_eager = op_norm(d - d.shape.scalar(c_eager)) / abs(c_eager)
+        rounding = 2 * d.shape.block_dim * eps * est.condition()
+        assert abs(c - c_eager) <= rounding * abs(c)
+        assert abs(off - off_eager) <= rounding * (1.0 / (est.min_eigenvalue * abs(c)) + 1.0)
+        assert est.off_scalar_residual == off
+        assert est.scalar_flag == (off <= 1e-8) == (off_eager <= 1e-8)
+        assert est.scalar_value == (c if off <= 1e-8 else None)
+
+    @pytest.mark.parametrize("sid", ["wh:4", "irrep:s3:std", "affine-wavelet:default"])
+    def test_scalar_diagnostics_form_no_eigenbasis(self, sid):
+        scn, est = _estimate(sid)
+        flag, value, off = est.scalar_flag, est.scalar_value, est.off_scalar_residual
+        assert flag == (value is not None) == (off <= 1e-8)
+        assert "spectrum" not in vars(est) and "d" not in vars(est)
 
     def test_non_positive_d_inverse_raises(self, monkeypatch):
         # a D^{-1} with a negative eigenvalue fails the eigenvalue-only
@@ -229,7 +247,7 @@ class TestOrthogonality:
         scn, est = _estimate(sid)
         rng = scn.rng("orth-rhs")
         tol = admissibility_tol(est)
-        for positive, draw in ((True, scn.random_positive), (False, scn.random_element)):
+        for positive, draw in ((True, scn.action.random_positive), (False, scn.action.random_element)):
             x, y = draw(rng), draw(rng)
             y_eff = y if positive else y.adjoint()
             sandwich = est.sandwich(-0.5, y_eff)
@@ -241,7 +259,7 @@ class TestOrthogonality:
         scn, est = _estimate("affine-wavelet:default")
         monkeypatch.setattr(type(est), "power", lambda self, t: pytest.fail("power called"))
         rng = scn.rng("orth-rhs")
-        x, y = scn.random_positive(rng), scn.random_positive(rng)
+        x, y = scn.action.random_positive(rng), scn.action.random_positive(rng)
         assert check_orthogonality(scn.action, est, x, y, tol_rel=scn.tol_rel).passed
 
     def test_traceless_first_argument(self):
@@ -249,7 +267,7 @@ class TestOrthogonality:
         rng = scn.rng("traceless")
         x = random_element(scn.shape, rng)
         x = x - (trace(x) / trace(scn.shape.identity())) * scn.shape.identity()
-        y = scn.random_positive(rng)
+        y = scn.action.random_positive(rng)
         lhs = scn.action.bracket_integral(x, y)
         assert abs(lhs) <= 1e-10 * p_norm(x, 2.0) * p_norm(y, 2.0) * scn.action.group.order
 
@@ -260,8 +278,8 @@ class TestOrthogonality:
             scn, est = _estimate(sid)
             rng = scn.rng("orth")
             for _ in range(5):
-                x = scn.random_positive(rng)
-                y = scn.random_positive(rng)
+                x = scn.action.random_positive(rng)
+                y = scn.action.random_positive(rng)
                 rep = check_orthogonality(scn.action, est, x, y,
                                           positive=True, tol_rel=1e-9, scenario=sid)
                 assert rep.passed, (sid, rep.rel_err)
@@ -270,8 +288,8 @@ class TestOrthogonality:
         scn, est = _estimate("wh:4")
         rng = scn.rng("general")
         for _ in range(10):
-            x = scn.random_element(rng)
-            y = scn.random_element(rng)
+            x = scn.action.random_element(rng)
+            y = scn.action.random_element(rng)
             rep = check_orthogonality(scn.action, est, x, y,
                                       positive=False, tol_rel=1e-9)
             assert rep.passed
@@ -288,7 +306,7 @@ class TestOrthogonality:
         rng = scn.rng("bilinear")
         random_ok = all(
             check_orthogonality(scn.action, est,
-                                scn.random_element(rng), scn.random_element(rng),
+                                scn.action.random_element(rng), scn.action.random_element(rng),
                                 positive=False, tol_rel=1e-9).passed
             for _ in range(8)
         )
@@ -360,7 +378,7 @@ class TestAdmissibility:
         scn, est = _estimate("irrep:s3:std")
         rng = scn.rng("adm")
         for _ in range(20):
-            ok, _ = check_admissibility(scn.random_positive(rng), est, tol=1e-11)
+            ok, _ = check_admissibility(scn.action.random_positive(rng), est, tol=1e-11)
             assert ok
 
     def test_tolerance_from_conditioning(self):
@@ -378,7 +396,7 @@ class TestAdmissibility:
         scn, est = _estimate("wh:4")
         bad = replace(est, d_inverse=(1.0 + 1e-8) * est.d_inverse)
         bad.spectrum = est.spectrum
-        y = scn.random_positive(scn.rng("adm"))
+        y = scn.action.random_positive(scn.rng("adm"))
         assert check_admissibility(y, est)[0]
         assert not check_admissibility(y, bad)[0]
         report = admissibility_report(y, bad)
@@ -404,8 +422,8 @@ class TestL1:
     def test_positive_pair_consistency_with_orthogonality(self):
         scn, est = _estimate("wh:3")
         rng = scn.rng("l1pos")
-        x = scn.random_positive(rng)
-        y = scn.random_positive(rng)
+        x = scn.action.random_positive(rng)
+        y = scn.action.random_positive(rng)
         ineq, eq = check_l1(x, y, est, scn.action, tol_rel=1e-9)
         assert eq.passed
         # the equality side equals the orthogonality right-hand side with
@@ -420,8 +438,8 @@ class TestL1:
         scn, est = _estimate("irrep:s3:std")
         rng = scn.rng("l1gen")
         for _ in range(20):
-            x = scn.random_element(rng)
-            y = scn.random_element(rng)
+            x = scn.action.random_element(rng)
+            y = scn.action.random_element(rng)
             ineq, eq = check_l1(x, y, est, scn.action, tol_rel=1e-9)
             assert ineq.passed and eq.passed
             assert ineq.lhs <= ineq.rhs + 1e-9 * ineq.rhs
@@ -451,8 +469,8 @@ class TestYoung:
     def test_equality_at_ones_for_positive_pair(self):
         scn, est = _estimate("wh:3")
         rng = scn.rng("young-eq")
-        x = scn.random_positive(rng)
-        y = scn.random_positive(rng)
+        x = scn.action.random_positive(rng)
+        y = scn.action.random_positive(rng)
         rep = check_young(x, y, 1.0, 1.0, 1.0, est, scn.action, tol_rel=1e-9)
         assert rep.passed
         assert rep.lhs == pytest.approx(rep.rhs, rel=1e-10)  # equality case
@@ -462,8 +480,8 @@ class TestYoung:
         rng = scn.rng("young-grid")
         for t in range(40):
             p, q, r = YOUNG_GRID[t % len(YOUNG_GRID)]
-            x = scn.random_element(rng)
-            y = scn.random_element(rng)
+            x = scn.action.random_element(rng)
+            y = scn.action.random_element(rng)
             rep = check_young(x, y, p, q, r, est, scn.action, tol_rel=1e-9)
             assert rep.passed
 
@@ -493,8 +511,8 @@ class TestInterpolation:
     def test_p1_matches_l1_bound(self):
         scn, est = _estimate("wh:3")
         rng = scn.rng("interp1")
-        x = scn.random_element(rng)
-        y = scn.random_element(rng)
+        x = scn.action.random_element(rng)
+        y = scn.action.random_element(rng)
         rep = check_interpolation(x, y, 1.0, est, scn.action, tol_rel=1e-9)
         assert rep.passed
         # p = 1: bound is ||x||_1 ||D^{-1/2} y D^{-1/2}||_1
@@ -505,8 +523,8 @@ class TestInterpolation:
         scn, est = _estimate("wh:4")
         rng = scn.rng("interp-inf")
         for _ in range(10):
-            x = scn.random_element(rng)
-            y = scn.random_element(rng)
+            x = scn.action.random_element(rng)
+            y = scn.action.random_element(rng)
             rep = check_interpolation(x, y, math.inf, est, scn.action,
                                       tol_rel=1e-9)
             assert rep.passed
@@ -519,7 +537,7 @@ class TestInterpolation:
         scn, est = _estimate("wh:4")
         rng = scn.rng("interp2")
         for _ in range(20):
-            rep = check_interpolation(scn.random_element(rng), scn.random_element(rng),
+            rep = check_interpolation(scn.action.random_element(rng), scn.action.random_element(rng),
                                       2.0, est, scn.action, tol_rel=1e-9)
             assert rep.passed
 
@@ -530,7 +548,7 @@ class TestSpotInequalities:
         rng = scn.rng("holder")
         for t in range(30):
             p, q, r = HOLDER_GRID[t % len(HOLDER_GRID)]
-            rep = check_holder(scn.random_element(rng), scn.random_element(rng),
+            rep = check_holder(scn.action.random_element(rng), scn.action.random_element(rng),
                                p, q, r, tol_rel=1e-9)
             assert rep.passed
 
@@ -539,7 +557,7 @@ class TestSpotInequalities:
         rng = scn.rng("alt")
         for t in range(30):
             r = ALT_POWERS[t % len(ALT_POWERS)]
-            rep = check_alt(scn.random_positive(rng), scn.random_positive(rng),
+            rep = check_alt(scn.action.random_positive(rng), scn.action.random_positive(rng),
                             r, tol_rel=1e-9)
             assert rep.passed
 
@@ -700,7 +718,7 @@ class TestStackedSuite:
         kinds = ("positive", "general", "positive")
         stacks = scn.random_trials(scn.rng("draws"), kinds, 5)
         rng = scn.rng("draws")
-        draw = {"positive": scn.random_positive, "general": scn.random_element}
+        draw = {"positive": scn.action.random_positive, "general": scn.action.random_element}
         singles = [[draw[kind](rng) for kind in kinds] for _ in range(5)]
         for j, st in enumerate(stacks):
             assert st.trials == 5
@@ -708,11 +726,11 @@ class TestStackedSuite:
                 assert np.array_equal(st.blocks[i], singles[i][j].blocks)
 
     def test_stacked_draw_leaves_the_stream_where_the_loop_does(self):
-        scn, est = _estimate("wh:3")
+        scn = build_scenario(builtin("wh:3"))
         a, b = scn.rng("draws"), scn.rng("draws")
-        scn.random_trials(a, ("general", "commuting"), 4, est)
+        scn.random_trials(a, ("general", "general"), 4)
         for _ in range(4):
-            scn.random_element(b), scn.commuting_element(b, est)
+            scn.action.random_element(b), scn.action.random_element(b)
         assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
 
     def test_wavelet_checks_see_one_trial_a_call(self, monkeypatch):

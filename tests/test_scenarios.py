@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qha.duflo import estimate_duflo, run_suite
+from qha.duflo import estimate_duflo, run_suite, suite_entry
 from qha.reports import all_passed
 from qha.scenarios import (
     ConfigError,
@@ -241,16 +241,16 @@ class TestScenarioRuntime:
     def test_seed_changes_elements(self):
         s1 = build_scenario(builtin("wh:3", seed=1))
         s2 = build_scenario(builtin("wh:3", seed=2))
-        x1 = s1.random_element(s1.rng("x"))
-        x2 = s2.random_element(s2.rng("x"))
+        x1 = s1.action.random_element(s1.rng("x"))
+        x2 = s2.action.random_element(s2.rng("x"))
         assert (x1 - x2).max_abs_entry() > 1e-6
 
-    def test_wavelet_has_no_commuting_elements(self):
-        scn = build_scenario(ScenarioSpec("affine-wavelet:coarse"))
-        est = estimate_duflo(scn.action, *scn.duflo_pair())
-        assert not est.scalar_flag
-        with pytest.raises(ConfigError):
-            scn.commuting_element(scn.rng("x"), est)
+    def test_wavelet_young_row_is_skipped_with_its_reason(self):
+        # the wavelet's D is not scalar, so no trace-class element commutes with it
+        scn = build_scenario(ScenarioSpec("affine-wavelet:default"))
+        assert not estimate_duflo(scn.action, *scn.duflo_pair()).scalar_flag
+        young, = (r for r in run_suite(scn) if r.name == "young-inequality")
+        assert young.skipped and young.notes == suite_entry("young-inequality").skip
 
     def test_refined_wavelet_level_zero_is_the_preset(self):
         spec = ScenarioSpec("affine-wavelet:coarse")

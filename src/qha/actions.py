@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import (
     AlgebraElement,
@@ -865,10 +866,11 @@ class WaveletAction(Action):
     The integrals use two exact identities.  Their weights are constant in
     b (da db / a^2 for ``bracket_integral``, da db / a for ``orbit_sum``),
     so summing over b first turns the phases into the gram ``b_kernel``, a
-    real Dirichlet kernel in xi_k - xi_l in closed form; the dilation sum
-    that remains, sum_j s_j roll(m, (j, j)), is one circulant product in the
-    cyclic-diagonal form of m (``_shift_sum_diagonals``), one real K x K by
-    K x 2K GEMM on the real view of the cyclic diagonals.
+    real Dirichlet kernel in xi_k - xi_l in closed form.  The dilation sum
+    that remains, sum_j s_j roll(m, (j, j)), keeps each cyclic diagonal of m:
+    the main one is a circulant matvec over the n_a shifts, and the band one
+    real GEMM over the rows with off-diagonal nonzeros and the diagonals they
+    hold (``_band``, ``_band_sum``); the other diagonals stay exact zeros.
 
     ``bracket_values`` works on the nonzero rows r and columns c of x only,
     where conj(g.y) * x can be nonzero, as a bilinear form: with
@@ -925,11 +927,6 @@ class WaveletAction(Action):
         self.center = c
         support_steps = int(round(design.support_octaves * den))
         self.window = slice(c - (h - support_steps), c + (h - support_steps) + 1)
-        # d[k, e] = (k + e) % K reads the cyclic diagonals of a matrix as
-        # columns; t[k, l] = (k - l) % K indexes a circulant by its first column
-        k = np.arange(K)
-        self._diagonals = (k[:, None] + k) % K
-        self._circulant = (k[:, None] - k) % K
         self.probes = np.array([self.bump_vector(center, 0.18, nu)
                                 for center in (-0.5, -0.25, 0.0, 0.25, 0.5) for nu in (0.0, 0.7)])
         # sample nodes near the identity: one-step dilations and one-cell shifts
@@ -995,23 +992,28 @@ class WaveletAction(Action):
 
     # -- structured bulk paths --------------------------------------------
 
-    def _shift_sum_diagonals(self, s: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """The cyclic-diagonal form of sum over j of s[j % K] * roll(m, (j, j))
-        for real weights s, as one circulant product.
+    def _circulant_matvec(self, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """sum_j s[j % K] roll(v, j) over the n_a shifts j: one convolution of
+        v wrapped by max_shift at either end."""
+        h = self.design.max_shift
+        return np.convolve(np.concatenate([v[-h:], v, v[:h]]), s[self.shifts % self.grid_size], "valid")
 
-        In the cyclic-diagonal form m~[k, e] = m[k, (k + e) % K] a joint roll
-        by j is a roll of the rows by j, so the sum is circulant(s) @ m~: one
-        real GEMM on the (K, 2K) real view of the diagonals, as a real
-        circulant acts on the real and imaginary parts alike.  The GEMM keeps
-        the exact zeros of m that every shifted term shares (an FFT would fill
-        them with roundoff).
-        """
-        diags = m[np.arange(self.grid_size)[:, None], self._diagonals].view(float)
-        # formed as the transposed product diags.T @ circulant(s).T: OpenBLAS
-        # splits that orientation over threads without reordering its sums at
-        # K = 97, so the default wavelet's reports do not depend on the BLAS
-        # thread count (circulant(s) @ diags does, there)
-        return np.ascontiguousarray((diags.T @ s[self._circulant].T).T).view(complex)
+    def _band(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of m that hold off-diagonal nonzeros, and the cyclic
+        diagonals e != 0 (entries (k, (k + e) % K)) they hold: row k of the
+        diagonal form is the window at k of the doubled row k."""
+        K = self.grid_size
+        nz = m != 0
+        nz.flat[::K + 1] = False
+        rows = np.flatnonzero(nz.any(axis=1))
+        held = sliding_window_view(np.tile(nz[rows], 2), K, axis=1)[np.arange(rows.size), rows]
+        return rows, np.flatnonzero(held.any(axis=0))
+
+    def _band_sum(self, s: np.ndarray, out: np.ndarray, rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """Rows ``out`` of the diagonal form of sum_j s[j % K] roll(., (j, j))
+        of a band held as m on ``rows``: circulant(s)[out, rows] @ m, one real
+        GEMM, as a real circulant acts on real and imaginary parts alike."""
+        return (s[(out[:, None] - rows) % self.grid_size] @ m.view(float)).view(complex)
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
         return _trialwise(self._bracket_values, x, y)
@@ -1067,20 +1069,30 @@ class WaveletAction(Action):
         return _trialwise(self._bracket_integral, x, y)
 
     def _bracket_integral(self, xb: np.ndarray, yb: np.ndarray) -> complex:
-        # the b sum collapses into the phase gram, the a sum into one
-        # circulant dilation sum, paired with conj(y).T on the cyclic diagonals:
-        # entry [k, e] of both is at (k, (k + e) % K)
-        acc = self._shift_sum_diagonals(self._dilation_weights, self.b_kernel * xb.T)
-        y_diags = yb[self._diagonals, np.arange(self.grid_size)[:, None]]
-        return complex(np.sum(y_diags.conj() * acc))
+        # sum_j w_j sum_{p,q} conj(y[p, q]) m[p - j, q - j], m = b_kernel * x, on
+        # the main diagonal and the band diagonals of both, at the rows of y
+        K, w = self.grid_size, self._dilation_weights
+        diagonal = self._circulant_matvec(w, self.b_kernel.diagonal() * xb.diagonal())
+        value = np.sum(yb.diagonal().conj() * diagonal)
+        (rx, ex), (ry, ey) = self._band(xb), self._band(yb)
+        e = np.intersect1d(ex, ey, assume_unique=True)
+        if e.size:
+            cx = (rx[:, None] + e) % K
+            acc = self._band_sum(w, ry, rx, self.b_kernel[rx[:, None], cx] * xb[rx[:, None], cx])
+            value += np.sum(yb[ry[:, None], (ry[:, None] + e) % K].conj() * acc)
+        return complex(value)
 
     def orbit_sum(self, x: AlgebraElement) -> AlgebraElement:
-        # one dilation sum, scattered back from the cyclic diagonals, then the
-        # phase gram of the b sum
-        K = self.grid_size
-        acc = np.empty((K, K), dtype=complex)
-        diags = self._shift_sum_diagonals(self._orbit_weights, x.blocks[0])
-        acc[np.arange(K)[:, None], self._diagonals] = diags
+        # the dilation sum on the main diagonal and on the band, at the rows
+        # it reaches (the weights are positive), then the phase gram of the b sum
+        K, s, xb = self.grid_size, self._orbit_weights, x.blocks[0]
+        acc = np.zeros((K, K), dtype=complex)
+        acc.flat[::K + 1] = self._circulant_matvec(s, xb.diagonal())
+        rows, e = self._band(xb)
+        if e.size:
+            out = np.flatnonzero(self._circulant_matvec(s, np.isin(np.arange(K), rows)))
+            band = self._band_sum(s, out, rows, xb[rows[:, None], (rows[:, None] + e) % K])
+            acc[out[:, None], (out[:, None] + e) % K] = band
         acc *= self.b_kernel
         return AlgebraElement(self.shape, acc[None], copy=False)
 

@@ -127,18 +127,22 @@ class InconsistencyError(EstimateError):
 
 @dataclass
 class DufloEstimate:
-    """Estimated scaling operator D, held as D^{-1} and the eigenvalues of D^{-1}.
+    """Estimated scaling operator D, held as D^{-1}.
 
-    The estimator needs the eigenvalues only, for its positivity test, and
-    the scalar diagnostics read them too.  The eigendecomposition of D^{-1},
-    D itself and its powers are computed on first use and cached, so a
-    caller that only pairs with D^{-1}, solves against it or asks whether D
-    is scalar never forms an eigenbasis.
+    The eigenvalues of D^{-1} (one ``eigvalsh``, read by the scalar
+    diagnostics, the smallest eigenvalue and cond(D)), its eigendecomposition,
+    D and its powers are computed on first use and cached: a caller that only
+    pairs with D^{-1} or solves against it forms no eigenvalue, and one that
+    asks whether D is scalar forms no eigenbasis.
     """
 
     d_inverse: AlgebraElement
-    eigenvalues: np.ndarray
     cross_check_residual: float = 0.0
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The stacked eigenvalues of D^{-1}, ascending in each block."""
+        return eigvalsh_blocks(self.d_inverse)
 
     @property
     def min_eigenvalue(self) -> float:
@@ -206,21 +210,35 @@ def estimate_duflo(
     """Estimate D from the modular-weighted orbit sum of a positive test element.
 
     D^{-1} = sum_i w_i Delta(g_i)^{-1} (g_i . x) with trace(x) normalized to 1
-    and w the action's Haar weights;
-    D is its spectral inverse, formed on first use.  A second test element
-    cross-checks the estimate; residuals beyond ``cross_tol`` raise
-    InconsistencyError.  Both residuals are measured in the action's own
-    comparison (see Action).
+    and w the action's Haar weights; D is its spectral inverse, formed on
+    first use.  Its eigenvalues must pass min_eig > 1e-12 max_eig, else
+    EstimateError.  A Cholesky factorization of fl(block - tau 1) certifies
+    this, with N = max_k ||block_k||_inf >= max_eig and tau = (1e-12 +
+    2 n (n + 1) eps) N for blocks of size n: run to completion, it gives
+    R* R = block - tau 1 + E, ||E||_2 <= sqrt(2) gamma_{n+2} ||R||_F^2 <=
+    1.07 n (n + 1) eps N (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Thm 10.3, in complex arithmetic, where a product errs
+    by sqrt(2) gamma_2; ||R||_F^2 = trace(R* R) <= n N), and the shift rounds
+    by eps N / 2, so min_eig > 1e-12 N + 0.68 n (n + 1) eps N, a margin for
+    eigvalsh's rounding too.  Else the eigvalsh rule decides.  A second
+    test element cross-checks the estimate; residuals beyond
+    ``cross_tol`` raise InconsistencyError.  Both residuals are measured in
+    the action's own comparison (see Action).
     """
     d_inv = _orbit_density(action, x_test)
-
-    w = eigvalsh_blocks(d_inv)
-    min_eig, max_eig = float(w.min()), float(w.max())
-    if min_eig <= 1e-12 * max_eig:
-        raise EstimateError(
-            f"orbit density is not positive definite (min eig {min_eig:.3e}); "
-            "the action looks non-ergodic or non-integrable at this quadrature"
-        )
+    n, shifted = d_inv.shape.block_dim, d_inv.blocks.copy()
+    tau = (1e-12 + 2 * n * (n + 1) * np.finfo(float).eps) * np.abs(shifted).sum(axis=-1).max()
+    shifted.reshape(len(shifted), -1)[:, ::n + 1] -= tau
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        w = eigvalsh_blocks(d_inv)
+        min_eig, max_eig = float(w.min()), float(w.max())
+        if min_eig <= 1e-12 * max_eig:
+            raise EstimateError(
+                f"orbit density is not positive definite (min eig {min_eig:.3e}); "
+                "the action looks non-ergodic or non-integrable at this quadrature"
+            ) from None
 
     cross = 0.0
     if x_test_alt is not None:
@@ -231,7 +249,7 @@ def estimate_duflo(
                 f"independent test elements disagree by {cross:.3e} > {cross_tol:.1e}; "
                 "quadrature too coarse or action not ergodic"
             )
-    return DufloEstimate(d_inverse=d_inv, eigenvalues=w, cross_check_residual=cross)
+    return DufloEstimate(d_inverse=d_inv, cross_check_residual=cross)
 
 
 def _orbit_density(action: Action, x_test: AlgebraElement) -> AlgebraElement:

@@ -792,37 +792,112 @@ def _dot_product_bound(x, y):
     return 2 * (n + 2) * np.finfo(float).eps * np.linalg.norm(xb) * np.linalg.norm(yb)
 
 
+BAND_KINDS = ("positive", "two-bump", "wrapping", "diagonal", "zero", "dense")
+
+
+def _band_element(act, kind, rng):
+    """One block of a band-kernel test input: ``random_positive`` with its
+    floor on the whole diagonal; two bumps with a gap between their supports,
+    coupled off the diagonal; a dense block whose rows and columns wrap past
+    K - 1; a diagonal; zero; a dense random element."""
+    K = act.grid_size
+    if kind == "positive":
+        return act.random_positive(rng).blocks[0]
+    if kind == "two-bump":
+        c = 1.6 * act.design.support_octaves
+        u, w = act.bump_vector(-c, 0.2, 0.3), act.bump_vector(c, 0.15, -0.5)
+        assert not (u * w).any() and not u[act.center] and not w[act.center]
+        return np.outer(u, u.conj()) + np.outer(w, w.conj()) + (0.5 - 1j) * np.outer(u, w.conj())
+    if kind == "diagonal":
+        return np.diag(rng.standard_normal(K) + 1j * rng.standard_normal(K))
+    if kind == "dense":
+        return random_element(act.shape, rng).blocks[0]
+    x = np.zeros((K, K), dtype=complex)
+    if kind == "wrapping":
+        idx = np.arange(-K // 8, K // 8) % K
+        x[np.ix_(idx, idx)] = rng.standard_normal((idx.size, idx.size)) + 1j * rng.standard_normal((idx.size, idx.size))
+    return x
+
+
+def _per_shift_sum(act, s, m):
+    """sum_j s[j % K] roll(m, (j, j)) over the dilations j, one at a time."""
+    return sum(s[j % act.grid_size] * np.roll(m, (j, j), axis=(0, 1)) for j in act.shifts)
+
+
+def _dilation_sum_bound(act):
+    """(2 n_a + 2) eps: how far two evaluations of an entry of
+    b_kernel * sum_j s_j roll(m, (j, j)) can lie apart, relative to
+    |b_kernel| sum_j |s_j| |m[. - j, . - j]|.
+
+    The real and the imaginary part of the sum are each n_a real products
+    summed in some order, and err by at most gamma_{n_a} times the sum of
+    their absolute terms, so the complex sum by sqrt(2) gamma_{n_a} of the
+    absolute one; the product with the real kernel adds u = eps / 2.  To
+    first order an evaluation errs by (sqrt(2) n_a + 1) u, and two by at
+    most twice that.
+    """
+    return (2 * act.n_a + 2) * np.finfo(float).eps
+
+
 class TestWaveletKernels:
     """The circulant dilation sum, support restriction and probe quadratic
     forms against the per-node and per-shift definitions they rewrite."""
 
-    def test_shift_sum_matches_roll_sum_with_wrap_around(self):
-        act = WaveletAction(SMALL_WAVELET)
+    @pytest.mark.parametrize("grid", ["small-wavelet", "default", "odd-n_b"])
+    @pytest.mark.parametrize("kind", BAND_KINDS)
+    def test_orbit_sum_matches_the_per_shift_sum(self, grid, kind):
+        act = _wavelet(grid)
+        x = _band_element(act, kind, np.random.default_rng(40))
+        s = act._orbit_weights
+        ref = act.b_kernel * _per_shift_sum(act, s, x)
+        fast = act.orbit_sum(AlgebraElement(act.shape, [x])).blocks[0]
+        # each entry within the bound of its own dilation sum, so exactly zero
+        # where no dilation reaches a nonzero of x
+        bound = _dilation_sum_bound(act) * np.abs(act.b_kernel) * _per_shift_sum(act, np.abs(s), np.abs(x))
+        assert np.all(np.abs(fast - ref) <= bound)
+        # the cyclic diagonals x does not hold stay exact zeros
         K = act.grid_size
-        rng = np.random.default_rng(40)
-        s = rng.standard_normal(K)  # every shift, wrapping
-        m = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
-        ref = sum(s[j] * np.roll(m, (j, j), axis=(0, 1)) for j in range(K))
-        # scattered back from the cyclic-diagonal form m~[k, e] = m[k, (k + e) % K]
-        fast = np.empty((K, K), dtype=complex)
-        fast[np.arange(K)[:, None], (np.arange(K)[:, None] + np.arange(K)) % K] = act._shift_sum_diagonals(s, m)
-        assert np.abs(fast - ref).max() < 1e-12 * np.abs(ref).max()
+        diagonal = (np.arange(K) - np.arange(K)[:, None]) % K
+        assert not fast[~np.isin(diagonal, diagonal[x != 0])].any()
 
-    def test_shift_sum_keeps_the_zero_diagonals(self):
-        # a joint roll maps each cyclic diagonal of m to itself: the diagonals
-        # where m vanishes stay exactly zero in the sum
+    def test_orbit_sum_keeps_the_zero_diagonals(self):
+        # a joint roll maps each cyclic diagonal of x to itself: the diagonals
+        # where x vanishes stay exactly zero in the sum, wrapping or not
         act = WaveletAction(SMALL_WAVELET)
         K = act.grid_size
         rng = np.random.default_rng(46)
-        s = rng.standard_normal(K)  # every shift, wrapping
-        m = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
-        e = (np.arange(K) - np.arange(K)[:, None]) % K  # the diagonal of each entry
-        m[e % 3 != 0] = 0.0
-        ref = sum(s[j] * np.roll(m, (j, j), axis=(0, 1)) for j in range(K))
-        diags = (np.arange(K)[:, None] + np.arange(K)) % K
-        fast = act._shift_sum_diagonals(s, m)
-        assert np.abs(fast - ref[np.arange(K)[:, None], diags]).max() < 1e-12 * np.abs(ref).max()
-        assert not fast[:, np.arange(K) % 3 != 0].any()
+        x = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+        diagonal = (np.arange(K) - np.arange(K)[:, None]) % K
+        x[diagonal % 3 != 0] = 0.0
+        fast = act.orbit_sum(AlgebraElement(act.shape, [x])).blocks[0]
+        ref = act.b_kernel * _per_shift_sum(act, act._orbit_weights, x)
+        assert np.abs(fast - ref).max() < 1e-12 * np.abs(ref).max()
+        assert not fast[diagonal % 3 != 0].any()
+
+    @pytest.mark.parametrize("grid", ["small-wavelet", "default", "odd-n_b"])
+    @pytest.mark.parametrize("kind", BAND_KINDS)
+    def test_bracket_integral_matches_the_per_shift_sum(self, grid, kind):
+        # sum_{p,q} conj(y[p, q]) S[p, q] with S = sum_j w_j roll(b_kernel * x, (j, j)),
+        # against y of every kind
+        act = _wavelet(grid)
+        rng = np.random.default_rng(48)
+        x = _band_element(act, kind, rng)
+        m = act.b_kernel * x
+        S = _per_shift_sum(act, act._dilation_weights, m)
+        S_abs = _per_shift_sum(act, np.abs(act._dilation_weights), np.abs(m))
+        for other in BAND_KINDS:
+            y = _band_element(act, other, rng)
+            ref = np.sum(y.conj() * S)
+            fast = act.bracket_integral(AlgebraElement(act.shape, [x]), AlgebraElement(act.shape, [y]))
+            # the sum of N = nnz(y) products, each of a dilation sum of n_a
+            # terms: to first order in u = eps / 2, an evaluation errs by at
+            # most (sqrt(2) n_a + 2 sqrt(2) + N - 1) u times the sum of the
+            # absolute terms, below (N + 2 n_a + 4) u; two by twice that
+            N = np.count_nonzero(y)
+            bound = (N + 2 * act.n_a + 4) * np.finfo(float).eps * np.sum(np.abs(y) * S_abs)
+            assert abs(fast - ref) <= bound, other
+            if not (x.any() and y.any()):
+                assert fast == 0
 
     @pytest.mark.parametrize("grid", ["small-wavelet", "coarse", "default", "fine", "scaled(4)"])
     def test_b_kernel_is_the_phase_gram(self, grid):

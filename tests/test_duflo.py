@@ -8,8 +8,10 @@ import pytest
 
 from qha.algebra import (
     AlgebraElement,
+    AlgebraShape,
     ParameterError,
     eigh_blocks,
+    eigvalsh_blocks,
     from_eigh,
     op_norm,
     p_norm,
@@ -26,6 +28,7 @@ from qha.actions import (
     s3_irreps,
 )
 from qha.actions import WaveletDesign
+from qha.cli import refinement_metrics
 import qha.duflo
 from qha.duflo import (
     ALT_POWERS,
@@ -51,7 +54,7 @@ from qha.duflo import (
 )
 from qha.groups import cyclic, probability_haar
 from qha.reports import CheckReport
-from qha.scenarios import BUILTIN_IDS, Scenario, build_scenario, builtin
+from qha.scenarios import BUILTIN_IDS, Scenario, build_scenario, builtin, refined_wavelet
 
 from helpers import FINITE_ROWS, LOOP_CHECKS, WAVELET_ROWS, loop_run_check, weyl_heisenberg
 
@@ -144,6 +147,9 @@ class TestEstimate:
         # eigenbasis, and the scalar diagnostics of that D
         scn, est = _estimate(sid)
         assert "spectrum" not in vars(est) and "d" not in vars(est)
+        # the eigenvalues too are formed on first read, by eigvalsh
+        assert "eigenvalues" not in vars(est)
+        assert np.array_equal(est.eigenvalues, eigvalsh_blocks(est.d_inverse))
         eig = eigh_blocks(est.d_inverse)
         d = from_eigh(est.d_inverse.shape, eig, np.reciprocal)
         assert np.array_equal(est.d.blocks, d.blocks)
@@ -197,6 +203,47 @@ class TestEstimate:
         monkeypatch.setattr(qha.duflo, "eigh_blocks", lambda x: pytest.fail("eigh taken"))
         with pytest.raises(EstimateError, match="not positive definite"):
             estimate_duflo(scn.action, *scn.duflo_pair(), cross_tol=scn.cross_tol)
+
+    @pytest.mark.parametrize("weights", [(1.0,), (1.0, 0.5, 2.0)], ids=["one-block", "weighted-blocks"])
+    @pytest.mark.parametrize("ratio", [1e-12 * (1 - 1e-2), 1e-12 * (1 + 1e-2), 1e-3, 1e-20, -1e-3])
+    def test_positivity_verdict_is_the_eigvalsh_rule(self, weights, ratio, monkeypatch):
+        # D^{-1} with largest eigenvalue 1 in the first block and smallest
+        # ratio in the last: the estimate passes exactly when the eigvalsh
+        # rule min_eig > 1e-12 max_eig over all blocks does, and eigvalsh is
+        # taken only where the shifted Cholesky factorization fails
+        n, t = 8, len(weights)
+        rng = np.random.default_rng(60)
+        w = np.geomspace(1.0, 1e-6, n) * np.geomspace(1.0, 1e-2, t)[:, None]
+        w[-1, -1] = ratio
+        V = np.linalg.qr(rng.standard_normal((t, n, n)) + 1j * rng.standard_normal((t, n, n)))[0]
+        blocks = (V * w[:, None, :]) @ V.conj().swapaxes(1, 2)
+        d_inv = AlgebraElement(AlgebraShape(n, weights), 0.5 * (blocks + blocks.conj().swapaxes(1, 2)))
+        eig = np.linalg.eigvalsh(d_inv.blocks)
+        rule = eig.min() > 1e-12 * eig.max()
+        assert rule == (ratio > 1e-12)
+        calls = []
+        monkeypatch.setattr(qha.duflo, "_orbit_density", lambda action, x: d_inv)
+        monkeypatch.setattr(qha.duflo, "eigvalsh_blocks", lambda x: calls.append(x) or eigvalsh_blocks(x))
+        if rule:
+            estimate_duflo(None, None)
+        else:
+            with pytest.raises(EstimateError, match="not positive definite"):
+                estimate_duflo(None, None)
+        assert bool(calls) == (ratio < 1e-6)
+
+    def test_refine_levels_form_no_eigenvalue(self, monkeypatch):
+        # every level of refine --grids 3 certifies positivity by Cholesky and
+        # reads no eigenvalue of D^{-1}
+        levels = [refined_wavelet(builtin("affine-wavelet:default"), level) for level in range(3)]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an eigenvalue was formed")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for scn in levels:
+            metrics = refinement_metrics(scn)
+            assert metrics["nodes"] == scn.action.group.node_count and metrics["cross_check"] > 0
 
     def test_inverse_pair_multiplies_to_identity(self):
         for sid in ("wh:4", "irrep:s3:std", "twisted-dual:4:1", "affine-wavelet:coarse"):

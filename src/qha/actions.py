@@ -11,9 +11,9 @@ a conjugation.
 ``dual_action`` and ``induced_action`` are factories onto these two.  The
 third family is a quadrature wavelet action of the scaling-and-shift group
 on a log-frequency grid.  Every action carries the Haar model of its group,
-``action.haar``, fixed when it is built: counting weights on a finite group
-unless the builder passes others, the quadrature weights on a quadrature
-group.  Every group integral reads it.
+``action.haar``: counting weights on a finite group unless the builder
+passes others, fixed when the action is built, and the quadrature weights on
+a quadrature group, formed on first read.  Every group integral reads it.
 
 The structural checkers read certificates: each action carries
 ``action.structure``, residuals worked out from its generators that bound
@@ -401,9 +401,16 @@ class Action:
         self.shape = shape
         self.kind = kind
         self.sample_elements = tuple(sample_elements)
-        self.haar = haar if haar is not None else counting_haar(group)
-        if self.haar.weights.shape != self.modular_values().shape:
-            raise ActionError("need one Haar weight per group node")
+        if haar is not None or not isinstance(group, QuadratureGroup):
+            self.haar = haar if haar is not None else counting_haar(group)
+            if self.haar.weights.shape != self.modular_values().shape:
+                raise ActionError("need one Haar weight per group node")
+
+    @cached_property
+    def haar(self) -> HaarModel:
+        """A quadrature group's own Haar model when the builder passes none,
+        built on first read."""
+        return self.group.haar()
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         raise NotImplementedError
@@ -906,7 +913,7 @@ class WaveletAction(Action):
         self.n_a = 2 * h + 1
         self.n_b = design.n_b
         self.shifts = np.arange(-h, h + 1)
-        self.b_nodes = group.nodes[:design.n_b, 1].copy()
+        self.b_nodes = group.b_nodes
         if not np.array_equal(self.b_nodes[::-1], -self.b_nodes):
             raise GridError("b nodes must be symmetric about 0 bit for bit: "
                             "bracket_values pairs each b with -b")
@@ -938,8 +945,7 @@ class WaveletAction(Action):
             (i_c + 2) * design.n_b + j_c,
             i_c * design.n_b + j_c,
         )
-        sample = [group.nodes[i] for i in sample_idx]
-        super().__init__(group, shape, "wavelet", sample, group.haar())
+        super().__init__(group, shape, "wavelet", group.nodes_at(np.array(sample_idx)))
         # the Haar weights da db / a^2 with the b sum taken into ``b_kernel``:
         # log_ratio / a for the dilation by j, stored at the cyclic shift j % K
         self._dilation_weights = np.zeros(K)
@@ -948,7 +954,7 @@ class WaveletAction(Action):
         # ``b_kernel``: the weight of the dilation by j, stored at the shift -j % K
         self._orbit_weights = np.zeros(K)
         self._orbit_weights[-self.shifts % K] = (
-            (self.haar.weights / self.modular_values()).reshape(self.n_a, self.n_b)[:, 0] / self.db)
+            group.a_weights / group.modular(group.nodes_at(np.arange(self.n_a) * self.n_b)) / self.db)
 
     # -- grid plumbing ---------------------------------------------------
 

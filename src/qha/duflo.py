@@ -226,11 +226,11 @@ def estimate_duflo(
     the action's own comparison (see Action).
     """
     d_inv = _orbit_density(action, x_test)
-    n, shifted = d_inv.shape.block_dim, d_inv.blocks.copy()
-    tau = (1e-12 + 2 * n * (n + 1) * np.finfo(float).eps) * np.abs(shifted).sum(axis=-1).max()
-    shifted.reshape(len(shifted), -1)[:, ::n + 1] -= tau
+    n = d_inv.shape.block_dim
+    tau = (1e-12 + 2 * n * (n + 1) * np.finfo(float).eps) * np.abs(d_inv.blocks).sum(axis=-1).max()
     try:
-        np.linalg.cholesky(shifted)
+        # the shifted copy and its factor are freed as the call returns
+        np.linalg.cholesky(d_inv.blocks - tau * np.eye(n))
     except np.linalg.LinAlgError:
         w = eigvalsh_blocks(d_inv)
         min_eig, max_eig = float(w.min()), float(w.max())
@@ -259,8 +259,12 @@ def _orbit_density(action: Action, x_test: AlgebraElement) -> AlgebraElement:
     if not x_test.is_hermitian():
         raise NotPositiveError("test element must be hermitian")
     x = (1.0 / tau.real) * x_test
-    raw = action.orbit_sum(x)
-    return 0.5 * (raw + raw.adjoint())
+    raw = action.orbit_sum(x).blocks
+    # the hermitian part in one C-ordered buffer, as 0.5 (raw + raw*) rounds
+    sym = np.conjugate(raw.swapaxes(-1, -2), out=np.empty_like(raw))
+    sym += raw
+    sym *= 0.5
+    return AlgebraElement(x.shape, sym, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -733,6 +737,7 @@ def run_check(row: SuiteCheck, scn, est: DufloEstimate | EstimateError | None,
         trials = range(start, min(start + chunk, n))
         stacks = scn.random_trials(rng, row.draws, len(trials)) if row.draws else ()
         out = row.call(check, scn, est, tuple(row.grid[t % len(row.grid)] for t in trials), *stacks)
+        del stacks  # freed before the next chunk is drawn
         out = out if isinstance(out, tuple) else (out,)
         worst = out if not worst else tuple(
             new if new.rel_err > old.rel_err else old for new, old in zip(out, worst))

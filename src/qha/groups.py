@@ -2,9 +2,10 @@
 
 Two kinds of groups are supported: exact finite groups given by an index
 multiplication table, and quadrature-discretized locally compact groups given
-by nodes, positive Haar weights, exact parameter maps for composition and
-inverse, and a modular function.  A Haar integral is the dot product of the
-weights with the values at the nodes, in fixed node order.
+by two axes of nodes with the positive Haar weights of a product rule, exact
+parameter maps for composition and inverse, and a modular function.  A Haar
+integral is the dot product of the weights with the values at the nodes, in
+fixed node order.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,6 +143,11 @@ def distinct_indices(indices) -> np.ndarray:
     return idx[~np.tril(idx[:, None] == idx, -1).any(axis=1)]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n."""
     if n < 1:
@@ -223,15 +230,16 @@ class HaarModel:
     normalization: str  # counting | probability | quadrature
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
+        # a read-only float array is kept as it is, anything else copied once
+        w = self.weights
+        if not (isinstance(w, np.ndarray) and w.dtype == float and not w.flags.writeable):
+            w = _read_only(np.array(w, dtype=float))
         if w.ndim != 1 or not np.all(w > 0):
             raise GroupError("Haar weights must be a vector of positive reals")
         if self.normalization == "probability" and abs(w.sum() - 1.0) > 1e-12:
             raise GroupError("probability Haar weights must sum to 1")
         if self.normalization not in ("counting", "probability", "quadrature"):
             raise GroupError(f"unknown normalization tag {self.normalization!r}")
-        w = w.copy()
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
 
@@ -244,35 +252,30 @@ def probability_haar(G: FiniteGroup) -> HaarModel:
 
 
 class QuadratureGroup:
-    """Quadrature model of a locally compact group.
+    """Quadrature model of a locally compact group: a product rule on the
+    axis nodes ``a_nodes`` and ``b_nodes``.
 
-    Nodes are parameter vectors; composition, inverse and the modular function
-    are exact parameter maps, while integration only ever evaluates integrands
-    at the nodes.  The node set need not be closed under composition.  All
-    three maps act on parameter vectors along the last axis, so that one call
-    on the node array gives ``modular_values``, Delta at every node, and the
-    sampled group laws are checked in one call each.
+    Node i * n_b + j is (a_i, b_j), with the Haar weight ``a_weights[i]``
+    (the b rule's constant cell taken into it).  Composition, inverse and
+    the modular function are exact parameter maps on parameter vectors along
+    the last axis, while integration only ever evaluates integrands at the
+    nodes, a set that need not be closed under composition.  The per-node
+    arrays ``nodes``, ``haar_weights`` and ``modular_values`` are built on
+    first read; ``nodes_at`` gives nodes by index without forming them.
     """
 
-    def __init__(self, nodes, haar_weights, compose_fn, inverse_fn, identity,
+    def __init__(self, a_nodes, b_nodes, a_weights, compose_fn, inverse_fn, identity,
                  modular_fn, label: str = ""):
-        nodes = np.array(nodes, dtype=float)
-        if nodes.ndim != 2:
-            raise GroupError("nodes must be a 2-d array of parameter vectors")
-        weights = np.array(haar_weights, dtype=float)
-        if weights.shape != (nodes.shape[0],) or not np.all(weights > 0):
-            raise GroupError("need one positive Haar weight per node")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        self.nodes = nodes
-        self.haar_weights = weights
+        self.a_nodes, self.b_nodes, self.a_weights = (
+            _read_only(np.array(v, dtype=float)) for v in (a_nodes, b_nodes, a_weights))
+        if self.a_nodes.ndim != 1 or self.b_nodes.ndim != 1:
+            raise GroupError("axis nodes must be 1-d arrays")
+        if self.a_weights.shape != self.a_nodes.shape or not np.all(self.a_weights > 0):
+            raise GroupError("need one positive Haar weight per node of the a axis")
         self._compose = compose_fn
         self._inverse = inverse_fn
         self.identity = np.asarray(identity, dtype=float)
         self._modular = modular_fn
-        modular_values = np.array(modular_fn(nodes), dtype=float)
-        modular_values.setflags(write=False)
-        self.modular_values = modular_values
         self.label = label or "quadrature-group"
         self._validate()
 
@@ -280,9 +283,9 @@ class QuadratureGroup:
         if abs(self.modular(self.identity) - 1.0) > 1e-12:
             raise GroupError("modular function must be 1 at the identity")
         m = self.node_count
-        p, q, r = self.nodes[np.random.default_rng(0).integers(0, m, size=(min(32, m * m), 3)).T]
+        p, q, r = self.nodes_at(np.random.default_rng(0).integers(0, m, size=(min(32, m * m), 3)).T)
         pq = self.compose(p, q)
-        if (np.abs(self._modular(pq) - self._modular(p) * self._modular(q)) > 1e-9 * self._modular(pq)).any():
+        if (np.abs(self.modular(pq) - self.modular(p) * self.modular(q)) > 1e-9 * self.modular(pq)).any():
             raise GroupError("modular function is not multiplicative")
         if np.abs(self.compose(pq, r) - self.compose(p, self.compose(q, r))).max() > 1e-9:
             raise GroupError("composition map is not associative")
@@ -291,7 +294,29 @@ class QuadratureGroup:
 
     @property
     def node_count(self) -> int:
-        return self.nodes.shape[0]
+        return self.a_nodes.size * self.b_nodes.size
+
+    def nodes_at(self, idx) -> np.ndarray:
+        """The nodes of the indices ``idx`` (an int or an array of them), one
+        parameter vector along the last axis each."""
+        a, b = np.divmod(idx, self.b_nodes.size)
+        return np.stack([self.a_nodes[a], self.b_nodes[b]], axis=-1)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """The (node_count, 2) array of every node, in node order."""
+        n_a, n_b = self.a_nodes.size, self.b_nodes.size
+        return _read_only(np.column_stack([np.repeat(self.a_nodes, n_b), np.tile(self.b_nodes, n_a)]))
+
+    @cached_property
+    def haar_weights(self) -> np.ndarray:
+        """The Haar weight of every node, in node order."""
+        return _read_only(np.repeat(self.a_weights, self.b_nodes.size))
+
+    @cached_property
+    def modular_values(self) -> np.ndarray:
+        """Delta at every node, in node order."""
+        return _read_only(self.modular(self.nodes))
 
     def compose(self, p, q) -> np.ndarray:
         return np.asarray(self._compose(np.asarray(p, dtype=float), np.asarray(q, dtype=float)), dtype=float)
@@ -299,8 +324,10 @@ class QuadratureGroup:
     def inverse(self, p) -> np.ndarray:
         return np.asarray(self._inverse(np.asarray(p, dtype=float)), dtype=float)
 
-    def modular(self, p) -> float:
-        return float(self._modular(np.asarray(p, dtype=float)))
+    def modular(self, p) -> float | np.ndarray:
+        """Delta of a parameter vector, or the array of Delta over a stack of them."""
+        values = np.array(self._modular(np.asarray(p, dtype=float)), dtype=float)
+        return float(values) if values.ndim == 0 else values
 
     def haar(self) -> HaarModel:
         return HaarModel(self.haar_weights, "quadrature")
@@ -317,6 +344,8 @@ def affine_group(a_min: float, a_max: float, n_a: int,
     midpoint cells, placed about the centre of [b_min, b_max] so that
     b_min = -b_max gives nodes b_{n_b-1-m} = -b_m bit for bit.  Composition
     is (a,b)*(a',b') = (a a', a b' + b), the modular function is 1/a.
+    Only the two axes and the a-axis weights d(log a) db / a are formed
+    here: the per-node arrays are built on first read (see QuadratureGroup).
     """
     if not (0 < a_min < a_max):
         raise GroupError("need 0 < a_min < a_max")
@@ -329,11 +358,10 @@ def affine_group(a_min: float, a_max: float, n_a: int,
     d_log_a = (math.log(a_max) - math.log(a_min)) / (n_a - 1)
     db = (b_max - b_min) / n_b
     b_nodes = (b_min + b_max) / 2 + (2 * np.arange(n_b) + 1 - n_b) * (db / 2)
-    nodes = np.column_stack([np.repeat(a_nodes, n_b), np.tile(b_nodes, n_a)])
-    weights = np.repeat(d_log_a * db / a_nodes, n_b)
     return QuadratureGroup(
-        nodes,
-        weights,
+        a_nodes,
+        b_nodes,
+        d_log_a * db / a_nodes,
         compose_fn=lambda p, q: np.stack([p[..., 0] * q[..., 0], p[..., 0] * q[..., 1] + p[..., 1]], axis=-1),
         inverse_fn=lambda p: np.stack([1.0 / p[..., 0], -p[..., 1] / p[..., 0]], axis=-1),
         identity=(1.0, 0.0),

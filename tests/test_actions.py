@@ -734,12 +734,10 @@ class TestWaveletAction:
         # last bit, and bracket_values pairs every b with -b
         def uncentred(a_min, a_max, n_a, b_min, b_max, n_b):
             group = affine_group(a_min, a_max, n_a, b_min, b_max, n_b)
-            nodes = group.nodes.copy()
-            nodes[:, 1] = np.tile(b_min + (np.arange(n_b) + 0.5) * ((b_max - b_min) / n_b), n_a)
-            group.nodes = nodes
+            group.b_nodes = b_min + (np.arange(n_b) + 0.5) * ((b_max - b_min) / n_b)
             return group
 
-        b = uncentred(0.5, 2.0, 3, -2.0, 2.0, 31).nodes[:31, 1]
+        b = uncentred(0.5, 2.0, 3, -2.0, 2.0, 31).b_nodes
         assert not np.array_equal(b[::-1], -b)
         monkeypatch.setattr(qha.groups, "affine_group", uncentred)
         with pytest.raises(GridError, match="symmetric"):

@@ -1,6 +1,7 @@
 """Scaling-operator estimation and certification of the operator laws."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -244,6 +245,33 @@ class TestEstimate:
         for scn in levels:
             metrics = refinement_metrics(scn)
             assert metrics["nodes"] == scn.action.group.node_count and metrics["cross_check"] > 0
+
+    def test_refine_level_working_set(self):
+        # complex K x K arrays live at the peak of a level, the estimate of
+        # the cross-check density: both test elements, the normalized copy,
+        # D^{-1}, the raw orbit sum and its hermitian part; the action's real
+        # b_kernel is half of one more.  One more is left for the arrays of
+        # size K and of the axes, none of which holds a value per node.
+        live = 2 + 1 + 1 + 1 + 1 + 0.5
+        c = live + 0.5
+        spec = builtin("affine-wavelet:default")
+        refinement_metrics(refined_wavelet(spec, 0))  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            scn = refined_wavelet(spec, 2)
+            refinement_metrics(scn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        K = scn.shape.block_dim
+        assert scn.action.group.node_count == 197632
+        assert peak <= c * 16 * K * K, peak / (16 * K * K)
+
+    def test_estimate_is_c_ordered(self):
+        for sid in ("affine-wavelet:coarse", "wh:4", "twisted-dual:4:1"):
+            scn = build_scenario(builtin(sid))
+            est = estimate_duflo(scn.action, *scn.duflo_pair())
+            assert est.d_inverse.blocks.flags.c_contiguous, sid
 
     def test_inverse_pair_multiplies_to_identity(self):
         for sid in ("wh:4", "irrep:s3:std", "twisted-dual:4:1", "affine-wavelet:coarse"):

@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from qha.actions import WaveletAction
+from qha.cli import main
 from qha.groups import (
     FiniteGroup,
     GroupError,
     HaarModel,
+    QuadratureGroup,
     SubgroupError,
     affine_group,
     coset_lookup,
@@ -20,7 +23,7 @@ from qha.groups import (
     product,
     symmetric,
 )
-from qha.scenarios import _cyclic_subgroup_indices
+from qha.scenarios import _WAVELET_PRESETS, _cyclic_subgroup_indices
 
 from helpers import (
     CharacterTable,
@@ -238,11 +241,82 @@ class TestAffineGroup:
 
     def test_haar_weights_match_density(self):
         G = affine_group(0.5, 2.0, 3, 0.0, 1.0, 4)
-        # w = dloga * db / a on the log-uniform a-grid
+        # w = dloga * db / a on the log-uniform a-grid, constant in b
         dloga = math.log(4.0) / 2
         db = 0.25
-        expect = dloga * db / G.nodes[:, 0]
-        assert np.allclose(G.haar_weights, expect)
+        assert np.allclose(G.a_weights, dloga * db / G.a_nodes)
+        assert np.array_equal(G.haar_weights, np.repeat(G.a_weights, G.b_nodes.size))
+
+
+def _design_params(design):
+    """The affine_group arguments WaveletAction passes for a design."""
+    h, den = design.max_shift, design.steps_per_octave
+    return 2.0 ** (-h / den), 2.0 ** (h / den), 2 * h + 1, -design.b_extent, design.b_extent, design.n_b
+
+
+def _node_grid_oracle(a_min, a_max, n_a, b_min, b_max, n_b):
+    """The per-node arrays as affine_group once built them, eagerly: nodes,
+    Haar weights and modular values."""
+    a_nodes = np.exp(np.linspace(math.log(a_min), math.log(a_max), n_a))
+    d_log_a = (math.log(a_max) - math.log(a_min)) / (n_a - 1)
+    db = (b_max - b_min) / n_b
+    b_nodes = (b_min + b_max) / 2 + (2 * np.arange(n_b) + 1 - n_b) * (db / 2)
+    nodes = np.column_stack([np.repeat(a_nodes, n_b), np.tile(b_nodes, n_a)])
+    return nodes, np.repeat(d_log_a * db / a_nodes, n_b), 1.0 / nodes[:, 0]
+
+
+PRODUCT_DESIGNS = {name: _WAVELET_PRESETS[name] for name in ("default", "fine")}
+PRODUCT_DESIGNS["scaled(8)"] = _WAVELET_PRESETS["default"].scaled(8)
+
+
+class TestProductRule:
+    """The quadrature group as two axes: the per-node arrays are built on
+    first read, bit for bit as the eager node grid was."""
+
+    @pytest.mark.parametrize("name", PRODUCT_DESIGNS)
+    def test_node_arrays_match_the_eager_grid_bit_for_bit(self, name):
+        params = _design_params(PRODUCT_DESIGNS[name])
+        nodes, weights, modular = _node_grid_oracle(*params)
+        G = affine_group(*params)
+        assert G.node_count == len(nodes)
+        assert "nodes" not in vars(G) and "haar_weights" not in vars(G)
+        for lazy, eager in ((G.nodes, nodes), (G.haar_weights, weights), (G.modular_values, modular)):
+            assert lazy.dtype == eager.dtype and np.array_equal(lazy, eager)
+            assert not lazy.flags.writeable
+
+    def test_designs_build_the_same_group_as_the_action(self):
+        G = WaveletAction(_WAVELET_PRESETS["default"]).group
+        H = affine_group(*_design_params(_WAVELET_PRESETS["default"]))
+        for axis in ("a_nodes", "b_nodes", "a_weights"):
+            assert np.array_equal(getattr(G, axis), getattr(H, axis))
+
+    @pytest.mark.parametrize("name", PRODUCT_DESIGNS)
+    def test_nodes_at_matches_nodes(self, name):
+        G = affine_group(*_design_params(PRODUCT_DESIGNS[name]))
+        idx = np.random.default_rng(5).integers(0, G.node_count, size=64)
+        assert np.array_equal(G.nodes_at(idx), G.nodes[idx])
+        for i in idx[:8].tolist():
+            assert np.array_equal(G.nodes_at(i), G.nodes[i])
+        assert np.array_equal(G.nodes_at(idx.reshape(8, 8)), G.nodes[idx.reshape(8, 8)])
+
+    def test_haar_model_keeps_the_group_weights_without_a_copy(self):
+        G = affine_group(0.5, 2.0, 5, -1.0, 1.0, 8)
+        assert G.haar().weights is G.haar_weights
+        w = np.ones(3)
+        model = HaarModel(w, "counting")
+        assert model.weights is not w and not model.weights.flags.writeable
+        w[0] = 5.0
+        assert model.weights[0] == 1.0
+
+    def test_refine_never_forms_the_node_grid(self, monkeypatch, capsys):
+        def unread(self):
+            raise AssertionError("refine read a per-node array")
+
+        monkeypatch.setattr(QuadratureGroup, "nodes", property(unread))
+        monkeypatch.setattr(QuadratureGroup, "modular_values", property(unread))
+        assert main(["refine", "--scenario", "affine-wavelet:default", "--grids", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [row.split()[1] for row in rows] == ["12544", "49664", "197632"]
 
 
 class TestCharacterTableValidation:

@@ -26,6 +26,7 @@ from .algebra import (
 )
 from .actions import (
     Action,
+    MonomialStack,
     conjugation_action,
     dual_action,
     finite_weyl_heisenberg,

@@ -26,10 +26,11 @@ and a dense stacked-SVD nullity are the oracles the tests compare with.
 Each family has its own vectorized kernels for the bracket values
 g -> trace((g.y)* x) and the orbit sum sum_g w_g Delta(g)^{-1} (g.x)
 against the action's own Haar weights w: a gather through the
-point table; for a conjugation, one quadratic form per class of nodes that
-share a permutation when every block is monomial (one permutation times one
-diagonal phase, as the Weyl operators are), and node-sliced stacked
-conjugations of the gathered blocks otherwise; phase products and a
+point table; for a conjugation held as permutation and phase tables (every
+block monomial, one permutation times one diagonal phase, as the Weyl
+operators are), one quadratic form or phase gram per class of nodes that
+share a permutation, and node-sliced stacked conjugations of a dense stack
+otherwise; phase products and a
 circulant dilation sum for the wavelet.  ``apply`` stays the per-node
 reference the tests compare them with.  The bracket kernels take stacks of
 trials (see ``algebra``): the finite families gather or conjugate a stack's
@@ -91,9 +92,56 @@ class GridError(ActionError):
 # representations and the group law of a conjugation
 
 
-# Nodes per stacked (nodes, n, n) temporary in the conjugation kernels and the
-# group-law check, which bounds their memory at any group order.
+# Nodes per stacked (nodes, n, n) temporary in the dense conjugation kernels
+# and the dense group-law check, which bounds their memory at any group order.
 NODE_SLICE = 32
+
+
+@dataclass(frozen=True)
+class MonomialStack:
+    """A stack of monomial n x n matrices as two (..., n) tables, kept as
+    read-only views: column c holds one nonzero entry, U[perm[c], c] =
+    phase[c].  Indexing and ``reshape`` act on the leading axes."""
+
+    perm: np.ndarray
+    phase: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("perm", int), ("phase", complex)):
+            table = np.asarray(getattr(self, name), dtype=dtype).view()
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+        if self.perm.shape != self.phase.shape or self.perm.ndim < 1:
+            raise ActionError("need one row index and one phase per column")
+
+    @classmethod
+    def from_dense(cls, U: np.ndarray) -> "MonomialStack | None":
+        """The tables of a dense (..., n, n) stack; None unless every column of
+        every matrix holds exactly one nonzero entry."""
+        support = U != 0
+        if not (support.sum(axis=-2) == 1).all():
+            return None
+        perm = support.argmax(axis=-2)
+        # one entry of each column, in column order
+        return cls(perm, U.swapaxes(-1, -2)[support.swapaxes(-1, -2)].reshape(perm.shape))
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.perm.shape
+
+    def __getitem__(self, idx) -> "MonomialStack":
+        return MonomialStack(self.perm[idx], self.phase[idx])
+
+    def reshape(self, *shape) -> "MonomialStack":
+        return MonomialStack(self.perm.reshape(shape), self.phase.reshape(shape))
+
+    def dense(self) -> np.ndarray:
+        """The (..., n, n) matrices."""
+        n = self.shape[-1]
+        perm = self.perm.reshape(-1, n)
+        U = np.zeros((len(perm), n, n), dtype=complex)
+        U[np.arange(len(perm))[:, None], perm, np.arange(n)] = self.phase.reshape(-1, n)
+        return U.reshape(self.shape + (n,))
 
 
 def _row_gain(A: np.ndarray) -> np.ndarray:
@@ -112,31 +160,66 @@ def _law_bound(rd: np.ndarray, rp: np.ndarray, rq: np.ndarray, c: np.ndarray) ->
     return float(np.max(rd * (rp + np.abs(c) * rq) + np.abs(np.abs(c) ** 2 - 1.0) * rq ** 2))
 
 
-def product_phases(U: np.ndarray, src: np.ndarray, table: np.ndarray,
+def _unitarity(U: MonomialStack | np.ndarray) -> float:
+    """max|U U* - I| over a stack: max||phase|^2 - 1| on tables whose rows
+    permute the columns, inf on other tables."""
+    if isinstance(U, MonomialStack):
+        permuted = (np.sort(U.perm, axis=-1) == np.arange(U.shape[-1])).all()
+        return float(np.abs((U.phase * U.phase.conj()).real - 1.0).max()) if permuted else math.inf
+    # I taken off in place: a further (N, t, n, n) temporary moves the peak RSS
+    gram = U @ U.conj().swapaxes(2, 3)
+    gram -= np.eye(U.shape[-1])
+    return float(np.abs(gram).max())
+
+
+def product_phases(U: MonomialStack | np.ndarray, src: np.ndarray, group: FiniteGroup,
                    pairs: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Phases c[p, j] with U[a, j] U[b, src[a, j]] = c[p, j] U[ab, j] + D for
     each row p = (a, b) of ``pairs``, max|D|, and the group-law residual.
 
-    ``U`` is an (N, t, n, n) unitary stack and ``src`` an (N, t) source table,
-    both indexed like the Cayley ``table``.  When the source rows compose,
-    a.(b.x) = (ab).x for the action x_j -> U[g, j] x[src[g, j]] U[g, j]*
-    exactly when every D vanishes; on one block this says U is a projective
-    representation.  The products are formed in NODE_SLICE slices of pairs,
-    c = tr(P Q*) / n for P = U[a, j] U[b, src[a, j]] and Q = U[ab, j], and
-    the residual is ``_law_bound`` with r(P) <= r(U[a, j]) r(U[b, src[a, j]]).
+    ``U`` is an (N, t, n, n) unitary stack or a (N, t, n) ``MonomialStack``
+    and ``src`` an (N, t) source table, both indexed by the elements of
+    ``group``.  When the source rows compose, a.(b.x) = (ab).x for the action
+    x_j -> U[g, j] x[src[g, j]] U[g, j]* exactly when every D vanishes; on
+    one block this says U is a projective representation.  With
+    P = U[a, j] U[b, src[a, j]] and Q = U[ab, j], c = tr(P Q*) / n, and the
+    residual is ``_law_bound`` with r(P) <= r(U[a, j]) r(U[b, src[a, j]]).
+    On tables P is monomial, with the permutation perm_a[perm_b] and the
+    phases ph_b ph_a[perm_b]: c sums ph_P conj(ph_Q) over the columns where
+    P and Q share their row, and a row of D holds at most one entry of each,
+    O(t n) a pair in pieces below STACK_BYTES.  A dense stack takes two block
+    products a pair, in NODE_SLICE slices.
     """
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
     a, b = pairs.T
-    ab = table[a, b]
-    out = np.empty((len(pairs), U.shape[1]), dtype=complex)
+    ab = group.compose(a, b)
+    t, n = src.shape[1], U.shape[2]
+    out = np.empty((len(pairs), t), dtype=complex)
     deviation, rd = np.empty((2,) + out.shape)
-    for s in range(0, len(pairs), NODE_SLICE):
-        sl = slice(s, s + NODE_SLICE)
-        P, Q = U[a[sl]] @ U[b[sl, None], src[a[sl]]], U[ab[sl]]
-        out[sl] = c = (P * Q.conj()).sum(axis=(2, 3)) / U.shape[-1]
-        D = np.abs(P - c[..., None, None] * Q)
-        deviation[sl], rd[sl] = D.max(axis=(2, 3)), D.sum(axis=3).max(axis=2)
-    r = np.concatenate([_row_gain(U[s:s + NODE_SLICE]) for s in range(0, len(U), NODE_SLICE)])
+    if isinstance(U, MonomialStack):
+        perm, phase, blocks, cols = U.perm, U.phase, np.arange(t)[:, None], np.arange(n)
+        step = stack_size(16 * t * n)
+        for s in range(0, len(pairs), step):
+            sl = slice(s, s + step)
+            ka, kb, sb = a[sl, None, None], b[sl, None, None], src[a[sl]][:, :, None]
+            pb = perm[kb, sb, cols]
+            shared = perm[ka, blocks, pb] == perm[ab[sl]]
+            p, q = phase[kb, sb, cols] * phase[ka, blocks, pb], phase[ab[sl]]
+            out[sl] = c = np.where(shared, p * q.conj(), 0.0).sum(axis=-1) / n
+            cq = c[..., None] * q
+            dp = np.abs(np.where(shared, p - cq, p))
+            dq = np.where(shared, 0.0, np.abs(cq))
+            deviation[sl] = np.maximum(dp, dq).max(axis=-1)
+            rd[sl] = dp.max(axis=-1) + dq.max(axis=-1)
+        r = np.abs(U.phase).max(axis=-1)  # one entry a row
+    else:
+        for s in range(0, len(pairs), NODE_SLICE):
+            sl = slice(s, s + NODE_SLICE)
+            P, Q = U[a[sl]] @ U[b[sl, None], src[a[sl]]], U[ab[sl]]
+            out[sl] = c = (P * Q.conj()).sum(axis=(2, 3)) / n
+            D = np.abs(P - c[..., None, None] * Q)
+            deviation[sl], rd[sl] = D.max(axis=(2, 3)), D.sum(axis=3).max(axis=2)
+        r = np.concatenate([_row_gain(U[s:s + NODE_SLICE]) for s in range(0, len(U), NODE_SLICE)])
     return out, float(deviation.max()), _law_bound(rd, r[a] * r[b[:, None], src[a]], r[ab], out)
 
 
@@ -165,8 +248,8 @@ def _sample_pairs(n: int, limit: int) -> np.ndarray:
     return np.random.default_rng(0).integers(0, n, size=(limit * limit, 2))
 
 
-# Representation stacks: (N, n, n) arrays indexed by the group's elements,
-# which ``conjugation_action`` validates.
+# Representation stacks: (N, n, n) arrays, or (N, n) ``MonomialStack`` tables,
+# indexed by the group's elements, which ``conjugation_action`` validates.
 
 
 def trivial_rep(G: FiniteGroup, dim: int = 1) -> np.ndarray:
@@ -200,8 +283,8 @@ def s3_irreps() -> tuple[FiniteGroup, dict[str, np.ndarray]]:
     return G, {"trivial": trivial_rep(G), "sign": sgn, "std": q.T @ P @ q}
 
 
-def finite_weyl_heisenberg(n: int) -> np.ndarray:
-    """Translation-and-modulation family pi(k, l) = T_k M_l on C^n.
+def finite_weyl_heisenberg(n: int) -> MonomialStack:
+    """Translation-and-modulation family pi(k, l) = T_k M_l on C^n, as tables.
 
     Element (k, l) of cyclic(n) x cyclic(n), index k n + l, is the matrix with
     omega^(l s) in row (s + k) % n, column s, for omega = exp(2 pi i / n).  Its
@@ -212,11 +295,10 @@ def finite_weyl_heisenberg(n: int) -> np.ndarray:
     if n < 2:
         raise RepresentationError(f"need n >= 2, got {n}")
     k, l, s = np.ogrid[:n, :n, :n]
-    mats = np.zeros((n, n, n, n), dtype=complex)
     # the angle of omega^(l s) reduced mod n first, in real arithmetic: a
     # power of the rounded root would lose accuracy with the exponent
-    mats[k, l, (s + k) % n, s] = np.exp(1j * (2 * np.pi * ((l * s) % n) / n))
-    return mats.reshape(n * n, n, n)
+    return MonomialStack(np.broadcast_to((s + k) % n, (n, n, n)).reshape(n * n, n),
+                         np.broadcast_to(np.exp(1j * (2 * np.pi * ((l * s) % n) / n)), (n, n, n)).reshape(n * n, n))
 
 
 # Largest linearized dimension for which a dense SVD nullity is computed.
@@ -496,86 +578,88 @@ class Action:
         raise NotImplementedError
 
 
-def _monomial_classes(U: np.ndarray, src: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(perms, order, phases) of a monomial stack; None for any other stack.
+def _monomial_classes(U: MonomialStack, src: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(perms, order, phases, blocks, sources) of the (node, block) pairs of
+    a monomial stack, grouped into classes of one (j, src[g, j], perm).
 
-    The stack is monomial when every column of every block U[g, j] holds
-    exactly one nonzero entry, U[g, j][pi(c), c] = ph(c).  Its (node, block)
-    pairs, flat index g t + j, are grouped into classes by (j, src[g, j],
-    pi): ``order`` lists the pairs class by class, in node order within a
-    class, ``perms`` holds each class's pi and ``phases`` the (C, m, n)
-    phases of its m pairs.  The permutation part of a projective monomial
+    ``order`` lists the pairs (flat index g t + j) class by class, in node
+    order within a class; a class has the permutation ``perms``, the (m, n)
+    phases of its m pairs in ``phases``, the block j in ``blocks`` and
+    src[g, j] in ``sources``.  The permutation part of a projective monomial
     representation is a homomorphism, so on a transitive action the classes
-    are cosets of one size; a stack whose classes differ in size gets None.
-    The classes are sorted with ``lexsort`` (``np.unique`` imports numpy.ma).
+    are cosets of one size; when they differ in size, every pair is a class
+    of its own.  They are sorted with ``lexsort`` (``np.unique`` imports
+    numpy.ma).
     """
-    N, t, n = U.shape[:3]
-    support = U != 0
-    if not (support.sum(axis=2) == 1).all():
-        return None
-    pi = support.argmax(axis=2).reshape(N * t, n)
+    N, t, n = U.shape
+    pi = U.perm.reshape(N * t, n)
     keys = np.column_stack([np.tile(np.arange(t), N), src.reshape(-1), pi])
     order = np.lexsort(keys.T[::-1])
     ordered = keys[order]
-    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    starts = np.flatnonzero(np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
     m = N * t // len(starts)
-    if not (np.diff(np.r_[starts, N * t]) == m).all():
-        return None
-    phases = U.reshape(N * t, n, n)[order[:, None], pi[order], np.arange(n)]
-    return pi[order[starts]], order, phases.reshape(-1, m, n)
+    if not (np.diff(starts, append=N * t) == m).all():
+        starts, m = np.arange(N * t), 1
+    first = order[starts]
+    return (pi[first], order, U.phase.reshape(N * t, n)[order].reshape(-1, m, n),
+            first % t, src.reshape(-1)[first])
 
 
 class ConjugationAction(Action):
     """Block j of g.x is U[g, j] x[src[g, j]] U[g, j]*, on t blocks of size n.
 
-    ``unitaries`` is one (N, t, n, n) stack and ``src`` one (N, t) table,
-    both indexed by the N group elements.  Conjugation by a (projective)
-    representation is the case t = 1; its phases cancel, so it is a group
-    action.  This is the one place a stack is validated: the blocks must be
-    unitary, the identity must act trivially, and over the sampled pairs
-    (a, b) (all up to order 24, 576 beyond) the source rows must compose and
-    every block product U[a, j] U[b, src[a, j]] must be a scalar multiple of
-    U[ab, j] (``product_phases``).  The residuals of that check enter
-    ``structure``.
+    ``unitaries`` is one stack and ``src`` one (N, t) table, both indexed by
+    the N group elements.  A stack whose every block is monomial (the Weyl
+    operators of ``wh:n`` and ``twisted-dual:n:m``, every one-dimensional
+    representation, every action induced from these) is held as its
+    (N, t, n) permutation and phase tables (``MonomialStack``; a dense stack
+    of that form is read into them), any other as the (N, t, n, n) stack.
+    Conjugation by a (projective) representation is the case t = 1.  This
+    is the one place a stack is validated: the blocks must be unitary, the
+    identity must act trivially, and over the sampled pairs (a, b) (all up
+    to order 24, 576 beyond) the source rows must compose and every
+    U[a, j] U[b, src[a, j]] must be a scalar multiple of U[ab, j]
+    (``product_phases``), whose residuals enter ``structure``.
 
-    ``bracket_values`` has two kernels, chosen when the action is built.  A
-    monomial stack (one nonzero entry in every column of every block: the
-    Weyl operators of ``wh:n`` and ``twisted-dual:n:m``, and every induced
-    action of them) whose (node, block) pairs fall into classes of one size
-    (``_monomial_classes``) takes a quadratic form: with
-    U[g, j][pi(c), c] = ph(c), the value of block j at g is
-    ph^H (conj(y[src[g, j]]) * x_j[pi, pi]) ph, and the pairs of a class
-    share that matrix, so a class costs one gather and one product with
-    its conjugated phases.  Every other stack (``irrep:s3:std``) takes the
-    node-sliced dense conjugation, two matrix products per (trial, node).
+    On tables, with U[g, j][pi(c), c] = ph(c), block j of g.x holds
+    ph(c) x_src[c, d] conj(ph(d)) at (pi(c), pi(d)): ``apply`` is one
+    scatter.  The (node, block) pairs fall into classes of one (block,
+    source, pi) (``_monomial_classes``), so ``bracket_values`` takes per
+    class one gather Z = conj(y_src) * x_j[pi, pi] and the quadratic forms
+    ph^H Z ph of its pairs, and ``orbit_sum`` one phase gram
+    sum_g w_g ph_g ph_g^H times x_src, added at [pi, pi].  A dense stack
+    (``irrep:s3:std``) takes node-sliced conjugations.
     """
 
     def __init__(self, group: FiniteGroup, unitaries, src, trace_weights, haar: HaarModel | None = None):
-        U = np.asarray(unitaries, dtype=complex).view()
-        U.setflags(write=False)  # the action's view; the caller's array stays writable
+        U = unitaries
+        if not isinstance(U, MonomialStack):
+            U = np.asarray(U, dtype=complex)
+            if U.ndim != 4 or U.shape[2] != U.shape[3]:
+                raise ActionError("need a (t, n, n) unitary stack per group element")
+            U = MonomialStack.from_dense(U) or U.view()
+        monomial = isinstance(U, MonomialStack)
+        if not monomial:
+            U.setflags(write=False)  # the action's view; the caller's array stays writable
         src = np.asarray(src, dtype=int)
-        if U.ndim != 4 or U.shape[:2] != src.shape or U.shape[0] != group.order or U.shape[2] != U.shape[3]:
+        if U.shape[:2] != src.shape or U.shape[0] != group.order:
             raise ActionError("need a (t, n, n) unitary stack and a source row per group element")
         t, n = U.shape[1], U.shape[2]
-        eye = np.eye(n)
         if not (np.sort(src, axis=1) == np.arange(t)).all():
             raise ActionError("each source row must permute the blocks")
         if not (src[group.identity] == np.arange(t)).all():
             raise ActionError("identity must act trivially")
-        if np.abs(U[group.identity] - eye).max() > 1e-11:
+        identity = U[group.identity]
+        if np.abs((identity.dense() if monomial else identity) - np.eye(n)).max() > 1e-11:
             raise RepresentationError("the identity must be represented by I")
-        # one unsliced product with I taken off in place: each further (N, t, n, n)
-        # temporary shifts the heap and the peak RSS of the finite workload
-        gram = U @ U.conj().swapaxes(2, 3)
-        gram -= eye
-        unitality = float(np.abs(gram).max())
+        unitality = _unitarity(U)
         if unitality > 1e-11:
             raise RepresentationError("block matrices are not unitary")
         pairs = _sample_pairs(group.order, limit=24)
         a, b = pairs.T
-        if not (src[group.table[a, b]] == src[b[:, None], src[a]]).all():
+        if not (src[group.compose(a, b)] == src[b[:, None], src[a]]).all():
             raise ActionError("source rows do not compose with the group law")
-        _, deviation, law = product_phases(U, src, group.table, pairs)
+        _, deviation, law = product_phases(U, src, group, pairs)
         if deviation > 1e-11:
             raise RepresentationError("U[a, j] U[b, src[a, j]] is not a scalar multiple of "
                                       "U[ab, j]: not a group action")
@@ -584,15 +668,20 @@ class ConjugationAction(Action):
         super().__init__(group, shape, "conjugation", gens, haar)
         self.unitaries = U
         self._src = src
-        self._classes = _monomial_classes(U, src)
+        self._classes = _monomial_classes(U, src) if monomial else None
         automorphism, isometry, moved = _block_residuals(*self.sampled_structure(), shape.trace_weights)
         self.structure = ActionStructure("unitary-stack", law, max(unitality, automorphism),
                                          isometry, moved)
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         g = int(g)
-        U = self.unitaries[g]
-        return AlgebraElement(self.shape, U @ x.blocks[self._src[g]] @ U.conj().swapaxes(1, 2), copy=False)
+        U, xs = self.unitaries[g], x.blocks[self._src[g]]
+        if self._classes is None:
+            return AlgebraElement(self.shape, U @ xs @ U.conj().swapaxes(1, 2), copy=False)
+        out = np.empty_like(xs)
+        out[np.arange(len(xs))[:, None, None], U.perm[:, :, None], U.perm[:, None, :]] = (
+            U.phase[:, :, None] * xs * U.phase.conj()[:, None, :])
+        return AlgebraElement(self.shape, out, copy=False)
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
         U, src = self.unitaries, self._src
@@ -604,10 +693,8 @@ class ConjugationAction(Action):
             # the class as ph^H Z ph: one product with the conjugated phases
             # and one contraction, in pieces of classes and trials that keep
             # each temporary below STACK_BYTES
-            perms, order, phases = self._classes
+            perms, order, phases, blocks, sources = self._classes
             C, m, n = phases.shape
-            first = order[::m]
-            blocks, sources = first % t, src.reshape(-1)[first]
             rows, cols = perms[:, :, None], perms[:, None, :]
             conj_phases, flat = phases.conj(), out.reshape(len(xs), N * t)
             class_bytes = 16 * n * max(n, m)  # Z, or its product with the phases
@@ -643,11 +730,25 @@ class ConjugationAction(Action):
 
     def orbit_sum(self, x: AlgebraElement) -> AlgebraElement:
         # a finite group is unimodular: the Haar weights alone
-        U, src = self.unitaries, self._src
-        c = np.asarray(self.haar.weights, dtype=complex)
+        U, src, w = self.unitaries, self._src, self.haar.weights
         xs = x.blocks
         t, n = xs.shape[0], xs.shape[1]
         acc = np.zeros_like(xs)
+        if self._classes is not None:
+            # per class the gram sum_g w_g ph_g ph_g^H, one (n, m) @ (m, n)
+            # product, times x_src added at [pi, pi] of its block, in class
+            # order and in pieces of classes below STACK_BYTES
+            perms, order, phases, blocks, sources = self._classes
+            C, m, _ = phases.shape
+            weights = w[order // t].reshape(C, m, 1)
+            step = stack_size(16 * n * max(n, m))
+            for s in range(0, C, step):
+                sl = slice(s, s + step)
+                gram = (weights[sl] * phases[sl]).swapaxes(1, 2) @ phases[sl].conj()
+                gram *= xs[sources[sl]]
+                np.add.at(acc, (blocks[sl, None, None], perms[sl, :, None], perms[sl, None, :]), gram)
+            return AlgebraElement(self.shape, acc, copy=False)
+        c = np.asarray(w, dtype=complex)
         for s in range(0, U.shape[0], NODE_SLICE):
             Us = U[s:s + NODE_SLICE]
             m = Us.shape[0]
@@ -660,13 +761,16 @@ class ConjugationAction(Action):
 
     def sampled_structure(self) -> tuple[np.ndarray, np.ndarray]:
         gens = [int(g) for g in self.sample_elements]
-        return self._src[gens], self.unitaries[gens]
+        U = self.unitaries[gens]
+        return self._src[gens], U if self._classes is None else U.dense()
 
 
 def conjugation_action(G: FiniteGroup, U, haar: HaarModel | None = None) -> ConjugationAction:
-    """g.x = U[g] x U[g]* on one full block, for an (N, n, n) stack U indexed
-    by the elements of G; counting Haar weights by default."""
-    return ConjugationAction(G, np.asarray(U)[:, None], np.zeros((G.order, 1), dtype=int), (1.0,), haar)
+    """g.x = U[g] x U[g]* on one full block, for an (N, n, n) stack U, or a
+    ``MonomialStack`` of shape (N, n), indexed by the elements of G;
+    counting Haar weights by default."""
+    U = U if isinstance(U, MonomialStack) else np.asarray(U)
+    return ConjugationAction(G, U[:, None], np.zeros((G.order, 1), dtype=int), (1.0,), haar)
 
 
 class PermutationAction(Action):
@@ -690,7 +794,7 @@ class PermutationAction(Action):
         if not (np.sort(point_table, axis=1) == np.arange(t)).all():
             raise ActionError("each group element must permute the points")
         a, b = _sample_pairs(group.order, limit=16).T
-        if not (point_table[group.table[a, b]] == point_table[a[:, None], point_table[b]]).all():
+        if not (point_table[group.compose(a, b)] == point_table[a[:, None], point_table[b]]).all():
             raise ActionError("point maps do not compose with the group law")
         # (g.x)(t) = x(src[g, t])
         src = point_table[group.inverse_table]
@@ -740,7 +844,7 @@ def left_translation_action(G: FiniteGroup, mu=None) -> PermutationAction:
 def coset_action(G: FiniteGroup, h_indices) -> PermutationAction:
     """G acting on the coset space G/H with counting measure on the coset atoms."""
     reps, coset_of = coset_lookup(G, h_indices)
-    return PermutationAction(G, coset_of[G.table[:, reps]], np.ones(len(reps)))
+    return PermutationAction(G, coset_of[G.compose(np.arange(G.order)[:, None], reps)], np.ones(len(reps)))
 
 
 def dual_action(G: FiniteGroup, m: int = 0) -> PermutationAction | ConjugationAction:
@@ -760,7 +864,8 @@ def dual_action(G: FiniteGroup, m: int = 0) -> PermutationAction | ConjugationAc
     """
     if m == 0:
         D = dual(G)
-        act = PermutationAction(D, D.table[:, D.inverse_table].T, np.full(G.order, 1.0 / G.order))
+        point_table = D.compose(np.arange(D.order), D.inverse_table[:, None])
+        act = PermutationAction(D, point_table, np.full(G.order, 1.0 / G.order))
         act.kind = "dual-translation"
         return act
     if G.structure is None or len(G.structure) != 2 or G.structure[0] != G.structure[1]:
@@ -795,23 +900,22 @@ def induced_action(G: FiniteGroup, h_indices, inner: Action, iso) -> Permutation
         raise ActionError("inner action must live on a group of the subgroup's order")
     pos = np.empty(G.order, dtype=int)
     pos[sub] = np.arange(sub.size)
-    if not (inner.group.table[np.ix_(iso, iso)] == iso[pos[G.table[np.ix_(sub, sub)]]]).all():
+    if not (inner.group.compose(iso[:, None], iso) == iso[pos[G.compose(sub[:, None], sub)]]).all():
         raise ActionError("iso is not a group isomorphism onto the inner group")
     J = len(reps)
     # per (g, coset j): w = g^{-1} r_j = r_a h gives the target coset a and
     # the inner element iso(h)^{-1}
-    w = G.table[G.inverse_table[:, None], reps]
+    w = G.compose(G.inverse_table[:, None], reps)
     target = coset_of[w]
-    h = G.table[G.inverse_table[reps[target]], w]
+    h = G.compose(G.inverse_table[reps[target]], w)
     inner_elt = inner.group.inverse_table[iso[pos[h]]]
     t = len(inner.shape.trace_weights)
     src = (target[:, :, None] * t + inner._src[inner_elt]).reshape(G.order, J * t)
     if isinstance(inner, PermutationAction):
         act = PermutationAction(G, src[G.inverse_table], np.tile(inner.mu, J))
     elif isinstance(inner, ConjugationAction):
-        n = inner.shape.block_dim
-        act = ConjugationAction(G, inner.unitaries[inner_elt].reshape(G.order, J * t, n, n), src,
-                                inner.shape.trace_weights * J)
+        U = inner.unitaries[inner_elt]
+        act = ConjugationAction(G, U.reshape(G.order, J * t, *U.shape[3:]), src, inner.shape.trace_weights * J)
     else:
         raise ActionError("induction needs a permutation or conjugation inner action")
     act.kind = "induced"

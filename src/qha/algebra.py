@@ -228,9 +228,15 @@ def trace(x: AlgebraElement) -> complex | np.ndarray:
 
 def trace_pairing(a: AlgebraElement, b: AlgebraElement) -> complex | np.ndarray:
     """trace(a b) without forming the product:
-    sum_k trace_weights[k] * sum_ij a_k[i, j] b_k[j, i]."""
+    sum_k trace_weights[k] * sum_ij a_k[i, j] b_k[j, i].
+
+    ``einsum`` sums in an order set by its operands' strides, so both are
+    taken C-ordered at their common shape (a copy only of an operand that is
+    broadcast or laid out otherwise): a value depends on the entries alone,
+    and a trial of a stack gets the value it gets alone."""
     a._require_same_shape(b)
-    return weighted_sum(np.einsum("...kij,...kji->...k", a.blocks, b.blocks), a.shape.trace_weights)
+    operands = [np.ascontiguousarray(v) for v in np.broadcast_arrays(a.blocks, b.blocks)]
+    return weighted_sum(np.einsum("...kij,...kji->...k", *operands), a.shape.trace_weights)
 
 
 def _largest_singular(s: np.ndarray) -> np.ndarray:

@@ -96,17 +96,26 @@ def bracket_symmetry_defect(x: AlgebraElement, y: AlgebraElement, action: Action
 
 
 def _inverse_node_index(group: QuadratureGroup) -> np.ndarray:
-    nodes = group.nodes
-    scale = np.abs(nodes).max() + 1.0
+    """The node at each node's inverse, one row of the a axis at a time: the
+    nearest node of the product grid pairs the nearest node of each axis,
+    at the larger of their two distances.  The first inverse off the grid
+    by more than 1e-9 of the largest coordinate raises."""
+    a_nodes, b_nodes = group.a_nodes, group.b_nodes
+    n_b = b_nodes.size
+    scale = max(np.abs(a_nodes).max(), np.abs(b_nodes).max()) + 1.0
+    cols = np.arange(n_b)
     index = np.empty(group.node_count, dtype=int)
-    for i in range(group.node_count):
-        inv = group.inverse(nodes[i])
-        dist = np.abs(nodes - inv).max(axis=1)
-        j = int(np.argmin(dist))
-        if dist[j] > 1e-9 * scale:
+    for i in range(a_nodes.size):
+        inv = group.inverse(group.nodes_at(i * n_b + cols))
+        da, db = np.abs(a_nodes[:, None] - inv[:, 0]), np.abs(b_nodes[:, None] - inv[:, 1])
+        ka, kb = da.argmin(axis=0), db.argmin(axis=0)
+        dist = np.maximum(da[ka, cols], db[kb, cols])
+        off = np.flatnonzero(dist > 1e-9 * scale)
+        if off.size:
+            j = int(off[0])
             raise InverseClosureError(
                 f"node set of {group.label} is not inverse-closed "
-                f"(inverse of node {i} missing by {dist[j]:.3e})"
+                f"(inverse of node {i * n_b + j} missing by {dist[j]:.3e})"
             )
-        index[i] = j
+        index[i * n_b:(i + 1) * n_b] = ka * n_b + kb
     return index

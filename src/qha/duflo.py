@@ -389,7 +389,7 @@ def check_orthogonality(
     name = "orthogonality-positive" if positive else "orthogonality-general"
     # every bracket value is bounded by ||x||_2 ||y||_2, so the Haar mass sets
     # the scale against which a vanishing integral counts as exact
-    mass = float(np.sum(action.haar.weights))
+    mass = action.haar.mass
     scales = [mass * nx * ny for nx, ny in zip(p_norm(x, 2.0).tolist(), p_norm(y, 2.0).tolist())]
     return _worst([CheckReport.equality(name, CLAIMS[name], l, r, tol_rel=tol_rel, tol_abs=tol_rel * scale,
                                         scenario=scenario) for l, r, scale in zip(lhs, rhs, scales)])

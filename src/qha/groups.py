@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,43 +26,51 @@ class SubgroupError(GroupError):
 
 
 class FiniteGroup:
-    """Finite group on indices 0..N-1 with a validated multiplication table.
+    """Finite group on indices 0..N-1, from cyclic factor sizes or from a
+    validated multiplication table.
 
-    ``structure`` records cyclic factor sizes when the group was built from
-    cyclic groups; it enables the dual group and tuple coordinates.  Element
-    g then has the row-major coordinates ``coords[g]``, one per factor, as in
-    ``np.unravel_index``.
+    A group built from cyclic factors (``cyclic``, ``product``, ``dual``)
+    records their sizes as ``structure`` and is a group by construction:
+    element g has the row-major coordinates ``coords[g]``, one per factor,
+    as in ``np.unravel_index``; the identity is 0, and ``compose`` and
+    ``inverse`` (on indices or index arrays) add and negate coordinates.
+    Its N x N ``table`` is formed only when read (``left_translation_action``
+    takes it as its point table).
     """
 
-    def __init__(self, table, name: str = "", structure=None, generators=()):
-        table = np.array(table, dtype=int)
-        if table.ndim != 2 or table.shape[0] != table.shape[1]:
-            raise GroupError("multiplication table must be square")
-        n = table.shape[0]
-        if n < 1:
-            raise GroupError("group must be nonempty")
-        rng_row = np.arange(n)
-        if not (np.sort(table, axis=1) == rng_row).all() or not (np.sort(table, axis=0) == rng_row[:, None]).all():
-            raise GroupError("multiplication table is not a Latin square")
-        two_sided = (table == rng_row).all(axis=1) & (table.T == rng_row).all(axis=1)
-        if not two_sided.any():
-            raise GroupError("table has no two-sided identity")
-        identity = int(np.argmax(two_sided))
-        self._check_associativity(table)
-        inverse = np.argmax(table == identity, axis=1)
-        table.setflags(write=False)
-        inverse.setflags(write=False)
-        self.table = table
-        self.inverse_table = inverse
-        self.identity = identity
-        self.name = name or f"group({n})"
-        self.structure = tuple(int(m) for m in structure) if structure is not None else None
-        self.coords = None
-        if self.structure is not None:
-            if math.prod(self.structure) != n:
-                raise GroupError("cyclic factor sizes must multiply to the group order")
-            self.coords = np.stack(np.unravel_index(rng_row, self.structure), axis=1)
-            self.coords.setflags(write=False)
+    def __init__(self, table=None, name: str = "", structure=None, generators=()):
+        if (table is None) == (structure is None):
+            raise GroupError("need either a multiplication table or cyclic factor sizes")
+        self.structure = None
+        if structure is not None:
+            self.structure = tuple(int(m) for m in structure)
+            if not self.structure or min(self.structure) < 1:
+                raise GroupError("cyclic factor sizes must be positive")
+            self.order = math.prod(self.structure)
+            self.coords = _read_only(np.stack(np.unravel_index(np.arange(self.order), self.structure), axis=1))
+            # row-major place values of the coordinates
+            self._strides = np.append(np.cumprod(self.structure[:0:-1], dtype=int)[::-1], 1)
+            self.identity = 0
+        else:
+            table = np.array(table, dtype=int)
+            if table.ndim != 2 or table.shape[0] != table.shape[1]:
+                raise GroupError("multiplication table must be square")
+            n = table.shape[0]
+            if n < 1:
+                raise GroupError("group must be nonempty")
+            rng_row = np.arange(n)
+            if not (np.sort(table, axis=1) == rng_row).all() or not (np.sort(table, axis=0) == rng_row[:, None]).all():
+                raise GroupError("multiplication table is not a Latin square")
+            two_sided = (table == rng_row).all(axis=1) & (table.T == rng_row).all(axis=1)
+            if not two_sided.any():
+                raise GroupError("table has no two-sided identity")
+            self.identity = int(np.argmax(two_sided))
+            self._check_associativity(table)
+            self.table = _read_only(table)
+            self.inverse_table = _read_only(np.argmax(table == self.identity, axis=1))
+            self.order = n
+            self.coords = None
+        self.name = name or f"group({self.order})"
         self.generators = tuple(int(g) for g in generators)
 
     @staticmethod
@@ -80,33 +87,43 @@ class FiniteGroup:
         if not ok:
             raise GroupError("multiplication table is not associative")
 
-    @property
-    def order(self) -> int:
-        return self.table.shape[0]
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The N x N multiplication table, table[a, b] = ab."""
+        g = np.arange(self.order)
+        return _read_only(self.compose(g[:, None], g))
+
+    @cached_property
+    def inverse_table(self) -> np.ndarray:
+        """The inverse of every element, in index order."""
+        return _read_only(self.inverse(np.arange(self.order)))
 
     def elements(self) -> range:
         return range(self.order)
 
-    def compose(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+    def compose(self, a, b):
+        """ab, elementwise over broadcast index arrays a and b."""
+        ab = self.table[a, b] if self.structure is None else self.index_of_tuple(self.coords[a] + self.coords[b])
+        return int(ab) if np.ndim(ab) == 0 else ab
 
-    def inverse(self, a: int) -> int:
-        return int(self.inverse_table[a])
+    def inverse(self, a):
+        """a^{-1}, elementwise over an index array a."""
+        inv = self.inverse_table[a] if self.structure is None else self.index_of_tuple(-self.coords[a])
+        return int(inv) if np.ndim(inv) == 0 else inv
 
     def modular(self, g: int) -> float:
         """Finite groups are unimodular."""
         return 1.0
 
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        return self.structure is not None or bool((self.table == self.table.T).all())
 
     def index_of_tuple(self, coords):
         """Index of the element with cyclic coordinates ``coords``, each reduced
         modulo its factor; an (..., k) array gives the (...) array of indices."""
         if self.structure is None:
             raise GroupError("group has no cyclic coordinate structure")
-        idx = np.ravel_multi_index(tuple(np.moveaxis(np.asarray(coords) % self.structure, -1, 0)),
-                                   self.structure)
+        idx = np.asarray(coords) % self.structure @ self._strides
         return int(idx) if np.ndim(idx) == 0 else idx
 
     def tuple_of_index(self, g: int) -> tuple[int, ...]:
@@ -120,8 +137,8 @@ class FiniteGroup:
             return False
         member = np.zeros(self.order, dtype=bool)
         member[idx] = True
-        return bool(member[self.identity] and member[self.table[np.ix_(idx, idx)]].all()
-                    and member[self.inverse_table[idx]].all())
+        return bool(member[self.identity] and member[self.compose(idx[:, None], idx)].all()
+                    and member[self.inverse(idx)].all())
 
     def subgroup(self, indices) -> tuple["FiniteGroup", tuple[int, ...]]:
         """Subgroup as a standalone group plus the embedding into self."""
@@ -130,7 +147,7 @@ class FiniteGroup:
             raise SubgroupError(f"{tuple(idx.tolist())} is not a subgroup of {self.name}")
         pos = np.empty(self.order, dtype=int)
         pos[idx] = np.arange(idx.size)
-        sub = FiniteGroup(pos[self.table[np.ix_(idx, idx)]], name=f"{self.name}|sub{idx.size}")
+        sub = FiniteGroup(pos[self.compose(idx[:, None], idx)], name=f"{self.name}|sub{idx.size}")
         return sub, tuple(idx.tolist())
 
     def __repr__(self) -> str:
@@ -152,23 +169,21 @@ def cyclic(n: int) -> FiniteGroup:
     """Cyclic group of order n."""
     if n < 1:
         raise GroupError(f"cyclic group order must be >= 1, got {n}")
-    idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
     gens = (1 % n,) if n > 1 else ()
-    return FiniteGroup(table, name=f"cyclic({n})", structure=(n,), generators=gens)
+    return FiniteGroup(name=f"cyclic({n})", structure=(n,), generators=gens)
 
 
 def product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Direct product with index (g, h) -> g * |H| + h."""
     ng, nh = G.order, H.order
-    table = (G.table[:, None, :, None] * nh + H.table[None, :, None, :]).reshape(ng * nh, ng * nh)
-    structure = None
-    if G.structure is not None and H.structure is not None:
-        structure = G.structure + H.structure
+    name = f"{G.name}x{H.name}"
     gens = tuple(g * nh + H.identity for g in G.generators) + tuple(
         G.identity * nh + h for h in H.generators
     )
-    return FiniteGroup(table, name=f"{G.name}x{H.name}", structure=structure, generators=gens)
+    if G.structure is not None and H.structure is not None:
+        return FiniteGroup(name=name, structure=G.structure + H.structure, generators=gens)
+    table = (G.table[:, None, :, None] * nh + H.table[None, :, None, :]).reshape(ng * nh, ng * nh)
+    return FiniteGroup(table, name=name, generators=gens)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -193,12 +208,12 @@ def dual(G: FiniteGroup) -> FiniteGroup:
     """Dual group of an abelian group built from cyclic factors, on G's indices.
 
     Character s is g -> exp(2 pi i sum_k s_k g_k / m_k), so characters
-    compose exactly like the elements indexing them: the dual has G's table,
+    compose exactly like the elements indexing them: the dual has G's
     structure and generators, and no character table is formed.
     """
-    if not G.is_abelian() or G.structure is None:
+    if G.structure is None:
         raise GroupError("the dual group needs an abelian group built from cyclic factors")
-    return FiniteGroup(G.table, name=f"dual({G.name})", structure=G.structure, generators=G.generators)
+    return FiniteGroup(name=f"dual({G.name})", structure=G.structure, generators=G.generators)
 
 
 def coset_lookup(G: FiniteGroup, h_indices) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +228,7 @@ def coset_lookup(G: FiniteGroup, h_indices) -> tuple[np.ndarray, np.ndarray]:
     elems = np.arange(G.order)
     rank = elems.copy()
     rank[G.identity] = -1
-    coset = G.table[:, idx]                      # row g lists gH
+    coset = G.compose(elems[:, None], idx)       # row g lists gH
     rep_of = coset[elems, np.argmin(rank[coset], axis=1)]
     reps = np.flatnonzero(rep_of == elems)
     reps = np.concatenate(([G.identity], reps[reps != G.identity]))
@@ -222,25 +237,38 @@ def coset_lookup(G: FiniteGroup, h_indices) -> tuple[np.ndarray, np.ndarray]:
     return reps, pos[rep_of]
 
 
-@dataclass(frozen=True)
 class HaarModel:
-    """Positive integration weights plus a normalization tag."""
+    """Positive integration weights, one per node, a normalization tag and
+    the total ``mass``: a read-only float vector (copied once unless it is
+    one) and its ``np.sum``.  A quadrature group's model is ``_ProductHaar``."""
 
-    weights: np.ndarray
-    normalization: str  # counting | probability | quadrature
-
-    def __post_init__(self) -> None:
-        # a read-only float array is kept as it is, anything else copied once
-        w = self.weights
+    def __init__(self, weights, normalization: str):
+        w = weights
         if not (isinstance(w, np.ndarray) and w.dtype == float and not w.flags.writeable):
             w = _read_only(np.array(w, dtype=float))
         if w.ndim != 1 or not np.all(w > 0):
             raise GroupError("Haar weights must be a vector of positive reals")
-        if self.normalization == "probability" and abs(w.sum() - 1.0) > 1e-12:
+        if normalization == "probability" and abs(w.sum() - 1.0) > 1e-12:
             raise GroupError("probability Haar weights must sum to 1")
-        if self.normalization not in ("counting", "probability", "quadrature"):
-            raise GroupError(f"unknown normalization tag {self.normalization!r}")
-        object.__setattr__(self, "weights", w)
+        if normalization not in ("counting", "probability", "quadrature"):
+            raise GroupError(f"unknown normalization tag {normalization!r}")
+        self.weights = w
+        self.normalization = normalization
+        self.mass = float(np.sum(w))
+
+
+class _ProductHaar(HaarModel):
+    """A quadrature group's product rule: the group's ``haar_weights``, formed
+    on first read, and the mass n_b sum(a_weights) from the axes."""
+
+    def __init__(self, group: "QuadratureGroup"):
+        self.normalization = "quadrature"
+        self.mass = float(np.sum(group.a_weights)) * group.b_nodes.size
+        self._group = group
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self._group.haar_weights
 
 
 def counting_haar(G: FiniteGroup) -> HaarModel:
@@ -315,8 +343,8 @@ class QuadratureGroup:
 
     @cached_property
     def modular_values(self) -> np.ndarray:
-        """Delta at every node, in node order."""
-        return _read_only(self.modular(self.nodes))
+        """Delta at every node, in node order; ``nodes`` is not kept."""
+        return _read_only(self.modular(self.nodes_at(np.arange(self.node_count))))
 
     def compose(self, p, q) -> np.ndarray:
         return np.asarray(self._compose(np.asarray(p, dtype=float), np.asarray(q, dtype=float)), dtype=float)
@@ -330,7 +358,7 @@ class QuadratureGroup:
         return float(values) if values.ndim == 0 else values
 
     def haar(self) -> HaarModel:
-        return HaarModel(self.haar_weights, "quadrature")
+        return _ProductHaar(self)
 
     def __repr__(self) -> str:
         return f"QuadratureGroup({self.label}, nodes={self.node_count})"

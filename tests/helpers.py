@@ -13,9 +13,13 @@ import qha.duflo
 from qha.actions import (
     NODE_SLICE,
     ConjugationAction,
+    MonomialStack,
     PermutationAction,
     WaveletAction,
+    _block_residuals,
+    _sample_pairs,
     finite_weyl_heisenberg,
+    product_phases,
 )
 from qha.algebra import (
     AlgebraElement,
@@ -59,8 +63,8 @@ def nodes_of(action):
 
 
 def weyl_heisenberg(n):
-    """The group cyclic(n) x cyclic(n) and its (n^2, n, n) Weyl-Heisenberg stack."""
-    return product(cyclic(n), cyclic(n)), finite_weyl_heisenberg(n)
+    """The group cyclic(n) x cyclic(n) and its dense (n^2, n, n) Weyl-Heisenberg stack."""
+    return product(cyclic(n), cyclic(n)), finite_weyl_heisenberg(n).dense()
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +402,55 @@ def loop_permutation_bracket(action, x, y):
 
 
 def loop_trace_pairing(a, b):
-    """trace(a b) of single elements, as one dot product over the blocks."""
-    return complex(np.array(a.shape.trace_weights) @ np.einsum("kij,kji->k", a.blocks, b.blocks))
+    """trace(a b) of single elements, as one dot product over the blocks of
+    the C-ordered operands."""
+    pairs = np.einsum("kij,kji->k", np.ascontiguousarray(a.blocks), np.ascontiguousarray(b.blocks))
+    return complex(np.array(a.shape.trace_weights) @ pairs)
+
+
+# ---------------------------------------------------------------------------
+# The dense oracle of a conjugation action: its (N, t, n, n) unitary stack,
+# formed from the permutation and phase tables when the action holds them,
+# and the conjugations and group-law residuals computed from it.
+
+
+def dense_unitaries(action):
+    """The (N, t, n, n) unitary stack of a conjugation action."""
+    U = action.unitaries
+    return U.dense() if isinstance(U, MonomialStack) else U
+
+
+def dense_apply(action, g, x):
+    """g.x of a single element, block j as U[g, j] x[src[g, j]] U[g, j]*."""
+    U = dense_unitaries(action)[g]
+    return AlgebraElement(action.shape, U @ x.blocks[action._src[g]] @ U.conj().swapaxes(1, 2))
+
+
+def dense_orbit_sum(action, x):
+    """sum_g w_g U[g] x[src[g]] U[g]* of a single element, node by node."""
+    U, src = dense_unitaries(action), action._src
+    acc = np.zeros_like(x.blocks)
+    for g, w in enumerate(action.haar.weights):
+        acc += w * (U[g] @ x.blocks[src[g]] @ U[g].conj().swapaxes(1, 2))
+    return AlgebraElement(action.shape, acc)
+
+
+def dense_structure(action):
+    """(group_law, unitality, isometry, trace) of a conjugation action from
+    its dense stack: ``product_phases`` of the dense stack over the pairs
+    the action samples, max|U U* - I|, and the sampled residuals."""
+    U, src, group = dense_unitaries(action), action._src, action.group
+    law = product_phases(U, src, group, _sample_pairs(group.order, limit=24))[2]
+    unitality = float(np.abs(U @ U.conj().swapaxes(-1, -2) - np.eye(U.shape[-1])).max())
+    gens = list(action.sample_elements)
+    _, isometry, moved = _block_residuals(src[gens], U[gens], action.shape.trace_weights)
+    return law, unitality, isometry, moved
 
 
 def loop_conjugation_bracket(action, x, y):
     """trace((g.y)* x) of single elements on a conjugation action, one
-    NODE_SLICE of nodes at a time."""
-    U, src = action.unitaries, action._src
+    NODE_SLICE of nodes of the dense stack at a time."""
+    U, src = dense_unitaries(action), action._src
     y_adj, x_t = y.blocks.conj().swapaxes(1, 2), x.blocks.swapaxes(1, 2)
     out = np.empty(src.shape, dtype=complex)
     for s in range(0, U.shape[0], NODE_SLICE):
@@ -421,18 +466,19 @@ _MONOMIAL_CLASSES = weakref.WeakKeyDictionary()
 
 def loop_monomial_classes(action):
     """The (node, block) pairs of a conjugation action grouped by (block,
-    source block, permutation), read off ``action.unitaries`` entry by entry:
+    source block, permutation), read off the dense stack entry by entry:
     {(j, src, pi): [(g, j, phases), ...]} with U[g, j][pi[c], c] = phases[c]
-    and the pairs of a class in node order.  None when some column of some
-    block holds other than one nonzero entry, or when the classes differ in
-    size: such a stack takes the dense kernel."""
+    and the pairs of a class in node order; when the classes differ in size,
+    every pair is a class of its own.  None when some column of some block
+    holds other than one nonzero entry: such a stack takes the dense
+    kernel."""
     if action not in _MONOMIAL_CLASSES:
         _MONOMIAL_CLASSES[action] = _read_monomial_classes(action)
     return _MONOMIAL_CLASSES[action]
 
 
 def _read_monomial_classes(action):
-    U, src = action.unitaries, action._src
+    U, src = dense_unitaries(action), action._src
     N, t, n = U.shape[:3]
     classes = {}
     for g in range(N):
@@ -446,7 +492,8 @@ def _read_monomial_classes(action):
                 phases.append(U[g, j, rows[0], c])
             classes.setdefault((j, int(src[g, j]), tuple(pi)), []).append((g, j, phases))
     if len({len(members) for members in classes.values()}) != 1:
-        return None
+        return {key + (g,): [(g, j, phases)] for key, members in classes.items()
+                for g, j, phases in members}
     return classes
 
 
@@ -455,7 +502,7 @@ def loop_monomial_bracket(action, x, y):
     one class of ``loop_monomial_classes`` at a time: ph^H Z ph for every
     pair of the class, Z = conj(y_src) * x_j[pi, pi]."""
     out = np.empty(action._src.shape, dtype=complex)
-    for (j, s, pi), members in loop_monomial_classes(action).items():
+    for (j, s, pi, *_), members in loop_monomial_classes(action).items():
         Z = y.blocks[s].conj() * x.blocks[j][np.ix_(pi, pi)]
         Phi = np.array([phases for _, _, phases in members])
         for (g, jj, _), v in zip(members, np.einsum("mc,mc->m", Phi.conj() @ Z, Phi)):
@@ -469,7 +516,7 @@ def rotated(action):
     n = action.shape.block_dim
     z = np.random.default_rng(15).standard_normal((2, n, n))
     V = np.linalg.qr(z[0] + 1j * z[1])[0]
-    return ConjugationAction(action.group, V @ action.unitaries @ V.conj().T, action._src,
+    return ConjugationAction(action.group, V @ dense_unitaries(action) @ V.conj().T, action._src,
                              action.shape.trace_weights)
 
 
@@ -563,7 +610,7 @@ def _loop_orthogonality(positive):
         lhs = loop_bracket_integral(scn.action, x, y)
         rhs = loop_trace(x) * loop_trace_pairing(est.d_inverse, y if positive else y.adjoint())
         name = "orthogonality-positive" if positive else "orthogonality-general"
-        scale = float(np.sum(scn.action.haar.weights)) * loop_p_norm(x, 2.0) * loop_p_norm(y, 2.0)
+        scale = scn.action.haar.mass * loop_p_norm(x, 2.0) * loop_p_norm(y, 2.0)
         return CheckReport.equality(name, CLAIMS[name], lhs, rhs, tol_rel=scn.tol_rel,
                                     tol_abs=scn.tol_rel * scale, scenario=sid)
     return check

@@ -1,9 +1,11 @@
 """Actions: representations, structural validation and its certificates,
 fixed points, isometry."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,10 +25,12 @@ from qha.algebra import (
 )
 from qha.actions import (
     CERTIFICATE_MARGIN,
+    _block_residuals,
     ActionError,
     ActionStructure,
     ConjugationAction,
     GridError,
+    MonomialStack,
     MeasureError,
     PermutationAction,
     RepresentationError,
@@ -50,12 +54,16 @@ from qha.actions import (
     s3_irreps,
     trivial_rep,
 )
-from qha.groups import FiniteGroup, affine_group, cyclic, probability_haar, product, symmetric
+from qha.groups import affine_group, cyclic, probability_haar, product, symmetric
 from qha.duflo import run_suite
 from qha.scenarios import _WAVELET_PRESETS, Scenario, ScenarioSpec, build_scenario, list_builtins
 
 from helpers import (
     cyclic_subgroups,
+    dense_apply,
+    dense_orbit_sum,
+    dense_structure,
+    dense_unitaries,
     dual_group,
     from_symbol,
     loop_coset_table,
@@ -86,7 +94,7 @@ ODD_WAVELET = WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
 def _one_block_phases(U, G, pairs):
     """product_phases of a one-block stack, as one phase per pair."""
     src = np.zeros((G.order, 1), dtype=int)
-    return product_phases(np.asarray(U)[:, None], src, G.table, pairs)[0][:, 0]
+    return product_phases(np.asarray(U)[:, None], src, G, pairs)[0][:, 0]
 
 
 class TestRepresentationStacks:
@@ -149,13 +157,13 @@ class TestWeylHeisenberg:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_irreducible(self, n):
-        assert commutant_certificate(finite_weyl_heisenberg(n)).dimension == 1
+        assert commutant_certificate(finite_weyl_heisenberg(n).dense()).dimension == 1
 
     @pytest.mark.parametrize("n", [12, 24, 31])
     def test_entries_stay_unimodular_as_n_grows(self, n):
         # each entry is exp(2 pi i r / n) for the exponent r reduced mod n, so
         # neither the moduli nor the Gram residual grow with n
-        U = finite_weyl_heisenberg(n)
+        U = finite_weyl_heisenberg(n).dense()
         eps = np.finfo(float).eps
         assert np.abs(np.abs(U[U != 0]) - 1.0).max() <= 2 * eps
         assert np.abs(U @ U.conj().swapaxes(1, 2) - np.eye(n)).max() <= 4 * eps
@@ -180,9 +188,14 @@ class TestConjugationAction:
             assert sup_distance(act.apply(g, one), one) < 1e-12
 
     def test_stack_is_read_only(self):
+        # a monomial stack is read into tables, any other kept as a view
         G, U = weyl_heisenberg(3)
-        act = conjugation_action(G, U)
-        assert not act.unitaries.flags.writeable and U.flags.writeable
+        tables = conjugation_action(G, U).unitaries
+        assert isinstance(tables, MonomialStack)
+        assert not tables.perm.flags.writeable and not tables.phase.flags.writeable
+        H, reps = s3_irreps()
+        act = conjugation_action(H, reps["std"])
+        assert not act.unitaries.flags.writeable and reps["std"].flags.writeable
 
     def test_pauli_action_is_ergodic(self):
         # nullspace oracle: the fixed-point space of the n=2 family is the scalars
@@ -227,6 +240,31 @@ class TestConjugationAction:
         with pytest.raises(RepresentationError, match="scalar multiple"):
             ConjugationAction(cyclic(2), unitaries, src, (1.0, 1.0))
 
+    def test_rejects_permutations_that_do_not_compose(self):
+        # S S = I for the swap S of the first two of three columns, but
+        # cyclic(3) needs U_1 U_1 = U_2 = S: P = I and Q = S share column 2,
+        # so c = 1/3, and D = I - S / 3 has max|D| = 1 and row gain 4/3
+        S = np.eye(3)[[1, 0, 2]]
+        U, src = np.array([np.eye(3), S, S])[:, None], np.zeros((3, 1), dtype=int)
+        pairs = np.array([(a, b) for a in range(3) for b in range(3)])
+        c, deviation, law = product_phases(MonomialStack.from_dense(U), src, cyclic(3), pairs)
+        dense = product_phases(U, src, cyclic(3), pairs)
+        assert np.abs(c - dense[0]).max() <= 1e-15 and deviation == dense[1] == 1.0
+        assert law == pytest.approx(dense[2], abs=1e-15) and law == pytest.approx(4 / 3 * 4 / 3 + 8 / 9)
+        with pytest.raises(RepresentationError, match="scalar multiple"):
+            conjugation_action(cyclic(3), U[:, 0])
+
+    def test_tables_report_the_gram_residual(self):
+        # a phase of modulus 1 + 4e-12 passes the 1e-11 check, and the tables
+        # report ||phase|^2 - 1| = 8e-12 as the dense U U* - I does
+        G, U = weyl_heisenberg(3)
+        U[4] *= 1 + 4e-12
+        act = conjugation_action(G, U)
+        assert isinstance(act.unitaries, MonomialStack) and 4 not in act.sample_elements
+        unitality = dense_structure(act)[1]
+        assert unitality == pytest.approx(8e-12, rel=1e-3)
+        assert abs(act.structure.automorphism - unitality) <= 6 * np.finfo(float).eps / 2
+
     @pytest.mark.parametrize("sid", ["induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2",
                                      "induced:cyclic(4)xcyclic(4):cyclic(2)xcyclic(2):wh2"])
     def test_block_phases_of_induced_wh2(self, sid):
@@ -236,11 +274,11 @@ class TestConjugationAction:
         # (k', l') that of U[b, src[a, j]]
         act = build_scenario(ScenarioSpec(sid)).action
         H, wh = weyl_heisenberg(2)
-        U, src, G = act.unitaries, act._src, act.group
+        U, src, G = dense_unitaries(act), act._src, act.group
         which = np.abs(U[:, :, None] - wh).max(axis=(3, 4)).argmin(axis=2)
         assert np.array_equal(U, wh[which])
         pairs = np.array([(a, b) for a in G.elements() for b in G.elements()])
-        phases, _, law = product_phases(U, src, G.table, pairs)
+        phases, _, law = product_phases(act.unitaries, src, G, pairs)
         assert law == act.structure.group_law < 1e-14
         a, b = pairs.T
         l = H.coords[which[a], 1]
@@ -413,17 +451,104 @@ class TestMonomialKernel:
         # far inside the validation's 1e-11, so the stack is still accepted
         G, U = weyl_heisenberg(4)
         U[5, 0, 0] = 1e-13
-        assert finite_weyl_heisenberg(4)[5, 0, 0] == 0
+        assert finite_weyl_heisenberg(4).dense()[5, 0, 0] == 0
         self._assert_dense(conjugation_action(G, U))
 
     def test_real_rotations_take_the_dense_kernel(self):
         self._assert_dense(_kernel_action("irrep:s3:std"))
 
+    @pytest.mark.parametrize("sid", MONOMIAL_IDS)
+    def test_apply_matches_the_dense_stack(self, sid):
+        # each entry of g.x is ph_c x_cd conj(ph_d), two complex products in
+        # either path (U x U* has one nonzero term per entry), each within
+        # 2 sqrt(2) u (Higham, Lemma 3.5): within 8 sqrt(2) u max|x| of each other
+        act = _kernel_action(sid)
+        x = act.random_element(np.random.default_rng(16))
+        bound = 8 * math.sqrt(2) * np.finfo(float).eps / 2 * x.max_abs_entry()
+        for g in act.group.elements():
+            assert sup_distance(act.apply(g, x), dense_apply(act, g, x)) <= bound
+
+    @pytest.mark.parametrize("sid", MONOMIAL_IDS)
+    def test_orbit_sum_matches_the_dense_stack(self, sid):
+        # every entry sums N terms w_g ph_c x_cd conj(ph_d) of modulus at most
+        # w_g max|x|.  The node loop forms each in two complex products and a
+        # scaling and adds them one by one: within (N - 1 + 4 sqrt(2) + 1) u
+        # of the exact sum, relative to mass max|x|.  The class kernel sums
+        # the m weighted phase products of a class, multiplies by x and adds
+        # the N / m classes, and m + N / m <= N + 1: within (N + 4 sqrt(2)) u.
+        act = _kernel_action(sid)
+        x = act.random_element(np.random.default_rng(17))
+        N, u = act.group.order, np.finfo(float).eps / 2
+        bound = 2 * (N + 4 * math.sqrt(2) + 1) * u * act.haar.mass * x.max_abs_entry()
+        assert sup_distance(act.orbit_sum(x), dense_orbit_sum(act, x)) <= bound
+
+    @pytest.mark.parametrize("sid", MONOMIAL_IDS)
+    def test_structure_matches_the_dense_stack(self, sid):
+        # Both paths form the same quantities from the same phases, of
+        # modulus 1 within 1e-11 (u = eps / 2, n the block size):
+        # - the product phase p of a column in one complex product, the
+        #   dense one as the lone nonzero term of a matrix product: they
+        #   differ by at most 4 sqrt(2) u;
+        # - c = sum p conj(q) / n over n nonzero terms (the dense trace adds
+        #   exact zeros as well), each within ((n - 1) + 2 sqrt(2) + 1) u of
+        #   the exact value, so with the products (2 n + 16) u apart;
+        # - rd = max|p - c q| then lies within (2 n + 30) u, and the law
+        #   bound rd (r_p + |c| r_q) + ||c|^2 - 1| r_q^2, with row gains r of
+        #   1 within 1e-11 computed alike, within 2 (2 n + 30) u + 3 (2 n + 16) u;
+        # - max|U U* - I| is ||ph|^2 - 1| in either, |ph|^2 to 2 u, plus an
+        #   imaginary part of at most 2 u in the dense product.
+        # The sampled residuals are computed from the same dense matrices.
+        act = _kernel_action(sid)
+        law, unitality, isometry, trace_defect = dense_structure(act)
+        n, u = act.shape.block_dim, np.finfo(float).eps / 2
+        assert abs(act.structure.group_law - law) <= (10 * n + 108) * u
+        gens = list(act.sample_elements)
+        automorphism = _block_residuals(act._src[gens], dense_unitaries(act)[gens], act.shape.trace_weights)[0]
+        assert abs(act.structure.automorphism - max(unitality, automorphism)) <= 6 * u
+        assert (act.structure.isometry, act.structure.trace) == (isometry, trace_defect)
+
+    def test_tables_scale_without_the_dense_stack(self):
+        # building wh:48 and running its suite keeps the (N, t, n) tables
+        # (24 N t n bytes: an int permutation and a complex phase per column),
+        # the class phases (16 N t n) and, while the classes are sorted, two
+        # copies of the lexsort keys (16 N t (n + 2)): 56 N t n and a little.
+        # The suite adds stacks of at most 12 trials of an element of
+        # 16 t n^2 = 16 N t bytes (n^2 = N here) and their bracket rows, a
+        # few hundred N t bytes: below 40 N t n more at n = 48.  The dense
+        # stack alone, 16 N t n^2 bytes, is 8 times the bound.
+        spec = ScenarioSpec("wh:48")
+        run_suite(build_scenario(ScenarioSpec("wh:3")))  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            scn = build_scenario(spec)
+            reports = run_suite(scn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        act = scn.action
+        N, t, n = act.unitaries.shape
+        assert isinstance(act.unitaries, MonomialStack) and "table" not in vars(act.group)
+        assert all(r.passed for r in reports)
+        assert peak <= 96 * N * t * n < 16 * N * t * n * n, peak / (N * t * n)
+
+    def test_classes_of_unequal_size_hold_one_pair_each(self):
+        # both elements of cyclic(2) fix block 0, and 1 swaps the basis of
+        # block 1: classes of 2, 1 and 1 pairs, so each pair is a class
+        I, X = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+        act = ConjugationAction(cyclic(2), np.array([[I, I], [I, X]]), np.array([[0, 1], [0, 1]]), (1.0, 1.0))
+        assert act._classes[2].shape == (4, 1, 2)
+        rng = np.random.default_rng(18)
+        x, y = act.random_element(rng), act.random_element(rng)
+        assert np.abs(act.bracket_values(x, y) - loop_conjugation_bracket(act, x, y)).max() <= _rounding_bound(act, x, y)
+        bound = 2 * (2 + 4 * math.sqrt(2) + 1) * np.finfo(float).eps / 2 * act.haar.mass * x.max_abs_entry()
+        assert sup_distance(act.orbit_sum(x), dense_orbit_sum(act, x)) <= bound
+
     def test_classes_are_cosets_of_one_size(self):
         # wh:4 = T_k M_l: pi is the shift by k, one class per k of the four
         # modulations l, and the phases are the diagonals of M_l
         act = _kernel_action("wh:4")
-        perms, order, phases = act._classes
+        perms, order, phases, blocks, sources = act._classes
+        assert not blocks.any() and not sources.any()
         assert perms.tolist() == [[(c + k) % 4 for c in range(4)] for k in range(4)]
         assert order.tolist() == list(range(16))
         omega = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4)
@@ -489,11 +614,9 @@ class TestDualAction:
         # in row s
         G = product(cyclic(4), cyclic(4))
         chars = dual_group(G).table
-        ref = FiniteGroup(G.table, name=f"dual({G.name})",
-                          structure=G.structure, generators=G.generators)
         D = dual_action(G, m).group
-        assert np.array_equal(D.table, ref.table)
-        assert (D.name, D.structure, D.generators) == (ref.name, ref.structure, ref.generators)
+        assert np.array_equal(D.table, G.table)
+        assert (D.name, D.structure, D.generators) == (f"dual({G.name})", G.structure, G.generators)
         assert np.abs(chars[D.table] - chars[:, None] * chars[None, :]).max() < 1e-12
 
     def test_full_dual_is_ergodic(self):
@@ -592,7 +715,7 @@ class TestArrayConstructorsMatchLoops:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_weyl_heisenberg(self, n):
-        assert np.array_equal(finite_weyl_heisenberg(n), loop_weyl_heisenberg(n))
+        assert np.array_equal(finite_weyl_heisenberg(n).dense(), loop_weyl_heisenberg(n))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_cyclic_characters(self, n):
@@ -630,7 +753,7 @@ class TestArrayConstructorsMatchLoops:
         if itok == "wh2":
             n = inner.shape.block_dim
             assert np.array_equal(act._src, src)
-            assert np.array_equal(act.unitaries, inner.unitaries[inner_elt].reshape(G.order, -1, n, n))
+            assert np.array_equal(dense_unitaries(act), dense_unitaries(inner)[inner_elt].reshape(G.order, -1, n, n))
         else:
             assert np.array_equal(act.point_table, src[G.inverse_table])
 

@@ -99,6 +99,19 @@ class TestTrace:
         assert trace_pairing(a, b) == pytest.approx(trace(a @ b), rel=1e-13)
         assert trace_pairing(a, b) == pytest.approx(trace_pairing(b, a), rel=1e-13)
 
+    def test_pairing_does_not_depend_on_the_layout(self):
+        # an F-ordered D^{-1} with the same entries gives the same bits,
+        # against a C-ordered element, its adjoint view and a stack of them
+        shape = AlgebraShape(97, (0.25, 0.75))
+        rng = np.random.default_rng(3)
+        d, y = random_positive_element(shape, rng), random_element(shape, rng)
+        f = AlgebraElement(shape, np.asfortranarray(d.blocks))
+        assert f.blocks.flags.f_contiguous and np.array_equal(f.blocks, d.blocks)
+        ys = AlgebraElement(shape, np.stack([y.blocks, y.adjoint().blocks]))
+        for b in (y, y.adjoint(), ys):
+            assert np.array_equal(trace_pairing(f, b), trace_pairing(d, b))
+        assert np.array_equal(trace_pairing(d, ys), [trace_pairing(d, y), trace_pairing(d, y.adjoint())])
+
     def test_pairing_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             trace_pairing(M2.identity(), PAIR.identity())

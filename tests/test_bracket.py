@@ -22,13 +22,15 @@ from qha.actions import (
 from qha.bracket import (
     BracketFunction,
     InverseClosureError,
+    _inverse_node_index,
     bracket,
     bracket_symmetry_defect,
     function_p_norm,
     integrate_bracket,
 )
-from qha.groups import cyclic, probability_haar
-from qha.scenarios import BUILTIN_IDS, build_scenario, builtin
+from qha.duflo import run_suite
+from qha.groups import QuadratureGroup, affine_group, cyclic, probability_haar
+from qha.scenarios import BUILTIN_IDS, ScenarioSpec, build_scenario, builtin
 
 from helpers import nodes_of, weyl_heisenberg
 
@@ -217,6 +219,33 @@ class TestSymmetry:
         monkeypatch.setattr(act, "bracket_values", no_brackets)
         with pytest.raises(InverseClosureError, match="not inverse-closed"):
             bracket_symmetry_defect(x, x, act)
+
+
+    def test_suite_skips_without_the_node_grid(self):
+        # the closure test works on the axes: a suite run forms no node array,
+        # and the skip names the first node whose inverse is off the grid
+        for preset, missing in (("default", None), ("fine", "inverse of node 0 missing by 2.920e+01")):
+            scn = build_scenario(ScenarioSpec(f"affine-wavelet:{preset}"))
+            reports = run_suite(scn)
+            assert "nodes" not in vars(scn.action.group)
+            (row,) = [r for r in reports if r.name == "bracket-symmetry"]
+            assert row.skipped and "not inverse-closed" in row.notes
+            if missing:
+                assert row.notes.endswith(f"({missing})")
+
+    def test_inverse_index_matches_the_node_search(self):
+        # (a, b)(a', b') = (a a', b + b') on {1/2, 1, 2} x {-1, 0, 1} is
+        # inverse-closed; the affine law (a a', a b' + b) on the same grid
+        # sends node 0 = (1/2, -1) to (2, 2), one b step off the grid
+        G = QuadratureGroup(
+            [0.5, 1.0, 2.0], [-1.0, 0.0, 1.0], np.ones(3),
+            compose_fn=lambda p, q: np.stack([p[..., 0] * q[..., 0], p[..., 1] + q[..., 1]], axis=-1),
+            inverse_fn=lambda p: np.stack([1.0 / p[..., 0], -p[..., 1]], axis=-1),
+            identity=(1.0, 0.0), modular_fn=lambda p: np.ones(np.shape(p)[:-1]))
+        ref = [int(np.argmin(np.abs(G.nodes - G.inverse(p)).max(axis=1))) for p in G.nodes]
+        assert _inverse_node_index(G).tolist() == ref == [8, 7, 6, 5, 4, 3, 2, 1, 0]
+        with pytest.raises(InverseClosureError, match=r"inverse of node 0 missing by 1\.000e\+00"):
+            _inverse_node_index(affine_group(0.5, 2.0, 3, -1.5, 1.5, 3))
 
 
 class TestBracketFunctionType:

@@ -163,7 +163,53 @@ class TestCosets:
         assert abs(total - double) < 1e-12
 
 
+class TestCoordinateGroups:
+    """Groups built from cyclic factors compose by coordinates: against the
+    table they form, validated as a group table."""
+
+    @pytest.mark.parametrize("G", [
+        *(cyclic(n) for n in (1, 2, 5, 12)),
+        product(cyclic(2), cyclic(4)),
+        product(cyclic(3), cyclic(3)),
+        product(product(cyclic(3), cyclic(3)), cyclic(2)),
+        product(cyclic(1), cyclic(6)),
+    ], ids=lambda G: G.name)
+    def test_coordinates_match_the_validated_table(self, G):
+        assert "table" not in vars(G)
+        ref = FiniteGroup(G.table)
+        g = np.arange(G.order)
+        assert G.identity == ref.identity == 0
+        assert np.array_equal(G.inverse(g), ref.inverse_table)
+        assert np.array_equal(G.compose(g[:, None], g), ref.table)
+        assert G.is_abelian() and ref.is_abelian()
+        for a, b in ((0, G.order - 1), (G.order - 1, G.order - 1)):
+            assert G.compose(a, b) == int(ref.table[a, b]) and G.inverse(a) == ref.inverse(a)
+
+    def test_cyclic_table_is_addition_mod_n(self):
+        for n in range(1, 13):
+            i = np.arange(n)
+            assert np.array_equal(cyclic(n).table, (i[:, None] + i) % n)
+
+    def test_needs_a_table_or_factor_sizes(self):
+        for args in ({}, {"table": cyclic(2).table, "structure": (2,)}):
+            with pytest.raises(GroupError):
+                FiniteGroup(**args)
+        with pytest.raises(GroupError):
+            FiniteGroup(structure=(2, 0))
+
+
 class TestHaar:
+    def test_mass_is_the_sum_of_the_weights(self):
+        w = np.random.default_rng(4).uniform(0.5, 2.0, 37)
+        assert HaarModel(w, "counting").mass == float(np.sum(w))
+        assert probability_haar(cyclic(8)).mass == float(np.sum(np.full(8, 1.0 / 8)))
+
+    def test_quadrature_mass_comes_from_the_axes(self):
+        G = affine_group(0.5, 2.0, 5, -1.0, 1.0, 8)
+        haar = G.haar()
+        assert haar.mass == pytest.approx(float(np.sum(np.repeat(G.a_weights, 8))), rel=1e-15)
+        assert haar.normalization == "quadrature" and "haar_weights" not in vars(G)
+
     def test_probability_weights_sum(self):
         haar = probability_haar(cyclic(8))
         assert float(haar.weights.sum()) == pytest.approx(1.0)
@@ -314,6 +360,7 @@ class TestProductRule:
 
         monkeypatch.setattr(QuadratureGroup, "nodes", property(unread))
         monkeypatch.setattr(QuadratureGroup, "modular_values", property(unread))
+        monkeypatch.setattr(QuadratureGroup, "haar_weights", property(unread))
         assert main(["refine", "--scenario", "affine-wavelet:default", "--grids", "3"]) == 0
         rows = capsys.readouterr().out.splitlines()[2:]
         assert [row.split()[1] for row in rows] == ["12544", "49664", "197632"]

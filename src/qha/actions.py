@@ -97,22 +97,17 @@ class GridError(ActionError):
 NODE_SLICE = 32
 
 
-@dataclass(frozen=True)
 class MonomialStack:
     """A stack of monomial n x n matrices as two (..., n) tables, kept as
     read-only views: column c holds one nonzero entry, U[perm[c], c] =
     phase[c].  Indexing and ``reshape`` act on the leading axes."""
 
-    perm: np.ndarray
-    phase: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name, dtype in (("perm", int), ("phase", complex)):
-            table = np.asarray(getattr(self, name), dtype=dtype).view()
-            table.setflags(write=False)
-            object.__setattr__(self, name, table)
+    def __init__(self, perm, phase):
+        self.perm, self.phase = np.asarray(perm, dtype=int).view(), np.asarray(phase, dtype=complex).view()
         if self.perm.shape != self.phase.shape or self.perm.ndim < 1:
             raise ActionError("need one row index and one phase per column")
+        self.perm.setflags(write=False)
+        self.phase.setflags(write=False)
 
     @classmethod
     def from_dense(cls, U: np.ndarray) -> "MonomialStack | None":
@@ -197,20 +192,23 @@ def product_phases(U: MonomialStack | np.ndarray, src: np.ndarray, group: Finite
     out = np.empty((len(pairs), t), dtype=complex)
     deviation, rd = np.empty((2,) + out.shape)
     if isinstance(U, MonomialStack):
-        perm, phase, blocks, cols = U.perm, U.phase, np.arange(t)[:, None], np.arange(n)
+        perm, phase, blocks, cols = U.perm.reshape(-1), U.phase.reshape(-1), np.arange(t), np.arange(n)
         step = stack_size(16 * t * n)
         for s in range(0, len(pairs), step):
             sl = slice(s, s + step)
-            ka, kb, sb = a[sl, None, None], b[sl, None, None], src[a[sl]][:, :, None]
-            pb = perm[kb, sb, cols]
-            shared = perm[ka, blocks, pb] == perm[ab[sl]]
-            p, q = phase[kb, sb, cols] * phase[ka, blocks, pb], phase[ab[sl]]
-            out[sl] = c = np.where(shared, p * q.conj(), 0.0).sum(axis=-1) / n
-            cq = c[..., None] * q
-            dp = np.abs(np.where(shared, p - cq, p))
-            dq = np.where(shared, 0.0, np.abs(cq))
-            deviation[sl] = np.maximum(dp, dq).max(axis=-1)
-            rd[sl] = dp.max(axis=-1) + dq.max(axis=-1)
+            # flat indices of the columns of U[a, j], U[b, src[a, j]] and U[ab, j]
+            fa = (a[sl, None] * t + blocks)[..., None] * n
+            fb = (b[sl, None] * t + src[a[sl]])[..., None] * n + cols
+            fq = (ab[sl, None] * t + blocks)[..., None] * n + cols
+            pb = perm[fb]
+            p, q = phase[fb] * phase[fa + pb], phase[fq]
+            # Q's phases where P holds its entry in the same row, 0 elsewhere
+            shared = q * (perm[fa + pb] == perm[fq])
+            out[sl] = c = (p * shared.conj()).sum(axis=-1) / n
+            # the largest entry of D from P's columns and from Q's alone
+            dp = np.abs(p - c[..., None] * shared).max(axis=-1)
+            dq = np.abs(c[..., None] * (q - shared)).max(axis=-1)
+            deviation[sl], rd[sl] = np.maximum(dp, dq), dp + dq
         r = np.abs(U.phase).max(axis=-1)  # one entry a row
     else:
         for s in range(0, len(pairs), NODE_SLICE):

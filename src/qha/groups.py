@@ -47,9 +47,8 @@ class FiniteGroup:
             if not self.structure or min(self.structure) < 1:
                 raise GroupError("cyclic factor sizes must be positive")
             self.order = math.prod(self.structure)
-            self.coords = _read_only(np.stack(np.unravel_index(np.arange(self.order), self.structure), axis=1))
             # row-major place values of the coordinates
-            self._strides = np.append(np.cumprod(self.structure[:0:-1], dtype=int)[::-1], 1)
+            self._strides = np.array([math.prod(self.structure[k + 1:]) for k in range(len(self.structure))])
             self.identity = 0
         else:
             table = np.array(table, dtype=int)
@@ -69,7 +68,6 @@ class FiniteGroup:
             self.table = _read_only(table)
             self.inverse_table = _read_only(np.argmax(table == self.identity, axis=1))
             self.order = n
-            self.coords = None
         self.name = name or f"group({self.order})"
         self.generators = tuple(int(g) for g in generators)
 
@@ -86,6 +84,13 @@ class FiniteGroup:
             ok = (table[table[i, j], k] == table[i, table[j, k]]).all()
         if not ok:
             raise GroupError("multiplication table is not associative")
+
+    @cached_property
+    def coords(self) -> np.ndarray | None:
+        """The (N, k) coordinates of every element; None without ``structure``."""
+        if self.structure is None:
+            return None
+        return _read_only(np.stack(np.unravel_index(np.arange(self.order), self.structure), axis=1))
 
     @cached_property
     def table(self) -> np.ndarray:

@@ -577,16 +577,17 @@ class Action:
 
 
 def _monomial_classes(U: MonomialStack, src: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(perms, order, phases, blocks, sources) of the (node, block) pairs of
-    a monomial stack, grouped into classes of one (j, src[g, j], perm).
+    """(perms, order, blocks, sources) of the (node, block) pairs of a
+    monomial stack, grouped into classes of one (j, src[g, j], perm).
 
     ``order`` lists the pairs (flat index g t + j) class by class, in node
-    order within a class; a class has the permutation ``perms``, the (m, n)
-    phases of its m pairs in ``phases``, the block j in ``blocks`` and
-    src[g, j] in ``sources``.  The permutation part of a projective monomial
-    representation is a homomorphism, so on a transitive action the classes
-    are cosets of one size; when they differ in size, every pair is a class
-    of its own.  They are sorted with ``lexsort`` (``np.unique`` imports
+    order within a class, m pairs a class; a class has the permutation
+    ``perms``, the block j in ``blocks`` and src[g, j] in ``sources``.  The
+    phases of its pairs stay in the table, read through ``order``
+    (``ConjugationAction._class_phases``).  The permutation part of a
+    projective monomial representation is a homomorphism, so on a
+    transitive action the classes are cosets of one size; when they differ
+    in size, every pair is a class of its own.  They are sorted with ``lexsort`` (``np.unique`` imports
     numpy.ma).
     """
     N, t, n = U.shape
@@ -599,8 +600,7 @@ def _monomial_classes(U: MonomialStack, src: np.ndarray) -> tuple[np.ndarray, ..
     if not (np.diff(starts, append=N * t) == m).all():
         starts, m = np.arange(N * t), 1
     first = order[starts]
-    return (pi[first], order, U.phase.reshape(N * t, n)[order].reshape(-1, m, n),
-            first % t, src.reshape(-1)[first])
+    return pi[first], order, first % t, src.reshape(-1)[first]
 
 
 class ConjugationAction(Action):
@@ -681,6 +681,14 @@ class ConjugationAction(Action):
             U.phase[:, :, None] * xs * U.phase.conj()[:, None, :])
         return AlgebraElement(self.shape, out, copy=False)
 
+    def _class_phases(self, start: int, stop: int) -> np.ndarray:
+        """The (stop - start, m, n) phases of the pairs of classes start to
+        stop, gathered from the phase table through the class order."""
+        perms, order = self._classes[:2]
+        C, n = perms.shape
+        m = len(order) // C
+        return self.unitaries.phase.reshape(-1, n)[order[start * m:stop * m]].reshape(-1, m, n)
+
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
         U, src = self.unitaries, self._src
         xs, ys, stacked = _stacks(x, y)
@@ -691,15 +699,18 @@ class ConjugationAction(Action):
             # the class as ph^H Z ph: one product with the conjugated phases
             # and one contraction, in pieces of classes and trials that keep
             # each temporary below STACK_BYTES
-            perms, order, phases, blocks, sources = self._classes
-            C, m, n = phases.shape
+            perms, order, blocks, sources = self._classes
+            C, n = perms.shape
+            m = len(order) // C
             rows, cols = perms[:, :, None], perms[:, None, :]
-            conj_phases, flat = phases.conj(), out.reshape(len(xs), N * t)
-            class_bytes = 16 * n * max(n, m)  # Z, or its product with the phases
+            flat = out.reshape(len(xs), N * t)
+            class_bytes = 16 * n * max(n, m)  # Z, the phases, or their product
             step = min(C, stack_size(class_bytes))
             per = stack_size(class_bytes * C) if step == C else 1
             for s in range(0, C, step):
                 sl, pairs = slice(s, s + step), order[s * m:(s + step) * m]
+                phases = self._class_phases(s, s + step)
+                conj_phases = phases.conj()
                 for b in range(0, len(xs), per):
                     tb = slice(b, b + per)
                     z = ys[tb, sources[sl]]
@@ -707,7 +718,7 @@ class ConjugationAction(Action):
                     # not in place: numpy rounds an in-place product of one
                     # element differently, and n = 1 gives one per trial
                     z = z * xs[tb, blocks[sl, None, None], rows[sl], cols[sl]]
-                    quad = np.einsum("...kmc,kmc->...km", conj_phases[sl] @ z, phases[sl])
+                    quad = np.einsum("...kmc,kmc->...km", conj_phases @ z, phases)
                     flat[tb, pairs] = quad.reshape(len(quad), -1)
         else:
             # tr(U y* U* x) = sum_ab (U y*)_ab (x^T conj(U))_ab, block by block,
@@ -736,13 +747,15 @@ class ConjugationAction(Action):
             # per class the gram sum_g w_g ph_g ph_g^H, one (n, m) @ (m, n)
             # product, times x_src added at [pi, pi] of its block, in class
             # order and in pieces of classes below STACK_BYTES
-            perms, order, phases, blocks, sources = self._classes
-            C, m, _ = phases.shape
+            perms, order, blocks, sources = self._classes
+            C = len(perms)
+            m = len(order) // C
             weights = w[order // t].reshape(C, m, 1)
             step = stack_size(16 * n * max(n, m))
             for s in range(0, C, step):
                 sl = slice(s, s + step)
-                gram = (weights[sl] * phases[sl]).swapaxes(1, 2) @ phases[sl].conj()
+                phases = self._class_phases(s, s + step)
+                gram = (weights[sl] * phases).swapaxes(1, 2) @ phases.conj()
                 gram *= xs[sources[sl]]
                 np.add.at(acc, (blocks[sl, None, None], perms[sl, :, None], perms[sl, None, :]), gram)
             return AlgebraElement(self.shape, acc, copy=False)

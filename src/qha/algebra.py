@@ -12,7 +12,9 @@ the central projections over one block orbit is a non-scalar fixed point).
 An element is therefore stored as one read-only (t, n, n) array, row k
 holding block k, and every operation, the spectral ones included (the trace,
 singular values, hermitian eigendecompositions), is one stacked numpy call,
-so a diagonal algebra costs one call, not one per atom.
+so a diagonal algebra costs one call, not one per atom.  On 1 x 1 blocks
+(a commutative algebra) the spectral ones are read off the entries with no
+LAPACK call: the modulus, the real part and the eigenvector 1.
 
 The same array may carry a leading trial axis, (B, t, n, n): a stack of B
 elements that the law checks evaluate in one pass.  Products, sums and
@@ -239,6 +241,12 @@ def trace_pairing(a: AlgebraElement, b: AlgebraElement) -> complex | np.ndarray:
     return weighted_sum(np.einsum("...kij,...kji->...k", *operands), a.shape.trace_weights)
 
 
+def _singular_values(b: np.ndarray) -> np.ndarray:
+    """Singular values (..., n) of a stack of n x n blocks, descending in each
+    row; a 1 x 1 block's is the modulus of its entry, read without LAPACK."""
+    return np.abs(b[..., 0]) if b.shape[-1] == 1 else np.linalg.svd(b, compute_uv=False)
+
+
 def _largest_singular(s: np.ndarray) -> np.ndarray:
     """The operator norm from stacked singular values (..., t, n)."""
     return s[..., 0].max(axis=-1)
@@ -246,7 +254,7 @@ def _largest_singular(s: np.ndarray) -> np.ndarray:
 
 def op_norm(x: AlgebraElement) -> float | np.ndarray:
     """Operator norm: the largest singular value over all blocks."""
-    return trial_values(_largest_singular(np.linalg.svd(x.blocks, compute_uv=False)))
+    return trial_values(_largest_singular(_singular_values(x.blocks)))
 
 
 def p_norm(x: AlgebraElement, p) -> float | np.ndarray:
@@ -262,7 +270,7 @@ def p_norm(x: AlgebraElement, p) -> float | np.ndarray:
     b = x.blocks
     stacked = b.reshape((-1,) + b.shape[-3:])
     groups = exponent_groups(p, len(stacked))
-    s = np.linalg.svd(stacked, compute_uv=False) if set(groups) != {2.0} else None
+    s = _singular_values(stacked) if set(groups) != {2.0} else None
     out = np.empty(len(stacked))
     for pv, idx in groups.items():
         if pv == 2.0:
@@ -304,16 +312,26 @@ def _hermitian_blocks(x: AlgebraElement) -> np.ndarray:
     return 0.5 * (b + b.conj().swapaxes(-1, -2))
 
 
+def _eigh(h: np.ndarray, vectors: bool):
+    """Eigenvalues (..., n), ascending in each row, of a stack of hermitian
+    n x n blocks, with the eigenvector stack when ``vectors``; a 1 x 1
+    block's are its real entry and 1, read without LAPACK."""
+    if h.shape[-1] == 1:
+        w = h[..., 0].real.copy()
+        return (w, np.ones_like(h)) if vectors else w
+    return np.linalg.eigh(h) if vectors else np.linalg.eigvalsh(h)
+
+
 def eigh_blocks(x: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
     """Hermitian eigendecomposition of every block, one stacked pair (w, v) of
     shapes (t, n) and (t, n, n); rejects non-hermitian input."""
-    return np.linalg.eigh(_hermitian_blocks(x))
+    return _eigh(_hermitian_blocks(x), vectors=True)
 
 
 def eigvalsh_blocks(x: AlgebraElement) -> np.ndarray:
     """The eigenvalues alone of every block, stacked (t, n) and ascending in
     each row; rejects non-hermitian input."""
-    return np.linalg.eigvalsh(_hermitian_blocks(x))
+    return _eigh(_hermitian_blocks(x), vectors=False)
 
 
 def from_eigh(shape: AlgebraShape, eig, f: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:

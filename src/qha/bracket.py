@@ -76,10 +76,13 @@ def function_p_norm(bf: BracketFunction, r) -> float | np.ndarray:
 
 
 def bracket_symmetry_defect(x: AlgebraElement, y: AlgebraElement, action: Action) -> float:
-    """max over g of |<x|y>(g^{-1}) - <y|x>(g)|, relative to max over g of |<x|y>(g)|,
-    one per trial of stacks.
+    """max over g of |<x|y>(g^{-1}) - conj(<y|x>(g))|, relative to max over g
+    of |<x|y>(g)|, one per trial of stacks.
 
-    The scale is floored at 1e-300.  Requires a node set closed under
+    The identity holds for every x and y, by trace invariance alone:
+    tr((g^{-1}.y)* x) = tr(y* (g.x)) = conj(tr((g.x)* y)).  Without the
+    conjugate it holds only where the bracket is real, as for hermitian x
+    and y.  The scale is floored at 1e-300.  Requires a node set closed under
     inversion: finite groups always are; quadrature groups whose nodes are
     not inverse-closed are unsupported and raise InverseClosureError rather
     than being silently skipped.
@@ -91,7 +94,7 @@ def bracket_symmetry_defect(x: AlgebraElement, y: AlgebraElement, action: Action
         inv = group.inverse_table
     vxy = action.bracket_values(x, y)
     vyx = action.bracket_values(y, x)
-    defect = np.abs(vxy[..., inv] - vyx).max(axis=-1)
+    defect = np.abs(vxy[..., inv] - vyx.conj()).max(axis=-1)
     return trial_values(defect / np.maximum(np.abs(vxy).max(axis=-1), 1e-300))
 
 

@@ -102,7 +102,7 @@ CLAIMS: dict[str, str] = {
     "duflo-expected-scalar": "estimated D equals the analytically pinned scalar multiple of 1",
     "duflo-expected-kernel": ("D^{-1} pairs with smooth probes as a multiple of the "
                               "inverse-frequency multiplier"),
-    "bracket-symmetry": "<x|y>(g^{-1}) = <y|x>(g)",
+    "bracket-symmetry": "<x|y>(g^{-1}) = conj(<y|x>(g))",
     "orthogonality-positive": "integral of <x|y> = trace(x) trace(D^{-1/2} y D^{-1/2})",
     "orthogonality-general": "integral of <x|y> = trace(x) trace(D^{-1/2} y D^{-1/2}) "
                              "(adjoint form for non-hermitian y)",
@@ -228,10 +228,7 @@ def estimate_duflo(
     d_inv = _orbit_density(action, x_test)
     n = d_inv.shape.block_dim
     tau = (1e-12 + 2 * n * (n + 1) * np.finfo(float).eps) * np.abs(d_inv.blocks).sum(axis=-1).max()
-    try:
-        # the shifted copy and its factor are freed as the call returns
-        np.linalg.cholesky(d_inv.blocks - tau * np.eye(n))
-    except np.linalg.LinAlgError:
+    if not _cholesky_completes(d_inv.blocks - tau * np.eye(n)):
         w = eigvalsh_blocks(d_inv)
         min_eig, max_eig = float(w.min()), float(w.max())
         if min_eig <= 1e-12 * max_eig:
@@ -250,6 +247,21 @@ def estimate_duflo(
                 "quadrature too coarse or action not ergodic"
             )
     return DufloEstimate(d_inverse=d_inv, cross_check_residual=cross)
+
+
+def _cholesky_completes(h: np.ndarray) -> bool:
+    """Whether LAPACK's Cholesky factorization runs to completion on every
+    hermitian block of the stack h.  On 1 x 1 blocks it reads the answer off
+    the entries, with no LAPACK call: the factorization's one step takes the
+    root of the real entry, and fails when it is not positive (or NaN)."""
+    if h.shape[-1] == 1:
+        return bool((h.real > 0.0).all())
+    try:
+        # the factor is freed as the call returns
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _orbit_density(action: Action, x_test: AlgebraElement) -> AlgebraElement:
@@ -354,7 +366,7 @@ def check_expected_kernel(action: Action, est: DufloEstimate, tol: float,
 
 def check_bracket_symmetry(x: AlgebraElement, y: AlgebraElement, action: Action,
                            *, scenario: str = "") -> CheckReport:
-    """Defect of <x|y>(g^{-1}) = <y|x>(g); skipped on a grid not closed under inverses."""
+    """Defect of <x|y>(g^{-1}) = conj(<y|x>(g)); skipped on a grid not closed under inverses."""
     claim = CLAIMS["bracket-symmetry"]
     try:
         defects = bracket_symmetry_defect(as_stack(x), as_stack(y), action)
@@ -519,7 +531,8 @@ def check_young(
         if abs(1.0 / pv + 1.0 / qv - 1.0 - 1.0 / rv) > 1e-12:
             raise ParameterError(f"exponents must satisfy 1/p + 1/q = 1 + 1/r, got {pv}, {qv}, {rv}")
     d = est.d
-    if np.any(op_norm(d @ y - y @ d) > 1e-9 * op_norm(y) * op_norm(d)):
+    # ||D||_op is the largest 1/w over the eigenvalues w of D^{-1}
+    if np.any(op_norm(d @ y - y @ d) > 1e-9 * op_norm(y) * float(np.reciprocal(est.eigenvalues).max())):
         raise ParameterError("y must commute with D for the convolution inequality")
     ytil = est.sandwich([1.0 / (2.0 * rv) for rv in rs], y)
     lhs = function_p_norm(bracket(x, ytil, action), rs).tolist()

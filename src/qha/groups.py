@@ -120,9 +120,6 @@ class FiniteGroup:
         """Finite groups are unimodular."""
         return 1.0
 
-    def is_abelian(self) -> bool:
-        return self.structure is not None or bool((self.table == self.table.T).all())
-
     def index_of_tuple(self, coords):
         """Index of the element with cyclic coordinates ``coords``, each reduced
         modulo its factor; an (..., k) array gives the (...) array of indices."""
@@ -130,11 +127,6 @@ class FiniteGroup:
             raise GroupError("group has no cyclic coordinate structure")
         idx = np.asarray(coords) % self.structure @ self._strides
         return int(idx) if np.ndim(idx) == 0 else idx
-
-    def tuple_of_index(self, g: int) -> tuple[int, ...]:
-        if self.structure is None:
-            raise GroupError("group has no cyclic coordinate structure")
-        return tuple(self.coords[g].tolist())
 
     def is_subgroup(self, indices) -> bool:
         idx = distinct_indices(indices)

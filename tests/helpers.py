@@ -26,6 +26,7 @@ from qha.algebra import (
     AlgebraShape,
     NotPositiveError,
     ParameterError,
+    _singular_values,
     p_norm,
     sup_distance,
     trace,
@@ -90,9 +91,21 @@ class CharacterTable:
         self.table = table
 
 
+def is_abelian(G):
+    """Whether G commutes: always for a group of cyclic factors, else by its table."""
+    return G.structure is not None or bool((G.table == G.table.T).all())
+
+
+def tuple_of_index(G, g):
+    """The cyclic coordinates of g, read off ``G.coords``."""
+    if G.structure is None:
+        raise GroupError("group has no cyclic coordinate structure")
+    return tuple(G.coords[g].tolist())
+
+
 def dual_group(G):
     """Character table with row s the character g -> exp(2 pi i sum_k s_k g_k / m_k)."""
-    if not G.is_abelian():
+    if not is_abelian(G):
         raise GroupError("dual_group requires an abelian group")
     if G.structure is None:
         raise GroupError("dual_group requires a group built from cyclic factors")
@@ -377,14 +390,18 @@ def loop_trace(x):
 
 def loop_p_norm(x, p):
     """Trace p-norm of a single element: op norm at inf, Frobenius sum at 2,
-    else the singular values to the p, rooted on a Python float."""
+    else the singular values to the p, rooted on a Python float.  The
+    singular values are the package's per-block primitive (the moduli of
+    1 x 1 blocks, else LAPACK's), so that a stacked norm is checked bit for
+    bit against its trials; tests/test_algebra.py checks the primitive
+    against numpy's SVD."""
     b = x.blocks
     if p == math.inf:
-        return float(np.linalg.svd(b, compute_uv=False)[:, 0].max())
+        return float(_singular_values(b)[:, 0].max())
     if p == 2.0:
         per_block = np.sum(np.abs(b) ** 2, axis=(1, 2))
     else:
-        per_block = np.sum(np.linalg.svd(b, compute_uv=False) ** p, axis=1)
+        per_block = np.sum(_singular_values(b) ** p, axis=1)
     return float(float(np.array(x.shape.trace_weights) @ per_block) ** (1.0 / p))
 
 
@@ -600,7 +617,7 @@ def _loop_symmetry(sid, scn, est, _, x, y):
         return CheckReport.skip("bracket-symmetry", claim, str(exc), scenario=sid)
     vxy = loop_trial_bracket(scn.action, x, y)
     vyx = loop_trial_bracket(scn.action, y, x)
-    defect = float(np.abs(vxy[inv] - vyx).max()) / max(float(np.abs(vxy).max()), 1e-300)
+    defect = float(np.abs(vxy[inv] - np.conj(vyx)).max()) / max(float(np.abs(vxy).max()), 1e-300)
     return CheckReport.bound("bracket-symmetry", claim, defect, 0.0, tol_rel=0.0, tol_abs=1e-10,
                              scenario=sid)
 

@@ -80,6 +80,7 @@ from helpers import (
     probe_trace_defect,
     rotated,
     symbol,
+    tuple_of_index,
     weyl_heisenberg,
 )
 
@@ -144,7 +145,7 @@ class TestWeylHeisenberg:
         pairs = np.array([(a, b) for a in G.elements() for b in G.elements()])
         phases = _one_block_phases(U, G, pairs)
         for (a, b), c in zip(pairs, phases):
-            (_, l), (kp, _) = G.tuple_of_index(a), G.tuple_of_index(b)
+            (_, l), (kp, _) = tuple_of_index(G, a), tuple_of_index(G, b)
             assert abs(c - np.exp(2j * np.pi * l * kp / n)) < 1e-12
             assert np.abs(U[a] @ U[b] - c * U[G.compose(a, b)]).max() < 1e-12
 
@@ -536,7 +537,7 @@ class TestMonomialKernel:
         # block 1: classes of 2, 1 and 1 pairs, so each pair is a class
         I, X = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
         act = ConjugationAction(cyclic(2), np.array([[I, I], [I, X]]), np.array([[0, 1], [0, 1]]), (1.0, 1.0))
-        assert act._classes[2].shape == (4, 1, 2)
+        assert act._class_phases(0, len(act._classes[0])).shape == (4, 1, 2)
         rng = np.random.default_rng(18)
         x, y = act.random_element(rng), act.random_element(rng)
         assert np.abs(act.bracket_values(x, y) - loop_conjugation_bracket(act, x, y)).max() <= _rounding_bound(act, x, y)
@@ -547,7 +548,8 @@ class TestMonomialKernel:
         # wh:4 = T_k M_l: pi is the shift by k, one class per k of the four
         # modulations l, and the phases are the diagonals of M_l
         act = _kernel_action("wh:4")
-        perms, order, phases, blocks, sources = act._classes
+        perms, order, blocks, sources = act._classes
+        phases = act._class_phases(0, len(perms))
         assert not blocks.any() and not sources.any()
         assert perms.tolist() == [[(c + k) % 4 for c in range(4)] for k in range(4)]
         assert order.tolist() == list(range(16))
@@ -632,7 +634,7 @@ class TestDualAction:
         n, m = 4, 1
         act = dual_action(product(cyclic(n), cyclic(n)), m)
         G, wh = weyl_heisenberg(n)
-        lam = np.array([wh[G.index_of_tuple((a, m * b))] for a, b in map(G.tuple_of_index, G.elements())])
+        lam = np.array([wh[G.index_of_tuple((a, m * b))] for a, b in G.coords.tolist()])
         rng = np.random.default_rng(5)
         x = random_element(act.shape, rng)
         f = np.einsum("gij,ij->g", lam.conj(), x.blocks[0]) / n
@@ -640,7 +642,7 @@ class TestDualAction:
             for t in range(n):
                 omega = act.group.index_of_tuple((s, t))
                 chi = np.array([np.exp(2j * np.pi * (s * a + t * b) / n)
-                                for a, b in map(G.tuple_of_index, G.elements())])
+                                for a, b in G.coords.tolist()])
                 direct = AlgebraElement(act.shape, [np.einsum("g,gij->ij", chi * f, lam)])
                 assert sup_distance(act.apply(omega, x), direct) < 1e-10
 
@@ -662,7 +664,7 @@ def _induced_family(gtok, itok):
     if itok == "wh2":
         H, wh = weyl_heisenberg(2)
         inner = conjugation_action(H, wh)
-        iso = [H.index_of_tuple(np.array(G.tuple_of_index(g)) // strides) for g in h]
+        iso = [H.index_of_tuple(np.array(tuple_of_index(G, g)) // strides) for g in h]
     else:
         inner = left_translation_action(G.subgroup(h)[0])
         iso = list(range(len(h)))

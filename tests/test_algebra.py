@@ -14,7 +14,9 @@ from qha.algebra import (
     NotPositiveError,
     ParameterError,
     ShapeMismatchError,
+    _singular_values,
     eigh_blocks,
+    eigvalsh_blocks,
     op_norm,
     p_norm,
     power,
@@ -24,7 +26,8 @@ from qha.algebra import (
     trace,
     trace_pairing,
 )
-from qha.duflo import DufloEstimate
+from qha.duflo import DufloEstimate, run_suite
+from qha.scenarios import ScenarioSpec, build_scenario
 
 M2 = AlgebraShape(2, (1.0,))
 PAIR = AlgebraShape(2, (0.25, 0.75))
@@ -242,6 +245,67 @@ class TestSizeClasses:
         for t in (-0.5, 0.5, 1.0):
             ref = _per_block(d_inv, lambda w: w ** (-t))
             assert sup_distance(est.power(t), ref) <= 1e-10 * ref.max_abs_entry()
+
+
+# A commutative algebra: 1 x 1 blocks with distinct weights.
+SCALAR = AlgebraShape(1, (1.0, 0.5, 2.0, 0.25, 3.0))
+# numpy.linalg routines that call LAPACK
+LAPACK_ROUTINES = ("svd", "eigh", "eigvalsh", "eig", "eigvals", "cholesky", "solve", "inv",
+                   "qr", "lstsq", "pinv", "det", "slogdet")
+
+
+class TestScalarBlocks:
+    """1 x 1 blocks read their spectra off the entries, with no LAPACK call."""
+
+    @staticmethod
+    def entries(seed):
+        # a stack of 64 trials whose entries span 58 binades, so that a
+        # slip in scaling shows
+        rng = np.random.default_rng(seed)
+        z = random_element(SCALAR, rng, trials=64).blocks
+        return z * np.exp(rng.uniform(-20.0, 20.0, z.shape))
+
+    def test_singular_values_match_lapack(self):
+        # LAPACK turns the entry a + ib real by a reflector of modulus
+        # w sqrt((a/w)^2 + (b/w)^2), w = max(|a|, |b|) (dlapy3): the
+        # quotients, their squares and the sum carry 4u under the root, which
+        # halves it, and the root and the product by w add u each, 4u in all.
+        # np.abs is hypot, within u.  So the two agree to 5u |z|.
+        z = self.entries(50)
+        ref = np.linalg.svd(z, compute_uv=False)
+        s = _singular_values(z)
+        assert s.shape == ref.shape
+        assert (np.abs(s - ref) <= 5 * (np.finfo(float).eps / 2) * np.abs(z[..., 0])).all()
+
+    def test_eigenpairs_match_lapack(self):
+        # LAPACK's hermitian solvers take a 1 x 1 block's real entry and the
+        # eigenvector 1 without arithmetic (their n = 1 quick return), and
+        # the hermitian part (z + conj z) / 2 of a 1 x 1 block is its real
+        # part exactly: no rounding on either side
+        z = self.entries(51)
+        x = AlgebraElement(SCALAR, z.real + 1e-12j * z.imag)
+        h = 0.5 * (x.blocks + x.blocks.conj())
+        w, v = eigh_blocks(x)
+        ref_w, ref_v = np.linalg.eigh(h)
+        assert w.shape == ref_w.shape and v.shape == ref_v.shape
+        assert np.array_equal(w, ref_w) and np.array_equal(v, ref_v)
+        assert np.array_equal(eigvalsh_blocks(x), np.linalg.eigvalsh(h))
+        assert np.array_equal(w, z.real[..., 0])
+
+    @pytest.mark.parametrize("sid", ["translation:cyclic(64)", "irrep:cyclic(8):chi3", "wh:2"])
+    def test_suite_takes_no_lapack_call_on_scalar_blocks(self, sid, monkeypatch):
+        # every numpy.linalg routine records the shape it is called on; the
+        # 2 x 2 blocks of wh:2 show that the suite's calls are seen
+        calls = []
+        for name in LAPACK_ROUTINES:
+            def counted(a, *args, _f=getattr(np.linalg, name), **kwargs):
+                calls.append(np.shape(a))
+                return _f(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        reports = run_suite(build_scenario(ScenarioSpec(sid)))
+        assert all(r.passed for r in reports)
+        assert [shape for shape in calls if shape[-1:] == (1,)] == []
+        assert calls or sid != "wh:2"
 
 
 @pytest.mark.parametrize("shape", [M2, AlgebraShape(1, (1.0,) * 5),

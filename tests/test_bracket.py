@@ -8,6 +8,7 @@ import pytest
 from qha.algebra import (
     AlgebraElement,
     ParameterError,
+    p_norm,
     power,
     random_element,
     random_positive_element,
@@ -201,6 +202,35 @@ class TestSymmetry:
         x = random_positive_element(act.shape, rng)
         y = random_positive_element(act.shape, rng)
         assert bracket_symmetry_defect(x, y, act) <= 1e-12
+
+    @pytest.mark.parametrize("sid", FINITE_BUILTINS)
+    def test_general_pair_defect_at_roundoff(self, sid):
+        # <x|y>(g^{-1}) = conj(<y|x>(g)) for non-hermitian x and y too.  Each
+        # value sums K = t n^2 + 1 weighted products of the entries of x and
+        # of g.y, and forming g.y = U y U* adds 2n roundings of at most
+        # |U| |y| |U*|, whose Frobenius norm is n ||y||_F: the value is off by
+        # at most (K + 2 n^2) u ||x||_2 ||y||_2 (gamma_k ~ k u, the action
+        # keeping ||.||_2), and the defect, a difference of two values, by
+        # twice that, relative to max |<x|y>|
+        act = build_scenario(ScenarioSpec(sid)).action
+        rng = np.random.default_rng(8)
+        x, y = (random_element(act.shape, rng, trials=3) for _ in range(2))
+        t, n, _ = act.shape.blocks_shape
+        u = np.finfo(float).eps / 2
+        scale = p_norm(x, 2.0) * p_norm(y, 2.0) / np.abs(act.bracket_values(x, y)).max(axis=-1)
+        assert (bracket_symmetry_defect(x, y, act) <= 2 * (t * n * n + 1 + 2 * n * n) * u * scale).all()
+
+    def test_general_pair_defect_needs_the_conjugate(self):
+        # without the conjugate the identity holds only where the bracket is
+        # real: general draws miss it by order one
+        for sid in ("wh:4", "irrep:s3:std", "translation:cyclic(6)", "twisted-dual:4:1",
+                    "induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2"):
+            act = build_scenario(ScenarioSpec(sid)).action
+            rng = np.random.default_rng(8)
+            x, y = act.random_element(rng), act.random_element(rng)
+            vxy = act.bracket_values(x, y)
+            plain = np.abs(vxy[act.group.inverse_table] - act.bracket_values(y, x)).max()
+            assert plain > 0.1 * np.abs(vxy).max(), sid
 
     def test_trivial_group(self):
         act = left_translation_action(cyclic(1))

@@ -30,11 +30,13 @@ from helpers import (
     cyclic_subgroups,
     divisor_tuples,
     dual_group,
+    is_abelian,
     loop_character_table,
     loop_cosets,
     loop_product_table,
     loop_symmetric_table,
     loop_tuple_of_index,
+    tuple_of_index,
 )
 
 # order-5 Latin square with identity and inverses but (1*1)*2 != 1*(1*2)
@@ -77,12 +79,12 @@ class TestFiniteGroup:
     def test_symmetric_3(self):
         G = symmetric(3)
         assert G.order == 6
-        assert not G.is_abelian()
+        assert not is_abelian(G)
 
     def test_product_structure_coordinates(self):
         G = product(cyclic(2), cyclic(4))
         for g in G.elements():
-            assert G.index_of_tuple(G.tuple_of_index(g)) == g
+            assert G.index_of_tuple(tuple_of_index(G, g)) == g
 
     def test_subgroup_extraction(self):
         G = cyclic(6)
@@ -181,7 +183,7 @@ class TestCoordinateGroups:
         assert G.identity == ref.identity == 0
         assert np.array_equal(G.inverse(g), ref.inverse_table)
         assert np.array_equal(G.compose(g[:, None], g), ref.table)
-        assert G.is_abelian() and ref.is_abelian()
+        assert is_abelian(G) and is_abelian(ref)
         for a, b in ((0, G.order - 1), (G.order - 1, G.order - 1)):
             assert G.compose(a, b) == int(ref.table[a, b]) and G.inverse(a) == ref.inverse(a)
 
@@ -394,7 +396,7 @@ class TestArrayConstructorsMatchLoops:
     @pytest.mark.parametrize("G", STRUCTURED, ids=lambda G: G.name)
     def test_coordinates(self, G):
         for g in G.elements():
-            assert G.tuple_of_index(g) == loop_tuple_of_index(G, g)
+            assert tuple_of_index(G, g) == loop_tuple_of_index(G, g)
         assert np.array_equal(G.index_of_tuple(G.coords), np.arange(G.order))
 
     @pytest.mark.parametrize("G", STRUCTURED, ids=lambda G: G.name)

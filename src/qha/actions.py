@@ -7,7 +7,9 @@ translation, cosets, the dual translating the diagonalized group algebra).
 ``ConjugationAction`` maps block j of x to U[g, j] x[src[g, j]] U[g, j]*: a
 (projective) representation on one block, the twisted dual, whose
 translations are conjugations by Weyl operators, and every induced action of
-a conjugation.
+a conjugation.  Its representation must be monomial (one nonzero entry in
+each column of each block); other representations, such as the
+two-dimensional irreducible ones of SL(2, 3), are out of scope.
 ``dual_action`` and ``induced_action`` are factories onto these two.  The
 third family is a quadrature wavelet action of the scaling-and-shift group
 on a log-frequency grid.  Every action carries the Haar model of its group,
@@ -25,17 +27,15 @@ and a dense stacked-SVD nullity are the oracles the tests compare with.
 
 Each family has its own vectorized kernels for the bracket values
 g -> trace((g.y)* x) and the orbit sum sum_g w_g Delta(g)^{-1} (g.x)
-against the action's own Haar weights w: a gather through the
-point table; for a conjugation held as permutation and phase tables (every
-block monomial, one permutation times one diagonal phase, as the Weyl
-operators are), one quadratic form or phase gram per class of nodes that
-share a permutation, and node-sliced stacked conjugations of a dense stack
-otherwise; phase products and a
-circulant dilation sum for the wavelet.  ``apply`` stays the per-node
-reference the tests compare them with.  The bracket kernels take stacks of
-trials (see ``algebra``): the finite families gather or conjugate a stack's
-(trial, node) pairs in pieces no larger than a single trial's, and the
-wavelet runs its per-element kernels trial by trial.
+against the action's own Haar weights w: a gather through the point table;
+for a conjugation, held as permutation and phase tables (every block
+monomial, one permutation times one diagonal phase, as the Weyl operators
+are), one quadratic form or phase gram per class of nodes that share a
+permutation; phase products and a circulant dilation sum for the wavelet.
+``apply`` stays the per-node reference the tests compare them with.  The
+bracket kernels take stacks of trials (see ``algebra``): the finite families
+gather or conjugate a stack's (trial, node) pairs in pieces no larger than a
+single trial's, and the wavelet runs its per-element kernels trial by trial.
 """
 
 from __future__ import annotations
@@ -92,11 +92,6 @@ class GridError(ActionError):
 # representations and the group law of a conjugation
 
 
-# Nodes per stacked (nodes, n, n) temporary in the dense conjugation kernels
-# and the dense group-law check, which bounds their memory at any group order.
-NODE_SLICE = 32
-
-
 class MonomialStack:
     """A stack of monomial n x n matrices as two (..., n) tables, kept as
     read-only views: column c holds one nonzero entry, U[perm[c], c] =
@@ -110,12 +105,20 @@ class MonomialStack:
         self.phase.setflags(write=False)
 
     @classmethod
-    def from_dense(cls, U: np.ndarray) -> "MonomialStack | None":
-        """The tables of a dense (..., n, n) stack; None unless every column of
-        every matrix holds exactly one nonzero entry."""
+    def from_dense(cls, U) -> "MonomialStack":
+        """The tables of a dense (..., n, n) stack.  Every column of every
+        matrix must hold exactly one nonzero entry, else RepresentationError
+        names the first that does not: column c of U[g, j] on an action's
+        (node, block) stack."""
+        U = np.asarray(U, dtype=complex)
+        if U.ndim < 2 or U.shape[-1] != U.shape[-2]:
+            raise ActionError("need a stack of square matrices")
         support = U != 0
-        if not (support.sum(axis=-2) == 1).all():
-            return None
+        counts = support.sum(axis=-2)
+        if (counts != 1).any():
+            *lead, c = np.argwhere(counts != 1)[0].tolist()
+            raise RepresentationError(f"not monomial: column {c} of U{lead} holds "
+                                      f"{counts[(*lead, c)]} nonzero entries")
         perm = support.argmax(axis=-2)
         # one entry of each column, in column order
         return cls(perm, U.swapaxes(-1, -2)[support.swapaxes(-1, -2)].reshape(perm.shape))
@@ -155,35 +158,22 @@ def _law_bound(rd: np.ndarray, rp: np.ndarray, rq: np.ndarray, c: np.ndarray) ->
     return float(np.max(rd * (rp + np.abs(c) * rq) + np.abs(np.abs(c) ** 2 - 1.0) * rq ** 2))
 
 
-def _unitarity(U: MonomialStack | np.ndarray) -> float:
-    """max|U U* - I| over a stack: max||phase|^2 - 1| on tables whose rows
-    permute the columns, inf on other tables."""
-    if isinstance(U, MonomialStack):
-        permuted = (np.sort(U.perm, axis=-1) == np.arange(U.shape[-1])).all()
-        return float(np.abs((U.phase * U.phase.conj()).real - 1.0).max()) if permuted else math.inf
-    # I taken off in place: a further (N, t, n, n) temporary moves the peak RSS
-    gram = U @ U.conj().swapaxes(2, 3)
-    gram -= np.eye(U.shape[-1])
-    return float(np.abs(gram).max())
-
-
-def product_phases(U: MonomialStack | np.ndarray, src: np.ndarray, group: FiniteGroup,
+def product_phases(U: MonomialStack, src: np.ndarray, group: FiniteGroup,
                    pairs: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Phases c[p, j] with U[a, j] U[b, src[a, j]] = c[p, j] U[ab, j] + D for
     each row p = (a, b) of ``pairs``, max|D|, and the group-law residual.
 
-    ``U`` is an (N, t, n, n) unitary stack or a (N, t, n) ``MonomialStack``
-    and ``src`` an (N, t) source table, both indexed by the elements of
-    ``group``.  When the source rows compose, a.(b.x) = (ab).x for the action
-    x_j -> U[g, j] x[src[g, j]] U[g, j]* exactly when every D vanishes; on
-    one block this says U is a projective representation.  With
-    P = U[a, j] U[b, src[a, j]] and Q = U[ab, j], c = tr(P Q*) / n, and the
-    residual is ``_law_bound`` with r(P) <= r(U[a, j]) r(U[b, src[a, j]]).
-    On tables P is monomial, with the permutation perm_a[perm_b] and the
-    phases ph_b ph_a[perm_b]: c sums ph_P conj(ph_Q) over the columns where
-    P and Q share their row, and a row of D holds at most one entry of each,
-    O(t n) a pair in pieces below STACK_BYTES.  A dense stack takes two block
-    products a pair, in NODE_SLICE slices.
+    ``U`` is an (N, t, n) ``MonomialStack`` and ``src`` an (N, t) source
+    table, both indexed by the elements of ``group``.  When the source rows
+    compose, a.(b.x) = (ab).x for the action x_j -> U[g, j] x[src[g, j]] U[g, j]*
+    exactly when every D vanishes; on one block this says U is a projective
+    representation.  With P = U[a, j] U[b, src[a, j]] and Q = U[ab, j],
+    c = tr(P Q*) / n, and the residual is ``_law_bound`` with
+    r(P) <= r(U[a, j]) r(U[b, src[a, j]]).  P is monomial, with the
+    permutation perm_a[perm_b] and the phases ph_b ph_a[perm_b]: c sums
+    ph_P conj(ph_Q) over the columns where P and Q share their row, and a row
+    of D holds at most one entry of each, O(t n) a pair in pieces below
+    STACK_BYTES.
     """
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
     a, b = pairs.T
@@ -191,33 +181,24 @@ def product_phases(U: MonomialStack | np.ndarray, src: np.ndarray, group: Finite
     t, n = src.shape[1], U.shape[2]
     out = np.empty((len(pairs), t), dtype=complex)
     deviation, rd = np.empty((2,) + out.shape)
-    if isinstance(U, MonomialStack):
-        perm, phase, blocks, cols = U.perm.reshape(-1), U.phase.reshape(-1), np.arange(t), np.arange(n)
-        step = stack_size(16 * t * n)
-        for s in range(0, len(pairs), step):
-            sl = slice(s, s + step)
-            # flat indices of the columns of U[a, j], U[b, src[a, j]] and U[ab, j]
-            fa = (a[sl, None] * t + blocks)[..., None] * n
-            fb = (b[sl, None] * t + src[a[sl]])[..., None] * n + cols
-            fq = (ab[sl, None] * t + blocks)[..., None] * n + cols
-            pb = perm[fb]
-            p, q = phase[fb] * phase[fa + pb], phase[fq]
-            # Q's phases where P holds its entry in the same row, 0 elsewhere
-            shared = q * (perm[fa + pb] == perm[fq])
-            out[sl] = c = (p * shared.conj()).sum(axis=-1) / n
-            # the largest entry of D from P's columns and from Q's alone
-            dp = np.abs(p - c[..., None] * shared).max(axis=-1)
-            dq = np.abs(c[..., None] * (q - shared)).max(axis=-1)
-            deviation[sl], rd[sl] = np.maximum(dp, dq), dp + dq
-        r = np.abs(U.phase).max(axis=-1)  # one entry a row
-    else:
-        for s in range(0, len(pairs), NODE_SLICE):
-            sl = slice(s, s + NODE_SLICE)
-            P, Q = U[a[sl]] @ U[b[sl, None], src[a[sl]]], U[ab[sl]]
-            out[sl] = c = (P * Q.conj()).sum(axis=(2, 3)) / n
-            D = np.abs(P - c[..., None, None] * Q)
-            deviation[sl], rd[sl] = D.max(axis=(2, 3)), D.sum(axis=3).max(axis=2)
-        r = np.concatenate([_row_gain(U[s:s + NODE_SLICE]) for s in range(0, len(U), NODE_SLICE)])
+    perm, phase, blocks, cols = U.perm.reshape(-1), U.phase.reshape(-1), np.arange(t), np.arange(n)
+    step = stack_size(16 * t * n)
+    for s in range(0, len(pairs), step):
+        sl = slice(s, s + step)
+        # flat indices of the columns of U[a, j], U[b, src[a, j]] and U[ab, j]
+        fa = (a[sl, None] * t + blocks)[..., None] * n
+        fb = (b[sl, None] * t + src[a[sl]])[..., None] * n + cols
+        fq = (ab[sl, None] * t + blocks)[..., None] * n + cols
+        pb = perm[fb]
+        p, q = phase[fb] * phase[fa + pb], phase[fq]
+        # Q's phases where P holds its entry in the same row, 0 elsewhere
+        shared = q * (perm[fa + pb] == perm[fq])
+        out[sl] = c = (p * shared.conj()).sum(axis=-1) / n
+        # the largest entry of D from P's columns and from Q's alone
+        dp = np.abs(p - c[..., None] * shared).max(axis=-1)
+        dq = np.abs(c[..., None] * (q - shared)).max(axis=-1)
+        deviation[sl], rd[sl] = np.maximum(dp, dq), dp + dq
+    r = np.abs(U.phase).max(axis=-1)  # one entry a row
     return out, float(deviation.max()), _law_bound(rd, r[a] * r[b[:, None], src[a]], r[ab], out)
 
 
@@ -246,8 +227,9 @@ def _sample_pairs(n: int, limit: int) -> np.ndarray:
     return np.random.default_rng(0).integers(0, n, size=(limit * limit, 2))
 
 
-# Representation stacks: (N, n, n) arrays, or (N, n) ``MonomialStack`` tables,
-# indexed by the group's elements, which ``conjugation_action`` validates.
+# Representation stacks: monomial (N, n, n) arrays, or (N, n) ``MonomialStack``
+# tables, indexed by the group's elements, which ``conjugation_action``
+# validates.
 
 
 def trivial_rep(G: FiniteGroup, dim: int = 1) -> np.ndarray:
@@ -264,21 +246,33 @@ def cyclic_character_rep(G: FiniteGroup, j: int) -> np.ndarray:
 
 
 def s3_irreps() -> tuple[FiniteGroup, dict[str, np.ndarray]]:
-    """The symmetric group on 3 letters and its three irreducible representations."""
+    """The symmetric group on 3 letters and its three irreducible
+    representations, each monomial.
+
+    The standard one acts on the sum-zero plane of C^3, here in the basis
+    v_k(i) = omega^(k i) / sqrt(3), k = 1, 2, of eigenvectors of the
+    3-cycles, omega = exp(2 pi i / 3): it is induced from a character of
+    the 3-cycles, as every irreducible representation of a supersolvable
+    group is induced from a linear character.  A permutation p(i) = s i + a
+    (mod 3) maps v_k to omega^(-k s a) v_(k s): the 3-cycles (s = 1) are
+    diag(omega^(-a), omega^(a)), the transpositions (s = -1) anti-diagonal
+    with cube-root phases.
+    """
     from .groups import symmetric
 
     G = symmetric(3)
     perms = np.array(list(itertools.permutations(range(3))))  # the element order of symmetric(3)
-    # permutation matrices P[g, p_g(i), i] = 1, and the sign as the parity of the inversions
-    P = np.zeros((G.order, 3, 3))
-    P[np.arange(G.order)[:, None], perms, np.arange(3)] = 1.0
+    # the sign as the parity of the inversions
     inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
     sgn = ((-1.0) ** inversions).reshape(-1, 1, 1)
-    # 2-d standard piece: permutation matrices restricted to the sum-zero plane
-    q = np.array([[1.0 / math.sqrt(2), 1.0 / math.sqrt(6)],
-                  [-1.0 / math.sqrt(2), 1.0 / math.sqrt(6)],
-                  [0.0, -2.0 / math.sqrt(6)]])
-    return G, {"trivial": trivial_rep(G), "sign": sgn, "std": q.T @ P @ q}
+    a, s, k = perms[:, :1], (perms[:, 1:2] - perms[:, :1]) % 3, np.arange(1, 3)
+    std = np.zeros((G.order, 2, 2), dtype=complex)
+    # column k - 1 holds omega^(-k s a) in row k s - 1, its angle in real
+    # arithmetic with the exponent reduced to -1, 0 or 1: omega and its
+    # conjugate then hold opposite sines
+    r = (1 - k * s * a) % 3 - 1
+    std[np.arange(G.order)[:, None], (k * s) % 3 - 1, k - 1] = np.exp(1j * (2 * np.pi * r / 3))
+    return G, {"trivial": trivial_rep(G), "sign": sgn, "std": std}
 
 
 def finite_weyl_heisenberg(n: int) -> MonomialStack:
@@ -607,50 +601,43 @@ class ConjugationAction(Action):
     """Block j of g.x is U[g, j] x[src[g, j]] U[g, j]*, on t blocks of size n.
 
     ``unitaries`` is one stack and ``src`` one (N, t) table, both indexed by
-    the N group elements.  A stack whose every block is monomial (the Weyl
-    operators of ``wh:n`` and ``twisted-dual:n:m``, every one-dimensional
-    representation, every action induced from these) is held as its
-    (N, t, n) permutation and phase tables (``MonomialStack``; a dense stack
-    of that form is read into them), any other as the (N, t, n, n) stack.
-    Conjugation by a (projective) representation is the case t = 1.  This
-    is the one place a stack is validated: the blocks must be unitary, the
-    identity must act trivially, and over the sampled pairs (a, b) (all up
-    to order 24, 576 beyond) the source rows must compose and every
-    U[a, j] U[b, src[a, j]] must be a scalar multiple of U[ab, j]
+    the N group elements.  Every block must be monomial (the Weyl operators
+    of ``wh:n`` and ``twisted-dual:n:m``, every one-dimensional
+    representation, the standard one of S3, every action induced from
+    these), and the stack is held as its (N, t, n) permutation and phase
+    tables: a ``MonomialStack``, or a dense (N, t, n, n) stack read into one
+    (``MonomialStack.from_dense``, which names the first column that is not
+    monomial).  Conjugation by a (projective) representation is the case
+    t = 1.  This is the one place a stack is validated: the blocks must be
+    unitary, the identity must act trivially, and over the sampled pairs
+    (a, b) (all up to order 24, 576 beyond) the source rows must compose and
+    every U[a, j] U[b, src[a, j]] must be a scalar multiple of U[ab, j]
     (``product_phases``), whose residuals enter ``structure``.
 
-    On tables, with U[g, j][pi(c), c] = ph(c), block j of g.x holds
+    With U[g, j][pi(c), c] = ph(c), block j of g.x holds
     ph(c) x_src[c, d] conj(ph(d)) at (pi(c), pi(d)): ``apply`` is one
     scatter.  The (node, block) pairs fall into classes of one (block,
     source, pi) (``_monomial_classes``), so ``bracket_values`` takes per
     class one gather Z = conj(y_src) * x_j[pi, pi] and the quadratic forms
     ph^H Z ph of its pairs, and ``orbit_sum`` one phase gram
-    sum_g w_g ph_g ph_g^H times x_src, added at [pi, pi].  A dense stack
-    (``irrep:s3:std``) takes node-sliced conjugations.
+    sum_g w_g ph_g ph_g^H times x_src, added at [pi, pi].
     """
 
     def __init__(self, group: FiniteGroup, unitaries, src, trace_weights, haar: HaarModel | None = None):
-        U = unitaries
-        if not isinstance(U, MonomialStack):
-            U = np.asarray(U, dtype=complex)
-            if U.ndim != 4 or U.shape[2] != U.shape[3]:
-                raise ActionError("need a (t, n, n) unitary stack per group element")
-            U = MonomialStack.from_dense(U) or U.view()
-        monomial = isinstance(U, MonomialStack)
-        if not monomial:
-            U.setflags(write=False)  # the action's view; the caller's array stays writable
+        U = unitaries if isinstance(unitaries, MonomialStack) else MonomialStack.from_dense(unitaries)
         src = np.asarray(src, dtype=int)
-        if U.shape[:2] != src.shape or U.shape[0] != group.order:
+        if len(U.shape) != 3 or U.shape[:2] != src.shape or U.shape[0] != group.order:
             raise ActionError("need a (t, n, n) unitary stack and a source row per group element")
         t, n = U.shape[1], U.shape[2]
         if not (np.sort(src, axis=1) == np.arange(t)).all():
             raise ActionError("each source row must permute the blocks")
         if not (src[group.identity] == np.arange(t)).all():
             raise ActionError("identity must act trivially")
-        identity = U[group.identity]
-        if np.abs((identity.dense() if monomial else identity) - np.eye(n)).max() > 1e-11:
+        if np.abs(U[group.identity].dense() - np.eye(n)).max() > 1e-11:
             raise RepresentationError("the identity must be represented by I")
-        unitality = _unitarity(U)
+        # max|U U* - I|: max||phase|^2 - 1| when the rows permute the columns
+        permuted = (np.sort(U.perm, axis=-1) == np.arange(n)).all()
+        unitality = float(np.abs((U.phase * U.phase.conj()).real - 1.0).max()) if permuted else math.inf
         if unitality > 1e-11:
             raise RepresentationError("block matrices are not unitary")
         pairs = _sample_pairs(group.order, limit=24)
@@ -666,7 +653,7 @@ class ConjugationAction(Action):
         super().__init__(group, shape, "conjugation", gens, haar)
         self.unitaries = U
         self._src = src
-        self._classes = _monomial_classes(U, src) if monomial else None
+        self._classes = _monomial_classes(U, src)
         automorphism, isometry, moved = _block_residuals(*self.sampled_structure(), shape.trace_weights)
         self.structure = ActionStructure("unitary-stack", law, max(unitality, automorphism),
                                          isometry, moved)
@@ -674,8 +661,6 @@ class ConjugationAction(Action):
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         g = int(g)
         U, xs = self.unitaries[g], x.blocks[self._src[g]]
-        if self._classes is None:
-            return AlgebraElement(self.shape, U @ xs @ U.conj().swapaxes(1, 2), copy=False)
         out = np.empty_like(xs)
         out[np.arange(len(xs))[:, None, None], U.perm[:, :, None], U.perm[:, None, :]] = (
             U.phase[:, :, None] * xs * U.phase.conj()[:, None, :])
@@ -690,95 +675,65 @@ class ConjugationAction(Action):
         return self.unitaries.phase.reshape(-1, n)[order[start * m:stop * m]].reshape(-1, m, n)
 
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
-        U, src = self.unitaries, self._src
         xs, ys, stacked = _stacks(x, y)
-        N, t = src.shape
-        out = np.empty((len(xs), N, t), dtype=complex)
-        if self._classes is not None:
-            # Z = conj(y[src]) * x_j[pi, pi] once per class, then every pair of
-            # the class as ph^H Z ph: one product with the conjugated phases
-            # and one contraction, in pieces of classes and trials that keep
-            # each temporary below STACK_BYTES
-            perms, order, blocks, sources = self._classes
-            C, n = perms.shape
-            m = len(order) // C
-            rows, cols = perms[:, :, None], perms[:, None, :]
-            flat = out.reshape(len(xs), N * t)
-            class_bytes = 16 * n * max(n, m)  # Z, the phases, or their product
-            step = min(C, stack_size(class_bytes))
-            per = stack_size(class_bytes * C) if step == C else 1
-            for s in range(0, C, step):
-                sl, pairs = slice(s, s + step), order[s * m:(s + step) * m]
-                phases = self._class_phases(s, s + step)
-                conj_phases = phases.conj()
-                for b in range(0, len(xs), per):
-                    tb = slice(b, b + per)
-                    z = ys[tb, sources[sl]]
-                    np.conjugate(z, out=z)
-                    # not in place: numpy rounds an in-place product of one
-                    # element differently, and n = 1 gives one per trial
-                    z = z * xs[tb, blocks[sl, None, None], rows[sl], cols[sl]]
-                    quad = np.einsum("...kmc,kmc->...km", conj_phases @ z, phases)
-                    flat[tb, pairs] = quad.reshape(len(quad), -1)
-        else:
-            # tr(U y* U* x) = sum_ab (U y*)_ab (x^T conj(U))_ab, block by block,
-            # in pieces of at most NODE_SLICE (trial, node) pairs: a slice of
-            # the nodes of one trial, or every node of as many trials as fit
-            y_adj, x_t = ys.conj().swapaxes(-1, -2), xs.swapaxes(-1, -2)
-            per = max(1, NODE_SLICE // N)
-            for s in range(0, N, NODE_SLICE):
-                Us, sl = U[s:s + NODE_SLICE], slice(s, s + NODE_SLICE)
-                Uc = Us.conj()
-                for b in range(0, len(xs), per):
-                    # a lone trial by index keeps the products 4-d: numpy loops
-                    # slower over a 5-d broadcast
-                    tb = b if per == 1 else slice(b, b + per)
-                    out[tb, sl] = np.einsum("...jab,...jab->...j", Us @ y_adj[tb, src[sl]], x_t[tb, None] @ Uc)
-        values = out @ np.array(self.shape.trace_weights)
+        N, t = self._src.shape
+        out = np.empty((len(xs), N * t), dtype=complex)
+        # Z = conj(y[src]) * x_j[pi, pi] once per class, then every pair of
+        # the class as ph^H Z ph: one product with the conjugated phases and
+        # one contraction, in pieces of classes and trials that keep each
+        # temporary below STACK_BYTES
+        perms, order, blocks, sources = self._classes
+        C, n = perms.shape
+        m = len(order) // C
+        rows, cols = perms[:, :, None], perms[:, None, :]
+        class_bytes = 16 * n * max(n, m)  # Z, the phases, or their product
+        step = min(C, stack_size(class_bytes))
+        per = stack_size(class_bytes * C) if step == C else 1
+        for s in range(0, C, step):
+            sl, pairs = slice(s, s + step), order[s * m:(s + step) * m]
+            phases = self._class_phases(s, s + step)
+            conj_phases = phases.conj()
+            for b in range(0, len(xs), per):
+                tb = slice(b, b + per)
+                z = ys[tb, sources[sl]]
+                np.conjugate(z, out=z)
+                # not in place: numpy rounds an in-place product of one
+                # element differently, and n = 1 gives one per trial
+                z = z * xs[tb, blocks[sl, None, None], rows[sl], cols[sl]]
+                quad = np.einsum("...kmc,kmc->...km", conj_phases @ z, phases)
+                out[tb, pairs] = quad.reshape(len(quad), -1)
+        values = out.reshape(len(xs), N, t) @ np.array(self.shape.trace_weights)
         return values if stacked else values[0]
 
     def orbit_sum(self, x: AlgebraElement) -> AlgebraElement:
-        # a finite group is unimodular: the Haar weights alone
-        U, src, w = self.unitaries, self._src, self.haar.weights
+        # a finite group is unimodular: the Haar weights alone.  Per class the
+        # gram sum_g w_g ph_g ph_g^H, one (n, m) @ (m, n) product, times x_src
+        # added at [pi, pi] of its block, in class order and in pieces of
+        # classes below STACK_BYTES
         xs = x.blocks
         t, n = xs.shape[0], xs.shape[1]
         acc = np.zeros_like(xs)
-        if self._classes is not None:
-            # per class the gram sum_g w_g ph_g ph_g^H, one (n, m) @ (m, n)
-            # product, times x_src added at [pi, pi] of its block, in class
-            # order and in pieces of classes below STACK_BYTES
-            perms, order, blocks, sources = self._classes
-            C = len(perms)
-            m = len(order) // C
-            weights = w[order // t].reshape(C, m, 1)
-            step = stack_size(16 * n * max(n, m))
-            for s in range(0, C, step):
-                sl = slice(s, s + step)
-                phases = self._class_phases(s, s + step)
-                gram = (weights[sl] * phases).swapaxes(1, 2) @ phases.conj()
-                gram *= xs[sources[sl]]
-                np.add.at(acc, (blocks[sl, None, None], perms[sl, :, None], perms[sl, None, :]), gram)
-            return AlgebraElement(self.shape, acc, copy=False)
-        c = np.asarray(w, dtype=complex)
-        for s in range(0, U.shape[0], NODE_SLICE):
-            Us = U[s:s + NODE_SLICE]
-            m = Us.shape[0]
-            # block j: sum_{g,k} (c_g U_gj x_src)_ik conj(U_gj)_lk as one
-            # (n, m n) @ (m n, n) product, the contraction order of tensordot
-            a = c[s:s + NODE_SLICE, None, None, None] * (Us @ xs[src[s:s + NODE_SLICE]])
-            acc += (a.transpose(1, 2, 0, 3).reshape(t, n, m * n)
-                    @ Us.conj().transpose(1, 0, 3, 2).reshape(t, m * n, n))
+        perms, order, blocks, sources = self._classes
+        C = len(perms)
+        m = len(order) // C
+        weights = self.haar.weights[order // t].reshape(C, m, 1)
+        step = stack_size(16 * n * max(n, m))
+        for s in range(0, C, step):
+            sl = slice(s, s + step)
+            phases = self._class_phases(s, s + step)
+            gram = (weights[sl] * phases).swapaxes(1, 2) @ phases.conj()
+            gram *= xs[sources[sl]]
+            np.add.at(acc, (blocks[sl, None, None], perms[sl, :, None], perms[sl, None, :]), gram)
         return AlgebraElement(self.shape, acc, copy=False)
 
     def sampled_structure(self) -> tuple[np.ndarray, np.ndarray]:
         gens = [int(g) for g in self.sample_elements]
-        U = self.unitaries[gens]
-        return self._src[gens], U if self._classes is None else U.dense()
+        return self._src[gens], self.unitaries[gens].dense()
 
 
 def conjugation_action(G: FiniteGroup, U, haar: HaarModel | None = None) -> ConjugationAction:
-    """g.x = U[g] x U[g]* on one full block, for an (N, n, n) stack U, or a
-    ``MonomialStack`` of shape (N, n), indexed by the elements of G;
+    """g.x = U[g] x U[g]* on one full block, for a monomial (N, n, n) stack U,
+    or a ``MonomialStack`` of shape (N, n), indexed by the elements of G;
     counting Haar weights by default."""
     U = U if isinstance(U, MonomialStack) else np.asarray(U)
     return ConjugationAction(G, U[:, None], np.zeros((G.order, 1), dtype=int), (1.0,), haar)
@@ -926,7 +881,7 @@ def induced_action(G: FiniteGroup, h_indices, inner: Action, iso) -> Permutation
         act = PermutationAction(G, src[G.inverse_table], np.tile(inner.mu, J))
     elif isinstance(inner, ConjugationAction):
         U = inner.unitaries[inner_elt]
-        act = ConjugationAction(G, U.reshape(G.order, J * t, *U.shape[3:]), src, inner.shape.trace_weights * J)
+        act = ConjugationAction(G, U.reshape(G.order, J * t, -1), src, inner.shape.trace_weights * J)
     else:
         raise ActionError("induction needs a permutation or conjugation inner action")
     act.kind = "induced"

@@ -530,9 +530,12 @@ def check_young(
             raise ParameterError(f"invalid exponents p={pv}, q={qv}, r={rv}")
         if abs(1.0 / pv + 1.0 / qv - 1.0 - 1.0 / rv) > 1e-12:
             raise ParameterError(f"exponents must satisfy 1/p + 1/q = 1 + 1/r, got {pv}, {qv}, {rv}")
-    d = est.d
-    # ||D||_op is the largest 1/w over the eigenvalues w of D^{-1}
-    if np.any(op_norm(d @ y - y @ d) > 1e-9 * op_norm(y) * float(np.reciprocal(est.eigenvalues).max())):
+    # With E = D - c 1, ||Dy - yD|| = ||Ey - yE|| <= 2 ||E|| ||y|| and
+    # |c| <= ||D||: the guard cannot fire while 2 ||E|| / |c| (twice
+    # ``off_scalar_residual``) is at most 1e-9.  ||D||_op is the largest 1/w
+    # over the eigenvalues w of D^{-1}
+    if 2.0 * est.off_scalar_residual > 1e-9 and np.any(
+            op_norm(est.d @ y - y @ est.d) > 1e-9 * op_norm(y) * float(np.reciprocal(est.eigenvalues).max())):
         raise ParameterError("y must commute with D for the convolution inequality")
     ytil = est.sandwich([1.0 / (2.0 * rv) for rv in rs], y)
     lhs = function_p_norm(bracket(x, ytil, action), rs).tolist()

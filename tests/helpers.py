@@ -11,15 +11,14 @@ import numpy as np
 
 import qha.duflo
 from qha.actions import (
-    NODE_SLICE,
     ConjugationAction,
-    MonomialStack,
     PermutationAction,
     WaveletAction,
     _block_residuals,
+    _law_bound,
+    _row_gain,
     _sample_pairs,
     finite_weyl_heisenberg,
-    product_phases,
 )
 from qha.algebra import (
     AlgebraElement,
@@ -28,6 +27,7 @@ from qha.algebra import (
     ParameterError,
     _singular_values,
     p_norm,
+    random_element,
     sup_distance,
     trace,
 )
@@ -213,11 +213,12 @@ def loop_cyclic_characters(n, j):
 
 
 def loop_s3_matrices():
-    """Sign and standard matrices of s3, permutation by permutation."""
+    """Sign and standard matrices of s3, permutation by permutation: the
+    standard one in the basis v_k(i) = omega^(k i) / sqrt(3), k = 1, 2,
+    omega = exp(2 pi i / 3), where the permutation matrix of p maps v_k to
+    omega^r v_k' exactly when k i = r + k' p(i) (mod 3) for every i, found
+    by trying every k' and r."""
     perms = list(itertools.permutations(range(3)))
-    q = np.array([[1.0 / math.sqrt(2), 1.0 / math.sqrt(6)],
-                  [-1.0 / math.sqrt(2), 1.0 / math.sqrt(6)],
-                  [0.0, -2.0 / math.sqrt(6)]])
     sign, std = [], []
     for p in perms:
         s = 1
@@ -226,11 +227,14 @@ def loop_s3_matrices():
                 if p[i] > p[j]:
                     s = -s
         sign.append([[float(s)]])
-        P = np.zeros((3, 3))
-        for i, pi in enumerate(p):
-            P[pi, i] = 1.0
-        std.append(q.T @ P @ q)
-    return np.array(sign, dtype=complex), np.array(std, dtype=complex)
+        M = np.zeros((2, 2), dtype=complex)
+        for k in (1, 2):
+            for kp in (1, 2):
+                for r in (-1, 0, 1):
+                    if all((k * i - r - kp * p[i]) % 3 == 0 for i in range(3)):
+                        M[kp - 1, k - 1] = np.exp(1j * (2 * np.pi * r / 3))
+        std.append(M)
+    return np.array(sign, dtype=complex), np.array(std)
 
 
 def loop_cosets(G, h_indices):
@@ -427,14 +431,16 @@ def loop_trace_pairing(a, b):
 
 # ---------------------------------------------------------------------------
 # The dense oracle of a conjugation action: its (N, t, n, n) unitary stack,
-# formed from the permutation and phase tables when the action holds them,
-# and the conjugations and group-law residuals computed from it.
+# formed from the permutation and phase tables, and the conjugations and
+# group-law residuals computed from it.
+
+# Nodes per stacked (nodes, n, n) temporary of the dense oracles.
+DENSE_SLICE = 32
 
 
 def dense_unitaries(action):
     """The (N, t, n, n) unitary stack of a conjugation action."""
-    U = action.unitaries
-    return U.dense() if isinstance(U, MonomialStack) else U
+    return action.unitaries.dense()
 
 
 def dense_apply(action, g, x):
@@ -452,12 +458,31 @@ def dense_orbit_sum(action, x):
     return AlgebraElement(action.shape, acc)
 
 
+def dense_product_phases(U, src, group, pairs):
+    """``product_phases`` of a dense (N, t, n, n) stack: P = U[a, j]
+    U[b, src[a, j]] and Q = U[ab, j] by two block products a pair,
+    c = tr(P Q*) / n, max|P - c Q| and the law bound from the row gains."""
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    a, b = pairs.T
+    ab = group.compose(a, b)
+    out = np.empty((len(pairs), src.shape[1]), dtype=complex)
+    deviation, rd = np.empty((2,) + out.shape)
+    for s in range(0, len(pairs), DENSE_SLICE):
+        sl = slice(s, s + DENSE_SLICE)
+        P, Q = U[a[sl]] @ U[b[sl, None], src[a[sl]]], U[ab[sl]]
+        out[sl] = c = (P * Q.conj()).sum(axis=(2, 3)) / U.shape[-1]
+        D = np.abs(P - c[..., None, None] * Q)
+        deviation[sl], rd[sl] = D.max(axis=(2, 3)), D.sum(axis=3).max(axis=2)
+    r = _row_gain(U)
+    return out, float(deviation.max()), _law_bound(rd, r[a] * r[b[:, None], src[a]], r[ab], out)
+
+
 def dense_structure(action):
     """(group_law, unitality, isometry, trace) of a conjugation action from
-    its dense stack: ``product_phases`` of the dense stack over the pairs
-    the action samples, max|U U* - I|, and the sampled residuals."""
+    its dense stack: ``dense_product_phases`` over the pairs the action
+    samples, max|U U* - I|, and the sampled residuals."""
     U, src, group = dense_unitaries(action), action._src, action.group
-    law = product_phases(U, src, group, _sample_pairs(group.order, limit=24))[2]
+    law = dense_product_phases(U, src, group, _sample_pairs(group.order, limit=24))[2]
     unitality = float(np.abs(U @ U.conj().swapaxes(-1, -2) - np.eye(U.shape[-1])).max())
     gens = list(action.sample_elements)
     _, isometry, moved = _block_residuals(src[gens], U[gens], action.shape.trace_weights)
@@ -466,15 +491,40 @@ def dense_structure(action):
 
 def loop_conjugation_bracket(action, x, y):
     """trace((g.y)* x) of single elements on a conjugation action, one
-    NODE_SLICE of nodes of the dense stack at a time."""
+    DENSE_SLICE of nodes of the dense stack at a time."""
     U, src = dense_unitaries(action), action._src
     y_adj, x_t = y.blocks.conj().swapaxes(1, 2), x.blocks.swapaxes(1, 2)
     out = np.empty(src.shape, dtype=complex)
-    for s in range(0, U.shape[0], NODE_SLICE):
-        Us = U[s:s + NODE_SLICE]
-        out[s:s + NODE_SLICE] = np.einsum("gjab,gjab->gj", Us @ y_adj[src[s:s + NODE_SLICE]],
-                                          x_t @ Us.conj())
+    for s in range(0, U.shape[0], DENSE_SLICE):
+        Us = U[s:s + DENSE_SLICE]
+        out[s:s + DENSE_SLICE] = np.einsum("gjab,gjab->gj", Us @ y_adj[src[s:s + DENSE_SLICE]],
+                                           x_t @ Us.conj())
     return out @ np.array(action.shape.trace_weights)
+
+
+class DenseConjugation:
+    """x_j -> U[g, j] x[src[g, j]] U[g, j]* for a dense (N, t, n, n) stack
+    that need not be monomial, on blocks of weight 1: the hooks that
+    ``fixed_point_dimension``, ``dense_fixed_point_dimension`` and
+    ``probe_homomorphism_defect`` read.  ``ConjugationAction`` holds only
+    monomial stacks, whose transports map diagonal blocks to diagonal
+    blocks; this stand-in lets the counts see transports that do not."""
+
+    def __init__(self, group, U, src):
+        self.group, self.U, self.src = group, np.asarray(U, dtype=complex), np.asarray(src)
+        self.shape = AlgebraShape(self.U.shape[-1], (1.0,) * self.U.shape[1])
+        self.sample_elements = group.generators or tuple(group.elements())
+
+    def apply(self, g, x):
+        U = self.U[g]
+        return AlgebraElement(self.shape, U @ x.blocks[self.src[g]] @ U.conj().swapaxes(1, 2))
+
+    def random_element(self, rng):
+        return random_element(self.shape, rng)
+
+    def sampled_structure(self):
+        gens = list(self.sample_elements)
+        return self.src[gens], self.U[gens]
 
 
 # loop_monomial_classes of each action, held no longer than the action
@@ -486,9 +536,7 @@ def loop_monomial_classes(action):
     source block, permutation), read off the dense stack entry by entry:
     {(j, src, pi): [(g, j, phases), ...]} with U[g, j][pi[c], c] = phases[c]
     and the pairs of a class in node order; when the classes differ in size,
-    every pair is a class of its own.  None when some column of some block
-    holds other than one nonzero entry: such a stack takes the dense
-    kernel."""
+    every pair is a class of its own."""
     if action not in _MONOMIAL_CLASSES:
         _MONOMIAL_CLASSES[action] = _read_monomial_classes(action)
     return _MONOMIAL_CLASSES[action]
@@ -502,11 +550,9 @@ def _read_monomial_classes(action):
         for j in range(t):
             pi, phases = [], []
             for c in range(n):
-                rows = np.flatnonzero(U[g, j, :, c])
-                if len(rows) != 1:
-                    return None
-                pi.append(int(rows[0]))
-                phases.append(U[g, j, rows[0], c])
+                (row,) = np.flatnonzero(U[g, j, :, c])
+                pi.append(int(row))
+                phases.append(U[g, j, row, c])
             classes.setdefault((j, int(src[g, j]), tuple(pi)), []).append((g, j, phases))
     if len({len(members) for members in classes.values()}) != 1:
         return {key + (g,): [(g, j, phases)] for key, members in classes.items()
@@ -525,16 +571,6 @@ def loop_monomial_bracket(action, x, y):
         for (g, jj, _), v in zip(members, np.einsum("mc,mc->m", Phi.conj() @ Z, Phi)):
             out[g, jj] = v
     return out @ np.array(action.shape.trace_weights)
-
-
-def rotated(action):
-    """The conjugation by V U V* for a fixed random unitary V: the same
-    action up to a change of basis, on a stack that is not monomial."""
-    n = action.shape.block_dim
-    z = np.random.default_rng(15).standard_normal((2, n, n))
-    V = np.linalg.qr(z[0] + 1j * z[1])[0]
-    return ConjugationAction(action.group, V @ dense_unitaries(action) @ V.conj().T, action._src,
-                             action.shape.trace_weights)
 
 
 def loop_wavelet_bracket(action, x, y):
@@ -563,9 +599,7 @@ def loop_bracket_values(action, x, y):
     if isinstance(action, PermutationAction):
         return loop_permutation_bracket(action, x, y)
     if isinstance(action, ConjugationAction):
-        if loop_monomial_classes(action) is not None:
-            return loop_monomial_bracket(action, x, y)
-        return loop_conjugation_bracket(action, x, y)
+        return loop_monomial_bracket(action, x, y)
     return loop_wavelet_bracket(action, x, y)
 
 

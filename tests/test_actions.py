@@ -59,9 +59,11 @@ from qha.duflo import run_suite
 from qha.scenarios import _WAVELET_PRESETS, Scenario, ScenarioSpec, build_scenario, list_builtins
 
 from helpers import (
+    DenseConjugation,
     cyclic_subgroups,
     dense_apply,
     dense_orbit_sum,
+    dense_product_phases,
     dense_structure,
     dense_unitaries,
     dual_group,
@@ -78,7 +80,6 @@ from helpers import (
     probe_homomorphism_defect,
     probe_isometry_defect,
     probe_trace_defect,
-    rotated,
     symbol,
     tuple_of_index,
     weyl_heisenberg,
@@ -93,19 +94,22 @@ ODD_WAVELET = WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
 
 
 def _one_block_phases(U, G, pairs):
-    """product_phases of a one-block stack, as one phase per pair."""
+    """product_phases of the tables of a one-block stack, as one phase per pair."""
     src = np.zeros((G.order, 1), dtype=int)
-    return product_phases(np.asarray(U)[:, None], src, G, pairs)[0][:, 0]
+    return product_phases(MonomialStack.from_dense(np.asarray(U)[:, None]), src, G, pairs)[0][:, 0]
 
 
 class TestRepresentationStacks:
     """conjugation_action validates a representation stack when it is built."""
 
-    def test_rejects_non_unitary(self):
-        G = cyclic(2)
-        mats = np.array([np.eye(2), [[1.0, 1.0], [0.0, 1.0]]], dtype=complex)
-        with pytest.raises(RepresentationError):
-            conjugation_action(G, mats)
+    @pytest.mark.parametrize("U1", [[[0.0, 2.0], [1.0, 0.0]], [[1.0, 1.0], [0.0, 0.0]]],
+                             ids=["phase-of-modulus-2", "two-columns-on-one-row"])
+    def test_rejects_non_unitary(self, U1):
+        # monomial tables that are not unitary: a phase off the unit circle,
+        # or rows that do not permute the columns
+        mats = np.array([np.eye(2), U1], dtype=complex)
+        with pytest.raises(RepresentationError, match="not unitary"):
+            conjugation_action(cyclic(2), mats)
 
     def test_rejects_wrong_product_law(self):
         # U_1 = diag(1, i) is unitary, but U_1 U_1 U_0* = diag(1, -1) is not a
@@ -189,14 +193,12 @@ class TestConjugationAction:
             assert sup_distance(act.apply(g, one), one) < 1e-12
 
     def test_stack_is_read_only(self):
-        # a monomial stack is read into tables, any other kept as a view
+        # a dense stack is read into read-only tables; the caller's array stays writable
         G, U = weyl_heisenberg(3)
         tables = conjugation_action(G, U).unitaries
         assert isinstance(tables, MonomialStack)
         assert not tables.perm.flags.writeable and not tables.phase.flags.writeable
-        H, reps = s3_irreps()
-        act = conjugation_action(H, reps["std"])
-        assert not act.unitaries.flags.writeable and reps["std"].flags.writeable
+        assert U.flags.writeable
 
     def test_pauli_action_is_ergodic(self):
         # nullspace oracle: the fixed-point space of the n=2 family is the scalars
@@ -249,7 +251,7 @@ class TestConjugationAction:
         U, src = np.array([np.eye(3), S, S])[:, None], np.zeros((3, 1), dtype=int)
         pairs = np.array([(a, b) for a in range(3) for b in range(3)])
         c, deviation, law = product_phases(MonomialStack.from_dense(U), src, cyclic(3), pairs)
-        dense = product_phases(U, src, cyclic(3), pairs)
+        dense = dense_product_phases(U, src, cyclic(3), pairs)
         assert np.abs(c - dense[0]).max() <= 1e-15 and deviation == dense[1] == 1.0
         assert law == pytest.approx(dense[2], abs=1e-15) and law == pytest.approx(4 / 3 * 4 / 3 + 8 / 9)
         with pytest.raises(RepresentationError, match="scalar multiple"):
@@ -384,30 +386,29 @@ class TestKernelsMatchApply:
         assert sup_distance(fast, slow) < 1e-9 * (1 + slow.max_abs_entry())
 
 
-# The conjugation actions of ORACLE_IDS, and those with a monomial stack:
-# every one but the real plane rotations of irrep:s3:std.
+# The conjugation actions of ORACLE_IDS.
 CONJUGATION_IDS = tuple(sid for sid in ORACLE_IDS
                         if sid.startswith(("irrep:", "wh:")) or sid.endswith(":wh2")
                         or (sid.startswith("twisted-dual:") and not sid.endswith(":0")))
-MONOMIAL_IDS = tuple(sid for sid in CONJUGATION_IDS if sid != "irrep:s3:std")
 
 
 def _rounding_bound(act, x, y):
-    """First-order bound on |monomial - dense| for every bracket value.
+    """First-order bound on |kernel - dense oracle| for every bracket value.
 
-    Both kernels evaluate v = sum_j w_j sum_{c,d} T_jcd over the n^2 products
+    The class kernel and ``loop_conjugation_bracket`` both evaluate
+    v = sum_j w_j sum_{c,d} T_jcd over the n^2 products
     T = conj(ph_d) conj(y_dc) x_{pi d, pi c} ph_c of block j, whose moduli
     sum to at most ||y_src||_F ||x_j||_F.  With u = eps / 2 and a complex
     product off by at most 2 sqrt(2) u (Higham, Lemma 3.5):
-    - the monomial kernel forms each T in three complex products and sums
+    - the class kernel forms each T in three complex products and sums
       it in two sums of n terms: (6 sqrt(2) + 2 (n - 1)) u;
-    - the dense kernel forms each T in three complex products (U y*,
+    - the dense oracle forms each T in three complex products (U y*,
       x^T conj(U) and their entrywise product; the other terms of U y* and
       x^T conj(U) are exact zeros) and sums it in one sum of n^2 terms:
       (6 sqrt(2) + n^2 - 1) u;
     - both sum the t blocks against the weights: t u each.
     The weights are invariant under the source rows, so by Cauchy-Schwarz
-    sum_j w_j ||y_src||_F ||x_j||_F <= ||x||_2 ||y||_2, and the kernels
+    sum_j w_j ||y_src||_F ||x_j||_F <= ||x||_2 ||y||_2, and the two
     differ by at most (n^2 + 2n + 2t + 17) u ||x||_2 ||y||_2.
     """
     n, t = act.shape.block_dim, act._src.shape[1]
@@ -416,17 +417,18 @@ def _rounding_bound(act, x, y):
 
 
 class TestMonomialKernel:
-    """The quadratic-form bracket kernel of monomial stacks, and which
-    stacks take it."""
+    """The quadratic-form bracket kernel that every conjugation takes, and
+    the stacks that are rejected for want of it."""
 
     def test_monomial_stacks_take_the_quadratic_form(self):
+        # every conjugation builtin holds its stack as tables
         for sid in ORACLE_IDS:
             act = _kernel_action(sid)
             assert isinstance(act, ConjugationAction) == (sid in CONJUGATION_IDS), sid
             if sid in CONJUGATION_IDS:
-                assert (act._classes is not None) == (sid in MONOMIAL_IDS), sid
+                assert isinstance(act.unitaries, MonomialStack), sid
 
-    @pytest.mark.parametrize("sid", MONOMIAL_IDS)
+    @pytest.mark.parametrize("sid", CONJUGATION_IDS)
     def test_matches_the_dense_kernel_within_rounding(self, sid):
         # the two kernels sum in different orders: equal up to a stated
         # rounding bound, not bit for bit
@@ -437,28 +439,26 @@ class TestMonomialKernel:
             diff = np.abs(act.bracket_values(x, y) - loop_conjugation_bracket(act, x, y)).max()
             assert diff <= _rounding_bound(act, x, y)
 
-    @staticmethod
-    def _assert_dense(act):
-        assert act._classes is None
-        rng = np.random.default_rng(13)
-        for _ in range(3):
-            x, y = act.random_element(rng), act.random_element(rng)
-            assert np.array_equal(act.bracket_values(x, y), loop_conjugation_bracket(act, x, y))
+    def test_rotated_weyl_operators_are_rejected(self):
+        # V U V* for a random unitary V, the identity left exact: the first
+        # Weyl operator off it, U[1], holds nonzero entries in every column
+        G, U = weyl_heisenberg(4)
+        z = np.random.default_rng(15).standard_normal((2, 4, 4))
+        V = np.linalg.qr(z[0] + 1j * z[1])[0]
+        U[1:] = V @ U[1:] @ V.conj().T
+        with pytest.raises(RepresentationError, match=r"column 0 of U\[1, 0\] holds 4 nonzero"):
+            conjugation_action(G, U)
 
-    def test_rotated_weyl_operators_take_the_dense_kernel(self):
-        self._assert_dense(rotated(conjugation_action(*weyl_heisenberg(4))))
-
-    def test_one_entry_off_the_support_takes_the_dense_kernel(self):
-        # far inside the validation's 1e-11, so the stack is still accepted
+    def test_one_entry_off_the_support_is_rejected(self):
+        # far inside the validation's unitarity tolerance 1e-11, but the
+        # support is read exactly: column 0 of U[5] holds a second entry
         G, U = weyl_heisenberg(4)
         U[5, 0, 0] = 1e-13
         assert finite_weyl_heisenberg(4).dense()[5, 0, 0] == 0
-        self._assert_dense(conjugation_action(G, U))
+        with pytest.raises(RepresentationError, match=r"column 0 of U\[5, 0\] holds 2 nonzero"):
+            conjugation_action(G, U)
 
-    def test_real_rotations_take_the_dense_kernel(self):
-        self._assert_dense(_kernel_action("irrep:s3:std"))
-
-    @pytest.mark.parametrize("sid", MONOMIAL_IDS)
+    @pytest.mark.parametrize("sid", CONJUGATION_IDS)
     def test_apply_matches_the_dense_stack(self, sid):
         # each entry of g.x is ph_c x_cd conj(ph_d), two complex products in
         # either path (U x U* has one nonzero term per entry), each within
@@ -469,7 +469,7 @@ class TestMonomialKernel:
         for g in act.group.elements():
             assert sup_distance(act.apply(g, x), dense_apply(act, g, x)) <= bound
 
-    @pytest.mark.parametrize("sid", MONOMIAL_IDS)
+    @pytest.mark.parametrize("sid", CONJUGATION_IDS)
     def test_orbit_sum_matches_the_dense_stack(self, sid):
         # every entry sums N terms w_g ph_c x_cd conj(ph_d) of modulus at most
         # w_g max|x|.  The node loop forms each in two complex products and a
@@ -483,7 +483,7 @@ class TestMonomialKernel:
         bound = 2 * (N + 4 * math.sqrt(2) + 1) * u * act.haar.mass * x.max_abs_entry()
         assert sup_distance(act.orbit_sum(x), dense_orbit_sum(act, x)) <= bound
 
-    @pytest.mark.parametrize("sid", MONOMIAL_IDS)
+    @pytest.mark.parametrize("sid", CONJUGATION_IDS)
     def test_structure_matches_the_dense_stack(self, sid):
         # Both paths form the same quantities from the same phases, of
         # modulus 1 within 1e-11 (u = eps / 2, n the block size):
@@ -561,11 +561,11 @@ class TestMonomialKernel:
         src = Path(__file__).resolve().parent.parent / "src"
         code = ("import sys\nfrom qha.scenarios import build_scenario, builtin\n"
                 "act = build_scenario(builtin('wh:16')).action\n"
-                "print(act._classes is not None, 'numpy.ma' in sys.modules)")
+                "print(len(act._classes[0]), 'numpy.ma' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": str(src)}
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["True", "False"]
+        assert out.stdout.split() == ["16", "False"]
 
 
 class TestDualAction:
@@ -730,6 +730,26 @@ class TestArrayConstructorsMatchLoops:
         assert np.array_equal(G.table, symmetric(3).table)
         assert np.array_equal(reps["sign"], sign)
         assert np.array_equal(reps["std"], std)
+
+    def test_s3_standard_character_and_group_law(self):
+        # Basis-free facts of the standard representation rho (u = eps / 2).
+        # Each phase exp(i theta), theta = 2 pi r / 3 with |r| <= 1 rounded
+        # within 2 u |theta| < 4.2 u and cos, sin within u each, lies within
+        # 6 u of its cube root.  So the character is 2 at e, 0 on the
+        # transpositions (no diagonal entry) and within 2 * 6 u + u of -1 on
+        # the 3-cycles.  An entry of rho(a) rho(b) has one nonzero term, the
+        # product of two phases in one complex multiplication within
+        # 2 sqrt(2) u (Higham, Lemma 3.5): within 12 u + 2 sqrt(2) u + 6 u
+        # < 21 u of rho(ab).
+        G, reps = s3_irreps()
+        rho, sign = reps["std"], reps["sign"][:, 0, 0].real
+        u = np.finfo(float).eps / 2
+        chi = np.trace(rho, axis1=1, axis2=2)
+        cycles = (sign > 0) & (np.arange(G.order) != G.identity)
+        assert chi[G.identity] == 2 and not chi[sign < 0].any() and cycles.sum() == 2
+        assert np.abs(chi[cycles] + 1).max() <= 13 * u
+        a, b = np.divmod(np.arange(G.order ** 2), G.order)
+        assert np.abs(rho[a] @ rho[b] - rho[G.compose(a, b)]).max() <= 21 * u
 
     @pytest.mark.parametrize("G", [
         *(cyclic(n) for n in range(1, 13)),
@@ -1319,9 +1339,11 @@ class TestCertificateMutants:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_perturbed_stack_certificate_reads_at_least_the_probe(self, seed):
+        # the phases move on the support, so the stack stays monomial
         G, U = weyl_heisenberg(3)
         noise = np.random.default_rng(seed).standard_normal(U.shape + (2,)) @ [1.0, 1j]
         noise[G.identity] = 0.0
+        noise[U == 0] = 0.0
         act = conjugation_action(G, U + 1e-12 * noise / np.abs(noise).max())  # accepted
         hom, aut, iso = _probes(act)
         cert = act.structure
@@ -1413,6 +1435,9 @@ class TestErgodicityCount:
         # A B = Z, so a fixed x has x_0 = Z x_0 Z, a diagonal matrix.  theta = 0
         # is A = 1; the rotation A = R(theta) moves the transport off the
         # identity, where reversing an edge (U V instead of U* V) changes the count
+        # (a monomial transport maps diagonal blocks to diagonal blocks and
+        # cannot show it).  A = R(theta) is not monomial, so the dense
+        # stand-in carries the action to the counts.
         c, s = np.cos(theta), np.sin(theta)
         A, Z = np.array([[c, -s], [s, c]]), np.diag([1.0, -1.0])
         gen, gen_src = np.array([A, A.T @ Z]), np.array([1, 0])
@@ -1420,10 +1445,13 @@ class TestErgodicityCount:
         for _ in range(3):
             unitaries.append(gen @ unitaries[-1][gen_src])
             src.append(src[-1][gen_src])
-        act = ConjugationAction(cyclic(4), np.array(unitaries), np.array(src), (1.0, 1.0))
+        act = DenseConjugation(cyclic(4), np.array(unitaries), np.array(src))
         assert probe_homomorphism_defect(act, np.random.default_rng(17)) < 1e-14
-        assert homomorphism_defect(act) < 1e-14
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 2
+        if theta == 0.0:
+            act = ConjugationAction(cyclic(4), np.array(unitaries), np.array(src), (1.0, 1.0))
+            assert homomorphism_defect(act) < 1e-14
+            assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 2
 
     def test_large_degenerate_action_raises(self):
         act = conjugation_action(cyclic(2), trivial_rep(cyclic(2), dim=25))

@@ -28,7 +28,6 @@ from helpers import (
     loop_p_norm,
     loop_permutation_bracket,
     loop_trace,
-    rotated,
 )
 
 EXPONENTS = (1.0, 4 / 3, 2.0, 4.0, math.inf)
@@ -103,8 +102,7 @@ def test_permutation_bracket_per_trial(sid):
 @pytest.mark.parametrize("sid", ["wh:4", "wh:16", "irrep:s3:std", "twisted-dual:4:1",
                                  "induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2"])
 def test_conjugation_bracket_per_trial(sid):
-    # the per-trial loop of the kernel the action takes: the class-by-class
-    # quadratic form of a monomial stack, the dense conjugation otherwise
+    # the per-trial loop of the class-by-class quadratic form
     scn, (x, y) = _stacks(sid)
     assert isinstance(scn.action, ConjugationAction)
     values = scn.action.bracket_values(x, y)
@@ -141,21 +139,16 @@ def _peak(fn):
         tracemalloc.stop()
 
 
-# The stacked conjugation bracket keeps the per-trial pieces of at most
-# NODE_SLICE (trial, node) pairs, or of classes below STACK_BYTES on a
-# monomial stack; what it adds is its (trials, nodes) output.
+# The stacked conjugation bracket keeps the per-trial pieces of classes
+# below STACK_BYTES; what it adds is its (trials, nodes) output.
 STACKED_PEAK_FACTOR = 1.5
 
 
 def test_stacked_conjugation_bracket_memory():
-    # both kernels: the quadratic form of the monomial stack, and the dense
-    # conjugation of the same action in a rotated basis
     scn, (x, y) = _stacks("wh:16", trials=12)
-    for action, monomial in ((scn.action, True), (rotated(scn.action), False)):
-        assert (action._classes is not None) == monomial
-        single = _peak(lambda: action.bracket_values(x.trial(0), y.trial(0)))
-        stacked = _peak(lambda: action.bracket_values(x, y))
-        assert stacked <= STACKED_PEAK_FACTOR * single
+    single = _peak(lambda: scn.action.bracket_values(x.trial(0), y.trial(0)))
+    stacked = _peak(lambda: scn.action.bracket_values(x, y))
+    assert stacked <= STACKED_PEAK_FACTOR * single
 
 
 def test_stacked_permutation_bracket_stays_below_the_stack_budget():

@@ -1004,8 +1004,8 @@ class WaveletAction(Action):
         self.center = c
         support_steps = int(round(design.support_octaves * den))
         self.window = slice(c - (h - support_steps), c + (h - support_steps) + 1)
-        self.probes = np.array([self.bump_vector(center, 0.18, nu)
-                                for center in (-0.5, -0.25, 0.0, 0.25, 0.5) for nu in (0.0, 0.7)])
+        centers, nus = np.repeat([-0.5, -0.25, 0.0, 0.25, 0.5], 2), np.tile([0.0, 0.7], 5)
+        self.probes = self.bumps(centers, np.full(10, 0.18), nus)[0]
         # sample nodes near the identity: one-step dilations and one-cell shifts
         i_c, j_c = h, design.n_b // 2
         sample_idx = (
@@ -1204,26 +1204,31 @@ class WaveletAction(Action):
     # so the same random draw denotes the same continuum object at every grid
     # refinement and quadrature errors converge under refinement.
 
-    def bump_vector(self, center_octaves: float, width_octaves: float,
-                    modulation: float = 0.0) -> np.ndarray:
-        """Gaussian log-frequency bump with a slow modulation, hard-cut at the
-        declared support radius."""
-        t = (np.arange(self.grid_size) - self.center) / self.design.steps_per_octave
-        v = np.exp(-0.5 * ((t - center_octaves) / width_octaves) ** 2)
-        v = v * np.exp(2j * np.pi * modulation * t)
-        v[np.abs(t - center_octaves) > self.design.support_octaves] = 0.0
-        return v
+    @cached_property
+    def octave_grid(self) -> np.ndarray:
+        """The grid points in octaves from the center, (k - center) / steps_per_octave."""
+        return (np.arange(self.grid_size) - self.center) / self.design.steps_per_octave
+
+    def bumps(self, centers, widths, modulations) -> tuple[np.ndarray, np.ndarray]:
+        """Gaussian log-frequency bumps with a slow modulation, hard-cut at the
+        declared support radius: one row per (center, width, modulation) in
+        octaves, evaluated at once, and the index range [lo, hi) of each
+        row's support (contiguous, as the grid increases)."""
+        t = self.octave_grid
+        d = t - np.asarray(centers, dtype=float)[:, None]
+        v = np.exp(-0.5 * (d / np.asarray(widths, dtype=float)[:, None]) ** 2)
+        v = v * np.exp(2j * np.pi * np.asarray(modulations, dtype=float)[:, None] * t)
+        outside = np.abs(d) > self.design.support_octaves
+        v[outside] = 0.0
+        lo = outside.argmin(axis=1)
+        return v, np.stack([lo, lo + t.size - outside.sum(axis=1)], axis=1)
 
     def random_positive(self, rng: np.random.Generator) -> AlgebraElement:
         """Positive element: a few random smooth bumps plus a small spectral floor."""
         r = self.design.support_octaves
-        bumps = []
-        for _ in range(3):
-            center = rng.uniform(-r / 3.0, r / 3.0)
-            width = rng.uniform(0.12, 0.25)
-            nu = rng.uniform(-1.0, 1.0)
-            bumps.append(self.bump_vector(center, width, nu))
-        V = np.array(bumps)
+        # each row a bump's center, width and modulation, drawn in that order
+        params = rng.uniform([-r / 3.0, 0.12, -1.0], [r / 3.0, 0.25, 1.0], size=(3, 3))
+        V, _ = self.bumps(*params.T)
         # the sum of the three v v* as one rank-3 product
         mat = V.T @ V.conj()
         diagonal = mat.reshape(-1)[::self.grid_size + 1]
@@ -1241,15 +1246,18 @@ class WaveletAction(Action):
         """General (non-hermitian) element spanned by smooth windowed bumps."""
         r = self.design.support_octaves
         K = self.grid_size
-        mat = np.zeros((K, K), dtype=complex)
+        params, coeffs = [], []
         for _ in range(3):
-            cu, cw = rng.uniform(-r / 3.0, r / 3.0, size=2)
-            wu, ww = rng.uniform(0.12, 0.25, size=2)
-            nuu, nuw = rng.uniform(-1.0, 1.0, size=2)
-            coeff = rng.standard_normal() + 1j * rng.standard_normal()
-            u = self.bump_vector(cu, wu, nuu)
-            w = self.bump_vector(cw, ww, nuw)
-            mat += coeff * np.outer(u, w.conj())
+            # the centers, widths and modulations of u and w, then the coefficient
+            params.append((rng.uniform(-r / 3.0, r / 3.0, size=2), rng.uniform(0.12, 0.25, size=2),
+                           rng.uniform(-1.0, 1.0, size=2)))
+            coeffs.append(rng.standard_normal() + 1j * rng.standard_normal())
+        V, support = self.bumps(*np.concatenate(params, axis=1))
+        mat = np.zeros((K, K), dtype=complex)
+        # each rank-one term coeff u w* on the rows of u's support and the columns of w's
+        for coeff, (u, w), ((u0, u1), (w0, w1)) in zip(coeffs, V.reshape(3, 2, K),
+                                                       support.reshape(3, 2, 2)):
+            mat[u0:u1, w0:w1] += coeff * np.outer(u[u0:u1], w[w0:w1].conj())
         return AlgebraElement(self.shape, mat[None], copy=False)
 
     def pairings(self, a: AlgebraElement) -> np.ndarray:
@@ -1358,18 +1366,6 @@ def fixed_point_dimension(action: Action, tol: float = 1e-8) -> int:
                       for j in orbit for g in range(len(rows))]
         total += commutant_certificate(holonomies, tol).dimension
     return total
-
-
-def dense_fixed_point_dimension(action: Action, tol: float = 1e-8) -> int:
-    """Oracle count: singular values at most ``tol`` of the linearized g.x - x
-    stacked over the sampled g, for algebras of dimension up to DENSE_LIMIT."""
-    dim = action.shape.total_dim
-    if dim > DENSE_LIMIT:
-        raise ActionError(f"dense fixed-point count needs dim <= {DENSE_LIMIT}, got {dim}")
-    basis = list(action.shape.basis())
-    maps = [np.array([(action.apply(g, e) - e).vec() for e in basis]).T
-            for g in action.sample_elements]
-    return _stacked_nullity(maps, tol)
 
 
 def is_trace_preserving(action: Action, scenario: str = "") -> CheckReport:

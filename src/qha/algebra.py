@@ -14,7 +14,9 @@ holding block k, and every operation, the spectral ones included (the trace,
 singular values, hermitian eigendecompositions), is one stacked numpy call,
 so a diagonal algebra costs one call, not one per atom.  On 1 x 1 blocks
 (a commutative algebra) the spectral ones are read off the entries with no
-LAPACK call: the modulus, the real part and the eigenvector 1.
+LAPACK call: the modulus, the real part and the eigenvector 1.  A stack
+with zero rows or columns in a block takes its singular values block by
+block, each on its nonzero rows and columns.
 
 The same array may carry a leading trial axis, (B, t, n, n): a stack of B
 elements that the law checks evaluate in one pass.  Products, sums and
@@ -243,8 +245,30 @@ def trace_pairing(a: AlgebraElement, b: AlgebraElement) -> complex | np.ndarray:
 
 def _singular_values(b: np.ndarray) -> np.ndarray:
     """Singular values (..., n) of a stack of n x n blocks, descending in each
-    row; a 1 x 1 block's is the modulus of its entry, read without LAPACK."""
-    return np.abs(b[..., 0]) if b.shape[-1] == 1 else np.linalg.svd(b, compute_uv=False)
+    row; a 1 x 1 block's is the modulus of its entry, read without LAPACK.
+
+    A block with zero rows or columns is, up to permutations, [S 0; 0 0], so
+    its singular values are those of S, the block on its nonzero rows and
+    columns, padded with zeros.  When every block has no zero row or column
+    the stack takes one SVD call; otherwise each block takes one on its own
+    support, so a trial of a stack gets the values it gets alone."""
+    n = b.shape[-1]
+    if n == 1:
+        return np.abs(b[..., 0])
+    # a stack without zero entries, the common case, has no zero row or
+    # column either, and one reduction tells it
+    if not b.all():
+        blocks = b.reshape((-1, n, n))
+        nonzero = blocks != 0
+        rows, cols = nonzero.any(axis=-1), nonzero.any(axis=-2)
+        if not (rows.all() and cols.all()):
+            out = np.zeros((len(blocks), n))
+            for k, (block, r, c) in enumerate(zip(blocks, rows, cols)):
+                if r.any():
+                    s = np.linalg.svd(block[np.ix_(r, c)], compute_uv=False)
+                    out[k, :len(s)] = s
+            return out.reshape(b.shape[:-1])
+    return np.linalg.svd(b, compute_uv=False)
 
 
 def _largest_singular(s: np.ndarray) -> np.ndarray:

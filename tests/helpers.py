@@ -11,6 +11,8 @@ import numpy as np
 
 import qha.duflo
 from qha.actions import (
+    DENSE_LIMIT,
+    ActionError,
     ConjugationAction,
     PermutationAction,
     WaveletAction,
@@ -18,6 +20,7 @@ from qha.actions import (
     _law_bound,
     _row_gain,
     _sample_pairs,
+    _stacked_nullity,
     finite_weyl_heisenberg,
 )
 from qha.algebra import (
@@ -396,9 +399,10 @@ def loop_p_norm(x, p):
     """Trace p-norm of a single element: op norm at inf, Frobenius sum at 2,
     else the singular values to the p, rooted on a Python float.  The
     singular values are the package's per-block primitive (the moduli of
-    1 x 1 blocks, else LAPACK's), so that a stacked norm is checked bit for
-    bit against its trials; tests/test_algebra.py checks the primitive
-    against numpy's SVD."""
+    1 x 1 blocks, else LAPACK's on the block's nonzero rows and columns,
+    padded with zeros), so that a stacked norm is checked bit for bit against
+    its trials; tests/test_algebra.py checks the primitive against numpy's
+    SVD of the whole block."""
     b = x.blocks
     if p == math.inf:
         return float(_singular_values(b)[:, 0].max())
@@ -428,6 +432,69 @@ def loop_trace_pairing(a, b):
     pairs = np.einsum("kij,kji->k", np.ascontiguousarray(a.blocks), np.ascontiguousarray(b.blocks))
     return complex(np.array(a.shape.trace_weights) @ pairs)
 
+
+
+def dense_fixed_point_dimension(action, tol=1e-8):
+    """Oracle count: singular values at most ``tol`` of the linearized g.x - x
+    stacked over the sampled g, for algebras of dimension up to DENSE_LIMIT."""
+    dim = action.shape.total_dim
+    if dim > DENSE_LIMIT:
+        raise ActionError(f"dense fixed-point count needs dim <= {DENSE_LIMIT}, got {dim}")
+    basis = list(action.shape.basis())
+    maps = [np.array([(action.apply(g, e) - e).vec() for e in basis]).T
+            for g in action.sample_elements]
+    return _stacked_nullity(maps, tol)
+
+
+# ---------------------------------------------------------------------------
+# The wavelet's test elements drawn bump by bump, one rank-one term at a time
+# over the whole grid: the oracle of the batched draws on their supports.
+
+
+def loop_bump_vector(action, center_octaves, width_octaves, modulation=0.0):
+    """Gaussian log-frequency bump with a slow modulation, hard-cut at the
+    declared support radius."""
+    t = (np.arange(action.grid_size) - action.center) / action.design.steps_per_octave
+    v = np.exp(-0.5 * ((t - center_octaves) / width_octaves) ** 2)
+    v = v * np.exp(2j * np.pi * modulation * t)
+    v[np.abs(t - center_octaves) > action.design.support_octaves] = 0.0
+    return v
+
+
+def loop_wavelet_positive(action, rng):
+    """Three bumps v, drawn parameter by parameter, and sum v v* as one
+    rank-3 product plus the spectral floor on the diagonal."""
+    r = action.design.support_octaves
+    bumps = []
+    for _ in range(3):
+        center = rng.uniform(-r / 3.0, r / 3.0)
+        width = rng.uniform(0.12, 0.25)
+        nu = rng.uniform(-1.0, 1.0)
+        bumps.append(loop_bump_vector(action, center, width, nu))
+    V = np.array(bumps)
+    mat = V.T @ V.conj()
+    diagonal = mat.reshape(-1)[::action.grid_size + 1]
+    diagonal += 1e-7 * float(np.abs(diagonal).max())
+    return mat
+
+
+def loop_wavelet_element(action, rng):
+    """Three terms coeff u w*, each added as a K x K outer product.  The
+    product is held in a name: numpy multiplies an unnamed temporary of 256
+    KiB or more (K >= 128) in place, which rounds otherwise in the last bit."""
+    r = action.design.support_octaves
+    K = action.grid_size
+    mat = np.zeros((K, K), dtype=complex)
+    for _ in range(3):
+        cu, cw = rng.uniform(-r / 3.0, r / 3.0, size=2)
+        wu, ww = rng.uniform(0.12, 0.25, size=2)
+        nuu, nuw = rng.uniform(-1.0, 1.0, size=2)
+        coeff = rng.standard_normal() + 1j * rng.standard_normal()
+        u = loop_bump_vector(action, cu, wu, nuu)
+        w = loop_bump_vector(action, cw, ww, nuw)
+        term = np.outer(u, w.conj())
+        mat += coeff * term
+    return mat
 
 # ---------------------------------------------------------------------------
 # The dense oracle of a conjugation action: its (N, t, n, n) unitary stack,

@@ -41,7 +41,6 @@ from qha.actions import (
     conjugation_action,
     coset_action,
     cyclic_character_rep,
-    dense_fixed_point_dimension,
     dual_action,
     finite_weyl_heisenberg,
     fixed_point_dimension,
@@ -62,6 +61,7 @@ from helpers import (
     DenseConjugation,
     cyclic_subgroups,
     dense_apply,
+    dense_fixed_point_dimension,
     dense_orbit_sum,
     dense_product_phases,
     dense_structure,
@@ -70,10 +70,13 @@ from helpers import (
     from_symbol,
     loop_coset_table,
     loop_cyclic_characters,
+    loop_bump_vector,
     loop_induced_maps,
     loop_conjugation_bracket,
     loop_s3_matrices,
     loop_wavelet_bracket,
+    loop_wavelet_element,
+    loop_wavelet_positive,
     loop_weyl_heisenberg,
     nodes_of,
     probe_automorphism_defect,
@@ -948,7 +951,7 @@ def _band_element(act, kind, rng):
         return act.random_positive(rng).blocks[0]
     if kind == "two-bump":
         c = 1.6 * act.design.support_octaves
-        u, w = act.bump_vector(-c, 0.2, 0.3), act.bump_vector(c, 0.15, -0.5)
+        u, w = loop_bump_vector(act, -c, 0.2, 0.3), loop_bump_vector(act, c, 0.15, -0.5)
         assert not (u * w).any() and not u[act.center] and not w[act.center]
         return np.outer(u, u.conj()) + np.outer(w, w.conj()) + (0.5 - 1j) * np.outer(u, w.conj())
     if kind == "diagonal":
@@ -1175,10 +1178,44 @@ class TestWaveletKernels:
                 center = rng.uniform(-r / 3.0, r / 3.0)
                 width = rng.uniform(0.12, 0.25)
                 nu = rng.uniform(-1.0, 1.0)
-                v = act.bump_vector(center, width, nu)
+                v = loop_bump_vector(act, center, width, nu)
                 ref += np.outer(v, v.conj())
             ref += 1e-7 * float(np.abs(np.diag(ref)).max()) * np.eye(K)
             assert np.abs(fast - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
+
+    @pytest.mark.parametrize("grid", ["small-wavelet", "default", "fine"])
+    def test_batched_bumps_are_the_loop_bumps(self, grid):
+        # every row bit for bit the bump evaluated alone, centers past both
+        # ends of the grid included, and its support range the run of its
+        # nonzero entries (empty for a bump off the grid)
+        act = _wavelet(grid)
+        rng = np.random.default_rng(53)
+        edge = act.design.octaves / 2 + 1.5 * act.design.support_octaves
+        params = np.stack([rng.uniform(-edge, edge, 64), rng.uniform(0.12, 0.25, 64),
+                           rng.uniform(-1.0, 1.0, 64)])
+        V, support = act.bumps(*params)
+        for v, (c, w, nu), (lo, hi) in zip(V, params.T, support):
+            assert v.tobytes() == loop_bump_vector(act, c, w, nu).tobytes()
+            assert np.array_equal(np.flatnonzero(v), np.arange(lo, hi))
+        assert (support[:, 0] == support[:, 1]).any() and (support[:, 0] == 0).any()
+        assert (support[:, 1] == act.grid_size).any()
+        probes = [loop_bump_vector(act, c, 0.18, nu) for c in (-0.5, -0.25, 0.0, 0.25, 0.5)
+                  for nu in (0.0, 0.7)]
+        assert act.probes.tobytes() == np.array(probes).tobytes()
+
+    @pytest.mark.parametrize("grid", ["small-wavelet", "default", "coarse", "fine"])
+    def test_draws_are_the_loop_draws(self, grid):
+        # the batched draws consume the stream as the bump-by-bump oracle
+        # does and give its arrays bit for bit
+        act = _wavelet(grid)
+        for seed in range(4):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                x = act.random_element(fast).blocks[0]
+                assert x.tobytes() == loop_wavelet_element(act, slow).tobytes()
+                x = act.random_positive(fast).blocks[0]
+                assert x.tobytes() == loop_wavelet_positive(act, slow).tobytes()
+            assert fast.bit_generator.state == slow.bit_generator.state
 
 
 class TestComparisonHooks:

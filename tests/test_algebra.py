@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qha.algebra
 from qha.algebra import (
     AlgebraElement,
     AlgebraShape,
@@ -306,6 +307,93 @@ class TestScalarBlocks:
         assert all(r.passed for r in reports)
         assert [shape for shape in calls if shape[-1:] == (1,)] == []
         assert calls or sid != "wh:2"
+
+
+class TestSupportBlocks:
+    """A block with zero rows or columns takes its SVD on its nonzero rows and
+    columns only."""
+
+    # LAPACK's SVD is backward stable: the computed values are the exact ones
+    # of A + E with ||E||_2 <= p(n) u ||A||_2, and we take p(n) = c n with
+    # c = 4.  By Weyl's inequality |sigma_i(A + E) - sigma_i(A)| <= ||E||_2
+    # (Golub and Van Loan, Matrix Computations, 8.6), so the values of the
+    # whole block and of its support (an exact copy of the nonzero entries,
+    # whose other values are exact zeros) each lie within c n u ||A||_2 of
+    # the exact ones, and within c n eps ||A||_2 of each other.
+    C = 4
+
+    @staticmethod
+    def blocks(seed, n, trials=24):
+        # Gaussian blocks over about 12 binades with rows and columns zeroed
+        # at random, each trial at its own rate: square and rectangular
+        # supports, full and nearly empty ones, and a trial with no support
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal((trials, 1, n, n)) + 1j * rng.standard_normal((trials, 1, n, n))
+        b *= np.exp(rng.uniform(-4.0, 4.0, (trials, 1, 1, 1)))
+        for k, rate in enumerate(np.linspace(0.0, 0.95, trials - 1)):
+            b[k, 0, rng.random(n) < rate] = 0.0
+            b[k, 0, :, rng.random(n) < rng.uniform(0.0, rate)] = 0.0
+        b[-1] = 0.0
+        return b
+
+    @pytest.mark.parametrize("n", [2, 5, 17, 40])
+    def test_singular_values_match_the_whole_block(self, n):
+        b = self.blocks(60 + n, n)
+        ref = np.linalg.svd(b, compute_uv=False)
+        s = _singular_values(b)
+        assert s.shape == ref.shape
+        assert (np.diff(s, axis=-1) <= 0).all()
+        bound = self.C * n * np.finfo(float).eps * ref[..., :1]
+        assert (np.abs(s - ref) <= bound).all()
+        assert not s[-1].any()
+        rows, cols = (b != 0).any(axis=-1), (b != 0).any(axis=-2)
+        rank = np.minimum(rows.sum(axis=-1), cols.sum(axis=-1))
+        assert [not row[r:].any() for row, r in zip(s.reshape(-1, n), rank.ravel())] == [True] * len(b)
+
+    def test_a_stack_gives_each_trial_its_own_values(self):
+        # each block is taken on its own support, never on a union across
+        # trials; a stack of full blocks takes one call, as a lone block does
+        b = self.blocks(70, 9)
+        s = _singular_values(b)
+        assert all(s[i].tobytes() == _singular_values(b[i]).tobytes() for i in range(len(b)))
+        full = np.random.default_rng(71).standard_normal((6, 2, 9, 9)) + 0j
+        assert _singular_values(full).tobytes() == np.linalg.svd(full, compute_uv=False).tobytes()
+        mixed = np.concatenate([full[:, :1], b[:6]], axis=1)
+        assert _singular_values(mixed)[:, 0].tobytes() == _singular_values(full[:, 0]).tobytes()
+
+    @pytest.mark.parametrize("sid", ["affine-wavelet:default", "wh:4", "irrep:s3:std",
+                                     "twisted-dual:4:1"])
+    def test_suite_svds_take_the_support(self, sid, monkeypatch):
+        # every SVD call is recorded with the stack it was made for: the
+        # finite draws are Gaussian, so each stack takes one call of its own
+        # full (..., n, n) shape, as before; a wavelet element takes one call
+        # on its nonzero rows and columns, one trial at a time
+        asked = []
+
+        def singular_values(b, _f=qha.algebra._singular_values):
+            asked.append((b, []))
+            return _f(b)
+
+        def svd(a, *args, _f=np.linalg.svd, **kwargs):
+            asked[-1][1].append(np.shape(a))
+            return _f(a, *args, **kwargs)
+
+        monkeypatch.setattr(qha.algebra, "_singular_values", singular_values)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        scn = build_scenario(ScenarioSpec(sid))
+        assert all(r.passed for r in run_suite(scn))
+        assert asked
+        for b, shapes in asked:
+            n = b.shape[-1]
+            rows, cols = ((b != 0).any(axis=a).reshape(-1, n).sum(axis=-1) for a in (-1, -2))
+            if sid.startswith("affine-wavelet"):
+                assert (rows < n).any() or (cols < n).any()
+                assert shapes == [(r, c) for r, c in zip(rows.tolist(), cols.tolist()) if r]
+            else:
+                assert (rows == n).all() and (cols == n).all() and shapes == [b.shape]
+        if sid.startswith("affine-wavelet"):
+            assert len(asked) == sum(len(shapes) for _, shapes in asked)
+            assert max(max(shape) for _, shapes in asked for shape in shapes) < scn.shape.block_dim
 
 
 @pytest.mark.parametrize("shape", [M2, AlgebraShape(1, (1.0,) * 5),

@@ -33,7 +33,7 @@ from qha.duflo import run_suite
 from qha.groups import QuadratureGroup, affine_group, cyclic, probability_haar
 from qha.scenarios import BUILTIN_IDS, ScenarioSpec, build_scenario, builtin
 
-from helpers import nodes_of, weyl_heisenberg
+from helpers import loop_bump_vector, nodes_of, weyl_heisenberg
 
 FINITE_BUILTINS = tuple(sid for sid in BUILTIN_IDS if not sid.startswith("affine-wavelet"))
 
@@ -178,7 +178,7 @@ class TestFunctionNorm:
             act = WaveletAction(design)
 
             def state(center, width):
-                v = act.bump_vector(center, width)
+                v = loop_bump_vector(act, center, width)
                 v = v / np.linalg.norm(v)  # same continuum state at every grid
                 return AlgebraElement(act.shape, [np.outer(v, v.conj())])
 

@@ -89,6 +89,20 @@ class TestAlgebraKernels:
         assert integrate_bracket(bf).tolist() == [complex(np.dot(w, v)) for v in bf.values]
 
 
+@pytest.mark.parametrize("kinds", [("general", "general"), ("positive", "general")])
+def test_wavelet_p_norm_per_trial(kinds):
+    # each trial of a wavelet stack has its own nonzero rows and columns, and
+    # takes its singular values on them alone
+    _, (x, y) = _stacks("affine-wavelet:default", kinds)
+    supports = {((b != 0).any(axis=-1).tobytes(), (b != 0).any(axis=-2).tobytes()) for b in y.blocks}
+    assert len(supports) == TRIALS
+    for z in (x, y):
+        for p in EXPONENTS:
+            assert p_norm(z, p).tolist() == [loop_p_norm(z.trial(i), p) for i in range(TRIALS)]
+        ps = [EXPONENTS[i % len(EXPONENTS)] for i in range(TRIALS)]
+        assert p_norm(z, ps).tolist() == [p_norm(z.trial(i), p) for i, p in enumerate(ps)]
+        assert op_norm(z).tolist() == [op_norm(z.trial(i)) for i in range(TRIALS)]
+
 @pytest.mark.parametrize("sid", ["translation:cyclic(64)", "cosets:cyclic(6):cyclic(3)",
                                  "twisted-dual:8:0", "broken-measure"])
 def test_permutation_bracket_per_trial(sid):

@@ -20,10 +20,10 @@ a quadrature group, formed on first read.  Every group integral reads it.
 The structural checkers read certificates: each action carries
 ``action.structure``, residuals worked out from its generators that bound
 its group-law, automorphism, isometry and trace defects.  The fixed-point
-dimension that certifies ergodicity reads one hook, ``sampled_structure``:
-orbits of the blocks under the sampled elements, and on each orbit the
-commutant of the holonomies of the unitaries around it.  Randomized probes
-and a dense stacked-SVD nullity are the oracles the tests compare with.
+dimension that certifies ergodicity is the group average of the hook
+``character``, trace(x -> g.x), on a finite group (Burnside's lemma), and
+the commutant of the wavelet's sampled unitaries.  Randomized probes and a
+dense stacked-SVD nullity are the oracles the tests compare with.
 
 Each family has its own vectorized kernels for the bracket values
 g -> trace((g.y)* x) and the orbit sum sum_g w_g Delta(g)^{-1} (g.x)
@@ -293,8 +293,6 @@ def finite_weyl_heisenberg(n: int) -> MonomialStack:
                          np.broadcast_to(np.exp(1j * (2 * np.pi * ((l * s) % n) / n)), (n, n, n)).reshape(n * n, n))
 
 
-# Largest linearized dimension for which a dense SVD nullity is computed.
-DENSE_LIMIT = 600
 # The simple-spectrum commutant count is accepted only when its noise floor
 # sits at least this factor below the coupling threshold.
 CERTIFICATE_MARGIN = 10.0
@@ -304,28 +302,19 @@ _GENERIC_SEED = 0x51A
 
 @dataclass(frozen=True)
 class CommutantCertificate:
-    """How a commutant dimension was obtained, with the margins behind it.
+    """A commutant dimension with the margins behind it.
 
-    ``method`` is "spectral" when the count comes from a simple spectrum of
-    the generic element and "dense-svd" when it comes from the stacked-SVD
-    nullity.  ``rel_gap`` is the smallest eigenvalue gap of the generic
-    element over its norm, ``noise_floor`` the Davis-Kahan bound K*eps/rel_gap
-    on the rounding noise of the rotated couplings, and ``min_coupling`` the
+    ``rel_gap`` is the smallest eigenvalue gap of the generic element over
+    its norm, ``noise_floor`` the Davis-Kahan bound K*eps/rel_gap on the
+    rounding noise of the rotated couplings, and ``min_coupling`` the
     smallest coupling the component count relies on (the weakest edge of a
     maximum spanning forest; inf when no edge is needed).
     """
 
     dimension: int
-    method: str
     rel_gap: float
     noise_floor: float
     min_coupling: float
-
-
-def _stacked_nullity(maps, tol: float) -> int:
-    """Common nullspace dimension of linear maps, by the SVD of their stack."""
-    s = np.linalg.svd(np.vstack(maps), compute_uv=False)
-    return int(np.sum(s <= tol))
 
 
 def _union_find(n: int, pairs) -> tuple[int, int]:
@@ -367,19 +356,18 @@ def commutant_certificate(matrices, tol: float = 1e-8) -> CommutantCertificate:
     union-find over the couplings in decreasing order.  This costs one eigh
     and two products per unitary, O(K^3).
 
-    The spectral count is accepted only when the Davis-Kahan noise floor
+    The count is accepted only when the Davis-Kahan noise floor
     K*eps*||h||/gap on the rotated couplings sits CERTIFICATE_MARGIN (10)
     times below ``tol``.  On the wavelet presets it sits 270 (fine), 890
     (default) and 2900 (coarse) times below 1e-8, and the weakest coupling
     the count relies on is 0.14 to 0.36.  Otherwise the spectrum is
-    treated as degenerate: the stacked commutator SVD decides for K*K up to
-    DENSE_LIMIT, and larger algebras raise ActionError with the measured gap
-    rather than switch to an iterative solver.
+    treated as degenerate and ActionError names the measured gap.  Only
+    the wavelet's count calls it; a finite group counts by its character.
     """
     mats = np.asarray(matrices, dtype=complex)
     K = mats.shape[1]
     if K == 1:
-        return CommutantCertificate(1, "spectral", math.inf, 0.0, math.inf)
+        return CommutantCertificate(1, math.inf, 0.0, math.inf)
     rng = np.random.default_rng(_GENERIC_SEED)
     a, b = rng.standard_normal((2, mats.shape[0]))
     # a (U + U*) + b i(U - U*) = c U + (c U)* with c = a + ib
@@ -389,15 +377,10 @@ def commutant_certificate(matrices, tol: float = 1e-8) -> CommutantCertificate:
     rel_gap = float(np.diff(w).min()) / norm if norm > 0.0 else 0.0
     noise_floor = float(K * np.finfo(float).eps / rel_gap) if rel_gap > 0.0 else math.inf
     if noise_floor * CERTIFICATE_MARGIN > tol:
-        if K * K > DENSE_LIMIT:
-            raise ActionError(
-                f"degenerate spectrum of the generic element at dim {K * K}: relative gap "
-                f"{rel_gap:.3e}, noise floor {noise_floor:.3e} against tol {tol:.1e}; "
-                f"the dense count needs dim <= {DENSE_LIMIT}"
-            )
-        eye = np.eye(K)
-        dim = _stacked_nullity([np.kron(A, eye) - np.kron(eye, A.T) for A in mats], tol)
-        return CommutantCertificate(dim, "dense-svd", rel_gap, noise_floor, math.nan)
+        raise ActionError(
+            f"degenerate spectrum of the generic element at dim {K * K}: relative gap "
+            f"{rel_gap:.3e}, noise floor {noise_floor:.3e} against tol {tol:.1e}"
+        )
     coupling = np.abs(V.conj().T @ mats @ V).max(axis=0)
     coupling = np.maximum(coupling, coupling.T)
     rows, cols = np.triu_indices(K, 1)
@@ -406,7 +389,7 @@ def commutant_certificate(matrices, tol: float = 1e-8) -> CommutantCertificate:
     order = order[weights[order] > tol]
     count, last = _union_find(K, zip(rows[order], cols[order]))
     min_coupling = float(weights[order[last]]) if last >= 0 else math.inf
-    return CommutantCertificate(count, "spectral", rel_gap, noise_floor, min_coupling)
+    return CommutantCertificate(count, rel_gap, noise_floor, min_coupling)
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +416,9 @@ class ActionStructure:
     trace: float
 
 
-def _block_residuals(src: np.ndarray, U: np.ndarray | None, weights) -> tuple[float, float, float]:
+def _block_residuals(src: np.ndarray, U: np.ndarray, weights) -> tuple[float, float, float]:
     """(automorphism, isometry, trace) residuals of the sampled elements,
-    from their source rows and unitaries as ``sampled_structure`` gives them.
+    from their source rows and dense unitaries.
 
     Block j of g.x is U x_k U* with k = src[g, j].  With E = U* U - I and
     eta = max ||E||_F, which bounds U U* - I and E in norm:
@@ -445,14 +428,12 @@ def _block_residuals(src: np.ndarray, U: np.ndarray | None, weights) -> tuple[fl
     rho = max |w/w[src] - 1|, as block j carries block src[g, j] to weight
     w_j; and
     |tr(g.e) - tr(e)| <= max |w[src] - w| + max(w) max|E| on the matrix
-    units e.  With unitary blocks (U None: permuted atoms) the trace is
+    units e.  On a permutation's atoms, U = 1 and E = 0: the trace is
     invariant exactly when the weights are invariant under the source rows.
     """
     w = np.asarray(weights, dtype=float)
     moved = float(np.abs(w[src] - w).max())
     rho = float(np.abs(w / w[src] - 1.0).max())
-    if U is None:
-        return 0.0, rho, moved
     E = np.abs(U.conj().swapaxes(2, 3) @ U - np.eye(U.shape[-1]))
     eta = math.sqrt(float((E ** 2).sum(axis=(2, 3)).max()))
     automorphism = max(eta, float((_row_gain(U) ** 2 * E.sum(axis=(2, 3))).max()))
@@ -561,12 +542,9 @@ class Action:
             worst = max(worst, diff.max_abs_entry() / scale)
         return worst
 
-    # -- structure for the ergodicity count ----------------------------------
-
-    def sampled_structure(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """(src, U) with block j of g.x equal to U[i, j] x[src[i, j]] U[i, j]*
-        for the i-th sampled g; U is None when the action only permutes the
-        1 x 1 atoms of a diagonal algebra."""
+    def character(self) -> np.ndarray:
+        """trace(x -> g.x) at every element of a finite group, in element
+        order: ``fixed_point_dimension`` averages it."""
         raise NotImplementedError
 
 
@@ -654,7 +632,8 @@ class ConjugationAction(Action):
         self.unitaries = U
         self._src = src
         self._classes = _monomial_classes(U, src)
-        automorphism, isometry, moved = _block_residuals(*self.sampled_structure(), shape.trace_weights)
+        sampled = list(gens)
+        automorphism, isometry, moved = _block_residuals(src[sampled], U[sampled].dense(), shape.trace_weights)
         self.structure = ActionStructure("unitary-stack", law, max(unitality, automorphism),
                                          isometry, moved)
 
@@ -726,9 +705,19 @@ class ConjugationAction(Action):
             np.add.at(acc, (blocks[sl, None, None], perms[sl, :, None], perms[sl, None, :]), gram)
         return AlgebraElement(self.shape, acc, copy=False)
 
-    def sampled_structure(self) -> tuple[np.ndarray, np.ndarray]:
-        gens = [int(g) for g in self.sample_elements]
-        return self._src[gens], self.unitaries[gens].dense()
+    def character(self) -> np.ndarray:
+        """The sum of |tr U[g, j]|^2 over the blocks j that g keeps, src[g, j] = j:
+        a monomial block's trace sums the phases on its fixed columns, here
+        from the tables in pieces of elements below STACK_BYTES."""
+        U, src = self.unitaries, self._src
+        N, t, n = U.shape
+        out = np.empty(N)
+        step = stack_size(16 * t * n)
+        for s in range(0, N, step):
+            piece = U[s:s + step]
+            tr = np.where(piece.perm == np.arange(n), piece.phase, 0.0).sum(axis=-1)
+            out[s:s + step] = np.where(src[s:s + step] == np.arange(t), tr.real ** 2 + tr.imag ** 2, 0.0).sum(axis=-1)
+        return out
 
 
 def conjugation_action(G: FiniteGroup, U, haar: HaarModel | None = None) -> ConjugationAction:
@@ -765,7 +754,7 @@ class PermutationAction(Action):
         # (g.x)(t) = x(src[g, t])
         src = point_table[group.inverse_table]
         gens = group.generators or tuple(group.elements())
-        residuals = _block_residuals(src[list(gens)], None, mu)
+        residuals = _block_residuals(src[list(gens)], np.ones((len(gens), t, 1, 1)), mu)
         if validate and residuals[2] != 0.0:
             raise MeasureError("point measure is not invariant under the action")
         super().__init__(group, AlgebraShape(1, tuple(mu)), "permutation", gens)
@@ -796,8 +785,9 @@ class PermutationAction(Action):
         vals = np.asarray(self.haar.weights, dtype=complex) @ x.vec()[self._src]
         return AlgebraElement(self.shape, vals.reshape(-1, 1, 1), copy=False)
 
-    def sampled_structure(self) -> tuple[np.ndarray, None]:
-        return self._src[[int(g) for g in self.sample_elements]], None
+    def character(self) -> np.ndarray:
+        """The number of atoms that g keeps."""
+        return (self._src == np.arange(self._src.shape[1])).sum(axis=1)
 
 
 def left_translation_action(G: FiniteGroup, mu=None) -> PermutationAction:
@@ -1216,12 +1206,12 @@ class WaveletAction(Action):
         row's support (contiguous, as the grid increases)."""
         t = self.octave_grid
         d = t - np.asarray(centers, dtype=float)[:, None]
-        v = np.exp(-0.5 * (d / np.asarray(widths, dtype=float)[:, None]) ** 2)
-        v = v * np.exp(2j * np.pi * np.asarray(modulations, dtype=float)[:, None] * t)
-        outside = np.abs(d) > self.design.support_octaves
-        v[outside] = 0.0
-        lo = outside.argmin(axis=1)
-        return v, np.stack([lo, lo + t.size - outside.sum(axis=1)], axis=1)
+        inside = np.abs(d) <= self.design.support_octaves
+        v = np.exp(-0.5 * (d / np.asarray(widths, dtype=float)[:, None]) ** 2, out=np.zeros(d.shape), where=inside)
+        v = v * np.exp(2j * np.pi * np.asarray(modulations, dtype=float)[:, None] * t,
+                       out=np.zeros(d.shape, dtype=complex), where=inside)
+        lo = inside.argmax(axis=1)
+        return v, np.stack([lo, lo + inside.sum(axis=1)], axis=1)
 
     def random_positive(self, rng: np.random.Generator) -> AlgebraElement:
         """Positive element: a few random smooth bumps plus a small spectral floor."""
@@ -1316,56 +1306,39 @@ class WaveletAction(Action):
 # structural checkers
 
 
-def _product(a, b):
-    """a @ b, with None standing for the identity."""
-    return b if a is None else a if b is None else a @ b
-
-
 def fixed_point_dimension(action: Action, tol: float = 1e-8) -> int:
-    """Dimension of {x : g.x = x for the sampled elements g}; 1 means ergodic.
+    """Dimension of {x : g.x = x for every g}; 1 means ergodic.
 
-    Reads ``action.sampled_structure()``: block j of g.x is
-    U[g, j] x[src[g, j]] U[g, j]* for the sampled g.  Without unitaries the
-    action permutes atoms and the count is the number of orbits, by
-    union-find (integer work, no tolerance).  Otherwise a fixed x is set on
-    each orbit of the blocks by its block at a root r: a breadth-first search
-    transports V_r = 1 along the edges j <- k = src[g, j] (V_j = U V_k, or
-    V_k = U* V_j) and gives x_j = V_j x_r V_j*.  Every edge then asks x_r to
-    commute with its holonomy V_j* U V_k, so the orbit counts the commutant
-    of its holonomies (see commutant_certificate for the tolerance and its
-    margins), and the orbit counts add up.  On a single block the holonomies
-    are the sampled unitaries themselves.
+    On a finite group of order N, Burnside's lemma: the mean P of the maps
+    rho(g): x -> g.x projects onto the fixed points, whose dimension is
+    tr P, the mean of ``action.character()``, rounded.  A conjugation is
+    built with ||ph|^2 - 1| <= 1e-11 and U[a, j] U[b, src[a, j]] =
+    c U[ab, j] + D, max|D| <= 1e-11, on every pair up to order 24 and 576
+    drawn pairs beyond (the bound takes every pair).  P and Q then share
+    every row, and ``_law_bound`` with r(D) <= 1e-11, r(P), r(Q) <=
+    1 + 1.1e-11 and ||c|^2 - 1| <= 5.1e-11 gives eps = sup|a.(b.x) - (ab).x|
+    / max|x| < 1e-10.  So P^2 - P, the mean of rho(a) rho(b) - rho(ab) over
+    all pairs, has norm below eps, each eigenvalue l of P has
+    |l^2 - l| < eps, within 2 eps of 0 or 1, and tr P lies within 2 d eps
+    of an integer, d = t n^2.  The sums round by at most
+    (2 n + t + log2 N + 4) eps_mach d (|tr U|^2 <= n^2 by (2 n + 2) eps_mach,
+    then t blocks and N elements).  A mean farther than both from an
+    integer is no group action: ActionError.
+
+    On a quadrature group, the commutant of the sampled unitaries of its one
+    block (commutant_certificate, which explains ``tol``).
     """
-    src, U = action.sampled_structure()
-    t, rows = src.shape[1], src.tolist()
-    if U is None:
-        return _union_find(t, [(j, k) for row in rows for j, k in enumerate(row) if j != k])[0]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(t)]
-    for g, row in enumerate(rows):
-        for j, k in enumerate(row):
-            adj[j].append((g, j))
-            if k != j:
-                adj[k].append((g, j))
-    V: dict[int, np.ndarray | None] = {}  # transport to each reached block
-    total = 0
-    for root in range(t):
-        if root in V:
-            continue
-        V[root] = None
-        orbit = [root]
-        for b in orbit:
-            for g, j in adj[b]:
-                k = rows[g][j]
-                if k not in V:
-                    V[k] = _product(U[g, j].conj().T, V[j])
-                    orbit.append(k)
-                elif j not in V:
-                    V[j] = _product(U[g, j], V[k])
-                    orbit.append(j)
-        holonomies = [_product(_product(None if V[j] is None else V[j].conj().T, U[g, j]), V[rows[g][j]])
-                      for j in orbit for g in range(len(rows))]
-        total += commutant_certificate(holonomies, tol).dimension
-    return total
+    if not isinstance(action.group, FiniteGroup):
+        return commutant_certificate(action.sampled_structure()[1][:, 0], tol).dimension
+    chi = action.character()
+    mean = float(np.mean(chi))
+    count = round(mean)
+    t, n, _ = action.shape.blocks_shape
+    bound = action.shape.total_dim * (2e-10 + (2 * n + t + math.log2(len(chi)) + 4) * np.finfo(float).eps)
+    if abs(mean - count) > bound:
+        raise ActionError(f"the character averages {mean!r}, {abs(mean - count):.3e} from an "
+                          f"integer against the bound {bound:.3e}: not a group action")
+    return count
 
 
 def is_trace_preserving(action: Action, scenario: str = "") -> CheckReport:

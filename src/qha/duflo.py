@@ -293,7 +293,7 @@ def check_action_validity(action: Action, *, scenario: str = "") -> CheckReport:
 
 
 def check_ergodicity(action: Action, quadrature: bool, *, scenario: str = "") -> CheckReport:
-    """Fixed-point dimension of the sampled elements, which must be 1."""
+    """Fixed-point dimension of the action, which must be 1."""
     return CheckReport.equality(
         "ergodicity", CLAIMS["ergodicity"], float(fixed_point_dimension(action)), 1.0, tol_rel=0.0,
         tol_abs=0.0, scenario=scenario, notes="sampled generating set" if quadrature else "generators")

@@ -133,9 +133,9 @@ _CYCLIC_RE = re.compile(r"^cyclic\((\d+)\)$")
 
 
 def parse_group_token(tok: str) -> FiniteGroup:
-    """Parse 'cyclic(N)', 's3', or products like 'cyclic(2)xcyclic(4)'."""
+    """Parse 'cyclic(N)', 's3', or products of these like 's3xcyclic(2)'."""
     tok = tok.strip()
-    if "x" in tok and not tok.startswith("s"):
+    if "x" in tok:
         parts = tok.split("x")
         groups = [parse_group_token(p) for p in parts]
         g = groups[0]
@@ -148,7 +148,7 @@ def parse_group_token(tok: str) -> FiniteGroup:
     if tok == "s3":
         return symmetric(3)
     raise ConfigError(
-        f"unknown group {tok!r}; valid forms: cyclic(N), s3, cyclic(A)xcyclic(B)"
+        f"unknown group {tok!r}; valid forms: cyclic(N), s3 and products joined by x, as s3xcyclic(2)"
     )
 
 

@@ -11,7 +11,6 @@ import numpy as np
 
 import qha.duflo
 from qha.actions import (
-    DENSE_LIMIT,
     ActionError,
     ConjugationAction,
     PermutationAction,
@@ -20,7 +19,6 @@ from qha.actions import (
     _law_bound,
     _row_gain,
     _sample_pairs,
-    _stacked_nullity,
     finite_weyl_heisenberg,
 )
 from qha.algebra import (
@@ -434,6 +432,16 @@ def loop_trace_pairing(a, b):
 
 
 
+# Largest linearized dimension for which a dense SVD nullity is computed.
+DENSE_LIMIT = 600
+
+
+def _stacked_nullity(maps, tol):
+    """Common nullspace dimension of linear maps, by the SVD of their stack."""
+    s = np.linalg.svd(np.vstack(maps), compute_uv=False)
+    return int(np.sum(s <= tol))
+
+
 def dense_fixed_point_dimension(action, tol=1e-8):
     """Oracle count: singular values at most ``tol`` of the linearized g.x - x
     stacked over the sampled g, for algebras of dimension up to DENSE_LIMIT."""
@@ -574,8 +582,8 @@ class DenseConjugation:
     that need not be monomial, on blocks of weight 1: the hooks that
     ``fixed_point_dimension``, ``dense_fixed_point_dimension`` and
     ``probe_homomorphism_defect`` read.  ``ConjugationAction`` holds only
-    monomial stacks, whose transports map diagonal blocks to diagonal
-    blocks; this stand-in lets the counts see transports that do not."""
+    monomial stacks; this stand-in lets the counts see blocks that are not,
+    and tables that do not compose, which the builder would reject."""
 
     def __init__(self, group, U, src):
         self.group, self.U, self.src = group, np.asarray(U, dtype=complex), np.asarray(src)
@@ -589,9 +597,10 @@ class DenseConjugation:
     def random_element(self, rng):
         return random_element(self.shape, rng)
 
-    def sampled_structure(self):
-        gens = list(self.sample_elements)
-        return self.src[gens], self.U[gens]
+    def character(self):
+        """The sum over the blocks j that g keeps of |tr U[g, j]|^2."""
+        kept = self.src == np.arange(self.src.shape[1])
+        return (np.abs(np.trace(self.U, axis1=-2, axis2=-1)) ** 2 * kept).sum(axis=1)
 
 
 # loop_monomial_classes of each action, held no longer than the action

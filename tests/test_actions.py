@@ -1412,6 +1412,16 @@ class TestErgodicityCount:
         act = build_scenario(ScenarioSpec(sid, seed=1729)).action
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 1
 
+    @pytest.mark.parametrize("sid", ORACLE_IDS)
+    def test_character_is_the_trace_of_apply(self, sid):
+        # trace(x -> g.x) over the matrix-unit basis: the coefficient of e_k
+        # in g.e_k, summed over k, at every element
+        act = build_scenario(ScenarioSpec(sid, seed=1729)).action
+        basis = list(act.shape.basis())
+        direct = [sum(act.apply(g, e).vec()[k] for k, e in enumerate(basis))
+                  for g in act.group.elements()]
+        assert np.abs(act.character() - np.array(direct)).max() < 1e-12 * act.shape.total_dim
+
     @pytest.mark.parametrize("act", [
         conjugation_action(*weyl_heisenberg(3)),
         dual_action(product(cyclic(5), cyclic(5)), 2),
@@ -1421,7 +1431,12 @@ class TestErgodicityCount:
         rng = np.random.default_rng(16)
         x = random_element(act.shape, rng)
         blocks = x.blocks
-        src, unitaries = act.sampled_structure()
+        if isinstance(act, WaveletAction):
+            src, unitaries = act.sampled_structure()
+        else:
+            # the sampled rows of the tables, as the structure residuals read them
+            gens = list(act.sample_elements)
+            src, unitaries = act._src[gens], act.unitaries[gens].dense()
         for g, row, Us in zip(act.sample_elements, src, unitaries):
             direct = AlgebraElement(act.shape, [U @ blocks[k] @ U.conj().T for k, U in zip(row, Us)])
             assert sup_distance(act.apply(g, x), direct) < 1e-10
@@ -1430,21 +1445,21 @@ class TestErgodicityCount:
         # std + sign of s3: the generic element has a simple spectrum, the
         # rotated unitaries stay block diagonal, so the graph has 2 components
         G, reps = s3_irreps()
-        act = conjugation_action(G, _direct_sum(reps["std"], reps["sign"]))
-        cert = commutant_certificate(act.sampled_structure()[1][:, 0])
-        assert cert.method == "spectral"
+        mats = _direct_sum(reps["std"], reps["sign"])
+        act = conjugation_action(G, mats)
+        cert = commutant_certificate(mats)
         assert cert.dimension == 2
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 2
 
-    def test_degenerate_spectrum_takes_dense_count(self):
+    def test_degenerate_spectrum_counts_by_character(self):
         # std (x) 1_2: every element of the generated algebra is doubly
-        # degenerate; the commutant 1 (x) M_2 has dimension 4
+        # degenerate, so the spectral commutant count refuses it and names
+        # the gap; the character counts the commutant 1 (x) M_2, dimension 4
         G, reps = s3_irreps()
         mats = np.array([np.kron(U, np.eye(2)) for U in reps["std"]])
         act = conjugation_action(G, mats)
-        cert = commutant_certificate(act.sampled_structure()[1][:, 0])
-        assert cert.method == "dense-svd"
-        assert cert.dimension == 4
+        with pytest.raises(ActionError, match="relative gap"):
+            commutant_certificate(mats)
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 4
 
     def test_trivial_rep_dim2(self):
@@ -1470,11 +1485,10 @@ class TestErgodicityCount:
         # the generator of cyclic(4) swaps two 2 x 2 blocks and conjugates them
         # by A and B = A* Z, Z = diag(1, -1); its square conjugates block 0 by
         # A B = Z, so a fixed x has x_0 = Z x_0 Z, a diagonal matrix.  theta = 0
-        # is A = 1; the rotation A = R(theta) moves the transport off the
-        # identity, where reversing an edge (U V instead of U* V) changes the count
-        # (a monomial transport maps diagonal blocks to diagonal blocks and
-        # cannot show it).  A = R(theta) is not monomial, so the dense
-        # stand-in carries the action to the counts.
+        # is A = 1; the rotation A = R(theta) gives blocks with no zero
+        # entry, whose traces the character sums over whole diagonals.
+        # A = R(theta) is not monomial, so the dense stand-in carries the
+        # action to the counts.
         c, s = np.cos(theta), np.sin(theta)
         A, Z = np.array([[c, -s], [s, c]]), np.diag([1.0, -1.0])
         gen, gen_src = np.array([A, A.T @ Z]), np.array([1, 0])
@@ -1490,9 +1504,35 @@ class TestErgodicityCount:
             assert homomorphism_defect(act) < 1e-14
             assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 2
 
-    def test_large_degenerate_action_raises(self):
+    def test_large_degenerate_action_counts(self):
+        # the trivial action on M_25 fixes every element: the character is
+        # 625 = n^2 at both elements, past the reach of the dense oracle
         act = conjugation_action(cyclic(2), trivial_rep(cyclic(2), dim=25))
-        with pytest.raises(ActionError, match="relative gap"):
+        assert fixed_point_dimension(act) == 625
+
+    def test_phases_perturbed_below_the_thresholds_still_count(self):
+        # moduli 1 + 4e-12 and angles within 2e-12 keep ||ph|^2 - 1| and the
+        # product residuals of wh:4 below the 1e-11 the builder accepts; the
+        # mean character stays 1 within the bound of fixed_point_dimension
+        tables = finite_weyl_heisenberg(4)
+        rng = np.random.default_rng(29)
+        phase = tables.phase * (1 + 4e-12) * np.exp(1j * rng.uniform(-2e-12, 2e-12, tables.shape))
+        phase[0] = 1.0
+        act = conjugation_action(product(cyclic(4), cyclic(4)), MonomialStack(tables.perm, phase))
+        assert fixed_point_dimension(act) == 1
+        assert abs(np.mean(act.character()) - 1.0) <= 2e-10 * act.shape.total_dim
+
+    @pytest.mark.parametrize("case", ["sources", "unitaries"])
+    def test_tables_that_do_not_compose_raise(self, case):
+        # sources: element 2 = 1 + 1 of cyclic(3) swaps the blocks as 1 does,
+        # so the character averages 2/3.  unitaries: diag(1, exp(i)) squares
+        # to no multiple of 1, and the character averages 3 + cos(1)
+        if case == "sources":
+            act = DenseConjugation(cyclic(3), np.ones((3, 2, 1, 1)), np.array([[0, 1], [1, 0], [1, 0]]))
+        else:
+            act = DenseConjugation(cyclic(2), np.array([[np.eye(2)], [np.diag([1.0, np.exp(1j)])]]),
+                                   np.zeros((2, 1), dtype=int))
+        with pytest.raises(ActionError, match="not a group action"):
             fixed_point_dimension(act)
 
     @pytest.mark.parametrize("preset", ["coarse", "default", "small"])
@@ -1503,7 +1543,6 @@ class TestErgodicityCount:
             act = build_scenario(ScenarioSpec(f"affine-wavelet:{preset}")).action
         tol = 1e-8
         cert = commutant_certificate(act.sampled_structure()[1][:, 0], tol)
-        assert cert.method == "spectral"
         assert cert.dimension == fixed_point_dimension(act) == 1
         assert cert.noise_floor * CERTIFICATE_MARGIN <= tol
         assert cert.min_coupling > 1e3 * tol

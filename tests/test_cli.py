@@ -33,6 +33,10 @@ class TestVerify:
         assert code == 0
         assert "failed: 0" in out
 
+    def test_translation_of_s3_product_passes(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--scenario", "translation:s3xcyclic(2)")
+        assert code == 0
+
     def test_broken_fixture_exits_one(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--scenario", "broken-measure")
         assert code == 1

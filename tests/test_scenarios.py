@@ -12,6 +12,7 @@ from qha.scenarios import (
     builtin,
     list_builtins,
     load_scenario,
+    parse_group_token,
     refined_wavelet,
     save_scenario,
 )
@@ -65,6 +66,10 @@ class TestBuiltins:
     def test_bad_group_name_lists_valid_forms(self):
         with pytest.raises(ConfigError, match="valid forms"):
             build_scenario(ScenarioSpec("translation:dihedral(8)"))
+
+    @pytest.mark.parametrize("tok", ["s3xcyclic(2)", "cyclic(2)xs3"])
+    def test_s3_products_parse_in_either_order(self, tok):
+        assert parse_group_token(tok).order == 12
 
     def test_wavelet_presets(self):
         for preset in ("coarse", "default"):

@@ -42,8 +42,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -300,8 +300,7 @@ CERTIFICATE_MARGIN = 10.0
 _GENERIC_SEED = 0x51A
 
 
-@dataclass(frozen=True)
-class CommutantCertificate:
+class CommutantCertificate(NamedTuple):
     """A commutant dimension with the margins behind it.
 
     ``rel_gap`` is the smallest eigenvalue gap of the generic element over
@@ -396,8 +395,7 @@ def commutant_certificate(matrices, tol: float = 1e-8) -> CommutantCertificate:
 # actions
 
 
-@dataclass(frozen=True)
-class ActionStructure:
+class ActionStructure(NamedTuple):
     """Structural residuals of an action, worked out from its generators.
 
     Each bounds what a randomized probe of its law can see, up to the
@@ -882,8 +880,7 @@ def induced_action(G: FiniteGroup, h_indices, inner: Action, iso) -> Permutation
 # wavelet action on a log-frequency grid
 
 
-@dataclass(frozen=True)
-class WaveletDesign:
+class WaveletDesign(NamedTuple):
     """Grid parameters for the scaling-and-shift quadrature scenario.
 
     Frequencies live on a log-uniform grid with ``steps_per_octave`` points

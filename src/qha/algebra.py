@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,23 +67,29 @@ class ParameterError(AlgebraError, ValueError):
     """Invalid numeric parameter, e.g. a norm exponent below 1."""
 
 
-@dataclass(frozen=True)
-class AlgebraShape:
-    """Block structure: t = len(trace_weights) blocks of size block_dim, and
-    the trace weight of each block."""
-
+class _ShapeFields(NamedTuple):
     block_dim: int
     trace_weights: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.trace_weights) == 0:
+
+class AlgebraShape(_ShapeFields):
+    """Block structure: t = len(trace_weights) blocks of size block_dim, and
+    the trace weight of each block."""
+
+    __slots__ = ()
+
+    def __new__(cls, block_dim: int, trace_weights) -> AlgebraShape:
+        if len(trace_weights) == 0:
             raise ShapeMismatchError("algebra needs at least one block")
-        if int(self.block_dim) < 1 or int(self.block_dim) != self.block_dim:
+        if int(block_dim) < 1 or int(block_dim) != block_dim:
             raise ShapeMismatchError("block dimension must be a positive integer")
-        if any(not (w > 0) for w in self.trace_weights):
-            raise ShapeMismatchError("trace weights must be positive")
-        object.__setattr__(self, "block_dim", int(self.block_dim))
-        object.__setattr__(self, "trace_weights", tuple(float(w) for w in self.trace_weights))
+        if any(not 0 < w < math.inf for w in trace_weights):
+            raise ShapeMismatchError("trace weights must be positive and finite")
+        return super().__new__(cls, int(block_dim), tuple(float(w) for w in trace_weights))
+
+    @classmethod
+    def _make(cls, fields) -> AlgebraShape:  # _replace builds through _make: validate there too
+        return cls(*fields)
 
     @property
     def blocks_shape(self) -> tuple[int, int, int]:

@@ -10,7 +10,6 @@ trial, and its integral and norms give one value per trial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -24,23 +23,24 @@ class InverseClosureError(Exception):
     """The quadrature node set is not closed under inversion."""
 
 
-@dataclass(frozen=True)
 class BracketFunction:
     """Sampled bracket values with their integration weights: one value per
-    node, or one row of them per trial."""
+    node, or one row of them per trial.  Immutable, with read-only arrays."""
 
-    values: np.ndarray
-    weights: np.ndarray
+    __slots__ = ("values", "weights")
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=complex)
-        w = np.asarray(self.weights, dtype=float)
+    def __init__(self, values, weights):
+        v = np.asarray(values, dtype=complex)
+        w = np.asarray(weights, dtype=float)
         if v.shape[-1:] != w.shape or w.ndim != 1 or v.ndim > 2:
             raise ParameterError("need one value and one weight per node")
         v.setflags(write=False)
         w.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "weights", w)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BracketFunction is immutable")
 
     def __len__(self) -> int:
         """The node count."""

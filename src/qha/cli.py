@@ -6,10 +6,9 @@ Exit codes: 0 all checks passed, 1 at least one check or estimate failed,
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -28,11 +27,13 @@ from .scenarios import (
     refined_wavelet,
 )
 
+if TYPE_CHECKING:  # imported on use, see _parser
+    import argparse
+
 ENV_SEED = "QHA_SEED"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """One resolved invocation: a command, scenario sources, output surface."""
 
     command: str
@@ -44,6 +45,7 @@ class RunConfig:
 
 
 def _parser() -> argparse.ArgumentParser:
+    import argparse  # loaded only when a command line is parsed
     ap = argparse.ArgumentParser(
         prog="qha",
         description="Verify scaling-operator laws on builtin and configured scenarios.",

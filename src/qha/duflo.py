@@ -30,6 +30,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -643,8 +644,7 @@ def _pairs(trials: int) -> int:
     return max(4, trials // 4)
 
 
-@dataclass(frozen=True)
-class SuiteCheck:
+class SuiteCheck(NamedTuple):
     """One entry of the suite: the worst report of a few seeded trials.
 
     Each trial draws one element per entry of ``draws`` ("positive" or

@@ -18,11 +18,11 @@ identifiers:
 
 from __future__ import annotations
 
-import configparser
 import math
+import numbers
 import re
 import zlib
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -50,6 +50,9 @@ from .groups import (
     symmetric,
 )
 
+if TYPE_CHECKING:  # imported on use, see _parser
+    import configparser
+
 DEFAULT_SEED = 1729
 
 
@@ -57,22 +60,30 @@ class ConfigError(Exception):
     """Unresolvable scenario identifier or invalid scenario file."""
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """Declarative scenario description; ``build_scenario`` produces the runtime object."""
-
+class _SpecFields(NamedTuple):
     scenario_id: str
     seed: int = DEFAULT_SEED
     tol_rel: float | None = None
 
-    def __post_init__(self):
+
+class ScenarioSpec(_SpecFields):
+    """Declarative scenario description; ``build_scenario`` produces the runtime object."""
+
+    __slots__ = ()
+
+    def __new__(cls, scenario_id, seed=DEFAULT_SEED, tol_rel=None) -> ScenarioSpec:
         # numpy seeds take non-negative integers only
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         # 0, a negative or nan tolerance fails every equality row, inf passes them all
-        if self.tol_rel is not None and not 0.0 < self.tol_rel < math.inf:
+        if tol_rel is not None and not 0.0 < tol_rel < math.inf:
             raise ConfigError("relative tolerance (--tol-rel, [tolerances] rel) must be finite "
-                              f"and greater than 0, got {self.tol_rel}")
+                              f"and greater than 0, got {tol_rel}")
+        return super().__new__(cls, scenario_id, seed, tol_rel)
+
+    @classmethod
+    def _make(cls, fields) -> ScenarioSpec:  # _replace builds through _make: validate there too
+        return cls(*fields)
 
 
 class Scenario:
@@ -368,6 +379,7 @@ _SECTION_KEYS = {
 
 
 def _parser() -> configparser.ConfigParser:
+    import configparser  # loaded only when a scenario file is read or written
     return configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
 
 
@@ -438,6 +450,7 @@ def load_scenario(path) -> ScenarioSpec:
     Unknown sections or keys are rejected, ``#`` starts a comment, and a
     missing tolerance falls back to the family default.
     """
+    import configparser
     cp = _parser()
     try:
         read = cp.read(path)

@@ -115,6 +115,15 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
         assert code == 0, err
 
+    @pytest.mark.parametrize("text", ["id = wh:2\n", "[scenario]\nid = wh:2\nid = wh:3\n"],
+                             ids=["no-section-header", "duplicate-key"])
+    def test_unparsable_file_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "broken.ini"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--scenario", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot parse scenario file")
+
     def test_bad_seed_in_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.ini"
         path.write_text("[scenario]\nid = wh:3\nseed = abc\n")

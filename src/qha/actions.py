@@ -1338,14 +1338,14 @@ def fixed_point_dimension(action: Action, tol: float = 1e-8) -> int:
     return count
 
 
-def is_trace_preserving(action: Action, scenario: str = "") -> CheckReport:
+def is_trace_preserving(action: Action, *, tol: float) -> CheckReport:
     """Report whether the trace is invariant under the sampled action
-    elements, from the trace residual of ``action.structure``."""
+    elements, from the trace residual of ``action.structure``, to ``tol``."""
     defect = action.structure.trace
     return CheckReport.bound(
         "trace-preservation",
         "trace(g.x) equals trace(x) over sampled g and a basis of x",
-        defect, 0.0, tol_rel=0.0, tol_abs=1e-10, scenario=scenario,
+        defect, 0.0, tol_rel=0.0, tol_abs=tol,
         notes=f"defect={defect:.3e} certificate={action.structure.certificate}",
     )
 

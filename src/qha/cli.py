@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .duflo import EstimateError, estimate_duflo, check_semi_invariance, run_check, run_suite, suite_entry
+from .duflo import EstimateError, estimate_duflo, run_check, run_suite, suite_entry
 # not called here (refine runs the suite's entries); benchmarks/selftest.py checks this binding
 from .duflo import check_orthogonality  # noqa: F401
 from .reports import all_passed
@@ -165,12 +165,12 @@ def cmd_duflo(cfg: RunConfig) -> int:
     for spec in cfg.specs:
         scn = build_scenario(spec)
         try:
-            est = estimate_duflo(scn.action, *scn.duflo_pair(), cross_tol=scn.cross_tol)
+            est = estimate_duflo(scn.action, *scn.duflo_pair(), cross_tol=scn.tolerances["duflo-estimate"])
         except EstimateError as exc:
             lines.append(f"== {spec.scenario_id}: estimate failed: {exc}")
             code = 1
             continue
-        semi = check_semi_invariance(scn.action, est, tol_rel=scn.tol_rel, scenario=spec.scenario_id)
+        semi, = run_check(suite_entry("semi-invariance"), scn, est, None, 1)
         lines.append(f"== {spec.scenario_id}")
         spectra = np.sort(1.0 / est.eigenvalues, axis=1)
         for k, spectrum in enumerate(spectra):

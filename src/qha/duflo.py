@@ -91,6 +91,11 @@ HOLDER_GRID: tuple[tuple[float, float, float], ...] = (
 )
 INTERPOLATION_EXPONENTS: tuple[float, ...] = (1.0, 4 / 3, 2.0, 4.0, math.inf)
 ALT_POWERS: tuple[int, ...] = (1, 2, 3, 4)
+# Hypotheses, not row tolerances: a check raises ParameterError when an
+# exponent triple misses its relation by more than EXPONENT_SLACK, or when the
+# y of the convolution inequality fails to commute with D to COMMUTE_SLACK.
+EXPONENT_SLACK = 1e-12
+COMMUTE_SLACK = 1e-9
 # The one claim of every row of SUITE but trace-preservation, whose claim is
 # with is_trace_preserving; every report of the row carries it, failed or
 # skipped, with the particulars of the trial in its notes.
@@ -284,20 +289,19 @@ def _orbit_density(action: Action, x_test: AlgebraElement) -> AlgebraElement:
 # individual checks, one per row
 
 
-def check_action_validity(action: Action, *, scenario: str = "") -> CheckReport:
+def check_action_validity(action: Action, *, tol: float) -> CheckReport:
     """Group-law, *-automorphism and isometry residuals of ``action.structure``."""
     hom, aut, iso = homomorphism_defect(action), automorphism_defect(action), isometry_defect(action)
     return CheckReport.bound(
-        "action-validity", CLAIMS["action-validity"], max(hom, aut, iso), 0.0, tol_rel=0.0,
-        tol_abs=1e-9, scenario=scenario,
+        "action-validity", CLAIMS["action-validity"], max(hom, aut, iso), 0.0, tol_rel=0.0, tol_abs=tol,
         notes=f"hom={hom:.2e} aut={aut:.2e} iso={iso:.2e} certificate={action.structure.certificate}")
 
 
-def check_ergodicity(action: Action, quadrature: bool, *, scenario: str = "") -> CheckReport:
-    """Fixed-point dimension of the action, which must be 1."""
+def check_ergodicity(action: Action, quadrature: bool) -> CheckReport:
+    """Fixed-point dimension of the action, which must be 1, exactly."""
     return CheckReport.equality(
         "ergodicity", CLAIMS["ergodicity"], float(fixed_point_dimension(action)), 1.0, tol_rel=0.0,
-        tol_abs=0.0, scenario=scenario, notes="sampled generating set" if quadrature else "generators")
+        notes="sampled generating set" if quadrature else "generators")
 
 
 def _worst(reports: list[CheckReport]) -> CheckReport:
@@ -316,77 +320,63 @@ def _per_trial(value, trials: int) -> list:
     return list(value) if np.ndim(value) else [value] * trials
 
 
-def check_integrability(action: Action, x: AlgebraElement, *, scenario: str = "") -> CheckReport:
-    """The bracket integral of a positive element is finite and positive."""
+def check_integrability(action: Action, x: AlgebraElement, *, tol: float) -> CheckReport:
+    """The bracket integral of a positive element is finite and positive, its
+    imaginary part at most ``tol`` relative."""
     x = as_stack(x)
     reports = []
     for w in action.bracket_integral(x, x).tolist():
-        ok = math.isfinite(w.real) and w.real > 0 and abs(w.imag) <= 1e-9 * (1 + abs(w.real))
+        ok = math.isfinite(w.real) and w.real > 0 and abs(w.imag) <= tol * (1 + abs(w.real))
         reports.append(CheckReport.flag("integrability-witness", CLAIMS["integrability-witness"], ok,
-                                        scenario=scenario, notes=f"value={w.real:.6e}"))
+                                        notes=f"value={w.real:.6e}"))
     return _worst(reports)
 
 
-def check_estimate(est: DufloEstimate | EstimateError, cross_tol: float,
-                   *, scenario: str = "") -> CheckReport:
+def check_estimate(est: DufloEstimate | EstimateError, *, tol: float) -> CheckReport:
     """Cross-check residual of the estimate, or the failure that stopped it."""
     if isinstance(est, EstimateError):
-        return CheckReport.flag("duflo-estimate", CLAIMS["duflo-estimate"], False,
-                                scenario=scenario, notes=str(est))
+        return CheckReport.flag("duflo-estimate", CLAIMS["duflo-estimate"], False, notes=str(est))
     cross = est.cross_check_residual
     return CheckReport.bound(
-        "duflo-estimate", CLAIMS["duflo-estimate"], cross, 0.0, tol_rel=0.0, tol_abs=cross_tol,
-        scenario=scenario,
+        "duflo-estimate", CLAIMS["duflo-estimate"], cross, 0.0, tol_rel=0.0, tol_abs=tol,
         notes=f"min_eig={est.min_eigenvalue:.3e} cross={cross:.3e} scalar={est.scalar_flag}")
 
 
-def check_scalar_form(est: DufloEstimate, *, scenario: str = "") -> CheckReport:
+def check_scalar_form(est: DufloEstimate, *, tol: float) -> CheckReport:
     """Off-scalar residual of D, which vanishes on a unimodular group."""
     off = est.off_scalar_residual
     return CheckReport.bound("duflo-scalar-form", CLAIMS["duflo-scalar-form"], off, 0.0, tol_rel=0.0,
-                             tol_abs=1e-9, scenario=scenario, notes=f"off-scalar residual={off:.3e}")
+                             tol_abs=tol, notes=f"off-scalar residual={off:.3e}")
 
 
-def check_expected_scalar(est: DufloEstimate, expected: float, tol: float,
-                          *, scenario: str = "") -> CheckReport:
+def check_expected_scalar(est: DufloEstimate, expected: float, *, tol: float) -> CheckReport:
     """trace(D) / trace(1) against the scenario's analytic scalar."""
     lhs = est._scalar_form[0]
     return CheckReport.equality("duflo-expected-scalar", CLAIMS["duflo-expected-scalar"], lhs, expected,
-                                tol_rel=tol, scenario=scenario,
-                                notes=f"off-scalar residual={est.off_scalar_residual:.3e}")
+                                tol_rel=tol, notes=f"off-scalar residual={est.off_scalar_residual:.3e}")
 
 
-def check_expected_kernel(action: Action, est: DufloEstimate, tol: float,
-                          *, scenario: str = "") -> CheckReport:
+def check_expected_kernel(action: Action, est: DufloEstimate, *, tol: float) -> CheckReport:
     """Residual of the action's fit of D^{-1} by its ``expected_kernel``."""
     c, res = action.expected_kernel_fit(est.d_inverse)
     return CheckReport.bound("duflo-expected-kernel", CLAIMS["duflo-expected-kernel"], res, 0.0,
-                             tol_rel=0.0, tol_abs=tol, scenario=scenario,
-                             notes=f"fit={c:.6e} residual={res:.3e} (weak pairing)")
+                             tol_rel=0.0, tol_abs=tol, notes=f"fit={c:.6e} residual={res:.3e} (weak pairing)")
 
 
 def check_bracket_symmetry(x: AlgebraElement, y: AlgebraElement, action: Action,
-                           *, scenario: str = "") -> CheckReport:
+                           *, tol: float) -> CheckReport:
     """Defect of <x|y>(g^{-1}) = conj(<y|x>(g)); skipped on a grid not closed under inverses."""
     claim = CLAIMS["bracket-symmetry"]
     try:
         defects = bracket_symmetry_defect(as_stack(x), as_stack(y), action)
     except InverseClosureError as exc:
-        return CheckReport.skip("bracket-symmetry", claim, str(exc), scenario=scenario)
-    return _worst([CheckReport.bound("bracket-symmetry", claim, defect, 0.0, tol_rel=0.0, tol_abs=1e-10,
-                                     scenario=scenario) for defect in defects.tolist()])
+        return CheckReport.skip("bracket-symmetry", claim, str(exc))
+    return _worst([CheckReport.bound("bracket-symmetry", claim, defect, 0.0, tol_rel=0.0, tol_abs=tol)
+                   for defect in defects.tolist()])
 
 
-def check_orthogonality(
-    action: Action,
-    est: DufloEstimate,
-    x: AlgebraElement,
-    y: AlgebraElement,
-    *,
-    positive: bool = True,
-    tol_rel: float = 1e-9,
-    scenario: str = "",
-) -> CheckReport:
+def check_orthogonality(action: Action, est: DufloEstimate, x: AlgebraElement, y: AlgebraElement,
+                        *, positive: bool = True, tol: float) -> CheckReport:
     """Integrated bracket against trace(x) * trace(D^{-1/2} y D^{-1/2}).
 
     The right-hand side is taken as trace(x) * trace(D^{-1} y), the same
@@ -404,26 +394,19 @@ def check_orthogonality(
     # the scale against which a vanishing integral counts as exact
     mass = action.haar.mass
     scales = [mass * nx * ny for nx, ny in zip(p_norm(x, 2.0).tolist(), p_norm(y, 2.0).tolist())]
-    return _worst([CheckReport.equality(name, CLAIMS[name], l, r, tol_rel=tol_rel, tol_abs=tol_rel * scale,
-                                        scenario=scenario) for l, r, scale in zip(lhs, rhs, scales)])
+    return _worst([CheckReport.equality(name, CLAIMS[name], l, r, tol_rel=tol, tol_abs=tol * scale)
+                   for l, r, scale in zip(lhs, rhs, scales)])
 
 
-def check_semi_invariance(
-    action: Action,
-    est: DufloEstimate,
-    *,
-    tol_rel: float = 1e-9,
-    scenario: str = "",
-) -> CheckReport:
-    """Defect of g.D = Delta(g)^{-1} D over the sampled elements.
+def check_semi_invariance(action: Action, est: DufloEstimate, *, tol: float) -> CheckReport:
+    """Defect of g.D = Delta(g)^{-1} D over the sampled elements, at most ``tol``.
 
     Exact finite models compare matrices entrywise; a quadrature model
     compares in its own weak sense (Action.semi_invariance_defect).
     """
     worst = action.semi_invariance_defect(est)
     return CheckReport.bound(
-        "semi-invariance", CLAIMS["semi-invariance"],
-        worst, 0.0, tol_rel=0.0, tol_abs=tol_rel, scenario=scenario,
+        "semi-invariance", CLAIMS["semi-invariance"], worst, 0.0, tol_rel=0.0, tol_abs=tol,
         notes=f"defect={worst:.3e}{action.comparison_note}",
     )
 
@@ -438,19 +421,18 @@ def admissibility_tol(est: DufloEstimate) -> float:
 
 
 def check_admissibility(y: AlgebraElement, est: DufloEstimate,
-                        tol: float | None = None) -> tuple[bool, float] | tuple[np.ndarray, np.ndarray]:
+                        *, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Value trace(D^{-1/2} y D^{-1/2}) plus both density-weight identities.
 
     Checks trace(D^{-1} y) = trace(D^{-1/2} y D^{-1/2}) and the round trip
     trace(D^{1/2} (D^{-1/2} y D^{-1/2}) D^{1/2}) = trace(y), to relative
-    ``tol`` (default ``admissibility_tol``).  Every element is admissible in
-    a finite-dimensional model; the identities are certified rather than
-    membership.  A stack y gives one verdict and one value per trial.
+    ``tol`` (the suite's is ``admissibility_tol``).  Every element is
+    admissible in a finite-dimensional model; the identities are certified
+    rather than membership.  Returns one verdict and one value per trial, a
+    single element being the stack of one.
     """
     if not y.is_hermitian():
         raise NotPositiveError("admissibility check expects a hermitian positive element")
-    if tol is None:
-        tol = admissibility_tol(est)
     ys = as_stack(y)
     sand = est.sandwich(-0.5, ys)
     ok, values = [], []
@@ -461,63 +443,47 @@ def check_admissibility(y: AlgebraElement, est: DufloEstimate,
         scale = max(abs(value), abs(direct), abs(ty), 1e-300)
         ok.append(abs(value - direct) <= tol * scale and abs(roundtrip - ty) <= tol * scale)
         values.append(value)
-    if y.trials is None:
-        return ok[0], values[0]
     return np.array(ok), np.array(values)
 
 
-def admissibility_report(y: AlgebraElement, est: DufloEstimate, *, scenario: str = "") -> CheckReport:
+def admissibility_report(y: AlgebraElement, est: DufloEstimate) -> CheckReport:
+    """The admissibility-identities row, at the tolerance the estimate
+    derives (admissibility_tol), which its notes print."""
     tol = admissibility_tol(est)
-    oks, values = check_admissibility(as_stack(y), est, tol=tol)
+    oks, values = check_admissibility(y, est, tol=tol)
     return _worst([CheckReport.flag("admissibility-identities", CLAIMS["admissibility-identities"],
-                                    ok, scenario=scenario, notes=f"value={value:.6e} tol={tol:.1e}")
+                                    ok, notes=f"value={value:.6e} tol={tol:.1e}")
                    for ok, value in zip(oks.tolist(), values.tolist())])
 
 
-def check_l1(
-    x: AlgebraElement,
-    y: AlgebraElement,
-    est: DufloEstimate,
-    action: Action,
-    *,
-    tol_rel: float = 1e-9,
-    scenario: str = "",
-) -> tuple[CheckReport, CheckReport]:
+def check_l1(x: AlgebraElement, y: AlgebraElement, est: DufloEstimate, action: Action,
+             *, tol: tuple[float, float]) -> tuple[CheckReport, CheckReport]:
     """L1 contraction and the trace-product identity for <x|D^{1/2} y D^{1/2}>.
 
     Inequality: integral of |<x|D^{1/2} y D^{1/2}>| <= trace|x| trace|y|.
     Equality:   integral of  <x|D^{1/2} y D^{1/2}>  = trace(x) trace(y*).
-    On stacks, the worst trial of each.
+    ``tol`` holds the inequality's tolerance, then the equality's.  On
+    stacks, the worst trial of each.
     """
+    tol_ineq, tol_eq = tol
     x, y = as_stack(x), as_stack(y)
     ytil = est.sandwich(0.5, y)
     bf = bracket(x, ytil, action)
     lhs_ineq = weighted_sum(np.abs(bf.values), bf.weights).tolist()
     rhs_ineq = [a * b for a, b in zip(p_norm(x, 1.0).tolist(), p_norm(y, 1.0).tolist())]
-    ineq = _worst([CheckReport.bound("l1-inequality", CLAIMS["l1-inequality"], l, r, tol_rel=tol_rel,
-                                     scenario=scenario) for l, r in zip(lhs_ineq, rhs_ineq)])
+    ineq = _worst([CheckReport.bound("l1-inequality", CLAIMS["l1-inequality"], l, r, tol_rel=tol_ineq)
+                   for l, r in zip(lhs_ineq, rhs_ineq)])
     lhs_eq = integrate_bracket(bf).tolist()
     rhs_eq = [a * b for a, b in zip(trace(x).tolist(), trace(y.adjoint()).tolist())]
     mass = float(np.sum(bf.weights))
     scales = [mass * a * b for a, b in zip(p_norm(x, 2.0).tolist(), p_norm(ytil, 2.0).tolist())]
-    eq = _worst([CheckReport.equality("l1-equality", CLAIMS["l1-equality"], l, r, tol_rel=tol_rel,
-                                      tol_abs=tol_rel * scale, scenario=scenario)
-                 for l, r, scale in zip(lhs_eq, rhs_eq, scales)])
+    eq = _worst([CheckReport.equality("l1-equality", CLAIMS["l1-equality"], l, r, tol_rel=tol_eq,
+                                      tol_abs=tol_eq * scale) for l, r, scale in zip(lhs_eq, rhs_eq, scales)])
     return ineq, eq
 
 
-def check_young(
-    x: AlgebraElement,
-    y: AlgebraElement,
-    p,
-    q,
-    r,
-    est: DufloEstimate,
-    action: Action,
-    *,
-    tol_rel: float = 1e-9,
-    scenario: str = "",
-) -> CheckReport:
+def check_young(x: AlgebraElement, y: AlgebraElement, p, q, r, est: DufloEstimate, action: Action,
+                *, tol: float) -> CheckReport:
     """Convolution inequality ||<x|D^{1/(2r)} y D^{1/(2r)}>||_r <= ||x||_p ||y||_q.
 
     Requires 1/p + 1/q = 1 + 1/r with 1 <= p, q <= r < inf and y commuting
@@ -529,33 +495,26 @@ def check_young(
     for pv, qv, rv in zip(ps, qs, rs):
         if not (1.0 <= pv <= rv and 1.0 <= qv <= rv and rv < math.inf):
             raise ParameterError(f"invalid exponents p={pv}, q={qv}, r={rv}")
-        if abs(1.0 / pv + 1.0 / qv - 1.0 - 1.0 / rv) > 1e-12:
+        if abs(1.0 / pv + 1.0 / qv - 1.0 - 1.0 / rv) > EXPONENT_SLACK:
             raise ParameterError(f"exponents must satisfy 1/p + 1/q = 1 + 1/r, got {pv}, {qv}, {rv}")
     # With E = D - c 1, ||Dy - yD|| = ||Ey - yE|| <= 2 ||E|| ||y|| and
     # |c| <= ||D||: the guard cannot fire while 2 ||E|| / |c| (twice
-    # ``off_scalar_residual``) is at most 1e-9.  ||D||_op is the largest 1/w
-    # over the eigenvalues w of D^{-1}
-    if 2.0 * est.off_scalar_residual > 1e-9 and np.any(
-            op_norm(est.d @ y - y @ est.d) > 1e-9 * op_norm(y) * float(np.reciprocal(est.eigenvalues).max())):
+    # ``off_scalar_residual``) is at most COMMUTE_SLACK.  ||D||_op is the
+    # largest 1/w over the eigenvalues w of D^{-1}
+    if 2.0 * est.off_scalar_residual > COMMUTE_SLACK and np.any(
+            op_norm(est.d @ y - y @ est.d)
+            > COMMUTE_SLACK * op_norm(y) * float(np.reciprocal(est.eigenvalues).max())):
         raise ParameterError("y must commute with D for the convolution inequality")
     ytil = est.sandwich([1.0 / (2.0 * rv) for rv in rs], y)
     lhs = function_p_norm(bracket(x, ytil, action), rs).tolist()
     rhs = [a * b for a, b in zip(p_norm(x, ps).tolist(), p_norm(y, qs).tolist())]
-    return _worst([CheckReport.bound("young-inequality", CLAIMS["young-inequality"], l, rh, tol_rel=tol_rel,
-                                     scenario=scenario, notes=f"p={pv:g} q={qv:g} r={rv:g}")
+    return _worst([CheckReport.bound("young-inequality", CLAIMS["young-inequality"], l, rh, tol_rel=tol,
+                                     notes=f"p={pv:g} q={qv:g} r={rv:g}")
                    for l, rh, pv, qv, rv in zip(lhs, rhs, ps, qs, rs)])
 
 
-def check_interpolation(
-    x: AlgebraElement,
-    y: AlgebraElement,
-    p,
-    est: DufloEstimate,
-    action: Action,
-    *,
-    tol_rel: float = 1e-9,
-    scenario: str = "",
-) -> CheckReport:
+def check_interpolation(x: AlgebraElement, y: AlgebraElement, p, est: DufloEstimate, action: Action,
+                        *, tol: float) -> CheckReport:
     """Interpolation bound ||<x|y>||_p <= ||x||_p ||y||_1^{1/q} ||D^{-1/2} y D^{-1/2}||_1^{1/p}.
 
     The p = inf endpoint is checked as the documented sup-norm variant
@@ -585,27 +544,25 @@ def check_interpolation(
             q = math.inf if pv == 1.0 else pv / (pv - 1.0)
             rhs = xp[i] * (y1[i] ** (0.0 if q == math.inf else 1.0 / q)) * (ys[i] ** (1.0 / pv))
         reports.append(CheckReport.bound("interpolation-bound", CLAIMS["interpolation-bound"], lhs[i], rhs,
-                                         tol_rel=tol_rel, scenario=scenario, notes=notes))
+                                         tol_rel=tol, notes=notes))
     return _worst(reports)
 
 
-def check_holder(x: AlgebraElement, y: AlgebraElement, p, q, r,
-                 *, tol_rel: float = 1e-9, scenario: str = "") -> CheckReport:
+def check_holder(x: AlgebraElement, y: AlgebraElement, p, q, r, *, tol: float) -> CheckReport:
     """Trace-norm product inequality ||x y||_r <= ||x||_p ||y||_q for 1/p + 1/q = 1/r;
     stacks take one exponent triple or one per trial."""
     x, y = as_stack(x), as_stack(y)
     ps, qs, rs = (_per_trial(v, y.trials) for v in (p, q, r))
-    if any(abs(1.0 / pv + 1.0 / qv - 1.0 / rv) > 1e-12 for pv, qv, rv in zip(ps, qs, rs)):
+    if any(abs(1.0 / pv + 1.0 / qv - 1.0 / rv) > EXPONENT_SLACK for pv, qv, rv in zip(ps, qs, rs)):
         raise ParameterError("exponents must satisfy 1/p + 1/q = 1/r")
     lhs = p_norm(x @ y, rs).tolist()
     rhs = [a * b for a, b in zip(p_norm(x, ps).tolist(), p_norm(y, qs).tolist())]
     return _worst([CheckReport.bound("holder-inequality", CLAIMS["holder-inequality"], l, rh,
-                                     tol_rel=tol_rel, scenario=scenario, notes=f"p={pv:g} q={qv:g} r={rv:g}")
+                                     tol_rel=tol, notes=f"p={pv:g} q={qv:g} r={rv:g}")
                    for l, rh, pv, qv, rv in zip(lhs, rhs, ps, qs, rs)])
 
 
-def check_alt(a: AlgebraElement, b: AlgebraElement, r,
-              *, tol_rel: float = 1e-9, scenario: str = "") -> CheckReport:
+def check_alt(a: AlgebraElement, b: AlgebraElement, r, *, tol: float) -> CheckReport:
     """Sandwich-power inequality trace((b a b)^r) <= trace(b^r a^r b^r), integer r >= 1;
     stacks take one power or one per trial."""
     a, b = as_stack(a), as_stack(b)
@@ -616,8 +573,8 @@ def check_alt(a: AlgebraElement, b: AlgebraElement, r,
     lhs = trace(_int_power(b @ a @ b, rs)).real.tolist()
     ar, br = _int_power(a, rs), _int_power(b, rs)
     rhs = trace(br @ ar @ br).real.tolist()
-    return _worst([CheckReport.bound("alt-inequality", CLAIMS["alt-inequality"], l, rh, tol_rel=tol_rel,
-                                     scenario=scenario, notes=f"r={rv}") for l, rh, rv in zip(lhs, rhs, rs)])
+    return _worst([CheckReport.bound("alt-inequality", CLAIMS["alt-inequality"], l, rh, tol_rel=tol,
+                                     notes=f"r={rv}") for l, rh, rv in zip(lhs, rhs, rs)])
 
 
 def _int_power(x: AlgebraElement, rs: list[int]) -> AlgebraElement:
@@ -655,8 +612,9 @@ class SuiteCheck(NamedTuple):
     estimate is a ``DufloEstimate``, the ``EstimateError`` that stopped it,
     or None before the duflo-estimate row.  ``check`` names a function of
     this module, looked up when the row runs, so rebinding the module
-    attribute reaches the suite; it returns the worst trial's report, or one
-    per position of a tuple, named by ``rows``.  ``notes`` ("{n}" is the
+    attribute reaches the suite, and called with the rows' tolerances bound
+    (``bind_tolerance``); it returns the worst trial's report, or one per
+    position of a tuple, named by ``rows``.  ``notes`` ("{n}" is the
     trial count) replaces the worst report's notes; ``skip`` is the reason
     reported instead when D is not scalar, so no element commutes with it;
     ``applies`` says whether a scenario has the rows at all.
@@ -684,49 +642,48 @@ SUITE: tuple[SuiteCheck, ...] = (
     # the stream of Scenario.duflo_pair: x is the estimate's first test element
     SuiteCheck(("integrability-witness",), "check_integrability",
                lambda f, s, e, _, x: f(s.action, x), tag="duflo", draws=("positive",)),
-    SuiteCheck(("duflo-estimate",), "check_estimate", lambda f, s, e, _: f(e, s.cross_tol)),
+    SuiteCheck(("duflo-estimate",), "check_estimate", lambda f, s, e, _: f(e)),
     SuiteCheck(("duflo-scalar-form",), "check_scalar_form", lambda f, s, e, _: f(e),
                applies=lambda s: bool(np.all(s.action.modular_values() == 1.0))),
     SuiteCheck(("duflo-expected-scalar",), "check_expected_scalar",
-               lambda f, s, e, _: f(e, s.expected_scalar, s.expect_tol),
+               lambda f, s, e, _: f(e, s.expected_scalar),
                applies=lambda s: s.expected_scalar is not None),
     SuiteCheck(("duflo-expected-kernel",), "check_expected_kernel",
-               lambda f, s, e, _: f(s.action, e, s.expect_tol),
+               lambda f, s, e, _: f(s.action, e),
                applies=lambda s: s.action.expected_kernel is not None),
     SuiteCheck(("bracket-symmetry",), "check_bracket_symmetry",
                lambda f, s, e, _, x, y: f(x, y, s.action), tag="symmetry",
                draws=("positive", "positive")),
     SuiteCheck(("orthogonality-positive",), "check_orthogonality",
-               lambda f, s, e, _, x, y: f(s.action, e, x, y, positive=True, tol_rel=s.tol_rel),
+               lambda f, s, e, _, x, y: f(s.action, e, x, y, positive=True),
                tag="orthogonality", draws=("positive", "positive"), trials=_pairs,
                notes="worst of {n} positive pairs"),
     SuiteCheck(("orthogonality-general",), "check_orthogonality",
-               lambda f, s, e, _, x, y: f(s.action, e, x, y, positive=False, tol_rel=s.tol_rel),
+               lambda f, s, e, _, x, y: f(s.action, e, x, y, positive=False),
                tag="orthogonality", draws=("general", "general"), trials=_pairs,
                notes="worst of {n} general pairs"),
-    SuiteCheck(("semi-invariance",), "check_semi_invariance",
-               lambda f, s, e, _: f(s.action, e, tol_rel=s.tol_rel)),
+    SuiteCheck(("semi-invariance",), "check_semi_invariance", lambda f, s, e, _: f(s.action, e)),
     SuiteCheck(("admissibility-identities",), "admissibility_report",
                lambda f, s, e, _, y: f(y, e), tag="admissibility", draws=("positive",)),
     SuiteCheck(("l1-inequality", "l1-equality"), "check_l1",
-               lambda f, s, e, _, x, y: f(x, y, e, s.action, tol_rel=s.ineq_tol),
+               lambda f, s, e, _, x, y: f(x, y, e, s.action),
                tag="l1", draws=("general", "general"), trials=_pairs),
     SuiteCheck(("young-inequality",), "check_young",
-               lambda f, s, e, pqr, x, y: f(x, y, *zip(*pqr), e, s.action, tol_rel=s.ineq_tol),
+               lambda f, s, e, pqr, x, y: f(x, y, *zip(*pqr), e, s.action),
                tag="young", draws=("general", "general"),
                trials=lambda t: max(len(YOUNG_GRID), t), grid=YOUNG_GRID,
                skip=("no trace-class element commutes with D in this scenario "
                      "(the hypothesis set is empty for a diffuse scaling operator)")),
     SuiteCheck(("interpolation-bound",), "check_interpolation",
-               lambda f, s, e, p, x, y: f(x, y, p, e, s.action, tol_rel=s.ineq_tol),
+               lambda f, s, e, p, x, y: f(x, y, p, e, s.action),
                tag="interpolation", draws=("general", "general"),
                trials=lambda t: max(len(INTERPOLATION_EXPONENTS), t // 2),
                grid=INTERPOLATION_EXPONENTS),
     SuiteCheck(("holder-inequality",), "check_holder",
-               lambda f, s, e, pqr, x, y: f(x, y, *zip(*pqr), tol_rel=1e-9),
+               lambda f, s, e, pqr, x, y: f(x, y, *zip(*pqr)),
                tag="holder", draws=("general", "general"),
                trials=lambda t: max(len(HOLDER_GRID), t // 2), grid=HOLDER_GRID),
-    SuiteCheck(("alt-inequality",), "check_alt", lambda f, s, e, r, a, b: f(a, b, r, tol_rel=1e-9),
+    SuiteCheck(("alt-inequality",), "check_alt", lambda f, s, e, r, a, b: f(a, b, r),
                tag="alt", draws=("positive", "positive"),
                trials=lambda t: max(len(ALT_POWERS), t // 2), grid=ALT_POWERS),
 )
@@ -735,6 +692,19 @@ SUITE: tuple[SuiteCheck, ...] = (
 def suite_entry(name: str) -> SuiteCheck:
     """The SUITE entry that reports the row ``name``."""
     return next(row for row in SUITE if name in row.rows)
+
+
+def bind_tolerance(row: SuiteCheck, scn) -> Callable[..., CheckReport | tuple[CheckReport, ...]]:
+    """The check function of a SUITE entry with ``tol`` bound to its row's
+    entry in the scenario's tolerance table (see scenarios.Scenario), or to
+    the pair of entries of check_l1's two rows.  admissibility-identities
+    and ergodicity have no entry: the one derives its tolerance from the
+    estimate, the other compares integers exactly."""
+    check = globals()[row.check]
+    tol = [scn.tolerances[name] for name in row.rows if name in scn.tolerances]
+    if not tol:
+        return check
+    return partial(check, tol=tuple(tol) if len(tol) > 1 else tol[0])
 
 
 def run_check(row: SuiteCheck, scn, est: DufloEstimate | EstimateError | None,
@@ -746,7 +716,7 @@ def run_check(row: SuiteCheck, scn, est: DufloEstimate | EstimateError | None,
     at the default trial counts; one trial a call on the wavelet).  A chunk
     replaces the worst report only when its own is strictly worse, as a
     later trial would."""
-    check = partial(globals()[row.check], scenario=scn.scenario_id)
+    check = bind_tolerance(row, scn)
     chunk = stack_size(16 * scn.shape.total_dim * max(1, len(row.draws)))
     worst: tuple[CheckReport, ...] = ()
     for start in range(0, n, chunk):
@@ -780,12 +750,11 @@ def run_suite(scenario, *, trials: int | None = None) -> list[CheckReport]:
             continue
         reason = no_estimate or (row.skip if row.skip and not est.scalar_flag else None)
         if reason:
-            reports.extend(CheckReport.skip(name, CLAIMS[name], reason, scenario=scn.scenario_id)
-                           for name in row.rows)
+            reports.extend(CheckReport.skip(name, CLAIMS[name], reason) for name in row.rows)
             continue
         if "duflo-estimate" in row.rows:
             try:
-                est = estimate_duflo(scn.action, *scn.duflo_pair(), cross_tol=scn.cross_tol)
+                est = estimate_duflo(scn.action, *scn.duflo_pair(), cross_tol=scn.tolerances["duflo-estimate"])
             except EstimateError as exc:
                 est, no_estimate = exc, f"no estimate of D: {exc}"
         if row.tag not in rngs:

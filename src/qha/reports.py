@@ -33,25 +33,23 @@ class CheckReport:
     tol_abs: float
     tol_rel: float
     passed: bool
-    scenario: str = ""
     skipped: bool = False
     notes: str = ""
 
     @staticmethod
     def equality(name: str, claim: str, lhs, rhs, *, tol_rel: float, tol_abs: float = 0.0,
-                 scenario: str = "", notes: str = "") -> "CheckReport":
+                 notes: str = "") -> "CheckReport":
         """Report for an identity lhs = rhs."""
         lhs, rhs = complex(lhs), complex(rhs)
         abs_err = abs(lhs - rhs)
         scale = max(abs(lhs), abs(rhs))
         rel_err = abs_err / scale if scale > 0 else 0.0
         passed = abs_err <= tol_abs or rel_err <= tol_rel
-        return CheckReport(name, claim, lhs, rhs, abs_err, rel_err, tol_abs, tol_rel,
-                           passed, scenario=scenario, notes=notes)
+        return CheckReport(name, claim, lhs, rhs, abs_err, rel_err, tol_abs, tol_rel, passed, notes=notes)
 
     @staticmethod
     def bound(name: str, claim: str, lhs, rhs, *, tol_rel: float, tol_abs: float = 0.0,
-              scenario: str = "", notes: str = "") -> "CheckReport":
+              notes: str = "") -> "CheckReport":
         """Report for a one-sided bound lhs <= rhs (errors measure the violation).
 
         Against a zero bound the violation itself plays the relative role, so
@@ -61,21 +59,18 @@ class CheckReport:
         violation = max(0.0, lhs - rhs)
         rel_err = violation / abs(rhs) if rhs != 0.0 else violation
         passed = violation <= tol_abs or rel_err <= tol_rel
-        return CheckReport(name, claim, lhs, rhs, violation, rel_err, tol_abs, tol_rel,
-                           passed, scenario=scenario, notes=notes)
+        return CheckReport(name, claim, lhs, rhs, violation, rel_err, tol_abs, tol_rel, passed, notes=notes)
 
     @staticmethod
-    def flag(name: str, claim: str, ok: bool, *, scenario: str = "", notes: str = "") -> "CheckReport":
+    def flag(name: str, claim: str, ok: bool, *, notes: str = "") -> "CheckReport":
         """Report for a yes/no condition."""
         err = 0.0 if ok else math.inf
-        return CheckReport(name, claim, 1.0 if ok else 0.0, 1.0, err, err, 0.0, 0.0,
-                           ok, scenario=scenario, notes=notes)
+        return CheckReport(name, claim, 1.0 if ok else 0.0, 1.0, err, err, 0.0, 0.0, ok, notes=notes)
 
     @staticmethod
-    def skip(name: str, claim: str, reason: str, *, scenario: str = "") -> "CheckReport":
+    def skip(name: str, claim: str, reason: str) -> "CheckReport":
         """Report for a check that does not apply to this scenario."""
-        return CheckReport(name, claim, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, True,
-                           scenario=scenario, skipped=True, notes=reason)
+        return CheckReport(name, claim, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, True, skipped=True, notes=reason)
 
     def row(self) -> str:
         """Single structured line with a stable field order."""

@@ -1,8 +1,8 @@
 """Builtin and file-loaded scenario instances.
 
 A scenario bundles an ergodic trace-preserving action on a block algebra,
-with its group and Haar model, declared tolerances, deterministic random
-streams, and optional expectations for the scaling operator.  Builtin
+with its group and Haar model, its family's tolerance table, deterministic
+random streams, and optional expectations for the scaling operator.  Builtin
 identifiers:
 
     irrep:s3:<trivial|sign|std>       conjugation by an irreducible rep, probability Haar
@@ -87,19 +87,21 @@ class ScenarioSpec(_SpecFields):
 
 
 class Scenario:
-    """Runtime scenario: an action with its group and Haar model, tolerances, rng streams."""
+    """Runtime scenario: an action with its group and Haar model, tolerances, rng streams.
 
-    def __init__(self, spec: ScenarioSpec, action: Action, *,
-                 tol_rel: float, ineq_tol: float, cross_tol: float,
-                 default_trials: int, expect_tol: float,
-                 expected_scalar: float | None = None):
+    ``tolerances`` is a copy of the family's table (FINITE_TOLERANCES,
+    WAVELET_TOLERANCES) with the spec's ``tol_rel``, when it has one, in
+    place of the entries of TOL_REL_ROWS.
+    """
+
+    def __init__(self, spec: ScenarioSpec, action: Action, tolerances: dict[str, float], *,
+                 default_trials: int = 12, expected_scalar: float | None = None):
         self.spec = spec
         self.action = action
-        self.tol_rel = spec.tol_rel if spec.tol_rel is not None else tol_rel
-        self.ineq_tol = spec.tol_rel if spec.tol_rel is not None else ineq_tol
-        self.cross_tol = cross_tol
+        self.tolerances = dict(tolerances)
+        if spec.tol_rel is not None:
+            self.tolerances.update(dict.fromkeys(TOL_REL_ROWS, spec.tol_rel))
         self.default_trials = default_trials
-        self.expect_tol = expect_tol
         self.expected_scalar = expected_scalar
 
     @property
@@ -186,8 +188,34 @@ _WAVELET_PRESETS = {
     "fine": WaveletDesign().scaled(2),
 }
 
-_FINITE_DEFAULTS = dict(tol_rel=1e-9, ineq_tol=1e-9, cross_tol=1e-8, default_trials=12)
-_WAVELET_DEFAULTS = dict(tol_rel=1e-2, ineq_tol=5e-2, cross_tol=1e-2, default_trials=4)
+# The rows whose tolerance --tol-rel and [tolerances] rel replace.
+TOL_REL_ROWS: tuple[str, ...] = (
+    "orthogonality-positive", "orthogonality-general", "semi-invariance",
+    "l1-inequality", "l1-equality", "young-inequality", "interpolation-bound",
+)
+
+# One table per scenario family: the number each row compares against, as
+# its tol_abs or tol_rel (integrability-witness, a flag, bounds the imaginary
+# part of its integral by it).  admissibility-identities derives its own from
+# the estimate and ergodicity compares integers exactly, so neither has an
+# entry.  The entries both families share are written once.
+_SHARED_TOLERANCES = {
+    "action-validity": 1e-9, "trace-preservation": 1e-10, "integrability-witness": 1e-9,
+    "duflo-scalar-form": 1e-9, "bracket-symmetry": 1e-10, "holder-inequality": 1e-9, "alt-inequality": 1e-9,
+}
+# exact up to double-precision spectral accuracy; translation and cosets
+# pin duflo-expected-scalar at 1e-12 and 1e-10 (their builders)
+FINITE_TOLERANCES = {
+    **_SHARED_TOLERANCES, "duflo-estimate": 1e-8, "duflo-expected-scalar": 1e-9,
+    "orthogonality-positive": 1e-9, "orthogonality-general": 1e-9, "semi-invariance": 1e-9,
+    "l1-inequality": 1e-9, "l1-equality": 1e-9, "young-inequality": 1e-9, "interpolation-bound": 1e-9,
+}
+# declared from the refinement study of README's tolerance policy
+WAVELET_TOLERANCES = {
+    **_SHARED_TOLERANCES, "duflo-estimate": 1e-2, "duflo-expected-kernel": 1e-2,
+    "orthogonality-positive": 1e-2, "orthogonality-general": 1e-2, "semi-invariance": 1e-2,
+    "l1-inequality": 5e-2, "l1-equality": 5e-2, "young-inequality": 5e-2, "interpolation-bound": 5e-2,
+}
 
 
 def build_scenario(spec: ScenarioSpec) -> Scenario:
@@ -237,8 +265,7 @@ def _build_irrep(spec: ScenarioSpec, tokens) -> Scenario:
             raise ConfigError("character reps need a cyclic group and rep chi<j>")
         U = cyclic_character_rep(G, int(m.group(1)))
     action = conjugation_action(G, U, haar=probability_haar(G))
-    return Scenario(spec, action, expected_scalar=float(action.shape.block_dim),
-                    expect_tol=1e-9, **_FINITE_DEFAULTS)
+    return Scenario(spec, action, FINITE_TOLERANCES, expected_scalar=float(action.shape.block_dim))
 
 
 def _build_wh(spec: ScenarioSpec, tokens) -> Scenario:
@@ -247,7 +274,7 @@ def _build_wh(spec: ScenarioSpec, tokens) -> Scenario:
     n = int(tokens[1])
     U = finite_weyl_heisenberg(n)
     action = conjugation_action(product(cyclic(n), cyclic(n)), U)
-    return Scenario(spec, action, expected_scalar=1.0 / n, expect_tol=1e-9, **_FINITE_DEFAULTS)
+    return Scenario(spec, action, FINITE_TOLERANCES, expected_scalar=1.0 / n)
 
 
 def _build_translation(spec: ScenarioSpec, tokens) -> Scenario:
@@ -255,7 +282,7 @@ def _build_translation(spec: ScenarioSpec, tokens) -> Scenario:
         raise ConfigError("translation scenario needs the form translation:<group>")
     G = parse_group_token(tokens[1])
     action = left_translation_action(G)
-    return Scenario(spec, action, expected_scalar=1.0, expect_tol=1e-12, **_FINITE_DEFAULTS)
+    return Scenario(spec, action, {**FINITE_TOLERANCES, "duflo-expected-scalar": 1e-12}, expected_scalar=1.0)
 
 
 def _build_cosets(spec: ScenarioSpec, tokens) -> Scenario:
@@ -270,7 +297,8 @@ def _build_cosets(spec: ScenarioSpec, tokens) -> Scenario:
         raise ConfigError(f"{m} does not divide {n}")
     h_indices = [(n // m) * k for k in range(m)]
     action = coset_action(G, h_indices)
-    return Scenario(spec, action, expected_scalar=1.0 / m, expect_tol=1e-10, **_FINITE_DEFAULTS)
+    return Scenario(spec, action, {**FINITE_TOLERANCES, "duflo-expected-scalar": 1e-10},
+                    expected_scalar=1.0 / m)
 
 
 def _build_twisted_dual(spec: ScenarioSpec, tokens) -> Scenario:
@@ -281,8 +309,7 @@ def _build_twisted_dual(spec: ScenarioSpec, tokens) -> Scenario:
         raise ConfigError(f"twist m={m} must be 0 or coprime to n={n}")
     G = product(cyclic(n), cyclic(n))
     action = dual_action(G, m)
-    return Scenario(spec, action, expected_scalar=1.0 / (n * n),
-                    expect_tol=1e-9, **_FINITE_DEFAULTS)
+    return Scenario(spec, action, FINITE_TOLERANCES, expected_scalar=1.0 / (n * n))
 
 
 def _build_induced(spec: ScenarioSpec, tokens) -> Scenario:
@@ -308,8 +335,7 @@ def _build_induced(spec: ScenarioSpec, tokens) -> Scenario:
         raise ConfigError(f"unknown inner action {itok!r}; valid: wh2, translation")
     action = induced_action(G, h_indices, inner, iso)
     tau_one = trace(action.shape.identity()).real
-    return Scenario(spec, action, expected_scalar=tau_one / G.order,
-                    expect_tol=1e-9, **_FINITE_DEFAULTS)
+    return Scenario(spec, action, FINITE_TOLERANCES, expected_scalar=tau_one / G.order)
 
 
 def refined_wavelet(spec: ScenarioSpec, level: int) -> Scenario:
@@ -324,13 +350,13 @@ def refined_wavelet(spec: ScenarioSpec, level: int) -> Scenario:
     if preset not in _WAVELET_PRESETS:
         raise ConfigError(f"unknown wavelet preset {preset!r}; valid: {sorted(_WAVELET_PRESETS)}")
     action = WaveletAction(_WAVELET_PRESETS[preset].scaled(2 ** level))
-    return Scenario(spec, action, expect_tol=1e-2, **_WAVELET_DEFAULTS)
+    return Scenario(spec, action, WAVELET_TOLERANCES, default_trials=4)
 
 
 def _build_broken(spec: ScenarioSpec) -> Scenario:
     G = cyclic(2)
     action = PermutationAction(G, G.table, mu=np.array([1.0, 2.0]), validate=False)
-    return Scenario(spec, action, expect_tol=1e-9, **_FINITE_DEFAULTS)
+    return Scenario(spec, action, FINITE_TOLERANCES)
 
 
 BUILTIN_IDS: tuple[str, ...] = (
@@ -431,7 +457,7 @@ def save_scenario(spec: ScenarioSpec, path) -> None:
     """Write the scenario description as an INI file (see load_scenario).
 
     ``[tolerances] rel`` is written only when the spec overrides the family
-    default, so loading the file gives back the same spec.
+    table, so loading the file gives back the same spec.
     """
     cp = _parser()
     cp["scenario"] = {"id": spec.scenario_id, "seed": str(spec.seed)}
@@ -448,7 +474,7 @@ def load_scenario(path) -> ScenarioSpec:
     The [scenario] id names the family; the [group], [haar], [algebra],
     [action] and [expect] keys present must match the scenario it builds.
     Unknown sections or keys are rejected, ``#`` starts a comment, and a
-    missing tolerance falls back to the family default.
+    missing tolerance falls back to the family table.
     """
     import configparser
     cp = _parser()

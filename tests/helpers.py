@@ -371,9 +371,9 @@ def loop_run_check(row, scn, est, rng, n):
     """The worst reports of ``n`` trials of one SUITE entry, one single-element
     draw and one single-element evaluation per trial."""
     if row.rows[0] in LOOP_CHECKS:
-        evaluate = partial(LOOP_CHECKS[row.rows[0]], scn.scenario_id, scn, est)
+        evaluate = partial(LOOP_CHECKS[row.rows[0]], scn, est)
     else:
-        check = partial(vars(qha.duflo)[row.check], scenario=scn.scenario_id)
+        check = qha.duflo.bind_tolerance(row, scn)
         evaluate = lambda point, *elements: row.call(check, scn, est, (point,), *elements)  # noqa: E731
     draw = {"positive": scn.action.random_positive, "general": scn.action.random_element}
     worst = ()
@@ -711,39 +711,40 @@ def loop_int_power(x, r):
     return acc
 
 
-def _loop_integrability(sid, scn, est, _, x):
+def _loop_integrability(scn, est, _, x):
     w = loop_bracket_integral(scn.action, x, x)
-    ok = math.isfinite(w.real) and w.real > 0 and abs(w.imag) <= 1e-9 * (1 + abs(w.real))
+    tol = scn.tolerances["integrability-witness"]
+    ok = math.isfinite(w.real) and w.real > 0 and abs(w.imag) <= tol * (1 + abs(w.real))
     return CheckReport.flag("integrability-witness", CLAIMS["integrability-witness"], ok,
-                            scenario=sid, notes=f"value={w.real:.6e}")
+                            notes=f"value={w.real:.6e}")
 
 
-def _loop_symmetry(sid, scn, est, _, x, y):
+def _loop_symmetry(scn, est, _, x, y):
     claim = CLAIMS["bracket-symmetry"]
     group = scn.action.group
     try:
         inv = _inverse_node_index(group) if isinstance(group, QuadratureGroup) else group.inverse_table
     except InverseClosureError as exc:
-        return CheckReport.skip("bracket-symmetry", claim, str(exc), scenario=sid)
+        return CheckReport.skip("bracket-symmetry", claim, str(exc))
     vxy = loop_trial_bracket(scn.action, x, y)
     vyx = loop_trial_bracket(scn.action, y, x)
     defect = float(np.abs(vxy[inv] - np.conj(vyx)).max()) / max(float(np.abs(vxy).max()), 1e-300)
-    return CheckReport.bound("bracket-symmetry", claim, defect, 0.0, tol_rel=0.0, tol_abs=1e-10,
-                             scenario=sid)
+    return CheckReport.bound("bracket-symmetry", claim, defect, 0.0, tol_rel=0.0,
+                             tol_abs=scn.tolerances["bracket-symmetry"])
 
 
 def _loop_orthogonality(positive):
-    def check(sid, scn, est, _, x, y):
+    def check(scn, est, _, x, y):
         lhs = loop_bracket_integral(scn.action, x, y)
         rhs = loop_trace(x) * loop_trace_pairing(est.d_inverse, y if positive else y.adjoint())
         name = "orthogonality-positive" if positive else "orthogonality-general"
         scale = scn.action.haar.mass * loop_p_norm(x, 2.0) * loop_p_norm(y, 2.0)
-        return CheckReport.equality(name, CLAIMS[name], lhs, rhs, tol_rel=scn.tol_rel,
-                                    tol_abs=scn.tol_rel * scale, scenario=sid)
+        tol = scn.tolerances[name]
+        return CheckReport.equality(name, CLAIMS[name], lhs, rhs, tol_rel=tol, tol_abs=tol * scale)
     return check
 
 
-def _loop_admissibility(sid, scn, est, _, y):
+def _loop_admissibility(scn, est, _, y):
     if float(np.abs(y.blocks - y.adjoint().blocks).max()) > 1e-9 * (1.0 + y.max_abs_entry()):
         raise NotPositiveError("admissibility check expects a hermitian positive element")
     tol = admissibility_tol(est)
@@ -755,23 +756,22 @@ def _loop_admissibility(sid, scn, est, _, y):
     scale = max(abs(value), abs(direct), abs(ty), 1e-300)
     ok = abs(value - direct) <= tol * scale and abs(roundtrip - ty) <= tol * scale
     return CheckReport.flag("admissibility-identities", CLAIMS["admissibility-identities"], ok,
-                            scenario=sid, notes=f"value={value:.6e} tol={tol:.1e}")
+                            notes=f"value={value:.6e} tol={tol:.1e}")
 
 
-def _loop_l1(sid, scn, est, _, x, y):
-    tol = scn.ineq_tol
+def _loop_l1(scn, est, _, x, y):
+    tol_ineq, tol_eq = scn.tolerances["l1-inequality"], scn.tolerances["l1-equality"]
     ytil = loop_sandwich(est, 0.5, y)
     values, w = loop_trial_bracket(scn.action, x, ytil), scn.action.haar.weights
     ineq = CheckReport.bound("l1-inequality", CLAIMS["l1-inequality"], float(np.dot(w, np.abs(values))),
-                             loop_p_norm(x, 1.0) * loop_p_norm(y, 1.0), tol_rel=tol, scenario=sid)
+                             loop_p_norm(x, 1.0) * loop_p_norm(y, 1.0), tol_rel=tol_ineq)
     scale = float(np.sum(w)) * loop_p_norm(x, 2.0) * loop_p_norm(ytil, 2.0)
     eq = CheckReport.equality("l1-equality", CLAIMS["l1-equality"], complex(np.dot(w, values)),
-                              loop_trace(x) * loop_trace(y.adjoint()), tol_rel=tol, tol_abs=tol * scale,
-                              scenario=sid)
+                              loop_trace(x) * loop_trace(y.adjoint()), tol_rel=tol_eq, tol_abs=tol_eq * scale)
     return ineq, eq
 
 
-def _loop_young(sid, scn, est, pqr, x, y):
+def _loop_young(scn, est, pqr, x, y):
     p, q, r = pqr
     d = est.d
     if loop_p_norm(d @ y - y @ d, math.inf) > 1e-9 * loop_p_norm(y, math.inf) * loop_p_norm(d, math.inf):
@@ -779,11 +779,11 @@ def _loop_young(sid, scn, est, pqr, x, y):
     ytil = loop_sandwich(est, 1.0 / (2.0 * r), y)
     lhs = loop_function_p_norm(loop_trial_bracket(scn.action, x, ytil), scn.action.haar.weights, r)
     return CheckReport.bound("young-inequality", CLAIMS["young-inequality"], lhs,
-                             loop_p_norm(x, p) * loop_p_norm(y, q), tol_rel=scn.ineq_tol, scenario=sid,
+                             loop_p_norm(x, p) * loop_p_norm(y, q), tol_rel=scn.tolerances["young-inequality"],
                              notes=f"p={p:g} q={q:g} r={r:g}")
 
 
-def _loop_interpolation(sid, scn, est, p, x, y):
+def _loop_interpolation(scn, est, p, x, y):
     lhs = loop_function_p_norm(loop_trial_bracket(scn.action, x, y), scn.action.haar.weights, p)
     notes = f"p={p:g}"
     if p == math.inf:
@@ -795,25 +795,25 @@ def _loop_interpolation(sid, scn, est, p, x, y):
         ys = loop_p_norm(loop_sandwich(est, -0.5, y), 1.0)
         rhs = loop_p_norm(x, p) * (y1 ** (0.0 if q == math.inf else 1.0 / q)) * (ys ** (1.0 / p))
     return CheckReport.bound("interpolation-bound", CLAIMS["interpolation-bound"], lhs, rhs,
-                             tol_rel=scn.ineq_tol, scenario=sid, notes=notes)
+                             tol_rel=scn.tolerances["interpolation-bound"], notes=notes)
 
 
-def _loop_holder(sid, scn, est, pqr, x, y):
+def _loop_holder(scn, est, pqr, x, y):
     p, q, r = pqr
     return CheckReport.bound("holder-inequality", CLAIMS["holder-inequality"], loop_p_norm(x @ y, r),
-                             loop_p_norm(x, p) * loop_p_norm(y, q), tol_rel=1e-9, scenario=sid,
+                             loop_p_norm(x, p) * loop_p_norm(y, q), tol_rel=scn.tolerances["holder-inequality"],
                              notes=f"p={p:g} q={q:g} r={r:g}")
 
 
-def _loop_alt(sid, scn, est, r, a, b):
+def _loop_alt(scn, est, r, a, b):
     lhs = loop_trace(loop_int_power(b @ a @ b, r)).real
     ar, br = loop_int_power(a, r), loop_int_power(b, r)
     return CheckReport.bound("alt-inequality", CLAIMS["alt-inequality"], lhs, loop_trace(br @ ar @ br).real,
-                             tol_rel=1e-9, scenario=sid, notes=f"r={r}")
+                             tol_rel=scn.tolerances["alt-inequality"], notes=f"r={r}")
 
 
 # The single-element formula of every SUITE row that draws elements, keyed by
-# the row's first name: (scenario id, scenario, estimate, grid point, *elements).
+# the row's first name: (scenario, estimate, grid point, *elements).
 LOOP_CHECKS = {
     "integrability-witness": _loop_integrability,
     "bracket-symmetry": _loop_symmetry,

@@ -42,7 +42,7 @@ def _report(criterion: str, passed: bool, detail: str) -> None:
 def _estimate(sid):
     scn = build_scenario(builtin(sid))
     x1, x2 = scn.duflo_pair()
-    est = estimate_duflo(scn.action, x1, x2, cross_tol=scn.cross_tol)
+    est = estimate_duflo(scn.action, x1, x2, cross_tol=scn.tolerances["duflo-estimate"])
     return scn, est
 
 
@@ -83,7 +83,7 @@ def test_criterion_2_weyl_heisenberg_family():
             x = scn.action.random_positive(rng)
             y = scn.action.random_positive(rng)
             rep_check = check_orthogonality(scn.action, est, x, y,
-                                            positive=True, tol_rel=1e-9)
+                                            positive=True, tol=1e-9)
             worst_orth = max(worst_orth, rep_check.rel_err)
     elapsed = time.monotonic() - t0
     ok = oracle_gap <= 1e-11 and worst_d <= 1e-9 and worst_orth <= 1e-9 and elapsed < 10.0
@@ -208,27 +208,27 @@ def test_criterion_6_inequality_suites(sid):
         xp = scn.action.random_positive(rng)
         yp = scn.action.random_positive(rng)
 
-        ineq, eq = check_l1(x, y, est, act, tol_rel=1e-9)
+        ineq, eq = check_l1(x, y, est, act, tol=(1e-9, 1e-9))
         worst_violation = max(worst_violation, ineq.rel_err)
         worst_equality = max(worst_equality, eq.rel_err)
 
         p, q, r = YOUNG_GRID[t % len(YOUNG_GRID)]
         worst_violation = max(worst_violation,
                               check_young(x, y, p, q, r, est, act,
-                                          tol_rel=1e-9).rel_err)
+                                          tol=1e-9).rel_err)
 
         pi = INTERPOLATION_EXPONENTS[t % len(INTERPOLATION_EXPONENTS)]
         worst_violation = max(worst_violation,
                               check_interpolation(x, y, pi, est, act,
-                                                  tol_rel=1e-9).rel_err)
+                                                  tol=1e-9).rel_err)
 
         ph, qh, rh = HOLDER_GRID[t % len(HOLDER_GRID)]
         worst_violation = max(worst_violation,
-                              check_holder(x, y, ph, qh, rh, tol_rel=1e-9).rel_err)
+                              check_holder(x, y, ph, qh, rh, tol=1e-9).rel_err)
 
         ra = ALT_POWERS[t % len(ALT_POWERS)]
         worst_violation = max(worst_violation,
-                              check_alt(xp, yp, ra, tol_rel=1e-9).rel_err)
+                              check_alt(xp, yp, ra, tol=1e-9).rel_err)
     elapsed = time.monotonic() - t0
     ok = worst_violation <= 1e-9 and worst_equality <= 1e-9 and elapsed < 60.0
     _report(f"criterion-6 inequality suite [{sid}]", ok,
@@ -244,7 +244,7 @@ def test_criterion_7_semi_invariance_and_uniqueness():
     for sid in finite_ids:
         scn, est = _estimate(sid)
         worst_cross = max(worst_cross, est.cross_check_residual)
-        semi = check_semi_invariance(scn.action, est, tol_rel=1e-9)
+        semi = check_semi_invariance(scn.action, est, tol=1e-9)
         worst_semi = max(worst_semi, float(semi.lhs.real if isinstance(semi.lhs, complex)
                                            else semi.lhs))
     elapsed = time.monotonic() - t0

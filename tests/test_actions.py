@@ -55,7 +55,14 @@ from qha.actions import (
 )
 from qha.groups import affine_group, cyclic, probability_haar, product, symmetric
 from qha.duflo import run_suite
-from qha.scenarios import _WAVELET_PRESETS, Scenario, ScenarioSpec, build_scenario, list_builtins
+from qha.scenarios import (
+    _WAVELET_PRESETS,
+    FINITE_TOLERANCES,
+    Scenario,
+    ScenarioSpec,
+    build_scenario,
+    list_builtins,
+)
 
 from helpers import (
     DenseConjugation,
@@ -338,7 +345,7 @@ class TestPermutationAction:
     def test_validate_escape_for_fixtures(self):
         G = cyclic(2)
         act = PermutationAction(G, G.table, np.array([1.0, 2.0]), validate=False)
-        rep = is_trace_preserving(act)
+        rep = is_trace_preserving(act, tol=FINITE_TOLERANCES["trace-preservation"])
         assert not rep.passed
 
 
@@ -1248,12 +1255,12 @@ class TestComparisonHooks:
 class TestStructuralCheckers:
     def test_trace_preserving_conjugation(self):
         act = conjugation_action(*weyl_heisenberg(3))
-        rep = is_trace_preserving(act)
+        rep = is_trace_preserving(act, tol=FINITE_TOLERANCES["trace-preservation"])
         assert rep.passed and rep.lhs < 1e-12
 
     def test_trace_preserving_invariant_measure(self):
         act = left_translation_action(cyclic(4))
-        assert is_trace_preserving(act).passed
+        assert is_trace_preserving(act, tol=FINITE_TOLERANCES["trace-preservation"]).passed
 
     def test_homomorphism_small_groups_all_pairs(self):
         rng = np.random.default_rng(13)
@@ -1334,7 +1341,7 @@ class TestCertificatesAgainstProbes:
         assert homomorphism_defect(act) == cert.group_law
         assert automorphism_defect(act) == cert.automorphism
         assert isometry_defect(act) == cert.isometry
-        assert is_trace_preserving(act).lhs == cert.trace
+        assert is_trace_preserving(act, tol=FINITE_TOLERANCES["trace-preservation"]).lhs == cert.trace
 
     def test_certificate_reads_no_seed(self):
         act = build_scenario(ScenarioSpec("wh:3")).action
@@ -1343,8 +1350,7 @@ class TestCertificatesAgainstProbes:
 
 def _mutant_rows(act):
     """The two structural rows of run_suite on a bare scenario around ``act``."""
-    scn = Scenario(ScenarioSpec("mutant"), act, tol_rel=1e-9, ineq_tol=1e-9, cross_tol=1e-8,
-                   default_trials=4, expect_tol=1e-9)
+    scn = Scenario(ScenarioSpec("mutant"), act, FINITE_TOLERANCES, default_trials=4)
     rows = {r.name: r for r in run_suite(scn)}
     return rows["action-validity"], rows["trace-preservation"]
 

@@ -1,11 +1,18 @@
 """Scenario catalog, seeded family instances, and config-file round trips."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from qha.duflo import estimate_duflo, run_suite, suite_entry
+import qha.duflo
+from qha.duflo import SUITE, estimate_duflo, run_suite, suite_entry
 from qha.reports import all_passed
 from qha.scenarios import (
+    BUILTIN_IDS,
+    FINITE_TOLERANCES,
+    TOL_REL_ROWS,
+    WAVELET_TOLERANCES,
     ConfigError,
     ScenarioSpec,
     build_scenario,
@@ -56,7 +63,7 @@ class TestBuiltins:
         for sid, expect in EXPECTED_SCALARS.items():
             scn = build_scenario(builtin(sid))
             x1, x2 = scn.duflo_pair()
-            est = estimate_duflo(scn.action, x1, x2, cross_tol=scn.cross_tol)
+            est = estimate_duflo(scn.action, x1, x2, cross_tol=scn.tolerances["duflo-estimate"])
             assert est.scalar_value == pytest.approx(expect, rel=1e-10), sid
 
     def test_unknown_id_lists_kinds(self):
@@ -139,13 +146,13 @@ class TestScenarioFiles:
         path.write_text("[scenario]\nid = wh:3\n")
         spec = load_scenario(path)
         scn = build_scenario(spec)
-        assert scn.tol_rel == 1e-9  # family default
+        assert scn.tolerances == FINITE_TOLERANCES  # the family table
 
     def test_tolerance_override(self, tmp_path):
         path = tmp_path / "scenario.ini"
         path.write_text("[scenario]\nid = wh:3\n\n[tolerances]\nrel = 1e-7\n")
         scn = build_scenario(load_scenario(path))
-        assert scn.tol_rel == 1e-7
+        assert {row: scn.tolerances[row] for row in TOL_REL_ROWS} == dict.fromkeys(TOL_REL_ROWS, 1e-7)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "scenario.ini"
@@ -270,3 +277,60 @@ class TestScenarioRuntime:
             refined_wavelet(ScenarioSpec("wh:3"), 1)
         with pytest.raises(ConfigError):
             refined_wavelet(ScenarioSpec("affine-wavelet:huge"), 0)
+
+
+# the two rows that take no entry: the one derives its tolerance from the
+# estimate, the other compares integers exactly
+UNTABLED = ("admissibility-identities", "ergodicity")
+
+
+class TestToleranceTables:
+    @pytest.mark.parametrize("sid,table", [("wh:4", FINITE_TOLERANCES),
+                                           ("affine-wavelet:default", WAVELET_TOLERANCES)])
+    def test_each_entry_is_the_one_source_of_its_row(self, sid, table, monkeypatch):
+        base = run_suite(build_scenario(ScenarioSpec(sid)))
+        live = {r.name for r in base if not r.skipped}
+        for name, value in list(table.items()):
+            # integrability-witness reports a flag, so its entry (the bound on
+            # the imaginary part) shows only as a verdict: a negative one fails
+            new = -1.0 if name == "integrability-witness" else 2.0 * value
+            with monkeypatch.context() as m:
+                m.setitem(table, name, new)
+                reports = run_suite(build_scenario(ScenarioSpec(sid)))
+            assert [r.name for r in reports] == [r.name for r in base]
+            changed = [a.name for a, b in zip(base, reports)
+                       if (a.tol_abs, a.tol_rel, a.passed) != (b.tol_abs, b.tol_rel, b.passed)]
+            assert changed == ([name] if name in live else []), name
+            if name != "integrability-witness" and name in live:
+                row, = (r for r in reports if r.name == name)
+                assert new in (row.tol_abs, row.tol_rel), name
+
+    @pytest.mark.parametrize("sid", BUILTIN_IDS + ("affine-wavelet:coarse", "broken-measure"))
+    def test_every_applicable_row_has_one_entry(self, sid):
+        scn = build_scenario(ScenarioSpec(sid))
+        applicable = {name for row in SUITE if row.applies(scn) for name in row.rows}
+        assert set(scn.tolerances) <= {name for row in SUITE for name in row.rows}
+        assert applicable - set(UNTABLED) <= set(scn.tolerances)
+        assert not set(UNTABLED) & set(scn.tolerances)
+
+    def test_every_check_takes_a_required_tol(self):
+        for row in SUITE:
+            params = inspect.signature(getattr(qha.duflo, row.check)).parameters
+            assert "scenario" not in params
+            if row.rows[0] in UNTABLED:
+                assert "tol" not in params, row.check
+            else:
+                assert params["tol"].kind is inspect.Parameter.KEYWORD_ONLY, row.check
+                assert params["tol"].default is inspect.Parameter.empty, row.check
+
+    @pytest.mark.parametrize("sid,tol", [("translation:cyclic(6)", 1e-12),
+                                         ("cosets:cyclic(6):cyclic(3)", 1e-10), ("wh:4", 1e-9)])
+    def test_expected_scalar_keeps_its_builder_tolerance(self, sid, tol):
+        row, = (r for r in run_suite(build_scenario(ScenarioSpec(sid)))
+                if r.name == "duflo-expected-scalar")
+        assert row.tol_rel == tol
+
+    def test_tol_rel_replaces_the_tol_rel_rows_only(self):
+        scn = build_scenario(ScenarioSpec("affine-wavelet:default", tol_rel=1e-7))
+        assert scn.tolerances == {**WAVELET_TOLERANCES, **dict.fromkeys(TOL_REL_ROWS, 1e-7)}
+        assert WAVELET_TOLERANCES["orthogonality-positive"] == 1e-2  # the table is not touched

@@ -22,8 +22,10 @@ The structural checkers read certificates: each action carries
 its group-law, automorphism, isometry and trace defects.  The fixed-point
 dimension that certifies ergodicity is the group average of the hook
 ``character``, trace(x -> g.x), on a finite group (Burnside's lemma), and
-the commutant of the wavelet's sampled unitaries.  Randomized probes and a
-dense stacked-SVD nullity are the oracles the tests compare with.
+the commutant of the wavelet's sampled unitaries, counted exactly from
+their tables: no dense unitary is formed and no eigendecomposition runs.
+Randomized probes, the dense U* U residuals and a dense stacked-SVD nullity
+are the oracles the tests compare with.
 
 Each family has its own vectorized kernels for the bracket values
 g -> trace((g.y)* x) and the orbit sum sum_g w_g Delta(g)^{-1} (g.x)
@@ -142,15 +144,11 @@ class MonomialStack:
         return U.reshape(self.shape + (n,))
 
 
-def _row_gain(A: np.ndarray) -> np.ndarray:
-    """Largest row sum of moduli over the last two axes: the factor by which
-    x -> A x, or x -> x A*, can raise the largest entry of x."""
-    return np.abs(A).sum(axis=-1).max(axis=-1)
-
-
 def _law_bound(rd: np.ndarray, rp: np.ndarray, rq: np.ndarray, c: np.ndarray) -> float:
     """Bound on sup|P x P* - Q x Q*| / max|x| over pairs P = c Q + D, from
-    (bounds on) the row gains rd, rp, rq of D, P and Q (``_row_gain``).
+    (bounds on) the row gains rd, rp, rq of D, P and Q: the largest row sum
+    of moduli, the factor by which x -> A x, or x -> x A*, can raise the
+    largest entry of x.
 
     P x P* - Q x Q* = D x P* + c Q x D* + (|c|^2 - 1) Q x Q*, and x -> A x B*
     raises the largest entry by at most r(A) r(B).
@@ -293,21 +291,19 @@ def finite_weyl_heisenberg(n: int) -> MonomialStack:
                          np.broadcast_to(np.exp(1j * (2 * np.pi * ((l * s) % n) / n)), (n, n, n)).reshape(n * n, n))
 
 
-# The simple-spectrum commutant count is accepted only when its noise floor
-# sits at least this factor below the coupling threshold.
+# The joint-phase count is accepted only when its smallest gap sits at least
+# this factor above the rounding floor K eps.
 CERTIFICATE_MARGIN = 10.0
-# Fixed seed of the generic element, so that no scenario stream is consumed.
-_GENERIC_SEED = 0x51A
 
 
 class CommutantCertificate(NamedTuple):
     """A commutant dimension with the margins behind it.
 
-    ``rel_gap`` is the smallest eigenvalue gap of the generic element over
-    its norm, ``noise_floor`` the Davis-Kahan bound K*eps/rel_gap on the
-    rounding noise of the rotated couplings, and ``min_coupling`` the
-    smallest coupling the component count relies on (the weakest edge of a
-    maximum spanning forest; inf when no edge is needed).
+    ``rel_gap`` is the smallest distance between the joint phases of two
+    indices under the diagonal members, over the largest phase modulus,
+    ``noise_floor`` the rounding floor K*eps it is held against, and
+    ``min_coupling`` the smallest phase modulus of the edges the component
+    count joins along (inf when there is none).
     """
 
     dimension: int
@@ -316,12 +312,8 @@ class CommutantCertificate(NamedTuple):
     min_coupling: float
 
 
-def _union_find(n: int, pairs) -> tuple[int, int]:
-    """Merge vertices along ``pairs`` in order; stop once one component is left.
-
-    Returns the number of components and the index of the last merging pair
-    (-1 when none merged).
-    """
+def _union_find(n: int, pairs) -> int:
+    """The number of connected components of n vertices joined along ``pairs``."""
     parent = list(range(n))
 
     def find(a: int) -> int:
@@ -330,65 +322,57 @@ def _union_find(n: int, pairs) -> tuple[int, int]:
             a = parent[a]
         return a
 
-    count, last = n, -1
-    for i, (a, b) in enumerate(pairs):
+    count = n
+    for a, b in pairs:
         ra, rb = find(int(a)), find(int(b))
         if ra != rb:
             parent[ra] = rb
             count -= 1
-            last = i
-            if count == 1:
-                break
-    return count, last
+    return count
 
 
-def commutant_certificate(matrices, tol: float = 1e-8) -> CommutantCertificate:
-    """Dimension of {X : X U = U X for every U in ``matrices``} (unitaries).
+def commutant_certificate(U: MonomialStack) -> CommutantCertificate:
+    """Dimension of {X : X U = U X for every U in ``U``}, an (m, K)
+    ``MonomialStack`` of unitaries, counted exactly from the tables.
 
-    The commutant of the unitaries is the commutant of the *-algebra they
-    generate, so it commutes with the hermitian element h, a fixed-seed
-    random combination of U + U* and i(U - U*).  When h = V diag(w) V* has a
-    simple spectrum every commuting X is diagonal in V, and X = V diag(d) V*
-    commutes with U exactly when d is constant across each nonzero entry of
-    V* U V.  The dimension is then the number of connected components of the
-    graph with an edge where some |V* U V| exceeds ``tol``, found by
-    union-find over the couplings in decreasing order.  This costs one eigh
-    and two products per unitary, O(K^3).
+    The diagonal members (perm the identity) are diag(ph), and X commutes
+    with them exactly when X[c, d] (ph[c] - ph[d]) vanishes for each: when
+    the joint phases (ph_g[c])_g of every two indices differ, each
+    commuting X is diagonal, X = diag(d).  diag(d) commutes with a monomial
+    U, U[perm[c], c] = ph[c], exactly when d[perm[c]] ph[c] = ph[c] d[c]:
+    d is constant along the edge (c, perm[c]), as ph[c] != 0.  The
+    dimension is then the number of connected components of the other
+    members' edges, found by union-find.  This costs O(m K^2) for the gaps
+    and O(m K) for the edges; no eigendecomposition.
 
-    The count is accepted only when the Davis-Kahan noise floor
-    K*eps*||h||/gap on the rotated couplings sits CERTIFICATE_MARGIN (10)
-    times below ``tol``.  On the wavelet presets it sits 270 (fine), 890
-    (default) and 2900 (coarse) times below 1e-8, and the weakest coupling
-    the count relies on is 0.14 to 0.36.  Otherwise the spectrum is
-    treated as degenerate and ActionError names the measured gap.  Only
-    the wavelet's count calls it; a finite group counts by its character.
+    The one threshold: the smallest joint-phase gap over the largest phase
+    modulus must reach CERTIFICATE_MARGIN (10) times the rounding floor
+    K * eps, else two indices are not separated and ActionError names the
+    relative gap.  On the wavelet the diagonal members are the sample's
+    a = 1 nodes, whose phases exp(-2 pi i b xi) the aliasing guard
+    db (xi_max - xi_min) < 1 keeps apart: the gap is 1.6e-3 (fine), 3.3e-3
+    (default) and 6.7e-3 (coarse), 3.8e9 to 6.1e10 times the margin times
+    the floor, and every edge has |ph| = 1 to rounding.  Only the wavelet's
+    count calls it; a finite group counts by its character.
     """
-    mats = np.asarray(matrices, dtype=complex)
-    K = mats.shape[1]
+    K = U.shape[1]
     if K == 1:
         return CommutantCertificate(1, math.inf, 0.0, math.inf)
-    rng = np.random.default_rng(_GENERIC_SEED)
-    a, b = rng.standard_normal((2, mats.shape[0]))
-    # a (U + U*) + b i(U - U*) = c U + (c U)* with c = a + ib
-    m = np.einsum("g,gij->ij", a + 1j * b, mats)
-    w, V = np.linalg.eigh(m + m.conj().T)
-    norm = float(np.abs(w).max())
-    rel_gap = float(np.diff(w).min()) / norm if norm > 0.0 else 0.0
-    noise_floor = float(K * np.finfo(float).eps / rel_gap) if rel_gap > 0.0 else math.inf
-    if noise_floor * CERTIFICATE_MARGIN > tol:
-        raise ActionError(
-            f"degenerate spectrum of the generic element at dim {K * K}: relative gap "
-            f"{rel_gap:.3e}, noise floor {noise_floor:.3e} against tol {tol:.1e}"
-        )
-    coupling = np.abs(V.conj().T @ mats @ V).max(axis=0)
-    coupling = np.maximum(coupling, coupling.T)
+    diagonal = (U.perm == np.arange(K)).all(axis=1)
+    ph = U.phase[diagonal]
     rows, cols = np.triu_indices(K, 1)
-    weights = coupling[rows, cols]
-    order = np.argsort(-weights, kind="stable")
-    order = order[weights[order] > tol]
-    count, last = _union_find(K, zip(rows[order], cols[order]))
-    min_coupling = float(weights[order[last]]) if last >= 0 else math.inf
-    return CommutantCertificate(count, rel_gap, noise_floor, min_coupling)
+    gap = float(np.abs(ph[:, rows] - ph[:, cols]).max(axis=0, initial=0.0).min())
+    rel_gap = gap / float(np.abs(U.phase).max())
+    noise_floor = K * float(np.finfo(float).eps)
+    if rel_gap < CERTIFICATE_MARGIN * noise_floor:
+        raise ActionError(
+            f"the diagonal members do not separate the indices at dim {K * K}: relative gap "
+            f"{rel_gap:.3e} against {CERTIFICATE_MARGIN:g} times the floor {noise_floor:.3e}"
+        )
+    perm = U.perm[~diagonal]
+    count = _union_find(K, zip(np.tile(np.arange(K), len(perm)), perm.reshape(-1)))
+    coupling = float(np.abs(U.phase[~diagonal]).min(initial=math.inf))
+    return CommutantCertificate(count, rel_gap, noise_floor, coupling)
 
 
 # ---------------------------------------------------------------------------
@@ -414,15 +398,18 @@ class ActionStructure(NamedTuple):
     trace: float
 
 
-def _block_residuals(src: np.ndarray, U: np.ndarray, weights) -> tuple[float, float, float]:
+def _block_residuals(src: np.ndarray, U: MonomialStack, weights) -> tuple[float, float, float]:
     """(automorphism, isometry, trace) residuals of the sampled elements,
-    from their source rows and dense unitaries.
+    from their source rows and (m, t, n) monomial tables whose rows permute
+    the columns.
 
-    Block j of g.x is U x_k U* with k = src[g, j].  With E = U* U - I and
-    eta = max ||E||_F, which bounds U U* - I and E in norm:
-    g.(xy) - g.x g.y = U x_k (-E) y_k U* is at most r(U)^2 sum|E| max|x| max|y|
-    (r = ``_row_gain``), the unitality defect at most eta, and adjoints are
-    kept exactly; ||g.x||_p / ||x||_p lies within (1 +- rho)(1 +- eta) for
+    Block j of g.x is U x_k U* with k = src[g, j].  U* U is then diag(|ph|^2),
+    so E = U* U - I is diag(|ph|^2 - 1) and the row gain r(U), the largest
+    row sum of moduli, is max|ph|.  With eta = max ||E||_F, which bounds
+    U U* - I and E in norm:
+    g.(xy) - g.x g.y = U x_k (-E) y_k U* is at most r(U)^2 sum|E| max|x| max|y|,
+    the unitality defect at most eta, and adjoints are kept exactly;
+    ||g.x||_p / ||x||_p lies within (1 +- rho)(1 +- eta) for
     rho = max |w/w[src] - 1|, as block j carries block src[g, j] to weight
     w_j; and
     |tr(g.e) - tr(e)| <= max |w[src] - w| + max(w) max|E| on the matrix
@@ -432,9 +419,9 @@ def _block_residuals(src: np.ndarray, U: np.ndarray, weights) -> tuple[float, fl
     w = np.asarray(weights, dtype=float)
     moved = float(np.abs(w[src] - w).max())
     rho = float(np.abs(w / w[src] - 1.0).max())
-    E = np.abs(U.conj().swapaxes(2, 3) @ U - np.eye(U.shape[-1]))
-    eta = math.sqrt(float((E ** 2).sum(axis=(2, 3)).max()))
-    automorphism = max(eta, float((_row_gain(U) ** 2 * E.sum(axis=(2, 3))).max()))
+    E = np.abs((U.phase * U.phase.conj()).real - 1.0)
+    eta = math.sqrt(float((E ** 2).sum(axis=-1).max()))
+    automorphism = max(eta, float((np.abs(U.phase).max(axis=-1) ** 2 * E.sum(axis=-1)).max()))
     return automorphism, rho + (1.0 + rho) * eta, moved + w.max() * float(E.max())
 
 
@@ -609,7 +596,7 @@ class ConjugationAction(Action):
             raise ActionError("each source row must permute the blocks")
         if not (src[group.identity] == np.arange(t)).all():
             raise ActionError("identity must act trivially")
-        if np.abs(U[group.identity].dense() - np.eye(n)).max() > 1e-11:
+        if (U.perm[group.identity] != np.arange(n)).any() or np.abs(U.phase[group.identity] - 1.0).max() > 1e-11:
             raise RepresentationError("the identity must be represented by I")
         # max|U U* - I|: max||phase|^2 - 1| when the rows permute the columns
         permuted = (np.sort(U.perm, axis=-1) == np.arange(n)).all()
@@ -631,7 +618,7 @@ class ConjugationAction(Action):
         self._src = src
         self._classes = _monomial_classes(U, src)
         sampled = list(gens)
-        automorphism, isometry, moved = _block_residuals(src[sampled], U[sampled].dense(), shape.trace_weights)
+        automorphism, isometry, moved = _block_residuals(src[sampled], U[sampled], shape.trace_weights)
         self.structure = ActionStructure("unitary-stack", law, max(unitality, automorphism),
                                          isometry, moved)
 
@@ -752,7 +739,8 @@ class PermutationAction(Action):
         # (g.x)(t) = x(src[g, t])
         src = point_table[group.inverse_table]
         gens = group.generators or tuple(group.elements())
-        residuals = _block_residuals(src[list(gens)], np.ones((len(gens), t, 1, 1)), mu)
+        trivial = MonomialStack(np.zeros((len(gens), t, 1), dtype=int), np.ones((len(gens), t, 1)))
+        residuals = _block_residuals(src[list(gens)], trivial, mu)
         if validate and residuals[2] != 0.0:
             raise MeasureError("point measure is not invariant under the action")
         super().__init__(group, AlgebraShape(1, tuple(mu)), "permutation", gens)
@@ -1032,19 +1020,15 @@ class WaveletAction(Action):
             raise GridError(f"dilation {a:g} is not a grid step")
         return int(j)
 
-    def matrix(self, g) -> np.ndarray:
-        """Unitary of the node: modulation phases times a cyclic shift."""
-        a, b = float(g[0]), float(g[1])
-        j = self.shift_of(a)
-        K = self.grid_size
-        U = np.zeros((K, K), dtype=complex)
-        rows = np.arange(K)
-        U[rows, (rows + j) % K] = np.exp(-2j * np.pi * b * self.xi)
-        return U
-
-    def sampled_structure(self) -> tuple[np.ndarray, np.ndarray]:
-        U = np.array([self.matrix(g) for g in self.sample_elements])
-        return np.zeros((len(U), 1), dtype=int), U[:, None]
+    def sampled_structure(self) -> tuple[np.ndarray, MonomialStack]:
+        """The source rows and the (m, 1, K) tables of the sampled nodes: node
+        (a, b) moves column c to row (c - j(a)) % K with that row's
+        modulation phase exp(-2 pi i b xi)."""
+        nodes = np.array(self.sample_elements)
+        j = np.array([self.shift_of(a) for a in nodes[:, 0]])
+        perm = (np.arange(self.grid_size) - j[:, None]) % self.grid_size
+        phase = np.exp(-2j * np.pi * nodes[:, 1, None] * self.xi[perm])
+        return np.zeros((len(nodes), 1), dtype=int), MonomialStack(perm[:, None], phase[:, None])
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         a, b = float(g[0]), float(g[1])
@@ -1303,7 +1287,7 @@ class WaveletAction(Action):
 # structural checkers
 
 
-def fixed_point_dimension(action: Action, tol: float = 1e-8) -> int:
+def fixed_point_dimension(action: Action) -> int:
     """Dimension of {x : g.x = x for every g}; 1 means ergodic.
 
     On a finite group of order N, Burnside's lemma: the mean P of the maps
@@ -1323,10 +1307,11 @@ def fixed_point_dimension(action: Action, tol: float = 1e-8) -> int:
     integer is no group action: ActionError.
 
     On a quadrature group, the commutant of the sampled unitaries of its one
-    block (commutant_certificate, which explains ``tol``).
+    block, counted exactly from their tables (``commutant_certificate``,
+    which states its one threshold): no eigendecomposition.
     """
     if not isinstance(action.group, FiniteGroup):
-        return commutant_certificate(action.sampled_structure()[1][:, 0], tol).dimension
+        return commutant_certificate(action.sampled_structure()[1][:, 0]).dimension
     chi = action.character()
     mean = float(np.mean(chi))
     count = round(mean)

@@ -123,6 +123,12 @@ CLAIMS: dict[str, str] = {
 }
 
 
+# The off-scalar residual at or below which D is scalar: the finite
+# ``duflo-estimate`` entry, the agreement of two estimates of D^{-1} from
+# independent test elements, so no smaller off-scalar part is resolved.
+SCALAR_FLAG_TOL = 1e-8
+
+
 class EstimateError(Exception):
     """The scaling-operator estimate failed (non-positive or inconsistent)."""
 
@@ -198,8 +204,8 @@ class DufloEstimate:
 
     @property
     def scalar_flag(self) -> bool:
-        """D is a multiple of the identity to 1e-8."""
-        return self.off_scalar_residual <= 1e-8
+        """D is a multiple of the identity to SCALAR_FLAG_TOL."""
+        return self.off_scalar_residual <= SCALAR_FLAG_TOL
 
     @property
     def scalar_value(self) -> float | None:

@@ -15,9 +15,7 @@ from qha.actions import (
     ConjugationAction,
     PermutationAction,
     WaveletAction,
-    _block_residuals,
     _law_bound,
-    _row_gain,
     _sample_pairs,
     finite_weyl_heisenberg,
 )
@@ -432,8 +430,9 @@ def loop_trace_pairing(a, b):
 
 
 
-# Largest linearized dimension for which a dense SVD nullity is computed.
-DENSE_LIMIT = 600
+# Largest linearized dimension for which a dense SVD nullity is computed:
+# the small test wavelet's, K = 33.
+DENSE_LIMIT = 33 * 33
 
 
 def _stacked_nullity(maps, tol):
@@ -457,6 +456,18 @@ def dense_fixed_point_dimension(action, tol=1e-8):
 # ---------------------------------------------------------------------------
 # The wavelet's test elements drawn bump by bump, one rank-one term at a time
 # over the whole grid: the oracle of the batched draws on their supports.
+
+
+def wavelet_matrix(action, g):
+    """The dense K x K unitary of the wavelet node g = (a, b): modulation
+    phases exp(-2 pi i b xi) times a cyclic shift by j(a) steps."""
+    a, b = float(g[0]), float(g[1])
+    j = action.shift_of(a)
+    K = action.grid_size
+    U = np.zeros((K, K), dtype=complex)
+    rows = np.arange(K)
+    U[rows, (rows + j) % K] = np.exp(-2j * np.pi * b * action.xi)
+    return U
 
 
 def loop_bump_vector(action, center_octaves, width_octaves, modulation=0.0):
@@ -513,6 +524,26 @@ def loop_wavelet_element(action, rng):
 DENSE_SLICE = 32
 
 
+def _row_gain(A):
+    """Largest row sum of moduli over the last two axes: the factor by which
+    x -> A x, or x -> x A*, can raise the largest entry of x."""
+    return np.abs(A).sum(axis=-1).max(axis=-1)
+
+
+def dense_block_residuals(src, U, weights):
+    """``_block_residuals`` from dense (m, t, n, n) unitaries: E = |U* U - I|
+    by one block product, eta = max ||E||_F, and the automorphism, isometry
+    and trace residuals max(eta, r(U)^2 sum E), rho + (1 + rho) eta and
+    max|w[src] - w| + max(w) max E."""
+    w = np.asarray(weights, dtype=float)
+    moved = float(np.abs(w[src] - w).max())
+    rho = float(np.abs(w / w[src] - 1.0).max())
+    E = np.abs(U.conj().swapaxes(2, 3) @ U - np.eye(U.shape[-1]))
+    eta = math.sqrt(float((E ** 2).sum(axis=(2, 3)).max()))
+    automorphism = max(eta, float((_row_gain(U) ** 2 * E.sum(axis=(2, 3))).max()))
+    return automorphism, rho + (1.0 + rho) * eta, moved + w.max() * float(E.max())
+
+
 def dense_unitaries(action):
     """The (N, t, n, n) unitary stack of a conjugation action."""
     return action.unitaries.dense()
@@ -560,7 +591,7 @@ def dense_structure(action):
     law = dense_product_phases(U, src, group, _sample_pairs(group.order, limit=24))[2]
     unitality = float(np.abs(U @ U.conj().swapaxes(-1, -2) - np.eye(U.shape[-1])).max())
     gens = list(action.sample_elements)
-    _, isometry, moved = _block_residuals(src[gens], U[gens], action.shape.trace_weights)
+    _, isometry, moved = dense_block_residuals(src[gens], U[gens], action.shape.trace_weights)
     return law, unitality, isometry, moved
 
 

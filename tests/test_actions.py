@@ -68,6 +68,7 @@ from helpers import (
     DenseConjugation,
     cyclic_subgroups,
     dense_apply,
+    dense_block_residuals,
     dense_fixed_point_dimension,
     dense_orbit_sum,
     dense_product_phases,
@@ -92,6 +93,7 @@ from helpers import (
     probe_trace_defect,
     symbol,
     tuple_of_index,
+    wavelet_matrix,
     weyl_heisenberg,
 )
 
@@ -172,7 +174,10 @@ class TestWeylHeisenberg:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_irreducible(self, n):
-        assert commutant_certificate(finite_weyl_heisenberg(n).dense()).dimension == 1
+        # the table count of the whole family against the dense nullity of
+        # the generators' linearized g.x - x
+        act = conjugation_action(*weyl_heisenberg(n))
+        assert commutant_certificate(finite_weyl_heisenberg(n)).dimension == dense_fixed_point_dimension(act) == 1
 
     @pytest.mark.parametrize("n", [12, 24, 31])
     def test_entries_stay_unimodular_as_n_grows(self, n):
@@ -426,6 +431,109 @@ def _rounding_bound(act, x, y):
     return (n * n + 2 * n + 2 * t + 17) * u * p_norm(x, 2.0) * p_norm(y, 2.0)
 
 
+def _sampled_tables(act):
+    """The source rows and (m, t, n) monomial tables of the sampled elements,
+    as ``structure`` reads them: the trivial table on a permutation's atoms."""
+    if isinstance(act, WaveletAction):
+        return act.sampled_structure()
+    src = act._src[list(act.sample_elements)]
+    if isinstance(act, PermutationAction):
+        return src, MonomialStack(np.zeros(src.shape + (1,), dtype=int), np.ones(src.shape + (1,)))
+    return src, act.unitaries[list(act.sample_elements)]
+
+
+def _residual_rounding_bound(src, U, weights, residuals):
+    """Bound on |table - dense| for each of the (automorphism, isometry,
+    trace) residuals of ``_block_residuals`` against ``dense_block_residuals``
+    on the same tables, ``residuals`` the table's values.
+
+    With u = eps / 2, s = max|ph|^2, e = max||ph|^2 - 1| and n the block size:
+    - the table forms |ph|^2 as the real part of ph conj(ph), a sum of two
+      squares, within 2 u s; the dense U* U holds it as the lone nonzero
+      term of its sum (the other terms are exact zeros), within 2 u s as
+      well, plus an imaginary part of at most u s / 2 where the product is
+      fused.  Subtracting 1 is exact (Sterbenz) and the dense modulus
+      rounds by u, so the entries of E differ by at most d = (5 s + e) u,
+      the 5 covering 4.5 and the second-order terms; every off-diagonal
+      dense entry is an exact zero;
+    - ||E||_F over a block's n entries then differs by at most sqrt(n) d,
+      plus (n + 1) u ||E||_F <= (n + 1) u sqrt(n) e on each side for the
+      squares, the sum and the root;
+    - sum E differs by at most n d, plus (n - 1) u n e on each side for the
+      sum, and r(U)^2 = max|ph|^2 is the same number in both (the dense row
+      sums add exact zeros to one modulus), rounded alike; with the
+      product's rounding, r^2 sum E differs by at most s n (d + 2 (n + 1) u e),
+      and the automorphism residual, the larger of the two, by at most the
+      larger difference;
+    - the isometry residual rho + (1 + rho) eta, rho the same number, by
+      (1 + rho) times eta's difference plus 4 u of itself; and
+    - the trace residual max|w[src] - w| + max(w) max E by max(w) d plus
+      4 u of itself.
+    """
+    u = np.finfo(float).eps / 2
+    n = U.shape[-1]
+    s = float(np.abs(U.phase).max()) ** 2
+    e = float(np.abs(np.abs(U.phase) ** 2 - 1.0).max())
+    w = np.asarray(weights, dtype=float)
+    rho = float(np.abs(w / w[src] - 1.0).max())
+    d = (5.0 * s + e) * u
+    d_eta = math.sqrt(n) * (d + 2 * (n + 1) * u * e)
+    _, isometry, trace_defect = residuals
+    return (max(d_eta, s * n * (d + 2 * (n + 1) * u * e)),
+            (1.0 + rho) * d_eta + 4 * u * isometry,
+            w.max() * d + 4 * u * trace_defect)
+
+
+# Every builtin, the negative control, the other two wavelet presets and the
+# small test wavelet.
+RESIDUAL_IDS = (*list_builtins(), "broken-measure", "affine-wavelet:fine", "affine-wavelet:coarse",
+                "small-wavelet")
+
+
+class TestBlockResiduals:
+    @pytest.mark.parametrize("sid", RESIDUAL_IDS)
+    def test_table_residuals_match_the_dense_formula(self, sid):
+        # the residuals read off the tables against U* U - I formed densely
+        # from the same tables, within the rounding bound derived above; the
+        # action's structure holds the table's values
+        act = _kernel_action(sid)
+        src, U = _sampled_tables(act)
+        weights = act.shape.trace_weights
+        table = _block_residuals(src, U, weights)
+        dense = dense_block_residuals(src, U.dense(), weights)
+        bounds = _residual_rounding_bound(src, U, weights, table)
+        for name, t, dn, bound in zip(("automorphism", "isometry", "trace"), table, dense, bounds):
+            assert abs(t - dn) <= bound, (name, t, dn, bound)
+        assert act.structure.automorphism >= table[0]
+        assert (act.structure.isometry, act.structure.trace) == table[1:]
+
+    def test_non_unitary_tables_match_the_dense_formula(self):
+        # moduli within 10 % of 1 make every residual O(1e-1), far above
+        # rounding, so a wrong formula for E or the row gain shows
+        rng = np.random.default_rng(32)
+        m, t, n = 4, 3, 5
+        perm = rng.permuted(np.broadcast_to(np.arange(n), (m, t, n)), axis=-1)
+        phase = rng.uniform(0.9, 1.1, (m, t, n)) * np.exp(2j * np.pi * rng.random((m, t, n)))
+        U = MonomialStack(perm, phase)
+        src = rng.permuted(np.broadcast_to(np.arange(t), (m, t)), axis=-1)
+        weights = (1.0, 2.0, 0.5)
+        table = _block_residuals(src, U, weights)
+        dense = dense_block_residuals(src, U.dense(), weights)
+        bounds = _residual_rounding_bound(src, U, weights, table)
+        assert min(table) > 0.1
+        for name, tb, dn, bound in zip(("automorphism", "isometry", "trace"), table, dense, bounds):
+            assert abs(tb - dn) <= bound, (name, tb, dn, bound)
+
+    def test_permutation_residuals_are_exact(self):
+        # the trivial table of a permutation's atoms has E = 0: the dense
+        # formula gives the same numbers bit for bit
+        act = _kernel_action("broken-measure")
+        src, U = _sampled_tables(act)
+        table = _block_residuals(src, U, act.shape.trace_weights)
+        assert table == dense_block_residuals(src, U.dense(), act.shape.trace_weights)
+        assert table[0] == 0.0 and table[2] > 0.0
+
+
 class TestMonomialKernel:
     """The quadratic-form bracket kernel that every conjugation takes, and
     the stacks that are rejected for want of it."""
@@ -508,15 +616,18 @@ class TestMonomialKernel:
         #   1 within 1e-11 computed alike, within 2 (2 n + 30) u + 3 (2 n + 16) u;
         # - max|U U* - I| is ||ph|^2 - 1| in either, |ph|^2 to 2 u, plus an
         #   imaginary part of at most 2 u in the dense product.
-        # The sampled residuals are computed from the same dense matrices.
+        # The sampled residuals differ from the dense U* U formula within
+        # ``_residual_rounding_bound``.
         act = _kernel_action(sid)
         law, unitality, isometry, trace_defect = dense_structure(act)
         n, u = act.shape.block_dim, np.finfo(float).eps / 2
         assert abs(act.structure.group_law - law) <= (10 * n + 108) * u
-        gens = list(act.sample_elements)
-        automorphism = _block_residuals(act._src[gens], dense_unitaries(act)[gens], act.shape.trace_weights)[0]
-        assert abs(act.structure.automorphism - max(unitality, automorphism)) <= 6 * u
-        assert (act.structure.isometry, act.structure.trace) == (isometry, trace_defect)
+        src, U = _sampled_tables(act)
+        automorphism = dense_block_residuals(src, U.dense(), act.shape.trace_weights)[0]
+        bounds = _residual_rounding_bound(src, U, act.shape.trace_weights, act.structure[2:])
+        assert abs(act.structure.automorphism - max(unitality, automorphism)) <= max(6 * u, bounds[0])
+        assert abs(act.structure.isometry - isometry) <= bounds[1]
+        assert abs(act.structure.trace - trace_defect) <= bounds[2]
 
     def test_tables_scale_without_the_dense_stack(self):
         # building wh:48 and running its suite keeps the (N, t, n) tables
@@ -816,7 +927,7 @@ DYADIC_WAVELETS = {
 class TestWaveletAction:
     def test_identity_matrix(self):
         act = WaveletAction(SMALL_WAVELET)
-        U = act.matrix(act.group.identity)
+        U = wavelet_matrix(act, act.group.identity)
         assert np.abs(U - np.eye(act.grid_size)).max() < 1e-12
 
     def test_node_unitarity(self):
@@ -825,7 +936,7 @@ class TestWaveletAction:
         rng = np.random.default_rng(8)
         xi = rng.standard_normal(act.grid_size) + 1j * rng.standard_normal(act.grid_size)
         for i in range(0, act.group.node_count, 97):
-            U = act.matrix(act.group.nodes[i])
+            U = wavelet_matrix(act, act.group.nodes[i])
             assert abs(np.linalg.norm(U @ xi) - np.linalg.norm(xi)) < 1e-10
 
     def test_composition_on_window_rows(self):
@@ -833,8 +944,8 @@ class TestWaveletAction:
         act = WaveletAction(SMALL_WAVELET)
         g = np.array([2.0 ** (2 / 8), 0.3])
         h = np.array([2.0 ** (-1 / 8), -0.2])
-        Ug, Uh = act.matrix(g), act.matrix(h)
-        Ugh = act.matrix(act.group.compose(g, h))
+        Ug, Uh = wavelet_matrix(act, g), wavelet_matrix(act, h)
+        Ugh = wavelet_matrix(act, act.group.compose(g, h))
         rows = act.window
         assert np.abs((Ug @ Uh - Ugh)[rows, :]).max() < 1e-10
 
@@ -843,7 +954,7 @@ class TestWaveletAction:
         rng = np.random.default_rng(9)
         x = act.random_element(rng)
         g = act.group.nodes[7]
-        U = act.matrix(g)
+        U = wavelet_matrix(act, g)
         direct = AlgebraElement(act.shape, [U @ x.blocks[0] @ U.conj().T])
         assert sup_distance(act.apply(g, x), direct) < 1e-12
 
@@ -855,7 +966,7 @@ class TestWaveletAction:
     def test_rejects_off_grid_dilation(self):
         act = WaveletAction(SMALL_WAVELET)
         with pytest.raises(GridError):
-            act.matrix((1.3, 0.0))
+            act.shift_of(1.3)
 
     def test_sampled_ergodicity(self):
         act = WaveletAction(SMALL_WAVELET)
@@ -1412,6 +1523,20 @@ def _direct_sum(*stacks):
     return mats
 
 
+def _two_cycle_action():
+    """cyclic(3) x cyclic(6) on C^6 by (a, b) -> sigma^a D^b: sigma shifts
+    the two cycles (0 1 2) and (3 4 5), D = diag(zeta^e) for
+    zeta = exp(2 pi i / 6) and the distinct exponents e = (0, 2, 4, 3, 5, 1).
+    e grows by 2 along each cycle, so sigma D sigma* = zeta^-2 D and the
+    tables form a projective representation; its commutant holds the
+    diagonals constant on each cycle, dimension 2."""
+    a, b, c = np.ogrid[:3, :6, :6]
+    e = np.array([0, 2, 4, 3, 5, 1])
+    perm = np.broadcast_to(3 * (c // 3) + (c % 3 + a) % 3, (3, 6, 6)).reshape(18, 6)
+    phase = np.broadcast_to(np.exp(1j * (2 * np.pi * (b * e[c] % 6) / 6)), (3, 6, 6)).reshape(18, 6)
+    return conjugation_action(product(cyclic(3), cyclic(6)), MonomialStack(perm, phase))
+
+
 class TestErgodicityCount:
     @pytest.mark.parametrize("sid", ORACLE_IDS)
     def test_structured_count_matches_dense_oracle(self, sid):
@@ -1437,35 +1562,41 @@ class TestErgodicityCount:
         rng = np.random.default_rng(16)
         x = random_element(act.shape, rng)
         blocks = x.blocks
-        if isinstance(act, WaveletAction):
-            src, unitaries = act.sampled_structure()
-        else:
-            # the sampled rows of the tables, as the structure residuals read them
-            gens = list(act.sample_elements)
-            src, unitaries = act._src[gens], act.unitaries[gens].dense()
-        for g, row, Us in zip(act.sample_elements, src, unitaries):
+        # the sampled rows of the tables, as the structure residuals read them
+        src, tables = _sampled_tables(act)
+        for g, row, Us in zip(act.sample_elements, src, tables.dense()):
             direct = AlgebraElement(act.shape, [U @ blocks[k] @ U.conj().T for k, U in zip(row, Us)])
             assert sup_distance(act.apply(g, x), direct) < 1e-10
 
-    def test_simple_spectrum_disconnected_graph(self):
-        # std + sign of s3: the generic element has a simple spectrum, the
-        # rotated unitaries stay block diagonal, so the graph has 2 components
-        G, reps = s3_irreps()
-        mats = _direct_sum(reps["std"], reps["sign"])
-        act = conjugation_action(G, mats)
-        cert = commutant_certificate(mats)
-        assert cert.dimension == 2
-        assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 2
+    @pytest.mark.parametrize("case", ["small-wavelet", "std+sign", "two-cycles"])
+    def test_table_count_matches_dense_oracle(self, case):
+        # small-wavelet: the sampled shift-and-phase tables, one component.
+        # std + sign of s3: the 3-cycles are diagonal with distinct joint
+        # phases, the transpositions join the two indices of std and keep
+        # sign's, so 2 components.  two-cycles: the table of _two_cycle_action,
+        # one component per cycle
+        if case == "small-wavelet":
+            act, expected = WaveletAction(SMALL_WAVELET), 1
+            tables = act.sampled_structure()[1][:, 0]
+        else:
+            if case == "std+sign":
+                G, reps = s3_irreps()
+                act = conjugation_action(G, _direct_sum(reps["std"], reps["sign"]))
+            else:
+                act = _two_cycle_action()
+            expected, tables = 2, act.unitaries[:, 0]
+        assert commutant_certificate(tables).dimension == dense_fixed_point_dimension(act) == expected
+        assert fixed_point_dimension(act) == expected
 
     def test_degenerate_spectrum_counts_by_character(self):
-        # std (x) 1_2: every element of the generated algebra is doubly
-        # degenerate, so the spectral commutant count refuses it and names
-        # the gap; the character counts the commutant 1 (x) M_2, dimension 4
+        # std (x) 1_2: every diagonal member repeats each phase twice, so the
+        # table count refuses it and names the gap; the character counts the
+        # commutant 1 (x) M_2, dimension 4
         G, reps = s3_irreps()
         mats = np.array([np.kron(U, np.eye(2)) for U in reps["std"]])
         act = conjugation_action(G, mats)
         with pytest.raises(ActionError, match="relative gap"):
-            commutant_certificate(mats)
+            commutant_certificate(MonomialStack.from_dense(mats))
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 4
 
     def test_trivial_rep_dim2(self):
@@ -1541,18 +1672,19 @@ class TestErgodicityCount:
         with pytest.raises(ActionError, match="not a group action"):
             fixed_point_dimension(act)
 
-    @pytest.mark.parametrize("preset", ["coarse", "default", "small"])
+    @pytest.mark.parametrize("preset", ["coarse", "default", "fine", "small"])
     def test_wavelet_certificate(self, preset):
         if preset == "small":
             act = WaveletAction(SMALL_WAVELET)
         else:
             act = build_scenario(ScenarioSpec(f"affine-wavelet:{preset}")).action
-        tol = 1e-8
-        cert = commutant_certificate(act.sampled_structure()[1][:, 0], tol)
+        # the a = 1 nodes separate the grid with a gap far above the margin,
+        # and every shift edge has a unit phase
+        cert = commutant_certificate(act.sampled_structure()[1][:, 0])
         assert cert.dimension == fixed_point_dimension(act) == 1
-        assert cert.noise_floor * CERTIFICATE_MARGIN <= tol
-        assert cert.min_coupling > 1e3 * tol
-        assert cert.rel_gap > 0.0
+        assert cert.noise_floor == act.grid_size * np.finfo(float).eps
+        assert cert.rel_gap > 1e6 * CERTIFICATE_MARGIN * cert.noise_floor
+        assert abs(cert.min_coupling - 1.0) <= 2 * np.finfo(float).eps
 
     def test_import_leaves_scipy_out(self):
         src = Path(__file__).resolve().parent.parent / "src"

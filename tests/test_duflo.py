@@ -55,7 +55,7 @@ from qha.duflo import (
 )
 from qha.groups import cyclic, probability_haar
 from qha.reports import CheckReport
-from qha.scenarios import BUILTIN_IDS, Scenario, build_scenario, builtin, refined_wavelet
+from qha.scenarios import BUILTIN_IDS, FINITE_TOLERANCES, Scenario, build_scenario, builtin, refined_wavelet
 
 from helpers import FINITE_ROWS, LOOP_CHECKS, WAVELET_ROWS, loop_run_check, weyl_heisenberg
 
@@ -187,6 +187,11 @@ class TestEstimate:
         flag, value, off = est.scalar_flag, est.scalar_value, est.off_scalar_residual
         assert flag == (value is not None) == (off <= 1e-8)
         assert "spectrum" not in vars(est) and "d" not in vars(est)
+
+    def test_scalar_flag_tolerance_is_the_finite_estimate_entry(self):
+        # the off-scalar part of D is resolved only to the agreement of two
+        # estimates of D^{-1}, the finite duflo-estimate entry
+        assert qha.duflo.SCALAR_FLAG_TOL == FINITE_TOLERANCES["duflo-estimate"] == 1e-8
 
     def test_non_positive_d_inverse_raises(self, monkeypatch):
         # a D^{-1} with a negative eigenvalue fails the eigenvalue-only

@@ -1,18 +1,20 @@
 """Group actions on tracial block algebras.
 
 Every *-automorphism of a sum of equal matrix blocks permutes the blocks and
-conjugates each one by a unitary, so two finite families cover the finite
-actions.  ``PermutationAction`` moves the atoms of a diagonal algebra (left
-translation, cosets, the dual translating the diagonalized group algebra).
-``ConjugationAction`` maps block j of x to U[g, j] x[src[g, j]] U[g, j]*: a
-(projective) representation on one block, the twisted dual, whose
-translations are conjugations by Weyl operators, and every induced action of
-a conjugation.  Its representation must be monomial (one nonzero entry in
-each column of each block); other representations, such as the
-two-dimensional irreducible ones of SL(2, 3), are out of scope.
-``dual_action`` and ``induced_action`` are factories onto these two.  The
-third family is a quadrature wavelet action of the scaling-and-shift group
-on a log-frequency grid.  Every action carries the Haar model of its group,
+conjugates each one by a unitary, so one finite class covers the finite
+actions.  ``ConjugationAction`` maps block j of x to
+U[g, j] x[src[g, j]] U[g, j]*: a (projective) representation on one block,
+the twisted dual, whose translations are conjugations by Weyl operators, and
+every induced action.  Its representation must be monomial (one nonzero
+entry in each column of each block); other representations, such as the
+two-dimensional irreducible ones of SL(2, 3), are out of scope.  A
+permutation of the atoms of a diagonal algebra (left translation, cosets,
+the dual translating the diagonalized group algebra) is the case of 1x1
+blocks and unit phases: ``PermutationAction`` builds it from a point table
+and keeps the gather as its ``apply``.  ``dual_action`` and
+``induced_action`` are factories onto the class.  The other family is a
+quadrature wavelet action of the scaling-and-shift group on a log-frequency
+grid.  Every action carries the Haar model of its group,
 ``action.haar``: counting weights on a finite group unless the builder
 passes others, fixed when the action is built, and the quadrature weights on
 a quadrature group, formed on first read.  Every group integral reads it.
@@ -29,15 +31,16 @@ are the oracles the tests compare with.
 
 Each family has its own vectorized kernels for the bracket values
 g -> trace((g.y)* x) and the orbit sum sum_g w_g Delta(g)^{-1} (g.x)
-against the action's own Haar weights w: a gather through the point table;
-for a conjugation, held as permutation and phase tables (every block
-monomial, one permutation times one diagonal phase, as the Weyl operators
-are), one quadratic form or phase gram per class of nodes that share a
-permutation; phase products and a circulant dilation sum for the wavelet.
-``apply`` stays the per-node reference the tests compare them with.  The
-bracket kernels take stacks of trials (see ``algebra``): the finite families
-gather or conjugate a stack's (trial, node) pairs in pieces no larger than a
-single trial's, and the wavelet runs its per-element kernels trial by trial.
+against the action's own Haar weights w.  A conjugation is held as
+permutation and phase tables (every block monomial, one permutation times
+one diagonal phase, as the Weyl operators are) and takes one quadratic form
+or phase gram per class of nodes that share a permutation; on 1x1 blocks
+the phases cancel and both kernels are a gather through the source rows.
+The wavelet takes phase products and a circulant dilation sum.  ``apply``
+stays the per-node reference the tests compare them with.  The bracket
+kernels take stacks of trials (see ``algebra``): a conjugation gathers or
+conjugates a stack's (trial, node) pairs in pieces no larger than a single
+trial's, and the wavelet runs its per-element kernels trial by trial.
 """
 
 from __future__ import annotations
@@ -83,7 +86,8 @@ class RepresentationError(ActionError):
 
 
 class MeasureError(ActionError):
-    """The point measure is not invariant under the point action."""
+    """The trace weights are not one per block, or a point measure is not
+    invariant under the point action."""
 
 
 class GridError(ActionError):
@@ -533,33 +537,6 @@ class Action:
         raise NotImplementedError
 
 
-def _monomial_classes(U: MonomialStack, src: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(perms, order, blocks, sources) of the (node, block) pairs of a
-    monomial stack, grouped into classes of one (j, src[g, j], perm).
-
-    ``order`` lists the pairs (flat index g t + j) class by class, in node
-    order within a class, m pairs a class; a class has the permutation
-    ``perms``, the block j in ``blocks`` and src[g, j] in ``sources``.  The
-    phases of its pairs stay in the table, read through ``order``
-    (``ConjugationAction._class_phases``).  The permutation part of a
-    projective monomial representation is a homomorphism, so on a
-    transitive action the classes are cosets of one size; when they differ
-    in size, every pair is a class of its own.  They are sorted with ``lexsort`` (``np.unique`` imports
-    numpy.ma).
-    """
-    N, t, n = U.shape
-    pi = U.perm.reshape(N * t, n)
-    keys = np.column_stack([np.tile(np.arange(t), N), src.reshape(-1), pi])
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    starts = np.flatnonzero(np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
-    m = N * t // len(starts)
-    if not (np.diff(starts, append=N * t) == m).all():
-        starts, m = np.arange(N * t), 1
-    first = order[starts]
-    return pi[first], order, first % t, src.reshape(-1)[first]
-
-
 class ConjugationAction(Action):
     """Block j of g.x is U[g, j] x[src[g, j]] U[g, j]*, on t blocks of size n.
 
@@ -571,19 +548,24 @@ class ConjugationAction(Action):
     tables: a ``MonomialStack``, or a dense (N, t, n, n) stack read into one
     (``MonomialStack.from_dense``, which names the first column that is not
     monomial).  Conjugation by a (projective) representation is the case
-    t = 1.  This is the one place a stack is validated: the blocks must be
-    unitary, the identity must act trivially, and over the sampled pairs
-    (a, b) (all up to order 24, 576 beyond) the source rows must compose and
-    every U[a, j] U[b, src[a, j]] must be a scalar multiple of U[ab, j]
-    (``product_phases``), whose residuals enter ``structure``.
+    t = 1, a permutation of t atoms the case n = 1 with unit phases.  This
+    is the one place a stack is validated: there must be one trace weight
+    per block, the blocks must be unitary, the identity must act trivially,
+    and over the sampled pairs (a, b) (all up to order 24, 576 beyond) the
+    source rows must compose and every U[a, j] U[b, src[a, j]] must be a
+    scalar multiple of U[ab, j] (``product_phases``; always so on 1x1
+    blocks), whose residuals enter ``structure``.  The trace weights may
+    move under the source rows: ``structure.trace`` records it.
 
     With U[g, j][pi(c), c] = ph(c), block j of g.x holds
     ph(c) x_src[c, d] conj(ph(d)) at (pi(c), pi(d)): ``apply`` is one
     scatter.  The (node, block) pairs fall into classes of one (block,
-    source, pi) (``_monomial_classes``), so ``bracket_values`` takes per
+    source, pi) (``_classes``), so ``bracket_values`` takes per
     class one gather Z = conj(y_src) * x_j[pi, pi] and the quadratic forms
     ph^H Z ph of its pairs, and ``orbit_sum`` one phase gram
-    sum_g w_g ph_g ph_g^H times x_src, added at [pi, pi].
+    sum_g w_g ph_g ph_g^H times x_src, added at [pi, pi].  On 1x1 blocks
+    ph x conj(ph) = x to the unitality checked at build, and both kernels
+    are a gather through the source rows, with no classes formed.
     """
 
     def __init__(self, group: FiniteGroup, unitaries, src, trace_weights, haar: HaarModel | None = None):
@@ -592,6 +574,8 @@ class ConjugationAction(Action):
         if len(U.shape) != 3 or U.shape[:2] != src.shape or U.shape[0] != group.order:
             raise ActionError("need a (t, n, n) unitary stack and a source row per group element")
         t, n = U.shape[1], U.shape[2]
+        if np.shape(trace_weights) != (t,):
+            raise MeasureError(f"need one trace weight per block: shape {np.shape(trace_weights)} for {t} blocks")
         if not (np.sort(src, axis=1) == np.arange(t)).all():
             raise ActionError("each source row must permute the blocks")
         if not (src[group.identity] == np.arange(t)).all():
@@ -607,16 +591,21 @@ class ConjugationAction(Action):
         a, b = pairs.T
         if not (src[group.compose(a, b)] == src[b[:, None], src[a]]).all():
             raise ActionError("source rows do not compose with the group law")
-        _, deviation, law = product_phases(U, src, group, pairs)
-        if deviation > 1e-11:
-            raise RepresentationError("U[a, j] U[b, src[a, j]] is not a scalar multiple of "
-                                      "U[ab, j]: not a group action")
+        if n == 1:
+            # block j of a.(b.x) - (ab).x is (|p|^2 - |q|^2) x[src] for p = U[a, j] U[b, src[a, j]] and
+            # q = U[ab, j]: with eta = unitality, |p|^2 lies in [(1 - eta)^2, (1 + eta)^2], |q|^2 in
+            # [1 - eta, 1 + eta]
+            law = unitality * (3.0 + unitality)
+        else:
+            _, deviation, law = product_phases(U, src, group, pairs)
+            if deviation > 1e-11:
+                raise RepresentationError("U[a, j] U[b, src[a, j]] is not a scalar multiple of "
+                                          "U[ab, j]: not a group action")
         shape = AlgebraShape(n, trace_weights)
         gens = group.generators or tuple(group.elements())
         super().__init__(group, shape, "conjugation", gens, haar)
         self.unitaries = U
         self._src = src
-        self._classes = _monomial_classes(U, src)
         sampled = list(gens)
         automorphism, isometry, moved = _block_residuals(src[sampled], U[sampled], shape.trace_weights)
         self.structure = ActionStructure("unitary-stack", law, max(unitality, automorphism),
@@ -638,9 +627,50 @@ class ConjugationAction(Action):
         m = len(order) // C
         return self.unitaries.phase.reshape(-1, n)[order[start * m:stop * m]].reshape(-1, m, n)
 
+    @cached_property
+    def _classes(self) -> tuple[np.ndarray, ...]:
+        """(perms, order, blocks, sources) of the (node, block) pairs,
+        grouped into classes of one (j, src[g, j], perm) on the first call
+        of a kernel on blocks larger than 1x1.
+
+        ``order`` lists the pairs (flat index g t + j) class by class, in node
+        order within a class, m pairs a class; a class has the permutation
+        ``perms``, the block j in ``blocks`` and src[g, j] in ``sources``.  The
+        phases of its pairs stay in the table, read through ``order``
+        (``_class_phases``).  The permutation part of a projective monomial
+        representation is a homomorphism, so on a transitive action the
+        classes are cosets of one size; when they differ in size, every pair
+        is a class of its own.  They are sorted with ``lexsort``
+        (``np.unique`` imports numpy.ma).
+        """
+        N, t, n = self.unitaries.shape
+        pi, src = self.unitaries.perm.reshape(N * t, n), self._src.reshape(-1)
+        keys = np.column_stack([np.tile(np.arange(t), N), src, pi])
+        order = np.lexsort(keys.T[::-1])
+        ordered = keys[order]
+        starts = np.flatnonzero(np.concatenate(([True], (ordered[1:] != ordered[:-1]).any(axis=1))))
+        m = N * t // len(starts)
+        if not (np.diff(starts, append=N * t) == m).all():
+            starts, m = np.arange(N * t), 1
+        first = order[starts]
+        return pi[first], order, first % t, src[first]
+
     def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
         xs, ys, stacked = _stacks(x, y)
         N, t = self._src.shape
+        if self.shape.block_dim == 1:
+            # conj(y[src]) . (w x) through the source rows; the gather as a
+            # take keeps each trial's (N, t) operand contiguous, so that its
+            # product stays the BLAS matrix-vector product of one trial, and
+            # the trials are gathered in pieces below STACK_BYTES
+            xv, yv = np.array(self.shape.trace_weights) * xs.reshape(-1, t), ys.reshape(-1, t)
+            values = np.empty((len(xv), N), dtype=complex)
+            step = stack_size(16 * N * t)
+            for s in range(0, len(xv), step):
+                moved = np.take(yv[s:s + step], self._src, axis=1)
+                np.conjugate(moved, out=moved)
+                values[s:s + step] = (moved @ xv[s:s + step, :, None])[..., 0]
+            return values if stacked else values[0]
         out = np.empty((len(xs), N * t), dtype=complex)
         # Z = conj(y[src]) * x_j[pi, pi] once per class, then every pair of
         # the class as ph^H Z ph: one product with the conjugated phases and
@@ -661,8 +691,8 @@ class ConjugationAction(Action):
                 tb = slice(b, b + per)
                 z = ys[tb, sources[sl]]
                 np.conjugate(z, out=z)
-                # not in place: numpy rounds an in-place product of one
-                # element differently, and n = 1 gives one per trial
+                # not in place: numpy rounds an in-place product of a
+                # one-element array differently
                 z = z * xs[tb, blocks[sl, None, None], rows[sl], cols[sl]]
                 quad = np.einsum("...kmc,kmc->...km", conj_phases @ z, phases)
                 out[tb, pairs] = quad.reshape(len(quad), -1)
@@ -673,9 +703,12 @@ class ConjugationAction(Action):
         # a finite group is unimodular: the Haar weights alone.  Per class the
         # gram sum_g w_g ph_g ph_g^H, one (n, m) @ (m, n) product, times x_src
         # added at [pi, pi] of its block, in class order and in pieces of
-        # classes below STACK_BYTES
+        # classes below STACK_BYTES; on 1x1 blocks sum_g w_g x[src[g]]
         xs = x.blocks
         t, n = xs.shape[0], xs.shape[1]
+        if n == 1:
+            vals = np.asarray(self.haar.weights, dtype=complex) @ x.vec()[self._src]
+            return AlgebraElement(self.shape, vals.reshape(-1, 1, 1), copy=False)
         acc = np.zeros_like(xs)
         perms, order, blocks, sources = self._classes
         C = len(perms)
@@ -713,67 +746,27 @@ def conjugation_action(G: FiniteGroup, U, haar: HaarModel | None = None) -> Conj
     return ConjugationAction(G, U[:, None], np.zeros((G.order, 1), dtype=int), (1.0,), haar)
 
 
-class PermutationAction(Action):
-    """(g.x)(t) = x(g^{-1} t) on the diagonal algebra of a finite point set.
+class PermutationAction(ConjugationAction):
+    """(g.x)(t) = x(g^{-1} t) on the diagonal algebra of a finite point set,
+    with the point measure ``mu`` as trace weights: the conjugation of 1x1
+    blocks by unit phases with the source rows src[g] = point_table[g^{-1}].
+    A measure that the points move raises MeasureError.  ``apply`` is the
+    gather itself."""
 
-    The point maps compose and a gather is an exact *-automorphism, so
-    ``structure`` holds only the residuals of the measure, which
-    ``validate=False`` lets be non-invariant (a negative-control fixture).
-    """
-
-    def __init__(self, group: FiniteGroup, point_table, mu, validate: bool = True):
+    def __init__(self, group: FiniteGroup, point_table, mu):
         point_table = np.asarray(point_table, dtype=int)
-        n, t = point_table.shape
-        if n != group.order:
-            raise ActionError("need one point permutation per group element")
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (t,) or not np.all(mu > 0):
-            raise MeasureError("point measure must be positive on every atom")
-        if not (point_table[group.identity] == np.arange(t)).all():
-            raise ActionError("identity must act trivially on points")
-        if not (np.sort(point_table, axis=1) == np.arange(t)).all():
-            raise ActionError("each group element must permute the points")
-        a, b = _sample_pairs(group.order, limit=16).T
-        if not (point_table[group.compose(a, b)] == point_table[a[:, None], point_table[b]]).all():
-            raise ActionError("point maps do not compose with the group law")
-        # (g.x)(t) = x(src[g, t])
-        src = point_table[group.inverse_table]
-        gens = group.generators or tuple(group.elements())
-        trivial = MonomialStack(np.zeros((len(gens), t, 1), dtype=int), np.ones((len(gens), t, 1)))
-        residuals = _block_residuals(src[list(gens)], trivial, mu)
-        if validate and residuals[2] != 0.0:
+        if point_table.ndim != 2 or len(point_table) != group.order:
+            raise ActionError(f"need one row of points per group element: point table of shape "
+                              f"{point_table.shape} on {group.order} elements")
+        units = point_table.shape + (1,)
+        super().__init__(group, MonomialStack(np.zeros(units, dtype=int), np.ones(units)),
+                         point_table[group.inverse_table], mu)
+        if self.structure.trace != 0.0:
             raise MeasureError("point measure is not invariant under the action")
-        super().__init__(group, AlgebraShape(1, tuple(mu)), "permutation", gens)
-        self.point_table = point_table
-        self.mu = mu
-        self._src = src
-        self.structure = ActionStructure("point-table", 0.0, *residuals)
+        self.kind = "permutation"
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(self.shape, x.blocks[self._src[int(g)]], copy=False)
-
-    def bracket_values(self, x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
-        xs, ys, stacked = _stacks(x, y)
-        t = self.mu.shape[0]
-        xv, yv = self.mu * xs.reshape(-1, t), ys.reshape(-1, t)
-        values = np.empty((len(xv), self._src.shape[0]), dtype=complex)
-        # the gather as a take keeps each trial's (nodes, t) operand contiguous,
-        # so that its product stays the BLAS matrix-vector product of one trial;
-        # the trials are gathered in pieces below STACK_BYTES
-        step = stack_size(16 * self._src.size)
-        for s in range(0, len(xv), step):
-            moved = np.take(yv[s:s + step], self._src, axis=1)
-            np.conjugate(moved, out=moved)
-            values[s:s + step] = (moved @ xv[s:s + step, :, None])[..., 0]
-        return values if stacked else values[0]
-
-    def orbit_sum(self, x: AlgebraElement) -> AlgebraElement:
-        vals = np.asarray(self.haar.weights, dtype=complex) @ x.vec()[self._src]
-        return AlgebraElement(self.shape, vals.reshape(-1, 1, 1), copy=False)
-
-    def character(self) -> np.ndarray:
-        """The number of atoms that g keeps."""
-        return (self._src == np.arange(self._src.shape[1])).sum(axis=1)
 
 
 def left_translation_action(G: FiniteGroup, mu=None) -> PermutationAction:
@@ -789,7 +782,7 @@ def coset_action(G: FiniteGroup, h_indices) -> PermutationAction:
     return PermutationAction(G, coset_of[G.compose(np.arange(G.order)[:, None], reps)], np.ones(len(reps)))
 
 
-def dual_action(G: FiniteGroup, m: int = 0) -> PermutationAction | ConjugationAction:
+def dual_action(G: FiniteGroup, m: int = 0) -> ConjugationAction:
     """Dual action on the (possibly twisted) group algebra of an abelian group.
 
     Both branches act by ``groups.dual(G)``, which is built from G itself.
@@ -823,23 +816,23 @@ def dual_action(G: FiniteGroup, m: int = 0) -> PermutationAction | ConjugationAc
     return act
 
 
-def induced_action(G: FiniteGroup, h_indices, inner: Action, iso) -> PermutationAction | ConjugationAction:
+def induced_action(G: FiniteGroup, h_indices, inner: Action, iso) -> ConjugationAction:
     """Action of G induced from an action of a subgroup H on a smaller algebra.
 
     Elements hold one copy of the inner algebra per left coset of H, in the
     order of fixed representatives r_a with the identity first, so block k of
     copy a is block a t + k.  Copy j of g.x is the inner translate by h^{-1}
     of copy a of x, where g^{-1} r_j = r_a h.  The result is the inner family
-    on the larger algebra: a permutation of J t atoms, or a conjugation of
-    J t blocks.
+    on the larger algebra: a conjugation of J t blocks (a permutation of
+    J t atoms when the inner blocks are 1x1 with unit phases).
     """
     reps, coset_of = coset_lookup(G, h_indices)
     sub = distinct_indices(h_indices)
     iso = np.asarray(iso, dtype=int)
     if iso.shape != sub.shape:
         raise ActionError("iso must map each subgroup element to an inner group element")
-    if not isinstance(inner.group, FiniteGroup) or inner.group.order != sub.size:
-        raise ActionError("inner action must live on a group of the subgroup's order")
+    if not isinstance(inner, ConjugationAction) or inner.group.order != sub.size:
+        raise ActionError("inner action must be a conjugation on a group of the subgroup's order")
     pos = np.empty(G.order, dtype=int)
     pos[sub] = np.arange(sub.size)
     if not (inner.group.compose(iso[:, None], iso) == iso[pos[G.compose(sub[:, None], sub)]]).all():
@@ -853,13 +846,8 @@ def induced_action(G: FiniteGroup, h_indices, inner: Action, iso) -> Permutation
     inner_elt = inner.group.inverse_table[iso[pos[h]]]
     t = len(inner.shape.trace_weights)
     src = (target[:, :, None] * t + inner._src[inner_elt]).reshape(G.order, J * t)
-    if isinstance(inner, PermutationAction):
-        act = PermutationAction(G, src[G.inverse_table], np.tile(inner.mu, J))
-    elif isinstance(inner, ConjugationAction):
-        U = inner.unitaries[inner_elt]
-        act = ConjugationAction(G, U.reshape(G.order, J * t, -1), src, inner.shape.trace_weights * J)
-    else:
-        raise ActionError("induction needs a permutation or conjugation inner action")
+    U = inner.unitaries[inner_elt]
+    act = ConjugationAction(G, U.reshape(G.order, J * t, -1), src, inner.shape.trace_weights * J)
     act.kind = "induced"
     return act
 
@@ -1298,10 +1286,11 @@ def fixed_point_dimension(action: Action) -> int:
     drawn pairs beyond (the bound takes every pair).  P and Q then share
     every row, and ``_law_bound`` with r(D) <= 1e-11, r(P), r(Q) <=
     1 + 1.1e-11 and ||c|^2 - 1| <= 5.1e-11 gives eps = sup|a.(b.x) - (ab).x|
-    / max|x| < 1e-10.  So P^2 - P, the mean of rho(a) rho(b) - rho(ab) over
-    all pairs, has norm below eps, each eigenvalue l of P has
-    |l^2 - l| < eps, within 2 eps of 0 or 1, and tr P lies within 2 d eps
-    of an integer, d = t n^2.  The sums round by at most
+    / max|x| < 1e-10; on 1x1 blocks, where D = 0, the build's law bound
+    eta (3 + eta) <= 3.1e-11 gives the same.  So P^2 - P, the mean of
+    rho(a) rho(b) - rho(ab) over all pairs, has norm below eps, each
+    eigenvalue l of P has |l^2 - l| < eps, within 2 eps of 0 or 1, and tr P
+    lies within 2 d eps of an integer, d = t n^2.  The sums round by at most
     (2 n + t + log2 N + 4) eps_mach d (|tr U|^2 <= n^2 by (2 n + 2) eps_mach,
     then t blocks and N elements).  A mean farther than both from an
     integer is no group action: ActionError.

@@ -29,7 +29,8 @@ import numpy as np
 from .algebra import AlgebraElement, trace
 from .actions import (
     Action,
-    PermutationAction,
+    ConjugationAction,
+    MonomialStack,
     WaveletAction,
     WaveletDesign,
     conjugation_action,
@@ -354,8 +355,10 @@ def refined_wavelet(spec: ScenarioSpec, level: int) -> Scenario:
 
 
 def _build_broken(spec: ScenarioSpec) -> Scenario:
-    G = cyclic(2)
-    action = PermutationAction(G, G.table, mu=np.array([1.0, 2.0]), validate=False)
+    # the swap of two atoms of weights 1 and 2, as 1x1 blocks with unit phases
+    G, units = cyclic(2), MonomialStack(np.zeros((2, 2, 1), dtype=int), np.ones((2, 2, 1)))
+    action = ConjugationAction(G, units, G.table, (1.0, 2.0))
+    action.kind = "permutation"
     return Scenario(spec, action, FINITE_TOLERANCES)
 
 

@@ -13,7 +13,7 @@ import qha.duflo
 from qha.actions import (
     ActionError,
     ConjugationAction,
-    PermutationAction,
+    MonomialStack,
     WaveletAction,
     _law_bound,
     _sample_pairs,
@@ -416,10 +416,22 @@ def loop_function_p_norm(values, weights, r):
     return float(np.dot(weights, np.abs(values) ** r) ** (1.0 / r))
 
 
-def loop_permutation_bracket(action, x, y):
-    """trace((g.y)* x) of single elements on a permutation action, as one
-    gather and one matrix-vector product."""
-    return y.vec()[action._src].conj() @ (action.mu * x.vec())
+def loop_gather_bracket(action, x, y):
+    """trace((g.y)* x) of single elements on 1x1 blocks, whose phases
+    cancel, as one gather and one matrix-vector product."""
+    return y.vec()[action._src].conj() @ (np.array(action.shape.trace_weights) * x.vec())
+
+
+def point_conjugation(G, point_table, weights):
+    """The conjugation of 1x1 blocks by unit phases that moves the atoms by
+    ``point_table``, built past ``PermutationAction``'s invariance check:
+    the fixture for a measure the points move."""
+    point_table = np.asarray(point_table)
+    units = point_table.shape + (1,)
+    act = ConjugationAction(G, MonomialStack(np.zeros(units, dtype=int), np.ones(units)),
+                            point_table[G.inverse_table], weights)
+    act.kind = "permutation"
+    return act
 
 
 def loop_trace_pairing(a, b):
@@ -701,18 +713,19 @@ def loop_wavelet_bracket(action, x, y):
 
 
 def loop_bracket_values(action, x, y):
-    """Bracket values of single elements: the loop kernels of the finite
-    families and the per-shift loop of the wavelet."""
-    if isinstance(action, PermutationAction):
-        return loop_permutation_bracket(action, x, y)
-    if isinstance(action, ConjugationAction):
-        return loop_monomial_bracket(action, x, y)
-    return loop_wavelet_bracket(action, x, y)
+    """Bracket values of single elements: the per-shift loop of the wavelet,
+    and on a finite action the loop kernel of its block size, the gather on
+    1x1 blocks and the class loop on larger ones."""
+    if isinstance(action, WaveletAction):
+        return loop_wavelet_bracket(action, x, y)
+    if action.shape.block_dim == 1:
+        return loop_gather_bracket(action, x, y)
+    return loop_monomial_bracket(action, x, y)
 
 
 def loop_trial_bracket(action, x, y):
     """Bracket values of one trial as the per-trial suite oracle takes them:
-    the loop kernels of the finite families, which give the stacked kernels'
+    the loop kernels of the finite actions, which give the stacked kernels'
     values bit for bit, and the wavelet's own kernel on a single element,
     which its stacked call runs trial by trial (the per-shift loop sums in
     another order)."""
@@ -724,9 +737,9 @@ def loop_trial_bracket(action, x, y):
 def loop_bracket_integral(action, x, y):
     """Haar integral of the bracket of single elements; the wavelet's own
     integral kernel."""
-    if isinstance(action, (PermutationAction, ConjugationAction)):
-        return complex(np.dot(action.haar.weights, loop_bracket_values(action, x, y)))
-    return action.bracket_integral(x, y)
+    if isinstance(action, WaveletAction):
+        return action.bracket_integral(x, y)
+    return complex(np.dot(action.haar.weights, loop_bracket_values(action, x, y)))
 
 
 def loop_sandwich(est, t, y):

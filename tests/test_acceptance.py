@@ -104,10 +104,11 @@ def test_criterion_3_translation_and_cosets():
 
     # double-sum oracle: nu_A(B) = mu(A)^{-1} sum_g mu(A intersect gB) on atoms
     act = scn_c.action
+    point_table = act._src[act.group.inverse_table]  # (g.x)(t) = x(g^{-1} t)
     counts = np.zeros((2, 2))
     for g in act.group.elements():
         for b in range(2):
-            gb = int(act.point_table[g, b])
+            gb = int(point_table[g, b])
             for a in range(2):
                 counts[a, b] += 1.0 if gb == a else 0.0
     oracle_ok = np.allclose(counts, 3.0)

@@ -87,6 +87,7 @@ from helpers import (
     loop_wavelet_positive,
     loop_weyl_heisenberg,
     nodes_of,
+    point_conjugation,
     probe_automorphism_defect,
     probe_homomorphism_defect,
     probe_isometry_defect,
@@ -312,7 +313,7 @@ class TestPermutationAction:
         while frontier:
             t = frontier.pop()
             for g in act.group.elements():
-                s = int(act.point_table[g, t])
+                s = int(act._src[g, t])
                 if s not in orbit:
                     orbit.add(s)
                     frontier.append(s)
@@ -321,7 +322,7 @@ class TestPermutationAction:
 
     def test_coset_action_ergodic_orbit_oracle(self):
         act = coset_action(cyclic(6), [0, 2, 4])
-        seen = {int(act.point_table[g, 0]) for g in act.group.elements()}
+        seen = {int(act._src[g, 0]) for g in act.group.elements()}
         assert seen == {0, 1}
         assert fixed_point_dimension(act) == 1
 
@@ -347,9 +348,30 @@ class TestPermutationAction:
         with pytest.raises(ActionError, match="permute"):
             PermutationAction(G, np.array([[0, 1], [0, 0]]), np.ones(2))
 
-    def test_validate_escape_for_fixtures(self):
-        G = cyclic(2)
-        act = PermutationAction(G, G.table, np.array([1.0, 2.0]), validate=False)
+    def test_rejects_a_point_table_of_one_axis(self):
+        G = cyclic(3)
+        with pytest.raises(ActionError, match=r"point table of shape \(3,\) on 3 elements"):
+            PermutationAction(G, np.arange(3), np.ones(3))
+
+    def test_rejects_a_measure_of_the_wrong_length(self):
+        G = cyclic(3)
+        with pytest.raises(MeasureError, match=r"shape \(2,\) for 3 blocks"):
+            PermutationAction(G, G.table, np.ones(2))
+
+    def test_is_a_conjugation_of_unit_blocks(self):
+        # the point table becomes 1x1 tables of unit phases, the source rows
+        # the table at the inverses, and the measure the trace weights
+        G = symmetric(3)
+        act = PermutationAction(G, G.table, np.full(6, 0.5))
+        assert isinstance(act, ConjugationAction) and act.kind == "permutation"
+        assert act.unitaries.shape == (6, 6, 1)
+        assert not act.unitaries.perm.any() and (act.unitaries.phase == 1.0).all()
+        assert np.array_equal(act._src, G.table[G.inverse_table])
+        assert act.shape.trace_weights == (0.5,) * 6
+        assert "_classes" not in vars(act)  # no kernel sorts the 1x1 tables
+
+    def test_non_invariant_fixture_fails_the_trace_row(self):
+        act = point_conjugation(cyclic(2), cyclic(2).table, (1.0, 2.0))
         rep = is_trace_preserving(act, tol=FINITE_TOLERANCES["trace-preservation"])
         assert not rep.passed
 
@@ -405,6 +427,14 @@ class TestKernelsMatchApply:
 CONJUGATION_IDS = tuple(sid for sid in ORACLE_IDS
                         if sid.startswith(("irrep:", "wh:")) or sid.endswith(":wh2")
                         or (sid.startswith("twisted-dual:") and not sid.endswith(":0")))
+# Those on blocks larger than 1x1, which take the class kernels.
+CLASS_IDS = tuple(sid for sid in CONJUGATION_IDS if not sid.startswith("irrep:") or sid == "irrep:s3:std")
+# The actions on 1x1 blocks, whose kernels gather through the source rows:
+# the ten one-dimensional irreps, every permutation of ORACLE_IDS (the
+# translations, the cosets, the untwisted dual and the negative control), a
+# larger untwisted dual and an induced translation.
+ONE_BY_ONE_IDS = (*(sid for sid in ORACLE_IDS if sid not in CLASS_IDS), "twisted-dual:24:0",
+                  "induced:cyclic(4)xcyclic(4):cyclic(2)xcyclic(2):translation")
 
 
 def _rounding_bound(act, x, y):
@@ -436,10 +466,7 @@ def _sampled_tables(act):
     as ``structure`` reads them: the trivial table on a permutation's atoms."""
     if isinstance(act, WaveletAction):
         return act.sampled_structure()
-    src = act._src[list(act.sample_elements)]
-    if isinstance(act, PermutationAction):
-        return src, MonomialStack(np.zeros(src.shape + (1,), dtype=int), np.ones(src.shape + (1,)))
-    return src, act.unitaries[list(act.sample_elements)]
+    return act._src[list(act.sample_elements)], act.unitaries[list(act.sample_elements)]
 
 
 def _residual_rounding_bound(src, U, weights, residuals):
@@ -538,15 +565,15 @@ class TestMonomialKernel:
     """The quadratic-form bracket kernel that every conjugation takes, and
     the stacks that are rejected for want of it."""
 
-    def test_monomial_stacks_take_the_quadratic_form(self):
-        # every conjugation builtin holds its stack as tables
-        for sid in ORACLE_IDS:
+    def test_every_finite_action_is_a_conjugation_of_tables(self):
+        # every finite builtin holds its stack as tables, on 1x1 blocks
+        # exactly when it gathers
+        for sid in (*CLASS_IDS, *ONE_BY_ONE_IDS):
             act = _kernel_action(sid)
-            assert isinstance(act, ConjugationAction) == (sid in CONJUGATION_IDS), sid
-            if sid in CONJUGATION_IDS:
-                assert isinstance(act.unitaries, MonomialStack), sid
+            assert isinstance(act, ConjugationAction) and isinstance(act.unitaries, MonomialStack), sid
+            assert (act.shape.block_dim == 1) == (sid in ONE_BY_ONE_IDS), sid
 
-    @pytest.mark.parametrize("sid", CONJUGATION_IDS)
+    @pytest.mark.parametrize("sid", CLASS_IDS)
     def test_matches_the_dense_kernel_within_rounding(self, sid):
         # the two kernels sum in different orders: equal up to a stated
         # rounding bound, not bit for bit
@@ -576,7 +603,7 @@ class TestMonomialKernel:
         with pytest.raises(RepresentationError, match=r"column 0 of U\[5, 0\] holds 2 nonzero"):
             conjugation_action(G, U)
 
-    @pytest.mark.parametrize("sid", CONJUGATION_IDS)
+    @pytest.mark.parametrize("sid", (*CONJUGATION_IDS, *ONE_BY_ONE_IDS))
     def test_apply_matches_the_dense_stack(self, sid):
         # each entry of g.x is ph_c x_cd conj(ph_d), two complex products in
         # either path (U x U* has one nonzero term per entry), each within
@@ -587,7 +614,7 @@ class TestMonomialKernel:
         for g in act.group.elements():
             assert sup_distance(act.apply(g, x), dense_apply(act, g, x)) <= bound
 
-    @pytest.mark.parametrize("sid", CONJUGATION_IDS)
+    @pytest.mark.parametrize("sid", CLASS_IDS)
     def test_orbit_sum_matches_the_dense_stack(self, sid):
         # every entry sums N terms w_g ph_c x_cd conj(ph_d) of modulus at most
         # w_g max|x|.  The node loop forms each in two complex products and a
@@ -601,7 +628,7 @@ class TestMonomialKernel:
         bound = 2 * (N + 4 * math.sqrt(2) + 1) * u * act.haar.mass * x.max_abs_entry()
         assert sup_distance(act.orbit_sum(x), dense_orbit_sum(act, x)) <= bound
 
-    @pytest.mark.parametrize("sid", CONJUGATION_IDS)
+    @pytest.mark.parametrize("sid", CLASS_IDS)
     def test_structure_matches_the_dense_stack(self, sid):
         # Both paths form the same quantities from the same phases, of
         # modulus 1 within 1e-11 (u = eps / 2, n the block size):
@@ -687,6 +714,86 @@ class TestMonomialKernel:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.split() == ["16", "False"]
+
+
+class TestOneByOneKernels:
+    """On 1x1 blocks the kernels gather and drop the phases, which cancel to
+    the unitality eta = max||ph|^2 - 1| checked at build: each against the
+    per-node ``apply``, which keeps them, within eta and a rounding bound
+    derived for each.  With u = eps / 2, a real scaling rounds by u, a
+    complex product by 2 sqrt(2) u (Higham, Lemma 3.5), and a sum of m
+    complex terms, its real and imaginary parts summed apart, by
+    sqrt(2) (m - 1) u of the sum of their moduli."""
+
+    @pytest.mark.parametrize("sid", ONE_BY_ONE_IDS)
+    def test_bracket_values_match_apply(self, sid):
+        # The kernel forms w_j x_j, then conj(y_src) (w_j x_j), and sums the t
+        # terms: within (1 + 2 sqrt(2) + sqrt(2) (t - 1)) u of S, the sum of
+        # their moduli.  apply forms ph y_src conj(ph) in two complex
+        # products, the trace pairing one more, the weighted trace one
+        # scaling and a sum of t: within (1 + 6 sqrt(2) + sqrt(2) (t - 1)) u
+        # of (1 + eta) S.  The exact values differ by at most eta S.
+        act = _kernel_action(sid)
+        rng = np.random.default_rng(40)
+        x, y = act.random_element(rng), act.random_element(rng)
+        t, u = act._src.shape[1], np.finfo(float).eps / 2
+        eta = float(np.abs(np.abs(act.unitaries.phase) ** 2 - 1.0).max())
+        w = np.array(act.shape.trace_weights)
+        S = np.abs(y.vec()[act._src]) @ (w * np.abs(x.vec()))
+        slow = np.array([trace(act.apply(g, y).adjoint() @ x) for g in act.group.elements()])
+        bound = (eta + (2 + 8 * math.sqrt(2) + 2 * math.sqrt(2) * (t - 1)) * u) * (1 + eta) * S
+        assert (np.abs(act.bracket_values(x, y) - slow) <= bound).all()
+        assert "_classes" not in vars(act)
+
+    @pytest.mark.parametrize("sid", ONE_BY_ONE_IDS)
+    def test_orbit_sum_matches_apply(self, sid):
+        # Atom j of the kernel sums the N terms w_g x_src[g, j], each one
+        # scaling: within (1 + sqrt(2) (N - 1)) u of M_j, the sum of their
+        # moduli.  The node loop forms each term in two complex products and
+        # a scaling and adds the N of them: within
+        # (1 + 4 sqrt(2) + sqrt(2) (N - 1)) u of (1 + eta) M_j, and eta M_j
+        # apart from the kernel's exact sum.
+        act = _kernel_action(sid)
+        x = act.random_element(np.random.default_rng(41))
+        N, u = act.group.order, np.finfo(float).eps / 2
+        eta = float(np.abs(np.abs(act.unitaries.phase) ** 2 - 1.0).max())
+        slow = act.shape.zero()
+        for w, g in zip(act.haar.weights, act.group.elements()):
+            slow = slow + float(w) * act.apply(g, x)
+        M = act.haar.weights @ np.abs(x.vec()[act._src])
+        bound = (eta + (2 + 4 * math.sqrt(2) + 2 * math.sqrt(2) * (N - 1)) * u) * (1 + eta) * M
+        assert (np.abs(act.orbit_sum(x).vec() - slow.vec()) <= bound).all()
+        assert "_classes" not in vars(act)
+
+    @pytest.mark.parametrize("sid", ONE_BY_ONE_IDS)
+    def test_character_matches_apply(self, sid):
+        # g.e_k holds ph conj(ph) at a kept atom, one complex product past the
+        # exact ph * 1, within 2 sqrt(2) u of |ph|^2; the character squares
+        # the real and imaginary parts of ph and adds them, within 2 u.  Each
+        # side sums at most t terms of at most 1 + eta: within
+        # (2 + 2 sqrt(2) + 2 (t - 1)) u t (1 + eta).  Unit phases count the
+        # kept atoms exactly.
+        act = _kernel_action(sid)
+        t, u = act._src.shape[1], np.finfo(float).eps / 2
+        eta = float(np.abs(np.abs(act.unitaries.phase) ** 2 - 1.0).max())
+        basis = list(act.shape.basis())
+        direct = np.array([sum(act.apply(g, e).vec()[k].real for k, e in enumerate(basis))
+                           for g in act.group.elements()])
+        bound = (2 + 2 * math.sqrt(2) + 2 * (t - 1)) * u * t * (1 + eta)
+        assert np.abs(act.character() - direct).max() <= bound
+        if (act.unitaries.phase == 1.0).all():
+            kept = (act._src == np.arange(t)).sum(axis=1)
+            assert np.array_equal(act.character(), kept) and np.array_equal(direct, kept)
+
+    @pytest.mark.parametrize("sid", ONE_BY_ONE_IDS)
+    def test_group_law_is_read_off_the_unitality(self, sid):
+        # on 1x1 blocks U[a] U[b] is always a multiple of U[ab]: the law
+        # residual is eta (3 + eta), and exactly 0 on unit phases
+        act = _kernel_action(sid)
+        eta = float(np.abs((act.unitaries.phase * act.unitaries.phase.conj()).real - 1.0).max())
+        assert act.structure.group_law == eta * (3.0 + eta)
+        if (act.unitaries.phase == 1.0).all():
+            assert act.structure[1:3] == (0.0, 0.0)
 
 
 class TestDualAction:
@@ -879,11 +986,11 @@ class TestArrayConstructorsMatchLoops:
     ], ids=lambda G: G.name)
     def test_coset_action(self, G):
         for h in cyclic_subgroups(G):
-            assert np.array_equal(coset_action(G, h).point_table, loop_coset_table(G, h))
+            assert np.array_equal(coset_action(G, h)._src, loop_coset_table(G, h)[G.inverse_table])
 
     def test_coset_action_of_s3(self):
         G = symmetric(3)
-        assert np.array_equal(coset_action(G, [0, 1]).point_table, loop_coset_table(G, [0, 1]))
+        assert np.array_equal(coset_action(G, [0, 1])._src, loop_coset_table(G, [0, 1])[G.inverse_table])
 
     @pytest.mark.parametrize("gtok,itok", [("c2c4", "wh2"), ("c8c8", "wh2"), ("c4c4", "wh2"),
                                            ("c4c4", "translation"), ("c2c4", "translation")])
@@ -893,12 +1000,9 @@ class TestArrayConstructorsMatchLoops:
         target, inner_elt = loop_induced_maps(G, h, inner.group, iso)
         t = len(inner.shape.trace_weights)
         src = (target[:, :, None] * t + inner._src[inner_elt]).reshape(G.order, -1)
-        if itok == "wh2":
-            n = inner.shape.block_dim
-            assert np.array_equal(act._src, src)
-            assert np.array_equal(dense_unitaries(act), dense_unitaries(inner)[inner_elt].reshape(G.order, -1, n, n))
-        else:
-            assert np.array_equal(act.point_table, src[G.inverse_table])
+        n = inner.shape.block_dim
+        assert np.array_equal(act._src, src)
+        assert np.array_equal(dense_unitaries(act), dense_unitaries(inner)[inner_elt].reshape(G.order, -1, n, n))
 
     @pytest.mark.parametrize("sid,gtok,itok", [
         ("induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2", "c2c4", "wh2"),
@@ -1398,7 +1502,7 @@ class TestStructuralCheckers:
     def test_permutation_laws_are_exact(self):
         # gathers through a point table that composes: no roundoff at all
         act = coset_action(cyclic(6), [0, 2, 4])
-        assert act.structure == ActionStructure("point-table", 0.0, 0.0, 0.0, 0.0)
+        assert act.structure == ActionStructure("unitary-stack", 0.0, 0.0, 0.0, 0.0)
 
     def test_wavelet_structure_waits_for_a_request(self):
         act = WaveletAction(SMALL_WAVELET)
@@ -1481,7 +1585,7 @@ class TestCertificateMutants:
 
     def test_permutation_with_non_invariant_measure(self):
         G = cyclic(3)
-        act = PermutationAction(G, G.table, np.array([1.0, 2.0, 4.0]), validate=False)
+        act = point_conjugation(G, G.table, (1.0, 2.0, 4.0))
         # the generator moves a point mass on the atom of weight 1 to the
         # atom of weight 2, which doubles its 1-norm
         assert act.structure.isometry == 1.0
@@ -1489,7 +1593,7 @@ class TestCertificateMutants:
         assert _probes(act)[2] <= act.structure.isometry
         validity, trace_row = _mutant_rows(act)
         assert not validity.passed and not trace_row.passed
-        assert "certificate=point-table" in validity.notes
+        assert "certificate=unitary-stack" in validity.notes
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_perturbed_stack_certificate_reads_at_least_the_probe(self, seed):

@@ -23,7 +23,6 @@ from qha.algebra import (
     trace,
 )
 from qha.actions import (
-    PermutationAction,
     WaveletAction,
     conjugation_action,
     s3_irreps,
@@ -57,7 +56,7 @@ from qha.groups import cyclic, probability_haar
 from qha.reports import CheckReport
 from qha.scenarios import BUILTIN_IDS, FINITE_TOLERANCES, Scenario, build_scenario, builtin, refined_wavelet
 
-from helpers import FINITE_ROWS, LOOP_CHECKS, WAVELET_ROWS, loop_run_check, weyl_heisenberg
+from helpers import FINITE_ROWS, LOOP_CHECKS, WAVELET_ROWS, loop_run_check, point_conjugation, weyl_heisenberg
 
 
 def _estimate(sid, seed=101):
@@ -116,7 +115,7 @@ class TestEstimate:
     def test_inconsistency_error_on_broken_scenario(self):
         # with a non-invariant measure the two orbit densities disagree
         G = cyclic(2)
-        act = PermutationAction(G, G.table, np.array([1.0, 2.0]), validate=False)
+        act = point_conjugation(G, G.table, (1.0, 2.0))
         x1 = AlgebraElement(act.shape, [np.array([[1.0]]), np.array([[0.0]])])
         x2 = AlgebraElement(act.shape, [np.array([[0.0]]), np.array([[0.5]])])
         with pytest.raises(InconsistencyError):

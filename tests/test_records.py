@@ -29,8 +29,8 @@ EQUAL_PAIRS = {
     "SuiteCheck": (SUITE[0], SuiteCheck(*SUITE[0])),
     "CommutantCertificate": (CommutantCertificate(1, 0.5, 1e-14, math.inf),
                              CommutantCertificate(1, 0.5, 1e-14, math.inf)),
-    "ActionStructure": (ActionStructure("point-table", 0.0, 1e-16, 0.0, 0.0),
-                        ActionStructure("point-table", 0.0, 1e-16, 0.0, 0.0)),
+    "ActionStructure": (ActionStructure("unitary-stack", 0.0, 1e-16, 0.0, 0.0),
+                        ActionStructure("unitary-stack", 0.0, 1e-16, 0.0, 0.0)),
 }
 
 

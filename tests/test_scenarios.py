@@ -46,6 +46,23 @@ SAVED_BLOCK_DIMS = {
     "translation:cyclic(6)": "block_dims = 1,1,1,1,1,1",
     "irrep:s3:std": "block_dims = 2",
 }
+# Every builtin, the negative control and the larger 1x1 instances, with the
+# [action] kind a saved file mirrors.  Permutations are conjugations of 1x1
+# blocks, but keep the kinds their files were written with, so that those
+# files still load.
+ROUND_TRIP_KINDS = {
+    **{sid: "conjugation" for sid in BUILTIN_IDS if sid.startswith(("irrep:", "wh:"))},
+    "translation:cyclic(6)": "permutation",
+    "cosets:cyclic(6):cyclic(3)": "permutation",
+    "twisted-dual:8:0": "dual-translation",
+    "twisted-dual:4:1": "twisted-dual",
+    INDUCED_ID: "induced",
+    "affine-wavelet:default": "wavelet",
+    "broken-measure": "permutation",
+    "translation:cyclic(64)": "permutation",
+    "twisted-dual:24:0": "dual-translation",
+    "induced:cyclic(4)xcyclic(4):cyclic(2)xcyclic(2):translation": "induced",
+}
 
 
 class TestBuiltins:
@@ -140,6 +157,21 @@ class TestScenarioFiles:
         loaded = load_scenario(path)
         assert loaded.scenario_id == "wh:4"
         assert loaded.seed == 99
+
+    def test_round_trip_covers_every_builtin(self):
+        assert set(BUILTIN_IDS) <= set(ROUND_TRIP_KINDS)
+
+    @pytest.mark.parametrize("sid", ROUND_TRIP_KINDS)
+    def test_every_family_round_trips_with_its_kind(self, tmp_path, sid):
+        import configparser
+
+        path = tmp_path / "scenario.ini"
+        spec = ScenarioSpec(sid, seed=3)
+        save_scenario(spec, path)
+        saved = configparser.ConfigParser()
+        saved.read(path)
+        assert saved["action"]["kind"] == ROUND_TRIP_KINDS[sid]
+        assert load_scenario(path) == spec
 
     def test_missing_tolerance_defaults_injected(self, tmp_path):
         path = tmp_path / "scenario.ini"

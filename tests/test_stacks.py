@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qha.actions import ConjugationAction, PermutationAction
+from qha.actions import ConjugationAction
 from qha.algebra import (
     STACK_BYTES,
     AlgebraElement,
@@ -26,7 +26,6 @@ from helpers import (
     loop_bracket_values,
     loop_function_p_norm,
     loop_p_norm,
-    loop_permutation_bracket,
     loop_trace,
 )
 
@@ -104,13 +103,19 @@ def test_wavelet_p_norm_per_trial(kinds):
         assert op_norm(z).tolist() == [op_norm(z.trial(i)) for i in range(TRIALS)]
 
 @pytest.mark.parametrize("sid", ["translation:cyclic(64)", "cosets:cyclic(6):cyclic(3)",
-                                 "twisted-dual:8:0", "broken-measure"])
-def test_permutation_bracket_per_trial(sid):
+                                 "twisted-dual:8:0", "twisted-dual:24:0", "broken-measure",
+                                 "induced:cyclic(4)xcyclic(4):cyclic(2)xcyclic(2):translation",
+                                 "irrep:s3:trivial", "irrep:s3:sign",
+                                 *(f"irrep:cyclic(8):chi{j}" for j in range(8))])
+def test_one_by_one_bracket_per_trial(sid):
+    # the gather of 1x1 blocks: a trial of the stack gets the value of the
+    # single-element loop and of the kernel's own call on that trial alone
     scn, (x, y) = _stacks(sid)
-    assert isinstance(scn.action, PermutationAction)
+    assert isinstance(scn.action, ConjugationAction) and scn.shape.block_dim == 1
     values = scn.action.bracket_values(x, y)
     for i in range(TRIALS):
-        assert np.array_equal(values[i], loop_permutation_bracket(scn.action, x.trial(i), y.trial(i)))
+        assert np.array_equal(values[i], loop_bracket_values(scn.action, x.trial(i), y.trial(i)))
+        assert np.array_equal(values[i], scn.action.bracket_values(x.trial(i), y.trial(i)))
 
 
 @pytest.mark.parametrize("sid", ["wh:4", "wh:16", "irrep:s3:std", "twisted-dual:4:1",

@@ -222,6 +222,19 @@ def _trialwise(kernel, x: AlgebraElement, y: AlgebraElement):
     return np.stack(values) if len(values) > 1 else np.asarray(values[0])[None]
 
 
+def _permutes(rows: np.ndarray, n: int) -> bool:
+    """Whether every row of ``rows`` (its last axis, of length n) permutes
+    range(n): a range check, then one scatter of the rows' flat positions
+    into a mask, which fills it exactly when no row repeats an entry (on
+    n = 1 the range check alone)."""
+    in_range = bool(rows.min() >= 0 and rows.max() < n)
+    if not in_range or n == 1:
+        return in_range
+    seen = np.zeros(rows.size, dtype=bool)
+    seen[(rows.reshape(-1, n) + np.arange(0, rows.size, n)[:, None]).ravel()] = True
+    return bool(seen.all())
+
+
 def _sample_pairs(n: int, limit: int) -> np.ndarray:
     """(P, 2) array of pairs: all n^2 when n <= limit, else limit^2 fixed-seed draws."""
     if n <= limit:
@@ -576,15 +589,14 @@ class ConjugationAction(Action):
         t, n = U.shape[1], U.shape[2]
         if np.shape(trace_weights) != (t,):
             raise MeasureError(f"need one trace weight per block: shape {np.shape(trace_weights)} for {t} blocks")
-        if not (np.sort(src, axis=1) == np.arange(t)).all():
+        if not _permutes(src, t):
             raise ActionError("each source row must permute the blocks")
         if not (src[group.identity] == np.arange(t)).all():
             raise ActionError("identity must act trivially")
         if (U.perm[group.identity] != np.arange(n)).any() or np.abs(U.phase[group.identity] - 1.0).max() > 1e-11:
             raise RepresentationError("the identity must be represented by I")
         # max|U U* - I|: max||phase|^2 - 1| when the rows permute the columns
-        permuted = (np.sort(U.perm, axis=-1) == np.arange(n)).all()
-        unitality = float(np.abs((U.phase * U.phase.conj()).real - 1.0).max()) if permuted else math.inf
+        unitality = float(np.abs((U.phase * U.phase.conj()).real - 1.0).max()) if _permutes(U.perm, n) else math.inf
         if unitality > 1e-11:
             raise RepresentationError("block matrices are not unitary")
         pairs = _sample_pairs(group.order, limit=24)
@@ -1207,10 +1219,9 @@ class WaveletAction(Action):
         K = self.grid_size
         params, coeffs = [], []
         for _ in range(3):
-            # the centers, widths and modulations of u and w, then the coefficient
-            params.append((rng.uniform(-r / 3.0, r / 3.0, size=2), rng.uniform(0.12, 0.25, size=2),
-                           rng.uniform(-1.0, 1.0, size=2)))
-            coeffs.append(rng.standard_normal() + 1j * rng.standard_normal())
+            # the centers, widths and modulations of u and w, one row each, then the coefficient
+            params.append(rng.uniform([[-r / 3.0], [0.12], [-1.0]], [[r / 3.0], [0.25], [1.0]], size=(3, 2)))
+            coeffs.append(complex(*rng.standard_normal(2)))
         V, support = self.bumps(*np.concatenate(params, axis=1))
         mat = np.zeros((K, K), dtype=complex)
         # each rank-one term coeff u w* on the rows of u's support and the columns of w's

@@ -3,7 +3,9 @@
 The bracket of two algebra elements under an action is the complex function
 on the group g -> trace((g.y)* x).  For positive x and y this agrees with
 trace(x^{1/2} (g.y) x^{1/2}) and is nonnegative.  Values are computed densely
-at every node in fixed node order, so all reductions are deterministic.  On
+at every node in fixed node order, so all reductions are deterministic; the
+symmetry defect on a quadrature group, whose node set is not closed under
+inversion, is taken through ``apply`` at the action's sampled nodes.  On
 stacks of trials (see ``algebra``) a bracket holds one row of values per
 trial, and its integral and norms give one value per trial.
 """
@@ -14,13 +16,17 @@ import math
 
 import numpy as np
 
-from .algebra import AlgebraElement, ParameterError, exponent_groups, take_rows, trial_values, weighted_sum
-from .actions import Action
+from .algebra import (
+    AlgebraElement,
+    ParameterError,
+    exponent_groups,
+    take_rows,
+    trace_pairing,
+    trial_values,
+    weighted_sum,
+)
+from .actions import Action, _stacks
 from .groups import QuadratureGroup
-
-
-class InverseClosureError(Exception):
-    """The quadrature node set is not closed under inversion."""
 
 
 class BracketFunction:
@@ -77,48 +83,31 @@ def function_p_norm(bf: BracketFunction, r) -> float | np.ndarray:
 
 def bracket_symmetry_defect(x: AlgebraElement, y: AlgebraElement, action: Action) -> float:
     """max over g of |<x|y>(g^{-1}) - conj(<y|x>(g))|, relative to max over g
-    of |<x|y>(g)|, one per trial of stacks.
+    of |<x|y>(g^{-1})|, one per trial of stacks.
 
     The identity holds for every x and y, by trace invariance alone:
     tr((g^{-1}.y)* x) = tr(y* (g.x)) = conj(tr((g.x)* y)).  Without the
     conjugate it holds only where the bracket is real, as for hermitian x
-    and y.  The scale is floored at 1e-300.  Requires a node set closed under
-    inversion: finite groups always are; quadrature groups whose nodes are
-    not inverse-closed are unsupported and raise InverseClosureError rather
-    than being silently skipped.
+    and y.  The scale is floored at 1e-300.  A finite group takes g over
+    every node, reading the bracket kernel at ``inverse_table``.  The inverse
+    of a quadrature node need not be a node (on the affine grid -b/a leaves
+    the b axis when a != 1), so there g runs over ``action.sample_elements``
+    and both sides are formed through ``apply``, which takes any parameters,
+    at g and ``group.inverse(g)``.
     """
     group = action.group
     if isinstance(group, QuadratureGroup):
-        inv = _inverse_node_index(group)
+        xs, ys, stacked = _stacks(x, y)
+        vxy, vyx = np.empty((2, len(xs), len(action.sample_elements)), dtype=complex)
+        for i, (xb, yb) in enumerate(zip(xs, ys)):
+            xt, yt = AlgebraElement(action.shape, xb, copy=False), AlgebraElement(action.shape, yb, copy=False)
+            for k, g in enumerate(action.sample_elements):
+                vxy[i, k] = trace_pairing(action.apply(group.inverse(g), yt).adjoint(), xt)
+                vyx[i, k] = trace_pairing(action.apply(g, xt).adjoint(), yt)
+        if not stacked:
+            vxy, vyx = vxy[0], vyx[0]
     else:
-        inv = group.inverse_table
-    vxy = action.bracket_values(x, y)
-    vyx = action.bracket_values(y, x)
-    defect = np.abs(vxy[..., inv] - vyx.conj()).max(axis=-1)
+        vxy = action.bracket_values(x, y)[..., group.inverse_table]
+        vyx = action.bracket_values(y, x)
+    defect = np.abs(vxy - vyx.conj()).max(axis=-1)
     return trial_values(defect / np.maximum(np.abs(vxy).max(axis=-1), 1e-300))
-
-
-def _inverse_node_index(group: QuadratureGroup) -> np.ndarray:
-    """The node at each node's inverse, one row of the a axis at a time: the
-    nearest node of the product grid pairs the nearest node of each axis,
-    at the larger of their two distances.  The first inverse off the grid
-    by more than 1e-9 of the largest coordinate raises."""
-    a_nodes, b_nodes = group.a_nodes, group.b_nodes
-    n_b = b_nodes.size
-    scale = max(np.abs(a_nodes).max(), np.abs(b_nodes).max()) + 1.0
-    cols = np.arange(n_b)
-    index = np.empty(group.node_count, dtype=int)
-    for i in range(a_nodes.size):
-        inv = group.inverse(group.nodes_at(i * n_b + cols))
-        da, db = np.abs(a_nodes[:, None] - inv[:, 0]), np.abs(b_nodes[:, None] - inv[:, 1])
-        ka, kb = da.argmin(axis=0), db.argmin(axis=0)
-        dist = np.maximum(da[ka, cols], db[kb, cols])
-        off = np.flatnonzero(dist > 1e-9 * scale)
-        if off.size:
-            j = int(off[0])
-            raise InverseClosureError(
-                f"node set of {group.label} is not inverse-closed "
-                f"(inverse of node {i * n_b + j} missing by {dist[j]:.3e})"
-            )
-        index[i * n_b:(i + 1) * n_b] = ka * n_b + kb
-    return index

@@ -242,6 +242,23 @@ class TestConjugationAction:
         with pytest.raises(ActionError):
             ConjugationAction(cyclic(2), unitaries, src, (1.0, 1.0), haar)
 
+    @pytest.mark.parametrize("row", [[1, 1], [0, 2], [-1, 1]], ids=["repeated", "out-of-range", "negative"])
+    def test_rejects_a_source_row_that_is_not_a_permutation(self, row):
+        # a range check catches an entry that names no block, the scatter
+        # into a mask a repeated one
+        I = np.eye(2)
+        unitaries = np.array([[I, I], [I, I]])
+        src = np.array([[0, 1], row])
+        with pytest.raises(ActionError, match="each source row must permute the blocks"):
+            ConjugationAction(cyclic(2), unitaries, src, (1.0, 1.0))
+
+    @pytest.mark.parametrize("rows", [[1, 1], [0, 2], [-1, 1]], ids=["repeated", "out-of-range", "negative"])
+    def test_rejects_a_table_row_that_does_not_permute_the_columns(self, rows):
+        perm = np.array([[[0, 1]], [rows]])
+        U = MonomialStack(perm, np.ones(perm.shape))
+        with pytest.raises(RepresentationError, match="block matrices are not unitary"):
+            ConjugationAction(cyclic(2), U, np.zeros((2, 1), dtype=int), (1.0,))
+
     def test_rejects_source_rows_that_break_composition(self):
         # every row permutes the two blocks and e fixes them, but 1 and 2 both
         # swap them, so src[1 * 1] = swap differs from src[1][src[1]] = id
@@ -1061,6 +1078,28 @@ class TestWaveletAction:
         U = wavelet_matrix(act, g)
         direct = AlgebraElement(act.shape, [U @ x.blocks[0] @ U.conj().T])
         assert sup_distance(act.apply(g, x), direct) < 1e-12
+
+    def test_random_element_draws_as_five_calls_a_term(self):
+        # each term's six bump parameters in one uniform draw on the (3, 2)
+        # block of bounds and its coefficient in one normal draw of two give
+        # the doubles, and leave the stream where, the five calls of centers,
+        # widths, modulations, real and imaginary part did
+        act = WaveletAction(SMALL_WAVELET)
+        r, K = act.design.support_octaves, act.grid_size
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            params, coeffs = [], []
+            for _ in range(3):
+                params.append((rng.uniform(-r / 3.0, r / 3.0, size=2), rng.uniform(0.12, 0.25, size=2),
+                               rng.uniform(-1.0, 1.0, size=2)))
+                coeffs.append(rng.standard_normal() + 1j * rng.standard_normal())
+            V, support = act.bumps(*np.concatenate(params, axis=1))
+            ref = np.zeros((K, K), dtype=complex)
+            for coeff, (u, w), ((u0, u1), (w0, w1)) in zip(coeffs, V.reshape(3, 2, K), support.reshape(3, 2, 2)):
+                ref[u0:u1, w0:w1] += coeff * np.outer(u[u0:u1], w[w0:w1].conj())
+            new = np.random.default_rng(seed)
+            assert np.array_equal(act.random_element(new).blocks[0], ref)
+            assert new.random() == rng.random()
 
     def test_modular_values_match_per_node(self):
         act = WaveletAction(SMALL_WAVELET)

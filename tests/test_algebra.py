@@ -27,7 +27,8 @@ from qha.algebra import (
     trace,
     trace_pairing,
 )
-from qha.duflo import DufloEstimate, run_suite
+from qha.actions import WaveletAction, WaveletDesign
+from qha.duflo import ALT_POWERS, HOLDER_GRID, DufloEstimate, run_suite
 from qha.scenarios import ScenarioSpec, build_scenario
 
 M2 = AlgebraShape(2, (1.0,))
@@ -428,14 +429,14 @@ class TestInvariants:
         z = BIG.zero()
         assert trace(z.adjoint() @ z) == 0.0 and op_norm(z) <= 1e-10
 
-    HOLDER_GRID = ((2.0, 2.0, 1.0), (4.0, 4.0, 2.0), (4 / 3, 4.0, 1.0),
-                   (4.0, 4 / 3, 1.0), (2.0, 4.0, 4 / 3), (4.0, 2.0, 4 / 3))
-
+    # the Hölder and sandwich-power (Araki-Lieb-Thirring) inequalities over
+    # the exponent grids of the report's holder-inequality and alt-inequality
+    # rows, which read neither D nor the action
     def test_holder_seeded(self):
         rng = np.random.default_rng(13)
         for i in range(200):
             x, y = random_element(BIG, rng), random_element(BIG, rng)
-            p, q, r = self.HOLDER_GRID[i % len(self.HOLDER_GRID)]
+            p, q, r = HOLDER_GRID[i % len(HOLDER_GRID)]
             assert p_norm(x @ y, r) <= p_norm(x, p) * p_norm(y, q) + 1e-9
 
     def test_sandwich_power_seeded(self):
@@ -444,7 +445,7 @@ class TestInvariants:
         for i in range(200):
             a = random_positive_element(M2, rng)
             b = random_positive_element(M2, rng)
-            r = (i % 4) + 1
+            r = ALT_POWERS[i % len(ALT_POWERS)]
             bab = b @ a @ b
             lhs_el = bab
             for _ in range(r - 1):
@@ -457,6 +458,21 @@ class TestInvariants:
             lhs = trace(lhs_el).real
             rhs = trace(br @ ar @ br).real
             assert lhs <= rhs + 1e-9 * max(1.0, abs(rhs))
+
+    def test_holder_and_sandwich_power_on_wavelet_draws(self):
+        # the wavelet's bump elements, whose norms take their SVD on the
+        # bumps' supports, at the report rows' relative bound 1e-9
+        act = WaveletAction(WaveletDesign())
+        rng = np.random.default_rng(15)
+        for _ in range(2):
+            for p, q, r in HOLDER_GRID:
+                x, y = act.random_element(rng), act.random_element(rng)
+                assert p_norm(x @ y, r) <= p_norm(x, p) * p_norm(y, q) * (1 + 1e-9)
+            for r in ALT_POWERS:
+                a, b = act.random_positive(rng), act.random_positive(rng)
+                ar, br = (AlgebraElement(act.shape, np.linalg.matrix_power(z.blocks, r)) for z in (a, b))
+                lhs = trace(AlgebraElement(act.shape, np.linalg.matrix_power((b @ a @ b).blocks, r))).real
+                assert lhs <= trace(br @ ar @ br).real * (1 + 1e-9)
 
 @st.composite
 def small_elements(draw):

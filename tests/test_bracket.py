@@ -12,6 +12,7 @@ from qha.algebra import (
     power,
     random_element,
     random_positive_element,
+    stack,
     trace,
 )
 from qha.actions import (
@@ -22,15 +23,13 @@ from qha.actions import (
 )
 from qha.bracket import (
     BracketFunction,
-    InverseClosureError,
-    _inverse_node_index,
     bracket,
     bracket_symmetry_defect,
     function_p_norm,
     integrate_bracket,
 )
-from qha.duflo import run_suite
-from qha.groups import QuadratureGroup, affine_group, cyclic, probability_haar
+from qha.duflo import run_check, run_suite, suite_entry
+from qha.groups import cyclic, probability_haar
 from qha.scenarios import BUILTIN_IDS, ScenarioSpec, build_scenario, builtin
 
 from helpers import loop_bump_vector, nodes_of, weyl_heisenberg
@@ -237,45 +236,62 @@ class TestSymmetry:
         one = act.shape.identity()
         assert bracket_symmetry_defect(one, one, act) == 0.0
 
-    def test_quadrature_not_inverse_closed(self, monkeypatch):
+    def test_wavelet_general_pair_defect_at_roundoff(self, monkeypatch):
+        # the inverse of a quadrature node is not a node, so both sides are
+        # formed through apply at the sampled nodes: no bracket kernel runs.
+        # Each value sums K^2 products of the entries of x and of a moved y,
+        # whose entries take two phases of a few roundings each: as in the
+        # finite bound, the defect is at most 2 (K^2 + 16) u ||x||_2 ||y||_2
+        # relative to the largest value, and a stack gives its trials' values
         act = WaveletAction(WaveletDesign(steps_per_octave=8, octaves=4, max_shift=8,
                                           b_extent=2.0, n_b=32, support_octaves=0.5))
-        rng = np.random.default_rng(6)
-        x = act.random_positive(rng)
-        # the closure check comes first: no bracket is evaluated for a skip
+
         def no_brackets(*args):
-            raise AssertionError("bracket values evaluated on a node set that is not inverse-closed")
+            raise AssertionError("bracket kernel evaluated for the sampled symmetry defect")
 
         monkeypatch.setattr(act, "bracket_values", no_brackets)
-        with pytest.raises(InverseClosureError, match="not inverse-closed"):
-            bracket_symmetry_defect(x, x, act)
+        rng = np.random.default_rng(6)
+        xs, ys = ([act.random_element(rng) for _ in range(3)] for _ in range(2))
+        singles = [bracket_symmetry_defect(x, y, act) for x, y in zip(xs, ys)]
+        assert bracket_symmetry_defect(stack(xs), stack(ys), act).tolist() == singles
+        u, K = np.finfo(float).eps / 2, act.grid_size
+        for x, y, defect in zip(xs, ys, singles):
+            g_inv = [act.group.inverse(g) for g in act.sample_elements]
+            largest = max(abs(trace(act.apply(h, y).adjoint() @ x)) for h in g_inv)
+            assert 0.0 < defect <= 2 * (K * K + 16) * u * p_norm(x, 2.0) * p_norm(y, 2.0) / largest
 
+    @pytest.mark.parametrize("preset", ["default", "fine"])
+    def test_sampled_inverses_leave_the_node_grid(self, preset):
+        # (a, b)^{-1} = (1/a, -b/a): 1/a is on the log-symmetric a axis, -b/a
+        # is off the b axis whenever a != 1; apply there undoes apply at the node
+        act = build_scenario(ScenarioSpec(f"affine-wavelet:{preset}")).action
+        group = act.group
+        x = act.random_element(np.random.default_rng(2))
+        for g in act.sample_elements:
+            a_inv, b_inv = group.inverse(g)
+            assert np.abs(group.a_nodes - a_inv).min() <= 1e-15
+            assert (np.abs(group.b_nodes - b_inv).min() > 1e-4) == (abs(g[0] - 1.0) > 1e-9)
+            back = act.apply(group.inverse(g), act.apply(g, x))
+            assert (back - x).max_abs_entry() <= 1e-15 * x.max_abs_entry()
 
-    def test_suite_skips_without_the_node_grid(self):
-        # the closure test works on the axes: a suite run forms no node array,
-        # and the skip names the first node whose inverse is off the grid
-        for preset, missing in (("default", None), ("fine", "inverse of node 0 missing by 2.920e+01")):
+    def test_wavelet_row_is_measured_without_the_node_grid(self):
+        # the row passes at roundoff on both presets (1.67e-16 and 1.78e-16
+        # at seed 1729), and a suite run still forms no node array
+        for preset in ("default", "fine"):
             scn = build_scenario(ScenarioSpec(f"affine-wavelet:{preset}"))
             reports = run_suite(scn)
             assert "nodes" not in vars(scn.action.group)
             (row,) = [r for r in reports if r.name == "bracket-symmetry"]
-            assert row.skipped and "not inverse-closed" in row.notes
-            if missing:
-                assert row.notes.endswith(f"({missing})")
+            assert row.passed and not row.skipped and row.tol_abs == 1e-10
+            assert 0.0 < row.lhs < 1e-15
 
-    def test_inverse_index_matches_the_node_search(self):
-        # (a, b)(a', b') = (a a', b + b') on {1/2, 1, 2} x {-1, 0, 1} is
-        # inverse-closed; the affine law (a a', a b' + b) on the same grid
-        # sends node 0 = (1/2, -1) to (2, 2), one b step off the grid
-        G = QuadratureGroup(
-            [0.5, 1.0, 2.0], [-1.0, 0.0, 1.0], np.ones(3),
-            compose_fn=lambda p, q: np.stack([p[..., 0] * q[..., 0], p[..., 1] + q[..., 1]], axis=-1),
-            inverse_fn=lambda p: np.stack([1.0 / p[..., 0], -p[..., 1]], axis=-1),
-            identity=(1.0, 0.0), modular_fn=lambda p: np.ones(np.shape(p)[:-1]))
-        ref = [int(np.argmin(np.abs(G.nodes - G.inverse(p)).max(axis=1))) for p in G.nodes]
-        assert _inverse_node_index(G).tolist() == ref == [8, 7, 6, 5, 4, 3, 2, 1, 0]
-        with pytest.raises(InverseClosureError, match=r"inverse of node 0 missing by 1\.000e\+00"):
-            _inverse_node_index(affine_group(0.5, 2.0, 3, -1.5, 1.5, 3))
+    @pytest.mark.parametrize("preset", ["default", "fine"])
+    def test_mutant_that_skips_the_inverse_fails_the_wavelet_row(self, preset, monkeypatch):
+        # applying g where g^{-1} belongs, on the suite's own draws
+        scn = build_scenario(ScenarioSpec(f"affine-wavelet:{preset}"))
+        monkeypatch.setattr(scn.action.group, "inverse", lambda p: np.asarray(p, dtype=float))
+        (row,) = run_check(suite_entry("bracket-symmetry"), scn, None, scn.rng("symmetry"), 1)
+        assert not row.passed and row.lhs > 0.1
 
 
 class TestBracketFunctionType:

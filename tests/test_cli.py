@@ -79,8 +79,7 @@ class TestVerify:
         found = re.findall(r"^check=(\S+) .* pass=(\S+) skipped=(\S+)", out, re.M)
         assert tuple(name for name, _, _ in found) == WAVELET_ROWS
         assert all(ok == "true" for _, ok, _ in found)
-        assert [name for name, _, skipped in found if skipped == "true"] == [
-            "bracket-symmetry", "young-inequality"]
+        assert [name for name, _, skipped in found if skipped == "true"] == ["young-inequality"]
 
     def test_missing_file_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--scenario", "/no/such/file.ini")

@@ -706,10 +706,8 @@ class TestRunSuite:
         assert tuple(r.name for r in reports) == rows
         assert all(r.passed for r in reports)
         skipped = [r.name for r in reports if r.skipped]
-        # the quadrature grid is not closed under inverses, and its D has no
-        # commuting trace-class elements
-        assert skipped == (["bracket-symmetry", "young-inequality"]
-                           if sid.startswith("affine") else [])
+        # the wavelet's D has no commuting trace-class elements
+        assert skipped == (["young-inequality"] if sid.startswith("affine") else [])
 
     def test_trial_counts_and_notes_follow_trials(self):
         reports = run_suite(build_scenario(builtin("wh:3")), trials=20)

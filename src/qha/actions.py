@@ -14,10 +14,10 @@ blocks and unit phases: ``PermutationAction`` builds it from a point table
 and keeps the gather as its ``apply``.  ``dual_action`` and
 ``induced_action`` are factories onto the class.  The other family is a
 quadrature wavelet action of the scaling-and-shift group on a log-frequency
-grid.  Every action carries the Haar model of its group,
-``action.haar``: counting weights on a finite group unless the builder
-passes others, fixed when the action is built, and the quadrature weights on
-a quadrature group, formed on first read.  Every group integral reads it.
+grid.  Every action carries the Haar model of its group, ``action.haar``,
+fixed when the action is built: ``group.haar()`` (counting weights on a
+finite group, the product rule on a quadrature one) unless the builder
+passes another.  Every group integral reads it.
 
 The structural checkers read certificates: each action carries
 ``action.structure``, residuals worked out from its generators that bound
@@ -63,14 +63,13 @@ from .algebra import (
     stack,
     stack_size,
     sup_distance,
+    trace_pairing,
     weighted_sum,
 )
 from .groups import (
     FiniteGroup,
     HaarModel,
-    QuadratureGroup,
     coset_lookup,
-    counting_haar,
     distinct_indices,
     dual,
 )
@@ -348,9 +347,10 @@ def _union_find(n: int, pairs) -> int:
     return count
 
 
-def commutant_certificate(U: MonomialStack) -> CommutantCertificate:
+def commutant_certificate(U: MonomialStack, kept: np.ndarray) -> CommutantCertificate:
     """Dimension of {X : X U = U X for every U in ``U``}, an (m, K)
-    ``MonomialStack`` of unitaries, counted exactly from the tables.
+    ``MonomialStack`` of unitaries cut to the entries the (m, K) mask
+    ``kept`` marks, counted exactly from the tables.
 
     The diagonal members (perm the identity) are diag(ph), and X commutes
     with them exactly when X[c, d] (ph[c] - ph[d]) vanishes for each: when
@@ -359,7 +359,9 @@ def commutant_certificate(U: MonomialStack) -> CommutantCertificate:
     U, U[perm[c], c] = ph[c], exactly when d[perm[c]] ph[c] = ph[c] d[c]:
     d is constant along the edge (c, perm[c]), as ph[c] != 0.  The
     dimension is then the number of connected components of the other
-    members' edges, found by union-find.  This costs O(m K^2) for the gaps
+    members' kept edges, found by union-find; an entry outside ``kept``
+    joins nothing (the wavelet's wrap-around rows, which the truncated grid
+    adds and the dilations do not have).  This costs O(m K^2) for the gaps
     and O(m K) for the edges; no eigendecomposition.
 
     The one threshold: the smallest joint-phase gap over the largest phase
@@ -386,9 +388,9 @@ def commutant_certificate(U: MonomialStack) -> CommutantCertificate:
             f"the diagonal members do not separate the indices at dim {K * K}: relative gap "
             f"{rel_gap:.3e} against {CERTIFICATE_MARGIN:g} times the floor {noise_floor:.3e}"
         )
-    perm = U.perm[~diagonal]
-    count = _union_find(K, zip(np.tile(np.arange(K), len(perm)), perm.reshape(-1)))
-    coupling = float(np.abs(U.phase[~diagonal]).min(initial=math.inf))
+    kept = kept[~diagonal]
+    count = _union_find(K, zip(np.nonzero(kept)[1], U.perm[~diagonal][kept]))
+    coupling = float(np.abs(U.phase[~diagonal][kept]).min(initial=math.inf))
     return CommutantCertificate(count, rel_gap, noise_floor, coupling)
 
 
@@ -447,9 +449,10 @@ class Action:
 
     Subclasses implement ``apply``, the kernels ``bracket_values`` and
     ``orbit_sum``, and ``structure`` (an ``ActionStructure``).  ``haar``
-    holds one weight per node, counting weights on a finite group by default,
-    and every group integral reads it: ``bracket_integral`` and ``orbit_sum``.
-    All reductions run in fixed node order, so results are deterministic.
+    holds one weight per node, the group's own model unless the builder
+    passes one, and every group integral reads it: ``bracket_integral`` and
+    ``orbit_sum``.  All reductions run in fixed node order, so results are
+    deterministic.
     """
 
     def __init__(self, group, shape: AlgebraShape, kind: str, sample_elements,
@@ -458,27 +461,12 @@ class Action:
         self.shape = shape
         self.kind = kind
         self.sample_elements = tuple(sample_elements)
-        if haar is not None or not isinstance(group, QuadratureGroup):
-            self.haar = haar if haar is not None else counting_haar(group)
-            if self.haar.weights.shape != self.modular_values().shape:
-                raise ActionError("need one Haar weight per group node")
-
-    @cached_property
-    def haar(self) -> HaarModel:
-        """A quadrature group's own Haar model when the builder passes none,
-        built on first read."""
-        return self.group.haar()
+        self.haar = group.haar() if haar is None else haar
+        if haar is not None and haar.weights.shape != (group.node_count,):
+            raise ActionError("need one Haar weight per group node")
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         raise NotImplementedError
-
-    # -- group plumbing ------------------------------------------------------
-
-    def modular_values(self) -> np.ndarray:
-        """Delta(g) at every node, in node order."""
-        if isinstance(self.group, QuadratureGroup):
-            return self.group.modular_values
-        return np.ones(self.group.order)
 
     # -- bulk operations -----------------------------------------------------
 
@@ -490,6 +478,12 @@ class Action:
     def bracket_integral(self, x: AlgebraElement, y: AlgebraElement) -> complex | np.ndarray:
         """Haar integral of the bracket values, one per trial of a stack."""
         return weighted_sum(self.bracket_values(x, y), self.haar.weights)
+
+    def symmetry_values(self, x: AlgebraElement, y: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
+        """<x|y>(g^{-1}) and <y|x>(g) over the nodes g; one row per trial of
+        stacks.  On a finite group, the bracket values read at
+        ``inverse_table``."""
+        return self.bracket_values(x, y)[..., self.group.inverse_table], self.bracket_values(y, x)
 
     def orbit_sum(self, x: AlgebraElement) -> AlgebraElement:
         """The modular-weighted Haar orbit sum_g w_g Delta(g)^{-1} (g.x) over
@@ -1020,15 +1014,25 @@ class WaveletAction(Action):
             raise GridError(f"dilation {a:g} is not a grid step")
         return int(j)
 
+    def _sampled_shifts(self) -> np.ndarray:
+        """The grid shift j(a) of each sampled node (a, b)."""
+        return np.array([self.shift_of(g[0]) for g in self.sample_elements])
+
     def sampled_structure(self) -> tuple[np.ndarray, MonomialStack]:
         """The source rows and the (m, 1, K) tables of the sampled nodes: node
         (a, b) moves column c to row (c - j(a)) % K with that row's
         modulation phase exp(-2 pi i b xi)."""
         nodes = np.array(self.sample_elements)
-        j = np.array([self.shift_of(a) for a in nodes[:, 0]])
-        perm = (np.arange(self.grid_size) - j[:, None]) % self.grid_size
+        perm = (np.arange(self.grid_size) - self._sampled_shifts()[:, None]) % self.grid_size
         phase = np.exp(-2j * np.pi * nodes[:, 1, None] * self.xi[perm])
         return np.zeros((len(nodes), 1), dtype=int), MonomialStack(perm[:, None], phase[:, None])
+
+    def sampled_on_grid(self) -> np.ndarray:
+        """The (m, K) mask of the columns c whose row c - j(a) stays on the
+        grid, 0 <= c - j < K: the rows ``structure`` keeps, where the tables
+        of ``sampled_structure`` do not wrap around."""
+        moved = np.arange(self.grid_size) - self._sampled_shifts()[:, None]
+        return (moved >= 0) & (moved < self.grid_size)
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         a, b = float(g[0]), float(g[1])
@@ -1112,6 +1116,19 @@ class WaveletAction(Action):
         np.add(TR, iTI, out=TR)
         return acc.view(complex).T.reshape(-1)
 
+    def symmetry_values(self, x: AlgebraElement, y: AlgebraElement) -> tuple[np.ndarray, np.ndarray]:
+        """Both sides at the sampled nodes g, through ``apply``, which takes
+        any parameters: the inverse (1/a, -b/a) of a node leaves the b axis
+        when a != 1, so the bracket values hold no <x|y>(g^{-1})."""
+        xs, ys, stacked = _stacks(x, y)
+        vxy, vyx = np.empty((2, len(xs), len(self.sample_elements)), dtype=complex)
+        for i, (xb, yb) in enumerate(zip(xs, ys)):
+            xt, yt = AlgebraElement(self.shape, xb, copy=False), AlgebraElement(self.shape, yb, copy=False)
+            for k, g in enumerate(self.sample_elements):
+                vxy[i, k] = trace_pairing(self.apply(self.group.inverse(g), yt).adjoint(), xt)
+                vyx[i, k] = trace_pairing(self.apply(g, xt).adjoint(), yt)
+        return (vxy, vyx) if stacked else (vxy[0], vyx[0])
+
     def bracket_integral(self, x: AlgebraElement, y: AlgebraElement) -> complex | np.ndarray:
         return _trialwise(self._bracket_integral, x, y)
 
@@ -1159,7 +1176,7 @@ class WaveletAction(Action):
         rows = np.arange(K)
         phases = np.exp(-2j * np.pi * np.outer(nodes[:, 1], self.xi))
         g, h = np.divmod(np.arange(len(nodes) ** 2), len(nodes))
-        j = np.array([self.shift_of(a) for a in nodes[:, 0]])[g, None]
+        j = self._sampled_shifts()[g, None]
         inside = (rows + j >= 0) & (rows + j < K)
         P = np.where(inside, phases[g] * phases[h[:, None], (rows + j) % K], 0.0)
         b = self.group.compose(nodes[g], nodes[h])[:, 1]
@@ -1307,11 +1324,12 @@ def fixed_point_dimension(action: Action) -> int:
     integer is no group action: ActionError.
 
     On a quadrature group, the commutant of the sampled unitaries of its one
-    block, counted exactly from their tables (``commutant_certificate``,
-    which states its one threshold): no eigendecomposition.
+    block, counted exactly from their tables on the entries that stay on the
+    grid (``commutant_certificate``, which states its one threshold): no
+    eigendecomposition.
     """
     if not isinstance(action.group, FiniteGroup):
-        return commutant_certificate(action.sampled_structure()[1][:, 0]).dimension
+        return commutant_certificate(action.sampled_structure()[1][:, 0], action.sampled_on_grid()).dimension
     chi = action.character()
     mean = float(np.mean(chi))
     count = round(mean)

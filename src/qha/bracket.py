@@ -4,10 +4,10 @@ The bracket of two algebra elements under an action is the complex function
 on the group g -> trace((g.y)* x).  For positive x and y this agrees with
 trace(x^{1/2} (g.y) x^{1/2}) and is nonnegative.  Values are computed densely
 at every node in fixed node order, so all reductions are deterministic; the
-symmetry defect on a quadrature group, whose node set is not closed under
-inversion, is taken through ``apply`` at the action's sampled nodes.  On
-stacks of trials (see ``algebra``) a bracket holds one row of values per
-trial, and its integral and norms give one value per trial.
+symmetry defect reads both of its sides from the action
+(``Action.symmetry_values``).  On stacks of trials (see ``algebra``) a
+bracket holds one row of values per trial, and its integral and norms give
+one value per trial.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ from .algebra import (
     ParameterError,
     exponent_groups,
     take_rows,
-    trace_pairing,
     trial_values,
     weighted_sum,
 )
-from .actions import Action, _stacks
-from .groups import QuadratureGroup
+from .actions import Action
 
 
 class BracketFunction:
@@ -88,26 +86,11 @@ def bracket_symmetry_defect(x: AlgebraElement, y: AlgebraElement, action: Action
     The identity holds for every x and y, by trace invariance alone:
     tr((g^{-1}.y)* x) = tr(y* (g.x)) = conj(tr((g.x)* y)).  Without the
     conjugate it holds only where the bracket is real, as for hermitian x
-    and y.  The scale is floored at 1e-300.  A finite group takes g over
-    every node, reading the bracket kernel at ``inverse_table``.  The inverse
-    of a quadrature node need not be a node (on the affine grid -b/a leaves
-    the b axis when a != 1), so there g runs over ``action.sample_elements``
-    and both sides are formed through ``apply``, which takes any parameters,
-    at g and ``group.inverse(g)``.
+    and y.  The scale is floored at 1e-300.  Both sides come from
+    ``action.symmetry_values``: at every node of a finite group, and at the
+    sampled nodes of the wavelet, whose node set is not closed under
+    inversion.
     """
-    group = action.group
-    if isinstance(group, QuadratureGroup):
-        xs, ys, stacked = _stacks(x, y)
-        vxy, vyx = np.empty((2, len(xs), len(action.sample_elements)), dtype=complex)
-        for i, (xb, yb) in enumerate(zip(xs, ys)):
-            xt, yt = AlgebraElement(action.shape, xb, copy=False), AlgebraElement(action.shape, yb, copy=False)
-            for k, g in enumerate(action.sample_elements):
-                vxy[i, k] = trace_pairing(action.apply(group.inverse(g), yt).adjoint(), xt)
-                vyx[i, k] = trace_pairing(action.apply(g, xt).adjoint(), yt)
-        if not stacked:
-            vxy, vyx = vxy[0], vyx[0]
-    else:
-        vxy = action.bracket_values(x, y)[..., group.inverse_table]
-        vyx = action.bracket_values(y, x)
+    vxy, vyx = action.symmetry_values(x, y)
     defect = np.abs(vxy - vyx.conj()).max(axis=-1)
     return trial_values(defect / np.maximum(np.abs(vxy).max(axis=-1), 1e-300))

@@ -645,7 +645,7 @@ SUITE: tuple[SuiteCheck, ...] = (
                lambda f, s, e, _, x: f(s.action, x), tag="duflo", draws=("positive",)),
     SuiteCheck(("duflo-estimate",), "check_estimate", lambda f, s, e, _: f(e)),
     SuiteCheck(("duflo-scalar-form",), "check_scalar_form", lambda f, s, e, _: f(e),
-               applies=lambda s: bool(np.all(s.action.modular_values() == 1.0))),
+               applies=lambda s: s.action.group.unimodular),
     SuiteCheck(("duflo-expected-scalar",), "check_expected_scalar",
                lambda f, s, e, _: f(e, s.expected_scalar),
                applies=lambda s: s.expected_scalar is not None),

@@ -1,9 +1,10 @@
 """Group models with Haar weights.
 
 Two kinds of groups are supported: exact finite groups given by an index
-multiplication table, and quadrature-discretized locally compact groups given
-by two axes of nodes with the positive Haar weights of a product rule, exact
-parameter maps for composition and inverse, and a modular function.  A Haar
+multiplication table, and the quadrature-discretized affine group given by
+two axes of nodes with the positive Haar weights of a product rule and its
+exact group law and modular function.  Both answer ``node_count``,
+``haar()`` (counting weights on a finite group) and ``unimodular``.  A Haar
 integral is the dot product of the weights with the values at the nodes, in
 fixed node order.
 """
@@ -18,7 +19,7 @@ import numpy as np
 
 
 class GroupError(Exception):
-    """Invalid group data (table, coordinates, quadrature maps)."""
+    """Invalid group data (table, coordinates, quadrature axes)."""
 
 
 class SubgroupError(GroupError):
@@ -37,6 +38,8 @@ class FiniteGroup:
     Its N x N ``table`` is formed only when read (``left_translation_action``
     takes it as its point table).
     """
+
+    unimodular = True
 
     def __init__(self, table=None, name: str = "", structure=None, generators=()):
         if (table is None) == (structure is None):
@@ -105,6 +108,13 @@ class FiniteGroup:
 
     def elements(self) -> range:
         return range(self.order)
+
+    @property
+    def node_count(self) -> int:
+        return self.order
+
+    def haar(self) -> HaarModel:
+        return counting_haar(self)
 
     def compose(self, a, b):
         """ab, elementwise over broadcast index arrays a and b."""
@@ -277,45 +287,30 @@ def probability_haar(G: FiniteGroup) -> HaarModel:
 
 
 class QuadratureGroup:
-    """Quadrature model of a locally compact group: a product rule on the
-    axis nodes ``a_nodes`` and ``b_nodes``.
+    """Quadrature model of the affine group: a product rule on the axis nodes
+    ``a_nodes`` and ``b_nodes``.
 
     Node i * n_b + j is (a_i, b_j), with the Haar weight ``a_weights[i]``
-    (the b rule's constant cell taken into it).  Composition, inverse and
-    the modular function are exact parameter maps on parameter vectors along
-    the last axis, while integration only ever evaluates integrands at the
-    nodes, a set that need not be closed under composition.  The per-node
-    arrays ``nodes``, ``haar_weights`` and ``modular_values`` are built on
-    first read; ``nodes_at`` gives nodes by index without forming them.
+    (the b rule's constant cell taken into it).  The group law is exact on
+    parameter vectors along the last axis: the identity (1, 0), the product
+    (a, b)(a', b') = (a a', a b' + b), the inverse (1/a, -b/a) and the
+    modular function 1/a, while integration only ever evaluates integrands
+    at the nodes, a set that need not be closed under composition.  The
+    per-node arrays ``nodes`` and ``haar_weights`` are built on first read;
+    ``nodes_at`` gives nodes by index without forming them.
     """
 
-    def __init__(self, a_nodes, b_nodes, a_weights, compose_fn, inverse_fn, identity,
-                 modular_fn, label: str = ""):
+    unimodular = False
+    identity = _read_only(np.array([1.0, 0.0]))
+
+    def __init__(self, a_nodes, b_nodes, a_weights, label: str = ""):
         self.a_nodes, self.b_nodes, self.a_weights = (
             _read_only(np.array(v, dtype=float)) for v in (a_nodes, b_nodes, a_weights))
         if self.a_nodes.ndim != 1 or self.b_nodes.ndim != 1:
             raise GroupError("axis nodes must be 1-d arrays")
         if self.a_weights.shape != self.a_nodes.shape or not np.all(self.a_weights > 0):
             raise GroupError("need one positive Haar weight per node of the a axis")
-        self._compose = compose_fn
-        self._inverse = inverse_fn
-        self.identity = np.asarray(identity, dtype=float)
-        self._modular = modular_fn
         self.label = label or "quadrature-group"
-        self._validate()
-
-    def _validate(self) -> None:
-        if abs(self.modular(self.identity) - 1.0) > 1e-12:
-            raise GroupError("modular function must be 1 at the identity")
-        m = self.node_count
-        p, q, r = self.nodes_at(np.random.default_rng(0).integers(0, m, size=(min(32, m * m), 3)).T)
-        pq = self.compose(p, q)
-        if (np.abs(self.modular(pq) - self.modular(p) * self.modular(q)) > 1e-9 * self.modular(pq)).any():
-            raise GroupError("modular function is not multiplicative")
-        if np.abs(self.compose(pq, r) - self.compose(p, self.compose(q, r))).max() > 1e-9:
-            raise GroupError("composition map is not associative")
-        if np.abs(self.compose(p, self.inverse(p)) - self.identity).max() > 1e-9:
-            raise GroupError("inverse map is inconsistent with composition")
 
     @property
     def node_count(self) -> int:
@@ -338,20 +333,17 @@ class QuadratureGroup:
         """The Haar weight of every node, in node order."""
         return _read_only(np.repeat(self.a_weights, self.b_nodes.size))
 
-    @cached_property
-    def modular_values(self) -> np.ndarray:
-        """Delta at every node, in node order; ``nodes`` is not kept."""
-        return _read_only(self.modular(self.nodes_at(np.arange(self.node_count))))
-
     def compose(self, p, q) -> np.ndarray:
-        return np.asarray(self._compose(np.asarray(p, dtype=float), np.asarray(q, dtype=float)), dtype=float)
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+        return np.stack([p[..., 0] * q[..., 0], p[..., 0] * q[..., 1] + p[..., 1]], axis=-1)
 
     def inverse(self, p) -> np.ndarray:
-        return np.asarray(self._inverse(np.asarray(p, dtype=float)), dtype=float)
+        p = np.asarray(p, dtype=float)
+        return np.stack([1.0 / p[..., 0], -p[..., 1] / p[..., 0]], axis=-1)
 
     def modular(self, p) -> float | np.ndarray:
         """Delta of a parameter vector, or the array of Delta over a stack of them."""
-        values = np.array(self._modular(np.asarray(p, dtype=float)), dtype=float)
+        values = 1.0 / np.asarray(p, dtype=float)[..., 0]
         return float(values) if values.ndim == 0 else values
 
     def haar(self) -> HaarModel:
@@ -383,13 +375,5 @@ def affine_group(a_min: float, a_max: float, n_a: int,
     d_log_a = (math.log(a_max) - math.log(a_min)) / (n_a - 1)
     db = (b_max - b_min) / n_b
     b_nodes = (b_min + b_max) / 2 + (2 * np.arange(n_b) + 1 - n_b) * (db / 2)
-    return QuadratureGroup(
-        a_nodes,
-        b_nodes,
-        d_log_a * db / a_nodes,
-        compose_fn=lambda p, q: np.stack([p[..., 0] * q[..., 0], p[..., 0] * q[..., 1] + p[..., 1]], axis=-1),
-        inverse_fn=lambda p: np.stack([1.0 / p[..., 0], -p[..., 1] / p[..., 0]], axis=-1),
-        identity=(1.0, 0.0),
-        modular_fn=lambda p: 1.0 / p[..., 0],
-        label=f"affine[{a_min:g},{a_max:g}]x[{b_min:g},{b_max:g}]",
-    )
+    return QuadratureGroup(a_nodes, b_nodes, d_log_a * db / a_nodes,
+                           label=f"affine[{a_min:g},{a_max:g}]x[{b_min:g},{b_max:g}]")

@@ -645,6 +645,30 @@ class DenseConjugation:
         return (np.abs(np.trace(self.U, axis1=-2, axis2=-1)) ** 2 * kept).sum(axis=1)
 
 
+class SignedWavelet(WaveletAction):
+    """The wavelet on its grid doubled to +-xi, index K + k holding -xi_k,
+    with the sample nodes of ``design``: a fixture with two invariant halves
+    (Grossmann, Morlet & Paul 1985: the Hardy spaces H2+ and H2-).
+
+    A dilation keeps the sign of xi, so it moves index K + k to K + k + j,
+    within its half, and the fixed points are the two projections onto the
+    halves.  ``sampled_structure`` still gives the cyclic tables of the 2K
+    indices, whose wrap-around rows join the halves; ``sampled_on_grid``
+    keeps only the rows that a dilation maps within a half.  Only the
+    ergodicity count reads it: the wavelet's other attributes keep the
+    positive grid."""
+
+    def __init__(self, design):
+        super().__init__(design)
+        self.half = self.grid_size
+        self.xi = np.concatenate([self.xi, -self.xi])
+        self.shape = AlgebraShape(2 * self.half, (1.0,))
+
+    def sampled_on_grid(self):
+        moved = np.arange(2 * self.half) % self.half - self._sampled_shifts()[:, None]
+        return (moved >= 0) & (moved < self.half)
+
+
 # loop_monomial_classes of each action, held no longer than the action
 _MONOMIAL_CLASSES = weakref.WeakKeyDictionary()
 

@@ -54,7 +54,7 @@ from qha.actions import (
     trivial_rep,
 )
 from qha.groups import affine_group, cyclic, probability_haar, product, symmetric
-from qha.duflo import run_suite
+from qha.duflo import check_ergodicity, run_suite
 from qha.scenarios import (
     _WAVELET_PRESETS,
     FINITE_TOLERANCES,
@@ -92,6 +92,7 @@ from helpers import (
     probe_homomorphism_defect,
     probe_isometry_defect,
     probe_trace_defect,
+    SignedWavelet,
     symbol,
     tuple_of_index,
     wavelet_matrix,
@@ -178,7 +179,8 @@ class TestWeylHeisenberg:
         # the table count of the whole family against the dense nullity of
         # the generators' linearized g.x - x
         act = conjugation_action(*weyl_heisenberg(n))
-        assert commutant_certificate(finite_weyl_heisenberg(n)).dimension == dense_fixed_point_dimension(act) == 1
+        tables = finite_weyl_heisenberg(n)
+        assert commutant_certificate(tables, _every_entry(tables)).dimension == dense_fixed_point_dimension(act) == 1
 
     @pytest.mark.parametrize("n", [12, 24, 31])
     def test_entries_stay_unimodular_as_n_grows(self, n):
@@ -201,6 +203,16 @@ class TestConjugationAction:
         x = random_element(act.shape, rng)
         for g in act.group.elements():
             assert sup_distance(act.apply(g, x), x) < 1e-14
+
+    def test_haar_is_the_groups_unless_passed(self):
+        # the group's counting model by default; a passed model needs one
+        # weight per group node
+        G = cyclic(4)
+        act = conjugation_action(G, trivial_rep(G))
+        assert act.haar.normalization == "counting" and np.array_equal(act.haar.weights, np.ones(4))
+        assert conjugation_action(G, trivial_rep(G), haar=probability_haar(G)).haar.normalization == "probability"
+        with pytest.raises(ActionError, match="one Haar weight per group node"):
+            conjugation_action(G, trivial_rep(G), haar=probability_haar(cyclic(5)))
 
     def test_unit_preserved(self):
         act = conjugation_action(*weyl_heisenberg(3))
@@ -435,8 +447,8 @@ class TestKernelsMatchApply:
         x = act.random_element(np.random.default_rng(11))
         fast = act.orbit_sum(x)
         slow = act.shape.zero()
-        for w, g in zip(act.haar.weights / act.modular_values(), nodes_of(act)):
-            slow = slow + float(w) * act.apply(g, x)
+        for w, g in zip(act.haar.weights, nodes_of(act)):
+            slow = slow + float(w / act.group.modular(g)) * act.apply(g, x)
         assert sup_distance(fast, slow) < 1e-9 * (1 + slow.max_abs_entry())
 
 
@@ -1101,11 +1113,6 @@ class TestWaveletAction:
             assert np.array_equal(act.random_element(new).blocks[0], ref)
             assert new.random() == rng.random()
 
-    def test_modular_values_match_per_node(self):
-        act = WaveletAction(SMALL_WAVELET)
-        ref = np.array([act.group.modular(p) for p in act.group.nodes])
-        assert np.array_equal(act.modular_values(), ref)
-
     def test_rejects_off_grid_dilation(self):
         act = WaveletAction(SMALL_WAVELET)
         with pytest.raises(GridError):
@@ -1348,8 +1355,8 @@ class TestWaveletKernels:
         act = WaveletAction(WAVELETS[preset])
         x = act.random_element(np.random.default_rng(41))
         ref = np.zeros_like(x.blocks)
-        for w, g in zip(act.haar.weights / act.modular_values(), nodes_of(act)):
-            ref += w * act.apply(g, x).blocks
+        for w, g in zip(act.haar.weights, nodes_of(act)):
+            ref += w / act.group.modular(g) * act.apply(g, x).blocks
         fast = act.orbit_sum(x).blocks
         assert np.abs(fast - ref).max() < 1e-12 * np.abs(ref).max()
 
@@ -1666,6 +1673,11 @@ def _direct_sum(*stacks):
     return mats
 
 
+def _every_entry(tables):
+    """The mask that keeps every entry of a stack of tables."""
+    return np.ones(tables.shape, dtype=bool)
+
+
 def _two_cycle_action():
     """cyclic(3) x cyclic(6) on C^6 by (a, b) -> sigma^a D^b: sigma shifts
     the two cycles (0 1 2) and (3 4 5), D = diag(zeta^e) for
@@ -1728,7 +1740,8 @@ class TestErgodicityCount:
             else:
                 act = _two_cycle_action()
             expected, tables = 2, act.unitaries[:, 0]
-        assert commutant_certificate(tables).dimension == dense_fixed_point_dimension(act) == expected
+        kept = act.sampled_on_grid() if case == "small-wavelet" else _every_entry(tables)
+        assert commutant_certificate(tables, kept).dimension == dense_fixed_point_dimension(act) == expected
         assert fixed_point_dimension(act) == expected
 
     def test_degenerate_spectrum_counts_by_character(self):
@@ -1739,7 +1752,8 @@ class TestErgodicityCount:
         mats = np.array([np.kron(U, np.eye(2)) for U in reps["std"]])
         act = conjugation_action(G, mats)
         with pytest.raises(ActionError, match="relative gap"):
-            commutant_certificate(MonomialStack.from_dense(mats))
+            tables = MonomialStack.from_dense(mats)
+            commutant_certificate(tables, _every_entry(tables))
         assert fixed_point_dimension(act) == dense_fixed_point_dimension(act) == 4
 
     def test_trivial_rep_dim2(self):
@@ -1823,11 +1837,30 @@ class TestErgodicityCount:
             act = build_scenario(ScenarioSpec(f"affine-wavelet:{preset}")).action
         # the a = 1 nodes separate the grid with a gap far above the margin,
         # and every shift edge has a unit phase
-        cert = commutant_certificate(act.sampled_structure()[1][:, 0])
+        tables = act.sampled_structure()[1][:, 0]
+        cert = commutant_certificate(tables, act.sampled_on_grid())
         assert cert.dimension == fixed_point_dimension(act) == 1
+        # the wrap-around rows join nothing the rows on the grid leave apart
+        assert commutant_certificate(tables, _every_entry(tables))[:3] == cert[:3]
         assert cert.noise_floor == act.grid_size * np.finfo(float).eps
         assert cert.rel_gap > 1e6 * CERTIFICATE_MARGIN * cert.noise_floor
         assert abs(cert.min_coupling - 1.0) <= 2 * np.finfo(float).eps
+
+    def test_signed_grid_has_two_invariant_halves(self):
+        # on +-xi the dilations keep each half: the cyclic tables of the 2K
+        # indices join the halves through their wrap-around rows and read 1,
+        # the rows within a half read 2, with the joint-phase gap of the
+        # positive grid
+        act = SignedWavelet(_WAVELET_PRESETS["default"])
+        tables = act.sampled_structure()[1][:, 0]
+        assert tables.shape == (5, 2 * act.half)
+        assert commutant_certificate(tables, _every_entry(tables)).dimension == 1
+        cert = commutant_certificate(tables, act.sampled_on_grid())
+        positive = WaveletAction(_WAVELET_PRESETS["default"])
+        gap = commutant_certificate(positive.sampled_structure()[1][:, 0], positive.sampled_on_grid()).rel_gap
+        assert cert.dimension == fixed_point_dimension(act) == 2 and cert.rel_gap == gap
+        report = check_ergodicity(act, True)
+        assert not report.passed and report.lhs == 2.0
 
     def test_import_leaves_scipy_out(self):
         src = Path(__file__).resolve().parent.parent / "src"

@@ -3,8 +3,8 @@
 ``benchmarks/tracing.py`` rebinds package functions and methods by name; a
 deleted or renamed one would only fail inside a benchmark child.  This reads
 the two tables there (without changing them) and resolves every entry, and
-checks the imported bindings that ``benchmarks/selftest.py`` expects the
-tracer to reach.
+checks the imported bindings and the ``apply`` overrides that
+``benchmarks/selftest.py`` expects the tracer to reach.
 """
 
 import importlib
@@ -35,6 +35,12 @@ def test_traced_function_resolves(module, attr):
 def test_traced_method_resolves(module, cls, meth):
     # install() wraps vars(cls)[meth], so the class itself must define it
     assert meth in vars(getattr(importlib.import_module(module), cls))
+
+
+@pytest.mark.parametrize("cls", ["WaveletAction", "PermutationAction", "ConjugationAction"])
+def test_action_class_defines_apply(cls):
+    # the self-test requires each of these classes' own apply to be wrapped
+    assert "apply" in vars(getattr(importlib.import_module("qha.actions"), cls))
 
 
 # (module, attribute, home module): a name imported with ``from .x import f``

@@ -239,6 +239,27 @@ def _haar_integral(G, f):
 
 
 class TestAffineGroup:
+    @pytest.mark.parametrize("preset", ["coarse", "default", "fine"])
+    def test_group_law_on_fixed_seed_node_triples(self, preset):
+        # the modular function is 1 at the identity and multiplicative, and
+        # the product is associative with its inverse, on 32 fixed-seed
+        # triples of nodes
+        G = affine_group(*_design_params(_WAVELET_PRESETS[preset]))
+        p, q, r = G.nodes_at(np.random.default_rng(0).integers(0, G.node_count, size=(32, 3)).T)
+        pq = G.compose(p, q)
+        assert abs(G.modular(G.identity) - 1.0) <= 1e-12
+        assert (np.abs(G.modular(pq) - G.modular(p) * G.modular(q)) <= 1e-9 * G.modular(pq)).all()
+        assert np.abs(G.compose(pq, r) - G.compose(p, G.compose(q, r))).max() <= 1e-9
+        assert np.abs(G.compose(p, G.inverse(p)) - G.identity).max() <= 1e-9
+
+    def test_one_group_interface(self):
+        # both kinds of group answer the node count, their own Haar model and
+        # whether they are unimodular
+        F, G = cyclic(6), affine_group(0.5, 2.0, 5, -1.0, 1.0, 8)
+        assert (F.node_count, F.unimodular, F.haar().normalization) == (6, True, "counting")
+        assert np.array_equal(F.haar().weights, np.ones(6))
+        assert (G.node_count, G.unimodular, G.haar().normalization) == (40, False, "quadrature")
+
     def test_compose(self):
         G = affine_group(0.5, 2.0, 5, -1.0, 1.0, 8)
         assert np.allclose(G.compose((2.0, 0.0), (1.0, 3.0)), (2.0, 6.0))
@@ -328,9 +349,10 @@ class TestProductRule:
         G = affine_group(*params)
         assert G.node_count == len(nodes)
         assert "nodes" not in vars(G) and "haar_weights" not in vars(G)
-        for lazy, eager in ((G.nodes, nodes), (G.haar_weights, weights), (G.modular_values, modular)):
+        for lazy, eager in ((G.nodes, nodes), (G.haar_weights, weights)):
             assert lazy.dtype == eager.dtype and np.array_equal(lazy, eager)
             assert not lazy.flags.writeable
+        assert np.array_equal(G.modular(G.nodes), modular)
 
     def test_designs_build_the_same_group_as_the_action(self):
         G = WaveletAction(_WAVELET_PRESETS["default"]).group
@@ -361,7 +383,6 @@ class TestProductRule:
             raise AssertionError("refine read a per-node array")
 
         monkeypatch.setattr(QuadratureGroup, "nodes", property(unread))
-        monkeypatch.setattr(QuadratureGroup, "modular_values", property(unread))
         monkeypatch.setattr(QuadratureGroup, "haar_weights", property(unread))
         assert main(["refine", "--scenario", "affine-wavelet:default", "--grids", "3"]) == 0
         rows = capsys.readouterr().out.splitlines()[2:]

@@ -38,6 +38,29 @@ EXPECTED_SCALARS = {
     "induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2": 0.5,
 }
 INDUCED_ID = "induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2"
+WAVELET_DEFAULT_FILE = """\
+[scenario]
+id = affine-wavelet:default
+seed = 1729
+
+[group]
+kind = quadrature
+spec = affine[0.353553,2.82843]x[-8,8]
+
+[haar]
+normalization = quadrature
+
+[algebra]
+block_dims = 97
+trace_weights = 1
+
+[action]
+kind = wavelet
+
+[expect]
+kernel = inverse-frequency
+
+"""
 # the [algebra] line a saved file carries: the block size once per block
 SAVED_BLOCK_DIMS = {
     "affine-wavelet:coarse": "block_dims = 49",
@@ -172,6 +195,17 @@ class TestScenarioFiles:
         saved.read(path)
         assert saved["action"]["kind"] == ROUND_TRIP_KINDS[sid]
         assert load_scenario(path) == spec
+
+    def test_wavelet_file_of_an_earlier_release_loads(self, tmp_path):
+        # the bytes save_scenario wrote for affine-wavelet:default before the
+        # quadrature group lost its pluggable maps: the group label, the Haar
+        # tag and every mirrored key must still match, and be written again
+        path = tmp_path / "scenario.ini"
+        path.write_text(WAVELET_DEFAULT_FILE)
+        assert load_scenario(path) == ScenarioSpec("affine-wavelet:default")
+        again = tmp_path / "again.ini"
+        save_scenario(ScenarioSpec("affine-wavelet:default"), again)
+        assert again.read_text() == WAVELET_DEFAULT_FILE
 
     def test_missing_tolerance_defaults_injected(self, tmp_path):
         path = tmp_path / "scenario.ini"

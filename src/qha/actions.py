@@ -22,12 +22,13 @@ passes another.  Every group integral reads it.
 The structural checkers read certificates: each action carries
 ``action.structure``, residuals worked out from its generators that bound
 its group-law, automorphism, isometry and trace defects.  The fixed-point
-dimension that certifies ergodicity is the group average of the hook
-``character``, trace(x -> g.x), on a finite group (Burnside's lemma), and
-the commutant of the wavelet's sampled unitaries, counted exactly from
-their tables: no dense unitary is formed and no eigendecomposition runs.
-Randomized probes, the dense U* U residuals and a dense stacked-SVD nullity
-are the oracles the tests compare with.
+dimension that certifies ergodicity is chosen by ``group.kind``: the group
+average of the hook ``character``, trace(x -> g.x), on a finite group
+(Burnside's lemma), and on a quadrature one the commutant of the sampled
+unitaries, counted exactly from their tables: no dense unitary is formed
+and no eigendecomposition runs; ``ergodicity_note`` is the ergodicity
+row's notes.  Randomized probes, the dense U* U residuals and a dense
+stacked-SVD nullity are the oracles the tests compare with.
 
 Each family has its own vectorized kernels for the bracket values
 g -> trace((g.y)* x) and the orbit sum sum_g w_g Delta(g)^{-1} (g.x)
@@ -498,6 +499,8 @@ class Action:
 
     # appended to the semi-invariance notes to name the comparison
     comparison_note = ""
+    # the ergodicity row's notes
+    ergodicity_note = "generators"
     # the kernel D^{-1} is compared with, fitted by expected_kernel_fit(d_inverse)
     expected_kernel: str | None = None
 
@@ -507,20 +510,20 @@ class Action:
     def random_positive(self, rng: np.random.Generator) -> AlgebraElement:
         return random_positive_element(self.shape, rng)
 
-    def random_trials(self, rng: np.random.Generator, positive: tuple[bool, ...],
+    def random_trials(self, rng: np.random.Generator, kinds: tuple[str, ...],
                       trials: int) -> tuple[AlgebraElement, ...]:
-        """One element per entry of ``positive`` (a ``random_positive`` one
-        where it is true, else a ``random_element``) for each of ``trials``
-        trials, each entry's elements stacked over the trials.
+        """One element per entry of ``kinds`` (a ``random_positive`` one where
+        it is "positive", a ``random_element`` where it is "general") for each
+        of ``trials`` trials, each entry's elements stacked over the trials.
 
         The stream is consumed as by those draws one at a time, trial by
         trial: one Gaussian draw of every element, each positive one then
         ``floored_gram`` of its Gaussian.
         """
-        k = len(positive)
+        k = len(kinds)
         z = random_element(self.shape, rng, trials * k).blocks
         drawn = (AlgebraElement(self.shape, z[j::k]) for j in range(k))
-        return tuple(floored_gram(x) if pos else x for x, pos in zip(drawn, positive))
+        return tuple(floored_gram(x) if kind == "positive" else x for x, kind in zip(drawn, kinds))
 
     def cross_check_distance(self, a: AlgebraElement, b: AlgebraElement) -> float:
         """Distance of two estimates of the same operator, relative to ``a``."""
@@ -1223,10 +1226,10 @@ class WaveletAction(Action):
         diagonal += 1e-7 * float(np.abs(diagonal).max())
         return AlgebraElement(self.shape, mat[None], copy=False)
 
-    def random_trials(self, rng: np.random.Generator, positive: tuple[bool, ...],
+    def random_trials(self, rng: np.random.Generator, kinds: tuple[str, ...],
                       trials: int) -> tuple[AlgebraElement, ...]:
         """As Action.random_trials, one bump draw at a time."""
-        drawn = [[(self.random_positive if pos else self.random_element)(rng) for pos in positive]
+        drawn = [[(self.random_positive if kind == "positive" else self.random_element)(rng) for kind in kinds]
                  for _ in range(trials)]
         return tuple(stack(column) for column in zip(*drawn))
 
@@ -1260,6 +1263,7 @@ class WaveletAction(Action):
     # -- comparisons in the weak sense ---------------------------------------
 
     comparison_note = " (weak pairing against smooth probes)"
+    ergodicity_note = "sampled generating set"
     expected_kernel = "inverse-frequency"
 
     def expected_kernel_fit(self, d_inverse: AlgebraElement) -> tuple[float, float]:
@@ -1328,7 +1332,7 @@ def fixed_point_dimension(action: Action) -> int:
     grid (``commutant_certificate``, which states its one threshold): no
     eigendecomposition.
     """
-    if not isinstance(action.group, FiniteGroup):
+    if action.group.kind == "quadrature":
         return commutant_certificate(action.sampled_structure()[1][:, 0], action.sampled_on_grid()).dimension
     chi = action.character()
     mean = float(np.mean(chi))

@@ -193,7 +193,7 @@ def cmd_refine(cfg: RunConfig) -> int:
     lines: list[str] = []
     for spec in cfg.specs:
         scn = build_scenario(spec)
-        if not scn.is_quadrature:
+        if scn.action.group.kind != "quadrature":
             raise ConfigError(f"scenario {spec.scenario_id!r} has an exact finite group; "
                               "refinement is meaningless")
         lines.append(f"== {spec.scenario_id}: residual vs grid refinement")

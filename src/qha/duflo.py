@@ -302,11 +302,11 @@ def check_action_validity(action: Action, *, tol: float) -> CheckReport:
         notes=f"hom={hom:.2e} aut={aut:.2e} iso={iso:.2e} certificate={action.structure.certificate}")
 
 
-def check_ergodicity(action: Action, quadrature: bool) -> CheckReport:
+def check_ergodicity(action: Action) -> CheckReport:
     """Fixed-point dimension of the action, which must be 1, exactly."""
     return CheckReport.equality(
         "ergodicity", CLAIMS["ergodicity"], float(fixed_point_dimension(action)), 1.0, tol_rel=0.0,
-        notes="sampled generating set" if quadrature else "generators")
+        notes=action.ergodicity_note)
 
 
 def _worst(reports: list[CheckReport]) -> CheckReport:
@@ -638,8 +638,7 @@ class SuiteCheck(NamedTuple):
 SUITE: tuple[SuiteCheck, ...] = (
     SuiteCheck(("action-validity",), "check_action_validity", lambda f, s, e, _: f(s.action)),
     SuiteCheck(("trace-preservation",), "is_trace_preserving", lambda f, s, e, _: f(s.action)),
-    SuiteCheck(("ergodicity",), "check_ergodicity",
-               lambda f, s, e, _: f(s.action, s.is_quadrature)),
+    SuiteCheck(("ergodicity",), "check_ergodicity", lambda f, s, e, _: f(s.action)),
     # the stream of Scenario.duflo_pair: x is the estimate's first test element
     SuiteCheck(("integrability-witness",), "check_integrability",
                lambda f, s, e, _, x: f(s.action, x), tag="duflo", draws=("positive",)),
@@ -722,7 +721,7 @@ def run_check(row: SuiteCheck, scn, est: DufloEstimate | EstimateError | None,
     worst: tuple[CheckReport, ...] = ()
     for start in range(0, n, chunk):
         trials = range(start, min(start + chunk, n))
-        stacks = scn.random_trials(rng, row.draws, len(trials)) if row.draws else ()
+        stacks = scn.action.random_trials(rng, row.draws, len(trials)) if row.draws else ()
         out = row.call(check, scn, est, tuple(row.grid[t % len(row.grid)] for t in trials), *stacks)
         del stacks  # freed before the next chunk is drawn
         out = out if isinstance(out, tuple) else (out,)

@@ -1,12 +1,13 @@
 """Group models with Haar weights.
 
 Two kinds of groups are supported: exact finite groups given by an index
-multiplication table, and the quadrature-discretized affine group given by
-two axes of nodes with the positive Haar weights of a product rule and its
-exact group law and modular function.  Both answer ``node_count``,
-``haar()`` (counting weights on a finite group) and ``unimodular``.  A Haar
-integral is the dot product of the weights with the values at the nodes, in
-fixed node order.
+multiplication table or cyclic factor sizes, and the quadrature-discretized
+affine group given by two axes of nodes with the positive Haar weights of a
+product rule and its exact group law and modular function.  Both answer
+``kind`` ("finite" or "quadrature", a scenario file's ``[group] kind``),
+``name`` (its ``[group] spec``), ``node_count``, ``haar()`` (counting
+weights on a finite group) and ``unimodular``.  A Haar integral is the dot
+product of the weights with the values at the nodes, in fixed node order.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ class FiniteGroup:
     takes it as its point table).
     """
 
+    kind = "finite"
     unimodular = True
 
     def __init__(self, table=None, name: str = "", structure=None, generators=()):
@@ -300,17 +302,18 @@ class QuadratureGroup:
     ``nodes_at`` gives nodes by index without forming them.
     """
 
+    kind = "quadrature"
     unimodular = False
     identity = _read_only(np.array([1.0, 0.0]))
 
-    def __init__(self, a_nodes, b_nodes, a_weights, label: str = ""):
+    def __init__(self, a_nodes, b_nodes, a_weights, name: str = ""):
         self.a_nodes, self.b_nodes, self.a_weights = (
             _read_only(np.array(v, dtype=float)) for v in (a_nodes, b_nodes, a_weights))
         if self.a_nodes.ndim != 1 or self.b_nodes.ndim != 1:
             raise GroupError("axis nodes must be 1-d arrays")
         if self.a_weights.shape != self.a_nodes.shape or not np.all(self.a_weights > 0):
             raise GroupError("need one positive Haar weight per node of the a axis")
-        self.label = label or "quadrature-group"
+        self.name = name or "quadrature-group"
 
     @property
     def node_count(self) -> int:
@@ -350,7 +353,7 @@ class QuadratureGroup:
         return _ProductHaar(self)
 
     def __repr__(self) -> str:
-        return f"QuadratureGroup({self.label}, nodes={self.node_count})"
+        return f"QuadratureGroup({self.name}, nodes={self.node_count})"
 
 
 def affine_group(a_min: float, a_max: float, n_a: int,
@@ -376,4 +379,4 @@ def affine_group(a_min: float, a_max: float, n_a: int,
     db = (b_max - b_min) / n_b
     b_nodes = (b_min + b_max) / 2 + (2 * np.arange(n_b) + 1 - n_b) * (db / 2)
     return QuadratureGroup(a_nodes, b_nodes, d_log_a * db / a_nodes,
-                           label=f"affine[{a_min:g},{a_max:g}]x[{b_min:g},{b_max:g}]")
+                           name=f"affine[{a_min:g},{a_max:g}]x[{b_min:g},{b_max:g}]")

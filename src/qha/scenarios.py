@@ -2,8 +2,10 @@
 
 A scenario bundles an ergodic trace-preserving action on a block algebra,
 with its group and Haar model, its family's tolerance table, deterministic
-random streams, and optional expectations for the scaling operator.  Builtin
-identifiers:
+random streams, and optional expectations for the scaling operator.  The
+family is read off ``action.group.kind``, a row's draws come from
+``action.random_trials``, and a scenario file's ``[group]`` mirrors the
+group's ``kind`` and ``name``.  Builtin identifiers:
 
     irrep:s3:<trivial|sign|std>       conjugation by an irreducible rep, probability Haar
     irrep:cyclic(8):chi<j>            one-dimensional character conjugation
@@ -44,7 +46,6 @@ from .actions import (
 )
 from .groups import (
     FiniteGroup,
-    QuadratureGroup,
     cyclic,
     probability_haar,
     product,
@@ -117,22 +118,8 @@ class Scenario:
     def shape(self):
         return self.action.shape
 
-    @property
-    def is_quadrature(self) -> bool:
-        return isinstance(self.action.group, QuadratureGroup)
-
     def rng(self, tag: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(tag.encode())])
-
-    def random_trials(self, rng: np.random.Generator, kinds: tuple[str, ...],
-                      trials: int) -> tuple[AlgebraElement, ...]:
-        """``trials`` trials of one element per entry of ``kinds``, each
-        entry's elements stacked over the trials (Action.random_trials).
-
-        A kind is "positive" or "general", drawn as by the action's
-        ``random_positive`` or ``random_element``.
-        """
-        return self.action.random_trials(rng, tuple(kind == "positive" for kind in kinds), trials)
 
     def duflo_pair(self) -> tuple[AlgebraElement, AlgebraElement]:
         rng = self.rng("duflo")
@@ -414,18 +401,13 @@ def _parser() -> configparser.ConfigParser:
 
 def _mirrors(scn: Scenario) -> dict[str, dict[str, str]]:
     """The sections a scenario file mirrors from the built scenario."""
-    group = scn.action.group
-    if isinstance(group, QuadratureGroup):
-        group_section = {"kind": "quadrature", "spec": group.label}
-    else:
-        group_section = {"kind": "finite", "spec": group.name}
     expect = {}
     if scn.expected_scalar is not None:
         expect["scalar"] = f"{scn.expected_scalar:.17g}"
     if scn.action.expected_kernel is not None:
         expect["kernel"] = scn.action.expected_kernel
     return {
-        "group": group_section,
+        "group": {"kind": scn.action.group.kind, "spec": scn.action.group.name},
         "haar": {"normalization": scn.action.haar.normalization},
         "algebra": {
             "block_dims": ",".join([str(scn.shape.block_dim)] * len(scn.shape.trace_weights)),

@@ -669,6 +669,27 @@ class SignedWavelet(WaveletAction):
         return (moved >= 0) & (moved < self.half)
 
 
+class ScaledWavelet(WaveletAction):
+    """The wavelet with g.x = a^{2s} U_g x U_g* for g = (a, b), s = ``power``:
+    a homomorphism of groups, as a -> a^{2s} is multiplicative, that is
+    neither trace-preserving (trace(g.x) = a^{2s} trace(x)) nor unital
+    (g.1 = a^{2s} 1) when s != 0.
+
+    ``apply`` scales by a^{2s}, and ``sampled_structure`` scales the phases
+    to modulus a^s, so the structure residuals see the scaling; the bracket
+    and orbit kernels keep the trace-preserving wavelet's values."""
+
+    power = 0.25
+
+    def apply(self, g, x):
+        return float(g[0]) ** (2 * self.power) * super().apply(g, x)
+
+    def sampled_structure(self):
+        src, U = super().sampled_structure()
+        modulus = np.array(self.sample_elements)[:, 0] ** self.power
+        return src, MonomialStack(U.perm, U.phase * modulus[:, None, None])
+
+
 # loop_monomial_classes of each action, held no longer than the action
 _MONOMIAL_CLASSES = weakref.WeakKeyDictionary()
 

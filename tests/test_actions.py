@@ -1859,7 +1859,7 @@ class TestErgodicityCount:
         positive = WaveletAction(_WAVELET_PRESETS["default"])
         gap = commutant_certificate(positive.sampled_structure()[1][:, 0], positive.sampled_on_grid()).rel_gap
         assert cert.dimension == fixed_point_dimension(act) == 2 and cert.rel_gap == gap
-        report = check_ergodicity(act, True)
+        report = check_ergodicity(act)
         assert not report.passed and report.lhs == 2.0
 
     def test_import_leaves_scipy_out(self):

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, output formats, determinism, refinement."""
 
+import argparse
 import re
 from pathlib import Path
 
@@ -9,7 +10,17 @@ import pytest
 from qha.actions import WaveletAction
 from qha.cli import _parser, main, resolve_config
 from qha.duflo import DufloEstimate, run_suite
-from qha.scenarios import ScenarioSpec, build_scenario, builtin, list_builtins, load_scenario, save_scenario
+from qha.scenarios import (
+    _SECTION_KEYS,
+    _WAVELET_PRESETS,
+    BUILTIN_IDS,
+    ScenarioSpec,
+    build_scenario,
+    builtin,
+    list_builtins,
+    load_scenario,
+    save_scenario,
+)
 
 from helpers import FINITE_ROWS, WAVELET_ROWS
 
@@ -330,3 +341,81 @@ class TestList:
         assert "affine-wavelet:coarse" not in list_builtins()
         cfg = resolve_config(_parser().parse_args(["verify", "--all"]))
         assert "affine-wavelet:coarse" not in [spec.scenario_id for spec in cfg.specs]
+
+
+def _readme_section(title):
+    """The text of README's section ``## title``, up to the next section."""
+    return re.search(rf"^## {re.escape(title)}\n(.*?)(?=^## )", README.read_text(), re.S | re.M).group(1)
+
+
+def _readme_table(text, header):
+    """The rows of the markdown table under the header line ``header``, as
+    lists of cells, ``\\|`` read as a literal bar."""
+    lines = text[text.index(header):].splitlines()[2:]
+    rows = []
+    for line in lines:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().replace("\\|", "|") for cell in re.split(r"(?<!\\)\|", line)[1:-1]])
+    return rows
+
+
+def _id_pattern(cell):
+    """A README id pattern as a regex: <a|b> alternatives, <name>
+    placeholders for one token without colons, and cyclic(N) for any order."""
+    pattern = re.escape(cell.strip("`"))
+    pattern = re.sub(r"<([^<>]*\\\|[^<>]*)>", lambda m: "(?:" + m.group(1).replace("\\|", "|") + ")", pattern)
+    pattern = re.sub(r"<\w+>", "[^:]+", pattern)
+    return re.sub(r"\\\([A-Z]\\\)", r"\\(\\d+\\)", pattern)
+
+
+class TestReadmeContract:
+    """README's tables against the code they document, in both directions."""
+
+    def test_flag_table_is_the_parser(self):
+        rows = _readme_table(_readme_section("Command line"), "| subcommand | flags |")
+        documented = {cmd.strip("`"): flags for cmd, flags in rows}
+        (subparsers,) = [a for a in _parser()._actions if a.dest == "command"]
+        assert set(documented) == set(subparsers.choices)
+        for cmd, sub in subparsers.choices.items():
+            actions = {a.option_strings[0]: a for a in sub._actions if a.option_strings[0] != "-h"}
+            named = re.findall(r"`(--[a-z-]+)[^`]*`", documented[cmd])
+            assert sorted(named) == sorted(actions), cmd
+            repeatable = {flag for flag in named if f"`{flag}` (repeatable)" in documented[cmd]}
+            assert repeatable == {flag for flag, a in actions.items() if isinstance(a, argparse._AppendAction)}, cmd
+            for flag, choices in re.findall(r"`(--[a-z-]+) ([a-z|]+)`", documented[cmd]):
+                assert tuple(choices.split("|")) == tuple(actions[flag].choices), (cmd, flag)
+
+    def test_builtin_table_is_the_catalog(self, capsys):
+        rows = _readme_table(_readme_section("Builtin scenarios"), "| id |")
+        patterns = [re.compile(_id_pattern(row[0])) for row in rows]
+        code, out, err = run_cli(capsys, "list")
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert code == 0 and listed[:len(BUILTIN_IDS)] == list(BUILTIN_IDS)
+        # each listed id has one row, and each row a listed id
+        for sid in listed:
+            assert sum(bool(p.fullmatch(sid)) for p in patterns) == 1, sid
+        for row, p in zip(rows, patterns):
+            assert any(p.fullmatch(sid) for sid in listed), row[0]
+        # the ids kept out of --all are the rows that say so
+        excluded = [row[0].strip("`") for row in rows if any("excluded from `--all`" in c for c in row)]
+        assert excluded == [sid for sid in listed if sid not in BUILTIN_IDS]
+        assert all("excluded from --all" in line for line in out.splitlines()[len(BUILTIN_IDS):])
+        presets = set()
+        for row in rows:
+            m = re.fullmatch(r"`affine-wavelet:<?([a-z|]+)>?`", row[0])
+            presets |= set(m.group(1).split("|")) if m else set()
+        assert presets == set(_WAVELET_PRESETS)
+
+    def test_scenario_file_keys_are_the_loader(self):
+        text = _readme_section("Scenario files")
+        block = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+        keys, section = {}, None
+        for line in block.splitlines():
+            header = re.match(r"\[(\w+)\]", line)
+            if header:
+                section = keys.setdefault(header.group(1), set())
+            # a key, or the alternative a comment names ("# or: kernel = ...")
+            section.update(re.findall(r"(?:^|or: )(\w+) =", line))
+        assert keys == _SECTION_KEYS
+        assert set(re.findall(r"`\[(\w+)\]", text.replace(block, ""))) <= set(_SECTION_KEYS)

@@ -54,9 +54,26 @@ from qha.duflo import (
 )
 from qha.groups import cyclic, probability_haar
 from qha.reports import CheckReport
-from qha.scenarios import BUILTIN_IDS, FINITE_TOLERANCES, Scenario, build_scenario, builtin, refined_wavelet
+from qha.scenarios import (
+    _WAVELET_PRESETS,
+    BUILTIN_IDS,
+    FINITE_TOLERANCES,
+    WAVELET_TOLERANCES,
+    Scenario,
+    build_scenario,
+    builtin,
+    refined_wavelet,
+)
 
-from helpers import FINITE_ROWS, LOOP_CHECKS, WAVELET_ROWS, loop_run_check, point_conjugation, weyl_heisenberg
+from helpers import (
+    FINITE_ROWS,
+    LOOP_CHECKS,
+    WAVELET_ROWS,
+    ScaledWavelet,
+    loop_run_check,
+    point_conjugation,
+    weyl_heisenberg,
+)
 
 
 def _estimate(sid, seed=101):
@@ -656,6 +673,15 @@ class TestRunSuite:
         assert not by_name["trace-preservation"].passed
         assert not all(r.passed for r in reports)
 
+    def test_non_trace_preserving_wavelet_fails_the_structural_rows(self):
+        # g.x = a^{1/2} U_g x U_g*: a homomorphism that moves the trace and the unit
+        scn = Scenario(builtin("affine-wavelet:default"), ScaledWavelet(_WAVELET_PRESETS["default"]),
+                       WAVELET_TOLERANCES, default_trials=4)
+        failed = {r.name for r in run_suite(scn) if not r.passed}
+        assert {"trace-preservation", "action-validity"} <= failed
+        passed = {r.name for r in run_suite(build_scenario(builtin("affine-wavelet:default"))) if r.passed}
+        assert {"trace-preservation", "action-validity"} <= passed
+
     @pytest.mark.parametrize("sid,rows", [
         ("broken-measure", tuple(r for r in FINITE_ROWS if r != "duflo-expected-scalar")),
         ("affine-wavelet:coarse", WAVELET_ROWS),
@@ -793,7 +819,7 @@ class TestStackedSuite:
     def test_stacked_draw_equals_sequential_draws(self, sid):
         scn = build_scenario(builtin(sid))
         kinds = ("positive", "general", "positive")
-        stacks = scn.random_trials(scn.rng("draws"), kinds, 5)
+        stacks = scn.action.random_trials(scn.rng("draws"), kinds, 5)
         rng = scn.rng("draws")
         draw = {"positive": scn.action.random_positive, "general": scn.action.random_element}
         singles = [[draw[kind](rng) for kind in kinds] for _ in range(5)]
@@ -805,7 +831,7 @@ class TestStackedSuite:
     def test_stacked_draw_leaves_the_stream_where_the_loop_does(self):
         scn = build_scenario(builtin("wh:3"))
         a, b = scn.rng("draws"), scn.rng("draws")
-        scn.random_trials(a, ("general", "general"), 4)
+        scn.action.random_trials(a, ("general", "general"), 4)
         for _ in range(4):
             scn.action.random_element(b), scn.action.random_element(b)
         assert np.array_equal(a.standard_normal(3), b.standard_normal(3))

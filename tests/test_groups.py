@@ -253,11 +253,14 @@ class TestAffineGroup:
         assert np.abs(G.compose(p, G.inverse(p)) - G.identity).max() <= 1e-9
 
     def test_one_group_interface(self):
-        # both kinds of group answer the node count, their own Haar model and
-        # whether they are unimodular
+        # both kinds of group answer their kind and name, the node count, their
+        # own Haar model and whether they are unimodular
         F, G = cyclic(6), affine_group(0.5, 2.0, 5, -1.0, 1.0, 8)
+        assert (F.kind, F.name, repr(F)) == ("finite", "cyclic(6)", "FiniteGroup(cyclic(6), order=6)")
         assert (F.node_count, F.unimodular, F.haar().normalization) == (6, True, "counting")
         assert np.array_equal(F.haar().weights, np.ones(6))
+        assert (G.kind, G.name) == ("quadrature", "affine[0.5,2]x[-1,1]")
+        assert repr(G) == "QuadratureGroup(affine[0.5,2]x[-1,1], nodes=40)"
         assert (G.node_count, G.unimodular, G.haar().normalization) == (40, False, "quadrature")
 
     def test_compose(self):

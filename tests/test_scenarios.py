@@ -121,7 +121,7 @@ class TestBuiltins:
     def test_wavelet_presets(self):
         for preset in ("coarse", "default"):
             scn = build_scenario(ScenarioSpec(f"affine-wavelet:{preset}"))
-            assert scn.is_quadrature
+            assert scn.action.group.kind == "quadrature"
             assert scn.action.expected_kernel == "inverse-frequency"
 
     def test_broken_measure_fixture(self):

@@ -35,7 +35,7 @@ TRIALS = 7
 
 def _stacks(sid, kinds=("general", "general"), trials=TRIALS):
     scn = build_scenario(builtin(sid))
-    return scn, scn.random_trials(scn.rng("stacks"), kinds, trials)
+    return scn, scn.action.random_trials(scn.rng("stacks"), kinds, trials)
 
 
 @pytest.mark.parametrize("sid", ["wh:4", "irrep:s3:std", "translation:cyclic(64)",

@@ -458,9 +458,7 @@ class Action:
 
     def __init__(self, group, shape: AlgebraShape, kind: str, sample_elements,
                  haar: HaarModel | None = None):
-        self.group = group
-        self.shape = shape
-        self.kind = kind
+        self.kind, self.group, self.shape = kind, group, shape
         self.sample_elements = tuple(sample_elements)
         self.haar = group.haar() if haar is None else haar
         if haar is not None and haar.weights.shape != (group.node_count,):
@@ -565,7 +563,8 @@ class ConjugationAction(Action):
     source rows must compose and every U[a, j] U[b, src[a, j]] must be a
     scalar multiple of U[ab, j] (``product_phases``; always so on 1x1
     blocks), whose residuals enter ``structure``.  The trace weights may
-    move under the source rows: ``structure.trace`` records it.
+    move under the source rows: ``structure.trace`` records it.  ``kind``
+    names the family, as a scenario file's ``[action] kind`` mirrors it.
 
     With U[g, j][pi(c), c] = ph(c), block j of g.x holds
     ph(c) x_src[c, d] conj(ph(d)) at (pi(c), pi(d)): ``apply`` is one
@@ -578,7 +577,8 @@ class ConjugationAction(Action):
     are a gather through the source rows, with no classes formed.
     """
 
-    def __init__(self, group: FiniteGroup, unitaries, src, trace_weights, haar: HaarModel | None = None):
+    def __init__(self, group: FiniteGroup, unitaries, src, trace_weights, haar: HaarModel | None = None,
+                 kind: str = "conjugation"):
         U = unitaries if isinstance(unitaries, MonomialStack) else MonomialStack.from_dense(unitaries)
         src = np.asarray(src, dtype=int)
         if len(U.shape) != 3 or U.shape[:2] != src.shape or U.shape[0] != group.order:
@@ -612,7 +612,7 @@ class ConjugationAction(Action):
                                           "U[ab, j]: not a group action")
         shape = AlgebraShape(n, trace_weights)
         gens = group.generators or tuple(group.elements())
-        super().__init__(group, shape, "conjugation", gens, haar)
+        super().__init__(group, shape, kind, gens, haar)
         self.unitaries = U
         self._src = src
         sampled = list(gens)
@@ -762,27 +762,24 @@ class PermutationAction(ConjugationAction):
     A measure that the points move raises MeasureError.  ``apply`` is the
     gather itself."""
 
-    def __init__(self, group: FiniteGroup, point_table, mu):
+    def __init__(self, group: FiniteGroup, point_table, mu, kind: str = "permutation"):
         point_table = np.asarray(point_table, dtype=int)
         if point_table.ndim != 2 or len(point_table) != group.order:
             raise ActionError(f"need one row of points per group element: point table of shape "
                               f"{point_table.shape} on {group.order} elements")
         units = point_table.shape + (1,)
         super().__init__(group, MonomialStack(np.zeros(units, dtype=int), np.ones(units)),
-                         point_table[group.inverse_table], mu)
+                         point_table[group.inverse_table], mu, kind=kind)
         if self.structure.trace != 0.0:
             raise MeasureError("point measure is not invariant under the action")
-        self.kind = "permutation"
 
     def apply(self, g, x: AlgebraElement) -> AlgebraElement:
         return AlgebraElement(self.shape, x.blocks[self._src[int(g)]], copy=False)
 
 
-def left_translation_action(G: FiniteGroup, mu=None) -> PermutationAction:
-    """G acting on itself by left translation; counting measure by default."""
-    if mu is None:
-        mu = np.ones(G.order)
-    return PermutationAction(G, G.table, mu)
+def left_translation_action(G: FiniteGroup) -> PermutationAction:
+    """G acting on itself by left translation, with counting measure."""
+    return PermutationAction(G, G.table, np.ones(G.order))
 
 
 def coset_action(G: FiniteGroup, h_indices) -> PermutationAction:
@@ -809,9 +806,7 @@ def dual_action(G: FiniteGroup, m: int = 0) -> ConjugationAction:
     if m == 0:
         D = dual(G)
         point_table = D.compose(np.arange(D.order), D.inverse_table[:, None])
-        act = PermutationAction(D, point_table, np.full(G.order, 1.0 / G.order))
-        act.kind = "dual-translation"
-        return act
+        return PermutationAction(D, point_table, np.full(G.order, 1.0 / G.order), "dual-translation")
     if G.structure is None or len(G.structure) != 2 or G.structure[0] != G.structure[1]:
         raise ActionError("twisted dual action needs cyclic(n) x cyclic(n)")
     n = G.structure[0]
@@ -820,9 +815,7 @@ def dual_action(G: FiniteGroup, m: int = 0) -> ConjugationAction:
     s, t = np.divmod(np.arange(n * n), n)
     psi = (-t * pow(m, -1, n)) % n * n + s
     U = finite_weyl_heisenberg(n)[psi][:, None]
-    act = ConjugationAction(dual(G), U, np.zeros((n * n, 1), dtype=int), (1.0 / n,))
-    act.kind = "twisted-dual"
-    return act
+    return ConjugationAction(dual(G), U, np.zeros((n * n, 1), dtype=int), (1.0 / n,), kind="twisted-dual")
 
 
 def induced_action(G: FiniteGroup, h_indices, inner: Action, iso) -> ConjugationAction:
@@ -856,9 +849,8 @@ def induced_action(G: FiniteGroup, h_indices, inner: Action, iso) -> Conjugation
     t = len(inner.shape.trace_weights)
     src = (target[:, :, None] * t + inner._src[inner_elt]).reshape(G.order, J * t)
     U = inner.unitaries[inner_elt]
-    act = ConjugationAction(G, U.reshape(G.order, J * t, -1), src, inner.shape.trace_weights * J)
-    act.kind = "induced"
-    return act
+    return ConjugationAction(G, U.reshape(G.order, J * t, -1), src, inner.shape.trace_weights * J,
+                             kind="induced")
 
 
 # ---------------------------------------------------------------------------

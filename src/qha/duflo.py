@@ -717,7 +717,7 @@ def run_check(row: SuiteCheck, scn, est: DufloEstimate | EstimateError | None,
     replaces the worst report only when its own is strictly worse, as a
     later trial would."""
     check = bind_tolerance(row, scn)
-    chunk = stack_size(16 * scn.shape.total_dim * max(1, len(row.draws)))
+    chunk = stack_size(16 * scn.action.shape.total_dim * max(1, len(row.draws)))
     worst: tuple[CheckReport, ...] = ()
     for start in range(0, n, chunk):
         trials = range(start, min(start + chunk, n))

@@ -1,11 +1,13 @@
 """Builtin and file-loaded scenario instances.
 
 A scenario bundles an ergodic trace-preserving action on a block algebra,
-with its group and Haar model, its family's tolerance table, deterministic
-random streams, and optional expectations for the scaling operator.  The
-family is read off ``action.group.kind``, a row's draws come from
+with its group and Haar model, deterministic random streams, and optional
+expectations for the scaling operator.  ``action.group.kind`` picks the
+tolerance table and trial count, a row's draws come from
 ``action.random_trials``, and a scenario file's ``[group]`` mirrors the
-group's ``kind`` and ``name``.  Builtin identifiers:
+group's ``kind`` and ``name``.  ``build_scenario`` reads each family's id
+form and builder from one table, ``_FAMILIES``, and hands the builder the
+id's tokens after the kind.  Builtin identifiers:
 
     irrep:s3:<trivial|sign|std>       conjugation by an irreducible rep, probability Haar
     irrep:cyclic(8):chi<j>            one-dimensional character conjugation
@@ -91,19 +93,21 @@ class ScenarioSpec(_SpecFields):
 class Scenario:
     """Runtime scenario: an action with its group and Haar model, tolerances, rng streams.
 
-    ``tolerances`` is a copy of the family's table (FINITE_TOLERANCES,
-    WAVELET_TOLERANCES) with the spec's ``tol_rel``, when it has one, in
-    place of the entries of TOL_REL_ROWS.
+    ``action.group.kind`` picks the tolerance table (FINITE_TOLERANCES,
+    WAVELET_TOLERANCES) and the trial count (``_FAMILY_DEFAULTS``).
+    ``tolerances`` is a copy of that table with ``pins`` in place of the
+    entries they name, and the spec's ``tol_rel``, when it has one, in place
+    of the entries of TOL_REL_ROWS.
     """
 
-    def __init__(self, spec: ScenarioSpec, action: Action, tolerances: dict[str, float], *,
-                 default_trials: int = 12, expected_scalar: float | None = None):
+    def __init__(self, spec: ScenarioSpec, action: Action, pins: dict[str, float] | None = None, *,
+                 expected_scalar: float | None = None):
         self.spec = spec
         self.action = action
-        self.tolerances = dict(tolerances)
+        table, self.default_trials = _FAMILY_DEFAULTS[action.group.kind]
+        self.tolerances = {**table, **(pins or {})}
         if spec.tol_rel is not None:
             self.tolerances.update(dict.fromkeys(TOL_REL_ROWS, spec.tol_rel))
-        self.default_trials = default_trials
         self.expected_scalar = expected_scalar
 
     @property
@@ -113,10 +117,6 @@ class Scenario:
     @property
     def seed(self) -> int:
         return self.spec.seed
-
-    @property
-    def shape(self):
-        return self.action.shape
 
     def rng(self, tag: str) -> np.random.Generator:
         return np.random.default_rng([self.seed, zlib.crc32(tag.encode())])
@@ -192,7 +192,7 @@ _SHARED_TOLERANCES = {
     "duflo-scalar-form": 1e-9, "bracket-symmetry": 1e-10, "holder-inequality": 1e-9, "alt-inequality": 1e-9,
 }
 # exact up to double-precision spectral accuracy; translation and cosets
-# pin duflo-expected-scalar at 1e-12 and 1e-10 (their builders)
+# pin duflo-expected-scalar at 1e-12 and 1e-10 (their builders' pins)
 FINITE_TOLERANCES = {
     **_SHARED_TOLERANCES, "duflo-estimate": 1e-8, "duflo-expected-scalar": 1e-9,
     "orthogonality-positive": 1e-9, "orthogonality-general": 1e-9, "semi-invariance": 1e-9,
@@ -204,43 +204,27 @@ WAVELET_TOLERANCES = {
     "orthogonality-positive": 1e-2, "orthogonality-general": 1e-2, "semi-invariance": 1e-2,
     "l1-inequality": 5e-2, "l1-equality": 5e-2, "young-inequality": 5e-2, "interpolation-bound": 5e-2,
 }
+# the tolerance table and default trial count of each group kind
+_FAMILY_DEFAULTS = {"finite": (FINITE_TOLERANCES, 12), "quadrature": (WAVELET_TOLERANCES, 4)}
 
 
 def build_scenario(spec: ScenarioSpec) -> Scenario:
     sid = spec.scenario_id
-    tokens = sid.split(":")
-    kind = tokens[0]
+    kind, *args = sid.split(":")
+    if kind not in _FAMILIES:
+        raise ConfigError(f"unknown scenario {sid!r}; known kinds: {', '.join(_FAMILIES)}")
+    form, builder = _FAMILIES[kind]
+    if len(args) != form.count(":"):
+        raise ConfigError(f"{kind} scenario needs the form {form}")
     try:
-        if kind == "irrep":
-            return _build_irrep(spec, tokens)
-        if kind == "wh":
-            return _build_wh(spec, tokens)
-        if kind == "translation":
-            return _build_translation(spec, tokens)
-        if kind == "cosets":
-            return _build_cosets(spec, tokens)
-        if kind == "twisted-dual":
-            return _build_twisted_dual(spec, tokens)
-        if kind == "induced":
-            return _build_induced(spec, tokens)
-        if kind == "affine-wavelet":
-            return refined_wavelet(spec, 0)
-        if kind == "broken-measure":
-            return _build_broken(spec)
+        return builder(spec, *args)
     except ConfigError:
         raise
     except Exception as exc:  # structural errors become config errors with context
         raise ConfigError(f"cannot build scenario {sid!r}: {exc}") from exc
-    raise ConfigError(
-        f"unknown scenario {sid!r}; known kinds: irrep, wh, translation, cosets, "
-        "twisted-dual, induced, affine-wavelet, broken-measure"
-    )
 
 
-def _build_irrep(spec: ScenarioSpec, tokens) -> Scenario:
-    if len(tokens) != 3:
-        raise ConfigError("irrep scenario needs the form irrep:<group>:<rep>")
-    _, gtok, rtok = tokens
+def _build_irrep(spec: ScenarioSpec, gtok: str, rtok: str) -> Scenario:
     if gtok == "s3":
         G, reps = s3_irreps()
         if rtok not in reps:
@@ -253,31 +237,22 @@ def _build_irrep(spec: ScenarioSpec, tokens) -> Scenario:
             raise ConfigError("character reps need a cyclic group and rep chi<j>")
         U = cyclic_character_rep(G, int(m.group(1)))
     action = conjugation_action(G, U, haar=probability_haar(G))
-    return Scenario(spec, action, FINITE_TOLERANCES, expected_scalar=float(action.shape.block_dim))
+    return Scenario(spec, action, expected_scalar=float(action.shape.block_dim))
 
 
-def _build_wh(spec: ScenarioSpec, tokens) -> Scenario:
-    if len(tokens) != 2:
-        raise ConfigError("weyl-heisenberg scenario needs the form wh:<n>")
-    n = int(tokens[1])
-    U = finite_weyl_heisenberg(n)
-    action = conjugation_action(product(cyclic(n), cyclic(n)), U)
-    return Scenario(spec, action, FINITE_TOLERANCES, expected_scalar=1.0 / n)
+def _build_wh(spec: ScenarioSpec, n: str) -> Scenario:
+    n = int(n)
+    action = conjugation_action(product(cyclic(n), cyclic(n)), finite_weyl_heisenberg(n))
+    return Scenario(spec, action, expected_scalar=1.0 / n)
 
 
-def _build_translation(spec: ScenarioSpec, tokens) -> Scenario:
-    if len(tokens) != 2:
-        raise ConfigError("translation scenario needs the form translation:<group>")
-    G = parse_group_token(tokens[1])
-    action = left_translation_action(G)
-    return Scenario(spec, action, {**FINITE_TOLERANCES, "duflo-expected-scalar": 1e-12}, expected_scalar=1.0)
+def _build_translation(spec: ScenarioSpec, gtok: str) -> Scenario:
+    action = left_translation_action(parse_group_token(gtok))
+    return Scenario(spec, action, {"duflo-expected-scalar": 1e-12}, expected_scalar=1.0)
 
 
-def _build_cosets(spec: ScenarioSpec, tokens) -> Scenario:
-    if len(tokens) != 3:
-        raise ConfigError("coset scenario needs the form cosets:cyclic(N):cyclic(M)")
-    G = parse_group_token(tokens[1])
-    H = parse_group_token(tokens[2])
+def _build_cosets(spec: ScenarioSpec, gtok: str, htok: str) -> Scenario:
+    G, H = parse_group_token(gtok), parse_group_token(htok)
     if G.structure is None or H.structure is None or len(G.structure) != 1:
         raise ConfigError("coset scenario needs cyclic groups")
     n, m = G.structure[0], H.structure[0]
@@ -285,25 +260,19 @@ def _build_cosets(spec: ScenarioSpec, tokens) -> Scenario:
         raise ConfigError(f"{m} does not divide {n}")
     h_indices = [(n // m) * k for k in range(m)]
     action = coset_action(G, h_indices)
-    return Scenario(spec, action, {**FINITE_TOLERANCES, "duflo-expected-scalar": 1e-10},
-                    expected_scalar=1.0 / m)
+    return Scenario(spec, action, {"duflo-expected-scalar": 1e-10}, expected_scalar=1.0 / m)
 
 
-def _build_twisted_dual(spec: ScenarioSpec, tokens) -> Scenario:
-    if len(tokens) != 3:
-        raise ConfigError("twisted-dual scenario needs the form twisted-dual:<n>:<m>")
-    n, m = int(tokens[1]), int(tokens[2])
+def _build_twisted_dual(spec: ScenarioSpec, n: str, m: str) -> Scenario:
+    n, m = int(n), int(m)
     if m != 0 and math.gcd(m, n) != 1:
         raise ConfigError(f"twist m={m} must be 0 or coprime to n={n}")
     G = product(cyclic(n), cyclic(n))
     action = dual_action(G, m)
-    return Scenario(spec, action, FINITE_TOLERANCES, expected_scalar=1.0 / (n * n))
+    return Scenario(spec, action, expected_scalar=1.0 / (n * n))
 
 
-def _build_induced(spec: ScenarioSpec, tokens) -> Scenario:
-    if len(tokens) != 4:
-        raise ConfigError("induced scenario needs the form induced:<G>:<H>:<inner>")
-    _, gtok, htok, itok = tokens
+def _build_induced(spec: ScenarioSpec, gtok: str, htok: str, itok: str) -> Scenario:
     G = parse_group_token(gtok)
     H_model = parse_group_token(htok)
     if G.structure is None or H_model.structure is None:
@@ -323,7 +292,7 @@ def _build_induced(spec: ScenarioSpec, tokens) -> Scenario:
         raise ConfigError(f"unknown inner action {itok!r}; valid: wh2, translation")
     action = induced_action(G, h_indices, inner, iso)
     tau_one = trace(action.shape.identity()).real
-    return Scenario(spec, action, FINITE_TOLERANCES, expected_scalar=tau_one / G.order)
+    return Scenario(spec, action, expected_scalar=tau_one / G.order)
 
 
 def refined_wavelet(spec: ScenarioSpec, level: int) -> Scenario:
@@ -338,15 +307,26 @@ def refined_wavelet(spec: ScenarioSpec, level: int) -> Scenario:
     if preset not in _WAVELET_PRESETS:
         raise ConfigError(f"unknown wavelet preset {preset!r}; valid: {sorted(_WAVELET_PRESETS)}")
     action = WaveletAction(_WAVELET_PRESETS[preset].scaled(2 ** level))
-    return Scenario(spec, action, WAVELET_TOLERANCES, default_trials=4)
+    return Scenario(spec, action)
 
 
 def _build_broken(spec: ScenarioSpec) -> Scenario:
     # the swap of two atoms of weights 1 and 2, as 1x1 blocks with unit phases
     G, units = cyclic(2), MonomialStack(np.zeros((2, 2, 1), dtype=int), np.ones((2, 2, 1)))
-    action = ConjugationAction(G, units, G.table, (1.0, 2.0))
-    action.kind = "permutation"
-    return Scenario(spec, action, FINITE_TOLERANCES)
+    return Scenario(spec, ConjugationAction(G, units, G.table, (1.0, 2.0), kind="permutation"))
+
+
+# Each family's id form and builder; the builder takes the id's tokens after the kind.
+_FAMILIES = {
+    "irrep": ("irrep:<group>:<rep>", _build_irrep),
+    "wh": ("wh:<n>", _build_wh),
+    "translation": ("translation:<group>", _build_translation),
+    "cosets": ("cosets:cyclic(N):cyclic(M)", _build_cosets),
+    "twisted-dual": ("twisted-dual:<n>:<m>", _build_twisted_dual),
+    "induced": ("induced:<G>:<H>:<inner>", _build_induced),
+    "affine-wavelet": ("affine-wavelet:<preset>", lambda spec, preset: refined_wavelet(spec, 0)),
+    "broken-measure": ("broken-measure", _build_broken),
+}
 
 
 BUILTIN_IDS: tuple[str, ...] = (
@@ -401,7 +381,7 @@ def _parser() -> configparser.ConfigParser:
 
 def _mirrors(scn: Scenario) -> dict[str, dict[str, str]]:
     """The sections a scenario file mirrors from the built scenario."""
-    expect = {}
+    expect, shape = {}, scn.action.shape
     if scn.expected_scalar is not None:
         expect["scalar"] = f"{scn.expected_scalar:.17g}"
     if scn.action.expected_kernel is not None:
@@ -410,8 +390,8 @@ def _mirrors(scn: Scenario) -> dict[str, dict[str, str]]:
         "group": {"kind": scn.action.group.kind, "spec": scn.action.group.name},
         "haar": {"normalization": scn.action.haar.normalization},
         "algebra": {
-            "block_dims": ",".join([str(scn.shape.block_dim)] * len(scn.shape.trace_weights)),
-            "trace_weights": ",".join(f"{w:.17g}" for w in scn.shape.trace_weights),
+            "block_dims": ",".join([str(shape.block_dim)] * len(shape.trace_weights)),
+            "trace_weights": ",".join(f"{w:.17g}" for w in shape.trace_weights),
         },
         "action": {"kind": scn.action.kind},
         "expect": expect,

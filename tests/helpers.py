@@ -427,10 +427,8 @@ def point_conjugation(G, point_table, weights):
     the fixture for a measure the points move."""
     point_table = np.asarray(point_table)
     units = point_table.shape + (1,)
-    act = ConjugationAction(G, MonomialStack(np.zeros(units, dtype=int), np.ones(units)),
-                            point_table[G.inverse_table], weights)
-    act.kind = "permutation"
-    return act
+    return ConjugationAction(G, MonomialStack(np.zeros(units, dtype=int), np.ones(units)),
+                             point_table[G.inverse_table], weights, kind="permutation")
 
 
 def loop_trace_pairing(a, b):

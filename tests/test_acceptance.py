@@ -99,7 +99,7 @@ def test_criterion_3_translation_and_cosets():
     err_t = abs(est_t.scalar_value - 1.0)
 
     scn_c, est_c = _estimate("cosets:cyclic(6):cyclic(3)")
-    d_inv_scalar = trace(est_c.d_inverse).real / trace(scn_c.shape.identity()).real
+    d_inv_scalar = trace(est_c.d_inverse).real / trace(scn_c.action.shape.identity()).real
     err_c = abs(d_inv_scalar - 3.0)
 
     # double-sum oracle: nu_A(B) = mu(A)^{-1} sum_g mu(A intersect gB) on atoms
@@ -130,7 +130,7 @@ def test_criterion_4_fourier_inversion():
     N = G.order
     assert N == 64
 
-    d_inv_scalar = trace(est.d_inverse).real / trace(scn.shape.identity()).real
+    d_inv_scalar = trace(est.d_inverse).real / trace(scn.action.shape.identity()).real
     err_d = abs(d_inv_scalar - 64.0) / 64.0
 
     rng = scn.rng("fourier")

@@ -1496,7 +1496,8 @@ class TestComparisonHooks:
         assert sup_distance(act.random_positive(a), random_positive_element(act.shape, b)) == 0.0
 
     def test_base_comparisons_are_entrywise(self):
-        act = left_translation_action(cyclic(5), mu=np.full(5, 2.0))
+        G = cyclic(5)
+        act = PermutationAction(G, G.table, np.full(5, 2.0))
         rng = np.random.default_rng(21)
         a, b = act.random_positive(rng), act.random_positive(rng)
         assert act.cross_check_distance(a, b) == (a - b).max_abs_entry() / a.max_abs_entry()
@@ -1611,8 +1612,8 @@ class TestCertificatesAgainstProbes:
 
 def _mutant_rows(act):
     """The two structural rows of run_suite on a bare scenario around ``act``."""
-    scn = Scenario(ScenarioSpec("mutant"), act, FINITE_TOLERANCES, default_trials=4)
-    rows = {r.name: r for r in run_suite(scn)}
+    scn = Scenario(ScenarioSpec("mutant"), act)
+    rows = {r.name: r for r in run_suite(scn, trials=4)}
     return rows["action-validity"], rows["trace-preservation"]
 
 

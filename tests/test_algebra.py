@@ -394,7 +394,7 @@ class TestSupportBlocks:
                 assert (rows == n).all() and (cols == n).all() and shapes == [b.shape]
         if sid.startswith("affine-wavelet"):
             assert len(asked) == sum(len(shapes) for _, shapes in asked)
-            assert max(max(shape) for _, shapes in asked for shape in shapes) < scn.shape.block_dim
+            assert max(max(shape) for _, shapes in asked for shape in shapes) < scn.action.shape.block_dim
 
 
 @pytest.mark.parametrize("shape", [M2, AlgebraShape(1, (1.0,) * 5),

@@ -11,6 +11,7 @@ from qha.actions import WaveletAction
 from qha.cli import _parser, main, resolve_config
 from qha.duflo import DufloEstimate, run_suite
 from qha.scenarios import (
+    _FAMILIES,
     _SECTION_KEYS,
     _WAVELET_PRESETS,
     BUILTIN_IDS,
@@ -100,6 +101,12 @@ class TestVerify:
     def test_unknown_id_exits_two(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--scenario", "bogus:thing")
         assert code == 2
+
+    @pytest.mark.parametrize("kind", list(_FAMILIES))
+    def test_wrong_token_count_exits_two(self, capsys, kind):
+        form = _FAMILIES[kind][0]
+        code, out, err = run_cli(capsys, "verify", "--scenario", form + ":x")
+        assert (code, out, err) == (2, "", f"error: {kind} scenario needs the form {form}\n")
 
     def test_tol_abs_is_not_a_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -401,6 +408,12 @@ class TestReadmeContract:
         excluded = [row[0].strip("`") for row in rows if any("excluded from `--all`" in c for c in row)]
         assert excluded == [sid for sid in listed if sid not in BUILTIN_IDS]
         assert all("excluded from --all" in line for line in out.splitlines()[len(BUILTIN_IDS):])
+        # each family of the table has a row, each row a family, with the family's token count
+        families = {row[0].strip("`").split(":")[0] for row in rows}
+        assert families == set(_FAMILIES)
+        for row in rows:
+            sid = row[0].strip("`")
+            assert sid.count(":") == _FAMILIES[sid.split(":")[0]][0].count(":"), row[0]
         presets = set()
         for row in rows:
             m = re.fullmatch(r"`affine-wavelet:<?([a-z|]+)>?`", row[0])

@@ -58,7 +58,6 @@ from qha.scenarios import (
     _WAVELET_PRESETS,
     BUILTIN_IDS,
     FINITE_TOLERANCES,
-    WAVELET_TOLERANCES,
     Scenario,
     build_scenario,
     builtin,
@@ -123,7 +122,7 @@ class TestEstimate:
     def test_rejects_non_positive_test_element(self):
         scn = build_scenario(builtin("wh:2"))
         rng = scn.rng("bad")
-        x = random_element(scn.shape, rng)
+        x = random_element(scn.action.shape, rng)
         from qha.algebra import NotPositiveError
 
         with pytest.raises(NotPositiveError):
@@ -284,7 +283,7 @@ class TestEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        K = scn.shape.block_dim
+        K = scn.action.shape.block_dim
         assert scn.action.group.node_count == 197632
         assert peak <= c * 16 * K * K, peak / (16 * K * K)
 
@@ -299,7 +298,7 @@ class TestEstimate:
             scn = build_scenario(builtin(sid))
             x1, x2 = scn.duflo_pair()
             est = estimate_duflo(scn.action, x1, x2)
-            one = scn.shape.identity()
+            one = scn.action.shape.identity()
             gap = sup_distance(est.d @ est.d_inverse, one)
             assert gap <= 1e-8 * op_norm(est.d @ est.d_inverse), sid
 
@@ -307,7 +306,7 @@ class TestEstimate:
 class TestOrthogonality:
     def test_identity_pair_wh(self):
         scn, est = _estimate("wh:4")
-        one = scn.shape.identity()
+        one = scn.action.shape.identity()
         rep = check_orthogonality(scn.action, est, one, one,
                                   positive=True, tol=1e-9)
         assert rep.passed
@@ -361,8 +360,8 @@ class TestOrthogonality:
     def test_traceless_first_argument(self):
         scn, est = _estimate("wh:3")
         rng = scn.rng("traceless")
-        x = random_element(scn.shape, rng)
-        x = x - (trace(x) / trace(scn.shape.identity())) * scn.shape.identity()
+        x = random_element(scn.action.shape, rng)
+        x = x - (trace(x) / trace(scn.action.shape.identity())) * scn.action.shape.identity()
         y = scn.action.random_positive(rng)
         lhs = scn.action.bracket_integral(x, y)
         assert abs(lhs) <= 1e-10 * p_norm(x, 2.0) * p_norm(y, 2.0) * scn.action.group.order
@@ -393,7 +392,7 @@ class TestOrthogonality:
     def test_bilinearity_cross_validation(self):
         # all 16 matrix-unit combinations pass iff random elements pass
         scn, est = _estimate("wh:2")
-        basis = list(scn.shape.basis())
+        basis = list(scn.action.shape.basis())
         basis_ok = all(
             check_orthogonality(scn.action, est, ei, ej,
                                 positive=False, tol=1e-9).passed
@@ -460,7 +459,7 @@ class TestSemiInvariance:
 class TestAdmissibility:
     def test_identity_gives_trace_of_d_inverse(self):
         scn, est = _estimate("wh:4")
-        ok, value = check_admissibility(scn.shape.identity(), est, tol=admissibility_tol(est))
+        ok, value = check_admissibility(scn.action.shape.identity(), est, tol=admissibility_tol(est))
         assert ok.tolist() == [True]
         assert value[0] == pytest.approx(trace(est.d_inverse).real, rel=1e-11)
 
@@ -468,7 +467,7 @@ class TestAdmissibility:
         scn, est = _estimate("wh:4")
         ok, value = check_admissibility(est.d, est, tol=admissibility_tol(est))
         assert ok.tolist() == [True]
-        assert value[0] == pytest.approx(trace(scn.shape.identity()).real, rel=1e-11)
+        assert value[0] == pytest.approx(trace(scn.action.shape.identity()).real, rel=1e-11)
 
     def test_two_path_identity_random(self):
         scn, est = _estimate("irrep:s3:std")
@@ -483,7 +482,7 @@ class TestAdmissibility:
         assert admissibility_tol(est) == 1e-11
         scn, est = _estimate("affine-wavelet:default")
         w = np.linalg.eigvalsh(est.d_inverse.blocks[0])
-        expected = (w.max() / w.min()) * scn.shape.block_dim * np.finfo(float).eps
+        expected = (w.max() / w.min()) * scn.action.shape.block_dim * np.finfo(float).eps
         assert admissibility_tol(est) == pytest.approx(expected, rel=1e-6)
         assert 1e-8 < admissibility_tol(est) < 1e-6
 
@@ -505,7 +504,7 @@ class TestL1:
         # D^{1/2} 1 D^{1/2} = D
         scn, est = _estimate("wh:2")
         act = scn.action
-        one = scn.shape.identity()
+        one = scn.action.shape.identity()
         direct = 0.0
         for g in act.group.elements():
             moved = act.apply(g, est.d)
@@ -583,7 +582,7 @@ class TestYoung:
 
     def test_rejects_bad_exponents(self):
         scn, est = _estimate("wh:2")
-        one = scn.shape.identity()
+        one = scn.action.shape.identity()
         with pytest.raises(ParameterError):
             check_young(one, one, 2.0, 2.0, math.inf, est, scn.action, tol=1e-9)
         with pytest.raises(ParameterError):
@@ -675,8 +674,7 @@ class TestRunSuite:
 
     def test_non_trace_preserving_wavelet_fails_the_structural_rows(self):
         # g.x = a^{1/2} U_g x U_g*: a homomorphism that moves the trace and the unit
-        scn = Scenario(builtin("affine-wavelet:default"), ScaledWavelet(_WAVELET_PRESETS["default"]),
-                       WAVELET_TOLERANCES, default_trials=4)
+        scn = Scenario(builtin("affine-wavelet:default"), ScaledWavelet(_WAVELET_PRESETS["default"]))
         failed = {r.name for r in run_suite(scn) if not r.passed}
         assert {"trace-preservation", "action-validity"} <= failed
         passed = {r.name for r in run_suite(build_scenario(builtin("affine-wavelet:default"))) if r.passed}
@@ -809,9 +807,9 @@ class TestStackedSuite:
     def test_forty_trials_span_several_chunks(self):
         # the oracle cases above include stacks cut into chunks
         scn = build_scenario(builtin("twisted-dual:24:1"))
-        assert stack_size(16 * scn.shape.total_dim * 2) < suite_entry("young-inequality").trials(40)
+        assert stack_size(16 * scn.action.shape.total_dim * 2) < suite_entry("young-inequality").trials(40)
         wavelet = build_scenario(builtin("affine-wavelet:default"))
-        assert stack_size(16 * wavelet.shape.total_dim) == 1
+        assert stack_size(16 * wavelet.action.shape.total_dim) == 1
 
     @pytest.mark.parametrize("sid", ["wh:3", "translation:cyclic(6)", "twisted-dual:4:1",
                                      "induced:cyclic(2)xcyclic(4):cyclic(2)xcyclic(2):wh2",

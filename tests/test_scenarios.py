@@ -1,19 +1,24 @@
 """Scenario catalog, seeded family instances, and config-file round trips."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
 
 import qha.duflo
+from qha.actions import conjugation_action
 from qha.duflo import SUITE, estimate_duflo, run_suite, suite_entry
 from qha.reports import all_passed
 from qha.scenarios import (
+    _FAMILIES,
+    _WAVELET_PRESETS,
     BUILTIN_IDS,
     FINITE_TOLERANCES,
     TOL_REL_ROWS,
     WAVELET_TOLERANCES,
     ConfigError,
+    Scenario,
     ScenarioSpec,
     build_scenario,
     builtin,
@@ -23,6 +28,8 @@ from qha.scenarios import (
     refined_wavelet,
     save_scenario,
 )
+
+from helpers import ScaledWavelet, weyl_heisenberg
 
 EXPECTED_SCALARS = {
     "irrep:s3:trivial": 1.0,
@@ -107,8 +114,11 @@ class TestBuiltins:
             assert est.scalar_value == pytest.approx(expect, rel=1e-10), sid
 
     def test_unknown_id_lists_kinds(self):
-        with pytest.raises(ConfigError, match="known kinds"):
+        with pytest.raises(ConfigError) as exc:
             build_scenario(ScenarioSpec("nonsense:1"))
+        assert str(exc.value) == ("unknown scenario 'nonsense:1'; known kinds: irrep, wh, translation, "
+                                  "cosets, twisted-dual, induced, affine-wavelet, broken-measure")
+        assert str(exc.value).endswith(", ".join(_FAMILIES))
 
     def test_bad_group_name_lists_valid_forms(self):
         with pytest.raises(ConfigError, match="valid forms"):
@@ -135,6 +145,42 @@ class TestBuiltins:
     def test_cosets_requires_divisor(self):
         with pytest.raises(ConfigError):
             build_scenario(ScenarioSpec("cosets:cyclic(6):cyclic(4)"))
+
+
+def _wrong_token_counts():
+    """(kind, form, id) with one token too many, and one too few where the form has one to drop."""
+    for kind, (form, _) in _FAMILIES.items():
+        yield kind, form, form + ":x"
+        if ":" in form:
+            yield kind, form, form.rsplit(":", 1)[0]
+
+
+class TestFamilyTable:
+    @pytest.mark.parametrize("kind,form,sid", list(_wrong_token_counts()))
+    def test_every_family_rejects_a_wrong_token_count(self, kind, form, sid):
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{kind} scenario needs the form {form}')}$"):
+            build_scenario(ScenarioSpec(sid))
+
+    def test_defaults_follow_the_group_kind(self):
+        spec = ScenarioSpec("bare")
+        wavelet = Scenario(spec, ScaledWavelet(_WAVELET_PRESETS["coarse"]))
+        assert (wavelet.tolerances, wavelet.default_trials) == (WAVELET_TOLERANCES, 4)
+        finite = Scenario(spec, conjugation_action(*weyl_heisenberg(2)))
+        assert (finite.tolerances, finite.default_trials) == (FINITE_TOLERANCES, 12)
+        assert finite.tolerances is not FINITE_TOLERANCES
+
+    @pytest.mark.parametrize("sid,pin", [("translation:cyclic(6)", 1e-12), ("cosets:cyclic(6):cyclic(3)", 1e-10)])
+    def test_pins_replace_only_their_entries_and_tol_rel_comes_last(self, sid, pin):
+        pinned = {**FINITE_TOLERANCES, "duflo-expected-scalar": pin}
+        assert build_scenario(ScenarioSpec(sid)).tolerances == pinned
+        scn = build_scenario(ScenarioSpec(sid, tol_rel=1e-7))
+        assert scn.tolerances == {**pinned, **dict.fromkeys(TOL_REL_ROWS, 1e-7)}
+        assert FINITE_TOLERANCES["duflo-expected-scalar"] == 1e-9  # the table is not touched
+
+    def test_tol_rel_overrides_a_pin_on_its_rows(self):
+        act = conjugation_action(*weyl_heisenberg(2))
+        scn = Scenario(ScenarioSpec("bare", tol_rel=1e-7), act, {"l1-equality": 1e-3, "bracket-symmetry": 1e-3})
+        assert (scn.tolerances["l1-equality"], scn.tolerances["bracket-symmetry"]) == (1e-7, 1e-3)
 
 
 # Fifty (scenario id, seed) pairs over every finite family, with parameters

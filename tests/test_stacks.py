@@ -111,7 +111,7 @@ def test_one_by_one_bracket_per_trial(sid):
     # the gather of 1x1 blocks: a trial of the stack gets the value of the
     # single-element loop and of the kernel's own call on that trial alone
     scn, (x, y) = _stacks(sid)
-    assert isinstance(scn.action, ConjugationAction) and scn.shape.block_dim == 1
+    assert isinstance(scn.action, ConjugationAction) and scn.action.shape.block_dim == 1
     values = scn.action.bracket_values(x, y)
     for i in range(TRIALS):
         assert np.array_equal(values[i], loop_bracket_values(scn.action, x.trial(i), y.trial(i)))

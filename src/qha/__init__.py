@@ -37,11 +37,9 @@ from .actions import (
     product_phases,
 )
 from .bracket import (
-    BracketFunction,
     bracket,
     bracket_symmetry_defect,
     function_p_norm,
-    integrate_bracket,
 )
 from .duflo import (
     CheckReport,

@@ -964,10 +964,7 @@ class WaveletAction(Action):
         kernel[off] = (self.db * np.sin(np.pi * design.n_b * self.db * delta[off])
                        / np.sin(np.pi * self.db * delta[off]))
         self.b_kernel = kernel
-        c = (K - 1) // 2
-        self.center = c
-        support_steps = int(round(design.support_octaves * den))
-        self.window = slice(c - (h - support_steps), c + (h - support_steps) + 1)
+        self.center = (K - 1) // 2
         centers, nus = np.repeat([-0.5, -0.25, 0.0, 0.25, 0.5], 2), np.tile([0.0, 0.7], 5)
         self.probes = self.bumps(centers, np.full(10, 0.18), nus)[0]
         # sample nodes near the identity: one-step dilations and one-cell shifts

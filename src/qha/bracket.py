@@ -1,13 +1,13 @@
-"""Bracket products, their group integrals and norms.
+"""Bracket products and the norms of sampled functions.
 
 The bracket of two algebra elements under an action is the complex function
-on the group g -> trace((g.y)* x).  For positive x and y this agrees with
-trace(x^{1/2} (g.y) x^{1/2}) and is nonnegative.  Values are computed densely
-at every node in fixed node order, so all reductions are deterministic; the
-symmetry defect reads both of its sides from the action
-(``Action.symmetry_values``).  On stacks of trials (see ``algebra``) a
-bracket holds one row of values per trial, and its integral and norms give
-one value per trial.
+on the group g -> trace((g.y)* x), sampled as ``action.bracket_values`` in
+fixed node order, so all reductions are deterministic.  Its integrals and
+L^r norms are taken against ``action.haar.weights``.  For positive x and y
+it agrees with trace(x^{1/2} (g.y) x^{1/2}) and is nonnegative.  The
+symmetry defect reads both of its sides from ``Action.symmetry_values``.
+On stacks of trials (see ``algebra``) a bracket holds one row of values per
+trial, and its norms and the defect give one value per trial.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
-    ParameterError,
     exponent_groups,
     take_rows,
     trial_values,
@@ -27,47 +26,19 @@ from .algebra import (
 from .actions import Action
 
 
-class BracketFunction:
-    """Sampled bracket values with their integration weights: one value per
-    node, or one row of them per trial.  Immutable, with read-only arrays."""
-
-    __slots__ = ("values", "weights")
-
-    def __init__(self, values, weights):
-        v = np.asarray(values, dtype=complex)
-        w = np.asarray(weights, dtype=float)
-        if v.shape[-1:] != w.shape or w.ndim != 1 or v.ndim > 2:
-            raise ParameterError("need one value and one weight per node")
-        v.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "weights", w)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BracketFunction is immutable")
-
-    def __len__(self) -> int:
-        """The node count."""
-        return self.values.shape[-1]
+def bracket(x: AlgebraElement, y: AlgebraElement, action: Action) -> np.ndarray:
+    """Sampled bracket g -> trace((g.y)* x) on the action's nodes:
+    ``action.bracket_values``, one row per trial of stacks."""
+    return action.bracket_values(x, y)
 
 
-def bracket(x: AlgebraElement, y: AlgebraElement, action: Action) -> BracketFunction:
-    """Sampled bracket g -> trace((g.y)* x) on the action's nodes, with its Haar weights."""
-    return BracketFunction(action.bracket_values(x, y), action.haar.weights)
+def function_p_norm(values: np.ndarray, weights, r) -> float | np.ndarray:
+    """L^r norm of a sampled function: (sum w |v|^r)^{1/r}; r = inf is the sup.
 
-
-def integrate_bracket(bf: BracketFunction) -> complex | np.ndarray:
-    """Haar-weighted sum of the bracket values."""
-    return weighted_sum(bf.values, bf.weights)
-
-
-def function_p_norm(bf: BracketFunction, r) -> float | np.ndarray:
-    """L^r norm of the sampled function: (sum w |v|^r)^{1/r}; r = inf is the sup.
-
-    A bracket of a stack takes one exponent or one per trial.  Each trial's
-    final root is taken on a float64 scalar, as a single norm's is.
+    Values with one row per trial take one exponent or one per trial.  Each
+    trial's final root is taken on a float64 scalar, as a single norm's is.
     """
-    v = np.abs(bf.values)
+    v = np.abs(values)
     stacked = v.reshape(-1, v.shape[-1])
     out = np.empty(len(stacked))
     for rv, idx in exponent_groups(r, len(stacked)).items():
@@ -75,7 +46,7 @@ def function_p_norm(bf: BracketFunction, r) -> float | np.ndarray:
         if rv == math.inf:
             out[idx] = np.max(rows, axis=-1, initial=0.0)
         else:
-            out[idx] = [np.float64(t) ** (1.0 / rv) for t in weighted_sum(rows ** rv, bf.weights).tolist()]
+            out[idx] = [np.float64(t) ** (1.0 / rv) for t in weighted_sum(rows ** rv, weights).tolist()]
     return trial_values(out.reshape(v.shape[:-1]))
 
 

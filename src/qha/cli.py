@@ -199,7 +199,7 @@ def cmd_refine(cfg: RunConfig) -> int:
         lines.append(f"== {spec.scenario_id}: residual vs grid refinement")
         lines.append(f"{'level':>5} {'nodes':>8} {'orthogonality':>15} {'semi-invariance':>16} {'cross-check':>12}")
         for level in range(cfg.grids):
-            metrics = refinement_metrics(scn if level == 0 else refined_wavelet(spec, level))
+            metrics = refinement_metrics(scn if level == 0 else refined_wavelet(scn, level))
             lines.append(
                 f"{level:>5} {metrics['nodes']:>8} {metrics['orthogonality']:>15.6e} "
                 f"{metrics['semi_invariance']:>16.6e} {metrics['cross_check']:>12.6e}"

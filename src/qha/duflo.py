@@ -63,7 +63,6 @@ from .bracket import (
     bracket,
     bracket_symmetry_defect,
     function_p_norm,
-    integrate_bracket,
 )
 from .reports import CheckReport
 
@@ -469,14 +468,14 @@ def check_l1(x: AlgebraElement, y: AlgebraElement, est: DufloEstimate, action: A
     tol_ineq, tol_eq = tol
     x, y = as_stack(x), as_stack(y)
     ytil = est.sandwich(0.5, y)
-    bf = bracket(x, ytil, action)
-    lhs_ineq = weighted_sum(np.abs(bf.values), bf.weights).tolist()
+    values, w = bracket(x, ytil, action), action.haar.weights
+    lhs_ineq = weighted_sum(np.abs(values), w).tolist()
     rhs_ineq = [a * b for a, b in zip(p_norm(x, 1.0).tolist(), p_norm(y, 1.0).tolist())]
     ineq = _worst([CheckReport.bound("l1-inequality", CLAIMS["l1-inequality"], l, r, tol_rel=tol_ineq)
                    for l, r in zip(lhs_ineq, rhs_ineq)])
-    lhs_eq = integrate_bracket(bf).tolist()
+    lhs_eq = weighted_sum(values, w).tolist()
     rhs_eq = [a * b for a, b in zip(trace(x).tolist(), trace(y.adjoint()).tolist())]
-    mass = float(np.sum(bf.weights))
+    mass = float(np.sum(w))
     scales = [mass * a * b for a, b in zip(p_norm(x, 2.0).tolist(), p_norm(ytil, 2.0).tolist())]
     eq = _worst([CheckReport.equality("l1-equality", CLAIMS["l1-equality"], l, r, tol_rel=tol_eq,
                                       tol_abs=tol_eq * scale) for l, r, scale in zip(lhs_eq, rhs_eq, scales)])
@@ -507,7 +506,7 @@ def check_young(x: AlgebraElement, y: AlgebraElement, p, q, r, est: DufloEstimat
             > COMMUTE_SLACK * op_norm(y) * float(np.reciprocal(est.eigenvalues).max())):
         raise ParameterError("y must commute with D for the convolution inequality")
     ytil = est.sandwich([1.0 / (2.0 * rv) for rv in rs], y)
-    lhs = function_p_norm(bracket(x, ytil, action), rs).tolist()
+    lhs = function_p_norm(bracket(x, ytil, action), action.haar.weights, rs).tolist()
     rhs = [a * b for a, b in zip(p_norm(x, ps).tolist(), p_norm(y, qs).tolist())]
     return _worst([CheckReport.bound("young-inequality", CLAIMS["young-inequality"], l, rh, tol_rel=tol,
                                      notes=f"p={pv:g} q={qv:g} r={rv:g}")
@@ -526,7 +525,7 @@ def check_interpolation(x: AlgebraElement, y: AlgebraElement, p, est: DufloEstim
     ps = _per_trial(p, y.trials)
     if min(ps) < 1.0:
         raise ParameterError(f"exponent must be >= 1, got {min(ps)}")
-    lhs = function_p_norm(bracket(x, y, action), ps).tolist()
+    lhs = function_p_norm(bracket(x, y, action), action.haar.weights, ps).tolist()
     y1 = p_norm(y, 1.0).tolist()
     # ||D^{-1/2} y D^{-1/2}||_1 on the trials of finite p only
     finite = [i for i, pv in enumerate(ps) if pv != math.inf]

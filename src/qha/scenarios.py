@@ -10,7 +10,7 @@ form and builder from one table, ``_FAMILIES``, and hands the builder the
 id's tokens after the kind.  Builtin identifiers:
 
     irrep:s3:<trivial|sign|std>       conjugation by an irreducible rep, probability Haar
-    irrep:cyclic(8):chi<j>            one-dimensional character conjugation
+    irrep:cyclic(8):chi<j>            one-dimensional character conjugation, 0 <= j < 8
     wh:<n>                            translation-modulation family on cyclic(n)^2, counting Haar
     translation:<group>               the group acting on itself by left translation
     cosets:cyclic(N):cyclic(M)        coset-space permutation action (M divides N)
@@ -235,6 +235,8 @@ def _build_irrep(spec: ScenarioSpec, gtok: str, rtok: str) -> Scenario:
         m = re.match(r"^chi(\d+)$", rtok)
         if G.structure is None or len(G.structure) != 1 or not m:
             raise ConfigError("character reps need a cyclic group and rep chi<j>")
+        if int(m.group(1)) >= G.order:
+            raise ConfigError(f"character {rtok} of {gtok} needs 0 <= j < {G.order}")
         U = cyclic_character_rep(G, int(m.group(1)))
     action = conjugation_action(G, U, haar=probability_haar(G))
     return Scenario(spec, action, expected_scalar=float(action.shape.block_dim))
@@ -295,19 +297,16 @@ def _build_induced(spec: ScenarioSpec, gtok: str, htok: str, itok: str) -> Scena
     return Scenario(spec, action, expected_scalar=tau_one / G.order)
 
 
-def refined_wavelet(spec: ScenarioSpec, level: int) -> Scenario:
-    """The wavelet scenario with every quadrature axis refined by 2**level;
-    level 0 is the preset itself."""
-    tokens = spec.scenario_id.split(":")
-    if tokens[0] != "affine-wavelet":
-        raise ConfigError("refinement applies to affine-wavelet scenarios only")
-    if len(tokens) != 2:
-        raise ConfigError("wavelet scenario needs the form affine-wavelet:<preset>")
-    preset = tokens[1]
+def _build_wavelet(spec: ScenarioSpec, preset: str) -> Scenario:
     if preset not in _WAVELET_PRESETS:
         raise ConfigError(f"unknown wavelet preset {preset!r}; valid: {sorted(_WAVELET_PRESETS)}")
-    action = WaveletAction(_WAVELET_PRESETS[preset].scaled(2 ** level))
-    return Scenario(spec, action)
+    return Scenario(spec, WaveletAction(_WAVELET_PRESETS[preset]))
+
+
+def refined_wavelet(scn: Scenario, level: int) -> Scenario:
+    """The wavelet scenario ``scn`` with every quadrature axis of its design
+    refined by 2**level, under the same spec; level 0 rebuilds the design."""
+    return Scenario(scn.spec, WaveletAction(scn.action.design.scaled(2 ** level)))
 
 
 def _build_broken(spec: ScenarioSpec) -> Scenario:
@@ -324,7 +323,7 @@ _FAMILIES = {
     "cosets": ("cosets:cyclic(N):cyclic(M)", _build_cosets),
     "twisted-dual": ("twisted-dual:<n>:<m>", _build_twisted_dual),
     "induced": ("induced:<G>:<H>:<inner>", _build_induced),
-    "affine-wavelet": ("affine-wavelet:<preset>", lambda spec, preset: refined_wavelet(spec, 0)),
+    "affine-wavelet": ("affine-wavelet:<preset>", _build_wavelet),
     "broken-measure": ("broken-measure", _build_broken),
 }
 

@@ -259,7 +259,7 @@ def test_criterion_8_quadrature_refinement():
     """Default grid within 1e-2 and strictly decreasing over two refinements."""
     t0 = time.monotonic()
     spec = builtin("affine-wavelet:default")
-    rows = [refinement_metrics(refined_wavelet(spec, level)) for level in range(3)]
+    rows = [refinement_metrics(refined_wavelet(build_scenario(spec), level)) for level in range(3)]
     orth = [r["orthogonality"] for r in rows]
     semi = [r["semi_invariance"] for r in rows]
     elapsed = time.monotonic() - t0

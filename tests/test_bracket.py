@@ -14,6 +14,7 @@ from qha.algebra import (
     random_positive_element,
     stack,
     trace,
+    weighted_sum,
 )
 from qha.actions import (
     WaveletAction,
@@ -22,11 +23,9 @@ from qha.actions import (
     left_translation_action,
 )
 from qha.bracket import (
-    BracketFunction,
     bracket,
     bracket_symmetry_defect,
     function_p_norm,
-    integrate_bracket,
 )
 from qha.duflo import run_check, run_suite, suite_entry
 from qha.groups import cyclic, probability_haar
@@ -47,14 +46,12 @@ class TestBracketValues:
     def test_identity_pair_is_constant_trace(self):
         act = conjugation_action(*weyl_heisenberg(2))
         one = act.shape.identity()
-        bf = bracket(one, one, act)
-        assert np.allclose(bf.values, trace(one))
+        assert np.allclose(bracket(one, one, act), trace(one))
 
     def test_translation_indicator(self):
         act = left_translation_action(cyclic(2))
         d = _delta(act, 0)
-        bf = bracket(d, d, act)
-        assert np.allclose(bf.values, [1.0, 0.0])
+        assert np.allclose(bracket(d, d, act), [1.0, 0.0])
 
     def test_rank_one_inner_products(self):
         # matrix-coefficient form: the bracket of rank-one projections is the
@@ -66,10 +63,10 @@ class TestBracketValues:
         eta = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         x = AlgebraElement(act.shape, [np.outer(xi, xi.conj())])
         y = AlgebraElement(act.shape, [np.outer(eta, eta.conj())])
-        bf = bracket(x, y, act)
+        values = bracket(x, y, act)
         for g in G.elements():
             ip = np.vdot(U[g] @ eta, xi)  # <xi, U_g eta>
-            assert bf.values[g] == pytest.approx(abs(ip) ** 2, abs=1e-11)
+            assert values[g] == pytest.approx(abs(ip) ** 2, abs=1e-11)
 
     def test_path_pair_consistency_all_builtins(self):
         # for positive pairs trace((g.y)* x) equals trace(x^{1/2}(g.y)x^{1/2});
@@ -105,18 +102,18 @@ class TestBracketValues:
         rng = np.random.default_rng(1)
         x = random_element(act.shape, rng)
         y = random_element(act.shape, rng)
-        base = bracket(x, y, act).values
+        base = bracket(x, y, act)
         G = act.group
         for h in G.elements():
-            moved = bracket(act.apply(h, x), y, act).values
+            moved = bracket(act.apply(h, x), y, act)
             for g in G.elements():
                 assert moved[g] == pytest.approx(base[G.compose(G.inverse(h), g)], abs=1e-10)
 
-class TestIntegrateBracket:
+class TestBracketIntegral:
     def test_translation_delta(self):
         act = left_translation_action(cyclic(2))
         d = _delta(act, 0)
-        assert integrate_bracket(bracket(d, d, act)) == pytest.approx(1.0)
+        assert weighted_sum(bracket(d, d, act), act.haar.weights) == pytest.approx(1.0)
 
     def test_wh_rank_one_double_sum_oracle(self):
         # oracle: the exhaustive double sum over all group elements and matrix
@@ -131,7 +128,7 @@ class TestIntegrateBracket:
         oracle = 0.0
         for g in G.elements():
             oracle += abs(np.vdot(U[g] @ xi, xi)) ** 2
-        val = integrate_bracket(bracket(x, x, act))
+        val = weighted_sum(bracket(x, x, act), act.haar.weights)
         assert val.real == pytest.approx(oracle, rel=1e-12)
         assert val.real == pytest.approx(float(n), rel=1e-10)
 
@@ -152,20 +149,31 @@ class TestFunctionNorm:
         G, U = weyl_heisenberg(2)
         act = conjugation_action(G, U, haar=probability_haar(G))
         one = act.shape.identity()
-        bf = bracket((1 / 2.0) * one, one, act)
+        values = bracket((1 / 2.0) * one, one, act)
         for r in (1.0, 2.0, 3.0, math.inf):
-            assert function_p_norm(bf, r) == pytest.approx(1.0)
+            assert function_p_norm(values, act.haar.weights, r) == pytest.approx(1.0)
 
     def test_indicator_counting(self):
         act = left_translation_action(cyclic(2))
-        bf = bracket(_delta(act, 0), _delta(act, 0), act)
-        assert function_p_norm(bf, 2.0) == pytest.approx(1.0)
+        values = bracket(_delta(act, 0), _delta(act, 0), act)
+        assert function_p_norm(values, act.haar.weights, 2.0) == pytest.approx(1.0)
+
+    def test_norm_scales_with_the_weights(self):
+        # ||f||_r against c w is c^{1/r} times the norm against w; the sup ignores w
+        act = conjugation_action(*weyl_heisenberg(3))
+        rng = np.random.default_rng(6)
+        values = bracket(random_element(act.shape, rng), random_element(act.shape, rng), act)
+        w = act.haar.weights
+        for r in (1.0, 1.5, 2.0, math.inf):
+            scale = 1.0 if r == math.inf else 3.0 ** (1.0 / r)
+            assert function_p_norm(values, 3.0 * w, r) == pytest.approx(scale * function_p_norm(values, w, r),
+                                                                         rel=1e-13)
 
     def test_rejects_small_exponent(self):
         act = left_translation_action(cyclic(2))
-        bf = bracket(_delta(act, 0), _delta(act, 0), act)
+        values = bracket(_delta(act, 0), _delta(act, 0), act)
         with pytest.raises(ParameterError):
-            function_p_norm(bf, 0.9)
+            function_p_norm(values, act.haar.weights, 0.9)
 
     def test_refinement_consistency_on_quadrature(self):
         # grid-refinement oracle: the same continuum pair gives consistent
@@ -183,7 +191,7 @@ class TestFunctionNorm:
 
             x = state(0.0, 0.15)
             y = state(0.1, 0.2)
-            vals.append(function_p_norm(bracket(x, y, act), 2.0))
+            vals.append(function_p_norm(bracket(x, y, act), act.haar.weights, 2.0))
         assert abs(vals[0] - vals[1]) <= 1e-2 * abs(vals[1])
 
 
@@ -293,8 +301,3 @@ class TestSymmetry:
         (row,) = run_check(suite_entry("bracket-symmetry"), scn, None, scn.rng("symmetry"), 1)
         assert not row.passed and row.lhs > 0.1
 
-
-class TestBracketFunctionType:
-    def test_shape_validation(self):
-        with pytest.raises(ParameterError):
-            BracketFunction(np.ones(3), np.ones(4))

@@ -102,6 +102,11 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--scenario", "bogus:thing")
         assert code == 2
 
+    @pytest.mark.parametrize("rep", ["chi8", "chi99"])
+    def test_character_beyond_the_order_exits_two(self, capsys, rep):
+        code, out, err = run_cli(capsys, "verify", "--scenario", f"irrep:cyclic(8):{rep}")
+        assert (code, out, err) == (2, "", f"error: character {rep} of cyclic(8) needs 0 <= j < 8\n")
+
     @pytest.mark.parametrize("kind", list(_FAMILIES))
     def test_wrong_token_count_exits_two(self, capsys, kind):
         form = _FAMILIES[kind][0]

@@ -255,7 +255,7 @@ class TestEstimate:
     def test_refine_levels_form_no_eigenvalue(self, monkeypatch):
         # every level of refine --grids 3 certifies positivity by Cholesky and
         # reads no eigenvalue of D^{-1}
-        levels = [refined_wavelet(builtin("affine-wavelet:default"), level) for level in range(3)]
+        levels = [refined_wavelet(build_scenario(builtin("affine-wavelet:default")), level) for level in range(3)]
 
         def refuse(*args, **kwargs):
             raise AssertionError("an eigenvalue was formed")
@@ -275,10 +275,10 @@ class TestEstimate:
         live = 2 + 1 + 1 + 1 + 1 + 0.5
         c = live + 0.5
         spec = builtin("affine-wavelet:default")
-        refinement_metrics(refined_wavelet(spec, 0))  # imports and caches outside the trace
+        refinement_metrics(refined_wavelet(build_scenario(spec), 0))  # imports and caches outside the trace
         tracemalloc.start()
         try:
-            scn = refined_wavelet(spec, 2)
+            scn = refined_wavelet(build_scenario(spec), 2)
             refinement_metrics(scn)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from qha.actions import ActionStructure, CommutantCertificate, WaveletDesign
-from qha.algebra import AlgebraShape, ParameterError, ShapeMismatchError
-from qha.bracket import BracketFunction
+from qha.algebra import AlgebraShape, ShapeMismatchError
 from qha.cli import RunConfig
 from qha.duflo import SUITE, SuiteCheck
 from qha.scenarios import DEFAULT_SEED, ConfigError, ScenarioSpec, build_scenario
@@ -61,7 +60,7 @@ class TestImportCost:
         assert fresh_interpreter(code) == ["False", "True", "wh:2", "3"]
 
     @pytest.mark.parametrize("record", [AlgebraShape, ScenarioSpec, WaveletDesign, RunConfig, SuiteCheck,
-                                        CommutantCertificate, ActionStructure, BracketFunction])
+                                        CommutantCertificate, ActionStructure])
     def test_records_are_not_dataclasses(self, record):
         assert not dataclasses.is_dataclass(record)
 
@@ -81,17 +80,6 @@ class TestValueSemantics:
             setattr(rec, rec._fields[0], None)
         with pytest.raises(AttributeError):
             rec.extra = None
-
-    def test_bracket_function_is_immutable(self):
-        bf = BracketFunction([1.0, 2.0j], [0.5, 0.5])
-        with pytest.raises(AttributeError):
-            bf.values = np.zeros(2)
-        with pytest.raises(AttributeError):
-            bf.extra = None
-        assert not bf.values.flags.writeable and not bf.weights.flags.writeable
-        with pytest.raises(ValueError):
-            bf.values[0] = 0.0
-        assert len(bf) == 2 and bf.values.dtype == complex and bf.weights.dtype == float
 
 
 class TestDefaults:
@@ -155,10 +143,3 @@ class TestValidation:
         assert ScenarioSpec("wh:2")._replace(seed=3) == ("wh:2", 3, None)
         with pytest.raises(ConfigError):
             ScenarioSpec("wh:2")._replace(seed=1.5)
-
-    @pytest.mark.parametrize("values, weights", [
-        (np.ones(3), np.ones(4)), (np.ones((2, 2, 3)), np.ones(3)), (np.ones((2, 3)), np.ones((2, 3))),
-    ])
-    def test_bracket_function_rejects_mismatched_arrays(self, values, weights):
-        with pytest.raises(ParameterError):
-            BracketFunction(values, weights)

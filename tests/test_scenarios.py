@@ -124,6 +124,14 @@ class TestBuiltins:
         with pytest.raises(ConfigError, match="valid forms"):
             build_scenario(ScenarioSpec("translation:dihedral(8)"))
 
+    @pytest.mark.parametrize("j", [8, 99])
+    def test_character_index_must_be_below_the_order(self, j):
+        # chi<j> names the character g -> exp(2 pi i j g / 8) for j < 8 only;
+        # a larger j once ran chi<j mod 8> under the wrong name
+        with pytest.raises(ConfigError) as exc:
+            build_scenario(ScenarioSpec(f"irrep:cyclic(8):chi{j}"))
+        assert str(exc.value) == f"character chi{j} of cyclic(8) needs 0 <= j < 8"
+
     @pytest.mark.parametrize("tok", ["s3xcyclic(2)", "cyclic(2)xs3"])
     def test_s3_products_parse_in_either_order(self, tok):
         assert parse_group_token(tok).order == 12
@@ -379,16 +387,19 @@ class TestScenarioRuntime:
     def test_refined_wavelet_level_zero_is_the_preset(self):
         spec = ScenarioSpec("affine-wavelet:coarse")
         preset = build_scenario(spec)
-        level0 = refined_wavelet(spec, 0)
+        level0 = refined_wavelet(build_scenario(spec), 0)
         assert level0.action.design == preset.action.design
         assert np.array_equal(level0.action.haar.weights, preset.action.haar.weights)
-        assert refined_wavelet(spec, 1).action.design == preset.action.design.scaled(2)
+        assert refined_wavelet(build_scenario(spec), 1).action.design == preset.action.design.scaled(2)
 
-    def test_refined_wavelet_rejects_other_scenarios(self):
-        with pytest.raises(ConfigError):
-            refined_wavelet(ScenarioSpec("wh:3"), 1)
-        with pytest.raises(ConfigError):
-            refined_wavelet(ScenarioSpec("affine-wavelet:huge"), 0)
+    def test_refined_wavelet_keeps_the_spec(self):
+        scn = build_scenario(ScenarioSpec("affine-wavelet:coarse", seed=5, tol_rel=1e-3))
+        refined = refined_wavelet(scn, 1)
+        assert refined.spec == scn.spec and refined.tolerances == scn.tolerances
+
+    def test_unknown_wavelet_preset_is_rejected(self):
+        with pytest.raises(ConfigError, match="unknown wavelet preset 'huge'"):
+            build_scenario(ScenarioSpec("affine-wavelet:huge"))
 
 
 # the two rows that take no entry: the one derives its tolerance from the

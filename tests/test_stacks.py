@@ -18,8 +18,9 @@ from qha.algebra import (
     stack_size,
     trace,
     trace_pairing,
+    weighted_sum,
 )
-from qha.bracket import bracket, function_p_norm, integrate_bracket
+from qha.bracket import bracket, function_p_norm
 from qha.scenarios import build_scenario, builtin
 
 from helpers import (
@@ -71,6 +72,7 @@ class TestAlgebraKernels:
         scn, (x, y) = _stacks(sid)
         values = scn.action.bracket_values(x, y)
         assert values.shape == (TRIALS, scn.action.haar.weights.size)
+        assert np.array_equal(bracket(x, y, scn.action), values)
         for i in range(TRIALS):
             assert np.array_equal(values[i], scn.action.bracket_values(x.trial(i), y.trial(i)))
         assert scn.action.bracket_integral(x, y).tolist() == [
@@ -79,13 +81,12 @@ class TestAlgebraKernels:
     @pytest.mark.parametrize("r", EXPONENTS)
     def test_function_p_norm_per_trial(self, sid, r):
         scn, (x, y) = _stacks(sid)
-        bf = bracket(x, y, scn.action)
-        w = scn.action.haar.weights
-        assert function_p_norm(bf, r).tolist() == [loop_function_p_norm(v, w, r) for v in bf.values]
+        values, w = bracket(x, y, scn.action), scn.action.haar.weights
+        assert function_p_norm(values, w, r).tolist() == [loop_function_p_norm(v, w, r) for v in values]
         rs = [EXPONENTS[i % len(EXPONENTS)] for i in range(TRIALS)]
-        assert function_p_norm(bf, rs).tolist() == [
-            loop_function_p_norm(v, w, r) for v, r in zip(bf.values, rs)]
-        assert integrate_bracket(bf).tolist() == [complex(np.dot(w, v)) for v in bf.values]
+        assert function_p_norm(values, w, rs).tolist() == [
+            loop_function_p_norm(v, w, r) for v, r in zip(values, rs)]
+        assert weighted_sum(values, w).tolist() == [complex(np.dot(w, v)) for v in values]
 
 
 @pytest.mark.parametrize("kinds", [("general", "general"), ("positive", "general")])
